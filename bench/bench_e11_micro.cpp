@@ -190,18 +190,11 @@ BENCHMARK_CAPTURE(BM_EngineRun, v3_fast, core::Variant::TwoChannel,
 BENCHMARK_CAPTURE(BM_EngineRun, v3_reference, core::Variant::TwoChannel,
                   core::EngineKind::Reference)
     ->Arg(1 << 10);
-// Round-kernel triple on the one-channel variant: the same factory-built
-// workload pinned to each stream-identical kernel, so kernel regressions
-// show up at the Engine-interface level too (beepmis_report groups these
-// into its kernel table next to the BM_FastEngineKernel anchor points).
+// The oracle kernel on the same factory-built workload, so a scalar
+// regression shows up at the Engine-interface level too (v1_fast above runs
+// the Auto kernel, sharded).
 BENCHMARK_CAPTURE(BM_EngineRun, v1_fast_scalar, core::Variant::GlobalDelta,
                   core::EngineKind::Fast, core::KernelKind::Scalar)
-    ->Arg(1 << 10);
-BENCHMARK_CAPTURE(BM_EngineRun, v1_fast_bit, core::Variant::GlobalDelta,
-                  core::EngineKind::Fast, core::KernelKind::Bit)
-    ->Arg(1 << 10);
-BENCHMARK_CAPTURE(BM_EngineRun, v1_fast_frontier, core::Variant::GlobalDelta,
-                  core::EngineKind::Fast, core::KernelKind::Frontier)
     ->Arg(1 << 10);
 
 /// Swallows everything — lets the sink-overhead pair measure event
@@ -244,7 +237,7 @@ BENCHMARK(BM_FastEngineRun_NoSink)->Arg(10240);
 /// The kernel A/B anchor: the NoSink workload (n = 10240 Erdős–Rényi,
 /// avg degree 8, uniform-random init, run to stabilization) pinned to one
 /// round kernel. beepmis_report pairs each kernel against scalar — the
-/// headline claim is ≥ 5× for the best packed kernel on this point.
+/// headline claim is ≥ 5× for the sharded kernel on this point.
 void BM_FastEngineKernel(benchmark::State& state, core::KernelKind kernel) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const graph::Graph g = make_er(n);
@@ -271,18 +264,15 @@ void BM_FastEngineKernel(benchmark::State& state, core::KernelKind kernel) {
 }
 BENCHMARK_CAPTURE(BM_FastEngineKernel, scalar, core::KernelKind::Scalar)
     ->Arg(10240);
-BENCHMARK_CAPTURE(BM_FastEngineKernel, bit, core::KernelKind::Bit)
-    ->Arg(10240);
-BENCHMARK_CAPTURE(BM_FastEngineKernel, frontier, core::KernelKind::Frontier)
+BENCHMARK_CAPTURE(BM_FastEngineKernel, sharded, core::KernelKind::Sharded)
     ->Arg(10240);
 
 /// Intra-round sharding A/B at n = 10⁶ (streamed Erdős–Rényi, avg degree
 /// 8): the same stabilization run with the sharded kernel at 1/2/4/8
-/// worker threads, plus the serial frontier kernel as the no-sharding
-/// anchor. The claims CI checks (real time, core-count-aware): 1-thread
-/// sharded within ~5% of frontier, and /8 vs /1 approaching the core
-/// count on machines that have the cores. Built once — a 10⁶ graph takes
-/// seconds to generate, so every arm shares one static instance.
+/// worker threads; /1 is the serial run. The claim CI checks (real time,
+/// core-count-aware): /8 vs /1 approaching the core count on machines that
+/// have the cores. Built once — a 10⁶ graph takes seconds to generate, so
+/// every arm shares one static instance.
 constexpr std::size_t kShardBenchN = 1000000;
 
 const graph::Graph& shard_bench_graph() {
@@ -330,13 +320,6 @@ BENCHMARK(BM_EngineRunSharded)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_EngineRunShardedAnchor(benchmark::State& state) {
-  run_shard_bench(state, core::KernelKind::Frontier, 1);
-}
-BENCHMARK(BM_EngineRunShardedAnchor)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

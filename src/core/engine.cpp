@@ -45,16 +45,14 @@ std::string kernel_kind_name(KernelKind k) {
   switch (k) {
     case KernelKind::Auto: return "auto";
     case KernelKind::Scalar: return "scalar";
-    case KernelKind::Bit: return "bit";
-    case KernelKind::Frontier: return "frontier";
     case KernelKind::Sharded: return "sharded";
   }
   return "?";
 }
 
 bool parse_kernel_kind(const std::string& name, KernelKind* out) {
-  for (KernelKind k : {KernelKind::Auto, KernelKind::Scalar, KernelKind::Bit,
-                       KernelKind::Frontier, KernelKind::Sharded}) {
+  for (KernelKind k :
+       {KernelKind::Auto, KernelKind::Scalar, KernelKind::Sharded}) {
     if (kernel_kind_name(k) == name) {
       *out = k;
       return true;

@@ -43,18 +43,16 @@ std::string engine_kind_name(EngineKind k);
 /// Returns false (leaving `out` untouched) on an unknown name.
 bool parse_engine_kind(const std::string& name, EngineKind* out);
 
-/// Round-kernel selection for the fast engine. All three kernels are proven
+/// Round-kernel selection for the fast engine. Both kernels are proven
 /// stream-identical (same levels, same RoundEvents, round for round — see
 /// tests/test_kernels.cpp), so the choice never changes a result, only the
-/// wall-clock; Auto resolves deterministically (currently: always Frontier).
-/// Irrelevant under receiver noise, where every kernel runs the same dense
-/// full sweep.
+/// wall-clock. Irrelevant under receiver noise, where every kernel runs the
+/// same dense full sweep.
 enum class KernelKind {
-  Auto,      ///< let the engine choose (deterministic per config)
-  Scalar,    ///< per-vertex loops over CSR — the oracle the others are proven against
-  Bit,       ///< bit-packed send/heard masks, word-wide OR over blocked adjacency
-  Frontier,  ///< beeper-frontier push/pull visiting only what can change
-  Sharded,   ///< bit-kernel round split into word-aligned shards on a TaskPool
+  Auto,     ///< let the engine choose (always Sharded)
+  Scalar,   ///< per-vertex loops over CSR — the oracle Sharded is proven against
+  Sharded,  ///< count-based round visiting only what can change, over
+            ///< word-aligned vertex shards (one shard = serial, inline)
 };
 
 std::string kernel_kind_name(KernelKind k);
@@ -63,15 +61,9 @@ bool parse_kernel_kind(const std::string& name, KernelKind* out);
 
 /// Deterministic Auto resolution — a pure function of the requested kind, so
 /// the same config always runs the same kernel (the determinism gates diff
-/// runs byte-for-byte). Currently Auto -> Frontier, the measured winner on
-/// the sparse benchmark families. Defined in round_kernel.cpp.
+/// runs byte-for-byte): Auto -> Sharded at every shard_threads, explicit
+/// choices unchanged. Defined in round_kernel.cpp.
 KernelKind resolve_kernel(KernelKind kind) noexcept;
-
-/// Config-aware overload: with intra-round parallelism requested
-/// (shard_threads != 1), Auto resolves to the sharded kernel — the only one
-/// that can use the extra workers; otherwise identical to the 1-arg form.
-/// Still a pure function of its inputs, so determinism gates hold.
-KernelKind resolve_kernel(KernelKind kind, std::size_t shard_threads) noexcept;
 
 /// The sharded kernel's barrier-phased round, in execution order. The names
 /// double as tracer span names (static storage, as the tracer requires) and
@@ -124,11 +116,11 @@ struct EngineConfig {
   std::int32_t c1 = 0;  ///< lmax constant override (0 = paper default)
   beep::ChannelNoise noise = {};
   beep::Duplex duplex = beep::Duplex::Full;
-  /// Worker threads for intra-round sharded execution (KernelKind::Sharded;
-  /// Auto resolves to it when != 1): 1 = serial, 0 = one per hardware
-  /// thread. Results are bit-identical for every value — the shard count is
-  /// derived from the graph alone and every phase writes only shard-owned
-  /// state (see docs/architecture.md, "Intra-round sharding").
+  /// Worker threads for intra-round sharded execution (KernelKind::Sharded,
+  /// which Auto resolves to): 1 = serial, one shard whose phases run inline;
+  /// 0 = one per hardware thread. Results are bit-identical for every value
+  /// — every phase writes only shard-owned state (see docs/architecture.md,
+  /// "Intra-round sharding").
   std::size_t shard_threads = 1;
   /// Collect ShardTelemetry every round even without a tracing session (the
   /// sharded kernel also collects whenever the tracer is live). Never changes
@@ -148,8 +140,8 @@ class Engine {
 
   /// Executor identity for manifests/logs, e.g. "fast-alg1".
   virtual std::string name() const = 0;
-  /// Resolved round-kernel identity for manifests/logs ("scalar", "bit",
-  /// "frontier"); "none" for executors without a kernel layer (reference).
+  /// Resolved round-kernel identity for manifests/logs ("scalar",
+  /// "sharded"); "none" for executors without a kernel layer (reference).
   virtual std::string kernel_name() const { return "none"; }
   virtual const graph::Graph& graph() const noexcept = 0;
   /// Rounds executed so far.

@@ -21,7 +21,7 @@ FastEngine<Policy>::FastEngine(const graph::Graph& g, LmaxVector lmax,
       noise_(noise),
       duplex_(duplex),
       dense_(noise.enabled()),
-      kernel_kind_(resolve_kernel(kernel, shard_threads)) {
+      kernel_kind_(resolve_kernel(kernel)) {
   BEEPMIS_CHECK(lmax_.size() == g.vertex_count(), "lmax sized for wrong graph");
   for (std::int32_t m : lmax_)
     BEEPMIS_CHECK(m >= 2, "lmax must be at least 2 for every vertex");

@@ -171,8 +171,8 @@ struct Alg2Policy {
 /// coordinate, independent of visit order — and coins are drawn in exactly
 /// the same cases, so levels agree round-for-round (tested exhaustively in
 /// test_fast_engine.cpp). The sparse round itself is executed by a pluggable
-/// core::RoundKernel (scalar / bit / frontier — see round_kernel.hpp), all
-/// three proven stream-identical, so the kernel choice only moves wall-clock.
+/// core::RoundKernel (scalar / sharded — see round_kernel.hpp), both proven
+/// stream-identical, so the kernel choice only moves wall-clock.
 /// The full model surface is covered:
 ///  - corrupt() mid-run invalidates settlement locally (the 2-hop patch
 ///    around the corrupted vertex), not globally;
@@ -192,8 +192,8 @@ template <typename Policy>
 class FastEngine final : public Engine {
  public:
   /// `shard_threads` sizes the sharded kernel's private worker pool (only
-  /// read when the resolved kernel is Sharded; Auto resolves to Sharded
-  /// whenever shard_threads != 1): 1 = serial, 0 = one per hardware thread.
+  /// read when the resolved kernel is Sharded, which Auto resolves to):
+  /// 1 = serial, 0 = one per hardware thread.
   /// `phase_telemetry` makes the sharded kernel collect ShardTelemetry every
   /// round (it always collects while a tracing session is live).
   FastEngine(const graph::Graph& g, LmaxVector lmax, std::uint64_t seed,
@@ -206,7 +206,7 @@ class FastEngine final : public Engine {
   std::string name() const override {
     return std::string("fast-") + Policy::kTag;
   }
-  /// The resolved round kernel ("scalar" / "bit" / "frontier" / "sharded").
+  /// The resolved round kernel ("scalar" / "sharded").
   std::string kernel_name() const override {
     return kernel_kind_name(kernel_kind_);
   }
@@ -254,7 +254,7 @@ class FastEngine final : public Engine {
   /// Routes internal timers into `registry` (may be null to detach); keyed
   /// by variant and resolved kernel
   /// ("fast_engine.<tag>.<kernel>.refresh_settlement") so scalar and
-  /// bit/frontier timings are never conflated in reports. Both the
+  /// sharded timings are never conflated in reports. Both the
   /// cumulative TimerStat and the "...refresh_settlement_ns" duration digest
   /// (p50/p95/p99 of individual refreshes) are resolved once here.
   void set_metrics(obs::MetricsRegistry* registry) override {

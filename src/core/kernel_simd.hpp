@@ -1,17 +1,18 @@
 #pragma once
 
-// AVX-512 dense-round sweeps for the frontier kernel.
+// AVX-512 dense-round sweeps for the sharded round kernel.
 //
 // During the chaos phase the active set is essentially the whole graph, so
-// the frontier kernel's two O(active) passes (decide, update) dominate the
-// round — tens of nanoseconds per vertex, almost all of it branch and
-// scalar-ALU cost, since the neighborhood work is already count-based and
-// O(1) per vertex. These sweeps run the same two passes over the contiguous
-// vertex range [0, n) instead of the active list, 16 lanes at a time, with
-// settled vertices masked out of every tally and store. They compute
-// bit-identical results to the indexed loops (same counter draws, same
-// decide/update semantics — the lockstep kernel tests cover this on
-// AVX-512 hardware); which path runs only ever changes wall-clock.
+// the kernel's two O(active) passes (decide, update) dominate the round —
+// tens of nanoseconds per vertex, almost all of it branch and scalar-ALU
+// cost, since the neighborhood work is already count-based and O(1) per
+// vertex. These sweeps run the same two passes over a shard's contiguous,
+// 64-aligned vertex range instead of its slice of the active list, 16 lanes
+// at a time, with settled vertices masked out of every tally and store.
+// They compute bit-identical results to the indexed loops (same counter
+// draws, same decide/update semantics — the observer-free lockstep tests in
+// tests/test_kernels.cpp cover this on AVX-512 hardware); which path runs
+// only ever changes wall-clock.
 //
 // Dispatch is at runtime: the functions carry per-function target
 // attributes, so no global -march flag is required and the binary still
@@ -89,10 +90,7 @@ BEEPMIS_AVX512_TARGET inline __m512i first_draw_v(__m512i round_state,
 /// read behind a settled == 0 check. Prominence tests use ℓ <= 0, which
 /// equals Policy::is_prominent on both admissible level domains (Alg1:
 /// ℓ ≤ 0 by definition; Alg2: levels are never negative, so ℓ ≤ 0 ⇔ ℓ = 0).
-/// Range form of the phase-1 sweep, processing [v_lo, v_hi) with absolute
-/// vertex ids — the sharded kernel runs it per 64-aligned shard; the
-/// frontier kernel's decide_sweep below is the [0, n) instantiation.
-/// v_lo must be 16-aligned.
+/// Processes [v_lo, v_hi) with absolute vertex ids; v_lo must be 16-aligned.
 template <typename Policy>
 BEEPMIS_AVX512_TARGET void decide_sweep_range(
     std::uint64_t round_state, std::size_t v_lo, std::size_t v_hi,
@@ -175,27 +173,20 @@ BEEPMIS_AVX512_TARGET void decide_sweep_range(
   if constexpr (Policy::kChannels > 1) beeps[1] += b1;
 }
 
-template <typename Policy>
-BEEPMIS_AVX512_TARGET void decide_sweep(
-    std::uint64_t round_state, std::size_t n, const std::int32_t* levels,
-    const std::int32_t* lmax, const std::uint8_t* settled,
-    beep::ChannelMask* send, std::vector<graph::VertexId>& frontier,
-    std::uint32_t* beeps) {
-  decide_sweep_range<Policy>(round_state, 0, n, levels, lmax, settled, send,
-                             frontier, beeps);
-}
-
-/// Phase-2 sweep: heard masks from the prominence counts and epoch stamps
-/// (the sweep always runs in push mode), Policy::update_packed as a
+/// Phase-2 sweep: heard masks from the prominence counts (the member
+/// channel) and the coin bitmask (channel 1, 64 vertices per word, ORed from
+/// the coin beepers' rows by the stamp phase), Policy::update_packed as a
 /// lane-wise select chain, masked level stores, and compressed harvests of
 /// the boundary crossers (dp/dc) and member-settle candidates (sc). The
 /// harvested index lists are ascending, matching the indexed loop's append
 /// order; the caller derives each crosser's ±1 from the stored post-level.
+/// v_lo must be 16-aligned (shards are 64-aligned), so each 16-lane block
+/// reads one contiguous 16-bit slice of a single mask word.
 template <typename Policy>
-BEEPMIS_AVX512_TARGET void update_sweep(
-    std::uint64_t stamp, bool half, std::size_t n, std::int32_t* levels,
+BEEPMIS_AVX512_TARGET void update_sweep_masked(
+    bool half, std::size_t v_lo, std::size_t v_hi, std::int32_t* levels,
     const std::int32_t* lmax, const std::uint8_t* settled,
-    const std::uint32_t* prominent_nb, const std::uint64_t* epoch,
+    const std::uint32_t* prominent_nb, const std::uint64_t* coin_mask,
     const beep::ChannelMask* send, std::uint32_t* dp_idx, std::size_t& dp_n,
     std::uint32_t* dc_idx, std::size_t& dc_n, std::uint32_t* sc_idx,
     std::size_t& sc_n) {
@@ -205,19 +196,17 @@ BEEPMIS_AVX512_TARGET void update_sweep(
                 "vector sweep assumes member_level(l) == member_level(1)*l");
   static_assert(Policy::member_level(7) == 7 * Policy::member_level(1),
                 "vector sweep assumes member_level(l) == member_level(1)*l");
-  const __m512i vstamp = _mm512_set1_epi64(static_cast<long long>(stamp));
   const __m512i iota32 =
       _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
   const __m512i zero = _mm512_setzero_si512();
   const __m512i one = _mm512_set1_epi32(1);
   std::size_t np = 0, nc = 0, ns = 0;
-  for (std::size_t v0 = 0; v0 < n; v0 += 16) {
-    const unsigned rem = n - v0 >= 16 ? 16u : static_cast<unsigned>(n - v0);
+  for (std::size_t v0 = v_lo; v0 < v_hi; v0 += 16) {
+    const unsigned rem =
+        v_hi - v0 >= 16 ? 16u : static_cast<unsigned>(v_hi - v0);
     const __mmask16 blk =
         rem == 16 ? static_cast<__mmask16>(0xffffu)
                   : static_cast<__mmask16>((1u << rem) - 1u);
-    const __mmask8 blk_lo = static_cast<__mmask8>(blk);
-    const __mmask8 blk_hi = static_cast<__mmask8>(blk >> 8);
     const __m512i lv = _mm512_maskz_loadu_epi32(blk, levels + v0);
     const __m512i lm = _mm512_maskz_loadu_epi32(blk, lmax + v0);
     const __m128i st = _mm_maskz_loadu_epi8(blk, settled + v0);
@@ -225,12 +214,9 @@ BEEPMIS_AVX512_TARGET void update_sweep(
         _mm_mask_cmpeq_epi8_mask(blk, st, _mm_setzero_si128());
     const __m512i pn = _mm512_maskz_loadu_epi32(blk, prominent_nb + v0);
     __mmask16 hm = _mm512_cmpneq_epi32_mask(pn, zero);
-    const __mmask8 e_lo = _mm512_mask_cmpeq_epi64_mask(
-        blk_lo, _mm512_maskz_loadu_epi64(blk_lo, epoch + v0), vstamp);
-    const __mmask8 e_hi = _mm512_mask_cmpeq_epi64_mask(
-        blk_hi, _mm512_maskz_loadu_epi64(blk_hi, epoch + v0 + 8), vstamp);
-    __mmask16 hc = static_cast<__mmask16>(static_cast<unsigned>(e_lo) |
-                                          (static_cast<unsigned>(e_hi) << 8));
+    __mmask16 hc = static_cast<__mmask16>(
+                       (coin_mask[v0 >> 6] >> (v0 & 63)) & 0xffffu) &
+                   blk;
     const __m128i sb = _mm_maskz_loadu_epi8(blk, send + v0);
     const __mmask16 s1 = _mm_test_epi8_mask(sb, _mm_set1_epi8(1));
     const __mmask16 s2 = _mm_test_epi8_mask(sb, _mm_set1_epi8(2));
@@ -261,100 +247,7 @@ BEEPMIS_AVX512_TARGET void update_sweep(
       r = _mm512_mask_blend_epi32(h2, r, lm);
     _mm512_mask_storeu_epi32(levels + v0, active, r);
     // Boundary crossers and member-settle candidates (ℓ <= 0 ⇔ prominent on
-    // admissible domains, as in decide_sweep).
-    const __mmask16 prom_b = _mm512_cmple_epi32_mask(lv, zero);
-    const __mmask16 prom_a = _mm512_cmple_epi32_mask(r, zero);
-    const __mmask16 cap_b = _mm512_cmpeq_epi32_mask(lv, lm);
-    const __mmask16 cap_a = _mm512_cmpeq_epi32_mask(r, lm);
-    const __mmask16 dp = active & (prom_a ^ prom_b);
-    const __mmask16 dc = active & (cap_a ^ cap_b);
-    const __mmask16 sc = active & _mm512_cmpeq_epi32_mask(r, memv) &
-                         _mm512_cmpneq_epi32_mask(r, lv);
-    const __m512i vidx =
-        _mm512_add_epi32(iota32, _mm512_set1_epi32(static_cast<int>(v0)));
-    if (dp != 0) {
-      _mm512_mask_compressstoreu_epi32(dp_idx + np, dp, vidx);
-      np += std::popcount(static_cast<unsigned>(dp));
-    }
-    if (dc != 0) {
-      _mm512_mask_compressstoreu_epi32(dc_idx + nc, dc, vidx);
-      nc += std::popcount(static_cast<unsigned>(dc));
-    }
-    if (sc != 0) {
-      _mm512_mask_compressstoreu_epi32(sc_idx + ns, sc, vidx);
-      ns += std::popcount(static_cast<unsigned>(sc));
-    }
-  }
-  dp_n = np;
-  dc_n = nc;
-  sc_n = ns;
-}
-
-/// update_sweep with the coin channel supplied as a per-vertex bitmask
-/// (64 vertices per word) instead of epoch stamps — the sharded kernel's
-/// phase-2 form, where each shard ORs the beepers' packed rows into a
-/// shard-owned heard mask between barriers. v_lo must be 16-aligned (shards
-/// are 64-aligned), so each 16-lane block reads one contiguous 16-bit slice
-/// of a single mask word. Everything else is identical to update_sweep and
-/// remains bit-identical to the indexed loop.
-template <typename Policy>
-BEEPMIS_AVX512_TARGET void update_sweep_masked(
-    bool half, std::size_t v_lo, std::size_t v_hi, std::int32_t* levels,
-    const std::int32_t* lmax, const std::uint8_t* settled,
-    const std::uint32_t* prominent_nb, const std::uint64_t* coin_mask,
-    const beep::ChannelMask* send, std::uint32_t* dp_idx, std::size_t& dp_n,
-    std::uint32_t* dc_idx, std::size_t& dc_n, std::uint32_t* sc_idx,
-    std::size_t& sc_n) {
-  static_assert(Policy::member_level(1) == -1 || Policy::member_level(1) == 0,
-                "vector sweep assumes member_level(l) == member_level(1)*l");
-  static_assert(Policy::member_level(7) == 7 * Policy::member_level(1),
-                "vector sweep assumes member_level(l) == member_level(1)*l");
-  const __m512i iota32 =
-      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-  const __m512i zero = _mm512_setzero_si512();
-  const __m512i one = _mm512_set1_epi32(1);
-  std::size_t np = 0, nc = 0, ns = 0;
-  for (std::size_t v0 = v_lo; v0 < v_hi; v0 += 16) {
-    const unsigned rem =
-        v_hi - v0 >= 16 ? 16u : static_cast<unsigned>(v_hi - v0);
-    const __mmask16 blk =
-        rem == 16 ? static_cast<__mmask16>(0xffffu)
-                  : static_cast<__mmask16>((1u << rem) - 1u);
-    const __m512i lv = _mm512_maskz_loadu_epi32(blk, levels + v0);
-    const __m512i lm = _mm512_maskz_loadu_epi32(blk, lmax + v0);
-    const __m128i st = _mm_maskz_loadu_epi8(blk, settled + v0);
-    const __mmask16 active =
-        _mm_mask_cmpeq_epi8_mask(blk, st, _mm_setzero_si128());
-    const __m512i pn = _mm512_maskz_loadu_epi32(blk, prominent_nb + v0);
-    __mmask16 hm = _mm512_cmpneq_epi32_mask(pn, zero);
-    __mmask16 hc = static_cast<__mmask16>(
-                       (coin_mask[v0 >> 6] >> (v0 & 63)) & 0xffffu) &
-                   blk;
-    const __m128i sb = _mm_maskz_loadu_epi8(blk, send + v0);
-    const __mmask16 s1 = _mm_test_epi8_mask(sb, _mm_set1_epi8(1));
-    const __mmask16 s2 = _mm_test_epi8_mask(sb, _mm_set1_epi8(2));
-    if (half) {
-      const __mmask16 quiet = _mm_cmpeq_epi8_mask(sb, _mm_setzero_si128());
-      hm &= quiet;
-      hc &= quiet;
-    }
-    __mmask16 h1 = hc;
-    __mmask16 h2 = 0;
-    if constexpr ((Policy::kMemberBeep & beep::kChannel1) != 0) h1 |= hm;
-    if constexpr ((Policy::kMemberBeep & beep::kChannel2) != 0) h2 = hm;
-    const __m512i up = _mm512_min_epi32(_mm512_add_epi32(lv, one), lm);
-    const __m512i down = _mm512_max_epi32(_mm512_sub_epi32(lv, one), one);
-    __m512i memv;
-    if constexpr (Policy::member_level(1) == -1)
-      memv = _mm512_sub_epi32(zero, lm);
-    else
-      memv = zero;
-    __m512i r = _mm512_mask_blend_epi32(s2, down, lv);
-    r = _mm512_mask_blend_epi32(s1, r, memv);
-    r = _mm512_mask_blend_epi32(h1, r, up);
-    if constexpr (Policy::kChannels > 1)
-      r = _mm512_mask_blend_epi32(h2, r, lm);
-    _mm512_mask_storeu_epi32(levels + v0, active, r);
+    // admissible domains, as in decide_sweep_range).
     const __mmask16 prom_b = _mm512_cmple_epi32_mask(lv, zero);
     const __mmask16 prom_a = _mm512_cmple_epi32_mask(r, zero);
     const __mmask16 cap_b = _mm512_cmpeq_epi32_mask(lv, lm);

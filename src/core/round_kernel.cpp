@@ -8,17 +8,15 @@
 
 #include "src/core/fast_engine.hpp"
 #include "src/core/kernel_simd.hpp"
-#include "src/graph/packed.hpp"
 #include "src/obs/trace.hpp"
-#include "src/support/check.hpp"
 #include "src/support/task_pool.hpp"
 
 namespace beepmis::core {
 
 namespace {
 
-// Shared by every kernel: drop newly settled vertices from the engine's
-// active list. All kernels must prune identically — the list (in insertion
+// Shared by both kernels: drop newly settled vertices from the engine's
+// active list. Both must prune identically — the list (in insertion
 // order) stays the engine's authoritative active set for refresh/resettle.
 template <typename Policy>
 void prune_active(const KernelContext<Policy>& ctx) {
@@ -34,7 +32,7 @@ void prune_active(const KernelContext<Policy>& ctx) {
 // ---------------------------------------------------------------------------
 // ScalarKernel — the oracle. A straight port of the original FastEngine
 // sparse round: per-vertex neighbor scans over the active list, settlement by
-// explicit neighborhood checks. Every other kernel is validated against this
+// explicit neighborhood checks. The sharded kernel is validated against this
 // stream (tests/test_kernels.cpp), which in turn is validated against
 // beep::Simulation under RngMode::Counter (tests/test_fast_engine.cpp).
 // ---------------------------------------------------------------------------
@@ -170,238 +168,16 @@ class ScalarKernel final : public RoundKernel<Policy> {
   KernelContext<Policy> ctx_;
 };
 
-// ---------------------------------------------------------------------------
-// BitKernel — word-parallel execution over bit-packed vertex masks. The
-// per-round state (active / member / member-neighbor / capped / send) lives
-// in n-bit masks; "did v hear channel c" is a blocked-CSR walk ANDing v's
-// neighborhood blocks against the packed audibility mask (one load per
-// 64-vertex word of neighbors instead of two byte loads per neighbor), and
-// member settlement is the word-parallel test "all neighbor blocks clear of
-// ~capped". Levels are mirrored in int8 for decision-phase locality.
-// ---------------------------------------------------------------------------
-template <typename Policy>
-class BitKernel final : public RoundKernel<Policy> {
- public:
-  explicit BitKernel(const KernelContext<Policy>& ctx)
-      : ctx_(ctx), packed_(*ctx.graph) {
-    const std::size_t n = ctx_.levels->size();
-    words_ = packed_.word_count();
-    active_mask_.assign(words_, 0);
-    member_mask_.assign(words_, 0);
-    member_nb_mask_.assign(words_, 0);
-    capped_mask_.assign(words_, 0);
-    for (unsigned ch = 0; ch < 2; ++ch) {
-      send_mask_[ch].assign(words_, 0);
-      audible_[ch].assign(words_, 0);
-    }
-    lvl8_.assign(n, 0);
-    lmax8_.assign(n, 0);
-    const auto& lmax = *ctx_.lmax;
-    for (std::size_t v = 0; v < n; ++v) {
-      // int8 mirrors are exact: caps are O(log Δ) + c1 ≲ 100 in practice,
-      // and levels live in [-lmax, lmax]. Guarded, not assumed.
-      BEEPMIS_CHECK(lmax[v] <= 127, "bit kernel requires lmax <= 127");
-      lmax8_[v] = static_cast<std::int8_t>(lmax[v]);
-    }
-  }
-
-  const char* name() const noexcept override { return "bit"; }
-
-  void rebuild() override {
-    const auto& levels = *ctx_.levels;
-    const auto& settled = *ctx_.settled;
-    const auto& lmax = *ctx_.lmax;
-    const std::size_t n = levels.size();
-    std::fill(active_mask_.begin(), active_mask_.end(), 0);
-    std::fill(member_mask_.begin(), member_mask_.end(), 0);
-    std::fill(member_nb_mask_.begin(), member_nb_mask_.end(), 0);
-    std::fill(capped_mask_.begin(), capped_mask_.end(), 0);
-    for (graph::VertexId v = 0; v < n; ++v) {
-      lvl8_[v] = static_cast<std::int8_t>(levels[v]);
-      const std::uint64_t bit = 1ull << (v & 63u);
-      if (settled[v] == 0) active_mask_[v >> 6] |= bit;
-      if (settled[v] == 1) {
-        member_mask_[v >> 6] |= bit;
-        for (const auto& blk : packed_.blocks(v))
-          member_nb_mask_[blk.word] |= blk.mask;
-      }
-      if (levels[v] == lmax[v]) capped_mask_[v >> 6] |= bit;
-    }
-  }
-
-  void step_sparse(std::uint64_t round, bool observing,
-                   SparseCensus& census) override {
-    const auto& lmax = *ctx_.lmax;
-    auto& levels = *ctx_.levels;
-    auto& settled = *ctx_.settled;
-    auto& active = *ctx_.active;
-    auto& send = *ctx_.send;
-    const bool half = ctx_.half;
-    const std::size_t n = levels.size();
-
-    // Phase 1: decisions, from the int8 mirrors into the send masks.
-    std::fill(send_mask_[0].begin(), send_mask_[0].end(), 0);
-    if constexpr (Policy::kChannels > 1)
-      std::fill(send_mask_[1].begin(), send_mask_[1].end(), 0);
-    const std::uint64_t rs = support::counter_round_state(ctx_.seed, round);
-    for (graph::VertexId v : active) {
-      const beep::ChannelMask m =
-          Policy::decide_coin(lvl8_[v], lmax8_[v], CounterCoin{rs, v});
-      send[v] = m;
-      const std::uint64_t bit = 1ull << (v & 63u);
-      if (m & 1u) send_mask_[0][v >> 6] |= bit;
-      if constexpr (Policy::kChannels > 1)
-        if (m & 2u) send_mask_[1][v >> 6] |= bit;
-    }
-    for (const auto& w : send_mask_[0])
-      census.active_beeps[0] += static_cast<std::uint32_t>(std::popcount(w));
-    if constexpr (Policy::kChannels > 1)
-      for (const auto& w : send_mask_[1])
-        census.active_beeps[1] += static_cast<std::uint32_t>(std::popcount(w));
-
-    // Per-channel audibility: active beepers plus (on the member channel)
-    // every settled member. Settled dominated vertices are silent.
-    for (unsigned ch = 0; ch < Policy::kChannels; ++ch) {
-      const bool member_ch = (Policy::kMemberBeep >> ch) & 1u;
-      for (std::size_t w = 0; w < words_; ++w)
-        audible_[ch][w] =
-            send_mask_[ch][w] | (member_ch ? member_mask_[w] : 0);
-    }
-
-    // Phase 2: feedback + update via blocked walks. Non-observing walks may
-    // stop at the dominant mask, exactly like the scalar early exit.
-    constexpr auto kFullMask =
-        static_cast<beep::ChannelMask>((1u << Policy::kChannels) - 1u);
-    const beep::ChannelMask stop =
-        observing ? kFullMask : Policy::kDominantHeard;
-    for (graph::VertexId v : active) {
-      beep::ChannelMask heard = 0;
-      if (!half || !send[v]) {
-        for (const auto& blk : packed_.blocks(v)) {
-          if (audible_[0][blk.word] & blk.mask) heard |= beep::kChannel1;
-          if constexpr (Policy::kChannels > 1)
-            if (audible_[1][blk.word] & blk.mask) heard |= beep::kChannel2;
-          if ((heard & stop) == stop) break;
-        }
-      }
-      census.active_heard[0] += heard & 1u;
-      if constexpr (Policy::kChannels > 1) {
-        census.active_heard[1] += (heard >> 1) & 1u;
-        census.active_heard_any += heard ? 1 : 0;
-      }
-      const std::int32_t l = Policy::update(levels[v], lmax[v], send[v], heard);
-      levels[v] = l;
-      lvl8_[v] = static_cast<std::int8_t>(l);
-      const std::uint64_t bit = 1ull << (v & 63u);
-      if (l == lmax[v])
-        capped_mask_[v >> 6] |= bit;
-      else
-        capped_mask_[v >> 6] &= ~bit;
-    }
-
-    if (observing) {
-      for (graph::VertexId v : active)
-        census.prominent_active += Policy::is_prominent(levels[v]) ? 1 : 0;
-      if constexpr (Policy::kChannels > 1) {
-        // send_mask_[0] holds only active ch1 beepers, so one blocked AND
-        // answers "does this settled dominated vertex hear channel 1".
-        for (graph::VertexId v = 0; v < n; ++v) {
-          if (settled[v] != 2) continue;
-          for (const auto& blk : packed_.blocks(v)) {
-            if (send_mask_[0][blk.word] & blk.mask) {
-              ++census.dom_heard_extra;
-              break;
-            }
-          }
-        }
-      }
-    }
-
-    // Phase 3a: member settlement — v at member level with *every* neighbor
-    // capped, i.e. no neighbor block intersects ~capped. Word-parallel per
-    // block; the member pass fully precedes the dominated pass, and settling
-    // changes no level, so iteration order inside the pass cannot matter.
-    bool any_settled = false;
-    for (graph::VertexId v : active) {
-      if (levels[v] != Policy::member_level(lmax[v])) continue;
-      bool all_capped = true;
-      for (const auto& blk : packed_.blocks(v)) {
-        if (blk.mask & ~capped_mask_[blk.word]) {
-          all_capped = false;
-          break;
-        }
-      }
-      if (!all_capped) continue;
-      settled[v] = 1;
-      ++*ctx_.mis_count;
-      any_settled = true;
-      const std::uint64_t bit = 1ull << (v & 63u);
-      member_mask_[v >> 6] |= bit;
-      active_mask_[v >> 6] &= ~bit;
-      for (const auto& blk : packed_.blocks(v))
-        member_nb_mask_[blk.word] |= blk.mask;
-    }
-
-    // Phase 3b: dominated settlement, fully word-parallel — still active,
-    // at the cap, with a settled member neighbor (the member-neighbor mask
-    // already includes members settled this round).
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t cand =
-          active_mask_[w] & capped_mask_[w] & member_nb_mask_[w];
-      while (cand) {
-        const auto v = static_cast<graph::VertexId>(
-            (w << 6) + static_cast<unsigned>(std::countr_zero(cand)));
-        cand &= cand - 1;
-        settled[v] = 2;
-        active_mask_[w] &= ~(1ull << (v & 63u));
-        any_settled = true;
-      }
-    }
-    if (any_settled) prune_active(ctx_);
-  }
-
- private:
-  KernelContext<Policy> ctx_;
-  graph::PackedGraph packed_;
-  std::size_t words_ = 0;
-  std::vector<std::uint64_t> active_mask_;
-  std::vector<std::uint64_t> member_mask_;
-  std::vector<std::uint64_t> member_nb_mask_;  // has a settled-member neighbor
-  std::vector<std::uint64_t> capped_mask_;     // levels[v] == lmax[v], all v
-  std::vector<std::uint64_t> send_mask_[2];    // active beepers this round
-  std::vector<std::uint64_t> audible_[2];      // send | members on their ch
-  std::vector<std::int8_t> lvl8_;              // mirror of levels
-  std::vector<std::int8_t> lmax8_;
-};
-
-// ---------------------------------------------------------------------------
-// FrontierKernel — Ligra-style frontier processing with push/pull direction
-// switching, built on incrementally maintained neighborhood counts. The
-// structural fact it exploits: after the initial chaos, almost everything a
-// round "transmits" is *certain* — prominent vertices (ℓ ≤ 0 / ℓ = 0) and
-// settled members beep their channel with probability 1, round after round —
-// so their audibility is tracked as a per-vertex count (prominent_nb_),
-// updated only when a vertex crosses the prominence boundary. Only the
-// round's *coin* beepers form the frontier that is pushed (epoch stamps) or
-// pulled (scalar-style scans), whichever is cheaper this round. Settlement
-// is candidate-driven: a vertex is re-examined only when an event this
-// round could have made it settleable (it reached the member level or its
-// cap, a neighborhood count hit zero, a neighbor joined the MIS), so the
-// settle phase costs O(candidates), not O(active). The per-vertex hot loops
-// are select chains (decide_packed / Policy::update_packed) because chaos-
-// phase beep and heard bits are coin flips — a textbook if-cascade
-// mispredicts on most vertices and dominates the round at this point.
-// Per-round cost: O(active) + Σdeg(coin frontier) + Σdeg(boundary crossers).
-// ---------------------------------------------------------------------------
-
-/// Policy::decide_coin against a raw counter draw, compressed to selects.
-/// It leans on the same structural contract the kernel itself relies on:
-/// prominent vertices beep exactly kMemberBeep with certainty (Alg1 ℓ ≤ 0,
-/// always below ℓmax ≥ 1; Alg2 ℓ = 0 regardless of ℓmax), and coin
-/// beepers flip Bernoulli(2^-ℓ) on channel 1 only while ℓ < ℓmax. The
-/// coin test inlines CounterCoin's edges — k ≥ 64 never succeeds, and the
-/// masked shift keeps the expression defined (and unread) at prominent
-/// levels. Proven draw-for-draw identical to the oracle in test_kernels.
+/// Policy::decide_coin against a raw counter draw, compressed to selects
+/// (chaos-phase beep bits are coin flips, so a textbook if-cascade
+/// mispredicts on most vertices). It leans on the structural contract the
+/// sharded kernel relies on: prominent vertices beep exactly kMemberBeep
+/// with certainty (Alg1 ℓ ≤ 0, always below ℓmax ≥ 1; Alg2 ℓ = 0 regardless
+/// of ℓmax), and coin beepers flip Bernoulli(2^-ℓ) on channel 1 only while
+/// ℓ < ℓmax. The coin test inlines CounterCoin's edges — k ≥ 64 never
+/// succeeds, and the masked shift keeps the expression defined (and unread)
+/// at prominent levels. Proven draw-for-draw identical to the oracle in
+/// test_kernels.
 template <typename Policy>
 beep::ChannelMask decide_packed(std::int32_t l, std::int32_t lmax,
                                 std::uint64_t draw) noexcept {
@@ -413,338 +189,43 @@ beep::ChannelMask decide_packed(std::int32_t l, std::int32_t lmax,
                  : (coin_beep ? beep::kChannel1 : beep::ChannelMask{0});
 }
 
-template <typename Policy>
-class FrontierKernel final : public RoundKernel<Policy> {
- public:
-  explicit FrontierKernel(const KernelContext<Policy>& ctx) : ctx_(ctx) {
-    const std::size_t n = ctx_.levels->size();
-    prominent_nb_.assign(n, 0);
-    uncapped_nb_.assign(n, 0);
-    member_nb_.assign(n, 0);
-    epoch_.assign(n, 0);
-    frontier_.reserve(n);
-    settle_cand_.reserve(n);
-    dom_cand_.reserve(n);
-  }
-
-  const char* name() const noexcept override { return "frontier"; }
-
-  void rebuild() override {
-    const graph::Graph& g = *ctx_.graph;
-    const auto& levels = *ctx_.levels;
-    const auto& lmax = *ctx_.lmax;
-    const auto& settled = *ctx_.settled;
-    const std::size_t n = levels.size();
-    // Gather pass: each vertex recounts its own neighborhood. Settled
-    // members are prominent by construction (they sit at the member level),
-    // so prominent_nb_ covers both certain-beeper populations at once.
-    for (graph::VertexId v = 0; v < n; ++v) {
-      std::uint32_t prom = 0, uncapped = 0;
-      std::uint8_t member = 0;
-      for (graph::VertexId u : g.neighbors(v)) {
-        prom += Policy::is_prominent(levels[u]) ? 1 : 0;
-        uncapped += levels[u] != lmax[u] ? 1 : 0;
-        member |= settled[u] == 1 ? 1 : 0;
-      }
-      prominent_nb_[v] = prom;
-      uncapped_nb_[v] = uncapped;
-      member_nb_[v] = member;
-    }
-    // Epoch stamps are keyed by the strictly increasing round number, so
-    // stale stamps from before the rebuild can never collide. Settlement
-    // candidates *are* invalidated by an out-of-band write: the next round
-    // re-derives them with one full settle scan.
-    full_scan_ = true;
-  }
-
-  void step_sparse(std::uint64_t round, bool observing,
-                   SparseCensus& census) override {
-    const graph::Graph& g = *ctx_.graph;
-    const auto& lmax = *ctx_.lmax;
-    auto& levels = *ctx_.levels;
-    auto& settled = *ctx_.settled;
-    auto& active = *ctx_.active;
-    auto& send = *ctx_.send;
-    const bool half = ctx_.half;
-    const std::size_t n = levels.size();
-
-    // Phase 1: decisions + coin-frontier collection. Certain beepers
-    // (prominent vertices) are already accounted for by their neighbors'
-    // prominent_nb_ counts and are not pushed; the frontier holds only the
-    // round's successful coin flips. The direction switch compares exact
-    // degree sums: pushing stamps Σdeg(frontier) epochs, pulling scans the
-    // Σdeg of active vertices whose counts leave channel bits unresolved.
-    const std::uint64_t rs = support::counter_round_state(ctx_.seed, round);
-    frontier_.clear();
-    // Dense AVX-512 sweep: in the chaos phase nearly every vertex is active,
-    // and the two O(active) passes are pure per-vertex ALU work. A masked
-    // contiguous pass over [0, n) at 16 lanes replaces both indexed loops
-    // bit-identically (settled lanes are masked out of every tally; the
-    // sweep always pushes, and push vs. pull only ever changes wall-clock).
-    // The indexed loops remain the endgame/fallback path: once the active
-    // set is sparse, touching all n vertices loses, and observing rounds
-    // need the exact heard masks the sweep does not materialize.
-    bool sweep = false;
-#if BEEPMIS_KERNEL_AVX512
-    sweep = !observing && simd::have_avx512() && n >= 64 &&
-            active.size() * 8 >= n;
-    if (sweep)
-      simd::decide_sweep<Policy>(rs, n, levels.data(), lmax.data(),
-                                 settled.data(), send.data(), frontier_,
-                                 census.active_beeps);
-#endif
-    std::size_t push_cost = 0, pull_cost = 0;
-    if (!sweep) {
-      for (graph::VertexId v : active) {
-        const std::int32_t l = levels[v];
-        const beep::ChannelMask m = decide_packed<Policy>(
-            l, lmax[v], support::counter_first_draw_at(rs, v));
-        send[v] = m;
-        census.active_beeps[0] += m & 1u;
-        if constexpr (Policy::kChannels > 1)
-          census.active_beeps[1] += (m >> 1) & 1u;
-        if ((m != 0) & !Policy::is_prominent(l)) {
-          frontier_.push_back(v);
-          push_cost += g.degree(v);
-        }
-        pull_cost += prominent_nb_[v] == 0 ? g.degree(v) : 0;
-      }
-    }
-    const bool push = sweep || push_cost <= pull_cost;
-
-    // Phase 2: feedback + update. The member channel resolves in O(1) from
-    // prominent_nb_ (prominent actives and settled members both beep it
-    // with certainty; settled dominated vertices are silent). The coin
-    // channel resolves from epoch stamps when pushing, or a scalar-style
-    // scan of active neighbors when pulling. Level writes that cross the
-    // prominence or cap boundary are *deferred* to keep every heard mask a
-    // function of pre-round state.
-    const std::uint64_t stamp = round + 1;  // epochs start at 0; never reused
-    if (push)
-      for (graph::VertexId b : frontier_)
-        for (graph::VertexId u : g.neighbors(b)) epoch_[u] = stamp;
-    constexpr auto kFullMask =
-        static_cast<beep::ChannelMask>((1u << Policy::kChannels) - 1u);
-    const beep::ChannelMask stop =
-        observing ? kFullMask : Policy::kDominantHeard;
-    prominent_delta_.clear();
-    capped_delta_.clear();
-    settle_cand_.clear();
-    dom_cand_.clear();
-#if BEEPMIS_KERNEL_AVX512
-    if (sweep) {
-      // The sweep stores post-update levels and hands back compressed,
-      // ascending index lists of the boundary crossers and member-settle
-      // candidates — the same vertices, in the same order, the indexed loop
-      // appends. The crossing *sign* is recovered from the stored level: a
-      // crosser that is prominent (capped) now just became so, else it just
-      // stopped being so.
-      if (dp_idx_.size() < n) {
-        dp_idx_.resize(n);
-        dc_idx_.resize(n);
-        sc_idx_.resize(n);
-      }
-      std::size_t dp_n = 0, dc_n = 0, sc_n = 0;
-      simd::update_sweep<Policy>(stamp, half, n, levels.data(), lmax.data(),
-                                 settled.data(), prominent_nb_.data(),
-                                 epoch_.data(), send.data(), dp_idx_.data(),
-                                 dp_n, dc_idx_.data(), dc_n, sc_idx_.data(),
-                                 sc_n);
-      for (std::size_t i = 0; i < dp_n; ++i) {
-        const graph::VertexId v = dp_idx_[i];
-        prominent_delta_.push_back(
-            {v, Policy::is_prominent(levels[v]) ? 1 : -1});
-      }
-      for (std::size_t i = 0; i < dc_n; ++i) {
-        const graph::VertexId v = dc_idx_[i];
-        capped_delta_.push_back({v, levels[v] == lmax[v] ? 1 : -1});
-      }
-      for (std::size_t i = 0; i < sc_n; ++i)
-        settle_cand_.push_back(sc_idx_[i]);
-    }
-#endif
-    if (!sweep) {
-      for (graph::VertexId v : active) {
-        const std::int32_t before = levels[v];
-        const std::int32_t cap = lmax[v];
-        beep::ChannelMask heard =
-            prominent_nb_[v] != 0 ? Policy::kMemberBeep : beep::ChannelMask{0};
-        if (push) {
-          heard |= epoch_[v] == stamp ? beep::kChannel1 : beep::ChannelMask{0};
-        } else if ((heard & stop) != stop) {
-          // Pull: only the coin channel is still unknown, and only active
-          // non-prominent neighbors can carry it.
-          for (graph::VertexId u : g.neighbors(v)) {
-            if (settled[u] == 0) heard |= send[u] & beep::kChannel1;
-            if ((heard & stop) == stop) break;
-          }
-        }
-        // A half-duplex beeper hears nothing. Masking after the resolution
-        // above leaves exactly the mask the oracle records (zero), it just
-        // spends an unneeded scan on the round's few beepers.
-        heard = (half && send[v] != 0) ? beep::ChannelMask{0} : heard;
-        if (observing) {
-          census.active_heard[0] += heard & 1u;
-          if constexpr (Policy::kChannels > 1) {
-            census.active_heard[1] += (heard >> 1) & 1u;
-            census.active_heard_any += heard ? 1 : 0;
-          }
-        }
-        const std::int32_t after =
-            Policy::update_packed(before, cap, send[v], heard);
-        levels[v] = after;
-        const int dp = (Policy::is_prominent(after) ? 1 : 0) -
-                       (Policy::is_prominent(before) ? 1 : 0);
-        const int dc = (after == cap ? 1 : 0) - (before == cap ? 1 : 0);
-        if (dp != 0)
-          prominent_delta_.push_back({v, static_cast<std::int32_t>(dp)});
-        if (dc != 0)
-          capped_delta_.push_back({v, static_cast<std::int32_t>(dc)});
-        // Arriving at the member level is one of the events that can make a
-        // vertex settleable; the other (its last uncapped neighbor capping)
-        // is harvested during the count walk below.
-        if ((after == Policy::member_level(cap)) & (before != after))
-          settle_cand_.push_back(v);
-      }
-    }
-    // Deferred count maintenance: deg-cost only for boundary crossers.
-    // (A capped_delta of +1 means the vertex *reached* its cap, so its
-    // neighbors lose an uncapped neighbor — the signs invert — and the
-    // vertex itself becomes a dominated-settlement candidate.)
-    for (const auto& [v, d] : prominent_delta_)
-      for (graph::VertexId u : g.neighbors(v))
-        prominent_nb_[u] = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(prominent_nb_[u]) + d);
-    for (const auto& [v, d] : capped_delta_) {
-      if (d > 0) {
-        dom_cand_.push_back(v);
-        for (graph::VertexId u : g.neighbors(v))
-          if (--uncapped_nb_[u] == 0) settle_cand_.push_back(u);
-      } else {
-        for (graph::VertexId u : g.neighbors(v)) ++uncapped_nb_[u];
-      }
-    }
-
-    if (observing) {
-      for (graph::VertexId v : active)
-        census.prominent_active += Policy::is_prominent(levels[v]) ? 1 : 0;
-      if constexpr (Policy::kChannels > 1) {
-        // Push stamped *every* neighbor of every coin beeper, settled ones
-        // included, so the epoch answers the dominated sweep in O(1) too;
-        // pull falls back to the scalar neighbor scan.
-        for (graph::VertexId v = 0; v < n; ++v) {
-          if (settled[v] != 2) continue;
-          if (push) {
-            census.dom_heard_extra += epoch_[v] == stamp ? 1 : 0;
-            continue;
-          }
-          for (graph::VertexId u : g.neighbors(v)) {
-            if (settled[u] == 0 && (send[u] & beep::kChannel1)) {
-              ++census.dom_heard_extra;
-              break;
-            }
-          }
-        }
-      }
-    }
-
-    // Phase 3: settlement. Candidate-driven in the steady state — a vertex
-    // can only become settleable through an event recorded this round, and
-    // every such event queued it above; anything eligible earlier settled
-    // in the round it became eligible. After a rebuild (out-of-band state
-    // write) the candidate argument doesn't hold, so one full scan re-seeds
-    // it. Members first, matching the scalar pass order: the dominated test
-    // must see every member settled this round. Settling changes no level,
-    // so the counts stay valid and order inside a pass is moot. Stale or
-    // duplicate candidates are harmless — each entry rechecks the exact
-    // settlement predicate against current state.
-    bool any_settled = false;
-    if (full_scan_) {
-      full_scan_ = false;
-      for (graph::VertexId v : active) {
-        if (levels[v] != Policy::member_level(lmax[v]) ||
-            uncapped_nb_[v] != 0)
-          continue;
-        settled[v] = 1;
-        ++*ctx_.mis_count;
-        any_settled = true;
-        for (graph::VertexId u : g.neighbors(v)) member_nb_[u] = 1;
-      }
-      for (graph::VertexId v : active) {
-        if (settled[v] || levels[v] != lmax[v] || !member_nb_[v]) continue;
-        settled[v] = 2;
-        any_settled = true;
-      }
-    } else {
-      for (graph::VertexId v : settle_cand_) {
-        if (settled[v] != 0 || levels[v] != Policy::member_level(lmax[v]) ||
-            uncapped_nb_[v] != 0)
-          continue;
-        settled[v] = 1;
-        ++*ctx_.mis_count;
-        any_settled = true;
-        // A new member's neighbors are this round's dominated candidates.
-        for (graph::VertexId u : g.neighbors(v)) {
-          member_nb_[u] = 1;
-          dom_cand_.push_back(u);
-        }
-      }
-      for (graph::VertexId v : dom_cand_) {
-        if (settled[v] || levels[v] != lmax[v] || !member_nb_[v]) continue;
-        settled[v] = 2;
-        any_settled = true;
-      }
-    }
-    if (any_settled) prune_active(ctx_);
-  }
-
- private:
-  struct Delta {
-    graph::VertexId v;
-    std::int32_t d;
-  };
-  KernelContext<Policy> ctx_;
-  std::vector<std::uint32_t> prominent_nb_;  // certainly-beeping neighbors
-  std::vector<std::uint32_t> uncapped_nb_;   // neighbors off their cap
-  std::vector<std::uint8_t> member_nb_;      // has a settled-member neighbor
-  std::vector<std::uint64_t> epoch_;         // coin-channel beep stamps
-  std::vector<graph::VertexId> frontier_;    // this round's coin beepers
-  std::vector<Delta> prominent_delta_;       // scratch: boundary crossers
-  std::vector<Delta> capped_delta_;
-  std::vector<graph::VertexId> settle_cand_;  // member-settle candidates
-  std::vector<graph::VertexId> dom_cand_;     // dominated-settle candidates
-  // Compressed-store targets for the AVX-512 sweep (lazily sized to n).
-  std::vector<std::uint32_t> dp_idx_;
-  std::vector<std::uint32_t> dc_idx_;
-  std::vector<std::uint32_t> sc_idx_;
-  bool full_scan_ = true;  // next settle phase must scan all of active
-};
-
 // ---------------------------------------------------------------------------
-// ShardedKernel — the frontier kernel's round executed across contiguous,
-// word-aligned vertex shards on a private TaskPool, so one *instance* runs
-// its rounds on several cores (the replica-level pool parallelizes across
-// runs, not within one). The determinism contract is structural, not
-// synchronized: the round is cut at barriers, every phase writes only
-// per-vertex state, counts, or mask words the shard exclusively owns
-// (shards are 64-vertex aligned), and every cross-shard read is of state
-// frozen by the previous barrier —
+// ShardedKernel — the fast kernel. It visits only what a round can change,
+// and runs each round across contiguous, word-aligned vertex shards so one
+// *instance* can use several cores (the replica-level pool parallelizes
+// across runs, not within one).
+//
+// The structural fact it exploits: after the initial chaos, almost
+// everything a round transmits is *certain* — prominent vertices (ℓ ≤ 0 /
+// ℓ = 0) and settled members beep their channel with probability 1, round
+// after round — so their audibility is a per-vertex count (prominent_nb_),
+// updated only when a vertex crosses the prominence boundary. Only the
+// round's *coin* beepers form a frontier whose rows are pushed into a heard
+// bitmask. Settlement is candidate-driven: a vertex is re-examined only when
+// an event this round could have made it settleable (it reached the member
+// level or its cap, a neighborhood count hit zero, a neighbor joined the
+// MIS). Per-round cost: O(active) + Σdeg(coin frontier) + Σdeg(boundary
+// crossers); dense chaos rounds run the O(active) passes as AVX-512 sweeps
+// (kernel_simd.hpp).
+//
+// The determinism contract is structural, not synchronized: the round is
+// cut at barriers, every phase writes only per-vertex state, counts, or mask
+// words the shard exclusively owns (shards are 64-vertex aligned), and every
+// cross-shard read is of state frozen by the previous barrier —
 //   phase 1  decisions from the counter draws (a pure function of
 //            (seed, vertex, round)) -> send bytes + a shard-local coin
 //            frontier; the dense rounds run the AVX-512 decide sweep over
 //            the shard's range;
 //   stamp    each shard ORs EVERY shard's coin beepers' CSR sub-ranges
 //            (neighborhoods are sorted, so one binary search per row) into
-//            its own heard-mask words (the partitioned form of the
-//            frontier kernel's epoch push — always push, so no
-//            cost-dependent mode switch can depend on the shard count);
+//            its own heard-mask words — always a push, so no cost-dependent
+//            mode switch can depend on the shard count;
 //   phase 2  heard in O(1) per vertex from prominent_nb_ counts + the
 //            heard mask, update -> shard-owned levels, boundary-crosser
 //            deltas (dp/dc) and capped-mask bits; dense rounds use the
 //            masked AVX-512 update sweep;
 //   apply    each shard applies EVERY shard's dp/dc crosser rows to its
-//            own count entries (the partitioned form of the deferred
-//            count maintenance) and harvests its settle candidates;
+//            own count entries and harvests its settle candidates;
 //   phase 3a member-settle test on the (now frozen) counts, recording new
 //            members shard-locally;
 //   fold     the coordinator applies new members' cross-shard mask bits
@@ -752,10 +233,10 @@ class FrontierKernel final : public RoundKernel<Policy> {
 //   phase 3b dominated settlement, word-parallel over shard-owned words.
 // Every value written is therefore a pure function of pre-barrier state
 // plus commutative integer sums, so levels, censuses and events are
-// byte-identical for ANY shard/thread count — the same stream the serial
-// kernels produce (tests/test_kernels.cpp). At one shard the stamp phase
-// degenerates to exactly the frontier kernel's push walk and the apply
-// phase to its count walk, so the serial sharded round does the same
+// byte-identical for ANY shard/thread count and equal to the scalar
+// oracle's stream (tests/test_kernels.cpp). At one shard every row is
+// walked whole and each phase body is called inline — no pool batch, no
+// TaskPool::Observer callback — so the serial round costs only its
 // Σdeg(frontier) + Σdeg(crossers) neighborhood work.
 // ---------------------------------------------------------------------------
 template <typename Policy>
@@ -813,7 +294,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
   void rebuild() override {
     // One parallel gather pass: masks and counts both derive from the
     // frozen global levels/settled arrays, so no barrier is needed inside.
-    pool_.parallel_for(shards_.size(), rebuild_fn_);
+    dispatch(rebuild_fn_);
     // Out-of-band state writes invalidate the settlement candidates; the
     // next round re-derives them with one full settle scan.
     full_scan_ = true;
@@ -949,18 +430,28 @@ class ShardedKernel final : public RoundKernel<Policy> {
                             .count());
   }
 
-  /// One barrier-phased parallel step. Without telemetry this is exactly
-  /// the bare parallel_for; with it, the coordinator clocks the phase wall
-  /// (emitting the named span when tracing) and the timed wrapper clocks
-  /// each shard's task body into its busy tally.
+  /// Runs `fn` once per shard. A single shard is called inline: a serial
+  /// round never touches the pool, so it pays no batch hand-off and fires
+  /// no TaskPool::Observer callback.
+  void dispatch(const std::function<void(std::size_t)>& fn) {
+    if (shards_.size() == 1)
+      fn(0);
+    else
+      pool_.parallel_for(shards_.size(), fn);
+  }
+
+  /// One barrier-phased step. Without telemetry this is exactly the bare
+  /// dispatch; with it, the coordinator clocks the phase wall (emitting the
+  /// named span when tracing) and the timed wrapper clocks each shard's
+  /// task body into its busy tally.
   void run_phase(std::size_t pi, const std::function<void(std::size_t)>& fn) {
     if (!tel_round_) {
-      pool_.parallel_for(shards_.size(), fn);
+      dispatch(fn);
       return;
     }
     const auto t0 = TelClock::now();
     timed_inner_ = &fn;
-    pool_.parallel_for(shards_.size(), timed_fn_);
+    dispatch(timed_fn_);
     const auto t1 = TelClock::now();
     tel_phase_ns_[pi] += elapsed_ns(t0, t1);
     round_wall_ns_ += elapsed_ns(t0, t1);
@@ -1025,9 +516,9 @@ class ShardedKernel final : public RoundKernel<Policy> {
   }
 
   void rebuild_shard(std::size_t si) {
-    // The frontier kernel's gather pass, over the shard's own vertices:
-    // each vertex recounts its own neighborhood (cross-shard reads of the
-    // frozen levels/settled arrays), so every write stays shard-owned.
+    // Gather pass over the shard's own vertices: each vertex recounts its
+    // own neighborhood (cross-shard reads of the frozen levels/settled
+    // arrays), so every write stays shard-owned.
     // Settled members are prominent by construction (they sit at the
     // member level), so prominent_nb_ covers both certain-beeper
     // populations at once.
@@ -1076,9 +567,13 @@ class ShardedKernel final : public RoundKernel<Policy> {
     const std::size_t range = sh.v_hi - sh.v_lo;
     sh.sweep = false;
 #if BEEPMIS_KERNEL_AVX512
-    // Same dense-round gate as the frontier kernel, applied per shard
-    // (the shard's range is 64-aligned, so the sweep's lanes line up with
-    // mask words). Which path runs only ever changes wall-clock.
+    // Dense-round gate, per shard: in the chaos phase nearly every vertex
+    // is active and the O(active) passes are pure per-vertex ALU work, so a
+    // masked contiguous sweep over the shard's range beats the indexed
+    // loop (the range is 64-aligned, so the sweep's lanes line up with mask
+    // words). Once the active set is sparse the indexed loop wins again,
+    // and observing rounds need exact heard masks the sweep does not
+    // materialize. Which path runs only ever changes wall-clock.
     sh.sweep = !observing_ && simd::have_avx512() && range >= 64 &&
                sh.active.size() * 8 >= range;
     if (sh.sweep)
@@ -1105,8 +600,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
     // Partitioned push: the shard rebuilds its own heard-mask words from
     // EVERY shard's coin frontier (certain beepers are already covered by
     // the neighbors' prominent_nb_ counts). Settled targets are stamped
-    // too, which answers the dominated census in O(1) — at one shard this
-    // is exactly the frontier kernel's push walk.
+    // too, which answers the dominated census in O(1).
     const Shard& sh = shards_[si];
     std::fill(heard_coin_mask_.begin() + sh.word_lo,
               heard_coin_mask_.begin() + sh.word_hi, 0);
@@ -1209,9 +703,10 @@ class ShardedKernel final : public RoundKernel<Policy> {
     // Partitioned deferred count maintenance: the shard applies EVERY
     // shard's boundary crossers to its own count entries (the set bits of
     // a crosser's row restricted to this shard's words are this shard's
-    // vertices). Signs and the settle-candidate harvest mirror the
-    // frontier kernel's count walk; sums commute, so the visit order can
-    // not affect the result.
+    // vertices). A dc of +1 means the crosser *reached* its cap, so its
+    // neighbors lose an uncapped neighbor — and one whose count hits zero
+    // becomes a member-settle candidate. Sums commute, so the visit order
+    // cannot affect the result.
     Shard& sh = shards_[si];
     for (const Shard& other : shards_) {
       for (const auto& [cv, d] : other.dp) {
@@ -1320,28 +815,15 @@ class ShardedKernel final : public RoundKernel<Policy> {
 }  // namespace
 
 KernelKind resolve_kernel(KernelKind kind) noexcept {
-  return kind == KernelKind::Auto ? KernelKind::Frontier : kind;
-}
-
-KernelKind resolve_kernel(KernelKind kind, std::size_t shard_threads) noexcept {
-  if (kind == KernelKind::Auto && shard_threads != 1)
-    return KernelKind::Sharded;
-  return resolve_kernel(kind);
+  return kind == KernelKind::Auto ? KernelKind::Sharded : kind;
 }
 
 template <typename Policy>
 std::unique_ptr<RoundKernel<Policy>> make_round_kernel(
     KernelKind kind, const KernelContext<Policy>& ctx) {
-  switch (resolve_kernel(kind)) {
-    case KernelKind::Bit:
-      return std::make_unique<BitKernel<Policy>>(ctx);
-    case KernelKind::Frontier:
-      return std::make_unique<FrontierKernel<Policy>>(ctx);
-    case KernelKind::Sharded:
-      return std::make_unique<ShardedKernel<Policy>>(ctx);
-    default:
-      return std::make_unique<ScalarKernel<Policy>>(ctx);
-  }
+  if (resolve_kernel(kind) == KernelKind::Scalar)
+    return std::make_unique<ScalarKernel<Policy>>(ctx);
+  return std::make_unique<ShardedKernel<Policy>>(ctx);
 }
 
 template std::unique_ptr<RoundKernel<Alg1Policy>> make_round_kernel(

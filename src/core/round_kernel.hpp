@@ -48,8 +48,8 @@ struct SparseCensus {
 };
 
 /// Non-owning view of the FastEngine state a kernel operates on. The engine
-/// owns every field; kernels read and write through these pointers so all
-/// three implementations stay trivially interchangeable mid-run (the engine
+/// owns every field; kernels read and write through these pointers so the
+/// two implementations stay trivially interchangeable mid-run (the engine
 /// calls rebuild() after any out-of-band state write).
 template <typename Policy>
 struct KernelContext {
@@ -64,20 +64,21 @@ struct KernelContext {
   std::uint64_t seed = 0;  ///< master seed keying the counter draws
   bool half = false;       ///< Duplex::Half: a beeper hears nothing
   /// Worker threads for the sharded kernel's private TaskPool (0 = one per
-  /// hardware thread, 1 = inline serial). Ignored by the serial kernels.
+  /// hardware thread). At 1 the kernel runs one shard and calls each phase
+  /// inline, never entering the pool. Ignored by the scalar kernel.
   std::size_t shard_threads = 1;
   /// Collect per-phase ShardTelemetry every round, tracing session or not
   /// (the sharded kernel always collects while the tracer is live). Ignored
-  /// by the serial kernels.
+  /// by the scalar kernel.
   bool telemetry = false;
 };
 
 /// One fault-free, noise-free round of FastEngine<Policy>: beep decisions
 /// over the active set (counter draws keyed by (seed, vertex, round)),
-/// feedback, level updates, and settlement/pruning. The three
-/// implementations — Scalar (the oracle), Bit, Frontier — are proven
+/// feedback, level updates, and settlement/pruning. The two
+/// implementations — Scalar (the oracle) and Sharded — are proven
 /// stream-identical: same levels, same censuses, round for round, across
-/// corruption and half-duplex (tests/test_kernels.cpp). Receiver noise never
+/// corruption and half-duplex, at every shard count (tests/test_kernels.cpp). Receiver noise never
 /// reaches a kernel; the engine runs its dense full sweep instead.
 template <typename Policy>
 class RoundKernel {
@@ -93,14 +94,14 @@ class RoundKernel {
   virtual void step_sparse(std::uint64_t round, bool observing,
                            SparseCensus& census) = 0;
 
-  /// Re-syncs kernel-private caches (packed masks, member-neighbor flags,
-  /// level mirrors) with the engine's levels/settled/active after an
+  /// Re-syncs kernel-private caches (neighborhood counts, settlement masks,
+  /// shard slices of the active list) with the engine's levels/settled/active after an
   /// out-of-band write — set_level refresh, corruption resettle. Called
   /// lazily by the engine before the next step_sparse.
   virtual void rebuild() = 0;
 
   /// Snapshots cumulative phase telemetry (sharded kernel only): false on
-  /// the serial kernels and before any instrumented round has run.
+  /// the scalar kernel and before any instrumented round has run.
   virtual bool shard_telemetry(ShardTelemetry* out) const {
     (void)out;
     return false;

@@ -65,12 +65,12 @@ RunResult run_to_stabilization(core::Engine& engine, beep::Round max_rounds,
 
 /// One-shot: build, initialize, run. The workhorse of the sweeps. Routed
 /// through core::make_engine — `kind` selects the executor and `kernel` the
-/// fast engine's round kernel (Auto = fast / frontier; results are engine-
+/// fast engine's round kernel (Auto = fast / sharded; results are engine-
 /// and kernel-independent because all executors are stream-identical under
 /// the same seed). `observer`, if given, receives one obs::RoundEvent per
 /// round.
 /// `shard_threads` sizes the fast engine's intra-round sharded pool (see
-/// core::EngineConfig::shard_threads); 1 keeps every kernel serial.
+/// core::EngineConfig::shard_threads); 1 keeps the round serial.
 RunResult run_variant(const graph::Graph& g, Variant variant,
                       core::InitPolicy init, std::uint64_t seed,
                       beep::Round max_rounds, std::int32_t c1 = 0,

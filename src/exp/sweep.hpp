@@ -40,9 +40,9 @@ struct SweepConfig {
   /// so sweeps never fall back to the slow path; Reference exists for
   /// cross-checks.
   core::EngineKind engine = core::EngineKind::Auto;
-  /// Round-kernel selection for the fast engine (scalar / bit / frontier,
-  /// all stream-identical — Auto resolves to the measured winner). Purely a
-  /// wall-clock knob: sweep results never depend on it.
+  /// Round-kernel selection for the fast engine (scalar / sharded, both
+  /// stream-identical — Auto resolves to sharded). Purely a wall-clock
+  /// knob: sweep results never depend on it.
   core::KernelKind kernel = core::KernelKind::Auto;
   /// Optional telemetry: per-run wall time ("sweep.run" timer), the
   /// "sweep.rounds_to_stabilize" histogram + quantile digest and sweep.*

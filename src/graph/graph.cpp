@@ -1,6 +1,7 @@
 #include "src/graph/graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/support/check.hpp"
 
@@ -43,7 +44,7 @@ Graph GraphBuilder::build() && {
   }
   // Each vertex's edges were appended in globally sorted order, so
   // neighborhoods are already sorted — required by has_edge's binary search
-  // and by PackedGraph's single-pass word grouping.
+  // and by the sharded round kernel's per-shard row splitting.
   for (std::size_t v = 0; v < n_; ++v) {
     const auto nb = g.neighbors(static_cast<VertexId>(v));
     BEEPMIS_CHECK(std::is_sorted(nb.begin(), nb.end()),
@@ -100,6 +101,29 @@ Graph StreamingCsrBuilder::finish(bool sort_rows) && {
         std::max(g_.max_degree_, g_.offsets_[v + 1] - g_.offsets_[v]);
   }
   return std::move(g_);
+}
+
+RelabeledGraph relabel_by_degree(const Graph& g) {
+  const std::size_t n = g.vertex_count();
+  RelabeledGraph out;
+  out.perm.resize(n);
+  std::iota(out.perm.begin(), out.perm.end(), VertexId{0});
+  std::stable_sort(out.perm.begin(), out.perm.end(),
+                   [&](VertexId a, VertexId b) {
+                     return g.degree(a) != g.degree(b)
+                                ? g.degree(a) > g.degree(b)
+                                : a < b;
+                   });
+  out.inverse.resize(n);
+  for (VertexId new_id = 0; new_id < n; ++new_id)
+    out.inverse[out.perm[new_id]] = new_id;
+
+  GraphBuilder b(n, g.name() + "_degord");
+  for (VertexId v = 0; v < n; ++v)
+    for (VertexId u : g.neighbors(v))
+      if (v < u) b.add_edge(out.inverse[v], out.inverse[u]);
+  out.graph = std::move(b).build();
+  return out;
 }
 
 }  // namespace beepmis::graph

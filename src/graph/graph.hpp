@@ -111,4 +111,15 @@ class StreamingCsrBuilder {
   Graph g_;
 };
 
+/// Degree-ordered relabeling: vertices sorted by descending degree (ties by
+/// original id, so the permutation is deterministic), which gives hub
+/// vertices adjacent ids. Returns the relabeled graph — named with a
+/// `_degord` suffix — plus the permutation, with `perm[new_id] == old_id`.
+struct RelabeledGraph {
+  Graph graph;
+  std::vector<VertexId> perm;     ///< new id -> old id
+  std::vector<VertexId> inverse;  ///< old id -> new id
+};
+RelabeledGraph relabel_by_degree(const Graph& g);
+
 }  // namespace beepmis::graph

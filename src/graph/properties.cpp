@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "src/graph/packed.hpp"
 #include "src/support/check.hpp"
 
 namespace beepmis::graph {
@@ -89,15 +88,11 @@ bool is_regular(const Graph& g, std::size_t d) {
 }
 
 bool is_triangle_free(const Graph& g) {
-  // One PackedGraph build (O(n + m)) turns the inner closing-edge probe —
-  // executed O(Σ deg²) times — into a bitset-row bit test or a word-indexed
-  // block search instead of Graph::has_edge's per-id binary search.
-  const PackedGraph packed(g);
   for (VertexId v = 0; v < g.vertex_count(); ++v)
     for (VertexId u : g.neighbors(v)) {
       if (u < v) continue;
       for (VertexId w : g.neighbors(u))
-        if (w > u && packed.has_edge(v, w)) return false;
+        if (w > u && g.has_edge(v, w)) return false;
     }
   return true;
 }

@@ -73,7 +73,7 @@ class ReportBuilder {
   /// Round-kernel pairing derived from "BM_FastEngineKernel/<kernel>/<n>"
   /// gauges: each kernel measured against the scalar oracle at the same n.
   struct KernelSpeedup {
-    std::string kernel;         ///< "bit", "frontier", ...
+    std::string kernel;         ///< "sharded", ...
     std::uint64_t n = 0;
     double cpu_ns = 0.0;
     double scalar_cpu_ns = 0.0;

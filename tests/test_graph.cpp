@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <set>
+#include <vector>
+
+#include "src/graph/generators.hpp"
+#include "src/support/rng.hpp"
 
 namespace beepmis::graph {
 namespace {
@@ -122,6 +128,62 @@ TEST(Graph, HasEdgeOnHighDegreeVertex) {
   for (VertexId v = 1; v < kN; ++v)
     EXPECT_EQ(g.has_edge(0, v), v % 3 != 0) << v;
   EXPECT_FALSE(g.has_edge(0, 0));
+}
+
+TEST(RelabelByDegree, PermutationIsDegreeSortedAndConsistent) {
+  support::Rng grng(33);
+  const auto g = make_barabasi_albert(150, 3, grng);
+  const RelabeledGraph r = relabel_by_degree(g);
+  ASSERT_EQ(r.graph.vertex_count(), g.vertex_count());
+  EXPECT_EQ(r.graph.edge_count(), g.edge_count());
+  // perm and inverse are mutually inverse bijections.
+  std::set<VertexId> seen(r.perm.begin(), r.perm.end());
+  EXPECT_EQ(seen.size(), g.vertex_count());
+  for (VertexId nv = 0; nv < g.vertex_count(); ++nv)
+    EXPECT_EQ(r.inverse[r.perm[nv]], nv);
+  // New ids are ordered by descending original degree, ties by original id.
+  for (VertexId nv = 1; nv < g.vertex_count(); ++nv) {
+    const VertexId a = r.perm[nv - 1], b = r.perm[nv];
+    EXPECT_TRUE(g.degree(a) > g.degree(b) ||
+                (g.degree(a) == g.degree(b) && a < b));
+  }
+  // Adjacency is preserved under the permutation.
+  for (VertexId nv = 0; nv < g.vertex_count(); ++nv) {
+    std::vector<VertexId> mapped;
+    for (VertexId nu : r.graph.neighbors(nv)) mapped.push_back(r.perm[nu]);
+    std::sort(mapped.begin(), mapped.end());
+    const auto nb = g.neighbors(r.perm[nv]);
+    EXPECT_EQ(mapped, std::vector<VertexId>(nb.begin(), nb.end()));
+  }
+}
+
+TEST(RelabelByDegree, GoldenPermutationPinsTieBreak) {
+  // A caterpillar has massive degree ties (every leaf has degree 1, inner
+  // spine vertices tie too), so this pins the stable tie-break by original
+  // id: any drift to an unstable sort or a different comparator reshuffles
+  // the golden values below.
+  const auto g = make_caterpillar(/*spine=*/4, /*legs=*/3);
+  // Degrees: spine 0 and 3 have 1 spine edge + 3 legs = 4; spine 1, 2 have
+  // 2 spine edges + 3 legs = 5; leaves 4..15 have 1.
+  const RelabeledGraph r = relabel_by_degree(g);
+  const std::vector<VertexId> golden = {1, 2,  0,  3,  4,  5,  6,  7,
+                                        8, 9, 10, 11, 12, 13, 14, 15};
+  EXPECT_EQ(r.perm, golden);
+  EXPECT_EQ(r.graph.name(), "caterpillar_s4_l3_degord");
+
+  // And a randomized instance stays exactly reproducible end to end.
+  support::Rng grng(35);
+  const auto ba = make_barabasi_albert(24, 2, grng);
+  const RelabeledGraph rb = relabel_by_degree(ba);
+  std::vector<VertexId> expect(ba.vertex_count());
+  std::iota(expect.begin(), expect.end(), VertexId{0});
+  std::stable_sort(expect.begin(), expect.end(),
+                   [&](VertexId a, VertexId b) {
+                     if (ba.degree(a) != ba.degree(b))
+                       return ba.degree(a) > ba.degree(b);
+                     return a < b;
+                   });
+  EXPECT_EQ(rb.perm, expect);
 }
 
 }  // namespace

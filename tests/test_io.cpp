@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <utility>
 
 #include "src/graph/generators.hpp"
 
@@ -112,6 +116,33 @@ TEST(GraphIo, PackedRenameAndEmptyGraph) {
   EXPECT_EQ(h.name(), "renamed");
 }
 
+/// A read-only stream buffer over a string that cannot seek, like a pipe.
+class PipeBuf final : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(GraphIo, PackedReadsFromNonSeekableStream) {
+  support::Rng rng(4);
+  const Graph g = make_erdos_renyi_avg_degree(120, 6.0, rng);
+  std::stringstream ss;
+  write_packed(g, ss);
+  PipeBuf pipe(ss.str());
+  std::istream in(&pipe);
+  ASSERT_LT(in.tellg(), 0);  // really non-seekable
+  const Graph h = read_packed(in);
+  ASSERT_EQ(h.vertex_count(), g.vertex_count());
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    const auto a = g.neighbors(v), b = h.neighbors(v);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  }
+}
+
 TEST(GraphIoDeath, PackedMalformedInputsAbort) {
   {
     std::stringstream ss("definitely not packed");
@@ -125,6 +156,52 @@ TEST(GraphIoDeath, PackedMalformedInputsAbort) {
     bytes.resize(bytes.size() - 4);  // drop the last adjacency entry
     std::stringstream truncated(bytes);
     EXPECT_DEATH(read_packed(truncated), "truncated");
+  }
+}
+
+/// A packed-CSR header claiming `n` vertices and `arcs` arcs, followed by
+/// `payload` zero bytes of degree/adjacency data.
+std::string packed_header(std::uint64_t n, std::uint64_t arcs,
+                          std::size_t payload) {
+  std::string bytes = "BMPKCSR1";
+  bytes.append(reinterpret_cast<const char*>(&n), sizeof n);
+  bytes.append(reinterpret_cast<const char*>(&arcs), sizeof arcs);
+  const std::uint32_t name_len = 0;
+  bytes.append(reinterpret_cast<const char*>(&name_len), sizeof name_len);
+  bytes.append(payload, '\0');
+  return bytes;
+}
+
+TEST(GraphIoDeath, PackedRejectsVertexCountBeyondVertexIds) {
+  // 2^64 - 1 used to wrap offsets(n + 1) to an empty vector; 2^32 is the
+  // first count a 32-bit VertexId cannot address.
+  for (const std::uint64_t n : {~std::uint64_t{0}, std::uint64_t{1} << 32}) {
+    std::stringstream ss(packed_header(n, 0, 64));
+    EXPECT_DEATH(read_packed(ss), "exceeds 32-bit vertex ids") << n;
+  }
+}
+
+TEST(GraphIoDeath, PackedRejectsSizesBeyondTheStream) {
+  // Each header promises more degree/adjacency bytes than follow it, so the
+  // reader must refuse before allocating the tables (multi-GiB here).
+  const std::size_t payload = 1024;
+  {
+    std::stringstream ss(packed_header(std::uint64_t{1} << 31, 0, payload));
+    EXPECT_DEATH(read_packed(ss), "exceed the stream length");
+  }
+  {
+    std::stringstream ss(packed_header(4, std::uint64_t{1} << 40, payload));
+    EXPECT_DEATH(read_packed(ss), "exceed the stream length");
+  }
+  {
+    // Each table alone fits; together they do not.
+    std::stringstream ss(packed_header(200, 200, payload));
+    EXPECT_DEATH(read_packed(ss), "exceed the stream length");
+  }
+  {
+    // arcs * 4 would wrap to 0 in 64 bits.
+    std::stringstream ss(packed_header(4, std::uint64_t{1} << 62, payload));
+    EXPECT_DEATH(read_packed(ss), "exceed the stream length");
   }
 }
 

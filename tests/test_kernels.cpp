@@ -2,197 +2,31 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
+#include <atomic>
+#include <chrono>
 #include <vector>
 
 #include "src/core/engine.hpp"
 #include "src/core/fast_engine.hpp"
-#include "src/core/init.hpp"
 #include "src/graph/generators.hpp"
+#include "src/support/task_pool.hpp"
 
 namespace beepmis::core {
 namespace {
 
-// The kernel contract: Scalar, Bit, and Frontier produce the same level
-// vector, the same settlement, and the same MIS, round for round, from any
-// starting configuration, under full and half duplex, across mid-run
-// corruption. These tests run WITHOUT observers: that keeps the engines on
-// the non-observing step, which on AVX-512 hosts routes the frontier
-// kernel through its dense SIMD sweep (kernel_simd.hpp) — so the sweep is
-// proven bit-identical here, not just the indexed loops. On hosts without
-// AVX-512 the same tests still check the three indexed implementations
-// against each other.
-
-template <typename Policy>
-struct Trio {
-  FastEngine<Policy> scalar;
-  FastEngine<Policy> bit;
-  FastEngine<Policy> frontier;
-
-  Trio(const graph::Graph& g, const LmaxVector& lmax, std::uint64_t seed,
-       beep::Duplex duplex = beep::Duplex::Full)
-      : scalar(g, lmax, seed, {}, duplex, KernelKind::Scalar),
-        bit(g, lmax, seed, {}, duplex, KernelKind::Bit),
-        frontier(g, lmax, seed, {}, duplex, KernelKind::Frontier) {}
-
-  // Identical adversarial starting levels on all three engines: the scalar
-  // engine corrupts from a seeded stream, the others copy its levels.
-  void corrupt_init(std::uint64_t seed) {
-    support::Rng c(seed);
-    const std::size_t n = scalar.graph().vertex_count();
-    for (graph::VertexId v = 0; v < n; ++v) scalar.corrupt(v, c);
-    for (graph::VertexId v = 0; v < n; ++v) {
-      bit.set_level(v, scalar.level(v));
-      frontier.set_level(v, scalar.level(v));
-    }
-  }
-
-  void run_lockstep(int rounds, const std::vector<int>& corrupt_at = {},
-                    std::size_t corrupt_count = 0) {
-    support::Rng f1(0xc0), f2(0xc0), f3(0xc0);
-    const std::size_t n = scalar.graph().vertex_count();
-    for (int r = 0; r < rounds; ++r) {
-      for (int cr : corrupt_at) {
-        if (cr != r) continue;
-        const auto a = corrupt_random(scalar, corrupt_count, f1);
-        const auto b = corrupt_random(bit, corrupt_count, f2);
-        const auto c = corrupt_random(frontier, corrupt_count, f3);
-        ASSERT_EQ(a, b) << "round " << r;
-        ASSERT_EQ(a, c) << "round " << r;
-      }
-      scalar.step();
-      bit.step();
-      frontier.step();
-      for (graph::VertexId v = 0; v < n; ++v) {
-        ASSERT_EQ(bit.level(v), scalar.level(v))
-            << "bit round " << r << " vertex " << v;
-        ASSERT_EQ(frontier.level(v), scalar.level(v))
-            << "frontier round " << r << " vertex " << v;
-      }
-      ASSERT_EQ(bit.active_count(), scalar.active_count()) << "round " << r;
-      ASSERT_EQ(frontier.active_count(), scalar.active_count())
-          << "round " << r;
-    }
-    EXPECT_EQ(bit.mis_members(), scalar.mis_members());
-    EXPECT_EQ(frontier.mis_members(), scalar.mis_members());
-    EXPECT_EQ(bit.is_stabilized(), scalar.is_stabilized());
-    EXPECT_EQ(frontier.is_stabilized(), scalar.is_stabilized());
-  }
-};
-
-TEST(Kernels, ThreeKernelsLockstepAlg1) {
-  support::Rng grng(21);
-  const auto graphs = {
-      graph::make_path(48),
-      graph::make_grid(7, 7),
-      graph::make_erdos_renyi_avg_degree(192, 8.0, grng),
-      graph::make_barabasi_albert(128, 3, grng),
-  };
-  for (const auto& g : graphs) {
-    Trio<Alg1Policy> trio(g, lmax_global_delta(g), 1234);
-    trio.corrupt_init(7);
-    trio.run_lockstep(300);
-  }
-}
-
-TEST(Kernels, ThreeKernelsLockstepAlg2) {
-  support::Rng grng(22);
-  const auto graphs = {
-      graph::make_star(48),
-      graph::make_erdos_renyi_avg_degree(192, 8.0, grng),
-      graph::make_barabasi_albert(128, 3, grng),
-  };
-  for (const auto& g : graphs) {
-    Trio<Alg2Policy> trio(g, lmax_one_hop(g), 4321);
-    trio.corrupt_init(9);
-    trio.run_lockstep(300);
-  }
-}
-
-TEST(Kernels, LockstepSurvivesMidRunCorruption) {
-  support::Rng grng(23);
-  const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
-  {
-    Trio<Alg1Policy> trio(g, lmax_global_delta(g), 55);
-    trio.corrupt_init(3);
-    trio.run_lockstep(400, /*corrupt_at=*/{60, 140, 260}, /*count=*/24);
-  }
-  {
-    Trio<Alg2Policy> trio(g, lmax_one_hop(g), 56);
-    trio.corrupt_init(4);
-    trio.run_lockstep(400, /*corrupt_at=*/{60, 140, 260}, /*count=*/24);
-  }
-}
-
-TEST(Kernels, HalfDuplexLockstep) {
-  support::Rng grng(24);
-  const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
-  {
-    Trio<Alg1Policy> trio(g, lmax_global_delta(g), 77, beep::Duplex::Half);
-    trio.corrupt_init(5);
-    trio.run_lockstep(300);
-  }
-  {
-    Trio<Alg2Policy> trio(g, lmax_one_hop(g), 78, beep::Duplex::Half);
-    trio.corrupt_init(6);
-    trio.run_lockstep(300);
-  }
-}
-
-TEST(Kernels, SweepSizedGraphMatchesScalar) {
-  // Large enough that the frontier kernel's dense-sweep gate
-  // (n >= 64, |active| * 8 >= n) holds for the whole chaos phase on
-  // AVX-512 hosts, and the endgame drops below it — both paths and the
-  // crossover are exercised in one run.
-  support::Rng grng(25);
-  const auto g = graph::make_erdos_renyi_avg_degree(1024, 8.0, grng);
-  Trio<Alg1Policy> trio(g, lmax_global_delta(g), 99);
-  trio.corrupt_init(11);
-  trio.run_lockstep(200);
-}
-
-TEST(Kernels, AutoResolvesToFrontier) {
-  EXPECT_EQ(resolve_kernel(KernelKind::Auto), KernelKind::Frontier);
-  EXPECT_EQ(resolve_kernel(KernelKind::Scalar), KernelKind::Scalar);
-  EXPECT_EQ(resolve_kernel(KernelKind::Bit), KernelKind::Bit);
-  EXPECT_EQ(resolve_kernel(KernelKind::Frontier), KernelKind::Frontier);
-}
-
-TEST(Kernels, AutoWithShardThreadsResolvesToSharded) {
-  // The config-aware overload: asking for intra-round parallelism flips
-  // Auto to the sharded kernel; explicit choices always win.
-  EXPECT_EQ(resolve_kernel(KernelKind::Auto, 1), KernelKind::Frontier);
-  EXPECT_EQ(resolve_kernel(KernelKind::Auto, 8), KernelKind::Sharded);
-  EXPECT_EQ(resolve_kernel(KernelKind::Auto, 0), KernelKind::Sharded);
-  EXPECT_EQ(resolve_kernel(KernelKind::Frontier, 8), KernelKind::Frontier);
-  EXPECT_EQ(resolve_kernel(KernelKind::Sharded, 1), KernelKind::Sharded);
-}
-
-TEST(Kernels, EngineExposesResolvedKernelName) {
-  const auto g = graph::make_path(8);
-  const auto lmax = lmax_global_delta(g);
-  const std::array<std::pair<KernelKind, const char*>, 4> cases = {{
-      {KernelKind::Auto, "frontier"},
-      {KernelKind::Scalar, "scalar"},
-      {KernelKind::Bit, "bit"},
-      {KernelKind::Frontier, "frontier"},
-  }};
-  for (const auto& [kind, name] : cases) {
-    FastEngine<Alg1Policy> e(g, lmax, 1, {}, beep::Duplex::Full, kind);
-    EXPECT_EQ(e.kernel_name(), name);
-  }
-  FastEngine<Alg1Policy> sh(g, lmax, 1, {}, beep::Duplex::Full,
-                            KernelKind::Auto, /*shard_threads=*/4);
-  EXPECT_EQ(sh.kernel_name(), "sharded");
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-vs-serial lockstep: the sharded kernel must reproduce the serial
-// kernels' trajectories bit for bit at EVERY shard count — levels, active
-// counts, and the full per-round RoundEvent stream. The worker count only
-// changes who computes each word, never what is computed: coins are pure
-// functions of (seed, node, round), every phase writes only shard-owned
-// state, and the coordinator folds in ascending shard order.
+// The kernel contract: Scalar (the oracle) and Sharded produce the same
+// level vector, the same settlement, the same MIS and the same RoundEvent
+// stream, round for round, from any starting configuration, under full and
+// half duplex, across mid-run corruption — at EVERY shard count. The worker
+// count only changes who computes each word, never what is computed: coins
+// are pure functions of (seed, node, round), every phase writes only
+// shard-owned state, and the coordinator folds in ascending shard order.
+//
+// Every case runs twice: observed (an EventLog on both engines, so each
+// event is compared) and unobserved. Only unobserved rounds route the
+// sharded kernel through its dense AVX-512 sweeps (kernel_simd.hpp), so the
+// second run is what proves the sweeps bit-identical on hosts that have
+// them; elsewhere both runs check the indexed loops.
 
 /// Captures the engine's per-round event stream for exact comparison.
 struct EventLog final : obs::RoundObserver {
@@ -203,158 +37,204 @@ struct EventLog final : obs::RoundObserver {
 };
 
 template <typename Policy>
-struct ShardedDuo {
-  FastEngine<Policy> serial;
+struct Duo {
+  FastEngine<Policy> scalar;
   FastEngine<Policy> sharded;
-  EventLog serial_log;
+  EventLog scalar_log;
   EventLog sharded_log;
+  bool observed;
 
-  ShardedDuo(const graph::Graph& g, const LmaxVector& lmax,
-             std::uint64_t seed, KernelKind serial_kind,
-             std::size_t shard_threads,
-             beep::Duplex duplex = beep::Duplex::Full)
-      : serial(g, lmax, seed, {}, duplex, serial_kind),
+  Duo(const graph::Graph& g, const LmaxVector& lmax, std::uint64_t seed,
+      std::size_t shard_threads, bool observed_, beep::Duplex duplex)
+      : scalar(g, lmax, seed, {}, duplex, KernelKind::Scalar),
         sharded(g, lmax, seed, {}, duplex, KernelKind::Sharded,
-                shard_threads) {
-    serial.set_observer(&serial_log);
-    sharded.set_observer(&sharded_log);
+                shard_threads),
+        observed(observed_) {
+    if (observed) {
+      scalar.set_observer(&scalar_log);
+      sharded.set_observer(&sharded_log);
+    }
   }
 
+  // Identical adversarial starting levels on both engines: the scalar
+  // engine corrupts from a seeded stream, the sharded one copies its levels.
   void corrupt_init(std::uint64_t seed) {
     support::Rng c(seed);
-    const std::size_t n = serial.graph().vertex_count();
-    for (graph::VertexId v = 0; v < n; ++v) serial.corrupt(v, c);
+    const std::size_t n = scalar.graph().vertex_count();
+    for (graph::VertexId v = 0; v < n; ++v) scalar.corrupt(v, c);
     for (graph::VertexId v = 0; v < n; ++v)
-      sharded.set_level(v, serial.level(v));
+      sharded.set_level(v, scalar.level(v));
   }
 
-  void run_lockstep(int rounds, const std::vector<int>& corrupt_at = {},
-                    std::size_t corrupt_count = 0) {
+  void run_lockstep(int rounds, const std::vector<int>& corrupt_at,
+                    std::size_t corrupt_count) {
     support::Rng f1(0xc0), f2(0xc0);
-    const std::size_t n = serial.graph().vertex_count();
+    const std::size_t n = scalar.graph().vertex_count();
     for (int r = 0; r < rounds; ++r) {
       for (int cr : corrupt_at) {
         if (cr != r) continue;
-        const auto a = corrupt_random(serial, corrupt_count, f1);
+        const auto a = corrupt_random(scalar, corrupt_count, f1);
         const auto b = corrupt_random(sharded, corrupt_count, f2);
         ASSERT_EQ(a, b) << "round " << r;
       }
-      serial.step();
+      scalar.step();
       sharded.step();
       for (graph::VertexId v = 0; v < n; ++v) {
-        ASSERT_EQ(sharded.level(v), serial.level(v))
+        ASSERT_EQ(sharded.level(v), scalar.level(v))
             << "round " << r << " vertex " << v;
       }
-      ASSERT_EQ(sharded.active_count(), serial.active_count())
+      ASSERT_EQ(sharded.active_count(), scalar.active_count())
           << "round " << r;
-      ASSERT_EQ(sharded_log.events.back(), serial_log.events.back())
-          << "round " << r;
+      if (observed) {
+        ASSERT_EQ(sharded_log.events.back(), scalar_log.events.back())
+            << "round " << r;
+      }
     }
-    EXPECT_EQ(sharded_log.events, serial_log.events);
-    EXPECT_EQ(sharded.mis_members(), serial.mis_members());
-    EXPECT_EQ(sharded.is_stabilized(), serial.is_stabilized());
+    EXPECT_EQ(sharded_log.events, scalar_log.events);
+    EXPECT_EQ(sharded.mis_members(), scalar.mis_members());
+    EXPECT_EQ(sharded.is_stabilized(), scalar.is_stabilized());
   }
 };
 
-// Worker counts exercised everywhere below: 1 (inline serial pool), 3 (odd
-// shard split), 8 (more workers than this host has cores — oversubscribed),
-// 0 (one per hardware thread, host-dependent). Byte-identical output across
-// all of them IS the determinism contract.
+// Worker counts exercised everywhere below: 1 (one shard, phases inline), 3
+// (odd shard split), 8 (more workers than this host has cores —
+// oversubscribed), 0 (one per hardware thread, host-dependent).
 constexpr std::size_t kShardCounts[] = {1, 3, 8, 0};
 
-TEST(Kernels, ShardedLockstepGridAlg1) {
-  support::Rng grng(31);
-  const auto graphs = {
-      graph::make_grid(9, 9),
-      graph::make_erdos_renyi_avg_degree(192, 8.0, grng),
-      graph::make_barabasi_albert(130, 3, grng),
-  };
-  const KernelKind serial_kinds[] = {KernelKind::Scalar, KernelKind::Bit,
-                                     KernelKind::Frontier};
-  for (const auto& g : graphs) {
-    const auto lmax = lmax_global_delta(g);
-    for (KernelKind serial_kind : serial_kinds) {
-      for (std::size_t st : kShardCounts) {
-        ShardedDuo<Alg1Policy> duo(g, lmax, 1234, serial_kind, st);
-        duo.corrupt_init(7);
-        duo.run_lockstep(250);
-      }
+/// Scalar-vs-sharded lockstep of one case at every shard count, observed
+/// and unobserved.
+template <typename Policy>
+void check_lockstep(const graph::Graph& g, const LmaxVector& lmax,
+                    std::uint64_t seed, std::uint64_t init_seed, int rounds,
+                    beep::Duplex duplex = beep::Duplex::Full,
+                    const std::vector<int>& corrupt_at = {},
+                    std::size_t corrupt_count = 0) {
+  for (std::size_t st : kShardCounts) {
+    for (bool observed : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << g.name() << " shard_threads=" << st
+                   << " observed=" << observed);
+      Duo<Policy> duo(g, lmax, seed, st, observed, duplex);
+      duo.corrupt_init(init_seed);
+      duo.run_lockstep(rounds, corrupt_at, corrupt_count);
     }
   }
 }
 
-TEST(Kernels, ShardedLockstepGridAlg2) {
+TEST(Kernels, LockstepAlg1) {
+  support::Rng grng(31);
+  const auto graphs = {
+      graph::make_path(48),
+      graph::make_grid(9, 9),
+      graph::make_erdos_renyi_avg_degree(192, 8.0, grng),
+      graph::make_barabasi_albert(130, 3, grng),
+  };
+  for (const auto& g : graphs)
+    check_lockstep<Alg1Policy>(g, lmax_global_delta(g), 1234, 7, 250);
+}
+
+TEST(Kernels, LockstepAlg2) {
   support::Rng grng(32);
   const auto graphs = {
       graph::make_star(48),
       graph::make_erdos_renyi_avg_degree(192, 8.0, grng),
       graph::make_barabasi_albert(130, 3, grng),
   };
-  const KernelKind serial_kinds[] = {KernelKind::Scalar, KernelKind::Bit,
-                                     KernelKind::Frontier};
-  for (const auto& g : graphs) {
-    const auto lmax = lmax_one_hop(g);
-    for (KernelKind serial_kind : serial_kinds) {
-      for (std::size_t st : kShardCounts) {
-        ShardedDuo<Alg2Policy> duo(g, lmax, 4321, serial_kind, st);
-        duo.corrupt_init(9);
-        duo.run_lockstep(250);
-      }
-    }
-  }
+  for (const auto& g : graphs)
+    check_lockstep<Alg2Policy>(g, lmax_one_hop(g), 4321, 9, 250);
 }
 
-TEST(Kernels, ShardedSurvivesMidRunCorruption) {
+TEST(Kernels, LockstepSurvivesMidRunCorruption) {
   support::Rng grng(33);
   const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
-  for (std::size_t st : kShardCounts) {
-    {
-      ShardedDuo<Alg1Policy> duo(g, lmax_global_delta(g), 55,
-                                 KernelKind::Frontier, st);
-      duo.corrupt_init(3);
-      duo.run_lockstep(400, /*corrupt_at=*/{60, 140, 260}, /*count=*/24);
-    }
-    {
-      ShardedDuo<Alg2Policy> duo(g, lmax_one_hop(g), 56, KernelKind::Bit,
-                                 st);
-      duo.corrupt_init(4);
-      duo.run_lockstep(400, /*corrupt_at=*/{60, 140, 260}, /*count=*/24);
-    }
-  }
+  const std::vector<int> waves = {60, 140, 260};
+  check_lockstep<Alg1Policy>(g, lmax_global_delta(g), 55, 3, 400,
+                             beep::Duplex::Full, waves, 24);
+  check_lockstep<Alg2Policy>(g, lmax_one_hop(g), 56, 4, 400,
+                             beep::Duplex::Full, waves, 24);
 }
 
-TEST(Kernels, ShardedHalfDuplexLockstep) {
+TEST(Kernels, HalfDuplexLockstep) {
   support::Rng grng(34);
   const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
-  for (std::size_t st : kShardCounts) {
-    {
-      ShardedDuo<Alg1Policy> duo(g, lmax_global_delta(g), 77,
-                                 KernelKind::Scalar, st, beep::Duplex::Half);
-      duo.corrupt_init(5);
-      duo.run_lockstep(250);
-    }
-    {
-      ShardedDuo<Alg2Policy> duo(g, lmax_one_hop(g), 78,
-                                 KernelKind::Frontier, st,
-                                 beep::Duplex::Half);
-      duo.corrupt_init(6);
-      duo.run_lockstep(250);
-    }
-  }
+  check_lockstep<Alg1Policy>(g, lmax_global_delta(g), 77, 5, 300,
+                             beep::Duplex::Half);
+  check_lockstep<Alg2Policy>(g, lmax_one_hop(g), 78, 6, 300,
+                             beep::Duplex::Half);
 }
 
-TEST(Kernels, ShardedSweepSizedGraphMatchesFrontier) {
-  // Big enough for several 64-word shards per worker and a long all-active
-  // chaos phase; also checks the shard-count clamp (more workers than
-  // words is fine).
+TEST(Kernels, SweepSizedGraphMatchesScalar) {
+  // Large enough that the dense-sweep gate (shard range >= 64,
+  // |shard active| * 8 >= range) holds for the whole chaos phase on
+  // AVX-512 hosts and the endgame drops below it — both paths and the
+  // crossover are exercised in one run. Also checks the shard-count clamp
+  // (more workers than words is fine).
   support::Rng grng(35);
   const auto g = graph::make_erdos_renyi_avg_degree(1024, 8.0, grng);
+  check_lockstep<Alg1Policy>(g, lmax_global_delta(g), 99, 11, 200);
+}
+
+TEST(Kernels, AutoResolvesToSharded) {
+  EXPECT_EQ(resolve_kernel(KernelKind::Auto), KernelKind::Sharded);
+  EXPECT_EQ(resolve_kernel(KernelKind::Scalar), KernelKind::Scalar);
+  EXPECT_EQ(resolve_kernel(KernelKind::Sharded), KernelKind::Sharded);
+}
+
+TEST(Kernels, ParsesOnlyLiveKernelNames) {
+  KernelKind k = KernelKind::Scalar;
+  for (const char* gone : {"bit", "frontier", ""})
+    EXPECT_FALSE(parse_kernel_kind(gone, &k)) << gone;
+  EXPECT_EQ(k, KernelKind::Scalar);  // untouched on failure
+  ASSERT_TRUE(parse_kernel_kind("sharded", &k));
+  EXPECT_EQ(k, KernelKind::Sharded);
+  ASSERT_TRUE(parse_kernel_kind("auto", &k));
+  EXPECT_EQ(k, KernelKind::Auto);
+}
+
+TEST(Kernels, EngineExposesResolvedKernelName) {
+  const auto g = graph::make_path(8);
+  const auto lmax = lmax_global_delta(g);
   for (std::size_t st : kShardCounts) {
-    ShardedDuo<Alg1Policy> duo(g, lmax_global_delta(g), 99,
-                               KernelKind::Frontier, st);
-    duo.corrupt_init(11);
-    duo.run_lockstep(200);
+    FastEngine<Alg1Policy> autok(g, lmax, 1, {}, beep::Duplex::Full,
+                                 KernelKind::Auto, st);
+    EXPECT_EQ(autok.kernel_name(), "sharded") << st;
   }
+  FastEngine<Alg1Policy> scalar(g, lmax, 1, {}, beep::Duplex::Full,
+                                KernelKind::Scalar);
+  EXPECT_EQ(scalar.kernel_name(), "scalar");
+}
+
+/// Counts every task the process-wide pool observer sees.
+struct TaskCounter final : support::TaskPool::Observer {
+  std::atomic<std::size_t> tasks{0};
+  void on_task(const char*, std::size_t, std::size_t,
+               std::chrono::steady_clock::time_point,
+               std::chrono::steady_clock::time_point) override {
+    tasks.fetch_add(1, std::memory_order_relaxed);
+  }
+};
+
+std::size_t pool_tasks_of_run(std::size_t shard_threads) {
+  support::Rng grng(36);
+  const auto g = graph::make_erdos_renyi_avg_degree(1024, 8.0, grng);
+  TaskCounter counter;
+  support::TaskPool::set_observer(&counter);
+  FastEngine<Alg1Policy> e(g, lmax_global_delta(g), 5, {}, beep::Duplex::Full,
+                           KernelKind::Sharded, shard_threads);
+  support::Rng irng(6);
+  for (graph::VertexId v = 0; v < g.vertex_count(); ++v) e.corrupt(v, irng);
+  e.run_to_stabilization(10000);
+  support::TaskPool::set_observer(nullptr);
+  EXPECT_TRUE(e.is_stabilized());
+  return counter.tasks.load();
+}
+
+TEST(Kernels, OneShardRoundsNeverEnterThePool) {
+  // One shard calls every phase inline: a serial run fires no pool task,
+  // so replica-level pool observers see only their own tasks.
+  EXPECT_EQ(pool_tasks_of_run(1), 0u);
+  // Control: several shards do dispatch through the observed pool.
+  EXPECT_GT(pool_tasks_of_run(3), 0u);
 }
 
 }  // namespace

@@ -353,7 +353,7 @@ TEST(RecoveryIntegration, EmptyCorruptionIsMasked) {
 // Kernel parity: the recovery artifact and the flight dump are functions of
 // the stream-identical event sequence and the engine-independent settlement
 // view, so the same seeded corrupted run must produce byte-identical bytes
-// on all three kernels.
+// on every kernel and shard count.
 
 struct KernelRunArtifacts {
   std::string recovery;
@@ -361,8 +361,11 @@ struct KernelRunArtifacts {
 };
 
 KernelRunArtifacts run_corrupted(const graph::Graph& g,
-                                 core::KernelKind kernel) {
-  auto engine = core::make_engine(g, engine_config(kernel, 77));
+                                 core::KernelKind kernel,
+                                 std::size_t shard_threads = 1) {
+  core::EngineConfig cfg = engine_config(kernel, 77);
+  cfg.shard_threads = shard_threads;
+  auto engine = core::make_engine(g, cfg);
   const beep::Round budget = exp::default_round_budget(g.vertex_count());
 
   obs::AnomalyConfig acfg;
@@ -433,12 +436,11 @@ TEST(RecoveryIntegration, KernelsProduceIdenticalArtifacts) {
   support::Rng grng(94);
   const auto g = graph::make_erdos_renyi_avg_degree(192, 8.0, grng);
   const auto scalar = run_corrupted(g, core::KernelKind::Scalar);
-  const auto bit = run_corrupted(g, core::KernelKind::Bit);
-  const auto frontier = run_corrupted(g, core::KernelKind::Frontier);
-  EXPECT_EQ(scalar.recovery, bit.recovery);
-  EXPECT_EQ(scalar.recovery, frontier.recovery);
-  EXPECT_EQ(scalar.dump, bit.dump);
-  EXPECT_EQ(scalar.dump, frontier.dump);
+  for (std::size_t st : {std::size_t{1}, std::size_t{4}}) {
+    const auto sharded = run_corrupted(g, core::KernelKind::Sharded, st);
+    EXPECT_EQ(scalar.recovery, sharded.recovery) << "shard_threads " << st;
+    EXPECT_EQ(scalar.dump, sharded.dump) << "shard_threads " << st;
+  }
 
   // And the artifact the kernels agree on is a valid document.
   obs::JsonValue doc;

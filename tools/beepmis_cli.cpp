@@ -27,7 +27,6 @@
 #include "src/exp/runner.hpp"
 #include "src/exp/sweep.hpp"
 #include "src/graph/io.hpp"
-#include "src/graph/packed.hpp"
 #include "src/obs/json.hpp"
 #include "src/mis/verifier.hpp"
 #include "src/obs/flight.hpp"
@@ -436,7 +435,7 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
   }
   if (!core::parse_kernel_kind(args.get("kernel"), &config.kernel)) {
     std::cerr << "unknown kernel: " << args.get("kernel")
-              << " (try auto, scalar, bit, frontier, sharded)\n";
+              << " (try auto, scalar, sharded)\n";
     std::exit(2);
   }
   config.shard_threads =
@@ -459,7 +458,7 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
   // Shard count this run will actually use — trace and timeseries context,
   // so beepmis_report can key its phase-breakdown tables on it.
   const std::size_t shards =
-      core::resolve_kernel(config.kernel, config.shard_threads) ==
+      core::resolve_kernel(config.kernel) ==
               core::KernelKind::Sharded
           ? support::TaskPool::resolve_thread_count(config.shard_threads)
           : 1;
@@ -811,7 +810,7 @@ int run_sweep(const support::ArgParser& args, exp::Variant variant,
   }
   if (!core::parse_kernel_kind(args.get("kernel"), &cfg.kernel)) {
     std::cerr << "unknown kernel: " << args.get("kernel")
-              << " (try auto, scalar, bit, frontier, sharded)\n";
+              << " (try auto, scalar, sharded)\n";
     return 2;
   }
   cfg.shard_threads =
@@ -889,8 +888,8 @@ int run_sweep(const support::ArgParser& args, exp::Variant variant,
     w.field("seeds_per_size", static_cast<std::uint64_t>(cfg.seeds));
     // Wall-clock provenance only: results are kernel-invariant, and the CI
     // equivalence gate diffs sweep outputs across kernels modulo this field.
-    w.field("kernel", core::kernel_kind_name(core::resolve_kernel(
-                          cfg.kernel, cfg.shard_threads)));
+    w.field("kernel",
+            core::kernel_kind_name(core::resolve_kernel(cfg.kernel)));
     w.key("points").begin_array();
     for (const auto& pt : points) {
       w.begin_object();
@@ -1067,17 +1066,16 @@ int main(int argc, char** argv) {
                   "executor for self-stab variants: auto | fast | reference "
                   "(auto picks the fast engine; both are stream-identical)");
   args.add_option("kernel", "auto",
-                  "fast-engine round kernel: auto | scalar | bit | frontier "
-                  "| sharded (all stream-identical; auto picks the measured "
-                  "winner, or sharded when --shard-threads != 1)");
+                  "fast-engine round kernel: auto | scalar | sharded (both "
+                  "stream-identical; auto picks sharded)");
   args.add_option("shard-threads", "1",
                   "worker threads INSIDE each round (sharded kernel): 1 = "
                   "serial, 0 = one per hardware thread; results are "
                   "bit-identical for every value");
   args.add_flag("relabel",
                 "relabel vertices by descending degree before running "
-                "(packs hub neighborhoods into few mask words; the graph "
-                "name gains a _degord suffix)");
+                "(hubs get adjacent ids; the graph name gains a _degord "
+                "suffix)");
   args.add_option("duplex", "full",
                   "radio model: full (hear while beeping) | half");
   args.add_option("alpha", "3", "ruling-set separation (algorithm=ruling)");

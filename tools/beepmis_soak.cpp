@@ -87,8 +87,8 @@ bool run_scenario(const Scenario& s, std::uint64_t seed,
   config.kernel = kernel;
   config.seed = seed;
   config.shard_threads = shard_threads;
-  // Phase telemetry rides along whenever the sharded kernel is in the
-  // rotation, so the heartbeat can report load imbalance; it observes only
+  // Phase telemetry rides along whenever rounds may run on several shards,
+  // so the heartbeat can report load imbalance; it observes only
   // (every verdict stays identical with it on or off).
   config.phase_telemetry = shard_threads != 1;
   auto engine = core::make_engine(g, config);
@@ -293,18 +293,15 @@ int main(int argc, char** argv) {
                   "executor: auto | fast | reference — auto alternates "
                   "randomly per scenario so both executors get soak coverage");
   args.add_option("kernel", "auto",
-                  "fast-engine round kernel: auto | scalar | bit | frontier "
-                  "| sharded — auto rotates per scenario so every kernel "
-                  "gets soaked (sharded joins the rotation only when "
-                  "--shard-threads != 1)");
+                  "fast-engine round kernel: auto | scalar | sharded — auto "
+                  "alternates per scenario so both kernels get soaked");
   args.add_option("threads", "1",
                   "worker threads for scenario execution (0 = one per "
                   "hardware thread); the scenario stream, every verdict and "
                   "all non-timing metrics are identical for every value");
   args.add_option("shard-threads", "1",
                   "worker threads INSIDE each sharded-kernel round (0 = one "
-                  "per hardware thread); when != 1 the auto kernel rotation "
-                  "gains sharded as a fourth pick and the heartbeat reports "
+                  "per hardware thread); when != 1 the heartbeat reports "
                   "phase-imbalance from the folded shard telemetry");
   args.add_option("trace-out", "",
                   "write a beepmis.trace.v1 span trace to this file at exit "
@@ -335,17 +332,13 @@ int main(int argc, char** argv) {
   if (!core::parse_kernel_kind(args.get("kernel"), &kernel_requested)) {
     std::fprintf(
         stderr,
-        "unknown kernel: %s (try auto, scalar, bit, frontier, sharded)\n",
+        "unknown kernel: %s (try auto, scalar, sharded)\n",
         args.get("kernel").c_str());
     return 2;
   }
+  // 0 means one shard worker per hardware thread, like the CLI.
   const auto shard_threads =
       static_cast<std::size_t>(args.get_int("shard-threads"));
-  // Sharded only enters the auto rotation when asked for: with the default
-  // --shard-threads 1 the kernel pick stays below(3), so existing seed →
-  // scenario-stream mappings (and therefore all soak artifacts) are
-  // unchanged. 0 means one shard worker per hardware thread, like the CLI.
-  const bool shard_rotation = shard_threads != 1;
 
   const bool tracing = !args.get("trace-out").empty();
   if (tracing) {
@@ -442,16 +435,12 @@ int main(int argc, char** argv) {
           requested != core::EngineKind::Auto ? requested
           : srng.bernoulli(0.5)               ? core::EngineKind::Fast
                                               : core::EngineKind::Reference;
-      // Same idea for the round kernel: Auto rotates the fast engine across
-      // all three stream-identical kernels, still seed-deterministic.
+      // Same idea for the round kernel: Auto alternates the fast engine
+      // between the two stream-identical kernels, still seed-deterministic.
       core::KernelKind kernel = kernel_requested;
-      if (kernel == core::KernelKind::Auto) {
-        const std::uint64_t pick = srng.below(shard_rotation ? 4 : 3);
-        kernel = pick == 0   ? core::KernelKind::Scalar
-                 : pick == 1 ? core::KernelKind::Bit
-                 : pick == 2 ? core::KernelKind::Frontier
-                             : core::KernelKind::Sharded;
-      }
+      if (kernel == core::KernelKind::Auto)
+        kernel = srng.below(2) == 0 ? core::KernelKind::Scalar
+                                    : core::KernelKind::Sharded;
       outcomes[i].ok =
           run_scenario(s, seed, kind, kernel, shard_threads,
                        outcomes[i].scratch,
