@@ -635,8 +635,11 @@ class RecordingReporter final : public benchmark::ConsoleReporter {
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration) continue;
       const std::string name = run.benchmark_name();
-      metrics_->gauge(name + ".real_ns").set(run.GetAdjustedRealTime());
-      metrics_->gauge(name + ".cpu_ns").set(run.GetAdjustedCPUTime());
+      // Adjusted times come in the benchmark's own Unit(); rescale to ns.
+      const double to_ns =
+          1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit);
+      metrics_->gauge(name + ".real_ns").set(run.GetAdjustedRealTime() * to_ns);
+      metrics_->gauge(name + ".cpu_ns").set(run.GetAdjustedCPUTime() * to_ns);
       metrics_->gauge(name + ".iterations")
           .set(static_cast<double>(run.iterations));
       for (const auto& [cname, counter] : run.counters)

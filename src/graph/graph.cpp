@@ -1,6 +1,7 @@
 #include "src/graph/graph.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "src/support/check.hpp"
@@ -14,7 +15,12 @@ bool Graph::has_edge(VertexId u, VertexId v) const {
 }
 
 GraphBuilder::GraphBuilder(std::size_t vertex_count, std::string name)
-    : n_(vertex_count), name_(std::move(name)) {}
+    : n_(vertex_count), name_(std::move(name)) {
+  // The text parsers size a builder from an untrusted header: refuse counts
+  // no VertexId can address before build() allocates offsets for them.
+  BEEPMIS_CHECK(n_ <= std::numeric_limits<VertexId>::max(),
+                "graph: vertex count exceeds 32-bit vertex ids");
+}
 
 void GraphBuilder::add_edge(VertexId u, VertexId v) {
   BEEPMIS_CHECK(u < n_ && v < n_, "edge endpoint out of range");

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <string>
 #include <utility>
@@ -40,6 +41,9 @@ class Graph {
  private:
   friend class GraphBuilder;
   friend class StreamingCsrBuilder;
+  // io.hpp: reads the packed file straight into offsets_ and adjacency_,
+  // then validates them in place.
+  friend Graph read_packed(std::istream& is, std::string name);
   std::vector<std::size_t> offsets_;
   std::vector<VertexId> adjacency_;
   std::size_t max_degree_ = 0;
@@ -47,7 +51,8 @@ class Graph {
 };
 
 /// Accumulates edges, then freezes into a CSR Graph. Deduplicates parallel
-/// edges and rejects self-loops (the model is on simple graphs).
+/// edges and rejects self-loops (the model is on simple graphs). A vertex
+/// count beyond 32-bit VertexIds aborts at construction.
 class GraphBuilder {
  public:
   explicit GraphBuilder(std::size_t vertex_count, std::string name = "graph");

@@ -34,13 +34,18 @@ Graph read_dimacs(std::istream& is, std::string name = "dimacs");
 /// graph name), u32 per-vertex degrees, then the adjacency array verbatim.
 /// Host-endian — a cache format for giant generated instances (graphgen
 /// --stream-out), not an interchange format. ~12 bytes/edge versus the
-/// text formats' ~15 bytes/edge plus parse time; reading is two memcpy-like
-/// passes instead of per-edge integer parsing.
+/// text formats' ~15 bytes/edge plus parse time; reading is two bulk reads
+/// instead of per-edge integer parsing.
 void write_packed(const Graph& g, std::ostream& os);
 
-/// Reads the write_packed format, revalidating the full simple-graph
-/// contract (sorted duplicate-free rows, symmetric arcs) on the way in.
-/// An empty `name` keeps the name stored in the file.
+/// Reads the write_packed format. Header sizes are checked against the
+/// stream length before anything is allocated; the degree table and the
+/// adjacency are then read in bulk straight into the Graph's CSR, and one
+/// linear pass proves the full simple-graph contract in place: every id in
+/// range, rows strictly ascending (no duplicates, no self-loops), and every
+/// arc u -> v matched to its reverse v -> u. The only scratch is the
+/// n x 4-byte degree table. Any violation aborts with a "packed graph:"
+/// message. An empty `name` keeps the name stored in the file.
 Graph read_packed(std::istream& is, std::string name = "");
 
 }  // namespace beepmis::graph

@@ -8,6 +8,7 @@
 #include <streambuf>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/graph/generators.hpp"
 
@@ -46,6 +47,18 @@ TEST(GraphIoDeath, TruncatedInputAborts) {
 TEST(GraphIoDeath, BadHeaderAborts) {
   std::stringstream ss("not-a-number");
   EXPECT_DEATH(read_edge_list(ss), "bad header");
+}
+
+TEST(GraphIoDeath, TextHeadersRejectVertexCountBeyondVertexIds) {
+  // 2^64 - 1 used to wrap GraphBuilder's offsets(n + 1) to an empty vector;
+  // 2^32 is the first count a 32-bit VertexId cannot address. Both must be
+  // refused before anything is sized from them.
+  for (const char* n : {"18446744073709551615", "4294967296"}) {
+    std::stringstream edges(std::string(n) + " 0\n");
+    EXPECT_DEATH(read_edge_list(edges), "exceeds 32-bit vertex ids") << n;
+    std::stringstream dimacs(std::string("p edge ") + n + " 0\n");
+    EXPECT_DEATH(read_dimacs(dimacs), "exceeds 32-bit vertex ids") << n;
+  }
 }
 
 TEST(GraphIo, DotOutputContainsAllEdges) {
@@ -202,6 +215,135 @@ TEST(GraphIoDeath, PackedRejectsSizesBeyondTheStream) {
     // arcs * 4 would wrap to 0 in 64 bits.
     std::stringstream ss(packed_header(4, std::uint64_t{1} << 62, payload));
     EXPECT_DEATH(read_packed(ss), "exceed the stream length");
+  }
+}
+
+/// A complete packed file: `degree.size()` vertices whose rows, cut from
+/// `adjacency` by `degree`, are taken verbatim.
+std::string packed_file(const std::vector<std::uint32_t>& degree,
+                        const std::vector<VertexId>& adjacency) {
+  std::string bytes = packed_header(degree.size(), adjacency.size(), 0);
+  bytes.append(reinterpret_cast<const char*>(degree.data()),
+               degree.size() * sizeof(std::uint32_t));
+  bytes.append(reinterpret_cast<const char*>(adjacency.data()),
+               adjacency.size() * sizeof(VertexId));
+  return bytes;
+}
+
+TEST(GraphIoDeath, PackedRejectsEachMalformedAdjacencyClass) {
+  const struct {
+    const char* what;
+    std::vector<std::uint32_t> degree;
+    std::vector<VertexId> adjacency;
+    const char* message;
+  } cases[] = {
+      {"rows 1 and 2 list 0, row 0 is empty",
+       {0, 1, 1}, {0, 0}, "unmatched lower neighbour"},
+      {"0 lists 1, but 1's row starts with 2",
+       {1, 1, 1, 1}, {1, 2, 3, 2}, "missing or misplaced reciprocal arc"},
+      {"row 0 unsorted", {2, 1, 1}, {2, 1, 0, 0}, "not strictly ascending"},
+      {"arc {0,1} twice", {2, 2}, {1, 1, 0, 0}, "duplicate arc"},
+      {"0 and 1 each list themselves", {1, 1}, {0, 1}, "self-loop"},
+      {"id >= n", {1, 1}, {5, 0}, "vertex out of range"},
+      {"the last row's cursor runs past the arcs",
+       {2, 2, 0}, {1, 2, 0, 2}, "past the end of the adjacency"},
+      {"two lower rows claim vertex 2, whose row holds one",
+       {1, 1, 1, 1}, {2, 2, 0, 1}, "more arcs into a vertex than its degree"},
+      {"degrees do not sum to the arc count",
+       {1, 2}, {1, 0}, "degree/arc mismatch"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream ss(packed_file(c.degree, c.adjacency));
+    EXPECT_DEATH(read_packed(ss), c.message) << c.what;
+  }
+}
+
+/// The accept set of read_packed, stated independently of it: a file loads
+/// iff its rows are in range, loop-free, and rebuilding the arcs through
+/// GraphBuilder (which symmetrizes, sorts and deduplicates) reproduces the
+/// file byte for byte.
+bool is_canonical_packed(const std::vector<std::uint32_t>& degree,
+                         const std::vector<VertexId>& adjacency) {
+  const std::size_t n = degree.size();
+  std::size_t arcs = 0;
+  for (const std::uint32_t d : degree) arcs += d;
+  if (arcs != adjacency.size()) return false;
+  GraphBuilder b(n, "");
+  std::size_t i = 0;
+  for (std::size_t v = 0; v < n; ++v)
+    for (std::uint32_t k = 0; k < degree[v]; ++k, ++i) {
+      if (adjacency[i] >= n || adjacency[i] == v) return false;
+      b.add_edge(static_cast<VertexId>(v), adjacency[i]);
+    }
+  std::stringstream rebuilt;
+  write_packed(std::move(b).build(), rebuilt);
+  return rebuilt.str() == packed_file(degree, adjacency);
+}
+
+TEST(GraphIoDeath, PackedMutationsAbortOrLoadExactly) {
+  // The unmutated file, then every single-entry rewrite (to each id 0..n,
+  // n being out of range), every swap of two entries and every shift of one
+  // unit of degree between two vertices of a small graph. Each file must
+  // load into a graph that writes back to the same bytes exactly when the
+  // independent predicate above accepts it, and abort otherwise.
+  support::Rng rng(5);
+  const Graph base = make_erdos_renyi(7, 0.45, rng);
+  const std::size_t n = base.vertex_count();
+  std::vector<std::uint32_t> degree;
+  std::vector<VertexId> adjacency;
+  for (VertexId v = 0; v < n; ++v) {
+    degree.push_back(static_cast<std::uint32_t>(base.degree(v)));
+    for (VertexId u : base.neighbors(v)) adjacency.push_back(u);
+  }
+  ASSERT_GE(adjacency.size(), 12u);
+  ASSERT_TRUE(is_canonical_packed(degree, adjacency));
+
+  // Mutations address the concatenated entries: degrees, then adjacency.
+  const std::size_t entries = n + adjacency.size();
+  auto entry = [&](std::vector<std::uint32_t>& d, std::vector<VertexId>& a,
+                   std::size_t i) -> std::uint32_t& {
+    return i < n ? d[i] : a[i - n];
+  };
+  std::vector<std::pair<std::vector<std::uint32_t>, std::vector<VertexId>>>
+      mutants{{degree, adjacency}};
+  for (std::size_t i = 0; i < entries; ++i)
+    for (std::uint32_t value = 0; value <= n; ++value) {
+      auto m = std::make_pair(degree, adjacency);
+      std::uint32_t& e = entry(m.first, m.second, i);
+      if (e == value) continue;
+      e = value;
+      mutants.push_back(std::move(m));
+    }
+  for (std::size_t i = 0; i < entries; ++i)
+    for (std::size_t j = i + 1; j < entries; ++j) {
+      auto m = std::make_pair(degree, adjacency);
+      std::uint32_t& a = entry(m.first, m.second, i);
+      std::uint32_t& b = entry(m.first, m.second, j);
+      if (a == b) continue;
+      std::swap(a, b);
+      mutants.push_back(std::move(m));
+    }
+  for (std::size_t from = 0; from < n; ++from)
+    for (std::size_t to = 0; to < n; ++to) {
+      if (from == to || degree[from] == 0) continue;
+      auto m = std::make_pair(degree, adjacency);
+      --m.first[from];
+      ++m.first[to];
+      mutants.push_back(std::move(m));
+    }
+
+  ASSERT_GT(mutants.size(), 400u);
+  for (const auto& [d, a] : mutants) {
+    const std::string bytes = packed_file(d, a);
+    std::stringstream ss(bytes);
+    if (!is_canonical_packed(d, a)) {
+      EXPECT_DEATH(read_packed(ss), "packed graph");
+      continue;
+    }
+    const Graph g = read_packed(ss);
+    std::stringstream out;
+    write_packed(g, out);
+    EXPECT_EQ(out.str(), bytes);
   }
 }
 

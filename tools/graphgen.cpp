@@ -39,7 +39,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  support::Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
+  // The same graph stream beepmis_cli draws from, so a written file loaded
+  // with --graph-file reproduces the in-process run at the same seed.
+  support::Rng rng = support::Rng(static_cast<std::uint64_t>(
+                                      args.get_int("seed")))
+                         .derive_stream(0x6ea9);
   const auto n = static_cast<std::size_t>(args.get_int("n"));
   const std::string fam = args.get("family");
 
