@@ -38,6 +38,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/perf.hpp"
 #include "src/obs/recovery.hpp"
+#include "src/obs/session.hpp"
 #include "src/obs/sink.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/task_pool.hpp"
@@ -438,8 +439,8 @@ BENCHMARK(BM_FastEngineRun_Observer)->Arg(10240);
 
 /// Same workload with the online invariant monitor attached at the default
 /// cadence (level-range probe every 64 rounds, independence/maximality at
-/// stabilization edges) plus a recovery tracker — the exact composition
-/// beepmis_cli --monitor arms. The ratio of this to
+/// stabilization edges) plus a recovery tracker, built through the
+/// obs::ObserverStack beepmis_cli --monitor arms. The ratio of this to
 /// BM_FastEngineRun_Observer is the monitor's own wall-clock overhead
 /// (budgeted at ≤ 2%: each probe is O(n + m), amortized across the cadence
 /// window); the ratio to BM_FastEngineRun_NoSink additionally includes the
@@ -449,20 +450,17 @@ void BM_FastEngineRun_Monitor(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const graph::Graph g = make_er(n);
   const auto lmax = core::lmax_global_delta(g);
+  obs::ObserverOptions monitored;
+  monitored.monitor = true;
+  monitored.recovery.recovery_bound = exp::default_recovery_bound(n);
   std::uint64_t seed = 0;
   std::uint64_t rounds = 0;
   bench::PerfCapture perf;
   for (auto _ : state) {
     core::FastMisEngine fast(g, lmax, ++seed);
-    obs::RecoveryTracker recovery(obs::RecoveryConfig{});
-    recovery.set_probe(core::make_invariant_probe(fast));
-    obs::InvariantMonitor monitor(obs::InvariantConfig{});
-    monitor.set_probe(core::make_invariant_probe(fast));
-    monitor.set_recovery_tracker(&recovery);
-    obs::TeeObserver tee;
-    tee.add(&monitor);
-    tee.add(&recovery);
-    fast.set_observer(&tee);
+    obs::ObserverStack stack(monitored, obs::FlightContext{}, nullptr,
+                             core::make_invariant_probe(fast));
+    fast.set_observer(&stack.tee());
     support::Rng irng(seed);
     for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
       const auto span = static_cast<std::uint64_t>(2 * lmax[v] + 1);
@@ -470,7 +468,7 @@ void BM_FastEngineRun_Monitor(benchmark::State& state) {
                      static_cast<std::int32_t>(irng.below(span)) - lmax[v]);
     }
     rounds += fast.run_to_stabilization(100000);
-    recovery.finalize(fast.round());
+    stack.finalize(fast.round());
     benchmark::DoNotOptimize(fast.round());
   }
   for (const auto& [cname, v] : perf.per_iteration(state.iterations()))

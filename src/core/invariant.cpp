@@ -28,4 +28,13 @@ obs::InvariantProbe make_invariant_probe(const Engine& engine) {
   return [e]() { return probe_invariants(*e); };
 }
 
+obs::FlightRecorder::LevelProbe make_level_probe(const Engine& engine) {
+  const Engine* e = &engine;
+  return [e]() {
+    std::vector<std::int32_t> levels(e->graph().vertex_count());
+    for (std::size_t v = 0; v < levels.size(); ++v) levels[v] = e->level(v);
+    return levels;
+  };
+}
+
 }  // namespace beepmis::core

@@ -19,4 +19,9 @@ obs::InvariantProbeResult probe_invariants(const Engine& engine);
 /// FlightRecorder::LevelProbe). The engine must outlive the probe.
 obs::InvariantProbe make_invariant_probe(const Engine& engine);
 
+/// The flight recorder's level probe over `engine`: every vertex's current
+/// level, for periodic snapshots and the dump's final levels. The engine
+/// must outlive the probe.
+obs::FlightRecorder::LevelProbe make_level_probe(const Engine& engine);
+
 }  // namespace beepmis::core

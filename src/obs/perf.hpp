@@ -38,7 +38,7 @@ class PerfGroup {
   static constexpr std::size_t kCounters = 7;
   static const char* counter_name(std::size_t index) noexcept;
 
-  PerfGroup() = default;
+  PerfGroup() { fd_.fill(-1); }
   ~PerfGroup();
 
   PerfGroup(const PerfGroup&) = delete;

@@ -1,0 +1,237 @@
+#include "src/obs/session.hpp"
+
+#include <algorithm>
+#include <fstream>
+#include <sstream>
+
+#include "src/obs/json_parse.hpp"
+#include "src/obs/perf.hpp"
+#include "src/obs/trace.hpp"
+
+namespace beepmis::obs {
+
+std::string trace_chrome_path(const std::string& path) {
+  const std::size_t dot = path.rfind('.');
+  if (dot == std::string::npos || path.find('/', dot) != std::string::npos)
+    return path + ".chrome.json";
+  return std::string(path).insert(dot, ".chrome");
+}
+
+bool write_artifact(const std::string& path, const char* what,
+                    const std::function<void(std::ostream&)>& write,
+                    std::FILE* notices, const std::string& note) {
+  std::ofstream out(path);
+  if (out) write(out);
+  if (!out.flush()) {
+    std::fprintf(stderr, "cannot %s %s file: %s\n",
+                 out.is_open() ? "write" : "open", what, path.c_str());
+    return false;
+  }
+  std::fprintf(notices, "wrote %s%s\n", path.c_str(), note.c_str());
+  return true;
+}
+
+ObserverStack::ObserverStack(const ObserverOptions& options,
+                             FlightContext context,
+                             FlightRecorder::LevelProbe levels,
+                             InvariantProbe invariants)
+    : context_(std::move(context)) {
+  if (!options.dump_path.empty()) {
+    flight_ = std::make_unique<FlightRecorder>(options.ring_capacity,
+                                               options.anomaly, context_);
+    flight_->set_dump_path(options.dump_path);
+    flight_->set_snapshot_every(
+        std::max<std::uint64_t>(1, options.anomaly.expected_rounds / 8));
+    flight_->set_level_probe(std::move(levels));
+  }
+  if (options.track || options.monitor) {
+    tracker_ = std::make_unique<RecoveryTracker>(options.recovery);
+    tracker_->set_probe(invariants);
+  }
+  if (options.monitor) {
+    monitor_ = std::make_unique<InvariantMonitor>(
+        InvariantConfig{options.monitor_every});
+    monitor_->set_probe(std::move(invariants));
+    monitor_->set_flight_recorder(flight_.get());
+    monitor_->set_recovery_tracker(tracker_.get());
+  }
+  // The order the class documents; add() skips what is not armed.
+  tee_.add(flight_.get());
+  tee_.add(monitor_.get());
+  tee_.add(tracker_.get());
+}
+
+void ObserverStack::finalize(std::uint64_t round) {
+  if (tracker_) tracker_->finalize(round);
+}
+
+RecoveryReport ObserverStack::report() const {
+  RecoveryReport report;
+  report.context = context_;
+  report.config = tracker_->config();
+  if (monitor_) report.violations = monitor_->violations();
+  report.epochs = tracker_->epochs();
+  report.summary = tracker_->summary();
+  return report;
+}
+
+Session::Session(support::ArgParser& args, std::string tool,
+                 const std::string& profile_out)
+    : args_(args),
+      tool_(std::move(tool)),
+      started_(std::chrono::steady_clock::now()) {
+  args.add_option("metrics-out", "",
+                  "write the beepmis.run.v1 manifest + metrics here at exit");
+  args.add_flag("monitor",
+                "arm the online invariant monitor: MIS independence and "
+                "maximality at stabilization, level range periodically");
+  args.add_option("monitor-every", "64",
+                  "level-range probe cadence in rounds for --monitor (each "
+                  "probe is O(n + m); 0 = stabilization edges only)");
+  args.add_option("recovery-out", "",
+                  "write the deterministic beepmis.recovery.v1 fault → "
+                  "re-stabilization epochs here (implies recovery tracking)");
+  args.add_option("anomaly-stall-multiple", "2.0",
+                  "flight-recorder stall threshold as a multiple of the "
+                  "expected O(log n) rounds");
+  args.add_option("anomaly-storm-fraction", "0.95",
+                  "flight-recorder beep-storm threshold: fraction of n "
+                  "hearing per round");
+  args.add_option("anomaly-storm-window", "64",
+                  "flight-recorder beep-storm window in rounds (0 = off)");
+  args.add_option("trace-out", "",
+                  "write a beepmis.trace.v1 span trace here plus a "
+                  "Chrome/Perfetto export beside it (<name>.chrome.json)");
+  args.add_option("trace-capacity", "65536",
+                  "per-thread trace ring capacity in records (the oldest "
+                  "are overwritten and counted)");
+  args.add_option("trace-counters", "16",
+                  "engine counter tracks every K rounds while tracing "
+                  "(0 = off)");
+  args.add_flag("profile",
+                "attribute hardware perf counters to engine/sweep/pool "
+                "spans (a no-op when perf_event_open is denied)");
+  args.add_option("profile-out", profile_out,
+                  "write the beepmis.profile.v1 document here (always, "
+                  "under --profile)");
+  args.add_option("profile-every", "64",
+                  "profile every K-th engine round");
+}
+
+ObserverOptions Session::observers(std::uint64_t n,
+                                   std::uint64_t expected_rounds,
+                                   std::uint64_t recovery_bound) const {
+  ObserverOptions o;
+  o.anomaly.n = static_cast<std::uint32_t>(n);
+  o.anomaly.expected_rounds = expected_rounds;
+  o.anomaly.stall_multiple = args_.get_double("anomaly-stall-multiple");
+  o.anomaly.storm_fraction = args_.get_double("anomaly-storm-fraction");
+  o.anomaly.storm_window =
+      static_cast<std::uint64_t>(args_.get_int("anomaly-storm-window"));
+  o.monitor = args_.flag("monitor");
+  o.monitor_every = static_cast<std::uint64_t>(args_.get_int("monitor-every"));
+  o.track = !args_.get("recovery-out").empty();
+  o.recovery.recovery_bound = recovery_bound;
+  return o;
+}
+
+void Session::start(const Context& context) {
+  const auto label = [&](auto& recorder) {
+    recorder.clear_context();
+    recorder.set_context("tool", tool_);
+    for (const auto& [k, v] : context) recorder.set_context(k, v);
+  };
+  if (!args_.get("trace-out").empty()) {
+    Tracer& tracer = Tracer::instance();
+    label(tracer);
+    tracer.enable(static_cast<std::size_t>(args_.get_int("trace-capacity")),
+                  static_cast<std::uint64_t>(args_.get_int("trace-counters")));
+    Tracer::set_thread_label("main");
+  }
+  if (args_.flag("profile")) {
+    PerfSession& perf = PerfSession::instance();
+    label(perf);
+    perf.enable(static_cast<std::uint64_t>(args_.get_int("profile-every")));
+    // stderr only: every other output is identical with counters or not.
+    if (!perf.available())
+      std::fprintf(stderr,
+                   "profiling unavailable (perf_event_open denied or no "
+                   "PMU); continuing without counters\n");
+  }
+}
+
+int Session::finish(RunManifest manifest, const MetricsRegistry& metrics,
+                    const RecoveryReport* recovery, std::FILE* notices) {
+  const std::string& trace_path = args_.get("trace-out");
+  const bool profiling = args_.flag("profile");
+  Tracer& tracer = Tracer::instance();
+  PerfSession& perf = PerfSession::instance();
+  if (!trace_path.empty()) tracer.disable();
+  if (profiling) perf.disable();
+  bool ok = true;
+
+  if (const std::string& path = args_.get("recovery-out");
+      !path.empty() && recovery != nullptr) {
+    RecoveryReport report = *recovery;
+    report.monitor = args_.flag("monitor");
+    if (report.monitor)
+      report.monitor_cadence =
+          static_cast<std::uint64_t>(args_.get_int("monitor-every"));
+    const auto write = [&](std::ostream& os) {
+      write_recovery_json(os, report);
+    };
+    if (!write_artifact(path, "recovery", write, notices)) ok = false;
+  }
+
+  if (const std::string& path = args_.get("metrics-out"); !path.empty()) {
+    manifest.tool = tool_;
+    manifest.wall_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - started_)
+                           .count();
+    if (!trace_path.empty()) manifest.trace_dropped = tracer.dropped_spans();
+    manifest.profiling = !profiling         ? "off"
+                         : perf.available() ? "available"
+                                            : "unavailable";
+    const auto write = [&](std::ostream& os) {
+      write_run_json(os, manifest, &metrics);
+    };
+    if (!write_artifact(path, "metrics", write, notices)) ok = false;
+  }
+
+  // The profile and trace notices always go to stderr, so stdout is
+  // byte-identical with profiling and tracing on or off. The profile is
+  // written even without counters: it then records "available": false.
+  if (profiling &&
+      !write_artifact(
+          args_.get("profile-out"), "profile",
+          [&](std::ostream& os) { perf.write_json(os); }, stderr,
+          perf.available() ? " (profiling available)"
+                           : " (profiling unavailable)"))
+    ok = false;
+
+  if (!trace_path.empty()) {
+    // The Chrome export round-trips through the real parser, so the
+    // written trace is validated as a side effect of converting it.
+    std::ostringstream doc, chrome;
+    tracer.write_json(doc);
+    JsonValue parsed;
+    std::string error;
+    if (!write_artifact(trace_path, "trace",
+                        [&](std::ostream& os) { os << doc.str(); }, stderr))
+      ok = false;
+    if (!json_parse(doc.str(), &parsed, &error) ||
+        !trace_export_chrome(parsed, chrome, &error)) {
+      std::fprintf(stderr, "trace export failed: %s\n", error.c_str());
+      ok = false;
+    } else if (!write_artifact(
+                   trace_chrome_path(trace_path), "trace",
+                   [&](std::ostream& os) { os << chrome.str(); }, stderr,
+                   " (trace-dropped=" +
+                       std::to_string(tracer.dropped_spans()) + ")")) {
+      ok = false;
+    }
+  }
+  return ok ? 0 : 2;
+}
+
+}  // namespace beepmis::obs

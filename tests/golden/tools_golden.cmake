@@ -1,0 +1,171 @@
+# Golden test for the command-line tools: drives beepmis_cli, beepmis_soak
+# and beepmis_trace_check end to end and diffs every deterministic output
+# against the files checked in beside this script. Artifacts that carry
+# wall-clock timing (trace.v1, its Chrome export, profile.v1) are validated
+# through beepmis_trace_check instead, and run.v1 is checked for its key set.
+#
+#   cmake -DCLI=<beepmis_cli> -DSOAK=<beepmis_soak> -DCHECK=<beepmis_trace_check>
+#         -DGOLDEN=<this directory> -DWORK=<scratch directory>
+#         [-DUPDATE=ON] -P tools_golden.cmake
+#
+# UPDATE=ON rewrites the golden files from the current binaries instead of
+# diffing against them. Every tool runs with WORK as its working directory
+# and relative output paths, so the paths printed to stdout are stable.
+
+cmake_minimum_required(VERSION 3.19)  # string(JSON)
+
+foreach(var CLI SOAK CHECK GOLDEN WORK)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "tools_golden.cmake: -D${var}=... is required")
+  endif()
+endforeach()
+
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+
+# run(<expected exit code> <out-var> <command...>): runs the command in WORK
+# and stores its stdout in <out-var>; any other exit code fails the test.
+function(run expected out_var)
+  execute_process(COMMAND ${ARGN}
+    WORKING_DIRECTORY "${WORK}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc STREQUAL "${expected}")
+    string(REPLACE ";" " " cmd "${ARGN}")
+    message(FATAL_ERROR "exit ${rc} (expected ${expected}): ${cmd}\n"
+                        "stdout:\n${out}\nstderr:\n${err}")
+  endif()
+  set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+
+# Drops the "wrote <path>" notices: they name output paths, not results.
+function(strip_wrote var)
+  string(REGEX REPLACE "\nwrote [^\n]*" "" text "\n${${var}}")
+  string(SUBSTRING "${text}" 1 -1 text)
+  set(${var} "${text}" PARENT_SCOPE)
+endfunction()
+
+# expect_file(<golden name> <file in WORK>): byte comparison (or capture).
+function(expect_file golden actual)
+  if(UPDATE)
+    file(COPY_FILE "${WORK}/${actual}" "${GOLDEN}/${golden}")
+    return()
+  endif()
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+    "${GOLDEN}/${golden}" "${WORK}/${actual}" RESULT_VARIABLE differs)
+  if(differs)
+    message(FATAL_ERROR "${WORK}/${actual} differs from golden "
+                        "${GOLDEN}/${golden}")
+  endif()
+endfunction()
+
+function(expect_text golden text)
+  file(WRITE "${WORK}/${golden}.actual" "${text}")
+  expect_file("${golden}" "${golden}.actual")
+endfunction()
+
+function(validate file)
+  run(0 ignored "${CHECK}" --in "${file}")
+endfunction()
+
+# expect_keys(<file> <member path...> KEYS <key...>): the JSON object at the
+# member path has exactly these keys (in any order: CMake's JSON reader sorts
+# them).
+function(expect_keys file)
+  cmake_parse_arguments(PARSE_ARGV 1 arg "" "" "KEYS")
+  file(READ "${WORK}/${file}" json)
+  string(JSON n LENGTH "${json}" ${arg_UNPARSED_ARGUMENTS})
+  set(keys "")
+  if(n GREATER 0)
+    math(EXPR last "${n} - 1")
+    foreach(i RANGE ${last})
+      string(JSON key MEMBER "${json}" ${arg_UNPARSED_ARGUMENTS} ${i})
+      list(APPEND keys "${key}")
+    endforeach()
+  endif()
+  set(expected ${arg_KEYS})
+  list(SORT keys)
+  list(SORT expected)
+  if(NOT keys STREQUAL expected)
+    message(FATAL_ERROR "${file} [${arg_UNPARSED_ARGUMENTS}] keys are\n"
+                        "  ${keys}\nexpected\n  ${expected}")
+  endif()
+endfunction()
+
+set(RUN_KEYS schema tool timestamp seed graph algorithm build timing obs
+             extra metrics)
+set(OBS_KEYS trace_dropped profiling peak_rss_bytes)
+
+# Single run: fault waves under the monitor, every deterministic artifact,
+# and a flight recorder forced to fire (a storm threshold of 0 over a
+# one-round window trips on round 1).
+run(0 out "${CLI}" --family er-avg8 --n 256 --algorithm v1 --seed 7
+    --faults 32 --waves 2 --monitor --recovery-out recovery.json
+    --events-out events.jsonl --metrics-out run.json
+    --flight-recorder dump.json
+    --anomaly-storm-fraction 0 --anomaly-storm-window 1
+    --timeseries-out ts.json --timeseries-every 4
+    --progress-out progress.jsonl --progress-every 16)
+strip_wrote(out)
+expect_text(run.txt "${out}")
+expect_file(recovery.json recovery.json)
+expect_file(events.jsonl events.jsonl)
+expect_file(dump.json dump.json)
+run(0 ignored "${CHECK}" --in ts.json --canonical-out ts.canon.json)
+expect_file(timeseries.canon.json ts.canon.json)
+run(0 ignored "${CHECK}" --in progress.jsonl
+    --canonical-out progress.canon.jsonl)
+expect_file(progress.canon.jsonl progress.canon.jsonl)
+validate(recovery.json)
+validate(dump.json)
+expect_keys(run.json KEYS ${RUN_KEYS})
+expect_keys(run.json obs KEYS ${OBS_KEYS})
+expect_keys(run.json extra KEYS stabilized rounds_total engine
+            engine_requested kernel kernel_requested shard_threads_requested
+            shards duplex faults_per_wave waves noise_fp noise_fn)
+
+# Traced and profiled single run: the timing artifacts validate, and the
+# simulation output matches the untraced golden.
+run(0 out "${CLI}" --family torus --n 256 --algorithm v3 --seed 7
+    --trace-out trace.json --profile --profile-out profile.json
+    --metrics-out traced-run.json)
+strip_wrote(out)
+expect_text(traced-run.txt "${out}")
+run(0 out "${CLI}" --family torus --n 256 --algorithm v3 --seed 7)
+expect_text(traced-run.txt "${out}")
+validate(trace.json)
+validate(trace.chrome.json)
+validate(profile.json)
+expect_keys(traced-run.json KEYS ${RUN_KEYS})
+expect_keys(traced-run.json obs KEYS ${OBS_KEYS})
+
+# Sweep: stdout and sweep.v1 are deterministic; notices go to stderr.
+run(0 out "${CLI}" --sweep --family er-avg8 --algorithm v1 --sizes 64,128
+    --sweep-seeds 4 --seed 5 --threads 2 --sweep-out sweep.json
+    --metrics-out sweep-run.json --trace-out sweep-trace.json)
+expect_text(sweep.txt "${out}")
+expect_file(sweep.json sweep.json)
+validate(sweep-trace.json)
+validate(sweep-trace.chrome.json)
+expect_keys(sweep-run.json KEYS ${RUN_KEYS})
+expect_keys(sweep-run.json extra KEYS mode sizes seeds_per_size
+            threads_requested shard_threads_requested)
+
+# Soak under a scenario budget: the folded recovery.v1 is identical at every
+# --threads value.
+foreach(threads 1 4)
+  run(0 out "${SOAK}" --seconds 600 --scenarios 12 --monitor
+      --threads ${threads} --recovery-out soak-recovery-t${threads}.json
+      --metrics-out soak-run-t${threads}.json
+      --trace-out soak-trace-t${threads}.json)
+  strip_wrote(out)
+  expect_text(soak.txt "${out}")
+  expect_file(soak-recovery.json soak-recovery-t${threads}.json)
+  validate(soak-recovery-t${threads}.json)
+  validate(soak-trace-t${threads}.json)
+  validate(soak-trace-t${threads}.chrome.json)
+  expect_keys(soak-run-t${threads}.json KEYS ${RUN_KEYS})
+  expect_keys(soak-run-t${threads}.json extra KEYS scenarios recovery_epochs
+              engine kernel shard_threads result)
+endforeach()

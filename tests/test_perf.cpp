@@ -1,6 +1,8 @@
 #include "src/obs/perf.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <sstream>
 #include <string>
@@ -54,6 +56,21 @@ TEST(Perf, GroupNamesAndMaskAgree) {
     group.close();
     EXPECT_FALSE(group.available());
   }
+}
+
+TEST(Perf, UnopenedGroupOwnsNoDescriptor) {
+  // Descriptor 0 is whatever the process opened first once stdin is gone
+  // (a tool's events file, say). A group that never opened, or failed to,
+  // must not close it when it is opened or destroyed.
+  if (fcntl(0, F_GETFD) == -1) {
+    ASSERT_EQ(open("/dev/null", O_RDONLY), 0);
+  }
+  {
+    obs::PerfGroup group;
+    group.open();
+  }
+  { obs::PerfGroup group; }
+  EXPECT_NE(fcntl(0, F_GETFD), -1);
 }
 
 TEST(Perf, SessionLifecycleAndArtifactShape) {

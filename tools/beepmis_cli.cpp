@@ -13,7 +13,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
+#include <optional>
 
 #include "src/apps/coloring.hpp"
 #include "src/apps/ruling_set.hpp"
@@ -32,9 +32,9 @@
 #include "src/obs/flight.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/perf.hpp"
 #include "src/obs/progress.hpp"
 #include "src/obs/recovery.hpp"
+#include "src/obs/session.hpp"
 #include "src/obs/sink.hpp"
 #include "src/obs/timeseries.hpp"
 #include "src/obs/timing.hpp"
@@ -85,6 +85,41 @@ graph::Graph load_graph(const support::ArgParser& args, support::Rng& rng) {
   return exp::make_family(f, static_cast<std::size_t>(args.get_int("n")),
                           rng);
 }
+
+/// --events-out: the per-round JSONL stream. A path that cannot be opened
+/// exits 2 before anything has run.
+class EventsOut {
+ public:
+  EventsOut(const std::string& path, bool with_analysis) : path_(path) {
+    if (path.empty()) return;
+    file_.open(path);
+    if (!file_) {
+      std::cerr << "cannot open events file: " << path << "\n";
+      std::exit(2);
+    }
+    sink_.emplace(file_, with_analysis);
+  }
+
+  obs::JsonlSink* sink() { return sink_ ? &*sink_ : nullptr; }
+
+  /// Flushes the stream and prints the "wrote" notice to `notices`; false
+  /// when the stream failed.
+  bool close(std::FILE* notices) {
+    if (!sink_) return true;
+    if (!file_.flush()) {
+      std::cerr << "cannot write events file: " << path_ << "\n";
+      return false;
+    }
+    std::fprintf(notices, "wrote %s (%llu events)\n", path_.c_str(),
+                 static_cast<unsigned long long>(sink_->lines_written()));
+    return true;
+  }
+
+ private:
+  std::string path_;
+  std::ofstream file_;
+  std::optional<obs::JsonlSink> sink_;
+};
 
 /// Heartbeat observer for long runs: prints one status line to stderr every
 /// `every` rounds so a 10^6-round soak is visibly alive. Cheap fields only.
@@ -248,124 +283,6 @@ class TelemetrySampler final : public obs::RoundObserver {
   TelWindow progress_tel_;
 };
 
-/// Starts a tracing session when --trace-out is given. The context pairs
-/// are reproduced in the trace document; beepmis_report keys its span-
-/// duration table on the algorithm/family/n entries.
-void trace_begin(
-    const support::ArgParser& args,
-    const std::vector<std::pair<std::string, std::string>>& context) {
-  if (args.get("trace-out").empty()) return;
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.clear_context();
-  tracer.set_context("tool", "beepmis_cli");
-  for (const auto& [k, v] : context) tracer.set_context(k, v);
-  tracer.enable(static_cast<std::size_t>(args.get_int("trace-capacity")),
-                static_cast<std::uint64_t>(args.get_int("trace-counters")));
-  obs::Tracer::set_thread_label("main");
-}
-
-/// "t.json" -> "t.chrome.json"; extensionless paths get ".chrome.json".
-std::string trace_chrome_path(const std::string& path) {
-  const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos)
-    return path + ".chrome.json";
-  std::string out = path;
-  out.insert(dot, ".chrome");
-  return out;
-}
-
-/// Ends the tracing session: writes the beepmis.trace.v1 document to
-/// --trace-out and its Chrome/Perfetto conversion beside it. Notices go to
-/// stderr, so sweep stdout stays byte-identical with tracing on or off.
-/// Returns 0, or 2 on I/O or conversion failure.
-int trace_end(const support::ArgParser& args) {
-  const std::string& path = args.get("trace-out");
-  if (path.empty()) return 0;
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.disable();
-
-  std::ostringstream doc;
-  tracer.write_json(doc);
-  {
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot open trace file: " << path << "\n";
-      return 2;
-    }
-    out << doc.str();
-  }
-
-  // The Chrome export round-trips through the real parser, so the written
-  // artifact is validated as a side effect of converting it.
-  obs::JsonValue parsed;
-  std::string error;
-  const std::string chrome_path = trace_chrome_path(path);
-  if (!obs::json_parse(doc.str(), &parsed, &error)) {
-    std::cerr << "trace export failed: " << error << "\n";
-    return 2;
-  }
-  std::ofstream chrome(chrome_path);
-  if (!chrome) {
-    std::cerr << "cannot open trace file: " << chrome_path << "\n";
-    return 2;
-  }
-  if (!obs::trace_export_chrome(parsed, chrome, &error)) {
-    std::cerr << "trace export failed: " << error << "\n";
-    return 2;
-  }
-  std::fprintf(stderr, "wrote %s and %s (trace-dropped=%llu)\n",
-               path.c_str(), chrome_path.c_str(),
-               static_cast<unsigned long long>(tracer.dropped_spans()));
-  return 0;
-}
-
-/// Starts a hardware-profiling session when --profile is given. Mirrors
-/// trace_begin: the context pairs are reproduced in the profile document
-/// (including "m", which beepmis_report divides for cache-misses/edge).
-/// Availability notices go to stderr only, so every non-profile output is
-/// byte-identical with profiling on or off, available or not.
-void profile_begin(
-    const support::ArgParser& args,
-    const std::vector<std::pair<std::string, std::string>>& context) {
-  if (!args.flag("profile")) return;
-  obs::PerfSession& session = obs::PerfSession::instance();
-  session.clear_context();
-  session.set_context("tool", "beepmis_cli");
-  for (const auto& [k, v] : context) session.set_context(k, v);
-  session.enable(static_cast<std::uint64_t>(args.get_int("profile-every")));
-  if (!session.available())
-    std::fprintf(stderr,
-                 "profiling unavailable (perf_event_open denied or no "
-                 "PMU); continuing without counters\n");
-}
-
-/// Ends the profiling session and writes the beepmis.profile.v1 document
-/// to --profile-out — written even when counters were unavailable, so the
-/// artifact itself records "available": false instead of silently missing.
-/// Returns 0, or 2 on I/O failure.
-int profile_end(const support::ArgParser& args) {
-  if (!args.flag("profile")) return 0;
-  obs::PerfSession& session = obs::PerfSession::instance();
-  session.disable();
-  const std::string& path = args.get("profile-out");
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open profile file: " << path << "\n";
-    return 2;
-  }
-  session.write_json(out);
-  std::fprintf(stderr, "wrote %s (profiling %s)\n", path.c_str(),
-               session.available() ? "available" : "unavailable");
-  return 0;
-}
-
-/// Manifest value for the "obs.profiling" field.
-std::string profiling_state(const support::ArgParser& args) {
-  if (!args.flag("profile")) return "off";
-  return obs::PerfSession::instance().available() ? "available"
-                                                  : "unavailable";
-}
-
 core::InitPolicy parse_init(const std::string& name) {
   for (core::InitPolicy p : core::all_init_policies())
     if (core::init_policy_name(p) == name) return p;
@@ -373,53 +290,8 @@ core::InitPolicy parse_init(const std::string& name) {
   std::exit(2);
 }
 
-/// Anomaly thresholds from the command line — shared by the flight recorder
-/// and the recovery artifact's provenance.
-obs::AnomalyConfig make_anomaly_config(const support::ArgParser& args,
-                                       const graph::Graph& g,
-                                       exp::Variant variant) {
-  obs::AnomalyConfig anomaly;
-  anomaly.n = static_cast<std::uint32_t>(g.vertex_count());
-  anomaly.expected_rounds = exp::default_round_budget(g.vertex_count());
-  anomaly.stall_multiple = args.get_double("anomaly-stall-multiple");
-  anomaly.lemma_window =
-      static_cast<std::uint64_t>(args.get_int("anomaly-lemma-window"));
-  anomaly.storm_fraction = args.get_double("anomaly-storm-fraction");
-  anomaly.storm_window =
-      static_cast<std::uint64_t>(args.get_int("anomaly-storm-window"));
-  // The Lemma 3.1 census exists for the Algorithm 1 variants only; it is
-  // what makes persistent violations detectable (O(n + m)/round).
-  anomaly.check_lemma31 = variant != exp::Variant::TwoChannel;
-  return anomaly;
-}
-
-/// Run-identity block shared by the flight-recorder dump and the recovery
-/// artifact (both are self-contained: everything needed to rerun).
-obs::FlightContext make_flight_context(const support::ArgParser& args,
-                                       const graph::Graph& g,
-                                       exp::Variant variant,
-                                       std::uint64_t seed,
-                                       const std::string& engine_name) {
-  obs::FlightContext ctx;
-  ctx.tool = "beepmis_cli";
-  ctx.seed = seed;
-  ctx.graph_name = g.name();
-  ctx.family = args.get("graph-file").empty() ? args.get("family") : "file";
-  ctx.n = g.vertex_count();
-  ctx.m = g.edge_count();
-  ctx.max_degree = g.max_degree();
-  ctx.algorithm = exp::variant_name(variant);
-  ctx.init_policy = args.get("init");
-  ctx.engine = engine_name;
-  ctx.add_extra("duplex", args.get("duplex"));
-  ctx.add_extra("noise_fp", args.get("noise-fp"));
-  ctx.add_extra("noise_fn", args.get("noise-fn"));
-  return ctx;
-}
-
-int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
-                 exp::Variant variant) {
-  const auto wall_start = std::chrono::steady_clock::now();
+int run_selfstab(const support::ArgParser& args, obs::Session& session,
+                 const graph::Graph& g, exp::Variant variant) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
   core::EngineConfig config;
@@ -462,24 +334,17 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
               core::KernelKind::Sharded
           ? support::TaskPool::resolve_thread_count(config.shard_threads)
           : 1;
-
-  trace_begin(args,
-              {{"algorithm", exp::variant_name(variant)},
-               {"family", args.get("graph-file").empty() ? args.get("family")
-                                                         : "file"},
-               {"n", std::to_string(g.vertex_count())},
-               {"seed", args.get("seed")},
-               {"engine", engine->name()},
-               {"shards", std::to_string(shards)}});
-  profile_begin(args,
-                {{"algorithm", exp::variant_name(variant)},
-                 {"family", args.get("graph-file").empty()
-                                ? args.get("family")
-                                : "file"},
+  const std::string family =
+      args.get("graph-file").empty() ? args.get("family") : "file";
+  // beepmis_report keys its span-duration table on algorithm/family/n and
+  // divides by "m" for cache-misses per edge.
+  session.start({{"algorithm", exp::variant_name(variant)},
+                 {"family", family},
                  {"n", std::to_string(g.vertex_count())},
                  {"m", std::to_string(g.edge_count())},
                  {"seed", args.get("seed")},
-                 {"engine", engine->name()}});
+                 {"engine", engine->name()},
+                 {"shards", std::to_string(shards)}});
 
   support::Rng init_rng = support::Rng(seed).derive_stream(0xfadedcafe);
   core::apply_init(*engine, parse_init(args.get("init")), init_rng);
@@ -488,23 +353,43 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
   const bool tracing = args.flag("trace");
   const bool charting = !args.get("svg").empty();
 
+  // Flight recorder, monitor and tracker; the context makes the dump and the
+  // recovery artifact self-contained (everything needed to rerun).
+  obs::ObserverOptions observers =
+      session.observers(g.vertex_count(),
+                        exp::default_round_budget(g.vertex_count()),
+                        exp::default_recovery_bound(g.vertex_count()));
+  observers.dump_path = args.get("flight-recorder");
+  observers.anomaly.lemma_window =
+      static_cast<std::uint64_t>(args.get_int("anomaly-lemma-window"));
+  // The Lemma 3.1 census exists for the Algorithm 1 variants only; it is
+  // what makes persistent violations detectable (O(n + m)/round).
+  observers.anomaly.check_lemma31 = variant != exp::Variant::TwoChannel;
+  obs::FlightContext ctx;
+  ctx.tool = "beepmis_cli";
+  ctx.seed = seed;
+  ctx.graph_name = g.name();
+  ctx.family = family;
+  ctx.n = g.vertex_count();
+  ctx.m = g.edge_count();
+  ctx.max_degree = g.max_degree();
+  ctx.algorithm = exp::variant_name(variant);
+  ctx.init_policy = args.get("init");
+  ctx.engine = engine->name();
+  ctx.add_extra("duplex", args.get("duplex"));
+  ctx.add_extra("noise_fp", args.get("noise-fp"));
+  ctx.add_extra("noise_fn", args.get("noise-fn"));
+  obs::ObserverStack stack(observers, std::move(ctx),
+                           core::make_level_probe(*engine),
+                           core::make_invariant_probe(*engine));
+
   // Telemetry: registry always exists (near-free when unused); the event
   // sink, heartbeat and in-memory round log are attached only when asked
-  // for. The engine has a single observer slot, so compose via a tee.
+  // for. The engine has a single observer slot, so compose via the tee.
   obs::MetricsRegistry metrics;
-  obs::TeeObserver tee;
-  std::ofstream events_file;
-  std::unique_ptr<obs::JsonlSink> events;
-  if (const std::string& path = args.get("events-out"); !path.empty()) {
-    events_file.open(path);
-    if (!events_file) {
-      std::cerr << "cannot open events file: " << path << "\n";
-      std::exit(2);
-    }
-    events = std::make_unique<obs::JsonlSink>(events_file,
-                                              /*with_analysis=*/true);
-    tee.add(events.get());
-  }
+  obs::TeeObserver& tee = stack.tee();
+  EventsOut events(args.get("events-out"), /*with_analysis=*/true);
+  tee.add(events.sink());
   ProgressMeter progress(
       static_cast<std::uint64_t>(args.get_int("progress")));
   if (progress.interval() > 0) tee.add(&progress);
@@ -518,9 +403,7 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
             std::max<std::int64_t>(1, args.get_int("timeseries-every"))));
     series->set_context("tool", "beepmis_cli");
     series->set_context("algorithm", exp::variant_name(variant));
-    series->set_context("family", args.get("graph-file").empty()
-                                      ? args.get("family")
-                                      : "file");
+    series->set_context("family", family);
     series->set_context("n", std::to_string(g.vertex_count()));
     series->set_context("seed", args.get("seed"));
     series->set_context("shards", std::to_string(shards));
@@ -538,51 +421,6 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
   if (want_series || want_progress) tee.add(&sampler);
   obs::MemorySink rounds_log;
   if (tracing || charting) tee.add(&rounds_log);
-  const obs::AnomalyConfig anomaly = make_anomaly_config(args, g, variant);
-  std::unique_ptr<obs::FlightRecorder> flight;
-  if (const std::string& path = args.get("flight-recorder"); !path.empty()) {
-    flight = std::make_unique<obs::FlightRecorder>(
-        /*ring_capacity=*/256, anomaly,
-        make_flight_context(args, g, variant, seed, engine->name()));
-    flight->set_dump_path(path);
-    flight->set_snapshot_every(
-        std::max<std::uint64_t>(1, anomaly.expected_rounds / 8));
-    core::Engine* eng = engine.get();
-    flight->set_level_probe([eng]() {
-      std::vector<std::int32_t> levels(eng->graph().vertex_count());
-      for (std::size_t v = 0; v < levels.size(); ++v)
-        levels[v] = eng->level(v);
-      return levels;
-    });
-    tee.add(flight.get());
-  }
-
-  // Recovery observability: the tracker segments the run into fault →
-  // re-stabilization epochs; the monitor adds online invariant checks that
-  // latch into the flight recorder and poison the open epoch. Attach order
-  // matters: flight, then monitor, then tracker — violations must latch
-  // before the tracker classifies the epoch close.
-  const bool monitoring = args.flag("monitor");
-  const bool tracking = monitoring || !args.get("recovery-out").empty();
-  obs::RecoveryConfig recovery_config;
-  recovery_config.recovery_bound =
-      exp::default_recovery_bound(g.vertex_count());
-  std::unique_ptr<obs::RecoveryTracker> recovery;
-  std::unique_ptr<obs::InvariantMonitor> monitor;
-  if (tracking) {
-    recovery = std::make_unique<obs::RecoveryTracker>(recovery_config);
-    recovery->set_probe(core::make_invariant_probe(*engine));
-    if (monitoring) {
-      obs::InvariantConfig icfg;
-      icfg.cadence = static_cast<std::uint64_t>(args.get_int("monitor-every"));
-      monitor = std::make_unique<obs::InvariantMonitor>(icfg);
-      monitor->set_probe(core::make_invariant_probe(*engine));
-      monitor->set_flight_recorder(flight.get());
-      monitor->set_recovery_tracker(recovery.get());
-      tee.add(monitor.get());
-    }
-    tee.add(recovery.get());
-  }
   if (!tee.empty()) engine->set_observer(&tee);
   engine->set_metrics(&metrics);
 
@@ -612,15 +450,18 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
     for (std::int64_t w = 0; w < args.get_int("waves") && faults; ++w) {
       obs::TraceScope wave_span("recovery.epoch",
                                 static_cast<std::uint64_t>(w + 1));
-      core::corrupt_random(*engine, faults, frng, recovery.get());
+      core::corrupt_random(*engine, faults, frng, stack.tracker());
       char label[32];
       std::snprintf(label, sizeof label, "wave %lld",
                     static_cast<long long>(w + 1));
       ok = run_once(label) && ok;
     }
-    if (recovery) recovery->finalize(engine->round());
+    stack.finalize(engine->round());
   }
 
+  // Every artifact is attempted; any that cannot be written makes the exit
+  // status 2 without costing the others.
+  int rc = 0;
   if (charting) {
     support::SvgChart chart("beepmis convergence (" + g.name() + ")",
                             "round", "vertices");
@@ -637,9 +478,10 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
       chart.add_series("stable |S_t|", std::move(stable));
       chart.add_series("MIS |I_t|", std::move(mis));
       chart.add_series("prominent |PM_t|", std::move(prominent));
-      std::ofstream svg(args.get("svg"));
-      chart.write(svg);
-      std::printf("wrote %s\n", args.get("svg").c_str());
+      if (!obs::write_artifact(args.get("svg"), "svg",
+                               [&](std::ostream& os) { chart.write(os); },
+                               stdout))
+        rc = 2;
     }
   }
 
@@ -652,13 +494,9 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
                   e.beeps_ch2, e.heard_ch1, e.heard_ch2, e.heard_any);
   }
 
-  if (events) {
-    events_file.flush();
-    std::printf("wrote %s (%llu events)\n", args.get("events-out").c_str(),
-                static_cast<unsigned long long>(events->lines_written()));
-  }
+  if (!events.close(stdout)) rc = 2;
 
-  if (flight) {
+  if (const obs::FlightRecorder* flight = stack.flight()) {
     if (flight->anomalies().empty()) {
       std::printf("flight recorder: no anomalies\n");
     } else {
@@ -668,8 +506,10 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
     }
   }
 
-  if (recovery) {
-    const obs::RecoverySummary sum = recovery->summary();
+  std::optional<obs::RecoveryReport> recovery;
+  if (stack.tracker() != nullptr) {
+    recovery = stack.report();
+    const obs::RecoverySummary& sum = recovery->summary;
     // Kernel- and thread-invariant: this line (like the run lines above) is
     // part of the stdout the CI equivalence gates diff across kernels.
     std::printf("recovery: epochs=%llu masked=%llu recovered=%llu "
@@ -680,25 +520,6 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
                 static_cast<unsigned long long>(sum.stalls),
                 static_cast<unsigned long long>(sum.safety_violations),
                 static_cast<unsigned long long>(sum.invariant_violations));
-    if (const std::string& path = args.get("recovery-out"); !path.empty()) {
-      obs::RecoveryReport report;
-      report.context =
-          make_flight_context(args, g, variant, seed, engine->name());
-      report.config = recovery_config;
-      report.monitor = monitoring;
-      report.monitor_cadence =
-          monitoring ? monitor->config().cadence : 0;
-      report.epochs = recovery->epochs();
-      if (monitor) report.violations = monitor->violations();
-      report.summary = sum;
-      std::ofstream rout(path);
-      if (!rout) {
-        std::cerr << "cannot open recovery file: " << path << "\n";
-        std::exit(2);
-      }
-      obs::write_recovery_json(rout, report);
-      std::printf("wrote %s\n", path.c_str());
-    }
   }
 
   // Terminal sample/heartbeat, then the timeseries document. The sample
@@ -707,76 +528,56 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
   // thread and shard counts.
   sampler.finalize();
   if (series) {
-    const std::string& path = args.get("timeseries-out");
-    std::ofstream tout(path);
-    if (!tout) {
-      std::cerr << "cannot open timeseries file: " << path << "\n";
-      std::exit(2);
-    }
-    series->write_json(tout);
-    std::printf("wrote %s (%llu samples, %llu overwritten)\n", path.c_str(),
-                static_cast<unsigned long long>(series->recorded()),
-                static_cast<unsigned long long>(series->dropped()));
+    const std::string note =
+        " (" + std::to_string(series->recorded()) + " samples, " +
+        std::to_string(series->dropped()) + " overwritten)";
+    if (!obs::write_artifact(
+            args.get("timeseries-out"), "timeseries",
+            [&](std::ostream& os) { series->write_json(os); }, stdout, note))
+      rc = 2;
   }
   if (progress_writer) {
-    if (!progress_writer->ok()) {
+    if (progress_writer->ok()) {
+      std::printf("wrote %s (%llu heartbeats)\n",
+                  progress_writer->path().c_str(),
+                  static_cast<unsigned long long>(progress_writer->beats()));
+    } else {
       std::cerr << "progress stream error: " << progress_writer->error()
                 << "\n";
-      std::exit(2);
+      rc = 2;
     }
-    std::printf("wrote %s (%llu heartbeats)\n",
-                progress_writer->path().c_str(),
-                static_cast<unsigned long long>(progress_writer->beats()));
   }
 
-  if (const std::string& path = args.get("metrics-out"); !path.empty()) {
-    obs::RunManifest man;
-    man.tool = "beepmis_cli";
-    man.seed = seed;
-    man.graph_name = g.name();
-    man.family = args.get("graph-file").empty() ? args.get("family") : "file";
-    man.n = g.vertex_count();
-    man.m = g.edge_count();
-    man.max_degree = g.max_degree();
-    man.algorithm = exp::variant_name(variant);
-    man.init_policy = args.get("init");
-    man.c1 = config.c1
-                 ? config.c1
-                 : (variant == exp::Variant::GlobalDelta ? core::kC1GlobalDelta
-                    : variant == exp::Variant::OwnDegree ? core::kC1OwnDegree
-                                                         : core::kC1TwoChannel);
-    man.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - wall_start)
-                      .count();
-    man.add_extra("stabilized", ok ? "yes" : "no");
-    man.add_extra("rounds_total", std::to_string(engine->round()));
-    man.add_extra("engine", engine->name());
-    man.add_extra("engine_requested", core::engine_kind_name(config.kind));
-    man.add_extra("kernel", engine->kernel_name());
-    man.add_extra("kernel_requested", core::kernel_kind_name(config.kernel));
-    man.add_extra("shard_threads_requested", args.get("shard-threads"));
-    man.add_extra("shards", std::to_string(shards));
-    man.add_extra("duplex", args.get("duplex"));
-    man.add_extra("faults_per_wave", args.get("faults"));
-    man.add_extra("waves", args.get("waves"));
-    man.add_extra("noise_fp", args.get("noise-fp"));
-    man.add_extra("noise_fn", args.get("noise-fn"));
-    // The manifest is written before the tracing session ends, but the
-    // recorders are quiescent by now (the run is over), so the dropped
-    // count is final.
-    if (!args.get("trace-out").empty())
-      man.trace_dropped = obs::Tracer::instance().dropped_spans();
-    man.profiling = profiling_state(args);
-    std::ofstream mout(path);
-    if (!mout) {
-      std::cerr << "cannot open metrics file: " << path << "\n";
-      std::exit(2);
-    }
-    obs::write_run_json(mout, man, &metrics);
-    std::printf("wrote %s\n", path.c_str());
-  }
-  if (const int rc = profile_end(args); rc != 0) return rc;
-  if (const int rc = trace_end(args); rc != 0) return rc;
+  obs::RunManifest man;
+  man.seed = seed;
+  man.graph_name = g.name();
+  man.family = family;
+  man.n = g.vertex_count();
+  man.m = g.edge_count();
+  man.max_degree = g.max_degree();
+  man.algorithm = exp::variant_name(variant);
+  man.init_policy = args.get("init");
+  man.c1 = config.c1
+               ? config.c1
+               : (variant == exp::Variant::GlobalDelta ? core::kC1GlobalDelta
+                  : variant == exp::Variant::OwnDegree ? core::kC1OwnDegree
+                                                       : core::kC1TwoChannel);
+  man.add_extra("stabilized", ok ? "yes" : "no");
+  man.add_extra("rounds_total", std::to_string(engine->round()));
+  man.add_extra("engine", engine->name());
+  man.add_extra("engine_requested", core::engine_kind_name(config.kind));
+  man.add_extra("kernel", engine->kernel_name());
+  man.add_extra("kernel_requested", core::kernel_kind_name(config.kernel));
+  man.add_extra("shard_threads_requested", args.get("shard-threads"));
+  man.add_extra("shards", std::to_string(shards));
+  man.add_extra("duplex", args.get("duplex"));
+  man.add_extra("faults_per_wave", args.get("faults"));
+  man.add_extra("waves", args.get("waves"));
+  man.add_extra("noise_fp", args.get("noise-fp"));
+  man.add_extra("noise_fn", args.get("noise-fn"));
+  rc = std::max(rc, session.finish(std::move(man), metrics,
+                                   recovery ? &*recovery : nullptr, stdout));
+  if (rc != 0) return rc;
   return ok ? 0 : 1;
 }
 
@@ -786,9 +587,8 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
 /// byte-identical for every thread count (CI diffs --threads 1 against
 /// --threads 8), so --sweep-out deliberately records *what* was swept and
 /// what came out — never wall-clock or worker count.
-int run_sweep(const support::ArgParser& args, exp::Variant variant,
-              exp::Family family) {
-  const auto wall_start = std::chrono::steady_clock::now();
+int run_sweep(const support::ArgParser& args, obs::Session& session,
+              exp::Variant variant, exp::Family family) {
   // The periodic samplers attach to one engine's observer slot; a sweep runs
   // sizes × seeds engines, so these are single-run features.
   if (!args.get("timeseries-out").empty() ||
@@ -836,32 +636,18 @@ int run_sweep(const support::ArgParser& args, exp::Variant variant,
     return 2;
   }
 
-  std::ofstream events_file;
-  std::unique_ptr<obs::JsonlSink> events;
-  if (const std::string& path = args.get("events-out"); !path.empty()) {
-    events_file.open(path);
-    if (!events_file) {
-      std::cerr << "cannot open events file: " << path << "\n";
-      return 2;
-    }
-    // Workers buffer per replica; the coordinator replays every replica's
-    // stream into this sink contiguously, in seed order.
-    events = std::make_unique<obs::JsonlSink>(events_file,
-                                              /*with_analysis=*/false);
-    cfg.observer = events.get();
-  }
+  // Workers buffer per replica; the coordinator replays every replica's
+  // stream into this sink contiguously, in seed order.
+  EventsOut events(args.get("events-out"), /*with_analysis=*/false);
+  cfg.observer = events.sink();
 
-  trace_begin(args, {{"algorithm", exp::variant_name(variant)},
-                     {"family", exp::family_name(family)},
-                     {"seed", args.get("seed")},
-                     {"mode", "sweep"}});
   // No single n/m: a sweep spans --sizes, so the profile aggregates rounds
   // across every size and the report's per-edge column stays blank.
-  profile_begin(args, {{"algorithm", exp::variant_name(variant)},
-                       {"family", exp::family_name(family)},
-                       {"seed", args.get("seed")},
-                       {"sizes", args.get("sizes")},
-                       {"mode", "sweep"}});
+  session.start({{"algorithm", exp::variant_name(variant)},
+                 {"family", exp::family_name(family)},
+                 {"seed", args.get("seed")},
+                 {"sizes", args.get("sizes")},
+                 {"mode", "sweep"}});
 
   const auto points = exp::run_scaling_sweep(family, cfg);
   std::cout << exp::sweep_table(points).str();
@@ -872,85 +658,62 @@ int run_sweep(const support::ArgParser& args, exp::Variant variant,
     invalid += pt.invalid;
   }
 
+  // Status notices go to stderr in sweep mode: stdout carries only the
+  // thread-count-invariant results, so `diff` on captured stdout is a valid
+  // determinism check even when output paths differ per run.
+  int rc = 0;
   if (const std::string& path = args.get("sweep-out"); !path.empty()) {
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot open sweep file: " << path << "\n";
-      return 2;
-    }
-    obs::JsonWriter w(out);
-    w.begin_object();
-    w.field("schema", "beepmis.sweep.v1");
-    w.field("family", exp::family_name(family));
-    w.field("algorithm", exp::variant_name(variant));
-    w.field("init", args.get("init"));
-    w.field("base_seed", static_cast<std::uint64_t>(cfg.base_seed));
-    w.field("seeds_per_size", static_cast<std::uint64_t>(cfg.seeds));
-    // Wall-clock provenance only: results are kernel-invariant, and the CI
-    // equivalence gate diffs sweep outputs across kernels modulo this field.
-    w.field("kernel",
-            core::kernel_kind_name(core::resolve_kernel(cfg.kernel)));
-    w.key("points").begin_array();
-    for (const auto& pt : points) {
+    const auto write_sweep = [&](std::ostream& out) {
+      obs::JsonWriter w(out);
       w.begin_object();
-      w.field("n", static_cast<std::uint64_t>(pt.n));
-      w.field("runs", static_cast<std::uint64_t>(pt.rounds.count()));
-      w.field("mean", pt.rounds.mean());
-      w.field("min", pt.rounds.min());
-      w.field("max", pt.rounds.max());
-      w.field("p50", pt.rounds.quantile(0.50));
-      w.field("p90", pt.rounds.quantile(0.90));
-      w.field("p95", pt.rounds.quantile(0.95));
-      w.field("p99", pt.rounds.quantile(0.99));
-      w.field("failures", static_cast<std::uint64_t>(pt.failures));
-      w.field("invalid", static_cast<std::uint64_t>(pt.invalid));
+      w.field("schema", "beepmis.sweep.v1");
+      w.field("family", exp::family_name(family));
+      w.field("algorithm", exp::variant_name(variant));
+      w.field("init", args.get("init"));
+      w.field("base_seed", static_cast<std::uint64_t>(cfg.base_seed));
+      w.field("seeds_per_size", static_cast<std::uint64_t>(cfg.seeds));
+      // Wall-clock provenance only: results are kernel-invariant, and the
+      // CI equivalence gate diffs sweep outputs across kernels modulo this
+      // field.
+      w.field("kernel",
+              core::kernel_kind_name(core::resolve_kernel(cfg.kernel)));
+      w.key("points").begin_array();
+      for (const auto& pt : points) {
+        w.begin_object();
+        w.field("n", static_cast<std::uint64_t>(pt.n));
+        w.field("runs", static_cast<std::uint64_t>(pt.rounds.count()));
+        w.field("mean", pt.rounds.mean());
+        w.field("min", pt.rounds.min());
+        w.field("max", pt.rounds.max());
+        w.field("p50", pt.rounds.quantile(0.50));
+        w.field("p90", pt.rounds.quantile(0.90));
+        w.field("p95", pt.rounds.quantile(0.95));
+        w.field("p99", pt.rounds.quantile(0.99));
+        w.field("failures", static_cast<std::uint64_t>(pt.failures));
+        w.field("invalid", static_cast<std::uint64_t>(pt.invalid));
+        w.end_object();
+      }
+      w.end_array();
       w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    out << '\n';
-    // Status notices go to stderr in sweep mode: stdout carries only the
-    // thread-count-invariant results, so `diff` on captured stdout is a
-    // valid determinism check even when output paths differ per run.
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
+      out << '\n';
+    };
+    if (!obs::write_artifact(path, "sweep", write_sweep, stderr)) rc = 2;
   }
 
-  if (events) {
-    events_file.flush();
-    std::fprintf(stderr, "wrote %s (%llu events)\n",
-                 args.get("events-out").c_str(),
-                 static_cast<unsigned long long>(events->lines_written()));
-  }
+  if (!events.close(stderr)) rc = 2;
 
-  if (const std::string& path = args.get("metrics-out"); !path.empty()) {
-    obs::RunManifest man;
-    man.tool = "beepmis_cli";
-    man.seed = cfg.base_seed;
-    man.family = args.get("family");
-    man.algorithm = exp::variant_name(variant);
-    man.init_policy = args.get("init");
-    man.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - wall_start)
-                      .count();
-    man.add_extra("mode", "sweep");
-    man.add_extra("sizes", args.get("sizes"));
-    man.add_extra("seeds_per_size", args.get("sweep-seeds"));
-    man.add_extra("threads_requested", args.get("threads"));
-    man.add_extra("shard_threads_requested", args.get("shard-threads"));
-    if (!args.get("trace-out").empty())
-      man.trace_dropped = obs::Tracer::instance().dropped_spans();
-    man.profiling = profiling_state(args);
-    std::ofstream mout(path);
-    if (!mout) {
-      std::cerr << "cannot open metrics file: " << path << "\n";
-      return 2;
-    }
-    obs::write_run_json(mout, man, &metrics);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-  }
-
-  if (const int rc = profile_end(args); rc != 0) return rc;
-  if (const int rc = trace_end(args); rc != 0) return rc;
+  obs::RunManifest man;
+  man.seed = cfg.base_seed;
+  man.family = args.get("family");
+  man.algorithm = exp::variant_name(variant);
+  man.init_policy = args.get("init");
+  man.add_extra("mode", "sweep");
+  man.add_extra("sizes", args.get("sizes"));
+  man.add_extra("seeds_per_size", args.get("sweep-seeds"));
+  man.add_extra("threads_requested", args.get("threads"));
+  man.add_extra("shard_threads_requested", args.get("shard-threads"));
+  rc = std::max(rc, session.finish(std::move(man), metrics, nullptr, stderr));
+  if (rc != 0) return rc;
   return failures == 0 && invalid == 0 ? 0 : 1;
 }
 
@@ -1080,8 +843,6 @@ int main(int argc, char** argv) {
                   "radio model: full (hear while beeping) | half");
   args.add_option("alpha", "3", "ruling-set separation (algorithm=ruling)");
   args.add_option("svg", "", "write a convergence chart to this SVG file");
-  args.add_option("metrics-out", "",
-                  "write run manifest + metrics JSON to this file");
   args.add_option("events-out", "",
                   "stream per-round events (JSONL) to this file");
   args.add_option("flight-recorder", "",
@@ -1090,32 +851,9 @@ int main(int argc, char** argv) {
                   "(stall, Lemma 3.1 persistence, beep storm) fires");
   args.add_option("progress", "0",
                   "print a heartbeat to stderr every K rounds (0 = off)");
-  args.add_flag("monitor",
-                "arm the online invariant monitor: checks MIS independence/"
-                "maximality at every stabilization claim and level-range "
-                "sanity every --monitor-every rounds; violations latch into "
-                "the flight recorder and the recovery tracker");
-  args.add_option("monitor-every", "64",
-                  "invariant-probe cadence in rounds for --monitor (each "
-                  "probe is O(n + m); 0 = probe only at stabilization "
-                  "edges)");
-  args.add_option("recovery-out", "",
-                  "write a deterministic beepmis.recovery.v1 JSON (fault → "
-                  "re-stabilization epochs, classified against the Thm "
-                  "2.1/2.2 O(log n) bound) to this file; implies recovery "
-                  "tracking even without --monitor");
-  args.add_option("anomaly-stall-multiple", "2.0",
-                  "flight-recorder stall threshold: unstabilized past this "
-                  "multiple of the expected O(log n) rounds");
   args.add_option("anomaly-lemma-window", "64",
                   "flight-recorder Lemma 3.1 persistence window in "
                   "analysis-bearing rounds (0 = off)");
-  args.add_option("anomaly-storm-fraction", "0.95",
-                  "flight-recorder beep-storm threshold as a fraction of n "
-                  "hearing per round");
-  args.add_option("anomaly-storm-window", "64",
-                  "flight-recorder beep-storm persistence window in rounds "
-                  "(0 = off)");
   args.add_flag("trace", "print per-round beep statistics after the run");
   args.add_flag("sweep",
                 "scaling-sweep mode (self-stab variants): run --sizes × "
@@ -1148,27 +886,7 @@ int main(int argc, char** argv) {
   args.add_option("progress-every", "1024",
                   "heartbeat cadence in rounds for --progress-out (0 = only "
                   "the terminal heartbeat)");
-  args.add_option("trace-out", "",
-                  "write a beepmis.trace.v1 span trace to this file plus a "
-                  "Chrome/Perfetto export beside it (<name>.chrome.json); "
-                  "simulation output is unaffected");
-  args.add_option("trace-capacity", "65536",
-                  "per-thread trace ring capacity in records; when it "
-                  "fills, the oldest records are overwritten and counted");
-  args.add_option("trace-counters", "16",
-                  "emit engine counter tracks (active/stable/mis/beeps) "
-                  "every K rounds while tracing (0 = off)");
-  args.add_flag("profile",
-                "attribute hardware perf counters (IPC, cache, branches) "
-                "to engine/sweep/pool spans; degrades to a no-op when "
-                "perf_event_open is denied");
-  args.add_option("profile-out", "profile.json",
-                  "write the beepmis.profile.v1 document here (always "
-                  "written under --profile; records \"available\": false "
-                  "when the kernel denies counters)");
-  args.add_option("profile-every", "64",
-                  "measure every K-th engine round (per-round counter "
-                  "reads are syscalls; coarse spans measure every time)");
+  obs::Session session(args, "beepmis_cli", "profile.json");
 
   std::string error;
   if (!args.parse(argc, argv, &error)) {
@@ -1177,15 +895,17 @@ int main(int argc, char** argv) {
   }
 
   const std::string algo = args.get("algorithm");
+  std::optional<exp::Variant> variant;
+  if (algo == "v1") variant = exp::Variant::GlobalDelta;
+  if (algo == "v2") variant = exp::Variant::OwnDegree;
+  if (algo == "v3") variant = exp::Variant::TwoChannel;
   if (args.flag("sweep")) {
     exp::Family family;
     if (!parse_family(args.get("family"), &family)) {
       std::cerr << "unknown family: " << args.get("family") << "\n";
       return 2;
     }
-    if (algo == "v1") return run_sweep(args, exp::Variant::GlobalDelta, family);
-    if (algo == "v2") return run_sweep(args, exp::Variant::OwnDegree, family);
-    if (algo == "v3") return run_sweep(args, exp::Variant::TwoChannel, family);
+    if (variant) return run_sweep(args, session, *variant, family);
     std::cerr << "--sweep supports the self-stab variants only (v1|v2|v3)\n";
     return 2;
   }
@@ -1197,9 +917,7 @@ int main(int argc, char** argv) {
   std::printf("graph %s: n=%zu m=%zu max-degree=%zu\n", g.name().c_str(),
               g.vertex_count(), g.edge_count(), g.max_degree());
 
-  if (algo == "v1") return run_selfstab(args, g, exp::Variant::GlobalDelta);
-  if (algo == "v2") return run_selfstab(args, g, exp::Variant::OwnDegree);
-  if (algo == "v3") return run_selfstab(args, g, exp::Variant::TwoChannel);
+  if (variant) return run_selfstab(args, session, g, *variant);
   if (algo == "jsx" || algo == "afek" || algo == "afek-noknow" ||
       algo == "luby")
     return run_baseline(args, g, algo);

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,8 +21,8 @@
 #include "src/obs/flight.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/perf.hpp"
 #include "src/obs/recovery.hpp"
+#include "src/obs/session.hpp"
 #include "src/obs/timing.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/args.hpp"
@@ -61,21 +59,10 @@ Scenario draw_scenario(support::Rng& rng) {
   return s;
 }
 
-/// Per-run knobs shared by every scenario: anomaly-detector thresholds and
-/// the optional invariant monitor (all settable from the command line).
-struct SoakKnobs {
-  bool monitor = false;
-  std::uint64_t monitor_every = 64;
-  double stall_multiple = 2.0;
-  std::uint64_t lemma_window = 64;
-  double storm_fraction = 0.95;
-  std::uint64_t storm_window = 64;
-};
-
 bool run_scenario(const Scenario& s, std::uint64_t seed,
                   core::EngineKind kind, core::KernelKind kernel,
-                  std::size_t shard_threads, obs::MetricsRegistry& metrics,
-                  const std::string& dump_path, const SoakKnobs& knobs,
+                  std::size_t shard_threads, const obs::Session& session,
+                  obs::MetricsRegistry& metrics, const std::string& dump_path,
                   obs::RecoverySummary* recovery_out,
                   core::ShardTelemetry* shard_out) {
   obs::ScopedTimer timer(&metrics, "soak.scenario");
@@ -97,14 +84,17 @@ bool run_scenario(const Scenario& s, std::uint64_t seed,
   // Always-on black box: a misbehaving scenario (stall / beep storm) leaves
   // a beepmis.dump.v1 post-mortem behind even though soak keeps no event
   // log. The Lemma 3.1 census stays off — soak mixes variants and the
-  // O(n + m)/round analysis would dominate the stress budget.
-  obs::AnomalyConfig anomaly;
-  anomaly.n = static_cast<std::uint32_t>(g.vertex_count());
-  anomaly.expected_rounds = exp::default_round_budget(g.vertex_count()) * 4;
-  anomaly.stall_multiple = knobs.stall_multiple;
-  anomaly.lemma_window = knobs.lemma_window;
-  anomaly.storm_fraction = knobs.storm_fraction;
-  anomaly.storm_window = knobs.storm_window;
+  // O(n + m)/round analysis would dominate the stress budget. Recovery
+  // tracking rides along on every scenario and classifies each fault wave
+  // against the same O(log n)·4 horizon the check budget uses; the
+  // invariant monitor is opt-in (each probe is O(n + m)).
+  const std::uint64_t horizon =
+      exp::default_round_budget(g.vertex_count()) * 4;
+  obs::ObserverOptions observers =
+      session.observers(g.vertex_count(), horizon, horizon);
+  observers.dump_path = dump_path;
+  observers.ring_capacity = 128;
+  observers.track = true;
   obs::FlightContext ctx;
   ctx.tool = "beepmis_soak";
   ctx.seed = seed;
@@ -118,46 +108,16 @@ bool run_scenario(const Scenario& s, std::uint64_t seed,
   ctx.engine = engine->name();
   ctx.add_extra("fault_waves", std::to_string(s.fault_waves));
   ctx.add_extra("fault_size", std::to_string(s.fault_size));
-  obs::FlightRecorder flight(/*ring_capacity=*/128, anomaly, std::move(ctx));
-  flight.set_dump_path(dump_path);
-  flight.set_snapshot_every(
-      std::max<std::uint64_t>(1, anomaly.expected_rounds / 8));
-  core::Engine* eng = engine.get();
-  flight.set_level_probe([eng]() {
-    std::vector<std::int32_t> levels(eng->graph().vertex_count());
-    for (std::size_t v = 0; v < levels.size(); ++v) levels[v] = eng->level(v);
-    return levels;
-  });
-
-  // Recovery observability rides along on every scenario: the tracker
-  // classifies each fault wave against the same O(log n)·4 horizon the
-  // check budget uses; the invariant monitor is opt-in (each probe is
-  // O(n + m)). Attach order: flight → monitor → tracker, so violations
-  // latch before the tracker classifies the epoch close.
-  obs::RecoveryConfig rcfg;
-  rcfg.recovery_bound = exp::default_round_budget(g.vertex_count()) * 4;
-  obs::RecoveryTracker recovery(rcfg);
-  recovery.set_probe(core::make_invariant_probe(*engine));
-  obs::InvariantConfig icfg;
-  icfg.cadence = knobs.monitor_every;
-  obs::InvariantMonitor monitor(icfg);
-  obs::TeeObserver tee;
-  tee.add(&flight);
-  if (knobs.monitor) {
-    monitor.set_probe(core::make_invariant_probe(*engine));
-    monitor.set_flight_recorder(&flight);
-    monitor.set_recovery_tracker(&recovery);
-    tee.add(&monitor);
-  }
-  tee.add(&recovery);
-  engine->set_observer(&tee);
+  obs::ObserverStack stack(observers, std::move(ctx),
+                           core::make_level_probe(*engine),
+                           core::make_invariant_probe(*engine));
+  engine->set_observer(&stack.tee());
 
   support::Rng irng = support::Rng(seed).derive_stream(2);
   core::apply_init(*engine, s.init, irng);
 
   auto check = [&](const char* stage) {
-    const auto r = exp::run_to_stabilization(
-        *engine, exp::default_round_budget(g.vertex_count()) * 4, &metrics);
+    const auto r = exp::run_to_stabilization(*engine, horizon, &metrics);
     if (!r.stabilized || !r.valid_mis) {
       std::fprintf(stderr,
                    "VIOLATION at %s: engine=%s variant=%s family=%s init=%s "
@@ -179,18 +139,19 @@ bool run_scenario(const Scenario& s, std::uint64_t seed,
   bool ok = true;
   for (std::size_t w = 0; w < s.fault_waves && ok; ++w) {
     core::corrupt_random(*engine, std::min(s.fault_size, g.vertex_count()),
-                         frng, &recovery);
+                         frng, stack.tracker());
     ok = check("fault wave");
   }
-  recovery.finalize(engine->round());
-  if (recovery_out != nullptr) *recovery_out = recovery.summary();
+  stack.finalize(engine->round());
+  if (recovery_out != nullptr) *recovery_out = stack.tracker()->summary();
   if (shard_out != nullptr && !engine->shard_telemetry(shard_out))
     *shard_out = core::ShardTelemetry{};
   if (!ok) return false;
-  if (!flight.anomalies().empty()) {
-    metrics.counter("soak.anomalies").inc(flight.anomalies().size());
+  const obs::FlightRecorder* flight = stack.flight();  // null without a path
+  if (flight != nullptr && !flight->anomalies().empty()) {
+    metrics.counter("soak.anomalies").inc(flight->anomalies().size());
     std::fprintf(stderr, "[soak] flight recorder: %zu anomalie(s), dump in %s\n",
-                 flight.anomalies().size(), dump_path.c_str());
+                 flight->anomalies().size(), dump_path.c_str());
   }
   return true;
 }
@@ -209,42 +170,6 @@ std::string task_dump_path(const std::string& base, std::uint64_t ordinal,
   return base.substr(0, dot) + suffix + base.substr(dot);
 }
 
-/// Writes the tracing session's beepmis.trace.v1 document plus its
-/// Chrome/Perfetto conversion ("<name>.chrome.json"). Returns false on I/O
-/// or conversion failure.
-bool write_trace_files(const std::string& path) {
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.disable();
-  std::ostringstream doc;
-  tracer.write_json(doc);
-  {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open trace file: %s\n", path.c_str());
-      return false;
-    }
-    out << doc.str();
-  }
-  std::string chrome_path = path;
-  const std::size_t dot = chrome_path.rfind('.');
-  if (dot == std::string::npos || chrome_path.find('/', dot) != std::string::npos)
-    chrome_path += ".chrome.json";
-  else
-    chrome_path.insert(dot, ".chrome");
-  obs::JsonValue parsed;
-  std::string error;
-  std::ofstream chrome(chrome_path);
-  if (!obs::json_parse(doc.str(), &parsed, &error) || !chrome ||
-      !obs::trace_export_chrome(parsed, chrome, &error)) {
-    std::fprintf(stderr, "trace export failed: %s\n", error.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "wrote %s and %s (trace-dropped=%llu)\n", path.c_str(),
-               chrome_path.c_str(),
-               static_cast<unsigned long long>(tracer.dropped_spans()));
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -258,37 +183,9 @@ int main(int argc, char** argv) {
   args.add_option("heartbeat", "0",
                   "print scenario-count heartbeat to stderr every K seconds "
                   "(0 = off)");
-  args.add_option("progress-every", "0",
-                  "unified cadence alias for --heartbeat (seconds, matching "
-                  "the beepmis_cli flag name); wins when nonzero");
-  args.add_option("metrics-out", "",
-                  "write run manifest + metrics JSON to this file at exit");
   args.add_option("flight-dump", "soak.dump.json",
                   "beepmis.dump.v1 path for the always-on flight recorder "
                   "(written when a scenario stalls or beep-storms)");
-  args.add_flag("monitor",
-                "arm the online invariant monitor on every scenario "
-                "(independence/maximality at stabilization claims, "
-                "level-range every --monitor-every rounds)");
-  args.add_option("monitor-every", "64",
-                  "invariant-probe cadence in rounds for --monitor "
-                  "(each probe is O(n + m))");
-  args.add_option("recovery-out", "",
-                  "write a summary-only beepmis.recovery.v1 JSON at exit, "
-                  "folded over every scenario in draw order (identical for "
-                  "every --threads value under a --scenarios budget)");
-  args.add_option("anomaly-stall-multiple", "2.0",
-                  "flight-recorder stall threshold: unstabilized past this "
-                  "multiple of the expected rounds");
-  args.add_option("anomaly-lemma-window", "64",
-                  "flight-recorder Lemma 3.1 persistence window in "
-                  "analysis-bearing rounds (0 = off)");
-  args.add_option("anomaly-storm-fraction", "0.95",
-                  "flight-recorder beep-storm threshold as a fraction of n "
-                  "hearing per round");
-  args.add_option("anomaly-storm-window", "64",
-                  "flight-recorder beep-storm persistence window in rounds "
-                  "(0 = off)");
   args.add_option("engine", "auto",
                   "executor: auto | fast | reference — auto alternates "
                   "randomly per scenario so both executors get soak coverage");
@@ -303,20 +200,7 @@ int main(int argc, char** argv) {
                   "worker threads INSIDE each sharded-kernel round (0 = one "
                   "per hardware thread); when != 1 the heartbeat reports "
                   "phase-imbalance from the folded shard telemetry");
-  args.add_option("trace-out", "",
-                  "write a beepmis.trace.v1 span trace to this file at exit "
-                  "(plus a <name>.chrome.json Perfetto conversion)");
-  args.add_option("trace-capacity", "65536",
-                  "per-thread trace ring capacity in records");
-  args.add_option("trace-counters", "16",
-                  "emit engine counter tracks every K rounds (0 = off)");
-  args.add_flag("profile",
-                "attribute hardware perf counters to engine/pool spans; "
-                "degrades to a no-op when perf_event_open is denied");
-  args.add_option("profile-out", "soak.profile.json",
-                  "write the beepmis.profile.v1 document here at exit");
-  args.add_option("profile-every", "64",
-                  "measure every K-th engine round under --profile");
+  obs::Session session(args, "beepmis_soak", "soak.profile.json");
   std::string error;
   if (!args.parse(argc, argv, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
@@ -340,56 +224,18 @@ int main(int argc, char** argv) {
   const auto shard_threads =
       static_cast<std::size_t>(args.get_int("shard-threads"));
 
-  const bool tracing = !args.get("trace-out").empty();
-  if (tracing) {
-    obs::Tracer& tracer = obs::Tracer::instance();
-    tracer.clear_context();
-    tracer.set_context("tool", "beepmis_soak");
-    tracer.set_context("seed", args.get("seed"));
-    tracer.set_context("engine", args.get("engine"));
-    tracer.enable(static_cast<std::size_t>(args.get_int("trace-capacity")),
-                  static_cast<std::uint64_t>(args.get_int("trace-counters")));
-    obs::Tracer::set_thread_label("main");
-  }
-
-  const bool profiling = args.flag("profile");
-  if (profiling) {
-    obs::PerfSession& session = obs::PerfSession::instance();
-    session.clear_context();
-    session.set_context("tool", "beepmis_soak");
-    session.set_context("seed", args.get("seed"));
-    session.set_context("engine", args.get("engine"));
-    session.enable(
-        static_cast<std::uint64_t>(args.get_int("profile-every")));
-    if (!session.available())
-      std::fprintf(stderr,
-                   "profiling unavailable (perf_event_open denied or no "
-                   "PMU); continuing without counters\n");
-  }
+  session.start({{"seed", args.get("seed")}, {"engine", args.get("engine")}});
 
   const auto budget = std::chrono::seconds(args.get_int("seconds"));
   const auto scenario_cap =
       static_cast<std::uint64_t>(args.get_int("scenarios"));
-  const auto heartbeat = std::chrono::seconds(
-      args.get_int("progress-every") > 0 ? args.get_int("progress-every")
-                                         : args.get_int("heartbeat"));
+  const auto heartbeat = std::chrono::seconds(args.get_int("heartbeat"));
   const auto start = std::chrono::steady_clock::now();
   auto next_beat = start + heartbeat;
   support::Rng scenario_rng(static_cast<std::uint64_t>(args.get_int("seed")));
   obs::MetricsRegistry metrics;
   std::uint64_t runs = 0;
   bool failed = false;
-
-  SoakKnobs knobs;
-  knobs.monitor = args.flag("monitor");
-  knobs.monitor_every =
-      static_cast<std::uint64_t>(args.get_int("monitor-every"));
-  knobs.stall_multiple = args.get_double("anomaly-stall-multiple");
-  knobs.lemma_window =
-      static_cast<std::uint64_t>(args.get_int("anomaly-lemma-window"));
-  knobs.storm_fraction = args.get_double("anomaly-storm-fraction");
-  knobs.storm_window =
-      static_cast<std::uint64_t>(args.get_int("anomaly-storm-window"));
   obs::RecoverySummary recovery_total;
 
   // Scenario execution goes through the worker pool in small batches: the
@@ -443,9 +289,9 @@ int main(int argc, char** argv) {
                                     : core::KernelKind::Sharded;
       outcomes[i].ok =
           run_scenario(s, seed, kind, kernel, shard_threads,
-                       outcomes[i].scratch,
+                       session, outcomes[i].scratch,
                        task_dump_path(dump_base, ordinal + i, parallel),
-                       knobs, &outcomes[i].recovery, &outcomes[i].telemetry);
+                       &outcomes[i].recovery, &outcomes[i].telemetry);
     });
     for (std::size_t i = 0; i < batch; ++i) {
       metrics.counter("soak.scenarios_total").inc();
@@ -506,82 +352,39 @@ int main(int argc, char** argv) {
                    support::TaskPool::resolve_thread_count(shard_threads),
                    shard_total.imbalance(),
                    static_cast<unsigned long long>(
-                       tracing ? obs::Tracer::instance().dropped_spans() : 0));
+                       obs::Tracer::instance().dropped_spans()));
       next_beat += heartbeat;
     }
   }
 
-  if (const std::string& path = args.get("recovery-out"); !path.empty()) {
-    // Summary-only artifact: per-scenario epochs do not survive the fold
-    // (epochs/violations arrays stay empty), but the counters and the
-    // recovery-rounds digest aggregate every scenario in draw order.
-    obs::RecoveryReport report;
-    report.context.tool = "beepmis_soak";
-    report.context.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    report.context.graph_name = "randomized-mix";
-    report.context.family = "randomized-mix";
-    report.context.algorithm = "randomized-mix";
-    report.context.init_policy = "randomized-mix";
-    report.context.engine = core::engine_kind_name(requested);
-    report.context.add_extra("scenarios", std::to_string(runs));
-    report.config.recovery_bound = 0;  // per-scenario (4× the O(log n) budget)
-    report.monitor = knobs.monitor;
-    report.monitor_cadence = knobs.monitor ? knobs.monitor_every : 0;
-    report.summary = recovery_total;
-    std::ofstream rout(path);
-    if (!rout) {
-      std::fprintf(stderr, "cannot open recovery file: %s\n", path.c_str());
-      return 2;
-    }
-    obs::write_recovery_json(rout, report);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-  }
+  // Summary-only recovery artifact: per-scenario epochs do not survive the
+  // fold (epochs/violations arrays stay empty), but the counters and the
+  // recovery-rounds digest aggregate every scenario in draw order.
+  obs::RecoveryReport report;
+  report.context.tool = "beepmis_soak";
+  report.context.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  report.context.graph_name = "randomized-mix";
+  report.context.family = "randomized-mix";
+  report.context.algorithm = "randomized-mix";
+  report.context.init_policy = "randomized-mix";
+  report.context.engine = core::engine_kind_name(requested);
+  report.context.add_extra("scenarios", std::to_string(runs));
+  report.config.recovery_bound = 0;  // per-scenario (4× the O(log n) budget)
+  report.summary = recovery_total;
 
-  if (tracing && !write_trace_files(args.get("trace-out"))) return 2;
-
-  if (profiling) {
-    obs::PerfSession& session = obs::PerfSession::instance();
-    session.disable();
-    const std::string& path = args.get("profile-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open profile file: %s\n", path.c_str());
-      return 2;
-    }
-    session.write_json(out);
-    std::fprintf(stderr, "wrote %s (profiling %s)\n", path.c_str(),
-                 session.available() ? "available" : "unavailable");
-  }
-
-  if (const std::string& path = args.get("metrics-out"); !path.empty()) {
-    obs::RunManifest man;
-    man.tool = "beepmis_soak";
-    man.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    man.family = "randomized-mix";
-    man.algorithm = "randomized-mix";
-    man.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    if (tracing)
-      man.trace_dropped = obs::Tracer::instance().dropped_spans();
-    man.profiling = !profiling ? "off"
-                    : obs::PerfSession::instance().available()
-                        ? "available"
-                        : "unavailable";
-    man.add_extra("scenarios", std::to_string(runs));
-    man.add_extra("recovery_epochs", std::to_string(recovery_total.epochs));
-    man.add_extra("engine", core::engine_kind_name(requested));
-    man.add_extra("kernel", core::kernel_kind_name(kernel_requested));
-    man.add_extra("shard_threads", std::to_string(shard_threads));
-    man.add_extra("result", failed ? "FAILED" : "passed");
-    std::ofstream mout(path);
-    if (!mout) {
-      std::fprintf(stderr, "cannot open metrics file: %s\n", path.c_str());
-      return 2;
-    }
-    obs::write_run_json(mout, man, &metrics);
-    std::printf("wrote %s\n", path.c_str());
-  }
+  obs::RunManifest man;
+  man.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  man.family = "randomized-mix";
+  man.algorithm = "randomized-mix";
+  man.add_extra("scenarios", std::to_string(runs));
+  man.add_extra("recovery_epochs", std::to_string(recovery_total.epochs));
+  man.add_extra("engine", core::engine_kind_name(requested));
+  man.add_extra("kernel", core::kernel_kind_name(kernel_requested));
+  man.add_extra("shard_threads", std::to_string(shard_threads));
+  man.add_extra("result", failed ? "FAILED" : "passed");
+  if (const int rc = session.finish(std::move(man), metrics, &report, stderr);
+      rc != 0)
+    return rc;
 
   if (failed) return 1;
   std::printf("soak passed: %llu randomized scenarios, 0 violations\n",
