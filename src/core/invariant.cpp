@@ -4,14 +4,11 @@
 
 namespace beepmis::core {
 
-obs::InvariantProbeResult probe_invariants(const Engine& engine) {
+obs::InvariantProbeResult probe_invariants(const Engine& engine,
+                                           bool claims_stabilized) {
   const graph::Graph& g = engine.graph();
   obs::InvariantProbeResult r;
   r.stabilized = engine.is_stabilized();
-  const std::vector<bool> members = engine.mis_members();
-  r.members = mis::member_count(members);
-  r.independent = mis::is_independent(g, members);
-  r.maximal = mis::is_maximal(g, members);
   const std::size_t n = g.vertex_count();
   for (graph::VertexId v = 0; v < n; ++v) {
     const std::int32_t l = engine.level(v);
@@ -20,12 +17,19 @@ obs::InvariantProbeResult probe_invariants(const Engine& engine) {
       break;
     }
   }
+  if (claims_stabilized || r.stabilized) {
+    const std::vector<bool> members = engine.mis_members();
+    r.independent = mis::is_independent(g, members);
+    r.maximal = mis::is_maximal(g, members);
+  }
   return r;
 }
 
 obs::InvariantProbe make_invariant_probe(const Engine& engine) {
   const Engine* e = &engine;
-  return [e]() { return probe_invariants(*e); };
+  return [e](bool claims_stabilized) {
+    return probe_invariants(*e, claims_stabilized);
+  };
 }
 
 obs::FlightRecorder::LevelProbe make_level_probe(const Engine& engine) {

@@ -5,14 +5,17 @@
 
 namespace beepmis::core {
 
-/// One O(n + m) look at the engine's settlement view: claimed stabilization,
-/// independence and maximality of the claimed membership (via the
-/// omniscient mis:: checkers), and level-range sanity — every ℓ(v) inside
-/// the variant's admissible [member_level(v), lmax(v)] window. Kernel- and
-/// engine-independent: the settlement view (mis_members / is_stabilized /
-/// level) is part of the stream-identical Engine surface, so all three fast
-/// kernels and the reference executor probe to identical results.
-obs::InvariantProbeResult probe_invariants(const Engine& engine);
+/// One look at the engine's settlement view: claimed stabilization and
+/// level-range sanity — every ℓ(v) inside the variant's admissible
+/// [member_level(v), lmax(v)] window — in O(n); then, only when
+/// `claims_stabilized` or the engine reports stabilized, independence and
+/// maximality of the claimed membership (via the omniscient mis:: checkers)
+/// in O(n + m). Kernel- and engine-independent: the settlement view
+/// (mis_members / is_stabilized / level) is part of the stream-identical
+/// Engine surface, so both fast kernels and the reference executor probe to
+/// identical results.
+obs::InvariantProbeResult probe_invariants(const Engine& engine,
+                                           bool claims_stabilized);
 
 /// Wraps probe_invariants as the closure the obs-layer invariant machinery
 /// consumes (the obs layer cannot see core::Engine, mirroring

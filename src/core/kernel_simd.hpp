@@ -10,9 +10,11 @@
 // 64-aligned vertex range instead of its slice of the active list, 16 lanes
 // at a time, with settled vertices masked out of every tally and store.
 // They compute bit-identical results to the indexed loops (same counter
-// draws, same decide/update semantics — the observer-free lockstep tests in
-// tests/test_kernels.cpp cover this on AVX-512 hardware); which path runs
-// only ever changes wall-clock.
+// draws, same decide/update semantics) and, on observed rounds, the same
+// beep/heard/prominence census as popcounts of the lane masks they already
+// form. The observed and unobserved lockstep tests in tests/test_kernels.cpp
+// cover both on AVX-512 hardware; which path runs only ever changes
+// wall-clock.
 //
 // Dispatch is at runtime: the functions carry per-function target
 // attributes, so no global -march flag is required and the binary still
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "src/beep/types.hpp"
+#include "src/core/round_kernel.hpp"
 #include "src/graph/graph.hpp"
 #include "src/support/rng.hpp"
 
@@ -180,8 +183,11 @@ BEEPMIS_AVX512_TARGET void decide_sweep_range(
 /// the boundary crossers (dp/dc) and member-settle candidates (sc). The
 /// harvested index lists are ascending, matching the indexed loop's append
 /// order; the caller derives each crosser's ±1 from the stored post-level.
-/// v_lo must be 16-aligned (shards are 64-aligned), so each 16-lane block
-/// reads one contiguous 16-bit slice of a single mask word.
+/// Each index array must hold v_hi - v_lo entries. A non-null `census` (an
+/// observed round) gains the active lanes' heard counts and post-update
+/// prominent count; null skips that work. v_lo must be 16-aligned (shards
+/// are 64-aligned), so each 16-lane block reads one contiguous 16-bit slice
+/// of a single mask word.
 template <typename Policy>
 BEEPMIS_AVX512_TARGET void update_sweep_masked(
     bool half, std::size_t v_lo, std::size_t v_hi, std::int32_t* levels,
@@ -189,7 +195,7 @@ BEEPMIS_AVX512_TARGET void update_sweep_masked(
     const std::uint32_t* prominent_nb, const std::uint64_t* coin_mask,
     const beep::ChannelMask* send, std::uint32_t* dp_idx, std::size_t& dp_n,
     std::uint32_t* dc_idx, std::size_t& dc_n, std::uint32_t* sc_idx,
-    std::size_t& sc_n) {
+    std::size_t& sc_n, SparseCensus* census) {
   // The member level is affine in ℓmax for both policies: -ℓmax (Alg1) or 0
   // (Alg2). member_level(1) is the coefficient.
   static_assert(Policy::member_level(1) == -1 || Policy::member_level(1) == 0,
@@ -201,6 +207,7 @@ BEEPMIS_AVX512_TARGET void update_sweep_masked(
   const __m512i zero = _mm512_setzero_si512();
   const __m512i one = _mm512_set1_epi32(1);
   std::size_t np = 0, nc = 0, ns = 0;
+  std::uint32_t heard1 = 0, heard2 = 0, heard_any = 0, prominent = 0;
   for (std::size_t v0 = v_lo; v0 < v_hi; v0 += 16) {
     const unsigned rem =
         v_hi - v0 >= 16 ? 16u : static_cast<unsigned>(v_hi - v0);
@@ -256,6 +263,14 @@ BEEPMIS_AVX512_TARGET void update_sweep_masked(
     const __mmask16 dc = active & (cap_a ^ cap_b);
     const __mmask16 sc = active & _mm512_cmpeq_epi32_mask(r, memv) &
                          _mm512_cmpneq_epi32_mask(r, lv);
+    if (census != nullptr) {
+      heard1 += std::popcount(static_cast<unsigned>(h1 & active));
+      if constexpr (Policy::kChannels > 1) {
+        heard2 += std::popcount(static_cast<unsigned>(h2 & active));
+        heard_any += std::popcount(static_cast<unsigned>((h1 | h2) & active));
+      }
+      prominent += std::popcount(static_cast<unsigned>(prom_a & active));
+    }
     const __m512i vidx =
         _mm512_add_epi32(iota32, _mm512_set1_epi32(static_cast<int>(v0)));
     if (dp != 0) {
@@ -274,6 +289,12 @@ BEEPMIS_AVX512_TARGET void update_sweep_masked(
   dp_n = np;
   dc_n = nc;
   sc_n = ns;
+  if (census != nullptr) {
+    census->active_heard[0] += heard1;
+    census->active_heard[1] += heard2;
+    census->active_heard_any += heard_any;
+    census->prominent_active += prominent;
+  }
 }
 
 #undef BEEPMIS_AVX512_TARGET

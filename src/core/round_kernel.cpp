@@ -398,6 +398,9 @@ class ShardedKernel final : public RoundKernel<Policy> {
   }
 
  private:
+  /// Vertices per update-sweep call; a multiple of 64, so every chunk
+  /// starts on a mask word like the shard itself.
+  static constexpr std::size_t kSweepChunk = 4096;
   struct Delta {
     graph::VertexId v;
     std::int32_t d;
@@ -410,7 +413,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
     std::vector<graph::VertexId> coin;     ///< this round's coin beepers
     std::vector<Delta> dp, dc;             ///< this round's boundary crossers
     std::vector<graph::VertexId> settle_cand;  ///< member-settle candidates
-    // Compressed-store targets for the AVX-512 sweeps (lazily sized).
+    // Compressed-store targets for one AVX-512 update-sweep chunk.
     std::vector<std::uint32_t> dp_idx, dc_idx, sc_idx;
     SparseCensus census;
     std::uint32_t mis_settled = 0;
@@ -571,10 +574,10 @@ class ShardedKernel final : public RoundKernel<Policy> {
     // is active and the O(active) passes are pure per-vertex ALU work, so a
     // masked contiguous sweep over the shard's range beats the indexed
     // loop (the range is 64-aligned, so the sweep's lanes line up with mask
-    // words). Once the active set is sparse the indexed loop wins again,
-    // and observing rounds need exact heard masks the sweep does not
-    // materialize. Which path runs only ever changes wall-clock.
-    sh.sweep = !observing_ && simd::have_avx512() && range >= 64 &&
+    // words). Once the active set is sparse the indexed loop wins again.
+    // Observed rounds take the same gate: the sweeps count the census from
+    // their lane masks. Which path runs only ever changes wall-clock.
+    sh.sweep = simd::have_avx512() && range >= 64 &&
                sh.active.size() * 8 >= range;
     if (sh.sweep)
       simd::decide_sweep_range<Policy>(round_state_, sh.v_lo, sh.v_hi,
@@ -620,28 +623,33 @@ class ShardedKernel final : public RoundKernel<Policy> {
     const bool half = ctx_.half;
 #if BEEPMIS_KERNEL_AVX512
     if (sh.sweep) {
-      const std::size_t range = sh.v_hi - sh.v_lo;
-      if (sh.dp_idx.size() < range) {
-        sh.dp_idx.resize(range);
-        sh.dc_idx.resize(range);
-        sh.sc_idx.resize(range);
+      // Fixed-size chunks keep the compressed-store scratch bounded at
+      // 3 × kSweepChunk indices per shard, whatever the shard's range.
+      if (sh.dp_idx.empty()) {
+        sh.dp_idx.resize(kSweepChunk);
+        sh.dc_idx.resize(kSweepChunk);
+        sh.sc_idx.resize(kSweepChunk);
       }
-      std::size_t dp_n = 0, dc_n = 0, sc_n = 0;
-      simd::update_sweep_masked<Policy>(
-          half, sh.v_lo, sh.v_hi, levels.data(), lmax.data(), settled.data(),
-          prominent_nb_.data(), heard_coin_mask_.data(), send.data(),
-          sh.dp_idx.data(), dp_n, sh.dc_idx.data(), dc_n, sh.sc_idx.data(),
-          sc_n);
-      for (std::size_t i = 0; i < dp_n; ++i) {
-        const graph::VertexId v = sh.dp_idx[i];
-        sh.dp.push_back({v, Policy::is_prominent(levels[v]) ? 1 : -1});
+      SparseCensus* census = observing_ ? &sh.census : nullptr;
+      for (std::size_t lo = sh.v_lo; lo < sh.v_hi; lo += kSweepChunk) {
+        const std::size_t hi = std::min<std::size_t>(lo + kSweepChunk, sh.v_hi);
+        std::size_t dp_n = 0, dc_n = 0, sc_n = 0;
+        simd::update_sweep_masked<Policy>(
+            half, lo, hi, levels.data(), lmax.data(), settled.data(),
+            prominent_nb_.data(), heard_coin_mask_.data(), send.data(),
+            sh.dp_idx.data(), dp_n, sh.dc_idx.data(), dc_n, sh.sc_idx.data(),
+            sc_n, census);
+        for (std::size_t i = 0; i < dp_n; ++i) {
+          const graph::VertexId v = sh.dp_idx[i];
+          sh.dp.push_back({v, Policy::is_prominent(levels[v]) ? 1 : -1});
+        }
+        for (std::size_t i = 0; i < dc_n; ++i) {
+          const graph::VertexId v = sh.dc_idx[i];
+          sh.dc.push_back({v, levels[v] == lmax[v] ? 1 : -1});
+        }
+        for (std::size_t i = 0; i < sc_n; ++i)
+          sh.settle_cand.push_back(sh.sc_idx[i]);
       }
-      for (std::size_t i = 0; i < dc_n; ++i) {
-        const graph::VertexId v = sh.dc_idx[i];
-        sh.dc.push_back({v, levels[v] == lmax[v] ? 1 : -1});
-      }
-      for (std::size_t i = 0; i < sc_n; ++i)
-        sh.settle_cand.push_back(sh.sc_idx[i]);
     }
 #endif
     if (!sh.sweep) {
@@ -685,8 +693,11 @@ class ShardedKernel final : public RoundKernel<Policy> {
         capped_mask_[v >> 6] &= ~bit;
     }
     if (observing_) {
-      for (graph::VertexId v : sh.active)
-        sh.census.prominent_active += Policy::is_prominent(levels[v]) ? 1 : 0;
+      // The sweep counted its own post-update prominence.
+      if (!sh.sweep)
+        for (graph::VertexId v : sh.active)
+          sh.census.prominent_active +=
+              Policy::is_prominent(levels[v]) ? 1 : 0;
       if constexpr (Policy::kChannels > 1) {
         // The stamp phase ORed whole rows, settled targets included, so the
         // dominated census resolves in O(1) per vertex.

@@ -45,7 +45,7 @@ void InvariantMonitor::on_round(const RoundEvent& event) {
 
 void InvariantMonitor::check(std::uint64_t round, bool claims_stabilized) {
   ++probes_;
-  const InvariantProbeResult r = probe_();
+  const InvariantProbeResult r = probe_(claims_stabilized);
   // Admissible levels are invariant at every round of a correct execution.
   if (!r.levels_in_range) latch(InvariantKind::LevelRange, round);
   // Independence/maximality are asserted by the settlement view only once
@@ -55,6 +55,7 @@ void InvariantMonitor::check(std::uint64_t round, bool claims_stabilized) {
     if (!r.independent) latch(InvariantKind::Independence, round);
     if (!r.maximal) latch(InvariantKind::Maximality, round);
   }
+  if (claims_stabilized && tracker_ != nullptr) tracker_->share_probe(round, r);
 }
 
 void InvariantMonitor::latch(InvariantKind kind, std::uint64_t round) {
@@ -96,6 +97,8 @@ void RecoverySummary::merge(const RecoverySummary& other) {
 
 void RecoveryTracker::on_fault(std::uint64_t round, const char* cause,
                                std::uint64_t faults) {
+  // The fault changed the state any shared probe looked at.
+  shared_.reset();
   if (open_) {
     // A fault landing inside an unfinished recovery compounds the open
     // epoch instead of starting a new one — recovery time is then measured
@@ -123,13 +126,20 @@ void RecoveryTracker::on_violation(std::uint64_t round) {
   violated_ = true;
 }
 
+void RecoveryTracker::share_probe(std::uint64_t round,
+                                  const InvariantProbeResult& result) {
+  shared_ = result;
+  shared_round_ = round;
+}
+
 void RecoveryTracker::on_round(const RoundEvent& event) {
   if (!open_) return;
   if (event.active > 0) {
     saw_active_ = true;
     return;
   }
-  close(event.round, /*stabilized=*/true);
+  close(event.round, /*stabilized=*/true,
+        shared_ && shared_round_ == event.round ? &*shared_ : nullptr);
 }
 
 void RecoveryTracker::finalize(std::uint64_t round) {
@@ -138,11 +148,16 @@ void RecoveryTracker::finalize(std::uint64_t round) {
   // absorbed by the settled configuration (no round ever executed — the
   // probe still reports stabilized: a masked fault) or the run stopped
   // with the budget exhausted (a stall).
-  const bool stabilized = probe_ ? probe_().stabilized : false;
-  close(round, stabilized);
+  if (!probe_) {
+    close(round, /*stabilized=*/false, nullptr);
+    return;
+  }
+  const InvariantProbeResult r = probe_(/*claims_stabilized=*/false);
+  close(round, r.stabilized, &r);
 }
 
-void RecoveryTracker::close(std::uint64_t round, bool stabilized) {
+void RecoveryTracker::close(std::uint64_t round, bool stabilized,
+                            const InvariantProbeResult* probed) {
   RecoveryEpoch ep;
   ep.ordinal = epochs_.size();
   ep.cause = cause_;
@@ -152,8 +167,9 @@ void RecoveryTracker::close(std::uint64_t round, bool stabilized) {
   ep.recovery_rounds = round - onset_round_;
 
   bool safety = violated_;
-  if (!safety && stabilized && probe_) {
-    const InvariantProbeResult r = probe_();
+  if (!safety && stabilized && (probed != nullptr || probe_)) {
+    const InvariantProbeResult r =
+        probed != nullptr ? *probed : probe_(/*claims_stabilized=*/true);
     safety = !r.independent || !r.maximal || !r.levels_in_range;
   }
   if (safety) {
@@ -189,6 +205,7 @@ RecoverySummary RecoveryTracker::summary() const {
 }
 
 void RecoveryTracker::reset() {
+  shared_.reset();
   epochs_.clear();
   violations_ = 0;
   open_ = false;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,25 +17,30 @@ namespace beepmis::obs {
 /// One look at the engine's settlement view, as produced by an
 /// InvariantProbe (core::make_invariant_probe builds one over any
 /// core::Engine; the obs layer cannot see the engine itself, mirroring
-/// FlightRecorder::LevelProbe). Each probe is O(n + m): it walks every
-/// level and every edge of the claimed membership.
+/// FlightRecorder::LevelProbe). The level-range check walks every level,
+/// O(n); the settlement checks (independence, maximality) also walk every
+/// edge of the claimed membership, O(n + m), and run only when settled.
 struct InvariantProbeResult {
   /// Engine claims S_t = V (every vertex settled as member or dominated).
   bool stabilized = false;
-  /// No two claimed MIS members are adjacent.
+  /// No two claimed MIS members are adjacent. Checked only when settled.
   bool independent = true;
-  /// Every non-member has a member neighbor. Only meaningful together with
-  /// `stabilized` — mid-convergence the set is legitimately not maximal.
+  /// Every non-member has a member neighbor. Checked only when settled —
+  /// mid-convergence the set is legitimately not maximal.
   bool maximal = true;
   /// Every level lies in the variant's admissible range
   /// [member_level(v), lmax(v)] ([-lmax, lmax] for Algorithm 1, [0, lmax]
   /// for Algorithm 2). Holds at every round of a correct execution.
   bool levels_in_range = true;
-  /// |I_t| under the settlement view.
-  std::uint64_t members = 0;
 };
 
-using InvariantProbe = std::function<InvariantProbeResult()>;
+/// `claims_stabilized` says the event being judged claims S_t = V
+/// (active == 0). The probe is *settled* when that claim holds or the engine
+/// reports `stabilized` — the only cases in which InvariantMonitor and
+/// RecoveryTracker read `independent`/`maximal`; otherwise both keep their
+/// passing defaults and the probe costs only the O(n) level-range check.
+using InvariantProbe =
+    std::function<InvariantProbeResult(bool claims_stabilized)>;
 
 /// The three online invariants the monitor watches. Violations latch into
 /// the FlightRecorder as the matching AnomalyKind::Invariant* anomalies.
@@ -48,10 +54,10 @@ struct InvariantViolation {
 
 struct InvariantConfig {
   /// Probe the level-range invariant every `cadence` rounds (0 = only at
-  /// stabilization edges). Each probe costs O(n + m) on top of the round,
-  /// so the overhead contract is cadence-controlled: at the default 64 the
-  /// amortized cost stays within the ≤2% A/B budget (BM_FastEngineRun_
-  /// Monitor vs the no-op-observer baseline BM_FastEngineRun_Observer).
+  /// stabilization edges). A mid-convergence cadence probe is the O(n)
+  /// level-range check; the O(n + m) settlement checks run once per
+  /// stabilization edge whatever the cadence. CI bounds the total at
+  /// Monitor/NoSink ≤ 1.5 on BM_FastEngineRun_*/10240.
   std::uint64_t cadence = 64;
 };
 
@@ -68,8 +74,10 @@ class RecoveryTracker;
 /// AnomalyDetector), is forwarded to an attached FlightRecorder as an
 /// invariant anomaly (triggering its post-mortem dump), and is reported to
 /// an attached RecoveryTracker so breakage opens or poisons a recovery
-/// epoch. Attach before the tracker in a TeeObserver so violations latch
-/// ahead of epoch classification.
+/// epoch. The attached tracker also receives every probe taken at an event
+/// claiming stabilization, so closing an epoch on that event costs no
+/// second probe. Attach before the tracker in a TeeObserver so violations
+/// latch (and the probe is shared) ahead of epoch classification.
 class InvariantMonitor final : public RoundObserver {
  public:
   explicit InvariantMonitor(const InvariantConfig& config)
@@ -175,11 +183,15 @@ class RecoveryTracker final : public RoundObserver {
   /// Invariant breakage: poisons the open epoch, or opens one with cause
   /// "invariant-violation". Called by InvariantMonitor.
   void on_violation(std::uint64_t round);
+  /// A settled probe the InvariantMonitor took at the event of `round`
+  /// (claiming stabilization). Closing an epoch on that event judges this
+  /// result instead of probing again; on_fault discards it.
+  void share_probe(std::uint64_t round, const InvariantProbeResult& result);
 
   void on_round(const RoundEvent& event) override;
 
   /// Closes any still-open epoch at the end of the run (`round` = final
-  /// engine round). Uses the probe to distinguish a masked fault (still
+  /// engine round). Probes once to distinguish a masked fault (still
   /// stabilized, never unsettled) from a stall.
   void finalize(std::uint64_t round);
 
@@ -192,10 +204,13 @@ class RecoveryTracker final : public RoundObserver {
   void reset();
 
  private:
-  void close(std::uint64_t round, bool stabilized);
+  void close(std::uint64_t round, bool stabilized,
+             const InvariantProbeResult* probed);
 
   RecoveryConfig config_;
   InvariantProbe probe_;
+  std::optional<InvariantProbeResult> shared_;  // see share_probe
+  std::uint64_t shared_round_ = 0;
   std::vector<RecoveryEpoch> epochs_;
   std::uint64_t violations_ = 0;  // signals received via on_violation
   bool open_ = false;

@@ -23,10 +23,11 @@ namespace {
 // shard-owned state, and the coordinator folds in ascending shard order.
 //
 // Every case runs twice: observed (an EventLog on both engines, so each
-// event is compared) and unobserved. Only unobserved rounds route the
-// sharded kernel through its dense AVX-512 sweeps (kernel_simd.hpp), so the
-// second run is what proves the sweeps bit-identical on hosts that have
-// them; elsewhere both runs check the indexed loops.
+// event is compared) and unobserved. Both take the sharded kernel's dense
+// AVX-512 sweeps (kernel_simd.hpp) on hosts that have them: the unobserved
+// run proves the sweeps' levels and settlement bit-identical, the observed
+// run also proves the census the update sweep counts from its lane masks.
+// Elsewhere both runs check the indexed loops.
 
 /// Captures the engine's per-round event stream for exact comparison.
 struct EventLog final : obs::RoundObserver {
@@ -168,10 +169,28 @@ TEST(Kernels, SweepSizedGraphMatchesScalar) {
   // |shard active| * 8 >= range) holds for the whole chaos phase on
   // AVX-512 hosts and the endgame drops below it — both paths and the
   // crossover are exercised in one run. Also checks the shard-count clamp
-  // (more workers than words is fine).
+  // (more workers than words is fine). Both policies under both duplex
+  // modes, so every census field the observed sweep counts (heard per
+  // channel, heard-any, prominent) and the dominated census beside it meet
+  // the oracle; the corruption waves re-densify a settled run, sending the
+  // kernel back onto the sweep mid-run.
   support::Rng grng(35);
   const auto g = graph::make_erdos_renyi_avg_degree(1024, 8.0, grng);
-  check_lockstep<Alg1Policy>(g, lmax_global_delta(g), 99, 11, 200);
+  for (beep::Duplex duplex : {beep::Duplex::Full, beep::Duplex::Half}) {
+    check_lockstep<Alg1Policy>(g, lmax_global_delta(g), 99, 11, 200, duplex);
+    check_lockstep<Alg2Policy>(g, lmax_one_hop(g), 98, 12, 200, duplex);
+  }
+  check_lockstep<Alg2Policy>(g, lmax_one_hop(g), 97, 13, 300,
+                             beep::Duplex::Full, {40, 150}, 400);
+}
+
+TEST(Kernels, MultiChunkSweepMatchesScalar) {
+  // A shard range spanning several fixed-size update-sweep chunks, the last
+  // one partial: the chunked harvest must stay in ascending vertex order.
+  support::Rng grng(37);
+  const auto g = graph::make_erdos_renyi_avg_degree(9000, 8.0, grng);
+  check_lockstep<Alg1Policy>(g, lmax_global_delta(g), 101, 17, 120);
+  check_lockstep<Alg2Policy>(g, lmax_one_hop(g), 102, 18, 120);
 }
 
 TEST(Kernels, AutoResolvesToSharded) {

@@ -12,6 +12,7 @@
 #include "src/core/invariant.hpp"
 #include "src/exp/runner.hpp"
 #include "src/graph/generators.hpp"
+#include "src/mis/verifier.hpp"
 #include "src/obs/flight.hpp"
 #include "src/obs/json_parse.hpp"
 #include "src/obs/report.hpp"
@@ -29,7 +30,7 @@ obs::RoundEvent make_event(std::uint64_t round, std::uint32_t active) {
 
 /// A probe whose result the test scripts directly.
 obs::InvariantProbe fixed_probe(obs::InvariantProbeResult r) {
-  return [r]() { return r; };
+  return [r](bool) { return r; };
 }
 
 // ---------------------------------------------------------------------------
@@ -240,9 +241,6 @@ TEST(RecoverySummary, MergeFoldsCountersAndDigest) {
   EXPECT_DOUBLE_EQ(folded.recovery_rounds.max(), 30.0);
 }
 
-// ---------------------------------------------------------------------------
-// End-to-end against real engines.
-
 core::EngineConfig engine_config(core::KernelKind kernel,
                                  std::uint64_t seed) {
   core::EngineConfig cfg;
@@ -252,6 +250,193 @@ core::EngineConfig engine_config(core::KernelKind kernel,
   cfg.seed = seed;
   return cfg;
 }
+
+// ---------------------------------------------------------------------------
+// Probe contract: each event pays for at most one probe, and the settlement
+// checks run whenever a consumer will read them.
+
+/// A scripted probe that counts its calls, and those asked to be settled.
+struct CountingProbe {
+  obs::InvariantProbeResult result;
+  std::uint64_t calls = 0;
+  std::uint64_t settled_calls = 0;
+
+  obs::InvariantProbe bind() {
+    return [this](bool claims_stabilized) {
+      ++calls;
+      settled_calls += claims_stabilized ? 1 : 0;
+      return result;
+    };
+  }
+};
+
+/// The --monitor composition: monitor ahead of the tracker it notifies,
+/// both over one probe.
+struct MonitoredTracker {
+  obs::InvariantMonitor mon{obs::InvariantConfig{0}};  // edges only
+  obs::RecoveryTracker tracker{obs::RecoveryConfig{}};
+  obs::TeeObserver tee;
+
+  explicit MonitoredTracker(const obs::InvariantProbe& probe) {
+    mon.set_probe(probe);
+    tracker.set_probe(probe);
+    mon.set_recovery_tracker(&tracker);
+    tee.add(&mon);
+    tee.add(&tracker);
+  }
+};
+
+TEST(ProbeContract, StabilizationEdgeProbesOnceForMonitorAndTracker) {
+  CountingProbe probe;
+  probe.result.stabilized = true;
+  MonitoredTracker stack(probe.bind());
+
+  stack.tracker.on_fault(10, "corrupt-random", 3);
+  stack.tee.on_round(make_event(11, 4));
+  stack.tee.on_round(make_event(12, 0));
+
+  EXPECT_EQ(probe.calls, 1u) << "the tracker must reuse the monitor's probe";
+  EXPECT_EQ(probe.settled_calls, 1u);
+  ASSERT_EQ(stack.tracker.epochs().size(), 1u);
+  EXPECT_EQ(stack.tracker.epochs()[0].outcome,
+            obs::RecoveryOutcome::Recovered);
+}
+
+TEST(ProbeContract, SharedResultStillClosesAsSafetyViolation) {
+  CountingProbe probe;
+  probe.result.stabilized = true;
+  probe.result.independent = false;
+  MonitoredTracker stack(probe.bind());
+
+  // First epoch: the monitor latches independence and tells the tracker.
+  stack.tracker.on_fault(10, "corrupt-random", 3);
+  stack.tee.on_round(make_event(11, 4));
+  stack.tee.on_round(make_event(12, 0));
+  // Second epoch: independence is already latched, so no violation signal
+  // arrives — only the shared result can condemn the epoch.
+  stack.tracker.on_fault(20, "corrupt-random", 3);
+  stack.tee.on_round(make_event(21, 4));
+  stack.tee.on_round(make_event(22, 0));
+
+  EXPECT_EQ(probe.calls, 2u);
+  EXPECT_EQ(stack.mon.violations().size(), 1u);
+  ASSERT_EQ(stack.tracker.epochs().size(), 2u);
+  EXPECT_EQ(stack.tracker.epochs()[1].outcome,
+            obs::RecoveryOutcome::SafetyViolation);
+  EXPECT_EQ(stack.tracker.summary().invariant_violations, 1u);
+}
+
+TEST(ProbeContract, FaultAfterEdgeProbeForcesFreshProbeAtFinalize) {
+  CountingProbe probe;
+  probe.result.stabilized = true;
+  MonitoredTracker stack(probe.bind());
+
+  stack.tee.on_round(make_event(11, 4));
+  stack.tee.on_round(make_event(12, 0));  // edge: probed and shared
+  ASSERT_EQ(probe.calls, 1u);
+
+  // A fault at the same round, absorbed without a single executed round —
+  // but it broke maximality, which the edge probe could not have seen.
+  stack.tracker.on_fault(12, "corrupt-nodes", 1);
+  probe.result.maximal = false;
+  stack.tracker.finalize(12);
+
+  EXPECT_EQ(probe.calls, 2u);
+  ASSERT_EQ(stack.tracker.epochs().size(), 1u);
+  EXPECT_EQ(stack.tracker.epochs()[0].outcome,
+            obs::RecoveryOutcome::SafetyViolation)
+      << "a masked fault must never be judged from the pre-fault probe";
+}
+
+TEST(ProbeContract, ClaimedStabilizationIsCheckedEvenIfEngineDisagrees) {
+  CountingProbe probe;
+  probe.result.stabilized = false;
+  probe.result.independent = false;
+  obs::InvariantMonitor mon(obs::InvariantConfig{0});
+  mon.set_probe(probe.bind());
+
+  mon.on_round(make_event(5, 2));
+  mon.on_round(make_event(6, 0));  // claims S_t = V; the engine does not
+
+  EXPECT_EQ(probe.settled_calls, 1u) << "the claim must ask for settlement";
+  ASSERT_EQ(mon.violations().size(), 1u);
+  EXPECT_EQ(mon.violations()[0].kind, obs::InvariantKind::Independence);
+}
+
+TEST(ProbeContract, RealProbeRunsSettlementChecksOnlyWhenSettled) {
+  support::Rng grng(95);
+  const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
+  auto engine =
+      core::make_engine(g, engine_config(core::KernelKind::Auto, 17));
+  support::Rng init(4);
+  for (graph::VertexId v = 0; v < g.vertex_count(); ++v)
+    engine->corrupt(v, init);
+  ASSERT_FALSE(engine->is_stabilized());
+  const std::vector<bool> members = engine->mis_members();
+  ASSERT_FALSE(mis::is_maximal(g, members));
+
+  // Mid-convergence cadence probe: the O(n) level-range check only.
+  const obs::InvariantProbeResult cadence =
+      core::probe_invariants(*engine, false);
+  EXPECT_FALSE(cadence.stabilized);
+  EXPECT_TRUE(cadence.levels_in_range);
+  EXPECT_TRUE(cadence.maximal) << "unchecked fields keep passing defaults";
+  // The same state under a stabilization claim is judged in full.
+  const obs::InvariantProbeResult claimed =
+      core::probe_invariants(*engine, true);
+  EXPECT_EQ(claimed.independent, mis::is_independent(g, members));
+  EXPECT_FALSE(claimed.maximal);
+}
+
+TEST(ProbeContract, SettlementChecksRunOncePerStabilizationEdge) {
+  support::Rng grng(96);
+  const auto g = graph::make_erdos_renyi_avg_degree(200, 8.0, grng);
+  auto engine =
+      core::make_engine(g, engine_config(core::KernelKind::Auto, 19));
+  const beep::Round budget = exp::default_round_budget(g.vertex_count());
+
+  // Counts calls of the real probe that ran the settlement checks.
+  std::uint64_t calls = 0, settled = 0;
+  const obs::InvariantProbe real = core::make_invariant_probe(*engine);
+  const obs::InvariantProbe counted = [&](bool claims_stabilized) {
+    const obs::InvariantProbeResult r = real(claims_stabilized);
+    ++calls;
+    settled += (claims_stabilized || r.stabilized) ? 1 : 0;
+    return r;
+  };
+  obs::InvariantMonitor mon(obs::InvariantConfig{4});
+  obs::RecoveryTracker tracker(obs::RecoveryConfig{});
+  mon.set_probe(counted);
+  tracker.set_probe(counted);
+  mon.set_recovery_tracker(&tracker);
+  obs::TeeObserver tee;
+  tee.add(&mon);
+  tee.add(&tracker);
+  engine->set_observer(&tee);
+
+  support::Rng init(6);
+  for (graph::VertexId v = 0; v < g.vertex_count(); ++v)
+    engine->corrupt(v, init);
+  engine->run_to_stabilization(budget);
+  constexpr int kWaves = 3;
+  support::Rng frng(0xfa19);
+  for (int w = 0; w < kWaves; ++w) {
+    core::corrupt_random(*engine, 60, frng, &tracker);
+    engine->run_to_stabilization(budget);
+  }
+  tracker.finalize(engine->round());
+
+  ASSERT_EQ(tracker.epochs().size(), static_cast<std::size_t>(kWaves));
+  for (const obs::RecoveryEpoch& ep : tracker.epochs())
+    ASSERT_EQ(ep.outcome, obs::RecoveryOutcome::Recovered);
+  EXPECT_TRUE(mon.violations().empty());
+  // First solve plus one per wave; every other probe was a cadence probe.
+  EXPECT_EQ(settled, 1u + kWaves);
+  EXPECT_GT(calls, settled);
+}
+
+// ---------------------------------------------------------------------------
+// End-to-end against real engines.
 
 TEST(RecoveryIntegration, CleanRunHasNoSpuriousViolations) {
   support::Rng grng(91);

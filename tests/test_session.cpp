@@ -163,7 +163,7 @@ TEST(ObserverStack, MonitorLatchesBeforeTrackerClosesTheEpoch) {
   broken.independent = false;
   obs::ObserverStack stack(
       options, {}, [] { return std::vector<std::int32_t>(4, 0); },
-      [broken] { return broken; });
+      [broken](bool) { return broken; });
 
   stack.tee().on_round(make_event(1, 3));
   stack.tee().on_round(make_event(2, 0));

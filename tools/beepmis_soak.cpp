@@ -87,7 +87,7 @@ bool run_scenario(const Scenario& s, std::uint64_t seed,
   // O(n + m)/round analysis would dominate the stress budget. Recovery
   // tracking rides along on every scenario and classifies each fault wave
   // against the same O(log n)·4 horizon the check budget uses; the
-  // invariant monitor is opt-in (each probe is O(n + m)).
+  // invariant monitor is opt-in (an O(n + m) check per stabilization).
   const std::uint64_t horizon =
       exp::default_round_budget(g.vertex_count()) * 4;
   obs::ObserverOptions observers =
