@@ -1,6 +1,7 @@
 #include "src/obs/timeseries.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
 
 #include "src/obs/json.hpp"
@@ -19,6 +20,19 @@ bool require_number(const JsonValue& v, const char* what, std::string* error) {
                          "\" must be a number");
 }
 
+/// A count or round: a non-negative integer no larger than 2^53, the range
+/// a double holds exactly, so the uint64 conversion is defined and exact.
+bool require_count(const JsonValue& v, const char* what, std::string* error,
+                   std::uint64_t* out) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (v.type != JsonValue::Type::Number || !(v.number >= 0.0) ||
+      v.number > kMaxExact || v.number != std::floor(v.number))
+    return fail(error, std::string("timeseries.v1: \"") + what +
+                           "\" must be an integer in [0, 2^53]");
+  *out = static_cast<std::uint64_t>(v.number);
+  return true;
+}
+
 /// Shared shape check: every rule timeseries_validate enforces, walked in
 /// document order so validate and the canonical writer agree on what a
 /// well-formed document is.
@@ -26,25 +40,39 @@ bool check_document(const JsonValue& doc, std::string* error) {
   if (!doc.is_object() ||
       doc.get("schema").as_string() != "beepmis.timeseries.v1")
     return fail(error, "not a beepmis.timeseries.v1 document");
-  if (!require_number(doc.get("every"), "every", error)) return false;
-  if (doc.get("every").as_number() < 1.0)
-    return fail(error, "timeseries.v1: \"every\" must be >= 1");
-  if (!require_number(doc.get("capacity"), "capacity", error)) return false;
-  if (!require_number(doc.get("recorded"), "recorded", error)) return false;
-  if (!require_number(doc.get("dropped"), "dropped", error)) return false;
+  std::uint64_t every = 0, capacity = 0, recorded = 0, dropped = 0;
+  if (!require_count(doc.get("every"), "every", error, &every) ||
+      !require_count(doc.get("capacity"), "capacity", error, &capacity) ||
+      !require_count(doc.get("recorded"), "recorded", error, &recorded) ||
+      !require_count(doc.get("dropped"), "dropped", error, &dropped))
+    return false;
+  if (every < 1) return fail(error, "timeseries.v1: \"every\" must be >= 1");
+  if (capacity < 1)
+    return fail(error, "timeseries.v1: \"capacity\" must be >= 1");
   if (!doc.get("context").is_object())
     return fail(error, "timeseries.v1: \"context\" must be an object");
   const JsonValue& samples = doc.get("samples");
   if (!samples.is_array())
     return fail(error, "timeseries.v1: \"samples\" must be an array");
+  // The ring keeps the newest min(recorded, capacity) samples and counts
+  // the rest as dropped.
+  const std::uint64_t kept = samples.array.size();
+  if (kept != std::min(recorded, capacity))
+    return fail(error,
+                "timeseries.v1: sample count must be min(recorded, capacity)");
+  if (dropped != recorded - kept)
+    return fail(error,
+                "timeseries.v1: \"dropped\" must be recorded - samples");
   std::uint64_t prev_round = 0;
-  for (const JsonValue& s : samples.array) {
+  for (std::size_t i = 0; i < samples.array.size(); ++i) {
+    const JsonValue& s = samples.array[i];
     if (!s.is_object())
       return fail(error, "timeseries.v1: sample must be an object");
-    for (const char* k : {"round", "active", "beeps", "mis"})
-      if (!require_number(s.get(k), k, error)) return false;
-    const auto round = static_cast<std::uint64_t>(s.get("round").as_number());
-    if (round <= prev_round && prev_round != 0)
+    std::uint64_t round = 0, count = 0;
+    if (!require_count(s.get("round"), "round", error, &round)) return false;
+    for (const char* k : {"active", "beeps", "mis"})
+      if (!require_count(s.get(k), k, error, &count)) return false;
+    if (i > 0 && round <= prev_round)
       return fail(error, "timeseries.v1: sample rounds must be increasing");
     prev_round = round;
     const JsonValue& timing = s.get("timing");

@@ -82,11 +82,14 @@ class TimeSeries {
   std::vector<std::pair<std::string, std::string>> context_;
 };
 
-/// Strict beepmis.timeseries.v1 validation: schema tag, integral cadence and
-/// counts, a context object, and per-sample shape (round/active/beeps/mis
-/// numbers plus a "timing" object with round_ms/imbalance/barrier_ms and a
-/// phase_ms object). Returns false with a description in `error` (if
-/// non-null) on the first violation.
+/// Strict beepmis.timeseries.v1 validation: schema tag; cadence, capacity
+/// and counts that are integers in [0, 2^53] (every and capacity >= 1) and
+/// add up (samples.size() == min(recorded, capacity), dropped == recorded -
+/// samples.size()); a context object; and per-sample shape (increasing
+/// rounds and active/beeps/mis integers in [0, 2^53], plus a "timing"
+/// object with round_ms/imbalance/barrier_ms and a phase_ms object).
+/// Returns false with a description in `error` (if non-null) on the first
+/// violation.
 bool timeseries_validate(const JsonValue& doc, std::string* error = nullptr);
 
 /// Writes the deterministic projection of a valid timeseries.v1 document:

@@ -105,8 +105,7 @@ run(0 out "${CLI}" --family er-avg8 --n 256 --algorithm v1 --seed 7
     --events-out events.jsonl --metrics-out run.json
     --flight-recorder dump.json
     --anomaly-storm-fraction 0 --anomaly-storm-window 1
-    --timeseries-out ts.json --timeseries-every 4
-    --progress-out progress.jsonl --progress-every 16)
+    --timeseries-out ts.json --timeseries-every 4)
 strip_wrote(out)
 expect_text(run.txt "${out}")
 expect_file(recovery.json recovery.json)
@@ -114,9 +113,6 @@ expect_file(events.jsonl events.jsonl)
 expect_file(dump.json dump.json)
 run(0 ignored "${CHECK}" --in ts.json --canonical-out ts.canon.json)
 expect_file(timeseries.canon.json ts.canon.json)
-run(0 ignored "${CHECK}" --in progress.jsonl
-    --canonical-out progress.canon.jsonl)
-expect_file(progress.canon.jsonl progress.canon.jsonl)
 validate(recovery.json)
 validate(dump.json)
 expect_keys(run.json KEYS ${RUN_KEYS})
@@ -124,6 +120,30 @@ expect_keys(run.json obs KEYS ${OBS_KEYS})
 expect_keys(run.json extra KEYS stabilized rounds_total engine
             engine_requested kernel kernel_requested shard_threads_requested
             shards duplex faults_per_wave waves noise_fp noise_fn)
+
+# Paper-facing flags, the baselines and the applications: one small run
+# each, stdout pinned in one golden (each run under a "# <flags>" header),
+# plus the deterministic --svg chart byte for byte.
+set(flags_out "")
+function(flag_run)
+  run(0 out "${CLI}" --family er-avg8 --n 256 --seed 3 ${ARGN})
+  strip_wrote(out)
+  string(REPLACE ";" " " flags "${ARGN}")
+  set(flags_out "${flags_out}# ${flags}\n${out}" PARENT_SCOPE)
+endfunction()
+flag_run(--init fake-mis)
+flag_run(--init all-min)
+flag_run(--c1 3)
+flag_run(--noise-fp 0.01 --noise-fn 0.01)
+flag_run(--relabel)
+foreach(algorithm jsx afek afek-noknow luby coloring)
+  flag_run(--algorithm ${algorithm})
+endforeach()
+flag_run(--algorithm ruling --alpha 2)
+flag_run(--svg chart.svg)
+flag_run(--trace)
+expect_text(flags.txt "${flags_out}")
+expect_file(chart.svg chart.svg)
 
 # Traced and profiled single run: the timing artifacts validate, and the
 # simulation output matches the untraced golden.

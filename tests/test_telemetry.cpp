@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,7 +12,6 @@
 #include "src/core/fast_engine.hpp"
 #include "src/graph/generators.hpp"
 #include "src/obs/json_parse.hpp"
-#include "src/obs/progress.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/task_pool.hpp"
 
@@ -135,6 +132,46 @@ TEST(Telemetry, TimeSeriesValidateRejectsMutations) {
       .object["fold"].type = obs::JsonValue::Type::String;
   EXPECT_FALSE(obs::timeseries_validate(bad));
 
+  // Counts and cadence are non-negative integers no larger than 2^53 (the
+  // range a double holds exactly): a negative, fractional or huge number
+  // would otherwise reach an undefined double -> uint64 conversion.
+  for (const char* key : {"every", "capacity", "recorded", "dropped"}) {
+    for (double x : {-1.0, 2.5, 1e30, 9007199254740994.0}) {
+      bad = good;
+      bad.object[key].number = x;
+      EXPECT_FALSE(obs::timeseries_validate(bad)) << key << " = " << x;
+    }
+  }
+  for (const char* key : {"round", "active", "beeps", "mis"}) {
+    for (double x : {-1.0, 0.5, 1e30, 9007199254740994.0}) {
+      bad = good;
+      bad.object["samples"].array[0].object[key].number = x;
+      EXPECT_FALSE(obs::timeseries_validate(bad))
+          << "sample " << key << " = " << x;
+    }
+  }
+
+  // The ring arithmetic must add up: samples.size() == min(recorded,
+  // capacity) and dropped == recorded - samples.size().
+  bad = good;
+  bad.object["capacity"].number = 1;  // two samples kept by a 1-slot ring
+  EXPECT_FALSE(obs::timeseries_validate(bad));
+  bad = good;
+  bad.object["recorded"].number = 5;  // 5 recorded, 2 kept, 0 dropped
+  EXPECT_FALSE(obs::timeseries_validate(bad));
+  bad = good;
+  bad.object["dropped"].number = 1;
+  EXPECT_FALSE(obs::timeseries_validate(bad));
+  bad = good;
+  bad.object["samples"].array.pop_back();
+  EXPECT_FALSE(obs::timeseries_validate(bad));
+
+  // A wrapped ring is consistent: 10 recorded into 4 slots, 6 dropped.
+  obs::TimeSeries wrapped(4, 1);
+  for (std::uint64_t r = 1; r <= 10; ++r) wrapped.record(make_sample(r));
+  std::string error;
+  EXPECT_TRUE(obs::timeseries_validate(series_doc(wrapped), &error)) << error;
+
   bad = good;
   bad.object.erase("context");
   EXPECT_FALSE(obs::timeseries_validate(bad));
@@ -142,85 +179,6 @@ TEST(Telemetry, TimeSeriesValidateRejectsMutations) {
   // A rejected document never writes a canonical projection.
   std::ostringstream os;
   EXPECT_FALSE(obs::timeseries_write_canonical(bad, os));
-}
-
-obs::ProgressSample make_beat(std::uint64_t round) {
-  obs::ProgressSample s;
-  s.round = round;
-  s.budget = 1000;
-  s.active = 100 - round;
-  s.mis = round / 4;
-  s.rounds_per_sec = 2048.0;
-  s.eta_s = 0.5;
-  s.imbalance = 1.5;
-  s.peak_rss_bytes = 1 << 20;
-  s.trace_dropped = 0;
-  return s;
-}
-
-TEST(Telemetry, ProgressLineRoundTripAndCanonical) {
-  std::ostringstream os;
-  obs::progress_write_line(os, make_beat(64));
-  obs::JsonValue line;
-  std::string error;
-  ASSERT_TRUE(obs::json_parse(os.str(), &line, &error)) << error;
-  EXPECT_TRUE(obs::progress_validate_line(line, &error)) << error;
-  EXPECT_EQ(line.get("schema").as_string(""), "beepmis.progress.v1");
-  EXPECT_EQ(line.get("round").as_number(0.0), 64.0);
-  EXPECT_EQ(line.get("timing").get("rounds_per_sec").as_number(0.0), 2048.0);
-
-  std::ostringstream canon;
-  ASSERT_TRUE(obs::progress_write_canonical_line(line, canon, &error))
-      << error;
-  obs::JsonValue projected;
-  ASSERT_TRUE(obs::json_parse(canon.str(), &projected, &error)) << error;
-  EXPECT_FALSE(projected.has("timing"));
-  EXPECT_EQ(projected.get("budget").as_number(0.0), 1000.0);
-
-  obs::JsonValue bad = line;
-  bad.object["schema"].str = "beepmis.progress.v2";
-  EXPECT_FALSE(obs::progress_validate_line(bad));
-  bad = line;
-  bad.object.erase("budget");
-  EXPECT_FALSE(obs::progress_validate_line(bad));
-  bad = line;
-  bad.object["timing"].object.erase("eta_s");
-  EXPECT_FALSE(obs::progress_validate_line(bad));
-}
-
-TEST(Telemetry, ProgressWriterKeepsRingAndLatchesErrors) {
-  const std::string path = ::testing::TempDir() + "beepmis_progress_test.jsonl";
-  {
-    obs::ProgressWriter writer(path, /*keep=*/3);
-    for (std::uint64_t r = 1; r <= 5; ++r) writer.beat(make_beat(r * 10));
-    ASSERT_TRUE(writer.ok()) << writer.error();
-    EXPECT_EQ(writer.beats(), 5u);
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::vector<double> rounds;
-  std::string text;
-  while (std::getline(in, text)) {
-    obs::JsonValue line;
-    std::string error;
-    ASSERT_TRUE(obs::json_parse(text, &line, &error)) << error;
-    ASSERT_TRUE(obs::progress_validate_line(line, &error)) << error;
-    rounds.push_back(line.get("round").as_number(0.0));
-  }
-  // The file holds exactly the newest `keep` heartbeats, oldest first — the
-  // atomic-replace rewrite means a reader never sees more, less, or a torn
-  // line.
-  ASSERT_EQ(rounds.size(), 3u);
-  EXPECT_EQ(rounds[0], 30.0);
-  EXPECT_EQ(rounds[2], 50.0);
-  std::remove(path.c_str());
-
-  obs::ProgressWriter broken("/nonexistent-dir/progress.jsonl");
-  broken.beat(make_beat(1));
-  EXPECT_FALSE(broken.ok());
-  EXPECT_FALSE(broken.error().empty());
-  broken.beat(make_beat(2));  // latched: later beats are no-ops, not crashes
-  EXPECT_EQ(broken.beats(), 1u);
 }
 
 // A private labeled pool constructed while no tracing session is live must

@@ -32,7 +32,6 @@
 #include "src/obs/flight.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/progress.hpp"
 #include "src/obs/recovery.hpp"
 #include "src/obs/session.hpp"
 #include "src/obs/sink.hpp"
@@ -142,145 +141,85 @@ class ProgressMeter final : public obs::RoundObserver {
   std::uint64_t every_;
 };
 
-/// Periodic telemetry sampler behind --timeseries-out and --progress-out.
-/// The deterministic fields (round, active, beeps, mis) come straight from
-/// the round event; every measured value is derived by diffing the engine's
-/// *cumulative* shard-telemetry snapshot against the previous visit, so each
-/// sample reports per-round means over exactly its window. Consumers keep
-/// independent windows because their cadences differ. finalize() emits one
-/// last sample/heartbeat at the final round, so short runs (stabilization is
-/// O(log n) rounds) produce non-empty artifacts at any cadence.
+/// Ring capacity of --timeseries-out, in samples: memory stays fixed, and
+/// once the ring fills the oldest samples are overwritten and counted as
+/// dropped. Raise --timeseries-every to cover a longer run.
+constexpr std::size_t kTimeSeriesCapacity = 4096;
+
+/// Periodic sampler behind --timeseries-out. The deterministic fields
+/// (round, active, beeps, mis) come straight from the round event; every
+/// measured value is derived by diffing the engine's *cumulative*
+/// shard-telemetry snapshot against the previous sample, so each sample
+/// reports per-round means over exactly its window. finalize() records one
+/// last sample at the final round, so short runs (stabilization is O(log n)
+/// rounds) produce non-empty series at any cadence.
 class TelemetrySampler final : public obs::RoundObserver {
  public:
-  TelemetrySampler(const core::Engine* engine, std::uint64_t budget)
-      : engine_(engine), budget_(budget) {
-    const auto now = Clock::now();
-    series_wall_ = now;
-    progress_wall_ = now;
-  }
-
-  void attach_series(obs::TimeSeries* series) { series_ = series; }
-  void attach_progress(obs::ProgressWriter* progress, std::uint64_t every) {
-    progress_ = progress;
-    progress_every_ = every;
-  }
+  TelemetrySampler(const core::Engine* engine, obs::TimeSeries* series)
+      : engine_(engine), series_(series), wall_(Clock::now()) {}
 
   void on_round(const obs::RoundEvent& e) override {
     last_ = e;
     seen_ = true;
-    if (series_ != nullptr && series_->due(e.round)) record_sample(e);
-    if (progress_ != nullptr && progress_every_ != 0 &&
-        e.round % progress_every_ == 0)
-      beat(e);
+    if (series_->due(e.round)) record(e);
   }
 
-  /// Emits the terminal sample and heartbeat (unless the last round already
-  /// landed on the cadence). Call once, after the run.
+  /// Records the terminal sample unless the last round already landed on
+  /// the cadence. Call once, after the run.
   void finalize() {
-    if (!seen_) return;
-    if (series_ != nullptr && last_.round > series_round_)
-      record_sample(last_);
-    if (progress_ != nullptr && last_.round > progress_round_) beat(last_);
+    if (seen_ && last_.round > round_) record(last_);
   }
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Cumulative shard-telemetry snapshot from the previous visit of one
-  /// consumer; `has` distinguishes "no snapshot yet" from a real baseline.
-  struct TelWindow {
-    core::ShardTelemetry tel{};
-    bool has = false;
-  };
-
-  /// Diffs the engine's cumulative shard telemetry against `last` (which is
-  /// then advanced). On success the out-params hold per-round means over the
-  /// window; returns false when telemetry is off or the window is empty.
-  bool shard_window(TelWindow* last, double* imbalance, double* barrier_ms,
-                    std::array<double, core::kShardPhaseCount>* phase_ms) {
+  /// Diffs the engine's cumulative shard telemetry against the window's
+  /// start (which then advances) into `s`'s per-round means; false when
+  /// telemetry is off or the window is empty.
+  bool shard_window(obs::TimeSeriesSample* s) {
     core::ShardTelemetry tel;
     if (!engine_->shard_telemetry(&tel)) return false;
-    bool filled = false;
-    if (last->has && tel.rounds > last->tel.rounds) {
-      const auto dr =
-          static_cast<double>(tel.rounds - last->tel.rounds);
-      if (phase_ms != nullptr)
-        for (std::size_t p = 0; p < core::kShardPhaseCount; ++p)
-          (*phase_ms)[p] = (tel.phase_ms[p] - last->tel.phase_ms[p]) / dr;
-      *barrier_ms =
-          (tel.barrier_wait_ms - last->tel.barrier_wait_ms) / dr;
-      const double dbusy = tel.busy_ms - last->tel.busy_ms;
-      const double dmax = tel.max_busy_ms - last->tel.max_busy_ms;
-      *imbalance =
-          dbusy > 0.0 && tel.shards > 0
-              ? dmax / (dbusy / static_cast<double>(tel.shards))
-              : 0.0;
-      filled = true;
-    }
-    last->tel = tel;
-    last->has = true;
-    return filled;
+    const std::optional<core::ShardTelemetry> prev = window_;
+    window_ = tel;
+    if (!prev || tel.rounds <= prev->rounds) return false;
+    const auto dr = static_cast<double>(tel.rounds - prev->rounds);
+    for (std::size_t p = 0; p < core::kShardPhaseCount; ++p)
+      s->phase_ms[p] = (tel.phase_ms[p] - prev->phase_ms[p]) / dr;
+    s->barrier_ms = (tel.barrier_wait_ms - prev->barrier_wait_ms) / dr;
+    const double dbusy = tel.busy_ms - prev->busy_ms;
+    const double dmax = tel.max_busy_ms - prev->max_busy_ms;
+    s->imbalance = dbusy > 0.0 && tel.shards > 0
+                       ? dmax / (dbusy / static_cast<double>(tel.shards))
+                       : 0.0;
+    return true;
   }
 
-  void record_sample(const obs::RoundEvent& e) {
+  void record(const obs::RoundEvent& e) {
     obs::TimeSeriesSample s;
     s.round = e.round;
     s.active = e.active;
     s.beeps = e.beeps_ch1 + e.beeps_ch2;
     s.mis = e.mis;
     const auto now = Clock::now();
-    if (e.round > series_round_) {
-      const double ms = std::chrono::duration<double, std::milli>(
-                            now - series_wall_)
-                            .count();
-      s.round_ms = ms / static_cast<double>(e.round - series_round_);
+    if (e.round > round_) {
+      const double ms =
+          std::chrono::duration<double, std::milli>(now - wall_).count();
+      s.round_ms = ms / static_cast<double>(e.round - round_);
     }
-    s.has_phases =
-        shard_window(&series_tel_, &s.imbalance, &s.barrier_ms, &s.phase_ms);
-    series_round_ = e.round;
-    series_wall_ = now;
+    s.has_phases = shard_window(&s);
+    round_ = e.round;
+    wall_ = now;
     series_->record(s);
   }
 
-  void beat(const obs::RoundEvent& e) {
-    obs::ProgressSample p;
-    p.round = e.round;
-    p.budget = budget_;
-    p.active = e.active;
-    p.mis = e.mis;
-    const auto now = Clock::now();
-    if (e.round > progress_round_) {
-      const double secs =
-          std::chrono::duration<double>(now - progress_wall_).count();
-      if (secs > 0.0)
-        p.rounds_per_sec =
-            static_cast<double>(e.round - progress_round_) / secs;
-    }
-    if (p.rounds_per_sec > 0.0 && budget_ > e.round)
-      p.eta_s =
-          static_cast<double>(budget_ - e.round) / p.rounds_per_sec;
-    double barrier_unused = 0.0;
-    shard_window(&progress_tel_, &p.imbalance, &barrier_unused, nullptr);
-    p.peak_rss_bytes = obs::peak_rss_bytes();
-    p.trace_dropped = obs::Tracer::instance().dropped_spans();
-    progress_round_ = e.round;
-    progress_wall_ = now;
-    progress_->beat(p);
-  }
-
   const core::Engine* engine_;
-  std::uint64_t budget_;
-  obs::TimeSeries* series_ = nullptr;
-  obs::ProgressWriter* progress_ = nullptr;
-  std::uint64_t progress_every_ = 0;
+  obs::TimeSeries* series_;
   obs::RoundEvent last_;
   bool seen_ = false;
-  std::uint64_t series_round_ = 0;
-  Clock::time_point series_wall_;
-  TelWindow series_tel_;
-  std::uint64_t progress_round_ = 0;
-  Clock::time_point progress_wall_;
-  TelWindow progress_tel_;
+  std::uint64_t round_ = 0;  ///< round of the previous sample
+  Clock::time_point wall_;   ///< wall time of the previous sample
+  /// Cumulative shard telemetry at the previous sample: the window's start.
+  std::optional<core::ShardTelemetry> window_;
 };
 
 core::InitPolicy parse_init(const std::string& name) {
@@ -318,13 +257,12 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
     std::cerr << "unknown duplex mode: " << d << " (try full, half)\n";
     std::exit(2);
   }
-  // Per-phase shard telemetry is forced on when either periodic artifact is
+  // Per-phase shard telemetry is forced on when --timeseries-out is
   // requested (the kernel also turns it on by itself while a tracing session
   // is live). It is pure observation: simulation output is byte-identical
   // with the layer on or off.
   const bool want_series = !args.get("timeseries-out").empty();
-  const bool want_progress = !args.get("progress-out").empty();
-  config.phase_telemetry = want_series || want_progress;
+  config.phase_telemetry = want_series;
   auto engine = core::make_engine(g, config);
 
   // Shard count this run will actually use — trace and timeseries context,
@@ -393,12 +331,11 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
   ProgressMeter progress(
       static_cast<std::uint64_t>(args.get_int("progress")));
   if (progress.interval() > 0) tee.add(&progress);
-  TelemetrySampler sampler(engine.get(), budget);
   std::unique_ptr<obs::TimeSeries> series;
+  std::optional<TelemetrySampler> sampler;
   if (want_series) {
     series = std::make_unique<obs::TimeSeries>(
-        static_cast<std::size_t>(
-            std::max<std::int64_t>(1, args.get_int("timeseries-capacity"))),
+        kTimeSeriesCapacity,
         static_cast<std::uint64_t>(
             std::max<std::int64_t>(1, args.get_int("timeseries-every"))));
     series->set_context("tool", "beepmis_cli");
@@ -408,17 +345,8 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
     series->set_context("seed", args.get("seed"));
     series->set_context("shards", std::to_string(shards));
     series->set_context("shard_threads", args.get("shard-threads"));
-    sampler.attach_series(series.get());
+    tee.add(&sampler.emplace(engine.get(), series.get()));
   }
-  std::unique_ptr<obs::ProgressWriter> progress_writer;
-  if (want_progress) {
-    progress_writer =
-        std::make_unique<obs::ProgressWriter>(args.get("progress-out"));
-    sampler.attach_progress(
-        progress_writer.get(),
-        static_cast<std::uint64_t>(args.get_int("progress-every")));
-  }
-  if (want_series || want_progress) tee.add(&sampler);
   obs::MemorySink rounds_log;
   if (tracing || charting) tee.add(&rounds_log);
   if (!tee.empty()) engine->set_observer(&tee);
@@ -522,12 +450,12 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
                 static_cast<unsigned long long>(sum.invariant_violations));
   }
 
-  // Terminal sample/heartbeat, then the timeseries document. The sample
-  // counts printed here are deterministic (round-based cadence, fixed
-  // capacity, deterministic final round), so stdout stays diffable across
-  // thread and shard counts.
-  sampler.finalize();
+  // Terminal sample, then the timeseries document. The sample counts
+  // printed here are deterministic (round-based cadence, fixed capacity,
+  // deterministic final round), so stdout stays diffable across thread and
+  // shard counts.
   if (series) {
+    sampler->finalize();
     const std::string note =
         " (" + std::to_string(series->recorded()) + " samples, " +
         std::to_string(series->dropped()) + " overwritten)";
@@ -535,17 +463,6 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
             args.get("timeseries-out"), "timeseries",
             [&](std::ostream& os) { series->write_json(os); }, stdout, note))
       rc = 2;
-  }
-  if (progress_writer) {
-    if (progress_writer->ok()) {
-      std::printf("wrote %s (%llu heartbeats)\n",
-                  progress_writer->path().c_str(),
-                  static_cast<unsigned long long>(progress_writer->beats()));
-    } else {
-      std::cerr << "progress stream error: " << progress_writer->error()
-                << "\n";
-      rc = 2;
-    }
   }
 
   obs::RunManifest man;
@@ -589,12 +506,11 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
 /// what came out — never wall-clock or worker count.
 int run_sweep(const support::ArgParser& args, obs::Session& session,
               exp::Variant variant, exp::Family family) {
-  // The periodic samplers attach to one engine's observer slot; a sweep runs
-  // sizes × seeds engines, so these are single-run features.
-  if (!args.get("timeseries-out").empty() ||
-      !args.get("progress-out").empty())
+  // The sampler and the heartbeat attach to one engine's observer slot; a
+  // sweep runs sizes × seeds engines, so these are single-run features.
+  if (!args.get("timeseries-out").empty() || args.get_int("progress") != 0)
     std::fprintf(stderr,
-                 "--timeseries-out/--progress-out are single-run features; "
+                 "--timeseries-out/--progress are single-run features; "
                  "ignored in --sweep mode\n");
   exp::SweepConfig cfg;
   cfg.variant = variant;
@@ -875,17 +791,6 @@ int main(int argc, char** argv) {
   args.add_option("timeseries-every", "1",
                   "timeseries sampling cadence in rounds (values < 1 are "
                   "clamped to 1); raise it for giant runs");
-  args.add_option("timeseries-capacity", "4096",
-                  "timeseries ring capacity in samples — memory is fixed; "
-                  "when it fills, the oldest samples are overwritten and "
-                  "counted");
-  args.add_option("progress-out", "",
-                  "stream live beepmis.progress.v1 heartbeats (JSONL ring, "
-                  "atomic-replace rewrite) to this file: round, rounds/sec, "
-                  "ETA vs budget, peak RSS, shard imbalance, trace drops");
-  args.add_option("progress-every", "1024",
-                  "heartbeat cadence in rounds for --progress-out (0 = only "
-                  "the terminal heartbeat)");
   obs::Session session(args, "beepmis_cli", "profile.json");
 
   std::string error;

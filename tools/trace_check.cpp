@@ -23,10 +23,6 @@
 //     --canonical-out writes the deterministic projection (samples minus
 //     their "timing" objects, context minus shard provenance) that the CI
 //     determinism gates diff across --shard-threads values.
-//   * "beepmis.progress.v1" heartbeat streams (ProgressWriter output, one
-//     JSON object per line): each line is validated through
-//     obs::progress_validate_line; --canonical-out writes one canonical
-//     (timing-stripped) line per heartbeat.
 //
 // Exit status: 0 valid, 1 invalid artifact, 2 usage/I-O error.
 
@@ -34,12 +30,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <string_view>
 
 #include "src/obs/flight.hpp"
 #include "src/obs/json_parse.hpp"
 #include "src/obs/perf.hpp"
-#include "src/obs/progress.hpp"
 #include "src/obs/recovery.hpp"
 #include "src/obs/timeseries.hpp"
 #include "src/obs/trace.hpp"
@@ -228,62 +222,22 @@ int check_timeseries_v1(const JsonValue& doc,
   return 0;
 }
 
-/// Validates a beepmis.progress.v1 heartbeat stream line by line (the file
-/// as a whole is JSONL, not one document, so it lands here when the
-/// whole-body parse fails or yields a non-object). Empty lines are
-/// rejected — the writer never emits them.
-int check_progress_jsonl(const std::string& body,
-                         const std::string& canonical_out) {
-  std::ofstream out;
-  if (!canonical_out.empty()) {
-    out.open(canonical_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open: %s\n", canonical_out.c_str());
-      return 2;
-    }
-  }
-  std::size_t lines = 0;
-  std::size_t begin = 0;
-  const std::string_view text = body;
-  while (begin < text.size()) {
-    std::size_t end = text.find('\n', begin);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(begin, end - begin);
-    begin = end + 1;
-    if (line.empty() && begin >= text.size()) break;  // trailing newline
-    const std::string where = "line " + std::to_string(lines + 1);
-    JsonValue v;
-    std::string error;
-    if (!beepmis::obs::json_parse(line, &v, &error))
-      return fail(where + ": " + error);
-    if (!beepmis::obs::progress_validate_line(v, &error))
-      return fail(where + ": " + error);
-    if (out.is_open()) {
-      beepmis::obs::progress_write_canonical_line(v, out);
-      out << '\n';
-    }
-    ++lines;
-  }
-  if (lines == 0) return fail("empty progress stream");
-  std::printf("valid beepmis.progress.v1 stream: %zu heartbeat(s)\n", lines);
-  if (out.is_open()) std::printf("wrote %s\n", canonical_out.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   beepmis::support::ArgParser args(
       "trace_check — validate beepmis.trace.v1 / beepmis.profile.v1 / "
-      "beepmis.dump.v1 / beepmis.recovery.v1 / Chrome trace_event artifacts");
+      "beepmis.dump.v1 / beepmis.recovery.v1 / beepmis.timeseries.v1 / "
+      "Chrome trace_event artifacts");
   args.add_option("in", "", "artifact file to validate (required)");
   args.add_option("chrome-out", "",
                   "also convert a trace.v1 input to Chrome trace_event JSON "
                   "at this path");
   args.add_option("canonical-out", "",
-                  "for timeseries.v1/progress.v1 inputs: also write the "
-                  "deterministic (timing-stripped) projection here — the "
-                  "form the CI determinism gates diff across shard counts");
+                  "for timeseries.v1 inputs: also write the deterministic "
+                  "projection (samples minus their timing, context minus "
+                  "shard provenance) here — the form the CI determinism "
+                  "gates diff across shard counts");
   std::string error;
   if (!args.parse(argc, argv, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
@@ -304,13 +258,8 @@ int main(int argc, char** argv) {
   body << in.rdbuf();
 
   JsonValue doc;
-  if (!beepmis::obs::json_parse(body.str(), &doc, &error)) {
-    // Not one JSON document. A progress heartbeat file is JSONL (one object
-    // per line) — try that shape before declaring the input invalid.
-    if (body.str().find("beepmis.progress.v1") != std::string::npos)
-      return check_progress_jsonl(body.str(), args.get("canonical-out"));
+  if (!beepmis::obs::json_parse(body.str(), &doc, &error))
     return fail("parse error: " + error);
-  }
   if (!doc.is_object()) return fail("top level is not an object");
 
   const std::string schema = doc.get("schema").as_string("");
@@ -321,12 +270,8 @@ int main(int argc, char** argv) {
   if (schema == "beepmis.recovery.v1") return check_recovery_v1(doc);
   if (schema == "beepmis.timeseries.v1")
     return check_timeseries_v1(doc, args.get("canonical-out"));
-  if (schema == "beepmis.progress.v1")
-    // A single-beat file parses as one document; validate it as a
-    // one-line stream so --canonical-out works the same either way.
-    return check_progress_jsonl(body.str(), args.get("canonical-out"));
   if (doc.has("traceEvents")) return check_chrome(doc);
   return fail(
       "neither a beepmis.trace.v1/profile.v1/dump.v1/recovery.v1/"
-      "timeseries.v1/progress.v1 document nor a chrome trace");
+      "timeseries.v1 document nor a chrome trace");
 }
