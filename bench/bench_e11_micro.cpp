@@ -316,11 +316,16 @@ void BM_EngineRunSharded(benchmark::State& state) {
   run_shard_bench(state, core::KernelKind::Sharded,
                   static_cast<std::size_t>(state.range(0)));
 }
+/// One iteration is a whole n=10⁶ run, so a single sample is at the mercy
+/// of the scheduler: every arm repeats kShardBenchReps times and records
+/// the median, with its spread beside it (see RecordingReporter).
+constexpr int kShardBenchReps = 5;
 BENCHMARK(BM_EngineRunSharded)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Repetitions(kShardBenchReps)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -337,6 +342,7 @@ void BM_EngineRunSharded_Telemetry(benchmark::State& state) {
 BENCHMARK(BM_EngineRunSharded_Telemetry)
     ->Arg(1)
     ->Arg(4)
+    ->Repetitions(kShardBenchReps)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -620,11 +626,14 @@ void BM_RngBernoulliPow2(benchmark::State& state) {
 }
 BENCHMARK(BM_RngBernoulliPow2);
 
-/// Console output as usual, plus every per-iteration run captured as
-/// gauges for the machine-readable dump: "<name>.real_ns", ".cpu_ns",
-/// ".iterations", and one ".<counter>" gauge per user counter — which is
-/// items_per_second plus, when the host grants perf_event_open, the
-/// PerfCapture hardware counters (".instructions", ".cache_misses", ...).
+/// Console output as usual, plus every benchmark captured as gauges for
+/// the machine-readable dump: "<name>.real_ns", ".cpu_ns", ".iterations",
+/// and one ".<counter>" gauge per user counter — which is items_per_second
+/// plus, when the host grants perf_event_open, the PerfCapture hardware
+/// counters (".instructions", ".cache_misses", ...). A benchmark run with
+/// Repetitions() is recorded by its median aggregate under the same names,
+/// plus ".real_ns_stddev" (the spread of its repetitions) and
+/// ".repetitions"; ".iterations" is then the count per repetition.
 class RecordingReporter final : public benchmark::ConsoleReporter {
  public:
   explicit RecordingReporter(obs::MetricsRegistry& metrics)
@@ -632,22 +641,41 @@ class RecordingReporter final : public benchmark::ConsoleReporter {
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration) continue;
-      const std::string name = run.benchmark_name();
+      // Without its "repeats:N" part, so that repeating a benchmark keeps
+      // the gauge names CI and beepmis_report read.
+      benchmark::BenchmarkName bench = run.run_name;
+      bench.repetitions.clear();
+      const std::string name = bench.str();
       // Adjusted times come in the benchmark's own Unit(); rescale to ns.
       const double to_ns =
           1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit);
-      metrics_->gauge(name + ".real_ns").set(run.GetAdjustedRealTime() * to_ns);
-      metrics_->gauge(name + ".cpu_ns").set(run.GetAdjustedCPUTime() * to_ns);
+      if (run.run_type == Run::RT_Aggregate) {
+        if (run.aggregate_name == "median")
+          record(name, run, to_ns);
+        else if (run.aggregate_name == "stddev")
+          metrics_->gauge(name + ".real_ns_stddev")
+              .set(run.GetAdjustedRealTime() * to_ns);
+        continue;
+      }
       metrics_->gauge(name + ".iterations")
           .set(static_cast<double>(run.iterations));
-      for (const auto& [cname, counter] : run.counters)
-        metrics_->gauge(name + "." + cname).set(counter);
+      if (run.repetitions > 1)
+        metrics_->gauge(name + ".repetitions")
+            .set(static_cast<double>(run.repetitions));
+      else
+        record(name, run, to_ns);
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
  private:
+  void record(const std::string& name, const Run& run, double to_ns) {
+    metrics_->gauge(name + ".real_ns").set(run.GetAdjustedRealTime() * to_ns);
+    metrics_->gauge(name + ".cpu_ns").set(run.GetAdjustedCPUTime() * to_ns);
+    for (const auto& [cname, counter] : run.counters)
+      metrics_->gauge(name + "." + cname).set(counter);
+  }
+
   obs::MetricsRegistry* metrics_;
 };
 

@@ -82,8 +82,12 @@ inline constexpr const char* kShardPhaseKeys[kShardPhaseCount] = {
 /// per-round phase wall = phase_ms[i] / rounds, load imbalance over a window
 /// = Δmax_busy_ms / (Δbusy_ms / shards), barrier-wait share
 /// = barrier_wait_ms / (barrier_wait_ms + busy_ms). The work counters are
-/// deterministic vertex tallies (crosser rows excepted — those depend on the
-/// shard layout), summed over shards and rounds.
+/// summed over shards and rounds. active_vertices, coin_beepers and
+/// crosser_rows are functions of the trajectory alone, equal at every shard
+/// count; settled_candidates is not deterministic even at a fixed shard
+/// count, because a neighbor count that several shards push to can reach
+/// zero more than once, depending on how the pushes interleave. The timings
+/// are wall-clock, never deterministic.
 struct ShardTelemetry {
   std::size_t shards = 0;     ///< shard == worker count of the private pool
   std::uint64_t rounds = 0;   ///< instrumented rounds folded into the totals
@@ -93,8 +97,8 @@ struct ShardTelemetry {
   double barrier_wait_ms = 0.0;  ///< Σ rounds Σ phases idle-at-barrier time
   std::uint64_t active_vertices = 0;     ///< pre-round |active|
   std::uint64_t coin_beepers = 0;        ///< coin-frontier beepers
-  std::uint64_t crosser_rows = 0;        ///< cross-shard delta rows (dp+dc)
-  std::uint64_t settled_candidates = 0;  ///< settlement candidates harvested
+  std::uint64_t crosser_rows = 0;        ///< boundary-crosser rows (dp+dc)
+  std::uint64_t settled_candidates = 0;  ///< settle candidates harvested
 
   /// max/mean per-shard busy time over the accumulated rounds (1.0 =
   /// perfectly balanced); 0 when nothing was accumulated.
@@ -119,7 +123,8 @@ struct EngineConfig {
   /// Worker threads for intra-round sharded execution (KernelKind::Sharded,
   /// which Auto resolves to): 1 = serial, one shard whose phases run inline;
   /// 0 = one per hardware thread. Results are bit-identical for every value
-  /// — every phase writes only shard-owned state (see docs/architecture.md,
+  /// — per-vertex state is written only by its owner shard and every
+  /// cross-shard write is an OR or a sum (see docs/architecture.md,
   /// "Intra-round sharding").
   std::size_t shard_threads = 1;
   /// Collect ShardTelemetry every round even without a tracing session (the

@@ -1,10 +1,10 @@
 #include "src/core/round_kernel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <functional>
-#include <span>
 
 #include "src/core/fast_engine.hpp"
 #include "src/core/kernel_simd.hpp"
@@ -208,36 +208,48 @@ beep::ChannelMask decide_packed(std::int32_t l, std::int32_t lmax,
 // crossers); dense chaos rounds run the O(active) passes as AVX-512 sweeps
 // (kernel_simd.hpp).
 //
-// The determinism contract is structural, not synchronized: the round is
-// cut at barriers, every phase writes only per-vertex state, counts, or mask
-// words the shard exclusively owns (shards are 64-vertex aligned), and every
-// cross-shard read is of state frozen by the previous barrier —
+// The determinism contract rests on barriers and commutativity: the round is
+// cut at barriers, every per-vertex write (levels, send, settled, the
+// active/capped mask bits) goes to the shard that owns the vertex (shards
+// are 64-vertex aligned), and every cross-shard read is of state frozen by
+// the previous barrier. The only cross-shard writes are row pushes — each
+// shard pushes ITS OWN beepers' and crossers' whole neighbor rows, once,
+// into whichever shard owns each neighbor — and every push is an OR or an
+// integer sum, so the result cannot depend on who pushes first:
 //   phase 1  decisions from the counter draws (a pure function of
 //            (seed, vertex, round)) -> send bytes + a shard-local coin
-//            frontier; the dense rounds run the AVX-512 decide sweep over
-//            the shard's range;
-//   stamp    each shard ORs EVERY shard's coin beepers' CSR sub-ranges
-//            (neighborhoods are sorted, so one binary search per row) into
-//            its own heard-mask words — always a push, so no cost-dependent
-//            mode switch can depend on the shard count;
+//            frontier, and the shard zeroes its own heard-mask words; the
+//            dense rounds run the AVX-512 decide sweep over the shard's
+//            range;
+//   stamp    each shard ORs its coin beepers' rows into the heard mask —
+//            always a push, so no cost-dependent mode switch can depend on
+//            the shard count;
 //   phase 2  heard in O(1) per vertex from prominent_nb_ counts + the
 //            heard mask, update -> shard-owned levels, boundary-crosser
 //            deltas (dp/dc) and capped-mask bits; dense rounds use the
 //            masked AVX-512 update sweep;
-//   apply    each shard applies EVERY shard's dp/dc crosser rows to its
-//            own count entries and harvests its settle candidates;
+//   apply    each shard adds its crossers' dp/dc deltas into the neighbors'
+//            counts; a decrement that takes an uncapped count to zero
+//            routes that neighbor to its owner shard as a settle candidate;
 //   phase 3a member-settle test on the (now frozen) counts, recording new
 //            members shard-locally;
-//   fold     the coordinator applies new members' cross-shard mask bits
-//            and the mis/census tallies in ascending shard order;
+//   fold     each shard clears its new members' active bits and ORs their
+//            rows into the member-neighbor mask;
 //   phase 3b dominated settlement, word-parallel over shard-owned words.
-// Every value written is therefore a pure function of pre-barrier state
-// plus commutative integer sums, so levels, censuses and events are
-// byte-identical for ANY shard/thread count and equal to the scalar
-// oracle's stream (tests/test_kernels.cpp). At one shard every row is
-// walked whole and each phase body is called inline — no pool batch, no
-// TaskPool::Observer callback — so the serial round costs only its
-// Σdeg(frontier) + Σdeg(crossers) neighborhood work.
+// With several shards two of them can push into the same mask word or
+// count at once, so stamp, apply and fold push with relaxed atomic RMWs
+// (std::atomic_ref) and the next barrier publishes them. Counts never go
+// negative — a neighbor that reaches its cap was counted as uncapped before
+// the round — so a count that ends at zero was last written by a decrement
+// from one, and its vertex is always routed. Candidate order and
+// multiplicity do depend on the interleaving, but 3a rechecks the exact
+// predicate of each, so the settled set does not. Levels, censuses and
+// events are therefore byte-identical for ANY shard/thread count and equal
+// to the scalar oracle's stream (tests/test_kernels.cpp). At one shard the
+// pushes are plain loads and stores and each phase body is called inline —
+// no pool batch, no TaskPool::Observer callback, no lock-prefixed RMW — so
+// the serial round costs only its Σdeg(frontier) + Σdeg(crossers)
+// neighborhood work.
 // ---------------------------------------------------------------------------
 template <typename Policy>
 class ShardedKernel final : public RoundKernel<Policy> {
@@ -263,6 +275,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
       sh.word_hi = std::min((i + 1) * shard_words_, words_);
       sh.v_lo = static_cast<graph::VertexId>(std::min(sh.word_lo * 64, n));
       sh.v_hi = static_cast<graph::VertexId>(std::min(sh.word_hi * 64, n));
+      if (s > 1) sh.routed.resize(s);
     }
     active_mask_.assign(words_, 0);
     member_nb_mask_.assign(words_, 0);
@@ -274,11 +287,13 @@ class ShardedKernel final : public RoundKernel<Policy> {
     // members so parallel_for never rebuilds a std::function per call.
     rebuild_fn_ = [this](std::size_t si) { rebuild_shard(si); };
     phase1_fn_ = [this](std::size_t si) { phase1(si); };
-    stamp_fn_ = [this](std::size_t si) { stamp(si); };
     phase2_fn_ = [this](std::size_t si) { phase2(si); };
-    apply_fn_ = [this](std::size_t si) { apply(si); };
     phase3a_fn_ = [this](std::size_t si) { phase3a(si); };
     phase3b_fn_ = [this](std::size_t si) { phase3b(si); };
+    if (s > 1)
+      bind_pushes<true>();
+    else
+      bind_pushes<false>();
     // Telemetry wrapper, bound once like the phase bodies: clocks the task
     // body into the shard's own busy tally (shard-owned, so no contention;
     // the pool's batch mutex orders the timed_inner_ hand-off).
@@ -302,7 +317,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
     // per-shard loops visit exactly the vertices every serial kernel visits.
     for (Shard& sh : shards_) sh.active.clear();
     for (graph::VertexId v : *ctx_.active)
-      shards_[(v >> 6) / shard_words_].active.push_back(v);
+      shards_[owner(v)].active.push_back(v);
   }
 
   void step_sparse(std::uint64_t round, bool observing,
@@ -324,44 +339,28 @@ class ShardedKernel final : public RoundKernel<Policy> {
     }
 
     run_phase(0, phase1_fn_);  // shard.decide
-    // Barrier: stamp reads every shard's coin frontier.
+    // Barrier: every shard zeroed its heard words before any pushes there.
     run_phase(1, stamp_fn_);  // shard.stamp
-    // Barrier: phase 2 reads any shard's heard words and counts.
+    // Barrier: phase 2 reads its own heard words and counts.
     run_phase(2, phase2_fn_);  // shard.update
-    // Barrier: apply reads every shard's crosser lists.
+    // Barrier: every shard read its counts before any pushes there.
     run_phase(3, apply_fn_);  // shard.apply
-    // Barrier: 3a reads the (now frozen) counts.
+    // Barrier: 3a reads the (now frozen) counts and routed candidates.
     run_phase(4, phase3a_fn_);  // shard.settle (member half)
     full_scan_ = false;
+    // 3a and the fold touch disjoint state; the fold is a phase of its own
+    // so that its cost is timed apart.
+    run_phase(5, fold_fn_);  // shard.fold
+    // Barrier: 3b reads the member-neighbor words the fold just wrote.
+    run_phase(4, phase3b_fn_);  // shard.settle (dominated half)
 
-    // Coordinator fold, ascending shard order: the round's only cross-shard
-    // writes (a new member's mask bits span other shards' words) plus the
-    // mis tally. All OR-sets and integer sums — commutative, so the
-    // ascending order is a convention the serial stream shares, not a
-    // correctness requirement.
+    // Coordinator tally, ascending shard order: integer sums only, so the
+    // order is a convention, not a correctness requirement.
     TelClock::time_point f0;
     if (tel_round_) f0 = TelClock::now();
     bool any_settled = false;
-    for (Shard& sh : shards_) {
-      *ctx_.mis_count += sh.mis_settled;
-      for (graph::VertexId v : sh.new_members) {
-        active_mask_[v >> 6] &= ~(1ull << (v & 63u));
-        for (graph::VertexId u : ctx_.graph->neighbors(v))
-          member_nb_mask_[u >> 6] |= 1ull << (u & 63u);
-      }
-    }
-    if (tel_round_) {
-      const auto f1 = TelClock::now();
-      tel_phase_ns_[5] += elapsed_ns(f0, f1);
-      if (obs::Tracer::active())
-        obs::Tracer::complete(kShardPhaseNames[5], f0, f1);
-    }
-
-    // Barrier above: 3b reads the member-neighbor words the fold just wrote.
-    run_phase(4, phase3b_fn_);  // shard.settle (dominated half)
-
-    if (tel_round_) f0 = TelClock::now();
     for (const Shard& sh : shards_) {
+      *ctx_.mis_count += sh.mis_settled;
       census.active_beeps[0] += sh.census.active_beeps[0];
       census.active_beeps[1] += sh.census.active_beeps[1];
       census.active_heard[0] += sh.census.active_heard[0];
@@ -413,6 +412,9 @@ class ShardedKernel final : public RoundKernel<Policy> {
     std::vector<graph::VertexId> coin;     ///< this round's coin beepers
     std::vector<Delta> dp, dc;             ///< this round's boundary crossers
     std::vector<graph::VertexId> settle_cand;  ///< member-settle candidates
+    /// Candidates this shard's apply found in shard d's range, read by d's
+    /// phase 3a (several shards only; one shard uses settle_cand).
+    std::vector<std::vector<graph::VertexId>> routed;
     // Compressed-store targets for one AVX-512 update-sweep chunk.
     std::vector<std::uint32_t> dp_idx, dc_idx, sc_idx;
     SparseCensus census;
@@ -474,6 +476,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
       coin += sh.coin.size();
       crossers += sh.dp.size() + sh.dc.size();
       cand += sh.settle_cand.size();
+      for (const auto& r : sh.routed) cand += r.size();
     }
     ++tel_rounds_;
     tel_busy_ns_ += busy;
@@ -505,17 +508,43 @@ class ShardedKernel final : public RoundKernel<Policy> {
     }
   }
 
-  /// Restrict a CSR row to the shard's own vertices. Neighborhoods are
-  /// sorted (enforced at graph build), so the intersection is two binary
-  /// searches plus a contiguous sub-span — across all shards each neighbor
-  /// is visited exactly once, and at one shard this is the whole row.
-  std::span<const graph::VertexId> nb_range(graph::VertexId v,
-                                            const Shard& sh) const {
-    const auto nb = ctx_.graph->neighbors(v);
-    if (shards_.size() == 1) return nb;
-    const auto first = std::lower_bound(nb.begin(), nb.end(), sh.v_lo);
-    const auto last = std::lower_bound(first, nb.end(), sh.v_hi);
-    return {first, last};
+  /// Row-push primitives. With several shards, two shards can push into
+  /// the same mask word or count in one phase, so the writes are relaxed
+  /// atomic RMWs (the phase's closing barrier orders them before any
+  /// read). One shard keeps plain read-modify-writes: a lock-prefixed RMW
+  /// would only slow the serial round.
+  template <bool kShared>
+  static void set_bit(std::vector<std::uint64_t>& mask, graph::VertexId u) {
+    const std::uint64_t bit = 1ull << (u & 63u);
+    if constexpr (kShared)
+      std::atomic_ref<std::uint64_t>(mask[u >> 6])
+          .fetch_or(bit, std::memory_order_relaxed);
+    else
+      mask[u >> 6] |= bit;
+  }
+
+  /// Adds `d` (mod 2^32) to `count`; returns the count before the add.
+  template <bool kShared>
+  static std::uint32_t add_count(std::uint32_t& count, std::uint32_t d) {
+    if constexpr (kShared)
+      return std::atomic_ref<std::uint32_t>(count).fetch_add(
+          d, std::memory_order_relaxed);
+    const std::uint32_t before = count;
+    count = before + d;
+    return before;
+  }
+
+  /// Binds the row-push phases once the shard count is known.
+  template <bool kShared>
+  void bind_pushes() {
+    stamp_fn_ = [this](std::size_t si) { stamp<kShared>(shards_[si]); };
+    apply_fn_ = [this](std::size_t si) { apply<kShared>(shards_[si]); };
+    fold_fn_ = [this](std::size_t si) { fold<kShared>(shards_[si]); };
+  }
+
+  /// The shard that owns vertex v.
+  std::size_t owner(graph::VertexId v) const noexcept {
+    return (v >> 6) / shard_words_;
   }
 
   void rebuild_shard(std::size_t si) {
@@ -563,6 +592,10 @@ class ShardedKernel final : public RoundKernel<Policy> {
     sh.dp.clear();
     sh.dc.clear();
     sh.settle_cand.clear();
+    for (auto& r : sh.routed) r.clear();
+    // Every shard's stamp pushes into these words after the barrier.
+    std::fill(heard_coin_mask_.begin() + sh.word_lo,
+              heard_coin_mask_.begin() + sh.word_hi, 0);
     auto& send = *ctx_.send;
     const auto& levels = *ctx_.levels;
     const auto& lmax = *ctx_.lmax;
@@ -599,19 +632,15 @@ class ShardedKernel final : public RoundKernel<Policy> {
     }
   }
 
-  void stamp(std::size_t si) {
-    // Partitioned push: the shard rebuilds its own heard-mask words from
-    // EVERY shard's coin frontier (certain beepers are already covered by
-    // the neighbors' prominent_nb_ counts). Settled targets are stamped
-    // too, which answers the dominated census in O(1).
-    const Shard& sh = shards_[si];
-    std::fill(heard_coin_mask_.begin() + sh.word_lo,
-              heard_coin_mask_.begin() + sh.word_hi, 0);
-    for (const Shard& other : shards_) {
-      for (graph::VertexId b : other.coin)
-        for (graph::VertexId u : nb_range(b, sh))
-          heard_coin_mask_[u >> 6] |= 1ull << (u & 63u);
-    }
+  template <bool kShared>
+  void stamp(const Shard& sh) {
+    // Push the shard's coin beepers' whole rows into the heard mask
+    // (certain beepers are already covered by the neighbors' prominent_nb_
+    // counts). Settled targets are stamped too, which answers the
+    // dominated census in O(1).
+    for (graph::VertexId b : sh.coin)
+      for (graph::VertexId u : ctx_.graph->neighbors(b))
+        set_bit<kShared>(heard_coin_mask_, u);
   }
 
   void phase2(std::size_t si) {
@@ -710,36 +739,38 @@ class ShardedKernel final : public RoundKernel<Policy> {
     }
   }
 
-  void apply(std::size_t si) {
-    // Partitioned deferred count maintenance: the shard applies EVERY
-    // shard's boundary crossers to its own count entries (the set bits of
-    // a crosser's row restricted to this shard's words are this shard's
-    // vertices). A dc of +1 means the crosser *reached* its cap, so its
-    // neighbors lose an uncapped neighbor — and one whose count hits zero
-    // becomes a member-settle candidate. Sums commute, so the visit order
-    // cannot affect the result.
-    Shard& sh = shards_[si];
-    for (const Shard& other : shards_) {
-      for (const auto& [cv, d] : other.dp) {
-        for (graph::VertexId u : nb_range(cv, sh))
-          prominent_nb_[u] = static_cast<std::uint32_t>(
-              static_cast<std::int64_t>(prominent_nb_[u]) + d);
-      }
-      for (const auto& [cv, d] : other.dc) {
-        if (d > 0) {
-          for (graph::VertexId u : nb_range(cv, sh))
-            if (--uncapped_nb_[u] == 0) sh.settle_cand.push_back(u);
-        } else {
-          for (graph::VertexId u : nb_range(cv, sh)) ++uncapped_nb_[u];
+  template <bool kShared>
+  void apply(Shard& sh) {
+    // Deferred count maintenance: the shard pushes its own boundary
+    // crossers' deltas into their neighbors' counts. A dc of +1 means the
+    // crosser *reached* its cap, so its neighbors lose an uncapped neighbor
+    // — and one whose count drops to zero becomes a member-settle candidate
+    // of the shard that owns it. Sums commute, so the push order cannot
+    // affect the final counts.
+    const graph::Graph& g = *ctx_.graph;
+    for (const auto& [cv, d] : sh.dp)
+      for (graph::VertexId u : g.neighbors(cv))
+        add_count<kShared>(prominent_nb_[u], static_cast<std::uint32_t>(d));
+    for (const auto& [cv, d] : sh.dc) {
+      if (d > 0) {
+        for (graph::VertexId u : g.neighbors(cv)) {
+          if (add_count<kShared>(uncapped_nb_[u], ~0u) != 1) continue;
+          if constexpr (kShared)
+            sh.routed[owner(u)].push_back(u);
+          else
+            sh.settle_cand.push_back(u);
         }
+      } else {
+        for (graph::VertexId u : g.neighbors(cv))
+          add_count<kShared>(uncapped_nb_[u], 1);
       }
     }
   }
 
   void phase3a(std::size_t si) {
     // Member settlement in O(1) per candidate from the frozen counts;
-    // only the shard-owned settled byte is written here — the cross-shard
-    // member/active/member-neighbor bits wait for the coordinator fold.
+    // only the shard-owned settled byte is written here — the member's
+    // active bit and its neighbors' member-neighbor bits wait for the fold.
     // Candidate-driven in the steady state; the round after a rebuild
     // re-seeds with one full scan of the shard's slice. Stale or duplicate
     // candidates are harmless — each entry rechecks the exact predicate.
@@ -756,10 +787,25 @@ class ShardedKernel final : public RoundKernel<Policy> {
       sh.any_settled = true;
       sh.new_members.push_back(v);
     };
-    if (full_scan_)
+    if (full_scan_) {
       for (graph::VertexId v : sh.active) try_settle(v);
-    else
-      for (graph::VertexId v : sh.settle_cand) try_settle(v);
+      return;
+    }
+    for (graph::VertexId v : sh.settle_cand) try_settle(v);
+    if (shards_.size() == 1) return;
+    for (const Shard& other : shards_)
+      for (graph::VertexId v : other.routed[si]) try_settle(v);
+  }
+
+  template <bool kShared>
+  void fold(const Shard& sh) {
+    // A new member leaves the active mask (its own word) and marks every
+    // neighbor as having a member neighbor (any shard's words).
+    for (graph::VertexId v : sh.new_members) {
+      active_mask_[v >> 6] &= ~(1ull << (v & 63u));
+      for (graph::VertexId u : ctx_.graph->neighbors(v))
+        set_bit<kShared>(member_nb_mask_, u);
+    }
   }
 
   void phase3b(std::size_t si) {
@@ -804,7 +850,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
   std::function<void(std::size_t)> rebuild_fn_;
   std::function<void(std::size_t)> phase1_fn_, stamp_fn_;
   std::function<void(std::size_t)> phase2_fn_, apply_fn_;
-  std::function<void(std::size_t)> phase3a_fn_, phase3b_fn_;
+  std::function<void(std::size_t)> phase3a_fn_, fold_fn_, phase3b_fn_;
   // Phase telemetry (see ShardTelemetry): cumulative over instrumented
   // rounds, all coordinator-owned — workers only ever write their own
   // shard's busy_ns through timed_fn_.

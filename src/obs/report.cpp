@@ -20,6 +20,11 @@ namespace {
 
 constexpr std::string_view kStabSuffix = ".rounds_to_stabilize";
 constexpr std::string_view kInstrSuffix = ".instructions";
+constexpr std::string_view kCpuSuffix = ".cpu_ns";
+constexpr std::string_view kRealSuffix = ".real_ns";
+/// Benchmarks registered with UseRealTime() carry this name suffix; their
+/// cpu_ns counts only the main thread, so they are gated on real_ns too.
+constexpr std::string_view kRealTimeName = "/real_time";
 
 /// Context values in profile documents are strings (PerfSession::set_context
 /// is string->string); tolerate a raw number anyway.
@@ -33,6 +38,50 @@ std::uint64_t context_u64(const JsonValue& ctx, const char* key) {
 bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// Splits a bench capture's gauges into the gated maps, keyed by the
+/// benchmark name: every cpu_ns, the real_ns of real-time benchmarks, and
+/// the instruction counts.
+void read_bench_gauges(const JsonValue& doc,
+                       std::map<std::string, double>* cpu_ns,
+                       std::map<std::string, double>* real_ns,
+                       std::map<std::string, double>* instr) {
+  for (const auto& [name, g] : doc.get("metrics").get("gauges").object) {
+    const std::string_view view = name;
+    if (ends_with(view, kCpuSuffix)) {
+      (*cpu_ns)[name.substr(0, name.size() - kCpuSuffix.size())] =
+          g.as_number();
+    } else if (ends_with(view, kRealSuffix)) {
+      const std::string bench =
+          name.substr(0, name.size() - kRealSuffix.size());
+      if (ends_with(bench, kRealTimeName)) (*real_ns)[bench] = g.as_number();
+    } else if (ends_with(view, kInstrSuffix)) {
+      (*instr)[name.substr(0, name.size() - kInstrSuffix.size())] =
+          g.as_number();
+    }
+  }
+}
+
+/// current/baseline pairs of one gated metric, in benchmark-name order.
+void append_deltas(const std::map<std::string, double>& current,
+                   const std::map<std::string, double>& baseline,
+                   const char* metric,
+                   std::vector<ReportBuilder::BenchDelta>* out) {
+  for (const auto& [name, now] : current) {
+    const auto it = baseline.find(name);
+    if (it == baseline.end() || it->second <= 0.0) continue;
+    out->push_back({name, metric, it->second, now, now / it->second});
+  }
+}
+
+/// The deltas above `tolerance`, worst first.
+std::vector<ReportBuilder::BenchDelta> over_tolerance(
+    std::vector<ReportBuilder::BenchDelta> deltas, double tolerance) {
+  std::erase_if(deltas, [&](const auto& d) { return d.ratio <= 1.0 + tolerance; });
+  std::sort(deltas.begin(), deltas.end(),
+            [](const auto& a, const auto& b) { return a.ratio > b.ratio; });
+  return deltas;
 }
 
 std::string fmt(const char* format, double v) {
@@ -124,13 +173,8 @@ bool ReportBuilder::add_document(const JsonValue& doc,
     if (dirty.type == JsonValue::Type::Bool && dirty.boolean)
       dirty_sources_.push_back(source);
     accumulate_stabilization(doc);
-    for (const auto& [name, g] : doc.get("metrics").get("gauges").object) {
-      if (ends_with(name, ".cpu_ns"))
-        current_cpu_ns_[name.substr(0, name.size() - 7)] = g.as_number();
-      else if (ends_with(name, kInstrSuffix))
-        current_instr_[name.substr(0, name.size() - kInstrSuffix.size())] =
-            g.as_number();
-    }
+    read_bench_gauges(doc, &current_cpu_ns_, &current_real_ns_,
+                      &current_instr_);
     return true;
   }
   if (schema == "beepmis.profile.v1") {
@@ -347,14 +391,10 @@ bool ReportBuilder::set_baseline(const JsonValue& doc,
     return false;
   }
   baseline_cpu_ns_.clear();
+  baseline_real_ns_.clear();
   baseline_instr_.clear();
-  for (const auto& [name, g] : doc.get("metrics").get("gauges").object) {
-    if (ends_with(name, ".cpu_ns"))
-      baseline_cpu_ns_[name.substr(0, name.size() - 7)] = g.as_number();
-    else if (ends_with(name, kInstrSuffix))
-      baseline_instr_[name.substr(0, name.size() - kInstrSuffix.size())] =
-          g.as_number();
-  }
+  read_bench_gauges(doc, &baseline_cpu_ns_, &baseline_real_ns_,
+                    &baseline_instr_);
   if (baseline_cpu_ns_.empty()) {
     if (error != nullptr)
       *error = source + ": baseline has no *.cpu_ns gauges";
@@ -378,46 +418,30 @@ bool ReportBuilder::set_baseline(const JsonValue& doc,
 std::vector<ReportBuilder::BenchDelta> ReportBuilder::bench_deltas() const {
   std::vector<BenchDelta> out;
   if (!have_baseline_) return out;
-  for (const auto& [name, current] : current_cpu_ns_) {
-    const auto it = baseline_cpu_ns_.find(name);
-    if (it == baseline_cpu_ns_.end() || it->second <= 0.0) continue;
-    out.push_back({name, it->second, current, current / it->second});
-  }
+  append_deltas(current_cpu_ns_, baseline_cpu_ns_, "cpu_ns", &out);
+  append_deltas(current_real_ns_, baseline_real_ns_, "real_ns", &out);
+  std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.name < b.name;
+  });
   return out;
 }
 
 std::vector<ReportBuilder::BenchDelta> ReportBuilder::regressions(
     double tolerance) const {
-  std::vector<BenchDelta> out;
-  for (const BenchDelta& d : bench_deltas())
-    if (d.ratio > 1.0 + tolerance) out.push_back(d);
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.ratio > b.ratio;
-  });
-  return out;
+  return over_tolerance(bench_deltas(), tolerance);
 }
 
 std::vector<ReportBuilder::BenchDelta> ReportBuilder::instruction_deltas()
     const {
   std::vector<BenchDelta> out;
-  if (!have_baseline_) return out;
-  for (const auto& [name, current] : current_instr_) {
-    const auto it = baseline_instr_.find(name);
-    if (it == baseline_instr_.end() || it->second <= 0.0) continue;
-    out.push_back({name, it->second, current, current / it->second});
-  }
+  if (have_baseline_)
+    append_deltas(current_instr_, baseline_instr_, "instructions", &out);
   return out;
 }
 
 std::vector<ReportBuilder::BenchDelta> ReportBuilder::instruction_regressions(
     double tolerance) const {
-  std::vector<BenchDelta> out;
-  for (const BenchDelta& d : instruction_deltas())
-    if (d.ratio > 1.0 + tolerance) out.push_back(d);
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.ratio > b.ratio;
-  });
-  return out;
+  return over_tolerance(instruction_deltas(), tolerance);
 }
 
 std::vector<ReportBuilder::StabRow> ReportBuilder::stabilization_rows()
@@ -928,12 +952,12 @@ void ReportBuilder::write_markdown(std::ostream& os,
             "across " << bench_deltas().size() << " compared benchmarks.\n";
     } else {
       os << "**" << regs.size() << " regression(s):**\n\n";
-      os << "| benchmark | baseline cpu_ns | current cpu_ns | ratio |\n";
-      os << "|---|---:|---:|---:|\n";
+      os << "| benchmark | metric | baseline | current | ratio |\n";
+      os << "|---|---|---:|---:|---:|\n";
       for (const BenchDelta& d : regs) {
-        os << "| " << d.name << " | " << fmt("%.0f", d.baseline_cpu_ns)
-           << " | " << fmt("%.0f", d.current_cpu_ns) << " | "
-           << fmt("%.3f", d.ratio) << " |\n";
+        os << "| " << d.name << " | " << d.metric << " | "
+           << fmt("%.0f", d.baseline) << " | " << fmt("%.0f", d.current)
+           << " | " << fmt("%.3f", d.ratio) << " |\n";
       }
     }
     os << '\n';
@@ -951,8 +975,8 @@ void ReportBuilder::write_markdown(std::ostream& os,
         os << "| benchmark | baseline instr | current instr | ratio |\n";
         os << "|---|---:|---:|---:|\n";
         for (const BenchDelta& d : iregs) {
-          os << "| " << d.name << " | " << fmt("%.0f", d.baseline_cpu_ns)
-             << " | " << fmt("%.0f", d.current_cpu_ns) << " | "
+          os << "| " << d.name << " | " << fmt("%.0f", d.baseline)
+             << " | " << fmt("%.0f", d.current) << " | "
              << fmt("%.3f", d.ratio) << " |\n";
         }
       }
@@ -1178,8 +1202,9 @@ void ReportBuilder::write_json(std::ostream& os, double tolerance) const {
     for (const BenchDelta& d : regressions(tolerance)) {
       w.begin_object();
       w.field("benchmark", d.name);
-      w.field("baseline_cpu_ns", d.baseline_cpu_ns);
-      w.field("current_cpu_ns", d.current_cpu_ns);
+      w.field("metric", d.metric);
+      w.field("baseline_" + d.metric, d.baseline);
+      w.field("current_" + d.metric, d.current);
       w.field("ratio", d.ratio);
       w.end_object();
     }
@@ -1189,8 +1214,8 @@ void ReportBuilder::write_json(std::ostream& os, double tolerance) const {
     for (const BenchDelta& d : instruction_regressions(tolerance)) {
       w.begin_object();
       w.field("benchmark", d.name);
-      w.field("baseline_instructions", d.baseline_cpu_ns);
-      w.field("current_instructions", d.current_cpu_ns);
+      w.field("baseline_instructions", d.baseline);
+      w.field("current_instructions", d.current);
       w.field("ratio", d.ratio);
       w.end_object();
     }

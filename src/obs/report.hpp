@@ -28,8 +28,8 @@ namespace beepmis::obs {
 /// fast-vs-reference speedups, sink and digest overheads, span-duration
 /// quantiles, hardware-efficiency metrics (IPC, instructions/round,
 /// cache-misses/edge, branch-miss rate), and an optional baseline
-/// comparison that flags benchmark regressions — cpu_ns and instruction
-/// counts — for CI gating. Renders markdown for humans and a
+/// comparison that flags benchmark regressions — cpu_ns, the real_ns of
+/// real-time benchmarks, and instruction counts — for CI gating. Renders markdown for humans and a
 /// "beepmis.report.v1" JSON document for machines.
 class ReportBuilder {
  public:
@@ -52,12 +52,13 @@ class ReportBuilder {
     bool approximate = false;  ///< histogram envelope, not digest/exact
   };
 
-  /// One benchmark time compared against the baseline capture.
+  /// One benchmark gauge compared against the baseline capture.
   struct BenchDelta {
-    std::string name;           ///< gauge prefix, e.g. "BM_EngineRun/v1_fast/1024"
-    double baseline_cpu_ns = 0.0;
-    double current_cpu_ns = 0.0;
-    double ratio = 0.0;         ///< current / baseline (> 1 means slower)
+    std::string name;    ///< gauge prefix, e.g. "BM_EngineRun/v1_fast/1024"
+    std::string metric;  ///< "cpu_ns", "real_ns" or "instructions"
+    double baseline = 0.0;
+    double current = 0.0;
+    double ratio = 0.0;  ///< current / baseline (> 1 means slower)
   };
 
   /// Fast-vs-reference engine pairing derived from
@@ -215,8 +216,12 @@ class ReportBuilder {
   bool set_baseline(const JsonValue& doc, const std::string& source,
                     std::string* error);
 
-  /// Benchmarks whose cpu_ns grew by more than `tolerance` (fractional; 0.10
-  /// = +10%) relative to the baseline. Empty when no baseline is set.
+  /// Benchmark times that grew by more than `tolerance` (fractional; 0.10
+  /// = +10%) relative to the baseline, worst first: every benchmark's
+  /// cpu_ns, and also the real_ns of UseRealTime benchmarks (names ending
+  /// in "/real_time"), whose cpu_ns counts only the main thread and would
+  /// miss a wall-time regression of their workers. Empty when no baseline
+  /// is set.
   std::vector<BenchDelta> regressions(double tolerance) const;
 
   std::vector<StabRow> stabilization_rows() const;
@@ -238,13 +243,14 @@ class ReportBuilder {
   const std::vector<DumpAnomaly>& dump_anomalies() const noexcept {
     return dump_anomalies_;
   }
-  /// All baseline-vs-current pairs (not just regressions), sorted by name.
+  /// All gated time pairs (not just regressions), sorted by name, cpu_ns
+  /// before real_ns.
   std::vector<BenchDelta> bench_deltas() const;
 
   /// Instruction-count comparison against the baseline, from the
   /// ".instructions" gauges the bench capture records when the host grants
-  /// hardware counters. Same BenchDelta shape with instruction counts in
-  /// the *_cpu_ns fields; empty when either side lacks the gauges.
+  /// hardware counters, as "instructions" BenchDeltas; empty when either
+  /// side lacks the gauges.
   /// Instruction counts are far less noisy than cpu_ns, so they catch real
   /// code-path growth that timing jitter hides.
   std::vector<BenchDelta> instruction_deltas() const;
@@ -358,6 +364,8 @@ class ReportBuilder {
   std::map<StabKey, ProfileAccum> profile_;
   std::map<std::string, double> current_cpu_ns_;   // gauge prefix -> cpu_ns
   std::map<std::string, double> baseline_cpu_ns_;
+  std::map<std::string, double> current_real_ns_;  // "/real_time" benchmarks
+  std::map<std::string, double> baseline_real_ns_;
   std::map<std::string, double> current_instr_;    // ".instructions" gauges
   std::map<std::string, double> baseline_instr_;
   std::vector<DumpAnomaly> dump_anomalies_;

@@ -9,6 +9,7 @@
 #include "src/core/engine.hpp"
 #include "src/core/fast_engine.hpp"
 #include "src/graph/generators.hpp"
+#include "src/graph/graph.hpp"
 #include "src/support/task_pool.hpp"
 
 namespace beepmis::core {
@@ -19,8 +20,9 @@ namespace {
 // stream, round for round, from any starting configuration, under full and
 // half duplex, across mid-run corruption — at EVERY shard count. The worker
 // count only changes who computes each word, never what is computed: coins
-// are pure functions of (seed, node, round), every phase writes only
-// shard-owned state, and the coordinator folds in ascending shard order.
+// are pure functions of (seed, node, round), every per-vertex write is
+// shard-owned, and the only cross-shard writes — row pushes into heard
+// words, neighbor counts and member-neighbor words — are ORs and sums.
 //
 // Every case runs twice: observed (an EventLog on both engines, so each
 // event is compared) and unobserved. Both take the sharded kernel's dense
@@ -191,6 +193,73 @@ TEST(Kernels, MultiChunkSweepMatchesScalar) {
   const auto g = graph::make_erdos_renyi_avg_degree(9000, 8.0, grng);
   check_lockstep<Alg1Policy>(g, lmax_global_delta(g), 101, 17, 120);
   check_lockstep<Alg2Policy>(g, lmax_one_hop(g), 102, 18, 120);
+}
+
+/// Two hubs adjacent to every vertex over a sparse ER background, on
+/// n = 64·60 + 37 vertices: 61 mask words, so 8 workers make 8 non-empty
+/// shards (the last one 5 words, ending in a ragged 37-vertex word). Every
+/// hub row spans every shard, so all 8 shards push into the same words and
+/// counts in the same phase.
+graph::Graph make_hubbed_background() {
+  constexpr std::size_t n = 64 * 60 + 37;
+  support::Rng grng(38);
+  const auto bg = graph::make_erdos_renyi_avg_degree(n, 4.0, grng);
+  graph::GraphBuilder b(n, "hubs2_er_n3877");
+  for (graph::VertexId v = 0; v < n; ++v) {
+    for (graph::VertexId u : bg.neighbors(v))
+      if (u > v) b.add_edge(v, u);
+    if (v != 0) b.add_edge(0, v);
+    if (v != n - 1) b.add_edge(v, static_cast<graph::VertexId>(n - 1));
+  }
+  return std::move(b).build();
+}
+
+TEST(Kernels, MultiShardRowPushesMatchScalar) {
+  // Rows that cross every shard boundary, pushed concurrently by up to 8
+  // shards: the relaxed atomic pushes of stamp, apply and fold must land
+  // the oracle's counts and masks, and a count that several shards drive
+  // to zero must still route its vertex to the owner's settle candidates.
+  const auto g = make_hubbed_background();
+  const std::vector<int> waves = {50, 140};
+  for (beep::Duplex duplex : {beep::Duplex::Full, beep::Duplex::Half}) {
+    check_lockstep<Alg1Policy>(g, lmax_global_delta(g), 201, 21, 260, duplex,
+                               waves, 300);
+    check_lockstep<Alg2Policy>(g, lmax_one_hop(g), 202, 22, 260, duplex,
+                               waves, 300);
+  }
+}
+
+TEST(Kernels, ShardTelemetryWorkCountersIgnoreShardCount) {
+  // The vertex tallies (active, coin beepers, crosser rows) are functions
+  // of the trajectory alone; only timings and settled_candidates (which
+  // follow the push interleaving) may differ between shard counts.
+  const auto g = make_hubbed_background();
+  const auto lmax = lmax_global_delta(g);
+  std::vector<ShardTelemetry> tel;
+  for (std::size_t st : {1, 3, 8}) {
+    FastEngine<Alg1Policy> e(g, lmax, 203, {}, beep::Duplex::Full,
+                             KernelKind::Sharded, st,
+                             /*phase_telemetry=*/true);
+    support::Rng irng(23);
+    for (graph::VertexId v = 0; v < g.vertex_count(); ++v) e.corrupt(v, irng);
+    support::Rng frng(24);
+    for (int r = 0; r < 200; ++r) {
+      if (r == 60) corrupt_random(e, 300, frng);
+      e.step();
+    }
+    ShardTelemetry t;
+    ASSERT_TRUE(e.shard_telemetry(&t)) << st;
+    EXPECT_EQ(t.shards, st);
+    EXPECT_EQ(t.rounds, 200u) << st;
+    tel.push_back(t);
+  }
+  EXPECT_GT(tel[0].coin_beepers, 0u);
+  EXPECT_GT(tel[0].crosser_rows, 0u);
+  for (std::size_t i = 1; i < tel.size(); ++i) {
+    EXPECT_EQ(tel[i].active_vertices, tel[0].active_vertices) << i;
+    EXPECT_EQ(tel[i].coin_beepers, tel[0].coin_beepers) << i;
+    EXPECT_EQ(tel[i].crosser_rows, tel[0].crosser_rows) << i;
+  }
 }
 
 TEST(Kernels, AutoResolvesToSharded) {

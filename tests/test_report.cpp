@@ -94,6 +94,47 @@ TEST(Report, SyntheticRegressionIsFlagged) {
   EXPECT_TRUE(b.regressions(0.30).empty());
 }
 
+TEST(Report, RealTimeBenchmarksAreGatedOnWallTime) {
+  // A UseRealTime benchmark whose workers slowed down: cpu_ns (the main
+  // thread only) stays flat while real_ns regresses by 30%. Benchmarks
+  // without the "/real_time" suffix stay gated on cpu_ns alone.
+  const auto capture = [](double real_ns) {
+    return std::string(R"({"schema": "beepmis.run.v1",
+      "build": {"git_sha": "abc", "git_dirty": false},
+      "metrics": {"gauges": {
+        "BM_SweepParallel/4/real_time.cpu_ns": 1000.0,
+        "BM_SweepParallel/4/real_time.real_ns": )") +
+           std::to_string(real_ns) + R"(,
+        "BM_RngBernoulliPow2/3.cpu_ns": 50.0,
+        "BM_RngBernoulliPow2/3.real_ns": )" +
+           std::to_string(real_ns) + "}}}";
+  };
+  obs::ReportBuilder b;
+  std::string error;
+  ASSERT_TRUE(b.add_document(parse(capture(13000.0).c_str()), "now.json",
+                             &error))
+      << error;
+  ASSERT_TRUE(b.set_baseline(parse(capture(10000.0).c_str()), "old.json",
+                             &error))
+      << error;
+  EXPECT_EQ(b.bench_deltas().size(), 3u);
+  const auto regs = b.regressions(0.10);
+  ASSERT_EQ(regs.size(), 1u);
+  EXPECT_EQ(regs[0].name, "BM_SweepParallel/4/real_time");
+  EXPECT_EQ(regs[0].metric, "real_ns");
+  EXPECT_NEAR(regs[0].ratio, 1.3, 1e-9);
+  EXPECT_TRUE(b.regressions(0.35).empty());
+
+  std::ostringstream js;
+  b.write_json(js, 0.10);
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::json_parse(js.str(), &doc, &error)) << error;
+  const obs::JsonValue& reg = doc.get("baseline").get("regressions");
+  ASSERT_EQ(reg.array.size(), 1u);
+  EXPECT_EQ(reg.array[0].get("metric").as_string(), "real_ns");
+  EXPECT_EQ(reg.array[0].get("current_real_ns").as_number(), 13000.0);
+}
+
 TEST(Report, SpeedupAndOverheadTablesFromGauges) {
   obs::ReportBuilder b;
   std::string error;

@@ -17,9 +17,11 @@
 /// flight-recorder anomalies; plus an optional "beepmis.report.v1" JSON
 /// document (--json-out).
 ///
-/// CI gating: with --baseline OLD.json, every shared *.cpu_ns benchmark is
-/// compared against the baseline capture and the tool exits 2 when any grew
-/// by more than --tolerance (fractional, default 0.10 = +10%). Shared
+/// CI gating: with --baseline OLD.json, every shared *.cpu_ns benchmark —
+/// and the *.real_ns of every shared "/real_time" benchmark, whose cpu_ns
+/// counts only the main thread — is compared against the baseline capture
+/// and the tool exits 2 when any grew by more than --tolerance (fractional,
+/// default 0.10 = +10%). Shared
 /// *.instructions gauges (recorded when the bench host grants hardware
 /// counters) are compared the same way. A dirty-tree manifest on either
 /// side of the comparison draws a loud stderr warning — such numbers may
@@ -76,8 +78,8 @@ int main(int argc, char** argv) {
                   "comma-separated input files (manifests, dumps, JSONL "
                   "event streams; kind auto-detected)");
   args.add_option("baseline", "",
-                  "beepmis.run.v1 bench capture to compare *.cpu_ns "
-                  "gauges against");
+                  "beepmis.run.v1 bench capture to compare *.cpu_ns, "
+                  "/real_time *.real_ns and *.instructions gauges against");
   args.add_option("tolerance", "0.10",
                   "fractional regression tolerance for --baseline gating");
   args.add_option("out", "", "write the markdown report here (default: stdout)");
