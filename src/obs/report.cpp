@@ -48,15 +48,14 @@ void read_bench_gauges(const JsonValue& doc,
                        std::map<std::string, double>* real_ns,
                        std::map<std::string, double>* instr) {
   for (const auto& [name, g] : doc.get("metrics").get("gauges").object) {
-    const std::string_view view = name;
-    if (ends_with(view, kCpuSuffix)) {
+    if (ends_with(name, kCpuSuffix)) {
       (*cpu_ns)[name.substr(0, name.size() - kCpuSuffix.size())] =
           g.as_number();
-    } else if (ends_with(view, kRealSuffix)) {
+    } else if (ends_with(name, kRealSuffix)) {
       const std::string bench =
           name.substr(0, name.size() - kRealSuffix.size());
       if (ends_with(bench, kRealTimeName)) (*real_ns)[bench] = g.as_number();
-    } else if (ends_with(view, kInstrSuffix)) {
+    } else if (ends_with(name, kInstrSuffix)) {
       (*instr)[name.substr(0, name.size() - kInstrSuffix.size())] =
           g.as_number();
     }
@@ -78,7 +77,8 @@ void append_deltas(const std::map<std::string, double>& current,
 /// The deltas above `tolerance`, worst first.
 std::vector<ReportBuilder::BenchDelta> over_tolerance(
     std::vector<ReportBuilder::BenchDelta> deltas, double tolerance) {
-  std::erase_if(deltas, [&](const auto& d) { return d.ratio <= 1.0 + tolerance; });
+  std::erase_if(deltas,
+                [&](const auto& d) { return d.ratio <= 1.0 + tolerance; });
   std::sort(deltas.begin(), deltas.end(),
             [](const auto& a, const auto& b) { return a.ratio > b.ratio; });
   return deltas;
