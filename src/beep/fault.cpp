@@ -1,6 +1,6 @@
 #include "src/beep/fault.hpp"
 
-#include <algorithm>
+#include <unordered_set>
 
 #include "src/obs/recovery.hpp"
 #include "src/support/check.hpp"
@@ -12,19 +12,29 @@ std::vector<graph::VertexId> FaultInjector::corrupt_random(
     obs::RecoveryTracker* recovery) {
   const std::size_t n = sim.graph().vertex_count();
   BEEPMIS_CHECK(count <= n, "cannot corrupt more nodes than exist");
-  // Floyd's algorithm for a uniform k-subset without building [0, n).
-  std::vector<graph::VertexId> chosen;
-  chosen.reserve(count);
-  for (std::size_t j = n - count; j < n; ++j) {
-    const auto t = static_cast<graph::VertexId>(rng.below(j + 1));
-    if (std::find(chosen.begin(), chosen.end(), t) == chosen.end())
-      chosen.push_back(t);
-    else
-      chosen.push_back(static_cast<graph::VertexId>(j));
-  }
+  const auto chosen = choose_distinct(n, count, rng);
   corrupt_nodes(sim, chosen, rng);
   if (recovery != nullptr)
     recovery->on_fault(sim.round(), "corrupt-random", chosen.size());
+  return chosen;
+}
+
+std::vector<graph::VertexId> FaultInjector::choose_distinct(
+    std::size_t n, std::size_t count, support::Rng& rng) {
+  BEEPMIS_CHECK(count <= n, "cannot choose more vertices than exist");
+  std::vector<graph::VertexId> chosen;
+  chosen.reserve(count);
+  std::unordered_set<graph::VertexId> seen;
+  seen.reserve(count);
+  for (std::size_t j = n - count; j < n; ++j) {
+    auto t = static_cast<graph::VertexId>(rng.below(j + 1));
+    // Every earlier pick is below j, so j itself is always still free.
+    if (!seen.insert(t).second) {
+      t = static_cast<graph::VertexId>(j);
+      seen.insert(t);
+    }
+    chosen.push_back(t);
+  }
   return chosen;
 }
 

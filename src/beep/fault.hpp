@@ -30,6 +30,14 @@ class FaultInjector {
       Simulation& sim, std::size_t count, support::Rng& rng,
       obs::RecoveryTracker* recovery = nullptr);
 
+  /// Floyd's algorithm for a uniform `count`-subset of [0, n) without
+  /// building [0, n): one rng.below draw per chosen vertex, O(count)
+  /// expected time. Shared by every corrupt_random so that the simulator
+  /// and engine paths pick identical subsets from identical streams.
+  static std::vector<graph::VertexId> choose_distinct(std::size_t n,
+                                                      std::size_t count,
+                                                      support::Rng& rng);
+
   /// Corrupts exactly the given nodes (targeted adversary).
   static void corrupt_nodes(Simulation& sim,
                             std::span<const graph::VertexId> nodes,

@@ -1,8 +1,8 @@
 #include "src/core/engine.hpp"
 
-#include <algorithm>
 #include <utility>
 
+#include "src/beep/fault.hpp"
 #include "src/core/fast_engine.hpp"
 #include "src/core/lmax.hpp"
 #include "src/core/selfstab_mis.hpp"
@@ -194,17 +194,7 @@ std::vector<graph::VertexId> corrupt_random(Engine& engine, std::size_t count,
                                             obs::RecoveryTracker* recovery) {
   const std::size_t n = engine.graph().vertex_count();
   BEEPMIS_CHECK(count <= n, "cannot corrupt more nodes than exist");
-  // Floyd's algorithm for a uniform k-subset — identical draw sequence to
-  // beep::FaultInjector::corrupt_random.
-  std::vector<graph::VertexId> chosen;
-  chosen.reserve(count);
-  for (std::size_t j = n - count; j < n; ++j) {
-    const auto t = static_cast<graph::VertexId>(rng.below(j + 1));
-    if (std::find(chosen.begin(), chosen.end(), t) == chosen.end())
-      chosen.push_back(t);
-    else
-      chosen.push_back(static_cast<graph::VertexId>(j));
-  }
+  const auto chosen = beep::FaultInjector::choose_distinct(n, count, rng);
   corrupt_nodes(engine, chosen, rng);
   if (recovery != nullptr)
     recovery->on_fault(engine.round(), "corrupt-random", chosen.size());

@@ -36,19 +36,13 @@ FastEngine<Policy>::FastEngine(const graph::Graph& g, LmaxVector lmax,
   // identically to beep::Simulation's so noisy runs stay draw-for-draw
   // compatible.
   noise_rng_ = support::Rng(seed).derive_stream(0x401533);
-  settled_.assign(n, 0);
   send_.assign(n, 0);
   heard_.assign(n, 0);
-  refresh_settlement();
   KernelContext<Policy> ctx;
   ctx.graph = graph_;
   ctx.lmax = &lmax_;
   ctx.levels = &levels_;
-  ctx.settled = &settled_;
-  ctx.active = &active_;
   ctx.send = &send_;
-  ctx.active_count = &active_count_;
-  ctx.mis_count = &mis_count_;
   ctx.seed = seed_;
   ctx.half = duplex_ == beep::Duplex::Half;
   ctx.shard_threads = shard_threads;
@@ -65,40 +59,29 @@ bool FastEngine<Policy>::shard_telemetry(ShardTelemetry* out) const {
 }
 
 template <typename Policy>
-bool FastEngine<Policy>::member_settled(graph::VertexId v) const {
-  if (levels_[v] != Policy::member_level(lmax_[v])) return false;
-  for (graph::VertexId u : graph_->neighbors(v))
-    if (levels_[u] != lmax_[u]) return false;
-  return true;
-}
-
-template <typename Policy>
-void FastEngine<Policy>::refresh_settlement() const {
+void FastEngine<Policy>::settle() const {
+  if (!kernel_stale_) return;
   obs::ScopedTimer timer(refresh_timer_, refresh_digest_,
                          "engine.refresh_settlement");
   obs::PerfSpanScope perf("engine.refresh_settlement");
-  dirty_ = false;
-  kernel_stale_ = true;
-  const std::size_t n = levels_.size();
-  std::fill(settled_.begin(), settled_.end(), 0);
-  mis_count_ = 0;
-  for (graph::VertexId v = 0; v < n; ++v)
-    if (member_settled(v)) {
-      settled_[v] = 1;
-      ++mis_count_;
-    }
-  for (graph::VertexId v = 0; v < n; ++v) {
-    if (settled_[v] || levels_[v] != lmax_[v]) continue;
-    for (graph::VertexId u : graph_->neighbors(v))
-      if (settled_[u] == 1) {
-        settled_[v] = 2;
-        break;
-      }
-  }
-  active_.clear();
-  for (graph::VertexId v = 0; v < n; ++v)
-    if (!settled_[v]) active_.push_back(v);
-  active_count_ = active_.size();
+  // Dense rounds never run the kernel, so they only need its settlement.
+  if (dense_)
+    kernel_->refresh_settlement();
+  else
+    kernel_->rebuild();
+  kernel_stale_ = false;
+}
+
+template <typename Policy>
+bool FastEngine<Policy>::is_stabilized() const {
+  settle();
+  return kernel_->active_count() == 0;
+}
+
+template <typename Policy>
+std::size_t FastEngine<Policy>::active_count() const {
+  settle();
+  return kernel_->active_count();
 }
 
 template <typename Policy>
@@ -107,93 +90,24 @@ void FastEngine<Policy>::set_level(graph::VertexId v, std::int32_t level) {
   BEEPMIS_CHECK(level >= Policy::min_level(lmax_[v]) && level <= lmax_[v],
                 "level outside the variant's admissible range");
   levels_[v] = level;
-  dirty_ = true;
+  kernel_stale_ = true;
 }
 
 template <typename Policy>
 void FastEngine<Policy>::corrupt(graph::VertexId v, support::Rng& rng) {
   BEEPMIS_CHECK(v < levels_.size(), "vertex out of range");
+  const std::int32_t old = levels_[v];
   levels_[v] = Policy::corrupt_level(lmax_[v], rng);
   // Under noise nothing is permanently settled anyway; with a refresh
-  // already pending the cache is stale regardless; and with nothing settled
-  // yet (e.g. the n corruption draws of a uniform-random init) one lazy
-  // refresh beats n local patches. Otherwise patch the cache locally: a
-  // single level change can only move settlement inside the corrupted
-  // vertex's 2-hop neighborhood.
-  if (dense_ || dirty_ || active_count_ == levels_.size()) {
-    dirty_ = true;
+  // already pending the settlement is stale regardless; and with nothing
+  // settled yet (e.g. the n corruption draws of a uniform-random init) one
+  // lazy refresh beats n local patches. Otherwise the kernel repairs its
+  // settlement in the corrupted vertex's 2-hop neighborhood.
+  if (dense_ || kernel_stale_ || kernel_->active_count() == levels_.size()) {
+    kernel_stale_ = true;
     return;
   }
-  resettle_neighborhood(v);
-}
-
-template <typename Policy>
-void FastEngine<Policy>::resettle_neighborhood(graph::VertexId v) {
-  kernel_stale_ = true;
-  // Membership can only change inside N[v] (it depends on a vertex's own
-  // level and its neighbors' caps, and only v's level changed); domination
-  // only inside {v} ∪ N(members that flipped). Each touched status is
-  // snapshotted once so the active list can be patched, not rebuilt.
-  std::vector<std::pair<graph::VertexId, std::uint8_t>> snapshot;
-  auto remember = [&](graph::VertexId u) {
-    for (const auto& [w, s] : snapshot)
-      if (w == u) return;
-    snapshot.emplace_back(u, settled_[u]);
-  };
-
-  std::vector<graph::VertexId> flipped;
-  auto recompute_member = [&](graph::VertexId u) {
-    const bool was = settled_[u] == 1;
-    const bool now = member_settled(u);
-    if (was == now) return;
-    remember(u);
-    flipped.push_back(u);
-    if (now) {
-      settled_[u] = 1;
-      ++mis_count_;
-    } else {
-      // An ex-member's level is not the cap (member and cap levels are
-      // disjoint for lmax ≥ 2), so it cannot be dominated; it re-activates.
-      settled_[u] = 0;
-      --mis_count_;
-    }
-  };
-  recompute_member(v);
-  for (graph::VertexId u : graph_->neighbors(v)) recompute_member(u);
-
-  auto recompute_dominated = [&](graph::VertexId w) {
-    if (settled_[w] == 1) return;  // membership (just recomputed) wins
-    bool dom = false;
-    if (levels_[w] == lmax_[w]) {
-      for (graph::VertexId u : graph_->neighbors(w))
-        if (settled_[u] == 1) {
-          dom = true;
-          break;
-        }
-    }
-    const auto s = static_cast<std::uint8_t>(dom ? 2 : 0);
-    if (settled_[w] == s) return;
-    remember(w);
-    settled_[w] = s;
-  };
-  recompute_dominated(v);
-  for (graph::VertexId u : flipped)
-    for (graph::VertexId w : graph_->neighbors(u)) recompute_dominated(w);
-
-  if (snapshot.empty()) return;
-  bool removed = false;
-  for (const auto& [u, old] : snapshot) {
-    if (old == 0 && settled_[u] != 0)
-      removed = true;
-    else if (old != 0 && settled_[u] == 0)
-      active_.push_back(u);
-  }
-  if (removed)
-    active_.erase(
-        std::remove_if(active_.begin(), active_.end(),
-                       [&](graph::VertexId u) { return settled_[u] != 0; }),
-        active_.end());
-  active_count_ = active_.size();
+  kernel_->patch(v, old);
 }
 
 template <typename Policy>
@@ -208,11 +122,7 @@ void FastEngine<Policy>::step() {
     step_dense();
     return;
   }
-  if (dirty_) refresh_settlement();
-  if (kernel_stale_) {
-    kernel_->rebuild();
-    kernel_stale_ = false;
-  }
+  settle();
   step_sparse();
 }
 
@@ -227,9 +137,9 @@ void FastEngine<Policy>::step_sparse() {
   // are transmitting anyway) and assembles the event.
   const bool observing = observer_ != nullptr;
   const std::size_t n = levels_.size();
-  const auto members_before = static_cast<std::uint32_t>(mis_count_);
-  const auto dominated_before =
-      static_cast<std::uint32_t>(n - active_count_ - mis_count_);
+  const auto members_before = static_cast<std::uint32_t>(kernel_->mis_count());
+  const auto dominated_before = static_cast<std::uint32_t>(
+      n - kernel_->active_count() - kernel_->mis_count());
 
   SparseCensus census;
   kernel_->step_sparse(round_, observing, census);
@@ -244,10 +154,12 @@ void FastEngine<Policy>::step_sparse() {
                          static_cast<double>(members_before +
                                              census.active_beeps[0] +
                                              census.active_beeps[1]));
-    obs::Tracer::counter("engine.active", static_cast<double>(active_count_));
+    obs::Tracer::counter("engine.active",
+                         static_cast<double>(kernel_->active_count()));
     obs::Tracer::counter("engine.stable",
-                         static_cast<double>(n - active_count_));
-    obs::Tracer::counter("engine.mis", static_cast<double>(mis_count_));
+                         static_cast<double>(n - kernel_->active_count()));
+    obs::Tracer::counter("engine.mis",
+                         static_cast<double>(kernel_->mis_count()));
   }
 
   if (observing) {
@@ -306,7 +218,7 @@ void FastEngine<Policy>::step_dense() {
   for (graph::VertexId v = 0; v < n; ++v)
     levels_[v] = Policy::update(levels_[v], lmax_[v], send_[v], heard_[v]);
   ++round_;
-  dirty_ = true;
+  kernel_stale_ = true;
 
   // Under noise nothing settles, so only the beep census makes a useful
   // counter track here; it is recomputed from send_ only on sampled rounds.
@@ -335,7 +247,7 @@ void FastEngine<Policy>::step_dense() {
     std::uint32_t prominent = 0;
     for (std::int32_t l : levels_) prominent += Policy::is_prominent(l) ? 1 : 0;
     ev.prominent = prominent;
-    refresh_settlement();  // events report |I_t|, |S_t| from current levels
+    settle();  // events report |I_t|, |S_t| from current levels
     finish_event(ev);
   }
 }
@@ -363,9 +275,9 @@ std::uint32_t FastEngine<Policy>::lemma31_census() const {
 template <typename Policy>
 void FastEngine<Policy>::finish_event(obs::RoundEvent& ev) const {
   const std::size_t n = levels_.size();
-  ev.mis = static_cast<std::uint32_t>(mis_count_);
-  ev.stable = static_cast<std::uint32_t>(n - active_count_);
-  ev.active = static_cast<std::uint32_t>(active_count_);
+  ev.mis = static_cast<std::uint32_t>(kernel_->mis_count());
+  ev.stable = static_cast<std::uint32_t>(n - kernel_->active_count());
+  ev.active = static_cast<std::uint32_t>(kernel_->active_count());
   if (observer_->wants_analysis()) {
     ev.lemma31_violations = lemma31_census();
     ev.has_analysis = true;
@@ -385,7 +297,7 @@ template <typename Policy>
 std::vector<bool> FastEngine<Policy>::mis_members() const {
   std::vector<bool> in(levels_.size(), false);
   for (graph::VertexId v = 0; v < levels_.size(); ++v)
-    in[v] = member_settled(v);
+    in[v] = settles_as_member<Policy>(*graph_, lmax_, levels_, v);
   return in;
 }
 

@@ -20,8 +20,8 @@ namespace beepmis::core {
 /// bundle of the per-algorithm pieces — channel count, beep decision, level
 /// update, membership encoding, corruption range — while the engine owns
 /// everything the algorithms share: levels, counter-keyed randomness, the
-/// lazy settlement cache, active-set maintenance, the round kernels,
-/// noise/duplex handling, and event emission. Adding a future variant (e.g. the few-states algorithms
+/// round kernel (which owns settlement and the active set), noise/duplex
+/// handling, and event emission. Adding a future variant (e.g. the few-states algorithms
 /// of Giakkoupis–Ziccardi) means writing one such policy, not a new engine.
 ///
 /// Contract (all static; see docs/architecture.md):
@@ -160,10 +160,10 @@ struct Alg2Policy {
 /// Optimized executor exploiting the key structural fact of the stable
 /// states: a *settled* vertex — an MIS member with all neighbors capped, or
 /// a capped vertex dominated by such a member — never changes again and
-/// never consumes randomness (its beep probability is 0 or 1). The engine
-/// keeps an active set and processes only unsettled vertices and their
-/// audible members, so late rounds (when most of the graph has locked in)
-/// cost O(active) instead of O(n + m).
+/// never consumes randomness (its beep probability is 0 or 1). The round
+/// kernel keeps the settlement cache and the active set and processes only
+/// unsettled vertices and their audible members, so late rounds (when most
+/// of the graph has locked in) cost O(active) instead of O(n + m).
 ///
 /// Guaranteed equivalent to running the variant's reference algorithm under
 /// beep::Simulation (RngMode::Counter) with the same seed: every coin is a
@@ -173,17 +173,21 @@ struct Alg2Policy {
 /// test_fast_engine.cpp). The sparse round itself is executed by a pluggable
 /// core::RoundKernel (scalar / sharded — see round_kernel.hpp), both proven
 /// stream-identical, so the kernel choice only moves wall-clock.
+/// The kernel is the only owner of settlement (see RoundKernel). The engine
+/// asks it for a full O(n + m) rebuild only after set_level, i.e. once per
+/// initial configuration; everything else keeps it exact incrementally.
 /// The full model surface is covered:
-///  - corrupt() mid-run invalidates settlement locally (the 2-hop patch
-///    around the corrupted vertex), not globally;
+///  - corrupt() mid-run has the kernel patch settlement in the corrupted
+///    vertex's 2-hop neighborhood, so a k-vertex fault wave costs work local
+///    to those k vertices, not a rebuild;
 ///  - Duplex::Half zeroes a beeping vertex's feedback, which preserves the
 ///    settled-state structure, so the sparse path still applies;
 ///  - ChannelNoise makes *nothing* permanently settled (a false negative
 ///    can decay a capped vertex, a false positive can evict a member), so
 ///    the engine switches to a dense full-sweep step that replays the
 ///    reference simulator's noise draws in its exact (vertex, channel)
-///    order; settlement then only serves as a lazily refreshed
-///    stabilization-predicate cache.
+///    order; the kernel's settlement then only serves as a lazily refreshed
+///    stabilization-predicate cache (settled bytes and counts, no caches).
 template <typename Policy>
 class RoundKernel;
 struct SparseCensus;
@@ -218,8 +222,8 @@ class FastEngine final : public Engine {
     return Policy::member_level(lmax_[v]);
   }
 
-  /// Sets ℓ(v) (initial-configuration setup). O(1); settlement tracking is
-  /// lazily rebuilt before the next step()/is_stabilized().
+  /// Sets ℓ(v) (initial-configuration setup). O(1); the kernel's settlement
+  /// is rebuilt lazily before the next step()/is_stabilized().
   void set_level(graph::VertexId v, std::int32_t level) override;
 
   void step() override;
@@ -228,20 +232,17 @@ class FastEngine final : public Engine {
   /// the number of rounds executed.
   std::uint64_t run_to_stabilization(std::uint64_t max_rounds) override;
 
-  bool is_stabilized() const override {
-    if (dirty_) refresh_settlement();
-    return active_count_ == 0;
-  }
+  bool is_stabilized() const override;
   std::vector<bool> mis_members() const override;
 
   /// Mid-run transient fault (draw-identical to the reference algorithm's
-  /// corrupt_node). Under noise the settlement cache is merely marked dirty;
-  /// on the sparse path the cache is patched in the corrupted vertex's
-  /// 2-hop neighborhood so the next step stays O(active).
+  /// corrupt_node). Under noise the settlement is merely marked stale; on
+  /// the sparse path the kernel patches it in the corrupted vertex's 2-hop
+  /// neighborhood so the next step stays O(active).
   void corrupt(graph::VertexId v, support::Rng& rng) override;
 
   /// Number of currently unsettled vertices (for instrumentation).
-  std::size_t active_count() const noexcept { return active_count_; }
+  std::size_t active_count() const;
 
   /// Attaches a non-owning per-round observer (same obs::RoundEvent shape
   /// and semantics as beep::Simulation's — proven stream-identical in
@@ -253,8 +254,9 @@ class FastEngine final : public Engine {
   }
   /// Routes internal timers into `registry` (may be null to detach); keyed
   /// by variant and resolved kernel
-  /// ("fast_engine.<tag>.<kernel>.refresh_settlement") so scalar and
-  /// sharded timings are never conflated in reports. Both the
+  /// ("fast_engine.<tag>.<kernel>.refresh_settlement", one sample per full
+  /// settlement recompute — corruption patches are not counted) so scalar
+  /// and sharded timings are never conflated in reports. Both the
   /// cumulative TimerStat and the "...refresh_settlement_ns" duration digest
   /// (p50/p95/p99 of individual refreshes) are resolved once here.
   void set_metrics(obs::MetricsRegistry* registry) override {
@@ -272,11 +274,10 @@ class FastEngine final : public Engine {
   bool shard_telemetry(ShardTelemetry* out) const override;
 
  private:
-  // The settlement bookkeeping is a cache over levels_ (rebuilt lazily
-  // after set_level), hence mutable + const refresh.
-  void refresh_settlement() const;
-  bool member_settled(graph::VertexId v) const;
-  void resettle_neighborhood(graph::VertexId v);
+  // Recomputes the kernel's settlement from the levels if a write left it
+  // stale: rebuild() on the sparse path, refresh_settlement() on the dense
+  // one. Const because settlement is a cache over levels_.
+  void settle() const;
   void step_sparse();
   void step_dense();
   std::uint32_t lemma31_census() const;
@@ -286,22 +287,18 @@ class FastEngine final : public Engine {
   LmaxVector lmax_;
   std::vector<std::int32_t> levels_;
   std::uint64_t seed_;  // keys the counter draws: coin(v, t) = f(seed, v, t)
-  mutable std::vector<std::uint8_t> settled_;  // 0 active, 1 member, 2 dom.
-  mutable std::vector<graph::VertexId> active_;
   std::vector<beep::ChannelMask> send_;   // scratch, indexed by vertex
   std::vector<beep::ChannelMask> heard_;  // dense path only
-  mutable std::size_t active_count_ = 0;
-  mutable std::size_t mis_count_ = 0;  // settled members (== |I_t| post-round)
   std::uint64_t round_ = 0;
-  mutable bool dirty_ = false;
   beep::ChannelNoise noise_;
   beep::Duplex duplex_ = beep::Duplex::Full;
   support::Rng noise_rng_{0};
   bool dense_ = false;  // noise breaks permanence; run full sweeps
   KernelKind kernel_kind_ = KernelKind::Scalar;  // resolved, never Auto
   std::unique_ptr<RoundKernel<Policy>> kernel_;
-  // Kernel-private caches go stale whenever settlement is rebuilt or patched
-  // outside a round; the kernel re-syncs lazily at the next sparse step.
+  // Levels were written wholesale (set_level, a dense round, a corruption
+  // with nothing settled yet): the kernel's settlement is recomputed lazily
+  // before it is next read.
   mutable bool kernel_stale_ = true;
   obs::RoundObserver* observer_ = nullptr;
   obs::TimerStat* refresh_timer_ = nullptr;

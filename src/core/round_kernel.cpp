@@ -15,20 +15,6 @@ namespace beepmis::core {
 
 namespace {
 
-// Shared by both kernels: drop newly settled vertices from the engine's
-// active list. Both must prune identically — the list (in insertion
-// order) stays the engine's authoritative active set for refresh/resettle.
-template <typename Policy>
-void prune_active(const KernelContext<Policy>& ctx) {
-  auto& active = *ctx.active;
-  const auto& settled = *ctx.settled;
-  active.erase(
-      std::remove_if(active.begin(), active.end(),
-                     [&](graph::VertexId v) { return settled[v] != 0; }),
-      active.end());
-  *ctx.active_count = active.size();
-}
-
 // ---------------------------------------------------------------------------
 // ScalarKernel — the oracle. A straight port of the original FastEngine
 // sparse round: per-vertex neighbor scans over the active list, settlement by
@@ -38,21 +24,96 @@ void prune_active(const KernelContext<Policy>& ctx) {
 // ---------------------------------------------------------------------------
 template <typename Policy>
 class ScalarKernel final : public RoundKernel<Policy> {
+  using Base = RoundKernel<Policy>;
+  using Base::active_count_;
+  using Base::ctx_;
+  using Base::member_settled;
+  using Base::mis_count_;
+  using Base::settled_;
+
  public:
-  explicit ScalarKernel(const KernelContext<Policy>& ctx) : ctx_(ctx) {}
+  explicit ScalarKernel(const KernelContext<Policy>& ctx) : Base(ctx) {}
 
   const char* name() const noexcept override { return "scalar"; }
 
-  // Reads the engine's vectors directly every round; nothing cached.
-  void rebuild() override {}
+  void rebuild() override {
+    this->refresh_settlement();
+    active_.clear();
+    for (graph::VertexId v = 0; v < settled_.size(); ++v)
+      if (!settled_[v]) active_.push_back(v);
+  }
+
+  void patch(graph::VertexId v, std::int32_t /*old_level*/) override {
+    // Re-settles by explicit neighborhood checks. Membership can only change
+    // inside N[v] (it depends on a vertex's own level and its neighbors'
+    // caps, and only v's level changed); domination only inside
+    // {v} ∪ N(members that flipped). Each touched status is snapshotted once
+    // so the active list can be patched, not rebuilt.
+    const graph::Graph& g = *ctx_.graph;
+    const auto& levels = *ctx_.levels;
+    const auto& lmax = *ctx_.lmax;
+    std::vector<std::pair<graph::VertexId, std::uint8_t>> snapshot;
+    auto remember = [&](graph::VertexId u) {
+      for (const auto& [w, s] : snapshot)
+        if (w == u) return;
+      snapshot.emplace_back(u, settled_[u]);
+    };
+
+    std::vector<graph::VertexId> flipped;
+    auto recompute_member = [&](graph::VertexId u) {
+      const bool was = settled_[u] == 1;
+      const bool now = member_settled(u);
+      if (was == now) return;
+      remember(u);
+      flipped.push_back(u);
+      // An ex-member's level is not the cap (member and cap levels are
+      // disjoint for lmax ≥ 2), so it cannot be dominated; it re-activates.
+      settled_[u] = now ? 1 : 0;
+      if (now)
+        ++mis_count_;
+      else
+        --mis_count_;
+    };
+    recompute_member(v);
+    for (graph::VertexId u : g.neighbors(v)) recompute_member(u);
+
+    auto recompute_dominated = [&](graph::VertexId w) {
+      if (settled_[w] == 1) return;  // membership (just recomputed) wins
+      bool dom = false;
+      if (levels[w] == lmax[w]) {
+        for (graph::VertexId u : g.neighbors(w))
+          if (settled_[u] == 1) {
+            dom = true;
+            break;
+          }
+      }
+      const auto s = static_cast<std::uint8_t>(dom ? 2 : 0);
+      if (settled_[w] == s) return;
+      remember(w);
+      settled_[w] = s;
+    };
+    recompute_dominated(v);
+    for (graph::VertexId u : flipped)
+      for (graph::VertexId w : g.neighbors(u)) recompute_dominated(w);
+
+    bool removed = false;
+    for (const auto& [u, old] : snapshot) {
+      if (old == 0 && settled_[u] != 0)
+        removed = true;
+      else if (old != 0 && settled_[u] == 0)
+        active_.push_back(u);
+    }
+    if (removed) prune();
+    active_count_ = active_.size();
+  }
 
   void step_sparse(std::uint64_t round, bool observing,
                    SparseCensus& census) override {
     const graph::Graph& g = *ctx_.graph;
     const auto& lmax = *ctx_.lmax;
     auto& levels = *ctx_.levels;
-    auto& settled = *ctx_.settled;
-    auto& active = *ctx_.active;
+    auto& settled = settled_;
+    auto& active = active_;
     auto& send = *ctx_.send;
     const bool half = ctx_.half;
     const std::size_t n = levels.size();
@@ -138,7 +199,7 @@ class ScalarKernel final : public RoundKernel<Policy> {
     for (graph::VertexId v : active) {
       if (levels[v] == Policy::member_level(lmax[v]) && member_settled(v)) {
         settled[v] = 1;
-        ++*ctx_.mis_count;
+        ++mis_count_;
         any_settled = true;
       }
     }
@@ -152,20 +213,22 @@ class ScalarKernel final : public RoundKernel<Policy> {
         }
       }
     }
-    if (any_settled) prune_active(ctx_);
+    if (any_settled) {
+      prune();
+      active_count_ = active_.size();
+    }
   }
 
  private:
-  bool member_settled(graph::VertexId v) const {
-    const auto& levels = *ctx_.levels;
-    const auto& lmax = *ctx_.lmax;
-    if (levels[v] != Policy::member_level(lmax[v])) return false;
-    for (graph::VertexId u : ctx_.graph->neighbors(v))
-      if (levels[u] != lmax[u]) return false;
-    return true;
+  void prune() {
+    active_.erase(std::remove_if(active_.begin(), active_.end(),
+                                 [&](graph::VertexId v) {
+                                   return settled_[v] != 0;
+                                 }),
+                  active_.end());
   }
 
-  KernelContext<Policy> ctx_;
+  std::vector<graph::VertexId> active_;  ///< the active set, any order
 };
 
 /// Policy::decide_coin against a raw counter draw, compressed to selects
@@ -235,7 +298,9 @@ beep::ChannelMask decide_packed(std::int32_t l, std::int32_t lmax,
 //            members shard-locally;
 //   fold     each shard clears its new members' active bits and ORs their
 //            rows into the member-neighbor mask;
-//   phase 3b dominated settlement, word-parallel over shard-owned words.
+//   phase 3b dominated settlement, word-parallel over shard-owned words;
+//            each shard prunes its own slice — the slices are the active
+//            set, and the round-end tally only sums their sizes.
 // With several shards two of them can push into the same mask word or
 // count at once, so stamp, apply and fold push with relaxed atomic RMWs
 // (std::atomic_ref) and the next barrier publishes them. Counts never go
@@ -250,12 +315,25 @@ beep::ChannelMask decide_packed(std::int32_t l, std::int32_t lmax,
 // no pool batch, no TaskPool::Observer callback, no lock-prefixed RMW — so
 // the serial round costs only its Σdeg(frontier) + Σdeg(crossers)
 // neighborhood work.
+//
+// Between rounds a corruption is repaired by patch() on the coordinator, in
+// the same vocabulary as a round: the corrupted vertex's row adjusts the
+// neighbors' counts, membership is re-tested in O(1) from uncapped_nb_ over
+// N[v], the member-neighbor bits are recomputed around members that
+// flipped, and domination, the active mask and the slices follow. Cost:
+// Σdeg over the touched rows; the next round's barriers publish it.
 // ---------------------------------------------------------------------------
 template <typename Policy>
 class ShardedKernel final : public RoundKernel<Policy> {
+  using Base = RoundKernel<Policy>;
+  using Base::active_count_;
+  using Base::ctx_;
+  using Base::mis_count_;
+  using Base::settled_;
+
  public:
   explicit ShardedKernel(const KernelContext<Policy>& ctx)
-      : ctx_(ctx),
+      : Base(ctx),
         // The pool label gives the private pool's workers their own trace
         // tracks ("shard-worker-N") — see obs::detail::PoolHook.
         pool_(support::TaskPool::resolve_thread_count(ctx.shard_threads),
@@ -285,7 +363,9 @@ class ShardedKernel final : public RoundKernel<Policy> {
     uncapped_nb_.assign(n, 0);
     // The phase bodies are bound once; per-round inputs travel through
     // members so parallel_for never rebuilds a std::function per call.
-    rebuild_fn_ = [this](std::size_t si) { rebuild_shard(si); };
+    rebuild_counts_fn_ = [this](std::size_t si) { rebuild_counts(si); };
+    rebuild_member_nb_fn_ = [this](std::size_t si) { rebuild_member_nb(si); };
+    rebuild_slices_fn_ = [this](std::size_t si) { rebuild_slices(si); };
     phase1_fn_ = [this](std::size_t si) { phase1(si); };
     phase2_fn_ = [this](std::size_t si) { phase2(si); };
     phase3a_fn_ = [this](std::size_t si) { phase3a(si); };
@@ -307,17 +387,114 @@ class ShardedKernel final : public RoundKernel<Policy> {
   const char* name() const noexcept override { return "sharded"; }
 
   void rebuild() override {
-    // One parallel gather pass: masks and counts both derive from the
-    // frozen global levels/settled arrays, so no barrier is needed inside.
-    dispatch(rebuild_fn_);
-    // Out-of-band state writes invalidate the settlement candidates; the
-    // next round re-derives them with one full settle scan.
-    full_scan_ = true;
-    // Shard-local slices of the engine's active list, in its order, so the
-    // per-shard loops visit exactly the vertices every serial kernel visits.
-    for (Shard& sh : shards_) sh.active.clear();
-    for (graph::VertexId v : *ctx_.active)
-      shards_[owner(v)].active.push_back(v);
+    // Three parallel passes, each writing only shard-owned state and each
+    // reading across shards only what the previous barrier froze: counts,
+    // caps and membership from the levels; member neighbors from the
+    // membership; domination and the active slices from the masks.
+    dispatch(rebuild_counts_fn_);
+    dispatch(rebuild_member_nb_fn_);
+    dispatch(rebuild_slices_fn_);
+    mis_count_ = 0;
+    active_count_ = 0;
+    for (const Shard& sh : shards_) {
+      mis_count_ += sh.mis_settled;
+      active_count_ += sh.active.size();
+    }
+  }
+
+  void patch(graph::VertexId v, std::int32_t old_level) override {
+    const graph::Graph& g = *ctx_.graph;
+    const auto& levels = *ctx_.levels;
+    const auto& lmax = *ctx_.lmax;
+    const std::int32_t level = levels[v];
+    if (level == old_level) return;
+    // v's row: the neighbors' counts see v cross the prominence and cap
+    // boundaries; v's own capped bit follows its level.
+    const int dp = (Policy::is_prominent(level) ? 1 : 0) -
+                   (Policy::is_prominent(old_level) ? 1 : 0);
+    const int dc = (level == lmax[v] ? 1 : 0) - (old_level == lmax[v] ? 1 : 0);
+    if (dp != 0)
+      for (graph::VertexId u : g.neighbors(v))
+        prominent_nb_[u] += static_cast<std::uint32_t>(dp);
+    if (dc != 0) {
+      for (graph::VertexId u : g.neighbors(v))
+        uncapped_nb_[u] -= static_cast<std::uint32_t>(dc);
+      const std::uint64_t bit = 1ull << (v & 63u);
+      if (dc > 0)
+        capped_mask_[v >> 6] |= bit;
+      else
+        capped_mask_[v >> 6] &= ~bit;
+    }
+
+    // Membership moves only inside N[v], tested in O(1) from the counts.
+    patch_flipped_.clear();
+    patch_touched_.clear();
+    const auto resettle_member = [&](graph::VertexId u) {
+      const bool now = levels[u] == Policy::member_level(lmax[u]) &&
+                       uncapped_nb_[u] == 0;
+      if (now == (settled_[u] == 1)) return;
+      settled_[u] = now ? 1 : 0;
+      if (now)
+        ++mis_count_;
+      else
+        --mis_count_;
+      patch_flipped_.push_back(u);
+      patch_touched_.push_back(u);
+    };
+    resettle_member(v);
+    for (graph::VertexId u : g.neighbors(v)) resettle_member(u);
+
+    // A new member marks its neighbors; an ex-member's neighbors recount,
+    // since another member may still cover them.
+    for (graph::VertexId u : patch_flipped_) {
+      for (graph::VertexId w : g.neighbors(u)) {
+        bool member_nb = settled_[u] == 1;
+        if (!member_nb)
+          for (graph::VertexId x : g.neighbors(w))
+            if (settled_[x] == 1) {
+              member_nb = true;
+              break;
+            }
+        const std::uint64_t bit = 1ull << (w & 63u);
+        if (member_nb)
+          member_nb_mask_[w >> 6] |= bit;
+        else
+          member_nb_mask_[w >> 6] &= ~bit;
+      }
+    }
+
+    // Domination moves only at v and around the flipped members.
+    const auto resettle_dominated = [&](graph::VertexId w) {
+      if (settled_[w] == 1) return;
+      const std::uint64_t bit = 1ull << (w & 63u);
+      const bool dom = (capped_mask_[w >> 6] & member_nb_mask_[w >> 6] & bit);
+      const auto s = static_cast<std::uint8_t>(dom ? 2 : 0);
+      if (settled_[w] == s) return;
+      settled_[w] = s;
+      patch_touched_.push_back(w);
+    };
+    resettle_dominated(v);
+    for (graph::VertexId u : patch_flipped_)
+      for (graph::VertexId w : g.neighbors(u)) resettle_dominated(w);
+
+    // The active mask and count follow the settled bytes. A vertex that
+    // re-activates joins its owner's slice; one that settles is left in its
+    // slice for the owner's next phase 1 to prune.
+    for (graph::VertexId w : patch_touched_) {
+      const std::uint64_t bit = 1ull << (w & 63u);
+      const bool listed = active_mask_[w >> 6] & bit;
+      if (listed == (settled_[w] == 0)) continue;
+      Shard& sh = shards_[owner(w)];
+      if (listed) {
+        active_mask_[w >> 6] &= ~bit;
+        --active_count_;
+        sh.prune = true;
+      } else {
+        active_mask_[w >> 6] |= bit;
+        ++active_count_;
+        sh.active.push_back(w);
+      }
+    }
   }
 
   void step_sparse(std::uint64_t round, bool observing,
@@ -329,12 +506,9 @@ class ShardedKernel final : public RoundKernel<Policy> {
     // (when tracing) span records; nothing below branches on it, so results
     // stay byte-identical with the layer on or off.
     tel_round_ = ctx_.telemetry || obs::Tracer::active();
-    std::uint64_t round_active = 0;
+    const std::uint64_t round_active = active_count_;  // pre-round |active|
     if (tel_round_) {
-      for (Shard& sh : shards_) {
-        sh.busy_ns = 0;
-        round_active += sh.active.size();  // pre-round |active|, pre-prune
-      }
+      for (Shard& sh : shards_) sh.busy_ns = 0;
       round_wall_ns_ = 0;
     }
 
@@ -347,7 +521,6 @@ class ShardedKernel final : public RoundKernel<Policy> {
     run_phase(3, apply_fn_);  // shard.apply
     // Barrier: 3a reads the (now frozen) counts and routed candidates.
     run_phase(4, phase3a_fn_);  // shard.settle (member half)
-    full_scan_ = false;
     // 3a and the fold touch disjoint state; the fold is a phase of its own
     // so that its cost is timed apart.
     run_phase(5, fold_fn_);  // shard.fold
@@ -358,9 +531,10 @@ class ShardedKernel final : public RoundKernel<Policy> {
     // order is a convention, not a correctness requirement.
     TelClock::time_point f0;
     if (tel_round_) f0 = TelClock::now();
-    bool any_settled = false;
+    active_count_ = 0;
     for (const Shard& sh : shards_) {
-      *ctx_.mis_count += sh.mis_settled;
+      mis_count_ += sh.mis_settled;
+      active_count_ += sh.active.size();
       census.active_beeps[0] += sh.census.active_beeps[0];
       census.active_beeps[1] += sh.census.active_beeps[1];
       census.active_heard[0] += sh.census.active_heard[0];
@@ -368,9 +542,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
       census.active_heard_any += sh.census.active_heard_any;
       census.prominent_active += sh.census.prominent_active;
       census.dom_heard_extra += sh.census.dom_heard_extra;
-      any_settled |= sh.any_settled;
     }
-    if (any_settled) prune_active(ctx_);
     if (tel_round_) {
       const auto f1 = TelClock::now();
       tel_phase_ns_[5] += elapsed_ns(f0, f1);
@@ -422,6 +594,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
     std::uint64_t busy_ns = 0;  ///< this round's task-body time (telemetry)
     bool sweep = false;  ///< this round took the dense sweep path
     bool any_settled = false;
+    bool prune = false;  ///< patch() settled a slice entry; phase 1 drops it
   };
 
   using TelClock = std::chrono::steady_clock;
@@ -547,43 +720,93 @@ class ShardedKernel final : public RoundKernel<Policy> {
     return (v >> 6) / shard_words_;
   }
 
-  void rebuild_shard(std::size_t si) {
+  void rebuild_counts(std::size_t si) {
     // Gather pass over the shard's own vertices: each vertex recounts its
-    // own neighborhood (cross-shard reads of the frozen levels/settled
-    // arrays), so every write stays shard-owned.
-    // Settled members are prominent by construction (they sit at the
-    // member level), so prominent_nb_ covers both certain-beeper
-    // populations at once.
-    const Shard& sh = shards_[si];
+    // own neighborhood (cross-shard reads of the frozen levels), so every
+    // write stays shard-owned. A member needs every neighbor capped, so the
+    // uncapped count decides membership on the spot. Settled members are
+    // prominent by construction (they sit at the member level), so
+    // prominent_nb_ covers both certain-beeper populations at once.
+    Shard& sh = shards_[si];
     const graph::Graph& g = *ctx_.graph;
     const auto& levels = *ctx_.levels;
-    const auto& settled = *ctx_.settled;
     const auto& lmax = *ctx_.lmax;
-    std::fill(active_mask_.begin() + sh.word_lo,
-              active_mask_.begin() + sh.word_hi, 0);
     std::fill(capped_mask_.begin() + sh.word_lo,
               capped_mask_.begin() + sh.word_hi, 0);
-    std::fill(member_nb_mask_.begin() + sh.word_lo,
-              member_nb_mask_.begin() + sh.word_hi, 0);
+    sh.mis_settled = 0;
     for (graph::VertexId v = sh.v_lo; v < sh.v_hi; ++v) {
-      const std::uint64_t bit = 1ull << (v & 63u);
-      if (settled[v] == 0) active_mask_[v >> 6] |= bit;
-      if (levels[v] == lmax[v]) capped_mask_[v >> 6] |= bit;
+      if (levels[v] == lmax[v]) capped_mask_[v >> 6] |= 1ull << (v & 63u);
       std::uint32_t prom = 0, uncapped = 0;
-      bool member = false;
       for (graph::VertexId u : g.neighbors(v)) {
         prom += Policy::is_prominent(levels[u]) ? 1 : 0;
         uncapped += levels[u] != lmax[u] ? 1 : 0;
-        member |= settled[u] == 1;
       }
       prominent_nb_[v] = prom;
       uncapped_nb_[v] = uncapped;
-      if (member) member_nb_mask_[v >> 6] |= bit;
+      const bool member =
+          levels[v] == Policy::member_level(lmax[v]) && uncapped == 0;
+      settled_[v] = member ? 1 : 0;
+      sh.mis_settled += member ? 1 : 0;
     }
+  }
+
+  void rebuild_member_nb(std::size_t si) {
+    // Second gather pass, after the barrier froze membership: each vertex
+    // looks for a member among its neighbors (cross-shard reads).
+    const Shard& sh = shards_[si];
+    const graph::Graph& g = *ctx_.graph;
+    std::fill(member_nb_mask_.begin() + sh.word_lo,
+              member_nb_mask_.begin() + sh.word_hi, 0);
+    for (graph::VertexId v = sh.v_lo; v < sh.v_hi; ++v)
+      for (graph::VertexId u : g.neighbors(v))
+        if (settled_[u] == 1) {
+          member_nb_mask_[v >> 6] |= 1ull << (v & 63u);
+          break;
+        }
+  }
+
+  void rebuild_slices(std::size_t si) {
+    // Third pass, shard-local: domination, the active mask and the shard's
+    // active slice (ascending, the scalar kernel's order). Kept apart from
+    // the member-neighbor pass, whose cross-shard reads of settled_ must not
+    // meet these writes.
+    Shard& sh = shards_[si];
+    std::fill(active_mask_.begin() + sh.word_lo,
+              active_mask_.begin() + sh.word_hi, 0);
+    sh.active.clear();
+    sh.prune = false;
+    for (graph::VertexId v = sh.v_lo; v < sh.v_hi; ++v) {
+      const std::uint64_t bit = 1ull << (v & 63u);
+      if (settled_[v] == 1) continue;
+      if (capped_mask_[v >> 6] & member_nb_mask_[v >> 6] & bit) {
+        settled_[v] = 2;
+        continue;
+      }
+      active_mask_[v >> 6] |= bit;
+      sh.active.push_back(v);
+    }
+  }
+
+  /// Drops from the slice what patch() settled and any second entry of a
+  /// vertex that patch() settled and re-activated: the active mask is the
+  /// truth, and each kept vertex clears its bit so a repeat is skipped.
+  void prune_slice(Shard& sh) {
+    std::size_t kept = 0;
+    for (graph::VertexId v : sh.active) {
+      const std::uint64_t bit = 1ull << (v & 63u);
+      if (!(active_mask_[v >> 6] & bit)) continue;
+      active_mask_[v >> 6] &= ~bit;
+      sh.active[kept++] = v;
+    }
+    sh.active.resize(kept);
+    for (graph::VertexId v : sh.active)
+      active_mask_[v >> 6] |= 1ull << (v & 63u);
+    sh.prune = false;
   }
 
   void phase1(std::size_t si) {
     Shard& sh = shards_[si];
+    if (sh.prune) prune_slice(sh);
     sh.census = SparseCensus{};
     sh.mis_settled = 0;
     sh.any_settled = false;
@@ -599,7 +822,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
     auto& send = *ctx_.send;
     const auto& levels = *ctx_.levels;
     const auto& lmax = *ctx_.lmax;
-    const auto& settled = *ctx_.settled;
+    const auto& settled = settled_;
     const std::size_t range = sh.v_hi - sh.v_lo;
     sh.sweep = false;
 #if BEEPMIS_KERNEL_AVX512
@@ -647,7 +870,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
     Shard& sh = shards_[si];
     const auto& lmax = *ctx_.lmax;
     auto& levels = *ctx_.levels;
-    const auto& settled = *ctx_.settled;
+    const auto& settled = settled_;
     auto& send = *ctx_.send;
     const bool half = ctx_.half;
 #if BEEPMIS_KERNEL_AVX512
@@ -771,13 +994,15 @@ class ShardedKernel final : public RoundKernel<Policy> {
     // Member settlement in O(1) per candidate from the frozen counts;
     // only the shard-owned settled byte is written here — the member's
     // active bit and its neighbors' member-neighbor bits wait for the fold.
-    // Candidate-driven in the steady state; the round after a rebuild
-    // re-seeds with one full scan of the shard's slice. Stale or duplicate
-    // candidates are harmless — each entry rechecks the exact predicate.
+    // Candidate-driven: settlement is exact at the start of every round
+    // (rebuild and patch leave it so), so only a vertex that reached the
+    // member level or whose uncapped count hit zero this round can newly
+    // qualify. Stale or duplicate candidates are harmless — each entry
+    // rechecks the exact predicate.
     Shard& sh = shards_[si];
     const auto& lmax = *ctx_.lmax;
     const auto& levels = *ctx_.levels;
-    auto& settled = *ctx_.settled;
+    auto& settled = settled_;
     const auto try_settle = [&](graph::VertexId v) {
       if (settled[v] != 0 || levels[v] != Policy::member_level(lmax[v]) ||
           uncapped_nb_[v] != 0)
@@ -787,10 +1012,6 @@ class ShardedKernel final : public RoundKernel<Policy> {
       sh.any_settled = true;
       sh.new_members.push_back(v);
     };
-    if (full_scan_) {
-      for (graph::VertexId v : sh.active) try_settle(v);
-      return;
-    }
     for (graph::VertexId v : sh.settle_cand) try_settle(v);
     if (shards_.size() == 1) return;
     for (const Shard& other : shards_)
@@ -810,7 +1031,7 @@ class ShardedKernel final : public RoundKernel<Policy> {
 
   void phase3b(std::size_t si) {
     Shard& sh = shards_[si];
-    auto& settled = *ctx_.settled;
+    auto& settled = settled_;
     for (std::size_t w = sh.word_lo; w < sh.word_hi; ++w) {
       std::uint64_t cand =
           active_mask_[w] & capped_mask_[w] & member_nb_mask_[w];
@@ -832,7 +1053,6 @@ class ShardedKernel final : public RoundKernel<Policy> {
           sh.active.end());
   }
 
-  KernelContext<Policy> ctx_;
   support::TaskPool pool_;
   std::size_t words_ = 0;
   std::size_t shard_words_ = 0;  ///< words per shard (last shard clipped)
@@ -846,8 +1066,10 @@ class ShardedKernel final : public RoundKernel<Policy> {
   // Per-round inputs for the pre-bound phase closures.
   std::uint64_t round_state_ = 0;
   bool observing_ = false;
-  bool full_scan_ = true;  // next settle phase must scan all of active
-  std::function<void(std::size_t)> rebuild_fn_;
+  // patch() scratch, kept to reuse its capacity across a fault wave.
+  std::vector<graph::VertexId> patch_flipped_, patch_touched_;
+  std::function<void(std::size_t)> rebuild_counts_fn_, rebuild_member_nb_fn_,
+      rebuild_slices_fn_;
   std::function<void(std::size_t)> phase1_fn_, stamp_fn_;
   std::function<void(std::size_t)> phase2_fn_, apply_fn_;
   std::function<void(std::size_t)> phase3a_fn_, fold_fn_, phase3b_fn_;
@@ -870,6 +1092,33 @@ class ShardedKernel final : public RoundKernel<Policy> {
 };
 
 }  // namespace
+
+template <typename Policy>
+void RoundKernel<Policy>::refresh_settlement() {
+  const std::size_t n = settled_.size();
+  const auto& levels = *ctx_.levels;
+  const auto& lmax = *ctx_.lmax;
+  std::fill(settled_.begin(), settled_.end(), 0);
+  mis_count_ = 0;
+  for (graph::VertexId v = 0; v < n; ++v)
+    if (member_settled(v)) {
+      settled_[v] = 1;
+      ++mis_count_;
+    }
+  active_count_ = n - mis_count_;
+  for (graph::VertexId v = 0; v < n; ++v) {
+    if (settled_[v] || levels[v] != lmax[v]) continue;
+    for (graph::VertexId u : ctx_.graph->neighbors(v))
+      if (settled_[u] == 1) {
+        settled_[v] = 2;
+        --active_count_;
+        break;
+      }
+  }
+}
+
+template class RoundKernel<Alg1Policy>;
+template class RoundKernel<Alg2Policy>;
 
 KernelKind resolve_kernel(KernelKind kind) noexcept {
   return kind == KernelKind::Auto ? KernelKind::Sharded : kind;

@@ -47,20 +47,29 @@ struct SparseCensus {
   std::uint32_t dom_heard_extra = 0;
 };
 
-/// Non-owning view of the FastEngine state a kernel operates on. The engine
-/// owns every field; kernels read and write through these pointers so the
-/// two implementations stay trivially interchangeable mid-run (the engine
-/// calls rebuild() after any out-of-band state write).
+/// Settlement predicate, read from the levels alone: v is a settled MIS
+/// member iff it sits at the member level and every neighbor sits at its
+/// cap. The kernels cache it; FastEngine::mis_members recomputes it so the
+/// verification never trusts the cache.
+template <typename Policy>
+bool settles_as_member(const graph::Graph& g, const LmaxVector& lmax,
+                       const std::vector<std::int32_t>& levels,
+                       graph::VertexId v) {
+  if (levels[v] != Policy::member_level(lmax[v])) return false;
+  for (graph::VertexId u : g.neighbors(v))
+    if (levels[u] != lmax[u]) return false;
+  return true;
+}
+
+/// Non-owning view of the FastEngine state a kernel reads and writes: the
+/// graph, the caps, the levels and the send scratch. Settlement is not in
+/// here — the kernel owns it (see RoundKernel).
 template <typename Policy>
 struct KernelContext {
   const graph::Graph* graph = nullptr;
   const LmaxVector* lmax = nullptr;
   std::vector<std::int32_t>* levels = nullptr;
-  std::vector<std::uint8_t>* settled = nullptr;  // 0 active, 1 member, 2 dom.
-  std::vector<graph::VertexId>* active = nullptr;
   std::vector<beep::ChannelMask>* send = nullptr;
-  std::size_t* active_count = nullptr;
-  std::size_t* mis_count = nullptr;
   std::uint64_t seed = 0;  ///< master seed keying the counter draws
   bool half = false;       ///< Duplex::Half: a beeper hears nothing
   /// Worker threads for the sharded kernel's private TaskPool (0 = one per
@@ -78,11 +87,25 @@ struct KernelContext {
 /// feedback, level updates, and settlement/pruning. The two
 /// implementations — Scalar (the oracle) and Sharded — are proven
 /// stream-identical: same levels, same censuses, round for round, across
-/// corruption and half-duplex, at every shard count (tests/test_kernels.cpp). Receiver noise never
-/// reaches a kernel; the engine runs its dense full sweep instead.
+/// corruption and half-duplex, at every shard count (tests/test_kernels.cpp).
+/// Receiver noise never reaches a kernel; the engine runs its dense full
+/// sweep instead.
+///
+/// The kernel is the only owner of settlement: the settled bytes (0 active,
+/// 1 member, 2 dominated), the active set and the member/active counts, plus
+/// whatever private caches its round needs. Between rounds they change in
+/// one of three ways, each of which leaves them exact:
+///   rebuild()             everything from the levels, O(n + m) — after
+///                         set_level, i.e. once per initial configuration;
+///   patch(v, old)         one level write, repaired in v's 2-hop
+///                         neighborhood — a corruption costs O(touched);
+///   refresh_settlement()  settlement and counts only — the dense (noisy)
+///                         path's census, which never runs a kernel round.
 template <typename Policy>
 class RoundKernel {
  public:
+  explicit RoundKernel(const KernelContext<Policy>& ctx)
+      : ctx_(ctx), settled_(ctx.levels->size(), 0) {}
   virtual ~RoundKernel() = default;
 
   virtual const char* name() const noexcept = 0;
@@ -90,15 +113,29 @@ class RoundKernel {
   /// Executes round `round` (the engine's pre-increment round index, which
   /// keys the counter draws). `observing` requests exact heard masks and the
   /// census fields; without it a kernel may resolve only the bits the level
-  /// update needs.
+  /// update needs. Settlement must be exact on entry (rebuild or patch).
   virtual void step_sparse(std::uint64_t round, bool observing,
                            SparseCensus& census) = 0;
 
-  /// Re-syncs kernel-private caches (neighborhood counts, settlement masks,
-  /// shard slices of the active list) with the engine's levels/settled/active after an
-  /// out-of-band write — set_level refresh, corruption resettle. Called
-  /// lazily by the engine before the next step_sparse.
+  /// Recomputes settlement, the active set and every private cache from the
+  /// levels alone.
   virtual void rebuild() = 0;
+
+  /// Repairs settlement and the private caches after levels[v] changed from
+  /// `old_level` to its current value, with everything exact beforehand. A
+  /// level write moves membership only inside N[v] and domination only
+  /// inside v and the neighbors of members that flipped, so no full rescan
+  /// is needed.
+  virtual void patch(graph::VertexId v, std::int32_t old_level) = 0;
+
+  /// Settled bytes and counts from the levels alone, leaving the active set
+  /// and private caches untouched (hence stale): rebuild() before the next
+  /// step_sparse.
+  void refresh_settlement();
+
+  std::size_t active_count() const noexcept { return active_count_; }
+  /// Settled members (== |I_t| after a round).
+  std::size_t mis_count() const noexcept { return mis_count_; }
 
   /// Snapshots cumulative phase telemetry (sharded kernel only): false on
   /// the scalar kernel and before any instrumented round has run.
@@ -106,6 +143,17 @@ class RoundKernel {
     (void)out;
     return false;
   }
+
+ protected:
+  bool member_settled(graph::VertexId v) const {
+    return settles_as_member<Policy>(*ctx_.graph, *ctx_.lmax, *ctx_.levels,
+                                     v);
+  }
+
+  KernelContext<Policy> ctx_;
+  std::vector<std::uint8_t> settled_;  ///< 0 active, 1 member, 2 dominated
+  std::size_t active_count_ = 0;
+  std::size_t mis_count_ = 0;
 };
 
 /// Builds the requested kernel over `ctx`. KernelKind::Auto must be resolved

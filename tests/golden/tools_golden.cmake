@@ -121,6 +121,23 @@ expect_keys(run.json extra KEYS stabilized rounds_total engine
             engine_requested kernel kernel_requested shard_threads_requested
             shards duplex faults_per_wave waves noise_fp noise_fn)
 
+# Monitored fault waves under non-default monitor and anomaly settings: the
+# probe cadence lands in recovery.v1's config, the stall multiple (low
+# enough to fire) and the Lemma 3.1 window in the dump's. Each wave is
+# repaired by the kernel's local patch, and one shard or three must not
+# change a byte of it.
+foreach(threads 1 3)
+  run(0 out "${CLI}" --family er-avg8 --n 1024 --algorithm v1 --seed 11
+      --faults 256 --waves 4 --monitor --monitor-every 8
+      --anomaly-stall-multiple 0.005 --anomaly-lemma-window 4
+      --kernel sharded --shard-threads ${threads}
+      --recovery-out waves-recovery.json --flight-recorder waves-dump.json)
+  strip_wrote(out)
+  expect_text(waves.txt "${out}")
+  expect_file(waves-recovery.json waves-recovery.json)
+  expect_file(waves-dump.json waves-dump.json)
+endforeach()
+
 # Paper-facing flags, the baselines and the applications: one small run
 # each, stdout pinned in one golden (each run under a "# <flags>" header),
 # plus the deterministic --svg chart byte for byte.

@@ -32,6 +32,19 @@ TEST(FaultInjector, CorruptRandomPicksDistinctNodes) {
   }
 }
 
+TEST(FaultInjector, CorruptRandomOfEveryNodeIsAPermutation) {
+  // k = n is Floyd's worst case for the membership test (most draws
+  // collide), so it stays linear only while that test is O(1).
+  constexpr std::size_t n = std::size_t{1} << 17;
+  const graph::Graph g = graph::make_cycle(n);
+  auto sim = make_sim(g);
+  support::Rng rng(4);
+  auto chosen = FaultInjector::corrupt_random(*sim, n, rng);
+  ASSERT_EQ(chosen.size(), n);
+  std::sort(chosen.begin(), chosen.end());
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(chosen[i], i);
+}
+
 TEST(FaultInjector, CorruptRandomZeroIsNoop) {
   const graph::Graph g = graph::make_cycle(10);
   auto sim = make_sim(g);
