@@ -268,9 +268,9 @@ BENCHMARK_CAPTURE(BM_FastEngineKernel, scalar, core::KernelKind::Scalar)
 BENCHMARK_CAPTURE(BM_FastEngineKernel, sharded, core::KernelKind::Sharded)
     ->Arg(10240);
 
-/// Intra-round sharding A/B at n = 10⁶ (streamed Erdős–Rényi, avg degree
-/// 8): the same stabilization run with the sharded kernel at 1/2/4/8
-/// worker threads; /1 is the serial run. The claim CI checks (real time,
+/// Intra-round sharding A/B at n = 10⁶ (Erdős–Rényi, avg degree 8): the
+/// same stabilization run with the sharded kernel at 1/2/4/8 worker
+/// threads; /1 is the serial run. The claim CI checks (real time,
 /// core-count-aware): /8 vs /1 approaching the core count on machines that
 /// have the cores. Built once — a 10⁶ graph takes seconds to generate, so
 /// every arm shares one static instance.
@@ -279,7 +279,7 @@ constexpr std::size_t kShardBenchN = 1000000;
 const graph::Graph& shard_bench_graph() {
   static const graph::Graph g = [] {
     support::Rng rng(1);
-    return graph::make_erdos_renyi_avg_degree_stream(kShardBenchN, 8.0, rng);
+    return graph::make_erdos_renyi_avg_degree(kShardBenchN, 8.0, rng);
   }();
   return g;
 }

@@ -31,18 +31,8 @@ const std::vector<Family>& scaling_families() {
 
 graph::Graph make_family(Family f, std::size_t n, support::Rng& rng) {
   BEEPMIS_CHECK(n >= 16, "experiment families need n >= 16");
-  // Above this size the randomized families build through the streaming
-  // generators: the graph is bit-identical (same draws, same CSR), but the
-  // GraphBuilder edge list — which would dwarf the CSR itself at n = 10^7 —
-  // is never materialized. The streaming path replays a copy of `rng`, so
-  // past the threshold the caller's generator state does not advance;
-  // every call site draws the graph from a dedicated stream, so nothing
-  // downstream observes the difference.
-  constexpr std::size_t kStreamThreshold = std::size_t{1} << 19;
   switch (f) {
     case Family::ErdosRenyiAvg8:
-      if (n >= kStreamThreshold)
-        return graph::make_erdos_renyi_avg_degree_stream(n, 8.0, rng);
       return graph::make_erdos_renyi_avg_degree(n, 8.0, rng);
     case Family::Random4Regular: {
       const std::size_t even_n = n % 2 ? n + 1 : n;  // n*d must be even
@@ -54,14 +44,10 @@ graph::Graph make_family(Family f, std::size_t n, support::Rng& rng) {
       return graph::make_grid(side, side, /*torus=*/true);
     }
     case Family::BarabasiAlbert3:
-      if (n >= kStreamThreshold)
-        return graph::make_barabasi_albert_stream(n, 3, rng);
       return graph::make_barabasi_albert(n, 3, rng);
     case Family::GeometricAvg8: {
       // Expected degree ≈ π r² n (bulk); solve for avg degree 8.
       const double r = std::sqrt(8.0 / (3.14159265358979 * static_cast<double>(n)));
-      if (n >= kStreamThreshold)
-        return graph::make_random_geometric_stream(n, r, rng);
       return graph::make_random_geometric(n, r, rng);
     }
     case Family::RandomTree:

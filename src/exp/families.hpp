@@ -28,7 +28,9 @@ std::string family_name(Family f);
 const std::vector<Family>& scaling_families();
 
 /// Builds an n-vertex (or as close as the family allows, e.g. square torus)
-/// instance. Randomized families draw from `rng`.
+/// instance. Randomized families draw from `rng` and advance it by exactly
+/// the draws they make, at every n; er-avg8, ba-m3 and rgg-avg8 build
+/// without an edge list (see graph/generators.hpp), so n = 10^7 fits.
 graph::Graph make_family(Family f, std::size_t n, support::Rng& rng);
 
 }  // namespace beepmis::exp

@@ -138,47 +138,6 @@ RunResult run_variant(const graph::Graph& g, Variant variant,
   return run_to_stabilization(*engine, max_rounds, metrics);
 }
 
-std::vector<RunResult> run_replicas(const graph::Graph& g, Variant variant,
-                                    core::InitPolicy init,
-                                    std::span<const std::uint64_t> seeds,
-                                    beep::Round max_rounds,
-                                    support::TaskPool& pool, std::int32_t c1,
-                                    obs::MetricsRegistry* metrics,
-                                    obs::RoundObserver* observer,
-                                    core::EngineKind kind,
-                                    core::KernelKind kernel,
-                                    std::size_t shard_threads) {
-  struct Shard {
-    RunResult result;
-    std::unique_ptr<obs::MetricsRegistry> scratch;
-    obs::BufferedSink events;
-  };
-  std::vector<Shard> shards(seeds.size());
-  pool.parallel_for(seeds.size(), [&](std::size_t i) {
-    Shard& shard = shards[i];
-    obs::MetricsRegistry* scratch = nullptr;
-    if (metrics != nullptr) {
-      shard.scratch = std::make_unique<obs::MetricsRegistry>();
-      scratch = shard.scratch.get();
-    }
-    if (observer != nullptr) shard.events = obs::BufferedSink(observer);
-    shard.result =
-        run_variant(g, variant, init, seeds[i], max_rounds, c1, scratch,
-                    observer != nullptr ? &shard.events : nullptr, kind,
-                    kernel, shard_threads);
-  });
-  // Deterministic fold in seed order: digests are order-sensitive, so the
-  // coordinator — not the workers — owns all shared aggregation.
-  std::vector<RunResult> results;
-  results.reserve(shards.size());
-  for (Shard& shard : shards) {
-    if (metrics != nullptr) metrics->merge(*shard.scratch);
-    shard.events.flush();
-    results.push_back(shard.result);
-  }
-  return results;
-}
-
 beep::Round default_round_budget(std::size_t n) {
   std::size_t log2n = 1;
   while ((std::size_t{1} << log2n) < n) ++log2n;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 
 #include "src/beep/network.hpp"
@@ -14,7 +13,6 @@
 #include "src/graph/graph.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/sink.hpp"
-#include "src/support/task_pool.hpp"
 
 namespace beepmis::exp {
 
@@ -79,28 +77,6 @@ RunResult run_variant(const graph::Graph& g, Variant variant,
                       core::EngineKind kind = core::EngineKind::Auto,
                       core::KernelKind kernel = core::KernelKind::Auto,
                       std::size_t shard_threads = 1);
-
-/// Batch entry point: one run_variant replica per entry of `seeds`, all on
-/// the same graph, executed through `pool` (one task per seed; pass a
-/// 1-thread pool for inline serial execution). Telemetry is sharded the
-/// same way the sweep shards it: each replica records into a private
-/// scratch registry and buffers its events, and the coordinator folds both
-/// into `metrics` / `observer` in ascending seed order after the batch
-/// drains — results and telemetry are bit-identical for any thread count.
-/// Returns one RunResult per seed, in seed order.
-std::vector<RunResult> run_replicas(const graph::Graph& g, Variant variant,
-                                    core::InitPolicy init,
-                                    std::span<const std::uint64_t> seeds,
-                                    beep::Round max_rounds,
-                                    support::TaskPool& pool,
-                                    std::int32_t c1 = 0,
-                                    obs::MetricsRegistry* metrics = nullptr,
-                                    obs::RoundObserver* observer = nullptr,
-                                    core::EngineKind kind =
-                                        core::EngineKind::Auto,
-                                    core::KernelKind kernel =
-                                        core::KernelKind::Auto,
-                                    std::size_t shard_threads = 1);
 
 /// A generous default budget: stabilization is Θ(log n), so this failing
 /// indicates a real bug rather than bad luck.

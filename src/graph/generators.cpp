@@ -19,6 +19,21 @@ std::string fmt_name(const char* fmt, auto... args) {
   return buf;
 }
 
+/// Runs `edges(rng, emit)` twice through a StreamingCsrBuilder, once
+/// counting and once filling. Each pass draws from its own copy of `rng`,
+/// so both see the identical edge sequence; the fill pass's end state is
+/// written back, so `rng` ends where a single pass would leave it. No edge
+/// list is materialized.
+template <typename EdgeFn>
+Graph stream_two_pass(std::size_t n, std::string name, bool sort_rows,
+                      Rng& rng, const EdgeFn& edges) {
+  StreamingCsrBuilder b(n, std::move(name));
+  edges(rng, [&b](VertexId u, VertexId v) { b.count_edge(u, v); });
+  b.begin_fill();
+  rng = edges(rng, [&b](VertexId u, VertexId v) { b.fill_edge(u, v); });
+  return std::move(b).finish(sort_rows);
+}
+
 }  // namespace
 
 Graph make_path(std::size_t n) {
@@ -142,26 +157,30 @@ Graph make_star_of_cliques(std::size_t cliques, std::size_t k) {
 
 Graph make_erdos_renyi(std::size_t n, double p, Rng& rng) {
   BEEPMIS_CHECK(p >= 0.0 && p <= 1.0, "edge probability outside [0,1]");
-  GraphBuilder b(n, fmt_name("er_n%zu_p%.4f", n, p));
-  if (p > 0.0 && n >= 2) {
-    // Geometric skipping (Batagelj–Brandes): expected O(n + m) time.
+  // Geometric skipping (Batagelj–Brandes): expected O(n + m) time. It emits
+  // (v ascending, w ascending within v), so both endpoints' rows arrive
+  // sorted and duplicate-free.
+  const auto edges = [n, p](Rng r, auto&& emit) {
+    if (p <= 0.0 || n < 2) return r;
     const double logq = std::log1p(-p);
     std::size_t v = 1, w = static_cast<std::size_t>(-1);
     while (v < n) {
-      const double r = rng.uniform01();
+      const double u01 = r.uniform01();
       // skip length ~ Geometric(p)
       w += (p < 1.0)
-               ? 1 + static_cast<std::size_t>(std::floor(std::log1p(-r) / logq))
+               ? 1 + static_cast<std::size_t>(
+                         std::floor(std::log1p(-u01) / logq))
                : 1;
       while (w >= v && v < n) {
         w -= v;
         ++v;
       }
-      if (v < n)
-        b.add_edge(static_cast<VertexId>(v), static_cast<VertexId>(w));
+      if (v < n) emit(static_cast<VertexId>(v), static_cast<VertexId>(w));
     }
-  }
-  return std::move(b).build();
+    return r;
+  };
+  return stream_two_pass(n, fmt_name("er_n%zu_p%.4f", n, p),
+                         /*sort_rows=*/false, rng, edges);
 }
 
 Graph make_erdos_renyi_avg_degree(std::size_t n, double avg_degree, Rng& rng) {
@@ -220,32 +239,42 @@ Graph make_random_regular(std::size_t n, std::size_t d, Rng& rng) {
 
 Graph make_barabasi_albert(std::size_t n, std::size_t m, Rng& rng) {
   BEEPMIS_CHECK(m >= 1 && n > m, "BA needs n > m >= 1");
-  GraphBuilder b(n, fmt_name("ba_n%zu_m%zu", n, m));
-  // Repeated-endpoint list: sampling a uniform element of `targets` is
-  // degree-proportional sampling.
-  std::vector<VertexId> targets;
-  // Seed: star on the first m+1 vertices.
-  for (std::size_t i = 0; i < m; ++i) {
-    b.add_edge(static_cast<VertexId>(m), static_cast<VertexId>(i));
-    targets.push_back(static_cast<VertexId>(i));
-    targets.push_back(static_cast<VertexId>(m));
-  }
-  for (std::size_t v = m + 1; v < n; ++v) {
-    std::set<VertexId> chosen;
-    while (chosen.size() < m)
-      chosen.insert(targets[rng.below(targets.size())]);
-    for (VertexId u : chosen) {
-      b.add_edge(static_cast<VertexId>(v), u);
-      targets.push_back(u);
-      targets.push_back(static_cast<VertexId>(v));
+  // Rows arrive sorted: each new vertex v emits its (distinct, ascending)
+  // chosen targets — all smaller than v — and lands in older rows in
+  // ascending v order. The target list is the sampling structure, so both
+  // passes rebuild it.
+  const auto edges = [n, m](Rng r, auto&& emit) {
+    // Repeated-endpoint list: sampling a uniform element of `targets` is
+    // degree-proportional sampling.
+    std::vector<VertexId> targets;
+    targets.reserve(2 * m * (n - m));
+    // Seed: star on the first m+1 vertices.
+    for (std::size_t i = 0; i < m; ++i) {
+      emit(static_cast<VertexId>(m), static_cast<VertexId>(i));
+      targets.push_back(static_cast<VertexId>(i));
+      targets.push_back(static_cast<VertexId>(m));
     }
-  }
-  return std::move(b).build();
+    for (std::size_t v = m + 1; v < n; ++v) {
+      std::set<VertexId> chosen;
+      while (chosen.size() < m)
+        chosen.insert(targets[r.below(targets.size())]);
+      for (VertexId u : chosen) {
+        emit(static_cast<VertexId>(v), u);
+        targets.push_back(u);
+        targets.push_back(static_cast<VertexId>(v));
+      }
+    }
+    return r;
+  };
+  return stream_two_pass(n, fmt_name("ba_n%zu_m%zu", n, m),
+                         /*sort_rows=*/false, rng, edges);
 }
 
 Graph make_random_geometric(std::size_t n, double radius, Rng& rng) {
   BEEPMIS_CHECK(radius > 0.0, "radius must be positive");
-  GraphBuilder b(n, fmt_name("rgg_n%zu_r%.3f", n, radius));
+  // Points and the cell grid are drawn once and shared by both passes; only
+  // the neighborhood scan repeats. The scan emits a row's neighbors in
+  // cell-window order, not id order, so finish() sorts rows.
   std::vector<std::pair<double, double>> pts(n);
   for (auto& [x, y] : pts) {
     x = rng.uniform01();
@@ -264,19 +293,26 @@ Graph make_random_geometric(std::size_t n, double radius, Rng& rng) {
     grid[cell_of(pts[i].first) * cells + cell_of(pts[i].second)].push_back(
         static_cast<VertexId>(i));
   const double r2 = radius * radius;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cx = cell_of(pts[i].first), cy = cell_of(pts[i].second);
-    for (std::size_t dx = (cx == 0 ? 0 : cx - 1); dx <= std::min(cx + 1, cells - 1); ++dx)
-      for (std::size_t dy = (cy == 0 ? 0 : cy - 1); dy <= std::min(cy + 1, cells - 1); ++dy)
-        for (VertexId j : grid[dx * cells + dy]) {
-          if (j <= i) continue;
-          const double ddx = pts[i].first - pts[j].first;
-          const double ddy = pts[i].second - pts[j].second;
-          if (ddx * ddx + ddy * ddy <= r2)
-            b.add_edge(static_cast<VertexId>(i), j);
-        }
-  }
-  return std::move(b).build();
+  const auto edges = [&](Rng r, auto&& emit) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t cx = cell_of(pts[i].first);
+      const std::size_t cy = cell_of(pts[i].second);
+      for (std::size_t dx = (cx == 0 ? 0 : cx - 1);
+           dx <= std::min(cx + 1, cells - 1); ++dx)
+        for (std::size_t dy = (cy == 0 ? 0 : cy - 1);
+             dy <= std::min(cy + 1, cells - 1); ++dy)
+          for (VertexId j : grid[dx * cells + dy]) {
+            if (j <= i) continue;
+            const double ddx = pts[i].first - pts[j].first;
+            const double ddy = pts[i].second - pts[j].second;
+            if (ddx * ddx + ddy * ddy <= r2)
+              emit(static_cast<VertexId>(i), j);
+          }
+    }
+    return r;
+  };
+  return stream_two_pass(n, fmt_name("rgg_n%zu_r%.3f", n, radius),
+                         /*sort_rows=*/true, rng, edges);
 }
 
 Graph make_watts_strogatz(std::size_t n, std::size_t k, double beta,
@@ -335,133 +371,6 @@ Graph make_random_tree(std::size_t n, Rng& rng) {
     b.add_edge(static_cast<VertexId>(v),
                static_cast<VertexId>(rng.below(v)));
   return std::move(b).build();
-}
-
-// Streaming variants ---------------------------------------------------------
-
-namespace {
-
-/// Runs `edges(emit)` twice through a StreamingCsrBuilder — once counting,
-/// once filling. `edges` must produce the identical sequence on both calls
-/// (the generators below guarantee it by drawing from a private Rng copy).
-template <typename EdgeFn>
-Graph stream_two_pass(std::size_t n, std::string name, bool sort_rows,
-                      const EdgeFn& edges) {
-  StreamingCsrBuilder b(n, std::move(name));
-  edges([&b](VertexId u, VertexId v) { b.count_edge(u, v); });
-  b.begin_fill();
-  edges([&b](VertexId u, VertexId v) { b.fill_edge(u, v); });
-  return std::move(b).finish(sort_rows);
-}
-
-}  // namespace
-
-Graph make_erdos_renyi_stream(std::size_t n, double p, Rng rng) {
-  BEEPMIS_CHECK(p >= 0.0 && p <= 1.0, "edge probability outside [0,1]");
-  // Same geometric-skipping walk as make_erdos_renyi, same draw sequence —
-  // and Batagelj–Brandes emits (v ascending, w ascending within v), so both
-  // endpoints' rows arrive pre-sorted and duplicate-free.
-  const auto edges = [n, p, rng](auto&& emit) {
-    if (p <= 0.0 || n < 2) return;
-    Rng r = rng;
-    const double logq = std::log1p(-p);
-    std::size_t v = 1, w = static_cast<std::size_t>(-1);
-    while (v < n) {
-      const double u01 = r.uniform01();
-      w += (p < 1.0)
-               ? 1 + static_cast<std::size_t>(
-                         std::floor(std::log1p(-u01) / logq))
-               : 1;
-      while (w >= v && v < n) {
-        w -= v;
-        ++v;
-      }
-      if (v < n) emit(static_cast<VertexId>(v), static_cast<VertexId>(w));
-    }
-  };
-  return stream_two_pass(n, fmt_name("er_n%zu_p%.4f", n, p),
-                         /*sort_rows=*/false, edges);
-}
-
-Graph make_erdos_renyi_avg_degree_stream(std::size_t n, double avg_degree,
-                                         Rng rng) {
-  BEEPMIS_CHECK(n >= 2, "need n >= 2");
-  const double p = std::min(1.0, avg_degree / static_cast<double>(n - 1));
-  return make_erdos_renyi_stream(n, p, rng);
-}
-
-Graph make_barabasi_albert_stream(std::size_t n, std::size_t m, Rng rng) {
-  BEEPMIS_CHECK(m >= 1 && n > m, "BA needs n > m >= 1");
-  // Same attachment process as make_barabasi_albert. Rows arrive sorted:
-  // each new vertex v emits its (distinct, ascending) chosen targets — all
-  // smaller than v — and lands in older rows in ascending v order. The
-  // target list is the sampling structure, so it exists in both passes;
-  // only the GraphBuilder edge list (and its sort) is saved.
-  const auto edges = [n, m, rng](auto&& emit) {
-    Rng r = rng;
-    std::vector<VertexId> targets;
-    targets.reserve(2 * m * (n - m));
-    for (std::size_t i = 0; i < m; ++i) {
-      emit(static_cast<VertexId>(m), static_cast<VertexId>(i));
-      targets.push_back(static_cast<VertexId>(i));
-      targets.push_back(static_cast<VertexId>(m));
-    }
-    for (std::size_t v = m + 1; v < n; ++v) {
-      std::set<VertexId> chosen;
-      while (chosen.size() < m)
-        chosen.insert(targets[r.below(targets.size())]);
-      for (VertexId u : chosen) {
-        emit(static_cast<VertexId>(v), u);
-        targets.push_back(u);
-        targets.push_back(static_cast<VertexId>(v));
-      }
-    }
-  };
-  return stream_two_pass(n, fmt_name("ba_n%zu_m%zu", n, m),
-                         /*sort_rows=*/false, edges);
-}
-
-Graph make_random_geometric_stream(std::size_t n, double radius, Rng rng) {
-  BEEPMIS_CHECK(radius > 0.0, "radius must be positive");
-  // Points and the cell grid are drawn once and shared by both passes; only
-  // the neighborhood scan repeats. The scan can emit a row's neighbors out
-  // of order (cell-window order, not id order), so finish() sorts rows.
-  std::vector<std::pair<double, double>> pts(n);
-  for (auto& [x, y] : pts) {
-    x = rng.uniform01();
-    y = rng.uniform01();
-  }
-  const auto cells = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::floor(1.0 / radius)));
-  const double cell = 1.0 / static_cast<double>(cells);
-  std::vector<std::vector<VertexId>> grid(cells * cells);
-  auto cell_of = [&](double x) {
-    auto c = static_cast<std::size_t>(x / cell);
-    return std::min(c, cells - 1);
-  };
-  for (std::size_t i = 0; i < n; ++i)
-    grid[cell_of(pts[i].first) * cells + cell_of(pts[i].second)].push_back(
-        static_cast<VertexId>(i));
-  const double r2 = radius * radius;
-  const auto edges = [&](auto&& emit) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t cx = cell_of(pts[i].first);
-      const std::size_t cy = cell_of(pts[i].second);
-      for (std::size_t dx = (cx == 0 ? 0 : cx - 1);
-           dx <= std::min(cx + 1, cells - 1); ++dx)
-        for (std::size_t dy = (cy == 0 ? 0 : cy - 1);
-             dy <= std::min(cy + 1, cells - 1); ++dy)
-          for (VertexId j : grid[dx * cells + dy]) {
-            if (j <= i) continue;
-            const double ddx = pts[i].first - pts[j].first;
-            const double ddy = pts[i].second - pts[j].second;
-            if (ddx * ddx + ddy * ddy <= r2)
-              emit(static_cast<VertexId>(i), j);
-          }
-    }
-  };
-  return stream_two_pass(n, fmt_name("rgg_n%zu_r%.3f", n, radius),
-                         /*sort_rows=*/true, edges);
 }
 
 }  // namespace beepmis::graph

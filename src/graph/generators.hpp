@@ -40,6 +40,14 @@ Graph make_lollipop(std::size_t clique, std::size_t path);
 Graph make_star_of_cliques(std::size_t cliques, std::size_t k);
 
 // Random families -------------------------------------------------------------
+//
+// Every generator advances the caller's Rng by exactly the draws it makes.
+// Erdős–Rényi, Barabási–Albert and the random geometric graph replay their
+// edge stream twice through a StreamingCsrBuilder (count pass from a copy
+// of the Rng, fill pass from the Rng itself), so they never materialize an
+// edge list and peak memory is the final CSR itself. That is what makes
+// n = 10^7 instances fit under a few GiB. The other random families collect
+// edges in a GraphBuilder.
 
 /// Erdős–Rényi G(n, p).
 Graph make_erdos_renyi(std::size_t n, double p, Rng& rng);
@@ -67,25 +75,5 @@ Graph make_watts_strogatz(std::size_t n, std::size_t k, double beta,
 /// intra-community edge probability p_in, inter-community p_out.
 Graph make_planted_partition(std::size_t n, std::size_t blocks, double p_in,
                              double p_out, Rng& rng);
-
-// Streaming variants ---------------------------------------------------------
-//
-// Identical graphs to the materialized generators above — same name, same
-// CSR, bit for bit — but built by replaying the generator twice through a
-// StreamingCsrBuilder (count pass, then fill pass), so no edge list is ever
-// materialized and peak memory is the final CSR itself. That is what makes
-// n = 10^7 instances fit under a few GiB. The Rng is taken BY VALUE: each
-// pass replays the identical draw sequence from a private copy, so unlike
-// the by-reference versions the caller's generator state does not advance.
-
-/// Streaming G(n, p); equals make_erdos_renyi(n, p, rng) exactly.
-Graph make_erdos_renyi_stream(std::size_t n, double p, Rng rng);
-/// Streaming G(n, p) at expected average degree `avg_degree`.
-Graph make_erdos_renyi_avg_degree_stream(std::size_t n, double avg_degree,
-                                         Rng rng);
-/// Streaming Barabási–Albert; equals make_barabasi_albert(n, m, rng).
-Graph make_barabasi_albert_stream(std::size_t n, std::size_t m, Rng rng);
-/// Streaming random geometric graph; equals make_random_geometric.
-Graph make_random_geometric_stream(std::size_t n, double radius, Rng rng);
 
 }  // namespace beepmis::graph

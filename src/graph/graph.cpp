@@ -32,32 +32,15 @@ void GraphBuilder::add_edge(VertexId u, VertexId v) {
 Graph GraphBuilder::build() && {
   std::sort(edges_.begin(), edges_.end());
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-
-  Graph g;
-  g.name_ = std::move(name_);
-  g.offsets_.assign(n_ + 1, 0);
-  for (const auto& [u, v] : edges_) {
-    ++g.offsets_[u + 1];
-    ++g.offsets_[v + 1];
-  }
-  for (std::size_t i = 1; i <= n_; ++i) g.offsets_[i] += g.offsets_[i - 1];
-
-  g.adjacency_.resize(edges_.size() * 2);
-  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const auto& [u, v] : edges_) {
-    g.adjacency_[cursor[u]++] = v;
-    g.adjacency_[cursor[v]++] = u;
-  }
-  // Each vertex's edges were appended in globally sorted order, so
-  // neighborhoods are already sorted — required by has_edge's binary search
-  // and by the sharded round kernel's per-shard row splitting.
-  for (std::size_t v = 0; v < n_; ++v) {
-    const auto nb = g.neighbors(static_cast<VertexId>(v));
-    BEEPMIS_CHECK(std::is_sorted(nb.begin(), nb.end()),
-                  "CSR neighborhood not sorted after build");
-    g.max_degree_ = std::max(g.max_degree_, g.offsets_[v + 1] - g.offsets_[v]);
-  }
-  return g;
+  // Sorted (u, v) pairs with u < v reach every row in ascending order — a
+  // row's smaller neighbors arrive as (u, row) pairs before its larger ones
+  // as (row, v) — so the streaming fill needs no row sort, and its
+  // strictly-ascending check holds.
+  StreamingCsrBuilder b(n_, std::move(name_));
+  for (const auto& [u, v] : edges_) b.count_edge(u, v);
+  b.begin_fill();
+  for (const auto& [u, v] : edges_) b.fill_edge(u, v);
+  return std::move(b).finish(/*sort_rows=*/false);
 }
 
 StreamingCsrBuilder::StreamingCsrBuilder(std::size_t vertex_count,

@@ -50,9 +50,10 @@ class Graph {
   std::string name_;
 };
 
-/// Accumulates edges, then freezes into a CSR Graph. Deduplicates parallel
-/// edges and rejects self-loops (the model is on simple graphs). A vertex
-/// count beyond 32-bit VertexIds aborts at construction.
+/// Accumulates edges, then freezes into a CSR Graph through a
+/// StreamingCsrBuilder. Deduplicates parallel edges and rejects self-loops
+/// (the model is on simple graphs). A vertex count beyond 32-bit VertexIds
+/// aborts at construction.
 class GraphBuilder {
  public:
   explicit GraphBuilder(std::size_t vertex_count, std::string name = "graph");
@@ -78,8 +79,8 @@ class GraphBuilder {
 /// stream through fill_edge; finish() freezes the Graph. Unlike
 /// GraphBuilder no edge list is ever materialized — peak memory is the
 /// final CSR itself — which is what lets n = 10^7 instances fit. The
-/// caller owns replay fidelity (the streaming generators replay from a
-/// copied Rng) and must not emit duplicate edges; self-loops abort as in
+/// caller owns replay fidelity (the random generators replay from a copied
+/// Rng) and must not emit duplicate edges; self-loops abort as in
 /// GraphBuilder.
 class StreamingCsrBuilder {
  public:

@@ -118,9 +118,6 @@ class TimerStat {
   std::uint64_t count() const noexcept { return count_; }
   std::uint64_t total_ns() const noexcept { return total_ns_; }
   std::uint64_t max_ns() const noexcept { return max_ns_; }
-  double total_ms() const noexcept {
-    return static_cast<double>(total_ns_) / 1e6;
-  }
   const Histogram& histogram() const noexcept { return hist_; }
 
  private:

@@ -731,8 +731,9 @@ void ReportBuilder::write_markdown(std::ostream& os,
   if (!dropped_sources_.empty()) {
     os << "> **Warning:** " << dropped_sources_.size()
        << " trace input(s) overflowed their ring and dropped spans — "
-          "their quantiles are biased toward the end of the run (rerun "
-          "with a larger --trace-capacity):";
+          "their quantiles are biased toward the end of the run (the "
+          "ring keeps each thread's newest records; trace a shorter "
+          "run):";
     for (const auto& [s, d] : dropped_sources_)
       os << " `" << s << "` (" << d << " dropped)";
     os << "\n\n";

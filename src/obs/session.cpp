@@ -10,6 +10,16 @@
 
 namespace beepmis::obs {
 
+namespace {
+
+// Fixed tracing and profiling cadences. trace.v1 records counter_every and
+// profile.v1 records sample_every, so every artifact still states them.
+constexpr std::size_t kTraceCapacity = 65536;  // records per thread ring
+constexpr std::uint64_t kTraceCounterEvery = 16;  // rounds per counter sample
+constexpr std::uint64_t kProfileEvery = 64;  // rounds per profiled round
+
+}  // namespace
+
 std::string trace_chrome_path(const std::string& path) {
   const std::size_t dot = path.rfind('.');
   if (dot == std::string::npos || path.find('/', dot) != std::string::npos)
@@ -104,20 +114,12 @@ Session::Session(support::ArgParser& args, std::string tool,
   args.add_option("trace-out", "",
                   "write a beepmis.trace.v1 span trace here plus a "
                   "Chrome/Perfetto export beside it (<name>.chrome.json)");
-  args.add_option("trace-capacity", "65536",
-                  "per-thread trace ring capacity in records (the oldest "
-                  "are overwritten and counted)");
-  args.add_option("trace-counters", "16",
-                  "engine counter tracks every K rounds while tracing "
-                  "(0 = off)");
   args.add_flag("profile",
                 "attribute hardware perf counters to engine/sweep/pool "
                 "spans (a no-op when perf_event_open is denied)");
   args.add_option("profile-out", profile_out,
                   "write the beepmis.profile.v1 document here (always, "
                   "under --profile)");
-  args.add_option("profile-every", "64",
-                  "profile every K-th engine round");
 }
 
 ObserverOptions Session::observers(std::uint64_t n,
@@ -146,14 +148,13 @@ void Session::start(const Context& context) {
   if (!args_.get("trace-out").empty()) {
     Tracer& tracer = Tracer::instance();
     label(tracer);
-    tracer.enable(static_cast<std::size_t>(args_.get_int("trace-capacity")),
-                  static_cast<std::uint64_t>(args_.get_int("trace-counters")));
+    tracer.enable(kTraceCapacity, kTraceCounterEvery);
     Tracer::set_thread_label("main");
   }
   if (args_.flag("profile")) {
     PerfSession& perf = PerfSession::instance();
     label(perf);
-    perf.enable(static_cast<std::uint64_t>(args_.get_int("profile-every")));
+    perf.enable(kProfileEvery);
     // stderr only: every other output is identical with counters or not.
     if (!perf.available())
       std::fprintf(stderr,

@@ -63,7 +63,6 @@ class StoneAgeSimulation {
   void step();
   void run(std::uint64_t rounds);
 
-  std::span<const Letter> last_shown() const noexcept { return shown_; }
   /// counts[v*|Σ| + σ] from the last round.
   std::span<const std::uint8_t> last_counts() const noexcept {
     return counts_;

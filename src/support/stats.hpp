@@ -56,7 +56,6 @@ class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t buckets);
   void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
   std::size_t count_at(std::size_t i) const { return counts_.at(i); }
   std::size_t underflow() const noexcept { return underflow_; }
   std::size_t overflow() const noexcept { return overflow_; }

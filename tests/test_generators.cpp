@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "src/exp/families.hpp"
 #include "src/graph/properties.hpp"
 
 namespace beepmis::graph {
@@ -201,56 +205,119 @@ TEST_P(GeneratorSizeSweep, AllFamiliesWellFormed) {
 INSTANTIATE_TEST_SUITE_P(Sizes, GeneratorSizeSweep,
                          ::testing::Values(16, 33, 64, 100, 257));
 
-// The streaming generators promise the IDENTICAL graph to the materialized
-// ones — same name, offsets, adjacency — just built without an edge list.
-// Compare them structurally element for element.
+// Pins every randomized generator's output and its effect on the caller's
+// Rng: an FNV-1a digest of (name, CSR offsets, adjacency) plus the caller
+// Rng's next draw after generation. Any change to a draw sequence, an edge
+// order, a name format or the CSR layout shows up here.
 
 namespace {
-void expect_identical(const Graph& a, const Graph& b) {
-  ASSERT_EQ(a.vertex_count(), b.vertex_count());
-  ASSERT_EQ(a.edge_count(), b.edge_count());
-  EXPECT_EQ(a.name(), b.name());
-  EXPECT_EQ(a.max_degree(), b.max_degree());
-  for (VertexId v = 0; v < a.vertex_count(); ++v) {
-    const auto na = a.neighbors(v);
-    const auto nb = b.neighbors(v);
-    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
-        << "vertex " << v;
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void bytes(const void* p, std::size_t len) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < len; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
   }
+  void word(std::uint64_t x) { bytes(&x, sizeof x); }
+};
+
+std::uint64_t pin(const Graph& g, support::Rng& rng) {
+  Fnv1a f;
+  f.bytes(g.name().data(), g.name().size());
+  std::uint64_t offset = 0;
+  f.word(offset);
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    offset += g.degree(v);
+    f.word(offset);
+  }
+  for (VertexId v = 0; v < g.vertex_count(); ++v)
+    for (VertexId u : g.neighbors(v)) f.word(u);
+  f.word(rng());
+  return f.h;
 }
+
 }  // namespace
 
-TEST(StreamingGenerators, ErdosRenyiMatchesMaterialized) {
-  for (std::uint64_t seed : {1u, 7u, 42u}) {
-    support::Rng r1(seed);
-    const Graph mat = make_erdos_renyi_avg_degree(513, 8.0, r1);
-    const Graph str = make_erdos_renyi_avg_degree_stream(
-        513, 8.0, support::Rng(seed));
-    expect_identical(mat, str);
+TEST(Generators, OutputPinned) {
+  using exp::Family;
+  struct Case {
+    std::string label;
+    std::uint64_t digest;
+  };
+  std::vector<Case> got;
+  for (Family fam :
+       {Family::ErdosRenyiAvg8, Family::Random4Regular, Family::Torus,
+        Family::BarabasiAlbert3, Family::GeometricAvg8, Family::RandomTree,
+        Family::Cycle, Family::Star})
+    for (std::size_t n : {600u, 5000u})
+      for (std::uint64_t seed : {1u, 7u}) {
+        support::Rng rng(seed);
+        const Graph g = exp::make_family(fam, n, rng);
+        got.push_back({exp::family_name(fam) + "/n" + std::to_string(n) +
+                           "/s" + std::to_string(seed),
+                       pin(g, rng)});
+      }
+  {
+    support::Rng rng(5);
+    const Graph g = make_erdos_renyi(40, 1.0, rng);
+    got.push_back({"er-p1/n40/s5", pin(g, rng)});
   }
-  // Dense corner: p = 1 takes the non-geometric skip branch.
-  support::Rng r2(5);
-  expect_identical(make_erdos_renyi(40, 1.0, r2),
-                   make_erdos_renyi_stream(40, 1.0, support::Rng(5)));
-}
-
-TEST(StreamingGenerators, BarabasiAlbertMatchesMaterialized) {
-  for (std::uint64_t seed : {2u, 9u, 77u}) {
-    support::Rng r1(seed);
-    const Graph mat = make_barabasi_albert(400, 3, r1);
-    const Graph str = make_barabasi_albert_stream(400, 3, support::Rng(seed));
-    expect_identical(mat, str);
+  for (std::uint64_t seed : {1u, 7u}) {
+    support::Rng rng(seed);
+    const Graph ws = make_watts_strogatz(600, 4, 0.1, rng);
+    got.push_back({"ws/n600/s" + std::to_string(seed), pin(ws, rng)});
+    const Graph sbm = make_planted_partition(600, 4, 0.1, 0.005, rng);
+    got.push_back({"sbm/n600/s" + std::to_string(seed), pin(sbm, rng)});
   }
-}
 
-TEST(StreamingGenerators, RandomGeometricMatchesMaterialized) {
-  const double radius = std::sqrt(8.0 / (3.14159265358979 * 400.0));
-  for (std::uint64_t seed : {3u, 11u, 99u}) {
-    support::Rng r1(seed);
-    const Graph mat = make_random_geometric(400, radius, r1);
-    const Graph str =
-        make_random_geometric_stream(400, radius, support::Rng(seed));
-    expect_identical(mat, str);
+  const std::vector<Case> want = {
+      {"er-avg8/n600/s1", 0xed3d0b3bcb83bf35ULL},
+      {"er-avg8/n600/s7", 0xe3be463a7b0c4a3aULL},
+      {"er-avg8/n5000/s1", 0xcf7dba40b9a2addaULL},
+      {"er-avg8/n5000/s7", 0x2dee32ea3ad6eccbULL},
+      {"4-regular/n600/s1", 0x0f1bf54d75745de8ULL},
+      {"4-regular/n600/s7", 0x4fa32ca30e3869bcULL},
+      {"4-regular/n5000/s1", 0x0f9437a97ce0bcd5ULL},
+      {"4-regular/n5000/s7", 0x9f7f0ae5c7a27d03ULL},
+      {"torus/n600/s1", 0xc65defc42b3f0fc6ULL},
+      {"torus/n600/s7", 0x542eb4e8a07d15a9ULL},
+      {"torus/n5000/s1", 0xa7f40b7388b6a961ULL},
+      {"torus/n5000/s7", 0x7645cb5c72f3222aULL},
+      {"ba-m3/n600/s1", 0xd00c65518cbc51d1ULL},
+      {"ba-m3/n600/s7", 0x930437d97c322358ULL},
+      {"ba-m3/n5000/s1", 0x980ed7b15dd17726ULL},
+      {"ba-m3/n5000/s7", 0x12f725aedf944908ULL},
+      {"rgg-avg8/n600/s1", 0xb05c0c65b2984369ULL},
+      {"rgg-avg8/n600/s7", 0x14b7987de0f032d5ULL},
+      {"rgg-avg8/n5000/s1", 0x6d1a887c4eb63313ULL},
+      {"rgg-avg8/n5000/s7", 0xf712a16ca021375eULL},
+      {"rand-tree/n600/s1", 0xb5bd07f553a8ae8cULL},
+      {"rand-tree/n600/s7", 0xea90391526de0aaaULL},
+      {"rand-tree/n5000/s1", 0xb6954262773a5e0cULL},
+      {"rand-tree/n5000/s7", 0x1af9aee1084d5e38ULL},
+      {"cycle/n600/s1", 0x71377df46b4a23deULL},
+      {"cycle/n600/s7", 0x4b2f760214fea001ULL},
+      {"cycle/n5000/s1", 0x2ea3f20e195a37a8ULL},
+      {"cycle/n5000/s7", 0xd0494877754ea28fULL},
+      {"star/n600/s1", 0x22b01d5e7f8ad7fcULL},
+      {"star/n600/s7", 0xaefbc8ed81d70ec3ULL},
+      {"star/n5000/s1", 0x13c3b7c6f9c11109ULL},
+      {"star/n5000/s7", 0x1f6216e808237eb2ULL},
+      {"er-p1/n40/s5", 0xaab1a475bbfb8198ULL},
+      {"ws/n600/s1", 0x630b3ea591ae0dc7ULL},
+      {"sbm/n600/s1", 0xc3127977e4f4247eULL},
+      {"ws/n600/s7", 0x3be1fbe6deee4063ULL},
+      {"sbm/n600/s7", 0xecf9bac9304ed411ULL},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].label, want[i].label);
+    EXPECT_EQ(got[i].digest, want[i].digest)
+        << "{\"" << got[i].label << "\", 0x" << std::hex << got[i].digest
+        << "ULL},";
   }
 }
 

@@ -1,8 +1,7 @@
 /// Determinism contract of the parallel sweep path: the seed derivation is
 /// pinned (stored artifacts reference it), seeds never collide across sweep
-/// points, and run_scaling_sweep / run_replicas produce bit-identical
-/// results, metrics (modulo wall-clock timers) and event streams for every
-/// thread count.
+/// points, and run_scaling_sweep produces bit-identical results, metrics
+/// (modulo wall-clock timers) and event streams for every thread count.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +11,8 @@
 
 #include "src/exp/runner.hpp"
 #include "src/exp/sweep.hpp"
-#include "src/graph/generators.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/sink.hpp"
-#include "src/support/task_pool.hpp"
 
 namespace beepmis {
 namespace {
@@ -191,62 +188,6 @@ TEST(SweepParallel, ZeroThreadsMeansHardwareAndStaysDeterministic) {
     EXPECT_DOUBLE_EQ(parallel[i].rounds.median(), serial[i].rounds.median());
   }
   expect_registries_equal_modulo_timing(auto_metrics, serial_metrics);
-}
-
-TEST(RunReplicas, MatchesTheHandRolledSerialLoop) {
-  support::Rng grng(31);
-  const auto g = graph::make_erdos_renyi_avg_degree(64, 8.0, grng);
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t s = 0; s < 10; ++s)
-    seeds.push_back(exp::sweep_seed(3, exp::Family::ErdosRenyiAvg8, 64, s));
-  const beep::Round budget = exp::default_round_budget(64);
-
-  // The pre-pool way: run_variant per seed against one shared registry.
-  obs::MetricsRegistry serial_metrics;
-  obs::MemorySink serial_events;
-  std::vector<exp::RunResult> serial;
-  for (const std::uint64_t seed : seeds)
-    serial.push_back(exp::run_variant(
-        g, core::Variant::GlobalDelta, core::InitPolicy::UniformRandom, seed,
-        budget, 0, &serial_metrics, &serial_events, core::EngineKind::Fast));
-
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    support::TaskPool pool(threads);
-    obs::MetricsRegistry metrics;
-    obs::MemorySink events;
-    const auto results = exp::run_replicas(
-        g, core::Variant::GlobalDelta, core::InitPolicy::UniformRandom,
-        seeds, budget, pool, 0, &metrics, &events, core::EngineKind::Fast);
-    ASSERT_EQ(results.size(), serial.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].stabilized, serial[i].stabilized) << i;
-      EXPECT_EQ(results[i].rounds, serial[i].rounds) << i;
-      EXPECT_EQ(results[i].mis_size, serial[i].mis_size) << i;
-      EXPECT_EQ(results[i].valid_mis, serial[i].valid_mis) << i;
-    }
-    expect_registries_equal_modulo_timing(metrics, serial_metrics);
-    ASSERT_EQ(events.events().size(), serial_events.events().size());
-    for (std::size_t i = 0; i < events.events().size(); ++i)
-      ASSERT_EQ(events.events()[i], serial_events.events()[i]) << i;
-  }
-}
-
-TEST(RunReplicas, NoTelemetryPathAlsoDeterministic) {
-  support::Rng grng(8);
-  const auto g = graph::make_erdos_renyi_avg_degree(48, 6.0, grng);
-  const std::vector<std::uint64_t> seeds = {11, 22, 33, 44, 55};
-  support::TaskPool serial_pool(1), pool(3);
-  const auto a = exp::run_replicas(g, core::Variant::TwoChannel,
-                                   core::InitPolicy::HalfCorrupt, seeds,
-                                   exp::default_round_budget(48), serial_pool);
-  const auto b = exp::run_replicas(g, core::Variant::TwoChannel,
-                                   core::InitPolicy::HalfCorrupt, seeds,
-                                   exp::default_round_budget(48), pool);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].rounds, b[i].rounds) << i;
-    EXPECT_EQ(a[i].mis_size, b[i].mis_size) << i;
-  }
 }
 
 }  // namespace

@@ -535,7 +535,7 @@ int run_sweep(const support::ArgParser& args, obs::Session& session,
   cfg.metrics = &metrics;
 
   // --sizes: comma-separated vertex counts, or the "giant" preset — the
-  // n = 10^7 ladder the sharded kernel and streaming generators exist for.
+  // n = 10^7 ladder the sharded kernel and edge-list-free generators exist for.
   // Pair it with a small --sweep-seeds (replicas at 10^7 take minutes each).
   std::string sizes = args.get("sizes");
   if (sizes == "giant") sizes = "100000,300000,1000000,3000000,10000000";

@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
   if (!builder.dropped_sources().empty()) {
     std::cerr << "beepmis_report: WARNING: "
               << builder.dropped_sources().size()
-              << " trace input(s) dropped spans (ring overflow; rerun with "
-                 "a larger --trace-capacity):";
+              << " trace input(s) dropped spans (ring overflow; trace a "
+                 "shorter run):";
     for (const auto& [s, d] : builder.dropped_sources())
       std::cerr << ' ' << s << " (" << d << ")";
     std::cerr << '\n';

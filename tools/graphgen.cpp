@@ -1,8 +1,8 @@
 /// beepmis_graphgen — generate graphs from the library's families and write
-/// them as edge lists (stdout) or Graphviz DOT, for use with beepmis_cli
-/// --graph-file or external tooling.
+/// them as edge lists, DIMACS or Graphviz DOT (stdout), or as binary packed
+/// CSR (--stream-out FILE), for use with beepmis_cli --graph-file or
+/// external tooling.
 
-#include <cmath>
 #include <fstream>
 #include <iostream>
 
@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
   args.add_flag("dimacs", "emit DIMACS edge format instead of an edge list");
   args.add_flag("stats", "print degree statistics to stderr");
   args.add_option("stream-out", "",
-                  "write binary packed CSR to FILE, building er-avg8 / ba-m3"
-                  " / rgg-avg8 through the streaming generators (no edge"
-                  " list in memory — supports n up to 10^7)");
+                  "write binary packed CSR to FILE instead of text (er-avg8,"
+                  " ba-m3 and rgg-avg8 build without an edge list in memory"
+                  " — n up to 10^7)");
 
   std::string error;
   if (!args.parse(argc, argv, &error)) {
@@ -46,39 +46,6 @@ int main(int argc, char** argv) {
                          .derive_stream(0x6ea9);
   const auto n = static_cast<std::size_t>(args.get_int("n"));
   const std::string fam = args.get("family");
-
-  // Streaming path: same family parameters as exp::make_family, built with
-  // the streaming generators at ANY size and written as binary packed CSR.
-  if (const std::string out = args.get("stream-out"); !out.empty()) {
-    graph::Graph g;
-    if (fam == "er-avg8") {
-      g = graph::make_erdos_renyi_avg_degree_stream(n, 8.0, rng);
-    } else if (fam == "ba-m3") {
-      g = graph::make_barabasi_albert_stream(n, 3, rng);
-    } else if (fam == "rgg-avg8") {
-      const double r = std::sqrt(8.0 / (3.14159265358979 *
-                                        static_cast<double>(n)));
-      g = graph::make_random_geometric_stream(n, r, rng);
-    } else {
-      std::cerr << "--stream-out supports er-avg8 | ba-m3 | rgg-avg8, not "
-                << fam << "\n";
-      return 2;
-    }
-    std::ofstream os(out, std::ios::binary);
-    if (!os) {
-      std::cerr << "cannot open " << out << " for writing\n";
-      return 2;
-    }
-    graph::write_packed(g, os);
-    if (args.flag("stats")) {
-      const auto s = graph::degree_stats(g);
-      std::cerr << g.name() << ": n=" << g.vertex_count()
-                << " m=" << g.edge_count() << " deg[min=" << s.min
-                << " mean=" << s.mean << " max=" << s.max
-                << " isolated=" << s.isolated << "]\n";
-    }
-    return 0;
-  }
 
   graph::Graph g;
   if (fam == "ws") {
@@ -115,11 +82,19 @@ int main(int argc, char** argv) {
               << " mean=" << s.mean << " max=" << s.max
               << " isolated=" << s.isolated << "]\n";
   }
-  if (args.flag("dot"))
+  if (const std::string out = args.get("stream-out"); !out.empty()) {
+    std::ofstream os(out, std::ios::binary);
+    if (!os) {
+      std::cerr << "cannot open " << out << " for writing\n";
+      return 2;
+    }
+    graph::write_packed(g, os);
+  } else if (args.flag("dot")) {
     graph::write_dot(g, std::cout);
-  else if (args.flag("dimacs"))
+  } else if (args.flag("dimacs")) {
     graph::write_dimacs(g, std::cout);
-  else
+  } else {
     graph::write_edge_list(g, std::cout);
+  }
   return 0;
 }
