@@ -34,6 +34,7 @@
 #include "src/exp/runner.hpp"
 #include "src/exp/sweep.hpp"
 #include "src/graph/generators.hpp"
+#include "src/mis/verifier.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/perf.hpp"
@@ -373,6 +374,38 @@ BENCHMARK(BM_FaultWave)
     ->Repetitions(5)
     ->Unit(benchmark::kMicrosecond);
 
+/// Verifying a settled MIS from the levels: one stabilized n = 2^20
+/// Erdős–Rényi instance (avg degree 8, sharded kernel, one shard). The
+/// harness arm is what runners and the e2e bench do after a solve —
+/// mis_members() plus mis::is_mis; the probe arm is one invariant probe
+/// at a stabilization edge (level range, mis_members, fused check).
+void BM_VerifySettled(benchmark::State& state, bool probe) {
+  constexpr std::size_t kN = std::size_t{1} << 20;
+  const graph::Graph g = make_er(kN);
+  core::FastMisEngine fast(g, core::lmax_global_delta(g), 1, {},
+                           beep::Duplex::Full, core::KernelKind::Sharded, 1);
+  support::Rng irng(1);
+  core::apply_init(fast, core::InitPolicy::UniformRandom, irng);
+  fast.run_to_stabilization(100000);
+  bool ok = true;
+  for (auto _ : state) {
+    if (probe) {
+      const obs::InvariantProbeResult r = core::probe_invariants(fast, true);
+      ok = ok && r.independent && r.maximal && r.levels_in_range;
+    } else {
+      ok = ok && mis::is_mis(g, fast.mis_members());
+    }
+    benchmark::DoNotOptimize(ok);
+  }
+  if (!ok) state.SkipWithError("settled configuration failed verification");
+}
+BENCHMARK_CAPTURE(BM_VerifySettled, harness, false)
+    ->Repetitions(5)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_VerifySettled, probe, true)
+    ->Repetitions(5)
+    ->Unit(benchmark::kMillisecond);
+
 /// Same workload with a JsonlSink (analysis off) attached — the ratio of
 /// this to BM_FastEngineRun_NoSink is the sink's wall-clock overhead.
 void BM_FastEngineRun_JsonlSink(benchmark::State& state) {
@@ -479,7 +512,7 @@ BENCHMARK(BM_FastEngineRun_Observer)->Arg(10240);
 /// O(n) level-range probe per cadence window plus one O(n + m) settlement
 /// check per stabilization edge, shared by the monitor and the tracker.
 /// The ratio to BM_FastEngineRun_NoSink is what a monitored run costs over
-/// a bare one; CI gates it at ≤ 1.5.
+/// a bare one; CI gates it at ≤ 1.35.
 void BM_FastEngineRun_Monitor(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const graph::Graph g = make_er(n);

@@ -151,6 +151,13 @@ class ReferenceEngine final : public Engine {
   std::vector<bool> mis_members() const override {
     return a1_ != nullptr ? a1_->mis_members() : a2_->mis_members();
   }
+  bool levels_in_range() const override {
+    for (graph::VertexId v = 0; v < graph().vertex_count(); ++v) {
+      const std::int32_t l = level(v);
+      if (l < member_level(v) || l > lmax(v)) return false;
+    }
+    return true;
+  }
 
   void corrupt(graph::VertexId v, support::Rng& rng) override {
     sim_->algorithm().corrupt_node(v, rng);

@@ -170,6 +170,9 @@ class Engine {
   virtual bool is_stabilized() const = 0;
   /// Current I_t.
   virtual std::vector<bool> mis_members() const = 0;
+  /// Every ℓ(v) lies in the variant's admissible window
+  /// [member_level(v), lmax(v)] — true at every round of a correct run.
+  virtual bool levels_in_range() const = 0;
 
   /// Overwrites v's RAM with an arbitrary in-range value drawn from `rng` —
   /// the paper's transient-fault model, mid-run. Draw-for-draw identical

@@ -6,21 +6,19 @@ namespace beepmis::core {
 
 obs::InvariantProbeResult probe_invariants(const Engine& engine,
                                            bool claims_stabilized) {
-  const graph::Graph& g = engine.graph();
   obs::InvariantProbeResult r;
   r.stabilized = engine.is_stabilized();
-  const std::size_t n = g.vertex_count();
-  for (graph::VertexId v = 0; v < n; ++v) {
-    const std::int32_t l = engine.level(v);
-    if (l < engine.member_level(v) || l > engine.lmax(v)) {
-      r.levels_in_range = false;
-      break;
-    }
-  }
+  // The state space of Algorithms 1 and 2 (arXiv 2405.04266, Section 2):
+  // ℓ(v) ∈ [-ℓmax(v), ℓmax(v)], resp. [0, ℓmax(v)]. Every update rule and
+  // every transient fault stays inside it, so this holds at every round.
+  r.levels_in_range = engine.levels_in_range();
   if (claims_stabilized || r.stabilized) {
-    const std::vector<bool> members = engine.mis_members();
-    r.independent = mis::is_independent(g, members);
-    r.maximal = mis::is_maximal(g, members);
+    // Theorems 2.1 and 2.2 and Corollary 2.3: once S_t = I_t ∪ N(I_t) = V,
+    // I_t is an MIS. I_t is recomputed from the levels (a member level with
+    // every neighbor at its cap), never taken from the engine's settlement.
+    const mis::MisCheck mis = mis::check(engine.graph(), engine.mis_members());
+    r.independent = mis.independent;
+    r.maximal = mis.maximal;
   }
   return r;
 }

@@ -7,10 +7,10 @@ namespace beepmis::core {
 
 /// One look at the engine's settlement view: claimed stabilization and
 /// level-range sanity — every ℓ(v) inside the variant's admissible
-/// [member_level(v), lmax(v)] window — in O(n); then, only when
-/// `claims_stabilized` or the engine reports stabilized, independence and
-/// maximality of the claimed membership (via the omniscient mis:: checkers)
-/// in O(n + m). Kernel- and engine-independent: the settlement view
+/// [member_level(v), lmax(v)] window (Engine::levels_in_range) — in O(n);
+/// then, only when `claims_stabilized` or the engine reports stabilized,
+/// independence and maximality of the claimed membership (one omniscient
+/// mis::check pass) in O(n + m). Kernel- and engine-independent: the settlement view
 /// (mis_members / is_stabilized / level) is part of the stream-identical
 /// Engine surface, so both fast kernels and the reference executor probe to
 /// identical results.

@@ -1,40 +1,59 @@
 #include "src/mis/verifier.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 #include "src/support/check.hpp"
 
 namespace beepmis::mis {
 
-bool is_independent(const graph::Graph& g, const std::vector<bool>& membership) {
+MisCheck check(const graph::Graph& g, const std::vector<bool>& membership) {
   BEEPMIS_CHECK(membership.size() == g.vertex_count(), "size mismatch");
-  for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
-    if (!membership[v]) continue;
-    for (graph::VertexId u : g.neighbors(v))
-      if (u > v && membership[u]) return false;
+  const std::size_t n = g.vertex_count();
+  const std::size_t words = (n + 63) / 64;
+  // Bit v of word v / 64: v is a member (in), v has a member neighbor
+  // (dominated). Only members' rows are walked, each marking its
+  // neighbors; then a member is dependent iff dominated, a non-member is
+  // covered iff dominated, and both checks are word ops.
+  std::vector<std::uint64_t> in(words, 0), dominated(words, 0);
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t base = w * 64;
+    const std::size_t count = std::min<std::size_t>(64, n - base);
+    std::uint64_t bits = 0;
+    for (std::size_t k = 0; k < count; ++k)
+      bits |= std::uint64_t{membership[base + k]} << k;
+    in[w] = bits;
   }
-  return true;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t m = in[w]; m != 0; m &= m - 1) {
+      const auto v = static_cast<graph::VertexId>(w * 64 + std::countr_zero(m));
+      for (graph::VertexId u : g.neighbors(v))
+        dominated[u >> 6] |= std::uint64_t{1} << (u & 63);
+    }
+  }
+  MisCheck r;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t count = std::min<std::size_t>(64, n - w * 64);
+    const std::uint64_t all = ~std::uint64_t{0} >> (64 - count);
+    r.independent = r.independent && (in[w] & dominated[w]) == 0;
+    r.maximal = r.maximal && (in[w] | dominated[w]) == all;
+  }
+  return r;
+}
+
+bool is_independent(const graph::Graph& g, const std::vector<bool>& membership) {
+  return check(g, membership).independent;
 }
 
 bool is_maximal(const graph::Graph& g, const std::vector<bool>& membership) {
-  BEEPMIS_CHECK(membership.size() == g.vertex_count(), "size mismatch");
-  for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
-    if (membership[v]) continue;
-    bool dominated = false;
-    for (graph::VertexId u : g.neighbors(v)) {
-      if (membership[u]) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) return false;
-  }
-  return true;
+  return check(g, membership).maximal;
 }
 
 bool is_mis(const graph::Graph& g, const std::vector<bool>& membership) {
-  return is_independent(g, membership) && is_maximal(g, membership);
+  const MisCheck r = check(g, membership);
+  return r.independent && r.maximal;
 }
 
 std::size_t member_count(const std::vector<bool>& membership) {
@@ -54,6 +73,7 @@ std::vector<bool> greedy_mis(const graph::Graph& g,
   BEEPMIS_CHECK(order.size() == n, "order must be a permutation of V");
   std::vector<bool> in(n, false), blocked(n, false);
   for (graph::VertexId v : order) {
+    BEEPMIS_CHECK(v < n, "order holds a vertex id out of range");
     if (blocked[v]) continue;
     in[v] = true;
     blocked[v] = true;

@@ -13,6 +13,17 @@ namespace beepmis::mis {
 /// performed by an omniscient external observer — they are verification
 /// tooling, not part of any distributed algorithm.
 
+/// Both halves of the MIS definition, as found by one check() pass.
+struct MisCheck {
+  bool independent = true;  ///< no two members are adjacent
+  bool maximal = true;      ///< every non-member has a member neighbor
+};
+
+/// Independence and maximality in one O(n + m) pass over the members'
+/// rows: a vertex is fine iff it is a member exactly when no neighbor is.
+/// Scratch is 2n bits, independent of m.
+MisCheck check(const graph::Graph& g, const std::vector<bool>& membership);
+
 /// No two members are adjacent.
 bool is_independent(const graph::Graph& g, const std::vector<bool>& membership);
 

@@ -46,11 +46,13 @@ void InvariantMonitor::on_round(const RoundEvent& event) {
 void InvariantMonitor::check(std::uint64_t round, bool claims_stabilized) {
   ++probes_;
   const InvariantProbeResult r = probe_(claims_stabilized);
-  // Admissible levels are invariant at every round of a correct execution.
+  // Admissible levels are invariant at every round of a correct execution:
+  // the state space of Algorithms 1 and 2 (arXiv 2405.04266, Section 2).
   if (!r.levels_in_range) latch(InvariantKind::LevelRange, round);
   // Independence/maximality are asserted by the settlement view only once
-  // it claims S_t = V; mid-convergence both are legitimately in flux, so
-  // checking them earlier would manufacture spurious violations.
+  // it claims S_t = V — where Theorems 2.1 and 2.2 and Corollary 2.3 make
+  // I_t an MIS; mid-convergence both are legitimately in flux, so checking
+  // them earlier would manufacture spurious violations.
   if (claims_stabilized || r.stabilized) {
     if (!r.independent) latch(InvariantKind::Independence, round);
     if (!r.maximal) latch(InvariantKind::Maximality, round);
@@ -172,6 +174,10 @@ void RecoveryTracker::close(std::uint64_t round, bool stabilized,
         probed != nullptr ? *probed : probe_(/*claims_stabilized=*/true);
     safety = !r.independent || !r.maximal || !r.levels_in_range;
   }
+  // A stabilized epoch must end on an MIS with in-range levels (the same
+  // Theorem 2.1/2.2, Corollary 2.3 and Section 2 facts the monitor checks).
+  // recovery_bound budgets those theorems' w.h.p. stabilization time, so
+  // overrunning it is a stall, not a safety violation.
   if (safety) {
     ep.outcome = RecoveryOutcome::SafetyViolation;
   } else if (!stabilized) {

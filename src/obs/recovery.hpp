@@ -57,7 +57,7 @@ struct InvariantConfig {
   /// stabilization edges). A mid-convergence cadence probe is the O(n)
   /// level-range check; the O(n + m) settlement checks run once per
   /// stabilization edge whatever the cadence. CI bounds the total at
-  /// Monitor/NoSink ≤ 1.5 on BM_FastEngineRun_*/10240.
+  /// Monitor/NoSink ≤ 1.35 on BM_FastEngineRun_*/10240.
   std::uint64_t cadence = 64;
 };
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/beep/fault.hpp"
@@ -204,6 +206,80 @@ TEST(FastEngine, SettlesVertexReturningToCapNextToOldMember) {
   EXPECT_TRUE(fast.is_stabilized());
   // The member keeps beeping; the leaf climbs back: lmax - 2 rounds.
   EXPECT_EQ(rounds, static_cast<std::uint64_t>(fast.lmax(3) - 2));
+}
+
+/// Sets the same level on both sides: the member level, the cap, or a
+/// uniform admissible value, one third each, so members, capped neighbors
+/// and near-misses all occur in an unstabilized configuration.
+template <typename Algo, typename Fast>
+void set_biased_levels(const graph::Graph& g, Algo& ref, Fast& fast,
+                       support::Rng& rng) {
+  for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
+    const std::int32_t cap = fast.lmax(v);
+    const std::int32_t lo = fast.member_level(v);
+    const auto span = static_cast<std::uint64_t>(cap - lo + 1);
+    const std::int32_t pick[3] = {
+        lo, cap, lo + static_cast<std::int32_t>(rng.below(span))};
+    const std::int32_t l = pick[rng.below(3)];
+    ref.set_level(v, l);
+    fast.set_level(v, l);
+  }
+}
+
+/// FastEngine::mis_members against the reference algorithm's plain loop,
+/// on the same levels: first as set, then after the kernel ran a few rounds
+/// (the reference re-reads the engine's levels).
+template <typename Algo, typename Fast>
+void expect_members_match(const graph::Graph& g, Algo& ref, Fast& fast,
+                          const std::string& what) {
+  ASSERT_FALSE(ref.is_stabilized()) << what;
+  EXPECT_EQ(fast.mis_members(), ref.mis_members()) << what;
+  for (int r = 0; r < 3; ++r) fast.step();
+  for (graph::VertexId v = 0; v < g.vertex_count(); ++v)
+    ref.set_level(v, fast.level(v));
+  EXPECT_EQ(fast.mis_members(), ref.mis_members()) << what << " stepped";
+}
+
+TEST(FastEngine, MisMembersMatchesLevelDefinition) {
+  support::Rng grng(41);
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(graph::make_erdos_renyi_avg_degree(1000, 8.0, grng));
+  graphs.push_back(graph::make_barabasi_albert(500, 3, grng));
+  graphs.push_back(graph::make_star(70));
+  graphs.push_back(graph::make_path(65));
+  graph::GraphBuilder b(100);  // isolated vertices around a few edges
+  for (graph::VertexId v = 20; v < 80; v += 3) b.add_edge(v, v + 1);
+  graphs.push_back(std::move(b).build());
+
+  const std::pair<KernelKind, std::size_t> kernels[] = {
+      {KernelKind::Scalar, 1}, {KernelKind::Sharded, 1},
+      {KernelKind::Sharded, 3}};
+  for (const graph::Graph& g : graphs) {
+    for (const auto& [kind, threads] : kernels) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const std::string what = g.name() + " " + kernel_kind_name(kind) +
+                                 "/" + std::to_string(threads) + " seed " +
+                                 std::to_string(seed);
+        support::Rng lr(seed);
+        {
+          const auto lmax = lmax_global_delta(g);
+          SelfStabMis ref(g, lmax);
+          FastMisEngine fast(g, lmax, seed, {}, beep::Duplex::Full, kind,
+                             threads);
+          set_biased_levels(g, ref, fast, lr);
+          expect_members_match(g, ref, fast, "alg1 " + what);
+        }
+        {
+          const auto lmax = lmax_one_hop(g);
+          SelfStabMisTwoChannel ref(g, lmax);
+          FastMisEngine2 fast(g, lmax, seed, {}, beep::Duplex::Full, kind,
+                              threads);
+          set_biased_levels(g, ref, fast, lr);
+          expect_members_match(g, ref, fast, "alg2 " + what);
+        }
+      }
+    }
+  }
 }
 
 TEST(FastEngineDeath, BadLmaxRejected) {

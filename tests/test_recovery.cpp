@@ -388,6 +388,30 @@ TEST(ProbeContract, RealProbeRunsSettlementChecksOnlyWhenSettled) {
   EXPECT_FALSE(claimed.maximal);
 }
 
+TEST(ProbeContract, CappedVertexWithoutMemberNeighborIsNotMaximal) {
+  // Path 0-1-2: 0 at the member level, 1 and 2 at their caps. 0 is a member
+  // and dominates 1, but 2 is capped with no member neighbor.
+  const auto g = graph::make_path(3);
+  for (core::Variant variant :
+       {core::Variant::GlobalDelta, core::Variant::TwoChannel}) {
+    for (core::EngineKind kind :
+         {core::EngineKind::Fast, core::EngineKind::Reference}) {
+      core::EngineConfig cfg = engine_config(core::KernelKind::Auto, 3);
+      cfg.variant = variant;
+      cfg.kind = kind;
+      auto engine = core::make_engine(g, cfg);
+      engine->set_level(0, engine->member_level(0));
+      engine->set_level(1, engine->lmax(1));
+      engine->set_level(2, engine->lmax(2));
+      const obs::InvariantProbeResult r = core::probe_invariants(*engine, true);
+      EXPECT_FALSE(r.stabilized) << engine->name();
+      EXPECT_TRUE(r.levels_in_range) << engine->name();
+      EXPECT_TRUE(r.independent) << engine->name();
+      EXPECT_FALSE(r.maximal) << engine->name();
+    }
+  }
+}
+
 TEST(ProbeContract, SettlementChecksRunOncePerStabilizationEdge) {
   support::Rng grng(96);
   const auto g = graph::make_erdos_renyi_avg_degree(200, 8.0, grng);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/graph/generators.hpp"
 
 namespace beepmis::mis {
@@ -95,6 +97,98 @@ TEST(Verifier, RandomGreedyMisValidAcrossSeeds) {
     support::Rng rng(s);
     EXPECT_TRUE(is_mis(g, random_greedy_mis(g, rng)));
   }
+}
+
+/// The MIS definition read vertex by vertex, as the oracle for check().
+MisCheck naive_check(const Graph& g, const std::vector<bool>& m) {
+  MisCheck r;
+  for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
+    bool member_neighbor = false;
+    for (graph::VertexId u : g.neighbors(v))
+      member_neighbor = member_neighbor || m[u];
+    if (m[v] && member_neighbor) r.independent = false;
+    if (!m[v] && !member_neighbor) r.maximal = false;
+  }
+  return r;
+}
+
+TEST(Verifier, FusedCheckMatchesDefinition) {
+  const auto expect_matches = [](const Graph& g, const std::vector<bool>& m) {
+    const MisCheck want = naive_check(g, m);
+    const MisCheck got = check(g, m);
+    EXPECT_EQ(got.independent, want.independent) << g.name();
+    EXPECT_EQ(got.maximal, want.maximal) << g.name();
+    EXPECT_EQ(is_mis(g, m), want.independent && want.maximal) << g.name();
+  };
+  support::Rng rng(11);
+  std::vector<Graph> graphs;
+  for (std::size_t n : {0, 1, 63, 64, 65, 1000}) {
+    const double p = n > 8 ? 8.0 / static_cast<double>(n) : 1.0;
+    graphs.push_back(graph::make_erdos_renyi(n, p, rng));
+    graphs.push_back(make_complete(n));
+  }
+  for (std::size_t n : {2, 64, 65, 1000}) graphs.push_back(make_star(n));
+  graphs.push_back(graph::make_barabasi_albert(1000, 3, rng));
+  // Rows of 199 and 39999 entries, whose neighbors cross many 64-bit word
+  // boundaries of the membership bits.
+  graphs.push_back(make_complete(200));
+  graphs.push_back(make_star(40000));
+  // Isolated vertices, before, between and after the edges.
+  graph::GraphBuilder b(130);
+  for (graph::VertexId v = 10; v < 60; v += 2) b.add_edge(v, v + 1);
+  for (graph::VertexId v = 70; v < 100; ++v) b.add_edge(70, v + 1);
+  graphs.push_back(std::move(b).build());
+
+  for (const Graph& g : graphs) {
+    const std::size_t n = g.vertex_count();
+    std::vector<std::vector<bool>> sets = {std::vector<bool>(n, false),
+                                           std::vector<bool>(n, true)};
+    for (double p : {0.05, 0.5}) {
+      std::vector<bool> m(n);
+      for (std::size_t v = 0; v < n; ++v) m[v] = rng.bernoulli(p);
+      sets.push_back(m);
+    }
+    for (int i = 0; i < 3 && n > 0; ++i) {
+      const std::vector<bool> mis = random_greedy_mis(g, rng);
+      sets.push_back(mis);
+      // One vertex added, one removed.
+      std::vector<bool> flipped = mis;
+      const auto v = static_cast<graph::VertexId>(rng.below(n));
+      flipped[v] = !flipped[v];
+      sets.push_back(flipped);
+    }
+    for (const std::vector<bool>& m : sets) expect_matches(g, m);
+  }
+
+  // A non-member hub dominated only by the first 999 entries of its
+  // 40000-entry row: hub 0, leaves 1..L, leaf i >= 1000 owning pendant
+  // L + i (L + i is isolated for i < 1000). Members are leaves 1..999 and
+  // every L + i.
+  constexpr graph::VertexId kLeaves = 40000;
+  graph::GraphBuilder hub_builder(2 * kLeaves + 1, "late-dominated-hub");
+  std::vector<bool> mis(2 * kLeaves + 1, false);
+  for (graph::VertexId i = 1; i <= kLeaves; ++i) {
+    hub_builder.add_edge(0, i);
+    mis[kLeaves + i] = true;
+    if (i < 1000)
+      mis[i] = true;
+    else
+      hub_builder.add_edge(i, kLeaves + i);
+  }
+  const Graph hub = std::move(hub_builder).build();
+  expect_matches(hub, mis);
+  EXPECT_TRUE(is_mis(hub, mis));
+  for (graph::VertexId v : {0u, 1u, 999u, kLeaves, 2 * kLeaves}) {
+    std::vector<bool> flipped = mis;
+    flipped[v] = !flipped[v];
+    expect_matches(hub, flipped);
+  }
+}
+
+TEST(VerifierDeath, GreedyOrderOutOfRangeAborts) {
+  const Graph g = make_path(3);
+  const std::vector<graph::VertexId> order = {0, 3, 1};
+  EXPECT_DEATH(greedy_mis(g, order), "out of range");
 }
 
 TEST(VerifierDeath, SizeMismatchAborts) {
