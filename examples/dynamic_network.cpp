@@ -12,10 +12,10 @@
 #include "src/core/lmax.hpp"
 #include "src/core/selfstab_mis.hpp"
 #include "src/core/transfer.hpp"
-#include "src/exp/convlog.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/perturb.hpp"
 #include "src/mis/verifier.hpp"
+#include "src/obs/sink.hpp"
 
 int main() {
   using namespace beepmis;
@@ -32,13 +32,11 @@ int main() {
   support::Rng chaos(13);
   core::apply_init(*a, core::InitPolicy::UniformRandom, chaos);
 
-  exp::ConvergenceLog log;
+  obs::MemorySink log;
   auto settle = [&](const char* what) {
+    sim->add_observer(&log);  // each epoch settles a fresh simulation
     const auto start = sim->round();
-    while (!a->is_stabilized() && sim->round() - start < 100000) {
-      sim->step();
-      log.observe(*sim);
-    }
+    while (!a->is_stabilized() && sim->round() - start < 100000) sim->step();
     const auto members = a->mis_members();
     std::printf("%-24s +%4llu rounds  links=%5zu  clusterheads=%3zu  valid=%s\n",
                 what, static_cast<unsigned long long>(sim->round() - start),
@@ -79,12 +77,12 @@ int main() {
   }
 
   std::printf("\nconvergence log: %zu observed rounds (CSV below, last 5)\n",
-              log.points().size());
-  const auto& pts = log.points();
+              log.events().size());
+  const auto& pts = log.events();
   std::printf("round,prominent,stable,mis,beeps\n");
   for (std::size_t i = pts.size() >= 5 ? pts.size() - 5 : 0; i < pts.size();
        ++i)
-    std::printf("%llu,%zu,%zu,%zu,%u\n",
+    std::printf("%llu,%u,%u,%u,%u\n",
                 static_cast<unsigned long long>(pts[i].round),
                 pts[i].prominent, pts[i].stable, pts[i].mis,
                 pts[i].beeps_ch1);

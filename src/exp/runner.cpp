@@ -83,7 +83,6 @@ RunResult run_to_stabilization(beep::Simulation& sim, beep::Round max_rounds,
   if (metrics != nullptr) {
     metrics->counter("runner.runs_total").inc();
     metrics->counter("runner.rounds_total").inc(r.rounds);
-    metrics->histogram("runner.rounds_to_stabilize").record(r.rounds);
     metrics->digest("runner.rounds_to_stabilize")
         .add(static_cast<double>(r.rounds));
     if (!r.stabilized) metrics->counter("runner.budget_exhausted").inc();
@@ -106,7 +105,6 @@ RunResult run_to_stabilization(core::Engine& engine, beep::Round max_rounds,
   if (metrics != nullptr) {
     metrics->counter("runner.runs_total").inc();
     metrics->counter("runner.rounds_total").inc(r.rounds);
-    metrics->histogram("runner.rounds_to_stabilize").record(r.rounds);
     metrics->digest("runner.rounds_to_stabilize")
         .add(static_cast<double>(r.rounds));
     if (!r.stabilized) metrics->counter("runner.budget_exhausted").inc();

@@ -52,7 +52,7 @@ std::vector<bool> selfstab_mis_members(const beep::Simulation& sim);
 /// Counts rounds from the simulation's *current* round, so it also measures
 /// re-stabilization after mid-run fault injection. When `metrics` is given,
 /// the run is timed ("runner.run_to_stabilization") and its outcome lands in
-/// the runner.* counters and the "runner.rounds_to_stabilize" histogram.
+/// the runner.* counters and the "runner.rounds_to_stabilize" digest.
 RunResult run_to_stabilization(beep::Simulation& sim, beep::Round max_rounds,
                                obs::MetricsRegistry* metrics = nullptr);
 

@@ -82,8 +82,6 @@ std::vector<SweepPoint> run_scaling_sweep(Family family,
     }
     if (scratch != nullptr) {
       scratch->counter("sweep.runs_total").inc();
-      scratch->histogram("sweep.rounds_to_stabilize")
-          .record(out.result.rounds);
       scratch->digest("sweep.rounds_to_stabilize")
           .add(static_cast<double>(out.result.rounds));
       if (!out.result.stabilized) scratch->counter("sweep.failures").inc();

@@ -45,9 +45,9 @@ struct SweepConfig {
   /// knob: sweep results never depend on it.
   core::KernelKind kernel = core::KernelKind::Auto;
   /// Optional telemetry: per-run wall time ("sweep.run" timer), the
-  /// "sweep.rounds_to_stabilize" histogram + quantile digest and sweep.*
-  /// counters land here; the fast engines also route their internal timers
-  /// and settlement-refresh digests into it.
+  /// "sweep.rounds_to_stabilize" quantile digest and sweep.* counters land
+  /// here; the fast engines also route their internal timers and
+  /// settlement-refresh digests into it.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional per-round event observer, attached to every run regardless of
   /// the engine (simulation or fast path). One obs::RoundEvent per round.

@@ -33,14 +33,21 @@ std::vector<AnomalyKind> AnomalyDetector::observe(const RoundEvent& e) {
     }
   };
 
+  if (e.active == 0) {
+    settled_round_ = e.round;
+    lemma_run_ = 0;
+  }
+  const std::uint64_t unsettled_for =
+      e.round > settled_round_ ? e.round - settled_round_ : 0;
+
   if (config_.expected_rounds > 0 && e.active > 0 &&
-      e.round > stall_threshold()) {
+      unsettled_for > stall_threshold()) {
     fire(AnomalyKind::Stall);
   }
 
   if (config_.check_lemma31 && config_.lemma_window > 0 &&
       config_.expected_rounds > 0 && e.has_analysis &&
-      e.round > config_.expected_rounds) {
+      unsettled_for > config_.expected_rounds) {
     lemma_run_ = e.lemma31_violations > 0 ? lemma_run_ + 1 : 0;
     if (lemma_run_ >= config_.lemma_window) fire(AnomalyKind::Lemma31Persistence);
   }
@@ -65,6 +72,7 @@ bool AnomalyDetector::latch_external(AnomalyKind kind) {
 
 void AnomalyDetector::reset() {
   for (bool& f : fired_) f = false;
+  settled_round_ = 0;
   lemma_run_ = 0;
   storm_run_ = 0;
 }

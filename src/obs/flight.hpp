@@ -24,6 +24,12 @@ struct AnomalyConfig {
   /// checks.
   std::uint64_t expected_rounds = 0;
 
+  /// Both horizons below count rounds from the start of the current
+  /// unsettled stretch: the round after the last settled (active == 0)
+  /// event, or the start of the run, or the last reset(). A fault wave that
+  /// re-stabilizes within the budget therefore never looks like a stall,
+  /// however late in the run it lands.
+  ///
   /// Stall: still-unstabilized (active > 0) past
   /// stall_multiple × expected_rounds.
   double stall_multiple = 2.0;
@@ -77,7 +83,7 @@ class AnomalyDetector {
     return fired_[static_cast<std::size_t>(kind)];
   }
   const AnomalyConfig& config() const noexcept { return config_; }
-  /// Round count beyond which an unstabilized run counts as stalled.
+  /// Rounds into an unsettled stretch beyond which it counts as stalled.
   std::uint64_t stall_threshold() const noexcept {
     return static_cast<std::uint64_t>(
         config_.stall_multiple * static_cast<double>(config_.expected_rounds));
@@ -86,6 +92,7 @@ class AnomalyDetector {
  private:
   AnomalyConfig config_;
   bool fired_[kAnomalyKinds] = {};
+  std::uint64_t settled_round_ = 0;  // last active == 0 round, or the start
   std::uint64_t lemma_run_ = 0;
   std::uint64_t storm_run_ = 0;
 };

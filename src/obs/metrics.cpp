@@ -1,61 +1,17 @@
 #include "src/obs/metrics.hpp"
 
-#include <cmath>
 #include <ostream>
 
 #include "src/obs/json.hpp"
-#include "src/support/check.hpp"
 
 namespace beepmis::obs {
-
-std::pair<std::uint64_t, std::uint64_t> Histogram::quantile_bounds(
-    double q) const {
-  BEEPMIS_CHECK(count_ > 0, "quantile_bounds of empty histogram");
-  BEEPMIS_CHECK(q >= 0.0 && q <= 1.0, "quantile q outside [0,1]");
-  // Rank of the q-th order statistic (1-based, nearest-rank definition).
-  const auto rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             std::ceil(q * static_cast<double>(count_))));
-  std::uint64_t cumulative = 0;
-  for (unsigned i = 0; i < kBuckets; ++i) {
-    cumulative += buckets_[i];
-    if (cumulative >= rank) {
-      const std::uint64_t lo =
-          i == 0 ? 0 : (std::uint64_t{1} << (i - 1));
-      return {lo, bucket_upper_bound(i)};
-    }
-  }
-  return {0, bucket_upper_bound(kBuckets - 1)};  // unreachable when count_>0
-}
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, c] : other.counters_) counters_[name].merge(c);
   for (const auto& [name, g] : other.gauges_) gauges_[name].merge(g);
-  for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
   for (const auto& [name, t] : other.timers_) timers_[name].merge(t);
   for (const auto& [name, d] : other.digests_) digests_[name].merge(d);
 }
-
-namespace {
-
-void write_histogram(JsonWriter& w, const Histogram& h) {
-  w.begin_object();
-  w.field("count", h.count());
-  w.field("sum", h.sum());
-  w.field("mean", h.mean());
-  w.key("buckets").begin_array();
-  for (unsigned i = 0; i < Histogram::kBuckets; ++i) {
-    if (h.buckets()[i] == 0) continue;
-    w.begin_object();
-    w.field("le", Histogram::bucket_upper_bound(i));
-    w.field("count", h.buckets()[i]);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-}  // namespace
 
 void MetricsRegistry::write_json(std::ostream& os) const {
   JsonWriter w(os);
@@ -67,13 +23,6 @@ void MetricsRegistry::write_json(std::ostream& os) const {
 
   w.key("gauges").begin_object();
   for (const auto& [name, g] : gauges_) w.field(name, g.value());
-  w.end_object();
-
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : histograms_) {
-    w.key(name);
-    write_histogram(w, h);
-  }
   w.end_object();
 
   w.key("timers").begin_object();

@@ -1,7 +1,6 @@
 #include "src/obs/report.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -94,8 +93,7 @@ std::string fmt(const char* format, double v) {
 
 void ReportBuilder::merge_summary(const StabKey& key, std::uint64_t count,
                                   double mean, double p50, double p95,
-                                  double p99, double lo, double hi,
-                                  bool approximate) {
+                                  double p99, double lo, double hi) {
   if (count == 0) return;
   StabAccum& a = stab_[key];
   const auto w = static_cast<double>(count);
@@ -106,13 +104,11 @@ void ReportBuilder::merge_summary(const StabKey& key, std::uint64_t count,
   a.weighted_p99 += w * p99;
   a.min = a.any ? std::min(a.min, lo) : lo;
   a.max = a.any ? std::max(a.max, hi) : hi;
-  a.approximate = a.approximate || approximate;
   a.any = true;
 }
 
 void ReportBuilder::merge_sample(const StabKey& key, double rounds) {
-  merge_summary(key, 1, rounds, rounds, rounds, rounds, rounds, rounds,
-                false);
+  merge_summary(key, 1, rounds, rounds, rounds, rounds, rounds, rounds);
 }
 
 void ReportBuilder::accumulate_stabilization(const JsonValue& doc) {
@@ -122,44 +118,15 @@ void ReportBuilder::accumulate_stabilization(const JsonValue& doc) {
                         doc.get("graph").get("n").as_number(0.0))};
 
   const JsonValue& metrics = doc.get("metrics");
-  bool found_digest = false;
   for (const auto& [name, d] : metrics.get("digests").object) {
     if (!ends_with(name, kStabSuffix)) continue;
     const auto count =
         static_cast<std::uint64_t>(d.get("count").as_number(0.0));
     if (count == 0) continue;
-    found_digest = true;
     merge_summary(key, count, d.get("mean").as_number(),
                   d.get("p50").as_number(), d.get("p95").as_number(),
                   d.get("p99").as_number(), d.get("min").as_number(),
-                  d.get("max").as_number(), /*approximate=*/false);
-  }
-  if (found_digest) return;
-
-  // Fallback for pre-digest artifacts: reconstruct a quantile envelope from
-  // the pow2 histogram (nearest-rank over bucket upper bounds).
-  for (const auto& [name, h] : metrics.get("histograms").object) {
-    if (!ends_with(name, kStabSuffix)) continue;
-    const auto count =
-        static_cast<std::uint64_t>(h.get("count").as_number(0.0));
-    if (count == 0 || !h.get("buckets").is_array()) continue;
-    const auto envelope = [&](double q) {
-      const auto rank = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(
-                 std::ceil(q * static_cast<double>(count))));
-      std::uint64_t cumulative = 0;
-      double le = 0.0;
-      for (const JsonValue& bucket : h.get("buckets").array) {
-        le = bucket.get("le").as_number();
-        cumulative += static_cast<std::uint64_t>(
-            bucket.get("count").as_number(0.0));
-        if (cumulative >= rank) break;
-      }
-      return le;
-    };
-    merge_summary(key, count, h.get("mean").as_number(), envelope(0.50),
-                  envelope(0.95), envelope(0.99), 0.0, envelope(1.0),
-                  /*approximate=*/true);
+                  d.get("max").as_number());
   }
 }
 
@@ -255,8 +222,7 @@ bool ReportBuilder::add_document(const JsonValue& doc,
       merge_summary({algorithm, family, n}, runs,
                     pt.get("mean").as_number(), pt.get("p50").as_number(),
                     pt.get("p95").as_number(), pt.get("p99").as_number(),
-                    pt.get("min").as_number(), pt.get("max").as_number(),
-                    /*approximate=*/false);
+                    pt.get("min").as_number(), pt.get("max").as_number());
       SweepSample& s = sweep_[{algorithm, family}][n];
       s.weighted_p50 +=
           static_cast<double>(runs) * pt.get("p50").as_number();
@@ -451,8 +417,7 @@ std::vector<ReportBuilder::StabRow> ReportBuilder::stabilization_rows()
     const auto w = static_cast<double>(a.count);
     out.push_back({std::get<0>(key), std::get<1>(key), std::get<2>(key),
                    a.count, a.weighted_mean / w, a.weighted_p50 / w,
-                   a.weighted_p95 / w, a.weighted_p99 / w, a.min, a.max,
-                   a.approximate});
+                   a.weighted_p95 / w, a.weighted_p99 / w, a.min, a.max});
   }
   return out;
 }
@@ -750,13 +715,10 @@ void ReportBuilder::write_markdown(std::ostream& os,
     for (const StabRow& r : stab) {
       os << "| " << r.algorithm << " | " << r.family << " | " << r.n
          << " | " << r.count << " | " << fmt("%.1f", r.mean) << " | "
-         << fmt("%.1f", r.p50) << (r.approximate ? "~" : "") << " | "
-         << fmt("%.1f", r.p95) << (r.approximate ? "~" : "") << " | "
-         << fmt("%.1f", r.p99) << (r.approximate ? "~" : "") << " | "
-         << fmt("%.1f", r.max) << " |\n";
+         << fmt("%.1f", r.p50) << " | " << fmt("%.1f", r.p95) << " | "
+         << fmt("%.1f", r.p99) << " | " << fmt("%.1f", r.max) << " |\n";
     }
-    os << "\n(`~` marks histogram-envelope estimates from pre-digest "
-          "artifacts.)\n\n";
+    os << "\n";
   }
 
   const auto fits = growth_fit_rows();
@@ -1009,7 +971,6 @@ void ReportBuilder::write_json(std::ostream& os, double tolerance) const {
     w.field("p99", r.p99);
     w.field("min", r.min);
     w.field("max", r.max);
-    w.field("approximate", r.approximate);
     w.end_object();
   }
   w.end_array();

@@ -34,10 +34,9 @@ namespace beepmis::obs {
 class ReportBuilder {
  public:
   /// One (algorithm, family, n) stabilization cell. Sourced from
-  /// `*.rounds_to_stabilize` digests in manifests (preferred), from the
-  /// matching pow2 histogram's quantile envelope when no digest is present
-  /// (`approximate` is then true), or from raw event streams (one sample per
-  /// stream: the round at which `active` first reached 0).
+  /// `*.rounds_to_stabilize` digests in manifests, from sweep.v1 points, or
+  /// from raw event streams (one sample per stream: the round at which
+  /// `active` first reached 0).
   struct StabRow {
     std::string algorithm;
     std::string family;
@@ -49,7 +48,6 @@ class ReportBuilder {
     double p99 = 0.0;
     double min = 0.0;
     double max = 0.0;
-    bool approximate = false;  ///< histogram envelope, not digest/exact
   };
 
   /// One benchmark gauge compared against the baseline capture.
@@ -286,7 +284,6 @@ class ReportBuilder {
     double weighted_p99 = 0.0;
     double min = 0.0;
     double max = 0.0;
-    bool approximate = false;
     bool any = false;
   };
   using StabKey = std::tuple<std::string, std::string, std::uint64_t>;
@@ -348,8 +345,8 @@ class ReportBuilder {
   void accumulate_stabilization(const JsonValue& doc);
   void merge_sample(const StabKey& key, double rounds);
   void merge_summary(const StabKey& key, std::uint64_t count, double mean,
-                     double p50, double p95, double p99, double lo, double hi,
-                     bool approximate);
+                     double p50, double p95, double p99, double lo,
+                     double hi);
 
   std::map<StabKey, StabAccum> stab_;
   std::map<std::pair<std::string, std::string>,

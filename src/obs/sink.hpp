@@ -7,12 +7,12 @@
 
 namespace beepmis::obs {
 
-/// One per-round telemetry record — the unified shape behind what used to be
-/// beep::Trace's RoundRecord and exp::ConvergenceLog's ConvergencePoint.
-/// Producers (beep::Simulation, core::FastMisEngine, core::FastMisEngine2)
-/// fill the communication fields; the running algorithm fills the
-/// state-census fields via BeepingAlgorithm::fill_round_event (engines
-/// compute them directly from their settlement bookkeeping).
+/// One per-round telemetry record: |I_t|, |S_t|, |PM_t|, the per-channel
+/// beep and heard counts, and the Lemma 3.1 census. Producers
+/// (beep::Simulation, core::FastMisEngine, core::FastMisEngine2) fill the
+/// communication fields; the running algorithm fills the state-census
+/// fields via BeepingAlgorithm::fill_round_event (engines compute them
+/// directly from their settlement bookkeeping).
 ///
 /// `lemma31_violations` belongs to the paper's Algorithm 1 analysis
 /// machinery (Lemma 3.1: ℓ_t(v) > 0 ∨ μ_t(v) > 0) and is only computed when

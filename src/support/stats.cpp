@@ -94,48 +94,4 @@ double SampleSet::quantile(double q) const {
   return xs_[i] * (1.0 - frac) + xs_[i + 1] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  BEEPMIS_CHECK(hi > lo, "histogram range must be non-empty");
-  BEEPMIS_CHECK(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    auto i = static_cast<std::size_t>((x - lo_) / width_);
-    if (i >= counts_.size()) i = counts_.size() - 1;  // FP edge at hi_
-    ++counts_[i];
-  }
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  BEEPMIS_CHECK(i < counts_.size(), "bucket index out of range");
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-std::string Histogram::ascii(std::size_t bar_width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bars =
-        static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                 static_cast<double>(peak) *
-                                 static_cast<double>(bar_width));
-    std::snprintf(line, sizeof line, "[%10.2f, %10.2f) %8zu |", bucket_lo(i),
-                  bucket_lo(i) + width_, counts_[i]);
-    out += line;
-    out.append(bars, '#');
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace beepmis::support

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace beepmis::support {
@@ -49,25 +48,6 @@ class SampleSet {
   mutable std::vector<double> xs_;
   mutable bool sorted_ = false;
   void ensure_sorted() const;
-};
-
-/// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void add(double x) noexcept;
-  std::size_t count_at(std::size_t i) const { return counts_.at(i); }
-  std::size_t underflow() const noexcept { return underflow_; }
-  std::size_t overflow() const noexcept { return overflow_; }
-  std::size_t total() const noexcept { return total_; }
-  double bucket_lo(std::size_t i) const;
-  /// Render as a fixed-width ASCII bar chart, one bucket per line.
-  std::string ascii(std::size_t bar_width = 50) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 }  // namespace beepmis::support

@@ -1,11 +1,13 @@
-# Golden test for the command-line tools: drives beepmis_cli, beepmis_soak
-# and beepmis_trace_check end to end and diffs every deterministic output
-# against the files checked in beside this script. Artifacts that carry
-# wall-clock timing (trace.v1, its Chrome export, profile.v1) are validated
-# through beepmis_trace_check instead, and run.v1 is checked for its key set.
+# Golden test for the command-line tools: drives beepmis_cli, beepmis_soak,
+# beepmis_trace_check and beepmis_figures end to end and diffs every
+# deterministic output against the files checked in beside this script.
+# Artifacts that carry wall-clock timing (trace.v1, its Chrome export,
+# profile.v1) are validated through beepmis_trace_check instead, and run.v1
+# is checked for its key set.
 #
 #   cmake -DCLI=<beepmis_cli> -DSOAK=<beepmis_soak> -DCHECK=<beepmis_trace_check>
-#         -DGOLDEN=<this directory> -DWORK=<scratch directory>
+#         -DFIGURES=<beepmis_figures> -DGOLDEN=<this directory>
+#         -DWORK=<scratch directory>
 #         [-DUPDATE=ON] -P tools_golden.cmake
 #
 # UPDATE=ON rewrites the golden files from the current binaries instead of
@@ -14,7 +16,7 @@
 
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
-foreach(var CLI SOAK CHECK GOLDEN WORK)
+foreach(var CLI SOAK CHECK FIGURES GOLDEN WORK)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "tools_golden.cmake: -D${var}=... is required")
   endif()
@@ -117,6 +119,7 @@ validate(recovery.json)
 validate(dump.json)
 expect_keys(run.json KEYS ${RUN_KEYS})
 expect_keys(run.json obs KEYS ${OBS_KEYS})
+expect_keys(run.json metrics KEYS counters gauges timers digests)
 expect_keys(run.json extra KEYS stabilized rounds_total engine
             engine_requested kernel kernel_requested shard_threads_requested
             shards duplex faults_per_wave waves noise_fp noise_fn)
@@ -137,6 +140,23 @@ foreach(threads 1 3)
   expect_file(waves-recovery.json waves-recovery.json)
   expect_file(waves-dump.json waves-dump.json)
 endforeach()
+
+# 400 fault waves, each re-stabilizing well within the budget: the stall
+# and Lemma 3.1 horizons count from the last settled round, not from round
+# 0, so the armed flight recorder stays silent and writes no dump.
+function(quiet_waves)
+  run(0 out "${CLI}" --family er-avg8 --n 1024 --seed 3 --waves 400
+      --flight-recorder fr.json ${ARGN})
+  if(EXISTS "${WORK}/fr.json" OR
+     NOT out MATCHES "\nflight recorder: no anomalies\n")
+    string(REPLACE ";" " " flags "${ARGN}")
+    message(FATAL_ERROR "settled fault waves tripped the flight recorder "
+                        "(${flags}):\n${out}")
+  endif()
+endfunction()
+quiet_waves(--faults 16)
+quiet_waves(--faults 64 --anomaly-lemma-window 4
+            --anomaly-stall-multiple 100)
 
 # Paper-facing flags, the baselines and the applications: one small run
 # each, stdout pinned in one golden (each run under a "# <flags>" header),
@@ -205,4 +225,10 @@ foreach(threads 1 4)
   expect_keys(soak-run-t${threads}.json KEYS ${RUN_KEYS})
   expect_keys(soak-run-t${threads}.json extra KEYS scenarios recovery_epochs
               engine kernel shard_threads result)
+endforeach()
+
+# Figures: the three SVGs are deterministic, byte for byte.
+run(0 ignored "${FIGURES}" --out-dir .)
+foreach(figure scaling convergence recovery)
+  expect_file(${figure}.svg ${figure}.svg)
 endforeach()

@@ -153,31 +153,5 @@ TEST(Digest, RegistryIntegrationAndJson) {
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
 }
 
-TEST(Histogram, QuantileBoundsBracketExactQuantile) {
-  support::Rng rng(23);
-  obs::Histogram h;
-  support::SampleSet exact;
-  for (std::size_t i = 0; i < 5000; ++i) {
-    const std::uint64_t x = rng.below(100000);
-    h.record(x);
-    exact.add(static_cast<double>(x));
-  }
-  for (double q : {0.5, 0.9, 0.95, 0.99}) {
-    const auto [lo, hi] = h.quantile_bounds(q);
-    const double truth = exact.quantile(q);
-    EXPECT_LE(static_cast<double>(lo), truth + 1.0) << "q=" << q;
-    EXPECT_GE(static_cast<double>(hi), truth) << "q=" << q;
-    EXPECT_LE(lo, hi);
-  }
-}
-
-TEST(Histogram, QuantileBoundsOnPointMass) {
-  obs::Histogram h;
-  for (int i = 0; i < 10; ++i) h.record(100);  // bucket (64, 128]
-  const auto [lo, hi] = h.quantile_bounds(0.5);
-  EXPECT_LE(lo, 100u);
-  EXPECT_GE(hi, 100u);
-}
-
 }  // namespace
 }  // namespace beepmis

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "src/obs/json_parse.hpp"
@@ -99,6 +100,44 @@ TEST(AnomalyDetector, Lemma31PersistenceRequiresAnalysisAndHorizon) {
   // active never drops in this stream — which is correct and independent.)
   EXPECT_EQ(fires, 1u);
   EXPECT_TRUE(det.fired(obs::AnomalyKind::Lemma31Persistence));
+}
+
+TEST(AnomalyDetector, HorizonsCountFromTheLastSettledRound) {
+  obs::AnomalyConfig cfg;
+  cfg.n = 100;
+  cfg.expected_rounds = 50;  // stall threshold: 100 unsettled rounds
+  cfg.check_lemma31 = true;
+  cfg.lemma_window = 4;
+  obs::AnomalyDetector det(cfg);
+  std::uint64_t round = 0;
+  const auto feed = [&](std::uint32_t active) {
+    obs::RoundEvent e = make_event(++round, active);
+    e.has_analysis = true;
+    e.lemma31_violations = active > 0 ? 1 : 0;
+    return det.observe(e);
+  };
+
+  // Fault waves: 45-round unsettled stretches, each ended by a settled
+  // round, run far past 2 × expected_rounds in total without firing.
+  for (int wave = 0; wave < 20; ++wave) {
+    for (int k = 0; k < 45; ++k) EXPECT_TRUE(feed(7).empty()) << round;
+    EXPECT_TRUE(feed(0).empty()) << round;
+  }
+  ASSERT_GT(round, 2 * det.stall_threshold());
+
+  // One long stretch: Lemma 3.1 persistence after expected_rounds plus the
+  // window, one stall after stall_threshold() rounds, both counted from
+  // the round after the last settled one.
+  const std::uint64_t settled = round;
+  std::vector<std::pair<obs::AnomalyKind, std::uint64_t>> fired;
+  for (int k = 0; k < 300; ++k)
+    for (obs::AnomalyKind kind : feed(7)) fired.emplace_back(kind, round);
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[0].first, obs::AnomalyKind::Lemma31Persistence);
+  EXPECT_EQ(fired[0].second,
+            settled + cfg.expected_rounds + cfg.lemma_window);
+  EXPECT_EQ(fired[1].first, obs::AnomalyKind::Stall);
+  EXPECT_EQ(fired[1].second, settled + det.stall_threshold() + 1);
 }
 
 TEST(FlightRecorder, RingKeepsLastKEventsOldestFirst) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/beep/network.hpp"
-#include "src/beep/trace.hpp"
 #include "src/core/fast_engine.hpp"
 #include "src/core/lmax.hpp"
 #include "src/core/selfstab_mis.hpp"
@@ -231,40 +230,6 @@ TEST(Metrics, RegisteredReferencesAreStable) {
   EXPECT_EQ(reg.counter("a").value(), 1u);
 }
 
-TEST(Metrics, HistogramBucketsPartitionTheRange) {
-  using H = obs::Histogram;
-  EXPECT_EQ(H::bucket_index(0), 0u);
-  EXPECT_EQ(H::bucket_index(1), 1u);
-  EXPECT_EQ(H::bucket_index(2), 2u);
-  EXPECT_EQ(H::bucket_index(3), 2u);
-  EXPECT_EQ(H::bucket_index(4), 3u);
-  EXPECT_EQ(H::bucket_upper_bound(0), 0u);
-  EXPECT_EQ(H::bucket_upper_bound(1), 1u);
-  EXPECT_EQ(H::bucket_upper_bound(3), 7u);
-  // Every value lands in the bucket whose range covers it.
-  for (std::uint64_t v : {0ull, 1ull, 2ull, 100ull, 65535ull, 1ull << 40}) {
-    const unsigned i = H::bucket_index(v);
-    EXPECT_LE(v, H::bucket_upper_bound(i));
-    if (i > 0) {
-      EXPECT_GT(v, H::bucket_upper_bound(i - 1));
-    }
-  }
-}
-
-TEST(Metrics, HistogramCountAndSum) {
-  obs::Histogram h;
-  std::uint64_t expect_sum = 0;
-  for (std::uint64_t v = 0; v < 1000; v += 7) {
-    h.record(v);
-    expect_sum += v;
-  }
-  EXPECT_EQ(h.count(), 143u);
-  EXPECT_EQ(h.sum(), expect_sum);
-  std::uint64_t bucket_total = 0;
-  for (const auto b : h.buckets()) bucket_total += b;
-  EXPECT_EQ(bucket_total, h.count());
-}
-
 TEST(Metrics, ScopedTimerRecords) {
   obs::MetricsRegistry reg;
   {
@@ -274,7 +239,6 @@ TEST(Metrics, ScopedTimerRecords) {
   }
   EXPECT_EQ(reg.timer("work").count(), 1u);
   EXPECT_GT(reg.timer("work").total_ns(), 0u);
-  EXPECT_EQ(reg.timer("work").histogram().count(), 1u);
   // Null registry disarms without crashing or recording.
   { obs::ScopedTimer t(static_cast<obs::MetricsRegistry*>(nullptr), "work"); }
   EXPECT_EQ(reg.timer("work").count(), 1u);
@@ -304,25 +268,18 @@ TEST(MetricsMerge, GaugeIsLastWriter) {
   EXPECT_DOUBLE_EQ(a.gauge("g").value(), 2.5);
 }
 
-TEST(MetricsMerge, HistogramAndTimerFoldExactly) {
+TEST(MetricsMerge, TimerFoldsExactly) {
   // Two shards vs one serial registry over the same sample split.
   obs::MetricsRegistry serial, s1, s2, merged;
   for (std::uint64_t v = 0; v < 100; ++v) {
-    serial.histogram("h").record(v);
-    (v < 50 ? s1 : s2).histogram("h").record(v);
     serial.timer("t").record_ns(v * 1000);
     (v < 50 ? s1 : s2).timer("t").record_ns(v * 1000);
   }
   merged.merge(s1);
   merged.merge(s2);
-  EXPECT_EQ(merged.histogram("h").count(), serial.histogram("h").count());
-  EXPECT_EQ(merged.histogram("h").sum(), serial.histogram("h").sum());
-  EXPECT_EQ(merged.histogram("h").buckets(), serial.histogram("h").buckets());
   EXPECT_EQ(merged.timer("t").count(), serial.timer("t").count());
   EXPECT_EQ(merged.timer("t").total_ns(), serial.timer("t").total_ns());
   EXPECT_EQ(merged.timer("t").max_ns(), serial.timer("t").max_ns());
-  EXPECT_EQ(merged.timer("t").histogram().buckets(),
-            serial.timer("t").histogram().buckets());
 }
 
 TEST(MetricsMerge, DigestFoldInSeedOrderMatchesSerialExactly) {
@@ -419,7 +376,8 @@ TEST(MetricsJson, RoundTripsThroughParser) {
   obs::MetricsRegistry reg;
   reg.counter("runs").inc(3);
   reg.gauge("speed").set(1.5);
-  for (std::uint64_t v = 0; v < 100; ++v) reg.histogram("rounds").record(v);
+  for (int v = 0; v < 100; ++v)
+    reg.digest("rounds").add(static_cast<double>(v));
   reg.timer("step").record_ns(12345);
   reg.timer("step").record_ns(67890);
 
@@ -429,18 +387,16 @@ TEST(MetricsJson, RoundTripsThroughParser) {
   ASSERT_EQ(doc.type, JsonValue::Type::Object);
   ASSERT_TRUE(doc.has("counters"));
   ASSERT_TRUE(doc.has("gauges"));
-  ASSERT_TRUE(doc.has("histograms"));
   ASSERT_TRUE(doc.has("timers"));
+  ASSERT_TRUE(doc.has("digests"));
+  EXPECT_FALSE(doc.has("histograms"));
   EXPECT_DOUBLE_EQ(doc.at("counters").at("runs").number, 3.0);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("speed").number, 1.5);
 
-  // Histogram bucket counts must sum to the histogram's total count.
-  const JsonValue& hist = doc.at("histograms").at("rounds");
-  double bucket_sum = 0;
-  for (const JsonValue& b : hist.at("buckets").array)
-    bucket_sum += b.at("count").number;
-  EXPECT_DOUBLE_EQ(bucket_sum, hist.at("count").number);
-  EXPECT_DOUBLE_EQ(hist.at("count").number, 100.0);
+  const JsonValue& digest = doc.at("digests").at("rounds");
+  EXPECT_DOUBLE_EQ(digest.at("count").number, 100.0);
+  EXPECT_DOUBLE_EQ(digest.at("min").number, 0.0);
+  EXPECT_DOUBLE_EQ(digest.at("max").number, 99.0);
 
   const JsonValue& timer = doc.at("timers").at("step");
   EXPECT_DOUBLE_EQ(timer.at("count").number, 2.0);
@@ -473,7 +429,7 @@ TEST(Manifest, RoundTripsWithMetrics) {
 
   obs::MetricsRegistry reg;
   reg.counter("cli.runs_total").inc();
-  reg.histogram("cli.rounds_to_stabilize").record(321);
+  reg.digest("cli.rounds_to_stabilize").add(321);
 
   std::ostringstream out;
   obs::write_run_json(out, man, &reg);
@@ -653,6 +609,13 @@ TEST(EventStream, LemmaViolationsVanishOnceStabilized) {
   sim->add_observer(&sink);
   while (!algo->is_stabilized() && sim->round() < 100000) sim->step();
   ASSERT_TRUE(algo->is_stabilized());
+  // |S_t| never shrinks on a fault-free run, and I_t ⊆ S_t.
+  std::uint32_t prev_stable = 0;
+  for (const obs::RoundEvent& e : sink.events()) {
+    EXPECT_GE(e.stable, prev_stable);
+    EXPECT_LE(e.mis, e.stable);
+    prev_stable = e.stable;
+  }
   const auto& last = sink.events().back();
   EXPECT_TRUE(last.has_analysis);
   EXPECT_EQ(last.lemma31_violations, 0u);
@@ -660,9 +623,9 @@ TEST(EventStream, LemmaViolationsVanishOnceStabilized) {
   EXPECT_EQ(last.stable, g.vertex_count());
 }
 
-// --- Satellite: Trace per-channel heard counts (V3 regression) -------------
+// --- Per-channel heard counts on a two-channel run (V3 regression) --------
 
-TEST(Trace, PerChannelHeardCountsOnTwoChannelRun) {
+TEST(EventStream, PerChannelHeardCountsOnTwoChannelRun) {
   support::Rng grng(12);
   const auto g = graph::make_erdos_renyi_avg_degree(64, 8.0, grng);
   auto algo = std::make_unique<core::SelfStabMisTwoChannel>(
@@ -673,42 +636,32 @@ TEST(Trace, PerChannelHeardCountsOnTwoChannelRun) {
   for (graph::VertexId v = 0; v < g.vertex_count(); ++v)
     a->corrupt_node(v, crng);
 
-  beep::Trace trace;
   obs::MemorySink sink;
   sim.add_observer(&sink);
-  while (!a->is_stabilized() && sim.round() < 100000) {
-    sim.step();
-    trace.observe(sim);
-  }
+  while (!a->is_stabilized() && sim.round() < 100000) sim.step();
   ASSERT_TRUE(a->is_stabilized());
 
-  // total_beeps() is documented as the ch1 + ch2 sum; the simulation keeps
-  // independent per-channel totals — they must agree.
+  // The events' per-channel beep counts must sum to the simulation's
+  // independent per-channel totals.
   std::uint64_t beeps1 = 0, beeps2 = 0, heard1 = 0, heard2 = 0;
-  for (const auto& r : trace.records()) {
-    beeps1 += r.beeps_ch1;
-    beeps2 += r.beeps_ch2;
-    heard1 += r.heard_ch1;
-    heard2 += r.heard_ch2;
-    EXPECT_LE(r.heard_ch1, static_cast<std::uint32_t>(g.vertex_count()));
-    EXPECT_LE(r.heard_any, r.heard_ch1 + r.heard_ch2);
-    EXPECT_GE(r.heard_any, std::max(r.heard_ch1, r.heard_ch2));
+  for (std::size_t i = 0; i < sink.events().size(); ++i) {
+    const obs::RoundEvent& e = sink.events()[i];
+    EXPECT_EQ(e.round, i + 1);
+    beeps1 += e.beeps_ch1;
+    beeps2 += e.beeps_ch2;
+    heard1 += e.heard_ch1;
+    heard2 += e.heard_ch2;
+    EXPECT_LE(e.heard_ch1, static_cast<std::uint32_t>(g.vertex_count()));
+    EXPECT_LE(e.heard_any, e.heard_ch1 + e.heard_ch2);
+    EXPECT_GE(e.heard_any, std::max(e.heard_ch1, e.heard_ch2));
+    EXPECT_LE(e.mis, e.stable);
   }
-  EXPECT_EQ(trace.total_beeps(), beeps1 + beeps2);
-  EXPECT_EQ(trace.total_beeps(), sim.total_beeps(0) + sim.total_beeps(1));
+  EXPECT_EQ(beeps1, sim.total_beeps(0));
+  EXPECT_EQ(beeps2, sim.total_beeps(1));
   // Algorithm 2 genuinely uses both channels: each must have been heard.
   EXPECT_GT(heard1, 0u);
   EXPECT_GT(heard2, 0u);
-
-  // The observer stream saw the same per-round communication census.
-  ASSERT_EQ(sink.events().size(), trace.records().size());
-  for (std::size_t i = 0; i < sink.events().size(); ++i) {
-    EXPECT_EQ(sink.events()[i].beeps_ch1, trace.records()[i].beeps_ch1);
-    EXPECT_EQ(sink.events()[i].beeps_ch2, trace.records()[i].beeps_ch2);
-    EXPECT_EQ(sink.events()[i].heard_ch1, trace.records()[i].heard_ch1);
-    EXPECT_EQ(sink.events()[i].heard_ch2, trace.records()[i].heard_ch2);
-    EXPECT_EQ(sink.events()[i].heard_any, trace.records()[i].heard_any);
-  }
+  EXPECT_EQ(sink.events().back().stable, g.vertex_count());
 }
 
 // --- Satellite: engine active-count time series ----------------------------

@@ -21,7 +21,7 @@ const char* kBenchCapture = R"({
   "build": {"compiler": "gcc", "build_type": "Release", "assertions": false,
             "git_sha": "abc123def456", "git_dirty": false},
   "timing": {"wall_ms": 1.0}, "extra": {},
-  "metrics": {"counters": {}, "histograms": {}, "timers": {}, "digests": {},
+  "metrics": {"counters": {}, "timers": {}, "digests": {},
     "gauges": {
       "BM_EngineRun/v1_fast/1024.cpu_ns": 1000.0,
       "BM_EngineRun/v1_reference/1024.cpu_ns": 2000.0,
@@ -46,7 +46,7 @@ const char* kRunManifest = R"({
                 "c1": 0},
   "build": {"compiler": "gcc", "build_type": "Release", "assertions": false},
   "timing": {"wall_ms": 5.0}, "extra": {},
-  "metrics": {"counters": {}, "gauges": {}, "histograms": {}, "timers": {},
+  "metrics": {"counters": {}, "gauges": {}, "timers": {},
     "digests": {
       "runner.rounds_to_stabilize": {"count": 20, "min": 30, "max": 90,
         "mean": 50.0, "p50": 48.0, "p90": 70.0, "p95": 80.0, "p99": 88.0}
@@ -182,30 +182,6 @@ TEST(Report, StabilizationRowsAggregateDigestsByKey) {
   EXPECT_DOUBLE_EQ(rows[0].p95, 80.0);
   EXPECT_DOUBLE_EQ(rows[0].min, 30.0);
   EXPECT_DOUBLE_EQ(rows[0].max, 90.0);
-  EXPECT_FALSE(rows[0].approximate);
-}
-
-TEST(Report, HistogramEnvelopeFallbackForPreDigestArtifacts) {
-  const char* legacy = R"({
-    "schema": "beepmis.run.v1", "tool": "beepmis_cli",
-    "timestamp": "t", "seed": 1,
-    "graph": {"name": "g", "family": "torus", "n": 64, "m": 128,
-              "max_degree": 4},
-    "algorithm": {"name": "V2-own-degree", "init": "all-zero", "c1": 0},
-    "build": {}, "timing": {"wall_ms": 1.0}, "extra": {},
-    "metrics": {"counters": {}, "gauges": {}, "timers": {},
-      "histograms": {"runner.rounds_to_stabilize": {
-        "count": 4, "sum": 100, "mean": 25.0,
-        "buckets": [{"le": 16, "count": 1}, {"le": 32, "count": 3}]}}}
-  })";
-  obs::ReportBuilder b;
-  std::string error;
-  ASSERT_TRUE(b.add_document(parse(legacy), "legacy.json", &error)) << error;
-  const auto rows = b.stabilization_rows();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_TRUE(rows[0].approximate);
-  EXPECT_EQ(rows[0].count, 4u);
-  EXPECT_DOUBLE_EQ(rows[0].p50, 32.0);  // rank 2 lands in the (16,32] bucket
 }
 
 TEST(Report, EventStreamsYieldOneStabilizationSample) {
@@ -258,7 +234,6 @@ TEST(Report, SweepDocumentFeedsStabilizationAndGrowthFits) {
   EXPECT_EQ(stab[0].n, 256u);
   EXPECT_EQ(stab[0].count, 4u);
   EXPECT_NEAR(stab[0].p50, 60.45, 1e-9);
-  EXPECT_FALSE(stab[0].approximate);
 
   const auto fits = b.growth_fit_rows();
   ASSERT_EQ(fits.size(), 4u);  // all models, ranked best-R² first

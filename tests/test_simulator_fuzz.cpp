@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "src/beep/network.hpp"
-#include "src/beep/trace.hpp"
 #include "src/graph/generators.hpp"
+#include "src/obs/sink.hpp"
 
 namespace beepmis::beep {
 namespace {
@@ -80,18 +80,17 @@ INSTANTIATE_TEST_SUITE_P(Channels, EngineFuzz, ::testing::Values(1u, 2u),
                            return "ch" + std::to_string(i.param);
                          });
 
-TEST(TraceFuzz, RecordsMatchEngineCounters) {
+TEST(EventFuzz, RecordsMatchEngineCounters) {
   support::Rng meta(99);
   const graph::Graph g = graph::make_erdos_renyi(40, 0.1, meta);
   auto algo = std::make_unique<RandomBeeper>(40, 2);
   auto* raw = algo.get();
   Simulation sim(g, std::move(algo), 4);
-  Trace trace;
-  std::uint64_t manual_total = 0;
+  obs::MemorySink sink;
+  sim.add_observer(&sink);
   for (int round = 0; round < 50; ++round) {
     sim.step();
-    trace.observe(sim);
-    const auto& rec = trace.records().back();
+    const obs::RoundEvent& rec = sink.events().back();
     std::uint32_t c1 = 0, c2 = 0, heard = 0;
     for (std::size_t v = 0; v < 40; ++v) {
       c1 += (raw->last_sent[v] & kChannel1) ? 1 : 0;
@@ -102,12 +101,16 @@ TEST(TraceFuzz, RecordsMatchEngineCounters) {
     EXPECT_EQ(rec.beeps_ch2, c2);
     EXPECT_EQ(rec.heard_any, heard);
     EXPECT_EQ(rec.round, static_cast<Round>(round + 1));
-    manual_total += c1 + c2;
   }
-  EXPECT_EQ(trace.total_beeps(), manual_total);
-  EXPECT_EQ(sim.total_beeps(0) + sim.total_beeps(1), manual_total);
-  trace.clear();
-  EXPECT_TRUE(trace.records().empty());
+  std::uint64_t event_ch1 = 0, event_ch2 = 0;
+  for (const obs::RoundEvent& e : sink.events()) {
+    event_ch1 += e.beeps_ch1;
+    event_ch2 += e.beeps_ch2;
+  }
+  EXPECT_EQ(sim.total_beeps(0), event_ch1);
+  EXPECT_EQ(sim.total_beeps(1), event_ch2);
+  sink.clear();
+  EXPECT_TRUE(sink.events().empty());
 }
 
 }  // namespace

@@ -87,30 +87,5 @@ TEST(SampleSet, AddAfterQuantileStillCorrect) {
   EXPECT_DOUBLE_EQ(s.median(), 3.0);
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // underflow
-  h.add(0.0);    // bucket 0
-  h.add(1.99);   // bucket 0
-  h.add(2.0);    // bucket 1
-  h.add(9.99);   // bucket 4
-  h.add(10.0);   // overflow
-  h.add(25.0);   // overflow
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.count_at(0), 2u);
-  EXPECT_EQ(h.count_at(1), 1u);
-  EXPECT_EQ(h.count_at(4), 1u);
-  EXPECT_EQ(h.total(), 7u);
-}
-
-TEST(Histogram, AsciiRendersEveryBucket) {
-  Histogram h(0.0, 4.0, 4);
-  for (int i = 0; i < 8; ++i) h.add(1.5);
-  const std::string art = h.ascii(10);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 4);
-  EXPECT_NE(art.find('#'), std::string::npos);
-}
-
 }  // namespace
 }  // namespace beepmis::support

@@ -358,7 +358,6 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
     const bool ok = engine->is_stabilized();
     metrics.counter("cli.runs_total").inc();
     metrics.counter("cli.rounds_total").inc(rounds);
-    metrics.histogram("cli.rounds_to_stabilize").record(rounds);
     metrics.digest("cli.rounds_to_stabilize")
         .add(static_cast<double>(rounds));
     if (!ok) metrics.counter("cli.budget_exhausted").inc();

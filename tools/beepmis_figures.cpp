@@ -10,8 +10,8 @@
 #include <iostream>
 
 #include "src/beep/fault.hpp"
-#include "src/exp/convlog.hpp"
 #include "src/exp/sweep.hpp"
+#include "src/obs/sink.hpp"
 #include "src/support/args.hpp"
 #include "src/support/stats.hpp"
 #include "src/support/svg.hpp"
@@ -51,15 +51,13 @@ void convergence_figure(const std::string& dir) {
   auto sim = exp::make_selfstab_sim(g, exp::Variant::GlobalDelta, 11);
   support::Rng irng(5);
   exp::apply_init(*sim, core::InitPolicy::UniformRandom, irng);
-  exp::ConvergenceLog log;
-  while (!exp::selfstab_stabilized(*sim) && sim->round() < 5000) {
-    sim->step();
-    log.observe(*sim);
-  }
+  obs::MemorySink log;
+  sim->add_observer(&log);
+  while (!exp::selfstab_stabilized(*sim) && sim->round() < 5000) sim->step();
   support::SvgChart chart("convergence anatomy (n=512, arbitrary start)",
                           "round", "vertices");
   std::vector<std::pair<double, double>> stable, mis, prom;
-  for (const auto& p : log.points()) {
+  for (const obs::RoundEvent& p : log.events()) {
     stable.emplace_back(static_cast<double>(p.round),
                         static_cast<double>(p.stable));
     mis.emplace_back(static_cast<double>(p.round),
