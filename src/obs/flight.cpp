@@ -215,11 +215,12 @@ void FlightRecorder::write_dump(std::ostream& os) const {
 
   // With a tracing session live, attach the dumping thread's most recent
   // trace records — the span/counter timeline immediately preceding the
-  // anomaly, in the same event shape as beepmis.trace.v1.
+  // anomaly, in the Chrome event shape of beepmis.trace.v2.
   if (Tracer::active()) {
+    std::uint64_t tid = 0;
     w.key("trace_tail").begin_array();
-    for (const TraceRecord& r : Tracer::instance().thread_tail(256))
-      trace_write_event(w, r);
+    for (const TraceRecord& r : Tracer::instance().thread_tail(256, &tid))
+      trace_write_event(w, r, tid);
     w.end_array();
   }
 
@@ -401,9 +402,17 @@ bool dump_validate(const JsonValue& doc, std::string* error,
     *error = "\"final_levels\" length != context.graph.n";
     return false;
   }
-  if (doc.has("trace_tail") && !doc.get("trace_tail").is_array()) {
-    *error = "\"trace_tail\" is not an array";
-    return false;
+  if (doc.has("trace_tail")) {
+    const JsonValue& tail = doc.get("trace_tail");
+    if (!tail.is_array()) {
+      *error = "\"trace_tail\" is not an array";
+      return false;
+    }
+    for (std::size_t i = 0; i < tail.array.size(); ++i)
+      if (!trace_event_validate(tail.array[i],
+                                "trace_tail[" + std::to_string(i) + "]",
+                                error))
+        return false;
   }
 
   if (anomaly_count != nullptr) *anomaly_count = anomalies.array.size();

@@ -1,16 +1,19 @@
 #include "src/obs/report.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "src/obs/flight.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/perf.hpp"
 #include "src/obs/recovery.hpp"
+#include "src/obs/trace.hpp"
 #include "src/support/fit.hpp"
 
 namespace beepmis::obs {
@@ -25,8 +28,8 @@ constexpr std::string_view kRealSuffix = ".real_ns";
 /// cpu_ns counts only the main thread, so they are gated on real_ns too.
 constexpr std::string_view kRealTimeName = "/real_time";
 
-/// Context values in profile documents are strings (PerfSession::set_context
-/// is string->string); tolerate a raw number anyway.
+/// Context values in profile and trace documents are strings (set_context is
+/// string->string); tolerate a raw number anyway.
 std::uint64_t context_u64(const JsonValue& ctx, const char* key) {
   const JsonValue& v = ctx.get(key);
   const auto n = static_cast<std::uint64_t>(v.as_number(0.0));
@@ -231,6 +234,11 @@ bool ReportBuilder::add_document(const JsonValue& doc,
     return true;
   }
   if (schema == "beepmis.dump.v1") {
+    std::string verror;
+    if (!dump_validate(doc, &verror)) {
+      if (error != nullptr) *error = source + ": " + verror;
+      return false;
+    }
     sources_.push_back(source);
     for (const JsonValue& a : doc.get("anomalies").array) {
       dump_anomalies_.push_back({source, a.get("kind").as_string("?"),
@@ -239,46 +247,45 @@ bool ReportBuilder::add_document(const JsonValue& doc,
     }
     return true;
   }
-  if (schema == "beepmis.trace.v1") {
+  if (schema == "beepmis.trace.v2") {
+    std::string verror;
+    if (!trace_validate(doc, &verror)) {
+      if (error != nullptr) *error = source + ": " + verror;
+      return false;
+    }
     sources_.push_back(source);
     const auto dropped = static_cast<std::uint64_t>(
         doc.get("dropped_total").as_number(0.0));
     if (dropped > 0) dropped_sources_.emplace_back(source, dropped);
-    // Every complete ("X") event feeds the per-span duration digest; the
-    // trace's context block keys the cell next to the stabilization rows.
-    const JsonValue& ctx = doc.get("context");
+    // Every complete ("X") event feeds the per-span duration digest in ns;
+    // the trace's context block keys the cell next to the stabilization
+    // rows.
+    const JsonValue& ctx = doc.get("otherData");
     const std::string algorithm = ctx.get("algorithm").as_string("?");
     const std::string family = ctx.get("family").as_string("?");
-    // Context values are strings (the tracer's context block is a
-    // string->string map); tolerate a numeric n anyway.
-    auto n = static_cast<std::uint64_t>(ctx.get("n").as_number(0.0));
-    if (n == 0)
-      n = std::strtoull(ctx.get("n").as_string("0").c_str(), nullptr, 10);
-    const std::uint64_t shards = context_u64(ctx, "shards");
-    const PhaseKey shard_key{algorithm, family, n, shards};
-    for (const JsonValue& th : doc.get("threads").array) {
-      for (const JsonValue& ev : th.get("events").array) {
-        const std::string ph = ev.get("ph").as_string();
-        const std::string name = ev.get("name").as_string("?");
-        if (ph == "C") {
-          // Per-round shard counters feed the imbalance digests.
-          if (name == "shard.imbalance")
-            shard_[shard_key].imbalance.add(ev.get("value").as_number(0.0));
-          else if (name == "shard.barrier_wait_ms")
-            shard_[shard_key].barrier_ms.add(
-                ev.get("value").as_number(0.0));
-          continue;
-        }
-        if (ph != "X") continue;
-        spans_[{algorithm, family, n, name}].add(
-            ev.get("dur_ns").as_number(0.0));
-        // "shard.<phase>" spans additionally feed the phase-breakdown
-        // table, which (unlike the span table) is keyed by shard count.
-        for (std::size_t p = 0; p < kTimeSeriesPhases; ++p)
-          if (name == std::string("shard.") + kTimeSeriesPhaseKeys[p])
-            shard_[shard_key].phase_ns[p].add(
-                ev.get("dur_ns").as_number(0.0));
+    const std::uint64_t n = context_u64(ctx, "n");
+    const PhaseKey shard_key{algorithm, family, n, context_u64(ctx, "shards")};
+    for (const JsonValue& ev : doc.get("traceEvents").array) {
+      const std::string ph = ev.get("ph").as_string();
+      const std::string name = ev.get("name").as_string("?");
+      if (ph == "C") {
+        // Per-round shard counters feed the imbalance digests.
+        const double value = ev.get("args").get("value").as_number(0.0);
+        if (name == "shard.imbalance")
+          shard_[shard_key].imbalance.add(value);
+        else if (name == "shard.barrier_wait_ms")
+          shard_[shard_key].barrier_ms.add(value);
+        continue;
       }
+      if (ph != "X") continue;
+      const auto dur_ns = static_cast<double>(
+          std::llround(ev.get("dur").as_number(0.0) * 1000.0));
+      spans_[{algorithm, family, n, name}].add(dur_ns);
+      // "shard.<phase>" spans additionally feed the phase-breakdown
+      // table, which (unlike the span table) is keyed by shard count.
+      for (std::size_t p = 0; p < kTimeSeriesPhases; ++p)
+        if (name == std::string("shard.") + kTimeSeriesPhaseKeys[p])
+          shard_[shard_key].phase_ns[p].add(dur_ns);
     }
     return true;
   }

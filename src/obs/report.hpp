@@ -18,7 +18,7 @@ namespace beepmis::obs {
 
 /// Aggregates run artifacts — "beepmis.run.v1" manifests (including bench
 /// captures such as BENCH_micro.json), "beepmis.dump.v1" flight-recorder
-/// dumps, "beepmis.trace.v1" span traces, "beepmis.profile.v1" hardware
+/// dumps, "beepmis.trace.v2" span traces, "beepmis.profile.v1" hardware
 /// profiles, "beepmis.recovery.v1" recovery artifacts, "beepmis.sweep.v1"
 /// scaling-sweep summaries, and raw JSONL
 /// round-event streams — into one report:
@@ -196,7 +196,7 @@ class ReportBuilder {
   };
 
   /// Ingests one parsed artifact. Accepts "beepmis.run.v1",
-  /// "beepmis.dump.v1", "beepmis.trace.v1", "beepmis.profile.v1",
+  /// "beepmis.dump.v1", "beepmis.trace.v2", "beepmis.profile.v1",
   /// "beepmis.recovery.v1" and "beepmis.sweep.v1"; anything else fails with
   /// `error` set. `source`
   /// is the label used in the report (typically the file name).
@@ -262,7 +262,7 @@ class ReportBuilder {
   /// True when the installed baseline was captured from a dirty tree.
   bool baseline_dirty() const noexcept { return baseline_dirty_; }
 
-  /// Ingested "beepmis.trace.v1" sources whose ring overflowed
+  /// Ingested "beepmis.trace.v2" sources whose ring overflowed
   /// (dropped_total > 0), with the drop count — their span quantiles are
   /// biased toward the end of the run, so the report warns about them the
   /// same way it warns about dirty builds.

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 
-#include "src/obs/json_parse.hpp"
 #include "src/obs/perf.hpp"
 #include "src/obs/trace.hpp"
 
@@ -12,20 +10,13 @@ namespace beepmis::obs {
 
 namespace {
 
-// Fixed tracing and profiling cadences. trace.v1 records counter_every and
+// Fixed tracing and profiling cadences. trace.v2 records counter_every and
 // profile.v1 records sample_every, so every artifact still states them.
 constexpr std::size_t kTraceCapacity = 65536;  // records per thread ring
 constexpr std::uint64_t kTraceCounterEvery = 16;  // rounds per counter sample
 constexpr std::uint64_t kProfileEvery = 64;  // rounds per profiled round
 
 }  // namespace
-
-std::string trace_chrome_path(const std::string& path) {
-  const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos)
-    return path + ".chrome.json";
-  return std::string(path).insert(dot, ".chrome");
-}
 
 bool write_artifact(const std::string& path, const char* what,
                     const std::function<void(std::ostream&)>& write,
@@ -112,8 +103,8 @@ Session::Session(support::ArgParser& args, std::string tool,
   args.add_option("anomaly-storm-window", "64",
                   "flight-recorder beep-storm window in rounds (0 = off)");
   args.add_option("trace-out", "",
-                  "write a beepmis.trace.v1 span trace here plus a "
-                  "Chrome/Perfetto export beside it (<name>.chrome.json)");
+                  "write the beepmis.trace.v2 span trace here: Chrome "
+                  "trace-event JSON that ui.perfetto.dev opens directly");
   args.add_flag("profile",
                 "attribute hardware perf counters to engine/sweep/pool "
                 "spans (a no-op when perf_event_open is denied)");
@@ -212,28 +203,12 @@ int Session::finish(RunManifest manifest, const MetricsRegistry& metrics,
                            : " (profiling unavailable)"))
     ok = false;
 
-  if (!trace_path.empty()) {
-    // The Chrome export round-trips through the real parser, so the
-    // written trace is validated as a side effect of converting it.
-    std::ostringstream doc, chrome;
-    tracer.write_json(doc);
-    JsonValue parsed;
-    std::string error;
-    if (!write_artifact(trace_path, "trace",
-                        [&](std::ostream& os) { os << doc.str(); }, stderr))
-      ok = false;
-    if (!json_parse(doc.str(), &parsed, &error) ||
-        !trace_export_chrome(parsed, chrome, &error)) {
-      std::fprintf(stderr, "trace export failed: %s\n", error.c_str());
-      ok = false;
-    } else if (!write_artifact(
-                   trace_chrome_path(trace_path), "trace",
-                   [&](std::ostream& os) { os << chrome.str(); }, stderr,
-                   " (trace-dropped=" +
-                       std::to_string(tracer.dropped_spans()) + ")")) {
-      ok = false;
-    }
-  }
+  if (!trace_path.empty() &&
+      !write_artifact(
+          trace_path, "trace",
+          [&](std::ostream& os) { tracer.write_json(os); }, stderr,
+          " (trace-dropped=" + std::to_string(tracer.dropped_spans()) + ")"))
+    ok = false;
   return ok ? 0 : 2;
 }
 

@@ -17,10 +17,6 @@
 
 namespace beepmis::obs {
 
-/// Chrome export beside a trace: "t.json" -> "t.chrome.json"; a last path
-/// component without an extension gets ".chrome.json" appended.
-std::string trace_chrome_path(const std::string& path);
-
 /// Opens `path`, lets `write` fill it and flushes. Prints "wrote <path>
 /// <note>" to `notices`, or reports "cannot open|write <what> file: <path>"
 /// on stderr and returns false.
@@ -71,7 +67,7 @@ class ObserverStack {
 
 /// The observability of one beepmis_cli or beepmis_soak invocation: the
 /// flags both tools take, the tracing and profiling sessions, and the
-/// run.v1, recovery.v1, profile.v1 and trace.v1 artifacts.
+/// run.v1, recovery.v1, profile.v1 and trace.v2 artifacts.
 class Session {
  public:
   using Context = std::vector<std::pair<std::string, std::string>>;

@@ -1,7 +1,9 @@
 #include "src/obs/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
+#include <set>
 
 #include "src/obs/json.hpp"
 #include "src/obs/pool_hook.hpp"
@@ -14,9 +16,25 @@ namespace {
 // set before or after enable(), and survives across sessions.
 thread_local std::string t_pending_label;  // NOLINT(runtime/string)
 
-bool export_fail(std::string* error, std::string msg) {
-  if (error != nullptr) *error = std::move(msg);
+constexpr std::uint64_t kPid = 1;  // every track belongs to one process
+// 2^53: the largest count a JSON number (a double) holds exactly, and so
+// the bound on every ns count a trace encodes.
+constexpr double kMaxExact = 9007199254740992.0;
+
+bool fail(std::string* error, std::string msg) {
+  *error = std::move(msg);
   return false;
+}
+
+bool is_count(const JsonValue& v) {
+  return v.type == JsonValue::Type::Number && v.number >= 0.0 &&
+         v.number <= kMaxExact && v.number == std::floor(v.number);
+}
+
+// A timestamp or duration in µs whose ns count converts back exactly.
+bool is_micros(const JsonValue& v) {
+  return v.type == JsonValue::Type::Number && v.number >= 0.0 &&
+         v.number <= kMaxExact / 1000.0;
 }
 
 }  // namespace
@@ -148,16 +166,16 @@ void Tracer::clear_context() {
 std::uint64_t Tracer::dropped_spans() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t dropped = 0;
-  for (const auto& buf : buffers_)
-    if (buf->recorded > buf->ring.size())
-      dropped += buf->recorded - buf->ring.size();
+  for (const auto& buf : buffers_) dropped += buf->dropped();
   return dropped;
 }
 
-std::vector<TraceRecord> Tracer::thread_tail(std::size_t max) {
+std::vector<TraceRecord> Tracer::thread_tail(std::size_t max,
+                                             std::uint64_t* tid) {
   std::vector<TraceRecord> out;
   ThreadBuffer* buf = current_buffer();
   if (buf == nullptr || max == 0) return out;
+  *tid = buf->tid;
   const std::size_t cap = buf->ring.size();
   const std::size_t have =
       buf->recorded < cap ? static_cast<std::size_t>(buf->recorded) : cap;
@@ -168,82 +186,30 @@ std::vector<TraceRecord> Tracer::thread_tail(std::size_t max) {
   return out;
 }
 
-void trace_write_event(JsonWriter& w, const TraceRecord& r) {
+void trace_write_event(JsonWriter& w, const TraceRecord& r,
+                       std::uint64_t tid) {
+  const char* ph = r.kind == TraceRecord::Kind::Span      ? "X"
+                   : r.kind == TraceRecord::Kind::Counter ? "C"
+                                                          : "i";
   w.begin_object();
-  switch (r.kind) {
-    case TraceRecord::Kind::Span:
-      w.field("ph", "X");
-      w.field("name", r.name);
-      w.field("ts_ns", r.ts_ns);
-      w.field("dur_ns", r.dur_ns);
-      if (r.has_arg) w.field("arg", r.arg);
-      break;
-    case TraceRecord::Kind::Counter:
-      w.field("ph", "C");
-      w.field("name", r.name);
-      w.field("ts_ns", r.ts_ns);
-      w.field("value", r.value);
-      break;
-    case TraceRecord::Kind::Instant:
-      w.field("ph", "i");
-      w.field("name", r.name);
-      w.field("ts_ns", r.ts_ns);
-      if (r.has_arg) w.field("arg", r.arg);
-      break;
-  }
+  w.field("ph", ph).field("pid", kPid).field("tid", tid);
+  w.field("cat", "beepmis").field("name", r.name);
+  // Chrome's trace-event clock is microseconds; a fractional value keeps
+  // full ns precision.
+  w.field("ts", static_cast<double>(r.ts_ns) / 1000.0);
+  if (r.kind == TraceRecord::Kind::Span)
+    w.field("dur", static_cast<double>(r.dur_ns) / 1000.0);
+  if (r.kind == TraceRecord::Kind::Instant) w.field("s", "t");  // thread
+  if (r.kind == TraceRecord::Kind::Counter)
+    w.key("args").begin_object().field("value", r.value).end_object();
+  else if (r.has_arg)
+    w.key("args").begin_object().field("arg", r.arg).end_object();
   w.end_object();
 }
 
 void Tracer::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t dropped_total = 0;
-  for (const auto& buf : buffers_)
-    if (buf->recorded > buf->ring.size())
-      dropped_total += buf->recorded - buf->ring.size();
-
-  JsonWriter w(os);
-  w.begin_object();
-  w.field("schema", "beepmis.trace.v1");
-  w.field("capacity_per_thread", static_cast<std::uint64_t>(capacity_));
-  w.field("counter_every", counter_every_.load(std::memory_order_relaxed));
-  w.field("dropped_total", dropped_total);
-  w.key("context").begin_object();
-  for (const auto& kv : context_) w.field(kv.first, kv.second);
-  w.end_object();
-  w.key("threads").begin_array();
-  for (const auto& buf : buffers_) {
-    const std::size_t cap = buf->ring.size();
-    const bool wrapped = buf->recorded > cap;
-    const std::size_t have =
-        wrapped ? cap : static_cast<std::size_t>(buf->recorded);
-    const std::size_t first = wrapped ? buf->head : 0;
-    w.begin_object();
-    w.field("tid", buf->tid);
-    w.field("label", buf->label);
-    w.field("recorded", buf->recorded);
-    w.field("dropped",
-            wrapped ? buf->recorded - cap : std::uint64_t{0});
-    w.key("events").begin_array();
-    for (std::size_t k = 0; k < have; ++k)
-      trace_write_event(w, buf->ring[(first + k) % cap]);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  os << '\n';
-}
-
-bool trace_export_chrome(const JsonValue& trace, std::ostream& os,
-                         std::string* error) {
-  if (!trace.is_object() ||
-      trace.get("schema").as_string() != "beepmis.trace.v1")
-    return export_fail(error, "not a beepmis.trace.v1 document");
-  const JsonValue& threads = trace.get("threads");
-  if (!threads.is_array())
-    return export_fail(error, "trace.v1: \"threads\" must be an array");
-
-  const std::uint64_t kPid = 1;
   JsonWriter w(os);
   w.begin_object();
   w.key("traceEvents").begin_array();
@@ -251,69 +217,114 @@ bool trace_export_chrome(const JsonValue& trace, std::ostream& os,
   w.field("ph", "M").field("pid", kPid).field("name", "process_name");
   w.key("args").begin_object().field("name", "beepmis").end_object();
   w.end_object();
-
-  for (const JsonValue& th : threads.array) {
-    if (!th.is_object())
-      return export_fail(error, "trace.v1: thread entry must be an object");
-    const std::uint64_t tid =
-        static_cast<std::uint64_t>(th.get("tid").as_number(0.0));
-    const std::string label =
-        th.get("label").as_string("thread-" + std::to_string(tid));
+  for (const auto& buf : buffers_) {
+    const std::size_t cap = buf->ring.size();
+    const bool wrapped = buf->recorded > cap;
+    const std::size_t have =
+        wrapped ? cap : static_cast<std::size_t>(buf->recorded);
+    const std::size_t first = wrapped ? buf->head : 0;
+    dropped_total += buf->dropped();
     w.begin_object();
-    w.field("ph", "M").field("pid", kPid).field("tid", tid);
+    w.field("ph", "M").field("pid", kPid).field("tid", buf->tid);
     w.field("name", "thread_name");
-    w.key("args").begin_object().field("name", label).end_object();
+    w.key("args").begin_object();
+    w.field("name", buf->label);
+    w.field("recorded", buf->recorded).field("dropped", buf->dropped());
     w.end_object();
-
-    const JsonValue& events = th.get("events");
-    if (!events.is_array())
-      return export_fail(error,
-                         "trace.v1: thread \"events\" must be an array");
-    for (const JsonValue& ev : events.array) {
-      const std::string ph = ev.get("ph").as_string();
-      const std::string name = ev.get("name").as_string();
-      if (name.empty())
-        return export_fail(error, "trace.v1: event without a name");
-      // Chrome's trace_event clock is microseconds; keep full ns precision
-      // as a fractional value.
-      const double ts_us = ev.get("ts_ns").as_number(0.0) / 1000.0;
-      w.begin_object();
-      w.field("ph", ph).field("pid", kPid).field("tid", tid);
-      w.field("cat", "beepmis").field("name", name).field("ts", ts_us);
-      if (ph == "X") {
-        w.field("dur", ev.get("dur_ns").as_number(0.0) / 1000.0);
-        if (ev.has("arg")) {
-          w.key("args").begin_object();
-          w.field("arg", ev.get("arg").as_number(0.0));
-          w.end_object();
-        }
-      } else if (ph == "C") {
-        w.key("args").begin_object();
-        w.field("value", ev.get("value").as_number(0.0));
-        w.end_object();
-      } else if (ph == "i") {
-        w.field("s", "t");  // thread-scoped instant
-        if (ev.has("arg")) {
-          w.key("args").begin_object();
-          w.field("arg", ev.get("arg").as_number(0.0));
-          w.end_object();
-        }
-      } else {
-        return export_fail(error,
-                           "trace.v1: unknown event phase \"" + ph + "\"");
-      }
-      w.end_object();
-    }
+    w.end_object();
+    for (std::size_t k = 0; k < have; ++k)
+      trace_write_event(w, buf->ring[(first + k) % cap], buf->tid);
   }
   w.end_array();
   w.field("displayTimeUnit", "ms");
+  w.field("schema", "beepmis.trace.v2");
+  w.field("capacity_per_thread", static_cast<std::uint64_t>(capacity_));
+  w.field("counter_every", counter_every_.load(std::memory_order_relaxed));
+  w.field("dropped_total", dropped_total);
   w.key("otherData").begin_object();
-  const JsonValue& ctx = trace.get("context");
-  if (ctx.is_object())
-    for (const auto& kv : ctx.object) w.field(kv.first, kv.second.as_string());
+  for (const auto& kv : context_) w.field(kv.first, kv.second);
   w.end_object();
   w.end_object();
   os << '\n';
+}
+
+bool trace_event_validate(const JsonValue& ev, const std::string& where,
+                          std::string* error) {
+  if (!ev.is_object()) return fail(error, where + ": event is not an object");
+  const std::string ph = ev.get("ph").as_string();
+  const std::string name = ev.get("name").as_string();
+  if (ph.empty()) return fail(error, where + ": missing \"ph\"");
+  if (name.empty()) return fail(error, where + ": missing \"name\"");
+  // process_* metadata is process-scoped and legitimately has no tid.
+  const bool process_scoped = ph == "M" && name.rfind("process_", 0) == 0;
+  if (!is_count(ev.get("pid")) ||
+      (!process_scoped && !is_count(ev.get("tid"))))
+    return fail(error, where + ": missing pid/tid");
+  const JsonValue& args = ev.get("args");
+  if (ph == "M")  // metadata carries its payload in args (thread_name, ...)
+    return args.is_object() ||
+           fail(error, where + ": metadata record without args");
+  if (!is_micros(ev.get("ts")))
+    return fail(error, where + ": missing or out-of-range \"ts\"");
+  if (ph == "X")
+    return is_micros(ev.get("dur")) ||
+           fail(error, where + ": complete event without a valid \"dur\"");
+  if (ph == "C")
+    return args.get("value").type == JsonValue::Type::Number ||
+           fail(error, where + ": counter event without args.value");
+  if (ph == "i") return true;
+  return fail(error, where + ": unknown phase \"" + ph + "\"");
+}
+
+bool trace_validate(const JsonValue& doc, std::string* error,
+                    std::size_t* track_count, std::size_t* event_count) {
+  std::string scratch;
+  if (error == nullptr) error = &scratch;
+  if (!doc.is_object() ||
+      doc.get("schema").as_string() != "beepmis.trace.v2")
+    return fail(error, "not a beepmis.trace.v2 document");
+  for (const char* field :
+       {"capacity_per_thread", "counter_every", "dropped_total"})
+    if (!is_count(doc.get(field)))
+      return fail(error, std::string("missing count \"") + field + "\"");
+  const JsonValue& context = doc.get("otherData");
+  if (!context.is_object())
+    return fail(error, "\"otherData\" is not an object");
+  for (const auto& [key, value] : context.object)
+    if (value.type != JsonValue::Type::String)
+      return fail(error, "otherData: \"" + key + "\" is not a string");
+  const JsonValue& events = doc.get("traceEvents");
+  if (!events.is_array())
+    return fail(error, "\"traceEvents\" is not an array");
+
+  std::set<std::uint64_t> tracks;
+  double dropped = 0.0;
+  std::size_t records = 0;
+  for (std::size_t i = 0; i < events.array.size(); ++i) {
+    const JsonValue& ev = events.array[i];
+    const std::string where = "traceEvents[" + std::to_string(i) + "]";
+    if (!trace_event_validate(ev, where, error)) return false;
+    const auto tid = static_cast<std::uint64_t>(ev.get("tid").number);
+    if (ev.get("ph").as_string() == "M") {
+      if (ev.get("name").as_string() != "thread_name") continue;
+      const JsonValue& args = ev.get("args");
+      if (args.get("name").as_string().empty() ||
+          !is_count(args.get("recorded")) || !is_count(args.get("dropped")))
+        return fail(error, where + ": thread_name without args "
+                                   "{name, recorded, dropped}");
+      if (!tracks.insert(tid).second)
+        return fail(error, where + ": track declared twice");
+      dropped += args.get("dropped").number;
+    } else if (tracks.count(tid) == 0) {
+      return fail(error, where + ": event on an undeclared track");
+    } else {
+      ++records;
+    }
+  }
+  if (dropped != doc.get("dropped_total").number)
+    return fail(error, "dropped_total != sum of the tracks' dropped");
+  if (track_count != nullptr) *track_count = tracks.size();
+  if (event_count != nullptr) *event_count = records;
   return true;
 }
 

@@ -110,12 +110,19 @@ class Tracer {
   /// Records overwritten (lost) across all threads of the session.
   std::uint64_t dropped_spans() const;
 
-  /// The calling thread's most recent records, oldest first, at most `max`.
-  /// Safe concurrently with other threads recording (own-buffer read only).
-  std::vector<TraceRecord> thread_tail(std::size_t max);
+  /// The calling thread's most recent records, oldest first, at most `max`;
+  /// `*tid` receives the thread's track id. Safe concurrently with other
+  /// threads recording (own-buffer read only).
+  std::vector<TraceRecord> thread_tail(std::size_t max, std::uint64_t* tid);
 
-  /// Writes the "beepmis.trace.v1" document: session parameters, context,
-  /// and one entry per thread track with its records oldest-first.
+  /// Writes the "beepmis.trace.v2" document: Chrome trace-event JSON in its
+  /// object form, which ui.perfetto.dev and chrome://tracing open directly.
+  /// "traceEvents" holds a process_name record, then per track a
+  /// thread_name record (args: label, recorded, dropped) followed by the
+  /// track's records oldest-first. The session fields ride as extra
+  /// top-level members, which the viewers ignore: "schema",
+  /// "capacity_per_thread", "counter_every", "dropped_total", and the
+  /// context block as "otherData".
   void write_json(std::ostream& os) const;
 
   Tracer(const Tracer&) = delete;
@@ -130,6 +137,10 @@ class Tracer {
     std::uint64_t recorded = 0;  // total records ever written
     std::uint64_t tid = 0;       // registration order within the session
     std::string label;
+
+    std::uint64_t dropped() const {
+      return recorded > ring.size() ? recorded - ring.size() : 0;
+    }
   };
 
   void record(const TraceRecord& r);
@@ -188,20 +199,31 @@ class TraceScope {
   Tracer::Clock::time_point start_{};
 };
 
-/// Writes one TraceRecord as a trace.v1 event object — the shape shared by
-/// Tracer::write_json "events" arrays and flight-dump "trace_tail" arrays:
-/// {"ph":"X","name",...,"ts_ns","dur_ns","arg"?} / {"ph":"C",...,"value"} /
-/// {"ph":"i",...,"arg"?}.
-void trace_write_event(JsonWriter& w, const TraceRecord& r);
+/// Writes one TraceRecord as a Chrome trace-event object on track `tid` —
+/// the shape shared by Tracer::write_json's "traceEvents" and flight-dump
+/// "trace_tail" arrays: {"ph":"X",pid,tid,"cat","name","ts","dur",
+/// "args":{"arg"}?} / {"ph":"C",...,"args":{"value"}} /
+/// {"ph":"i",...,"s":"t","args":{"arg"}?}. `ts` and `dur` are microseconds,
+/// fractional to keep full ns precision.
+void trace_write_event(JsonWriter& w, const TraceRecord& r,
+                       std::uint64_t tid);
 
-/// Converts a parsed "beepmis.trace.v1" document to Chrome/Perfetto
-/// `trace_event` JSON (the {"traceEvents": [...]} object form): one `M`
-/// thread_name metadata record per track, `X` complete events for spans,
-/// `C` counter events, and thread-scoped `i` instants. Timestamps become
-/// microseconds (fractional, full ns precision). Open the result directly
-/// in ui.perfetto.dev or chrome://tracing. Returns false (with `error`) on
-/// a document that is not a well-formed trace.v1.
-bool trace_export_chrome(const JsonValue& trace, std::ostream& os,
-                         std::string* error = nullptr);
+/// Checks one Chrome trace-event object for what the Perfetto and
+/// chrome://tracing JSON importers require: ph, name, pid/tid (process_*
+/// metadata has no tid), args on metadata, a non-negative ts, dur on
+/// complete events and args.value on counters. `where` prefixes `error`.
+bool trace_event_validate(const JsonValue& ev, const std::string& where,
+                          std::string* error);
+
+/// Strict structural validation of a parsed "beepmis.trace.v2" document —
+/// the shared path used by beepmis_trace_check, beepmis_report and the tests
+/// (mirrors obs::dump_validate / obs::recovery_validate). Every event passes
+/// trace_event_validate and sits on a track declared by an earlier
+/// thread_name record; the tracks' dropped counts sum to "dropped_total".
+/// Returns false with `error` set on the first fault; fills the optional
+/// counts for one-line reports.
+bool trace_validate(const JsonValue& doc, std::string* error,
+                    std::size_t* track_count = nullptr,
+                    std::size_t* event_count = nullptr);
 
 }  // namespace beepmis::obs

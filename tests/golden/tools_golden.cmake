@@ -1,9 +1,9 @@
 # Golden test for the command-line tools: drives beepmis_cli, beepmis_soak,
 # beepmis_trace_check and beepmis_figures end to end and diffs every
 # deterministic output against the files checked in beside this script.
-# Artifacts that carry wall-clock timing (trace.v1, its Chrome export,
-# profile.v1) are validated through beepmis_trace_check instead, and run.v1
-# is checked for its key set.
+# Artifacts that carry wall-clock timing (trace.v2, profile.v1) are
+# validated through beepmis_trace_check instead, and run.v1 is checked for
+# its key set. Tracing must not change a byte of any other output.
 #
 #   cmake -DCLI=<beepmis_cli> -DSOAK=<beepmis_soak> -DCHECK=<beepmis_trace_check>
 #         -DFIGURES=<beepmis_figures> -DGOLDEN=<this directory>
@@ -26,7 +26,8 @@ file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 
 # run(<expected exit code> <out-var> <command...>): runs the command in WORK
-# and stores its stdout in <out-var>; any other exit code fails the test.
+# and stores its stdout in <out-var> and its stderr in run_stderr; any other
+# exit code fails the test.
 function(run expected out_var)
   execute_process(COMMAND ${ARGN}
     WORKING_DIRECTORY "${WORK}"
@@ -39,6 +40,7 @@ function(run expected out_var)
                         "stdout:\n${out}\nstderr:\n${err}")
   endif()
   set(${out_var} "${out}" PARENT_SCOPE)
+  set(run_stderr "${err}" PARENT_SCOPE)
 endfunction()
 
 # Drops the "wrote <path>" notices: they name output paths, not results.
@@ -69,6 +71,26 @@ endfunction()
 
 function(validate file)
   run(0 ignored "${CHECK}" --in "${file}")
+endfunction()
+
+# validate_trace(<stem>): a traced run wrote exactly one trace file,
+# <stem>.json, and it validates.
+function(validate_trace stem)
+  file(GLOB written RELATIVE "${WORK}" "${WORK}/${stem}.*json")
+  if(NOT written STREQUAL "${stem}.json")
+    message(FATAL_ERROR "expected the one trace file ${stem}.json, found: "
+                        "${written}")
+  endif()
+  validate("${stem}.json")
+endfunction()
+
+# expect_same(<file> <file>): two files in WORK are byte-identical.
+function(expect_same a b)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+    "${WORK}/${a}" "${WORK}/${b}" RESULT_VARIABLE differs)
+  if(differs)
+    message(FATAL_ERROR "${WORK}/${a} differs from ${WORK}/${b}")
+  endif()
 endfunction()
 
 # expect_keys(<file> <member path...> KEYS <key...>): the JSON object at the
@@ -191,8 +213,7 @@ strip_wrote(out)
 expect_text(traced-run.txt "${out}")
 run(0 out "${CLI}" --family torus --n 256 --algorithm v3 --seed 7)
 expect_text(traced-run.txt "${out}")
-validate(trace.json)
-validate(trace.chrome.json)
+validate_trace(trace)
 validate(profile.json)
 expect_keys(traced-run.json KEYS ${RUN_KEYS})
 expect_keys(traced-run.json obs KEYS ${OBS_KEYS})
@@ -203,8 +224,7 @@ run(0 out "${CLI}" --sweep --family er-avg8 --algorithm v1 --sizes 64,128
     --metrics-out sweep-run.json --trace-out sweep-trace.json)
 expect_text(sweep.txt "${out}")
 expect_file(sweep.json sweep.json)
-validate(sweep-trace.json)
-validate(sweep-trace.chrome.json)
+validate_trace(sweep-trace)
 expect_keys(sweep-run.json KEYS ${RUN_KEYS})
 expect_keys(sweep-run.json extra KEYS mode sizes seeds_per_size
             threads_requested shard_threads_requested)
@@ -220,12 +240,38 @@ foreach(threads 1 4)
   expect_text(soak.txt "${out}")
   expect_file(soak-recovery.json soak-recovery-t${threads}.json)
   validate(soak-recovery-t${threads}.json)
-  validate(soak-trace-t${threads}.json)
-  validate(soak-trace-t${threads}.chrome.json)
+  validate_trace(soak-trace-t${threads})
   expect_keys(soak-run-t${threads}.json KEYS ${RUN_KEYS})
   expect_keys(soak-run-t${threads}.json extra KEYS scenarios recovery_epochs
               engine kernel shard_threads result)
 endforeach()
+
+# Tracing reads clocks and writes private buffers only, so sweep stdout and
+# sweep.v1 are byte-identical with --trace-out on or off at every thread
+# count (0 = one worker per hardware thread).
+foreach(threads 1 8 0)
+  set(sweep --sweep --family er-avg8 --algorithm v1 --sizes 64,128,256
+      --sweep-seeds 8 --seed 5 --threads ${threads})
+  run(0 out "${CLI}" ${sweep} --sweep-out sweep-t${threads}.json)
+  file(WRITE "${WORK}/sweep-t${threads}.txt" "${out}")
+  run(0 out "${CLI}" ${sweep} --sweep-out sweep-traced-t${threads}.json
+      --trace-out trace-t${threads}.json)
+  file(WRITE "${WORK}/sweep-traced-t${threads}.txt" "${out}")
+  expect_same(sweep-t${threads}.json sweep-traced-t${threads}.json)
+  expect_same(sweep-t${threads}.txt sweep-traced-t${threads}.txt)
+  validate_trace(trace-t${threads})
+endforeach()
+
+# Soak under tracing: the heartbeat carries the anomaly and trace-drop
+# counters.
+run(0 ignored "${SOAK}" --seconds 3 --threads 4 --heartbeat 1
+    --trace-out trace-soak.json)
+foreach(counter trace-dropped= anomalies=)
+  if(NOT run_stderr MATCHES "${counter}")
+    message(FATAL_ERROR "soak heartbeat lacks ${counter}:\n${run_stderr}")
+  endif()
+endforeach()
+validate_trace(trace-soak)
 
 # Figures: the three SVGs are deterministic, byte for byte.
 run(0 ignored "${FIGURES}" --out-dir .)

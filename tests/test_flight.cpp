@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/obs/json_parse.hpp"
+#include "src/obs/trace.hpp"
 
 namespace beepmis {
 namespace {
@@ -210,6 +211,43 @@ TEST(FlightRecorder, ForcedStallDumpRoundTripsThroughParser) {
   ASSERT_TRUE(doc.get("final_levels").is_array());
   ASSERT_EQ(doc.get("final_levels").array.size(), 8u);
   EXPECT_DOUBLE_EQ(doc.get("final_levels").array[0].as_number(), -3.0);
+}
+
+// Under a live tracing session the dump carries the dumping thread's
+// newest trace records as "trace_tail", in the trace document's Chrome
+// event shape, and dump_validate checks each one.
+TEST(FlightRecorder, TraceTailUsesTheTraceEventShape) {
+  obs::AnomalyConfig cfg;
+  cfg.n = 4;
+  cfg.expected_rounds = 2;
+  cfg.stall_multiple = 1.0;
+  obs::FlightContext ctx;
+  ctx.tool = "test";
+  obs::FlightRecorder rec(/*ring_capacity=*/4, cfg, ctx);
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.enable(16, 0);
+  { obs::TraceScope span("engine.round", 7); }
+  obs::Tracer::counter("engine.active", 3.0);
+  for (std::uint64_t r = 1; r <= 4; ++r) rec.on_round(make_event(r, 2));
+  std::ostringstream os;
+  rec.write_dump(os);
+  tracer.disable();
+
+  obs::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(obs::json_parse(os.str(), &doc, &error)) << error;
+  EXPECT_TRUE(obs::dump_validate(doc, &error)) << error;
+  const auto& tail = doc.get("trace_tail").array;
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].get("ph").as_string(), "X");
+  EXPECT_EQ(tail[0].get("args").get("arg").as_number(), 7.0);
+  EXPECT_TRUE(tail[0].has("dur"));
+  EXPECT_EQ(tail[1].get("ph").as_string(), "C");
+  EXPECT_EQ(tail[1].get("args").get("value").as_number(), 3.0);
+
+  doc.object["trace_tail"].array[1].object.erase("args");
+  EXPECT_FALSE(obs::dump_validate(doc, &error));
+  EXPECT_NE(error.find("trace_tail[1]"), std::string::npos) << error;
 }
 
 TEST(FlightRecorder, AutoDumpWritesFileOnceAnomalyFires) {

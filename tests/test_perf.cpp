@@ -161,7 +161,7 @@ TEST(Perf, ValidateRejectsMalformedDocuments) {
     EXPECT_FALSE(error.empty());
   };
   // Wrong schema.
-  rejects("{\"schema\":\"beepmis.trace.v1\"}");
+  rejects("{\"schema\":\"beepmis.trace.v2\"}");
   // Unknown counter name.
   rejects(
       "{\"schema\":\"beepmis.profile.v1\",\"available\":true,"

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/obs/json_parse.hpp"
+#include "src/obs/trace.hpp"
+#include "src/support/rng.hpp"
 
 namespace beepmis {
 namespace {
@@ -285,39 +290,85 @@ TEST(Report, UnknownSchemaIsRejected) {
   EXPECT_NE(error.find("bogus.v9"), std::string::npos);
 }
 
+/// A flight-recorder dump that passes dump_validate.
+const char* kDump = R"({
+  "schema": "beepmis.dump.v1",
+  "context": {"tool": "beepmis_cli", "seed": 7,
+              "graph": {"n": 4, "m": 3, "max_degree": 2},
+              "algorithm": "V1-global-delta", "init": "uniform-random",
+              "engine": "fast-alg1", "extra": {}},
+  "config": {"ring_capacity": 8, "n": 4, "expected_rounds": 40,
+             "stall_multiple": 2, "lemma_window": 64, "check_lemma31": true,
+             "storm_fraction": 0.95, "storm_window": 64},
+  "anomalies": [{"kind": "stall", "round": 123}],
+  "ring": [], "snapshots": [], "final_levels": []
+})";
+
 TEST(Report, DumpDocumentContributesAnomalies) {
-  const char* dump = R"({
-    "schema": "beepmis.dump.v1",
-    "context": {}, "config": {},
-    "anomalies": [{"kind": "stall", "round": 123}],
-    "ring": [], "snapshots": [], "final_levels": []
-  })";
   obs::ReportBuilder b;
   std::string error;
-  ASSERT_TRUE(b.add_document(parse(dump), "dump.json", &error)) << error;
+  ASSERT_TRUE(b.add_document(parse(kDump), "dump.json", &error)) << error;
   ASSERT_EQ(b.dump_anomalies().size(), 1u);
   EXPECT_EQ(b.dump_anomalies()[0].kind, "stall");
   EXPECT_EQ(b.dump_anomalies()[0].round, 123u);
 }
 
+/// A main-thread trace: two engine.round spans of 100 and 300 ns (µs on
+/// disk) and one counter sample.
+const char* kTrace = R"({"traceEvents": [
+    {"ph": "M", "pid": 1, "name": "process_name",
+     "args": {"name": "beepmis"}},
+    {"ph": "M", "pid": 1, "tid": 0, "name": "thread_name",
+     "args": {"name": "main", "recorded": 3, "dropped": 0}},
+    {"ph": "X", "pid": 1, "tid": 0, "cat": "beepmis",
+     "name": "engine.round", "ts": 0, "dur": 0.1},
+    {"ph": "X", "pid": 1, "tid": 0, "cat": "beepmis",
+     "name": "engine.round", "ts": 0.2, "dur": 0.3},
+    {"ph": "C", "pid": 1, "tid": 0, "cat": "beepmis",
+     "name": "engine.active", "ts": 0.05, "args": {"value": 9}}],
+  "displayTimeUnit": "ms", "schema": "beepmis.trace.v2",
+  "capacity_per_thread": 64, "counter_every": 0, "dropped_total": 0,
+  "otherData": {"algorithm": "V1-global-delta", "family": "torus",
+                "n": "256"}
+})";
+
+/// A 4-shard trace on two tracks: shard.<phase> spans and the per-round
+/// imbalance and barrier-wait counters, with one worker ring overflowed.
+const char* kShardTrace = R"({"traceEvents": [
+    {"ph": "M", "pid": 1, "name": "process_name",
+     "args": {"name": "beepmis"}},
+    {"ph": "M", "pid": 1, "tid": 0, "name": "thread_name",
+     "args": {"name": "main", "recorded": 4, "dropped": 0}},
+    {"ph": "X", "pid": 1, "tid": 0, "cat": "beepmis",
+     "name": "shard.decide", "ts": 1, "dur": 1.5, "args": {"arg": 1}},
+    {"ph": "C", "pid": 1, "tid": 0, "cat": "beepmis",
+     "name": "shard.imbalance", "ts": 3, "args": {"value": 1.25}},
+    {"ph": "C", "pid": 1, "tid": 0, "cat": "beepmis",
+     "name": "shard.barrier_wait_ms", "ts": 3, "args": {"value": 0.5}},
+    {"ph": "i", "pid": 1, "tid": 0, "cat": "beepmis", "name": "mark",
+     "ts": 3.5, "s": "t"},
+    {"ph": "M", "pid": 1, "tid": 1, "name": "thread_name",
+     "args": {"name": "shard-worker-0", "recorded": 6, "dropped": 2}},
+    {"ph": "X", "pid": 1, "tid": 1, "cat": "beepmis",
+     "name": "shard.decide", "ts": 4, "dur": 2.5},
+    {"ph": "X", "pid": 1, "tid": 1, "cat": "beepmis",
+     "name": "shard.apply", "ts": 7, "dur": 0.75},
+    {"ph": "C", "pid": 1, "tid": 1, "cat": "beepmis",
+     "name": "shard.imbalance", "ts": 8, "args": {"value": 1.75}},
+    {"ph": "C", "pid": 1, "tid": 1, "cat": "beepmis",
+     "name": "shard.barrier_wait_ms", "ts": 8, "args": {"value": 1.5}}],
+  "displayTimeUnit": "ms", "schema": "beepmis.trace.v2",
+  "capacity_per_thread": 4, "counter_every": 1, "dropped_total": 2,
+  "otherData": {"tool": "beepmis_cli", "algorithm": "V1-global-delta",
+                "family": "er-avg8", "n": "4096", "shards": "4"}
+})";
+
 TEST(Report, TraceDocumentContributesSpanQuantiles) {
   // Context values are strings, the tracer's context block being a
   // string->string map — the n coordinate must still parse.
-  const char* trace = R"({
-    "schema": "beepmis.trace.v1", "capacity_per_thread": 64,
-    "counter_every": 0, "dropped_total": 0,
-    "context": {"algorithm": "V1-global-delta", "family": "torus",
-                "n": "256"},
-    "threads": [{"tid": 0, "label": "main", "recorded": 3, "dropped": 0,
-      "events": [
-        {"ph": "X", "name": "engine.round", "ts_ns": 0, "dur_ns": 100},
-        {"ph": "X", "name": "engine.round", "ts_ns": 200, "dur_ns": 300},
-        {"ph": "C", "name": "engine.active", "ts_ns": 50, "value": 9}
-      ]}]
-  })";
   obs::ReportBuilder b;
   std::string error;
-  ASSERT_TRUE(b.add_document(parse(trace), "trace.json", &error)) << error;
+  ASSERT_TRUE(b.add_document(parse(kTrace), "trace.json", &error)) << error;
   const auto rows = b.span_rows();
   // Counter events don't feed span digests.
   ASSERT_EQ(rows.size(), 1u);
@@ -336,6 +387,124 @@ TEST(Report, TraceDocumentContributesSpanQuantiles) {
   ASSERT_EQ(doc.get("trace_spans").array.size(), 1u);
   EXPECT_EQ(doc.get("trace_spans").array[0].get("span").as_string(""),
             "engine.round");
+}
+
+TEST(Report, ShardTraceFeedsPhaseAndImbalanceTables) {
+  obs::ReportBuilder b;
+  std::string error;
+  ASSERT_TRUE(b.add_document(parse(kShardTrace), "shard.json", &error))
+      << error;
+  const auto phases = b.phase_rows();
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_EQ(phases[0].family, "er-avg8");
+  EXPECT_EQ(phases[0].n, 4096u);
+  EXPECT_EQ(phases[0].shards, 4u);
+  EXPECT_EQ(phases[0].rounds, 2u);                   // two decide spans
+  EXPECT_DOUBLE_EQ(phases[0].mean_ns[0], 2000.0);    // decide
+  EXPECT_DOUBLE_EQ(phases[0].mean_ns[3], 750.0);     // apply
+  EXPECT_DOUBLE_EQ(phases[0].mean_ns[1], 0.0);       // stamp: no spans
+  const auto imbalance = b.imbalance_rows();
+  ASSERT_EQ(imbalance.size(), 1u);
+  EXPECT_EQ(imbalance[0].shards, 4u);
+  EXPECT_EQ(imbalance[0].samples, 2u);
+  EXPECT_DOUBLE_EQ(imbalance[0].mean, 1.5);
+  EXPECT_DOUBLE_EQ(imbalance[0].max, 1.75);
+  EXPECT_DOUBLE_EQ(imbalance[0].barrier_ms_mean, 1.0);
+  ASSERT_EQ(b.dropped_sources().size(), 1u);
+  EXPECT_EQ(b.dropped_sources()[0].second, 2u);
+}
+
+// A malformed dump or trace fails with "<source>: <reason>" and is not
+// listed as ingested.
+TEST(Report, MalformedDumpAndTraceAreRejected) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {kDump, R"("kind": "no-such-kind")"},
+      {kDump, R"("ring_capacity": "8")"},
+      {kTrace, R"("dur": "0.1")"},
+      {kTrace, R"("dropped": 1)"},
+  };
+  const std::vector<std::string> replaced = {
+      R"("kind": "stall")", R"("ring_capacity": 8)", R"("dur": 0.1)",
+      R"("dropped": 0)"};
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    std::string text = bad[i].first;
+    const std::size_t at = text.find(replaced[i]);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, replaced[i].size(), bad[i].second);
+    SCOPED_TRACE(bad[i].second);
+    obs::ReportBuilder b;
+    std::string error;
+    EXPECT_FALSE(b.add_document(parse(text.c_str()), "bad.json", &error));
+    EXPECT_EQ(error.rfind("bad.json: ", 0), 0u) << error;
+    EXPECT_GT(error.size(), std::string("bad.json: ").size());
+    EXPECT_TRUE(b.span_rows().empty());
+    EXPECT_TRUE(b.dump_anomalies().empty());
+  }
+}
+
+// Seeded mutations of a small trace — every truncation, then byte flips,
+// byte rewrites and splices under a fixed budget — run through the reader
+// chain json_parse -> trace_validate -> ReportBuilder::add_document. Each
+// input must be accepted, or rejected with a reason, and add_document must
+// accept exactly what trace_validate accepts. Rendering an accepted
+// mutant must not crash either.
+TEST(Report, TraceMutationsAreAcceptedOrRejectedCleanly) {
+  const std::string base = kShardTrace;
+  support::Rng rng(22);
+  std::vector<std::string> mutants;
+  for (std::size_t len = 0; len < base.size(); ++len)
+    mutants.push_back(base.substr(0, len));
+  const std::string structural = "{}[]:,\"-.0123456789eE tfn";
+  for (int k = 0; k < 3000; ++k) {
+    std::string m = base;
+    const std::size_t at = rng.below(m.size());
+    if (k % 2 == 0)
+      m[at] = static_cast<char>(m[at] ^ (1u << rng.below(8)));
+    else
+      m[at] = structural[rng.below(structural.size())];
+    mutants.push_back(std::move(m));
+  }
+  for (int k = 0; k < 1000; ++k) {
+    const std::size_t from = rng.below(base.size());
+    const std::size_t len = rng.below(std::min<std::size_t>(
+        64, base.size() - from)) + 1;
+    const std::size_t to = rng.below(base.size());
+    const std::size_t cut = rng.below(std::min<std::size_t>(
+        64, base.size() - to) + 1);
+    mutants.push_back(std::string(base).replace(to, cut,
+                                                base.substr(from, len)));
+  }
+
+  std::size_t accepted = 0, rejected = 0;
+  for (const std::string& m : mutants) {
+    obs::JsonValue doc;
+    std::string error;
+    if (!obs::json_parse(m, &doc, &error)) {
+      EXPECT_FALSE(error.empty());
+      ++rejected;
+      continue;
+    }
+    std::string verror;
+    const bool valid = obs::trace_validate(doc, &verror);
+    obs::ReportBuilder b;
+    error.clear();
+    const bool ingested = b.add_document(doc, "m.json", &error);
+    ASSERT_EQ(valid, ingested) << m;
+    if (!valid) {
+      EXPECT_FALSE(verror.empty()) << m;
+      EXPECT_FALSE(error.empty()) << m;
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    std::ostringstream md, js;
+    b.write_markdown(md, 0.10);
+    b.write_json(js, 0.10);
+    EXPECT_FALSE(md.str().empty());
+  }
+  // The budget reaches both outcomes.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 TEST(Report, JsonOutputRoundTripsAndMarkdownMentionsBaseline) {

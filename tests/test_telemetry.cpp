@@ -212,11 +212,13 @@ TEST(Telemetry, PrivatePoolObserverRefreshAcrossTracerSessions) {
   ASSERT_TRUE(obs::json_parse(os.str(), &doc, &error)) << error;
   std::size_t task_spans = 0;
   bool saw_shard_worker = false;
-  for (const obs::JsonValue& t : doc.get("threads").array) {
-    if (t.get("label").as_string("").rfind("shard-worker-", 0) == 0)
+  for (const obs::JsonValue& ev : doc.get("traceEvents").array) {
+    const std::string name = ev.get("name").as_string("");
+    if (name == "thread_name" &&
+        ev.get("args").get("name").as_string("").rfind("shard-worker-", 0) ==
+            0)
       saw_shard_worker = true;
-    for (const obs::JsonValue& ev : t.get("events").array)
-      if (ev.get("name").as_string("") == "pool.task") ++task_spans;
+    if (name == "pool.task") ++task_spans;
   }
   // Only the in-session batch leaves spans: one claim per task.
   EXPECT_EQ(task_spans, hit.size());

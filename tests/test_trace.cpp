@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/obs/json.hpp"
 #include "src/obs/json_parse.hpp"
 #include "src/support/task_pool.hpp"
 
@@ -18,20 +20,36 @@ namespace {
 // (enable replaces all buffers) and disables before export, so tests stay
 // independent despite the shared instance.
 
+// Exports the session and checks it through the one trace validator.
 obs::JsonValue export_doc() {
   std::ostringstream os;
   obs::Tracer::instance().write_json(os);
   obs::JsonValue doc;
   std::string error;
   EXPECT_TRUE(obs::json_parse(os.str(), &doc, &error)) << error;
+  EXPECT_TRUE(obs::trace_validate(doc, &error)) << error;
   return doc;
 }
 
-const obs::JsonValue* find_thread(const obs::JsonValue& doc,
-                                  const std::string& label) {
-  for (const obs::JsonValue& t : doc.get("threads").array)
-    if (t.get("label").as_string("") == label) return &t;
+// The thread_name record of the track labeled `label`, or null.
+const obs::JsonValue* find_track(const obs::JsonValue& doc,
+                                 const std::string& label) {
+  for (const obs::JsonValue& ev : doc.get("traceEvents").array)
+    if (ev.get("name").as_string("") == "thread_name" &&
+        ev.get("args").get("name").as_string("") == label)
+      return &ev;
   return nullptr;
+}
+
+// The recorded (non-metadata) events of `track`, in document order.
+std::vector<obs::JsonValue> track_events(const obs::JsonValue& doc,
+                                         const obs::JsonValue& track) {
+  std::vector<obs::JsonValue> out;
+  for (const obs::JsonValue& ev : doc.get("traceEvents").array)
+    if (ev.get("ph").as_string("") != "M" &&
+        ev.get("tid").as_number(-1.0) == track.get("tid").as_number())
+      out.push_back(ev);
+  return out;
 }
 
 TEST(Trace, DisabledIsInert) {
@@ -46,8 +64,11 @@ TEST(Trace, DisabledIsInert) {
   tracer.enable(16, 0);
   tracer.disable();
   const obs::JsonValue doc = export_doc();
-  EXPECT_EQ(doc.get("schema").as_string(""), "beepmis.trace.v1");
-  EXPECT_TRUE(doc.get("threads").array.empty());
+  EXPECT_EQ(doc.get("schema").as_string(""), "beepmis.trace.v2");
+  // Only the process_name record: no track registered.
+  ASSERT_EQ(doc.get("traceEvents").array.size(), 1u);
+  EXPECT_EQ(doc.get("traceEvents").array[0].get("name").as_string(""),
+            "process_name");
 }
 
 TEST(Trace, SpanNestingIsContained) {
@@ -64,22 +85,23 @@ TEST(Trace, SpanNestingIsContained) {
   tracer.disable();
 
   const obs::JsonValue doc = export_doc();
-  EXPECT_EQ(doc.get("context").get("tool").as_string(""), "test");
-  const obs::JsonValue* main_thread = find_thread(doc, "main");
-  ASSERT_NE(main_thread, nullptr);
-  const auto& events = main_thread->get("events").array;
+  EXPECT_EQ(doc.get("otherData").get("tool").as_string(""), "test");
+  const obs::JsonValue* main_track = find_track(doc, "main");
+  ASSERT_NE(main_track, nullptr);
+  const auto events = track_events(doc, *main_track);
   ASSERT_EQ(events.size(), 2u);
   // Destructor order records the inner span first.
   const obs::JsonValue& inner = events[0];
   const obs::JsonValue& outer = events[1];
   EXPECT_EQ(inner.get("name").as_string(""), "inner");
   EXPECT_EQ(outer.get("name").as_string(""), "outer");
-  EXPECT_EQ(outer.get("arg").as_number(0.0), 42.0);
+  EXPECT_EQ(outer.get("args").get("arg").as_number(0.0), 42.0);
+  EXPECT_FALSE(inner.has("args"));
   // Temporal containment: outer starts no later and ends no earlier.
-  const double o_start = outer.get("ts_ns").as_number(-1.0);
-  const double o_end = o_start + outer.get("dur_ns").as_number(0.0);
-  const double i_start = inner.get("ts_ns").as_number(-1.0);
-  const double i_end = i_start + inner.get("dur_ns").as_number(0.0);
+  const double o_start = outer.get("ts").as_number(-1.0);
+  const double o_end = o_start + outer.get("dur").as_number(0.0);
+  const double i_start = inner.get("ts").as_number(-1.0);
+  const double i_end = i_start + inner.get("dur").as_number(0.0);
   EXPECT_LE(o_start, i_start);
   EXPECT_GE(o_end, i_end);
 }
@@ -96,15 +118,15 @@ TEST(Trace, RingOverwritesOldestAndCountsDropped) {
 
   const obs::JsonValue doc = export_doc();
   EXPECT_EQ(doc.get("dropped_total").as_number(-1.0), 12.0);
-  const obs::JsonValue* main_thread = find_thread(doc, "main");
-  ASSERT_NE(main_thread, nullptr);
-  EXPECT_EQ(main_thread->get("recorded").as_number(0.0), 20.0);
-  EXPECT_EQ(main_thread->get("dropped").as_number(-1.0), 12.0);
-  const auto& events = main_thread->get("events").array;
+  const obs::JsonValue* main_track = find_track(doc, "main");
+  ASSERT_NE(main_track, nullptr);
+  EXPECT_EQ(main_track->get("args").get("recorded").as_number(0.0), 20.0);
+  EXPECT_EQ(main_track->get("args").get("dropped").as_number(-1.0), 12.0);
+  const auto events = track_events(doc, *main_track);
   ASSERT_EQ(events.size(), 8u);
   // Survivors are the newest 8 records, exported oldest-first.
   for (std::size_t i = 0; i < events.size(); ++i)
-    EXPECT_EQ(events[i].get("arg").as_number(0.0),
+    EXPECT_EQ(events[i].get("args").get("arg").as_number(0.0),
               static_cast<double>(12 + i));
 }
 
@@ -119,14 +141,15 @@ TEST(Trace, CounterAndInstantEvents) {
 
   const obs::JsonValue doc = export_doc();
   EXPECT_EQ(doc.get("counter_every").as_number(0.0), 4.0);
-  const obs::JsonValue* main_thread = find_thread(doc, "main");
-  ASSERT_NE(main_thread, nullptr);
-  const auto& events = main_thread->get("events").array;
+  const obs::JsonValue* main_track = find_track(doc, "main");
+  ASSERT_NE(main_track, nullptr);
+  const auto events = track_events(doc, *main_track);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].get("ph").as_string(""), "C");
-  EXPECT_EQ(events[0].get("value").as_number(0.0), 17.5);
+  EXPECT_EQ(events[0].get("args").get("value").as_number(0.0), 17.5);
   EXPECT_EQ(events[1].get("ph").as_string(""), "i");
-  EXPECT_EQ(events[1].get("arg").as_number(0.0), 3.0);
+  EXPECT_EQ(events[1].get("s").as_string(""), "t");  // thread-scoped
+  EXPECT_EQ(events[1].get("args").get("arg").as_number(0.0), 3.0);
 }
 
 TEST(Trace, ThreadTailReturnsNewestOldestFirst) {
@@ -135,8 +158,10 @@ TEST(Trace, ThreadTailReturnsNewestOldestFirst) {
   const auto now = obs::Tracer::Clock::now();
   for (std::uint64_t i = 0; i < 5; ++i)
     obs::Tracer::complete("span", now, now, i, /*has_arg=*/true);
-  const std::vector<obs::TraceRecord> tail = tracer.thread_tail(2);
+  std::uint64_t tid = 99;
+  const std::vector<obs::TraceRecord> tail = tracer.thread_tail(2, &tid);
   tracer.disable();
+  EXPECT_EQ(tid, 0u);  // the session's first (and only) track
   ASSERT_EQ(tail.size(), 2u);
   EXPECT_EQ(tail[0].arg, 3u);
   EXPECT_EQ(tail[1].arg, 4u);
@@ -163,11 +188,13 @@ TEST(Trace, PoolWorkersGetLabeledTracksAndTaskSpans) {
   const obs::JsonValue doc = export_doc();
   std::size_t task_spans = 0;
   bool saw_worker_label = false;
-  for (const obs::JsonValue& t : doc.get("threads").array) {
-    const std::string label = t.get("label").as_string("");
-    if (label.rfind("pool-worker-", 0) == 0) saw_worker_label = true;
-    for (const obs::JsonValue& ev : t.get("events").array)
-      if (ev.get("name").as_string("") == "pool.task") ++task_spans;
+  for (const obs::JsonValue& ev : doc.get("traceEvents").array) {
+    const std::string name = ev.get("name").as_string("");
+    if (name == "thread_name" &&
+        ev.get("args").get("name").as_string("").rfind("pool-worker-", 0) ==
+            0)
+      saw_worker_label = true;
+    if (name == "pool.task") ++task_spans;
   }
   // Every task produces exactly one claim span, across however many
   // worker tracks actually claimed work.
@@ -175,7 +202,7 @@ TEST(Trace, PoolWorkersGetLabeledTracksAndTaskSpans) {
   EXPECT_TRUE(saw_worker_label);
 }
 
-TEST(Trace, ChromeExportIsWellFormed) {
+TEST(Trace, DocumentIsChromeTraceEventJson) {
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.clear_context();
   tracer.set_context("algorithm", "v1");
@@ -190,15 +217,10 @@ TEST(Trace, ChromeExportIsWellFormed) {
   tracer.disable();
   const obs::JsonValue doc = export_doc();
 
-  std::ostringstream chrome;
-  std::string error;
-  ASSERT_TRUE(obs::trace_export_chrome(doc, chrome, &error)) << error;
-
-  obs::JsonValue converted;
-  ASSERT_TRUE(obs::json_parse(chrome.str(), &converted, &error)) << error;
-  EXPECT_EQ(converted.get("displayTimeUnit").as_string(""), "ms");
-  EXPECT_EQ(converted.get("otherData").get("algorithm").as_string(""), "v1");
-  const auto& events = converted.get("traceEvents").array;
+  EXPECT_EQ(doc.get("displayTimeUnit").as_string(""), "ms");
+  EXPECT_EQ(doc.get("otherData").get("algorithm").as_string(""), "v1");
+  EXPECT_EQ(doc.get("capacity_per_thread").as_number(0.0), 64.0);
+  const auto& events = doc.get("traceEvents").array;
   // process_name + thread_name metadata plus the three recorded events.
   ASSERT_EQ(events.size(), 5u);
   bool saw_thread_name = false, saw_span = false, saw_counter = false,
@@ -211,6 +233,10 @@ TEST(Trace, ChromeExportIsWellFormed) {
     if (ph == "M" && ev.get("name").as_string("") == "thread_name") {
       saw_thread_name = true;
       EXPECT_EQ(ev.get("args").get("name").as_string(""), "main");
+      EXPECT_EQ(ev.get("args").get("recorded").as_number(0.0), 3.0);
+    }
+    if (ph != "M") {
+      EXPECT_EQ(ev.get("cat").as_string(""), "beepmis");
     }
     if (ph == "X") {
       saw_span = true;
@@ -233,35 +259,70 @@ TEST(Trace, ChromeExportIsWellFormed) {
   EXPECT_TRUE(saw_instant);
 }
 
-TEST(Trace, ChromeExportOfEmptySessionIsValid) {
-  // A session that recorded nothing (enabled and disabled with no spans)
-  // still exports a convertible document: the chrome form carries only the
-  // process_name metadata record, which Perfetto accepts.
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.clear_context();
-  tracer.enable(16, 0);
-  tracer.disable();
-  const obs::JsonValue doc = export_doc();
-  EXPECT_TRUE(doc.get("threads").array.empty());
-
-  std::ostringstream chrome;
-  std::string error;
-  ASSERT_TRUE(obs::trace_export_chrome(doc, chrome, &error)) << error;
-  obs::JsonValue converted;
-  ASSERT_TRUE(obs::json_parse(chrome.str(), &converted, &error)) << error;
-  const auto& events = converted.get("traceEvents").array;
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].get("ph").as_string(""), "M");
-  EXPECT_EQ(events[0].get("name").as_string(""), "process_name");
+TEST(Trace, EventTimesKeepFullNanosecondPrecision) {
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  obs::TraceRecord r;
+  r.name = "span";
+  r.ts_ns = 123456789012345;
+  r.dur_ns = 987654321;
+  obs::trace_write_event(w, r, 3);
+  obs::JsonValue ev;
+  ASSERT_TRUE(obs::json_parse(os.str(), &ev));
+  EXPECT_EQ(ev.get("tid").as_number(), 3.0);
+  EXPECT_EQ(std::llround(ev.get("ts").as_number() * 1000.0),
+            123456789012345);
+  EXPECT_EQ(std::llround(ev.get("dur").as_number() * 1000.0), 987654321);
 }
 
-TEST(Trace, ChromeExportRejectsForeignDocuments) {
+TEST(Trace, ValidateRejectsForeignAndMalformedDocuments) {
+  const std::string valid = R"({"traceEvents": [
+      {"ph": "M", "pid": 1, "name": "process_name",
+       "args": {"name": "beepmis"}},
+      {"ph": "M", "pid": 1, "tid": 0, "name": "thread_name",
+       "args": {"name": "main", "recorded": 9, "dropped": 7}},
+      {"ph": "X", "pid": 1, "tid": 0, "cat": "beepmis", "name": "s",
+       "ts": 1.5, "dur": 0.25},
+      {"ph": "C", "pid": 1, "tid": 0, "cat": "beepmis", "name": "c",
+       "ts": 2, "args": {"value": 4}}],
+    "displayTimeUnit": "ms", "schema": "beepmis.trace.v2",
+    "capacity_per_thread": 2, "counter_every": 16, "dropped_total": 7,
+    "otherData": {"tool": "test"}})";
   obs::JsonValue doc;
   std::string error;
-  ASSERT_TRUE(obs::json_parse("{\"schema\":\"beepmis.run.v1\"}", &doc, &error));
-  std::ostringstream os;
-  EXPECT_FALSE(obs::trace_export_chrome(doc, os, &error));
-  EXPECT_FALSE(error.empty());
+  ASSERT_TRUE(obs::json_parse(valid, &doc, &error)) << error;
+  std::size_t tracks = 0, events = 0;
+  ASSERT_TRUE(obs::trace_validate(doc, &error, &tracks, &events)) << error;
+  EXPECT_EQ(tracks, 1u);
+  EXPECT_EQ(events, 2u);
+
+  // Each edit breaks one rule; every one must be rejected with a reason.
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {R"("beepmis.trace.v2")", R"("beepmis.run.v1")"},
+      {R"("dropped_total": 7)", R"("dropped_total": 6)"},
+      {R"("counter_every": 16)", R"("counter_every": -1)"},
+      {R"("tool": "test")", R"("tool": 5)"},
+      {R"("recorded": 9)", R"("recorded": 9.5)"},
+      {R"("dur": 0.25)", R"("dura": 0.25)"},
+      {R"("ts": 1.5)", R"("ts": -1.5)"},
+      {R"("value": 4)", R"("valu": 4)"},
+      {R"("name": "s")", R"("name": "")"},
+      {R"("ph": "C")", R"("ph": "Q")"},
+      {R"("tid": 0, "cat": "beepmis", "name": "s")",
+       R"("tid": 1, "cat": "beepmis", "name": "s")"},
+      {R"("traceEvents")", R"("events")"},
+  };
+  for (const auto& [from, to] : edits) {
+    SCOPED_TRACE(to);
+    std::string text = valid;
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, from.size(), to);
+    ASSERT_TRUE(obs::json_parse(text, &doc, &error)) << error;
+    error.clear();
+    EXPECT_FALSE(obs::trace_validate(doc, &error));
+    EXPECT_FALSE(error.empty());
+  }
 }
 
 TEST(Trace, ReenableStartsFreshSession) {
@@ -274,8 +335,11 @@ TEST(Trace, ReenableStartsFreshSession) {
   obs::Tracer::complete("new", now, now);
   tracer.disable();
   const obs::JsonValue doc = export_doc();
-  ASSERT_EQ(doc.get("threads").array.size(), 1u);
-  const auto& events = doc.get("threads").array[0].get("events").array;
+  // process_name, the one track's thread_name and its one record.
+  ASSERT_EQ(doc.get("traceEvents").array.size(), 3u);
+  const obs::JsonValue* main_track = find_track(doc, "main");
+  ASSERT_NE(main_track, nullptr);
+  const auto events = track_events(doc, *main_track);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].get("name").as_string(""), "new");
 }

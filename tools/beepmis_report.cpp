@@ -2,7 +2,7 @@
 ///
 /// Inputs (any mix, via repeated/comma-separated --in): "beepmis.run.v1"
 /// manifests (CLI runs, soak summaries, BENCH_micro.json bench captures),
-/// "beepmis.dump.v1" flight-recorder dumps, "beepmis.trace.v1" span traces,
+/// "beepmis.dump.v1" flight-recorder dumps, "beepmis.trace.v2" span traces,
 /// "beepmis.profile.v1" hardware profiles, "beepmis.timeseries.v1" periodic
 /// samples, and raw JSONL round-event files. File kind is auto-detected
 /// from content. Sharded-kernel traces and timeseries documents feed the

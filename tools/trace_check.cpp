@@ -1,13 +1,11 @@
-// trace_check — validator/converter for span-trace and profile artifacts.
+// trace_check — validator for beepmis's span-trace and other artifacts.
 //
 // Accepts any of the artifact shapes and auto-detects which one it got:
-//   * "beepmis.trace.v1" documents (Tracer::write_json output): validated
-//     structurally, summarized, and optionally converted to Chrome
-//     trace_event JSON with --chrome-out.
-//   * Chrome trace_event JSON ({"traceEvents": [...]}, the form
-//     trace_export_chrome emits): every event is checked for the fields the
-//     Perfetto / chrome://tracing importers require, so CI can assert that a
-//     converted trace will actually open in ui.perfetto.dev.
+//   * "beepmis.trace.v2" documents (Tracer::write_json output, Chrome
+//     trace-event JSON): validated through obs::trace_validate — every
+//     event carries the fields the Perfetto / chrome://tracing importers
+//     require, so a trace that passes opens in ui.perfetto.dev — and
+//     summarized.
 //   * "beepmis.profile.v1" documents (PerfSession::write_json output):
 //     validated through obs::profile_validate — the same path the tests
 //     use — and summarized, including the unavailable-host form
@@ -48,111 +46,16 @@ int fail(const std::string& what) {
   return 1;
 }
 
-/// Validates one Chrome trace_event record against what the Perfetto JSON
-/// importer needs. `where` names the event for error messages.
-bool check_chrome_event(const JsonValue& ev, const std::string& where,
-                        std::string* error) {
-  if (!ev.is_object()) {
-    *error = where + ": event is not an object";
-    return false;
-  }
-  const std::string ph = ev.get("ph").as_string("");
-  if (ph.empty()) {
-    *error = where + ": missing \"ph\"";
-    return false;
-  }
-  const std::string name = ev.get("name").as_string("");
-  if (name.empty()) {
-    *error = where + ": missing \"name\"";
-    return false;
-  }
-  // process_* metadata is process-scoped and legitimately has no tid.
-  const bool process_scoped = ph == "M" && name.rfind("process_", 0) == 0;
-  if (!ev.has("pid") || (!process_scoped && !ev.has("tid"))) {
-    *error = where + ": missing pid/tid";
-    return false;
-  }
-  if (ph == "M") {
-    // Metadata records carry their payload in args (e.g. thread_name).
-    if (!ev.get("args").is_object()) {
-      *error = where + ": metadata record without args";
-      return false;
-    }
-    return true;
-  }
-  if (!ev.has("ts")) {
-    *error = where + ": missing \"ts\"";
-    return false;
-  }
-  if (ph == "X") {
-    if (!ev.has("dur")) {
-      *error = where + ": complete event without \"dur\"";
-      return false;
-    }
-    return true;
-  }
-  if (ph == "C") {
-    if (!ev.get("args").is_object() || !ev.get("args").has("value")) {
-      *error = where + ": counter event without args.value";
-      return false;
-    }
-    return true;
-  }
-  if (ph == "i") return true;  // instant: ph/ts/name suffice
-  *error = where + ": unknown phase \"" + ph + "\"";
-  return false;
-}
-
-int check_chrome(const JsonValue& doc) {
-  const JsonValue& events = doc.get("traceEvents");
-  if (!events.is_array()) return fail("\"traceEvents\" is not an array");
-  std::size_t metadata = 0, spans = 0, counters = 0, instants = 0;
-  for (std::size_t i = 0; i < events.array.size(); ++i) {
-    std::string error;
-    if (!check_chrome_event(events.array[i], "traceEvents[" + std::to_string(i) + "]",
-                            &error))
-      return fail(error);
-    const std::string ph = events.array[i].get("ph").as_string("");
-    if (ph == "M") ++metadata;
-    else if (ph == "X") ++spans;
-    else if (ph == "C") ++counters;
-    else ++instants;
-  }
-  std::printf(
-      "valid chrome trace: %zu events (%zu metadata, %zu spans, "
-      "%zu counters, %zu instants)\n",
-      events.array.size(), metadata, spans, counters, instants);
-  return 0;
-}
-
-int check_trace_v1(const JsonValue& doc, const std::string& chrome_out) {
-  // trace_export_chrome performs the structural validation (schema, thread
-  // tracks, event shapes); converting into a throwaway buffer doubles as the
-  // validity check even when no --chrome-out was requested.
-  std::ostringstream chrome;
+int check_trace_v2(const JsonValue& doc) {
   std::string error;
-  if (!beepmis::obs::trace_export_chrome(doc, chrome, &error))
+  std::size_t tracks = 0, events = 0;
+  if (!beepmis::obs::trace_validate(doc, &error, &tracks, &events))
     return fail(error);
-
-  std::size_t events = 0;
-  const JsonValue& threads = doc.get("threads");
-  for (const JsonValue& t : threads.array)
-    events += t.get("events").array.size();
   std::printf(
-      "valid beepmis.trace.v1: %zu threads, %zu events, dropped_total=%llu\n",
-      threads.array.size(), events,
+      "valid beepmis.trace.v2: %zu tracks, %zu events, dropped_total=%llu\n",
+      tracks, events,
       static_cast<unsigned long long>(
           doc.get("dropped_total").as_number(0.0)));
-
-  if (!chrome_out.empty()) {
-    std::ofstream out(chrome_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open: %s\n", chrome_out.c_str());
-      return 2;
-    }
-    out << chrome.str();
-    std::printf("wrote %s\n", chrome_out.c_str());
-  }
   return 0;
 }
 
@@ -226,13 +129,10 @@ int check_timeseries_v1(const JsonValue& doc,
 
 int main(int argc, char** argv) {
   beepmis::support::ArgParser args(
-      "trace_check — validate beepmis.trace.v1 / beepmis.profile.v1 / "
-      "beepmis.dump.v1 / beepmis.recovery.v1 / beepmis.timeseries.v1 / "
-      "Chrome trace_event artifacts");
+      "trace_check — validate beepmis.trace.v2 / beepmis.profile.v1 / "
+      "beepmis.dump.v1 / beepmis.recovery.v1 / beepmis.timeseries.v1 "
+      "artifacts");
   args.add_option("in", "", "artifact file to validate (required)");
-  args.add_option("chrome-out", "",
-                  "also convert a trace.v1 input to Chrome trace_event JSON "
-                  "at this path");
   args.add_option("canonical-out", "",
                   "for timeseries.v1 inputs: also write the deterministic "
                   "projection (samples minus their timing, context minus "
@@ -263,15 +163,13 @@ int main(int argc, char** argv) {
   if (!doc.is_object()) return fail("top level is not an object");
 
   const std::string schema = doc.get("schema").as_string("");
-  if (schema == "beepmis.trace.v1")
-    return check_trace_v1(doc, args.get("chrome-out"));
+  if (schema == "beepmis.trace.v2") return check_trace_v2(doc);
   if (schema == "beepmis.profile.v1") return check_profile_v1(doc);
   if (schema == "beepmis.dump.v1") return check_dump_v1(doc);
   if (schema == "beepmis.recovery.v1") return check_recovery_v1(doc);
   if (schema == "beepmis.timeseries.v1")
     return check_timeseries_v1(doc, args.get("canonical-out"));
-  if (doc.has("traceEvents")) return check_chrome(doc);
   return fail(
-      "neither a beepmis.trace.v1/profile.v1/dump.v1/recovery.v1/"
-      "timeseries.v1 document nor a chrome trace");
+      "not a beepmis.trace.v2/profile.v1/dump.v1/recovery.v1/timeseries.v1 "
+      "document");
 }
