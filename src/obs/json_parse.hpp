@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <map>
 #include <string>
 #include <string_view>
@@ -36,6 +37,18 @@ struct JsonValue {
     return type == Type::String ? str : fallback;
   }
 };
+
+/// A count: an integer in [0, 2^53], the range a double holds exactly, so the
+/// conversion to std::uint64_t is defined and exact.
+inline bool json_is_count(const JsonValue& v) {
+  return v.type == JsonValue::Type::Number && v.number >= 0.0 &&
+         v.number <= 9007199254740992.0 && v.number == std::floor(v.number);
+}
+
+/// A finite number (json_parse reads an overflowing literal as infinity).
+inline bool json_is_finite(const JsonValue& v) {
+  return v.type == JsonValue::Type::Number && std::isfinite(v.number);
+}
 
 /// Strict recursive-descent parse of one complete JSON document. Returns
 /// false on any syntax error or trailing garbage; `error`, if non-null,

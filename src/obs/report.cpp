@@ -7,16 +7,47 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "src/obs/flight.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/perf.hpp"
 #include "src/obs/recovery.hpp"
+#include "src/obs/sink.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/fit.hpp"
 
 namespace beepmis::obs {
+
+/// One report section. The markdown prints it as a table under `title`
+/// (after `intro`, before `footnote`); report.v1 writes it as the array
+/// `key` of row objects. A section without rows is left out of the
+/// markdown, unless `empty` gives a line to print in its place.
+struct ReportSection {
+  /// One cell: absent ("-" in the markdown, omitted from report.v1), text,
+  /// a count, a measurement or a flag.
+  using Cell =
+      std::variant<std::monostate, std::string, std::uint64_t, double, bool>;
+  struct Column {
+    /// report.v1 member; null makes the column markdown-only, and "" (on a
+    /// section's only column) writes each row as that bare value.
+    const char* key;
+    const char* header;  ///< markdown header; null makes it JSON-only
+    const char* format = nullptr;  ///< printf format of a markdown double
+    /// Adjacent columns of one group nest in a report.v1 object of that name.
+    std::string_view group = {};
+  };
+
+  const char* key;
+  const char* title;  ///< markdown heading; null: no section of its own
+  const char* intro;
+  const char* footnote;
+  const char* empty;
+  std::vector<Column> columns;
+  std::vector<std::vector<Cell>> rows = {};
+};
 
 namespace {
 
@@ -86,10 +117,151 @@ std::vector<ReportBuilder::BenchDelta> over_tolerance(
   return deltas;
 }
 
+bool fail(std::string* error, std::string msg) {
+  if (error != nullptr) *error = std::move(msg);
+  return false;
+}
+
+/// The summary quantiles merged from a digest or sweep point.
+constexpr const char* kQuantiles[] = {"mean", "min", "max",
+                                      "p50",  "p95", "p99"};
+
+bool check_quantiles(const JsonValue& summary, const std::string& where,
+                     std::string* error) {
+  for (const char* q : kQuantiles)
+    if (!json_is_finite(summary.get(q)))
+      return fail(error, where + ": \"" + q + "\" must be a finite number");
+  return true;
+}
+
+/// An absent member passes; a present one must be a count.
+bool check_count(const JsonValue& v, const std::string& where,
+                 std::string* error) {
+  if (v.type == JsonValue::Type::Null || json_is_count(v)) return true;
+  return fail(error, where + " must be an integer in [0, 2^53]");
+}
+
 std::string fmt(const char* format, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, format, v);
   return buf;
+}
+
+std::uint64_t parse_size(const std::string& size) {
+  return std::strtoull(size.c_str(), nullptr, 10);
+}
+
+/// The cpu_ns gauges "<prefix><head>/<size>" as (head, size, cpu_ns), in
+/// benchmark-name order.
+std::vector<std::tuple<std::string, std::string, double>> bench_family(
+    const std::map<std::string, double>& cpu_ns, std::string_view prefix) {
+  std::vector<std::tuple<std::string, std::string, double>> out;
+  for (const auto& [name, ns] : cpu_ns) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    const std::string tail = name.substr(prefix.size());
+    const std::size_t slash = tail.find('/');
+    if (slash == std::string::npos) continue;
+    out.emplace_back(tail.substr(0, slash), tail.substr(slash + 1), ns);
+  }
+  return out;
+}
+
+std::string markdown_cell(const ReportSection::Cell& cell,
+                          const char* format) {
+  if (const auto* s = std::get_if<std::string>(&cell)) return *s;
+  if (const auto* n = std::get_if<std::uint64_t>(&cell))
+    return std::to_string(*n);
+  if (const auto* v = std::get_if<double>(&cell)) return fmt(format, *v);
+  return "-";
+}
+
+/// The section's markdown table: text columns left-aligned, the rest
+/// right-aligned. Needs at least one row.
+void write_table(std::ostream& os, const ReportSection& s) {
+  std::string header = "|", rule = "|";
+  for (std::size_t c = 0; c < s.columns.size(); ++c) {
+    if (s.columns[c].header == nullptr) continue;
+    header += std::string(" ") + s.columns[c].header + " |";
+    rule += std::holds_alternative<std::string>(s.rows.front()[c]) ? "---|"
+                                                                    : "---:|";
+  }
+  os << header << '\n' << rule << '\n';
+  for (const auto& row : s.rows) {
+    os << '|';
+    for (std::size_t c = 0; c < s.columns.size(); ++c)
+      if (s.columns[c].header != nullptr)
+        os << ' ' << markdown_cell(row[c], s.columns[c].format) << " |";
+    os << '\n';
+  }
+}
+
+/// The section as a report.v1 member: an array of row objects (or of bare
+/// values, see Column::key).
+void write_rows(JsonWriter& w, const ReportSection& s) {
+  const char* first = s.columns.front().key;
+  const bool bare = first != nullptr && *first == '\0';
+  w.key(s.key).begin_array();
+  for (const auto& row : s.rows) {
+    if (!bare) w.begin_object();
+    std::string_view group;
+    for (std::size_t c = 0; c < s.columns.size(); ++c) {
+      const ReportSection::Column& col = s.columns[c];
+      if (col.key == nullptr ||
+          std::holds_alternative<std::monostate>(row[c]))
+        continue;
+      if (col.group != group) {
+        if (!group.empty()) w.end_object();
+        group = col.group;
+        if (!group.empty()) w.key(group).begin_object();
+      }
+      if (!bare) w.key(col.key);
+      std::visit(
+          [&w](const auto& v) {
+            if constexpr (!std::is_same_v<std::decay_t<decltype(v)>,
+                                          std::monostate>)
+              w.value(v);
+          },
+          row[c]);
+    }
+    if (!group.empty()) w.end_object();
+    if (!bare) w.end_object();
+  }
+  w.end_array();
+}
+
+/// The cpu_ns/real_ns regressions: report.v1 names the pair after the
+/// metric ("baseline_cpu_ns"), the markdown shows it under one header.
+ReportSection time_regression_section(
+    const std::vector<ReportBuilder::BenchDelta>& deltas) {
+  ReportSection s{"regressions", nullptr, nullptr, nullptr, nullptr,
+                  {{"benchmark", "benchmark"}, {"metric", "metric"},
+                   {nullptr, "baseline", "%.0f"},
+                   {nullptr, "current", "%.0f"},
+                   {"baseline_cpu_ns", nullptr}, {"current_cpu_ns", nullptr},
+                   {"baseline_real_ns", nullptr},
+                   {"current_real_ns", nullptr}, {"ratio", "ratio", "%.3f"}}};
+  for (const auto& d : deltas) {
+    const bool cpu = d.metric == "cpu_ns";
+    s.rows.push_back({d.name, d.metric, d.baseline, d.current,
+                      cpu ? d.baseline : ReportSection::Cell{},
+                      cpu ? d.current : ReportSection::Cell{},
+                      cpu ? ReportSection::Cell{} : d.baseline,
+                      cpu ? ReportSection::Cell{} : d.current, d.ratio});
+  }
+  return s;
+}
+
+ReportSection instruction_regression_section(
+    const std::vector<ReportBuilder::BenchDelta>& deltas) {
+  ReportSection s{"instruction_regressions", nullptr, nullptr, nullptr,
+                  nullptr,
+                  {{"benchmark", "benchmark"},
+                   {"baseline_instructions", "baseline instr", "%.0f"},
+                   {"current_instructions", "current instr", "%.0f"},
+                   {"ratio", "ratio", "%.3f"}}};
+  for (const auto& d : deltas)
+    s.rows.push_back({d.name, d.baseline, d.current, d.ratio});
+  return s;
 }
 
 }  // namespace
@@ -99,60 +271,50 @@ void ReportBuilder::merge_summary(const StabKey& key, std::uint64_t count,
                                   double p99, double lo, double hi) {
   if (count == 0) return;
   StabAccum& a = stab_[key];
+  const bool first = a.count == 0;
   const auto w = static_cast<double>(count);
   a.count += count;
   a.weighted_mean += w * mean;
   a.weighted_p50 += w * p50;
   a.weighted_p95 += w * p95;
   a.weighted_p99 += w * p99;
-  a.min = a.any ? std::min(a.min, lo) : lo;
-  a.max = a.any ? std::max(a.max, hi) : hi;
-  a.any = true;
-}
-
-void ReportBuilder::merge_sample(const StabKey& key, double rounds) {
-  merge_summary(key, 1, rounds, rounds, rounds, rounds, rounds, rounds);
-}
-
-void ReportBuilder::accumulate_stabilization(const JsonValue& doc) {
-  const StabKey key{doc.get("algorithm").get("name").as_string("?"),
-                    doc.get("graph").get("family").as_string("?"),
-                    static_cast<std::uint64_t>(
-                        doc.get("graph").get("n").as_number(0.0))};
-
-  const JsonValue& metrics = doc.get("metrics");
-  for (const auto& [name, d] : metrics.get("digests").object) {
-    if (!ends_with(name, kStabSuffix)) continue;
-    const auto count =
-        static_cast<std::uint64_t>(d.get("count").as_number(0.0));
-    if (count == 0) continue;
-    merge_summary(key, count, d.get("mean").as_number(),
-                  d.get("p50").as_number(), d.get("p95").as_number(),
-                  d.get("p99").as_number(), d.get("min").as_number(),
-                  d.get("max").as_number());
-  }
+  a.min = first ? lo : std::min(a.min, lo);
+  a.max = first ? hi : std::max(a.max, hi);
 }
 
 bool ReportBuilder::add_document(const JsonValue& doc,
                                  const std::string& source,
                                  std::string* error) {
   const std::string schema = doc.get("schema").as_string();
+  std::string verror;
+  const auto reject = [&] {
+    if (error != nullptr) *error = source + ": " + verror;
+    return false;
+  };
   if (schema == "beepmis.run.v1") {
+    if (!run_validate(doc, &verror)) return reject();
     sources_.push_back(source);
     const JsonValue& dirty = doc.get("build").get("git_dirty");
     if (dirty.type == JsonValue::Type::Bool && dirty.boolean)
       dirty_sources_.push_back(source);
-    accumulate_stabilization(doc);
+    const StabKey key{doc.get("algorithm").get("name").as_string("?"),
+                      doc.get("graph").get("family").as_string("?"),
+                      static_cast<std::uint64_t>(
+                          doc.get("graph").get("n").as_number(0.0))};
+    for (const auto& [name, d] : doc.get("metrics").get("digests").object) {
+      if (!ends_with(name, kStabSuffix)) continue;
+      merge_summary(
+          key, static_cast<std::uint64_t>(d.get("count").as_number(0.0)),
+          d.get("mean").as_number(), d.get("p50").as_number(),
+          d.get("p95").as_number(), d.get("p99").as_number(),
+          d.get("min").as_number(), d.get("max").as_number());
+    }
     read_bench_gauges(doc, &current_cpu_ns_, &current_real_ns_,
                       &current_instr_);
     return true;
   }
   if (schema == "beepmis.profile.v1") {
-    std::string verror;
-    if (!profile_validate(doc, &verror)) {
-      if (error != nullptr) *error = source + ": " + verror;
-      return false;
-    }
+    if (!profile_validate(doc, &verror)) return reject();
     sources_.push_back(source);
     // An unavailable profile validates with an empty span set — it is
     // listed as ingested but contributes no row.
@@ -165,7 +327,7 @@ bool ReportBuilder::add_document(const JsonValue& doc,
     acc.m = std::max(acc.m, context_u64(ctx, "m"));
     for (const auto& [span_name, span] : doc.get("spans").object) {
       for (const auto& [cname, st] : span.object) {
-        CounterSum& cs = acc.spans[span_name][cname];
+        WeightedSum& cs = acc.spans[span_name][cname];
         cs.sum += st.get("sum").as_number(0.0);
         cs.count +=
             static_cast<std::uint64_t>(st.get("count").as_number(0.0));
@@ -174,11 +336,7 @@ bool ReportBuilder::add_document(const JsonValue& doc,
     return true;
   }
   if (schema == "beepmis.recovery.v1") {
-    std::string verror;
-    if (!recovery_validate(doc, &verror)) {
-      if (error != nullptr) *error = source + ": " + verror;
-      return false;
-    }
+    if (!recovery_validate(doc, &verror)) return reject();
     sources_.push_back(source);
     const JsonValue& ctx = doc.get("context");
     const StabKey key{ctx.get("algorithm").as_string("?"),
@@ -204,13 +362,13 @@ bool ReportBuilder::add_document(const JsonValue& doc,
       a.weighted_mean += w * d.get("mean").as_number(0.0);
       a.weighted_p50 += w * d.get("p50").as_number(0.0);
       a.weighted_p95 += w * d.get("p95").as_number(0.0);
-      a.max = a.any ? std::max(a.max, d.get("max").as_number(0.0))
-                    : d.get("max").as_number(0.0);
-      a.any = true;
+      const double max = d.get("max").as_number(0.0);
+      a.max = a.epochs == count ? max : std::max(a.max, max);
     }
     return true;
   }
   if (schema == "beepmis.sweep.v1") {
+    if (!sweep_validate(doc, &verror)) return reject();
     sources_.push_back(source);
     const std::string algorithm = doc.get("algorithm").as_string("?");
     const std::string family = doc.get("family").as_string("?");
@@ -226,33 +384,24 @@ bool ReportBuilder::add_document(const JsonValue& doc,
                     pt.get("mean").as_number(), pt.get("p50").as_number(),
                     pt.get("p95").as_number(), pt.get("p99").as_number(),
                     pt.get("min").as_number(), pt.get("max").as_number());
-      SweepSample& s = sweep_[{algorithm, family}][n];
-      s.weighted_p50 +=
-          static_cast<double>(runs) * pt.get("p50").as_number();
-      s.runs += runs;
+      WeightedSum& p = sweep_[{algorithm, family}][n];
+      p.sum += static_cast<double>(runs) * pt.get("p50").as_number();
+      p.count += runs;
     }
     return true;
   }
   if (schema == "beepmis.dump.v1") {
-    std::string verror;
-    if (!dump_validate(doc, &verror)) {
-      if (error != nullptr) *error = source + ": " + verror;
-      return false;
-    }
+    if (!dump_validate(doc, &verror)) return reject();
     sources_.push_back(source);
     for (const JsonValue& a : doc.get("anomalies").array) {
-      dump_anomalies_.push_back({source, a.get("kind").as_string("?"),
-                                 static_cast<std::uint64_t>(
-                                     a.get("round").as_number(0.0))});
+      dump_anomalies_.emplace_back(
+          source, a.get("kind").as_string("?"),
+          static_cast<std::uint64_t>(a.get("round").as_number(0.0)));
     }
     return true;
   }
   if (schema == "beepmis.trace.v2") {
-    std::string verror;
-    if (!trace_validate(doc, &verror)) {
-      if (error != nullptr) *error = source + ": " + verror;
-      return false;
-    }
+    if (!trace_validate(doc, &verror)) return reject();
     sources_.push_back(source);
     const auto dropped = static_cast<std::uint64_t>(
         doc.get("dropped_total").as_number(0.0));
@@ -290,11 +439,7 @@ bool ReportBuilder::add_document(const JsonValue& doc,
     return true;
   }
   if (schema == "beepmis.timeseries.v1") {
-    std::string verror;
-    if (!timeseries_validate(doc, &verror)) {
-      if (error != nullptr) *error = source + ": " + verror;
-      return false;
-    }
+    if (!timeseries_validate(doc, &verror)) return reject();
     sources_.push_back(source);
     const JsonValue& ctx = doc.get("context");
     const std::string algorithm = ctx.get("algorithm").as_string("?");
@@ -302,7 +447,7 @@ bool ReportBuilder::add_document(const JsonValue& doc,
     const std::uint64_t n = context_u64(ctx, "n");
     const std::uint64_t shards = context_u64(ctx, "shards");
     ShardAccum& acc = shard_[{algorithm, family, n, shards}];
-    RoundMsSample& curve = round_ms_[{algorithm, family}][n];
+    WeightedSum& curve = round_ms_[{algorithm, family}][n];
     for (const JsonValue& s : doc.get("samples").array) {
       const JsonValue& timing = s.get("timing");
       const double round_ms = timing.get("round_ms").as_number(0.0);
@@ -324,9 +469,10 @@ bool ReportBuilder::add_document(const JsonValue& doc,
 }
 
 std::size_t ReportBuilder::add_events(std::string_view jsonl,
-                                      const std::string& source) {
-  sources_.push_back(source);
+                                      const std::string& source,
+                                      std::string* error) {
   std::size_t events = 0;
+  std::size_t line_no = 0;
   std::uint64_t last_round = 0;
   double stabilized_at = -1.0;
   std::size_t begin = 0;
@@ -335,9 +481,16 @@ std::size_t ReportBuilder::add_events(std::string_view jsonl,
     if (end == std::string_view::npos) break;  // incomplete trailing line
     const std::string_view line = jsonl.substr(begin, end - begin);
     begin = end + 1;
+    ++line_no;
     if (line.empty()) continue;
     JsonValue v;
     if (!json_parse(line, &v) || !v.is_object()) continue;
+    std::string verror;
+    if (!event_validate(v, &verror)) {
+      if (error != nullptr)
+        *error = source + ": line " + std::to_string(line_no) + ": " + verror;
+      return 0;
+    }
     ++events;
     last_round = static_cast<std::uint64_t>(v.get("round").as_number(0.0));
     if (stabilized_at < 0.0 && v.has("active") &&
@@ -345,12 +498,15 @@ std::size_t ReportBuilder::add_events(std::string_view jsonl,
       stabilized_at = v.get("round").as_number();
     }
   }
+  sources_.push_back(source);
   if (events > 0) {
     // One sample per stream: the stabilization round, or the stream length
     // as a lower bound if the run never settled on record.
-    merge_sample({"(events)", source, 0},
-                 stabilized_at >= 0.0 ? stabilized_at
-                                      : static_cast<double>(last_round));
+    const double rounds = stabilized_at >= 0.0
+                              ? stabilized_at
+                              : static_cast<double>(last_round);
+    merge_summary({"(events)", source, 0}, 1, rounds, rounds, rounds, rounds,
+                  rounds, rounds);
   }
   return events;
 }
@@ -361,6 +517,10 @@ bool ReportBuilder::set_baseline(const JsonValue& doc,
   if (doc.get("schema").as_string() != "beepmis.run.v1") {
     if (error != nullptr)
       *error = source + ": baseline must be a beepmis.run.v1 capture";
+    return false;
+  }
+  if (std::string verror; !run_validate(doc, &verror)) {
+    if (error != nullptr) *error = source + ": " + verror;
     return false;
   }
   baseline_cpu_ns_.clear();
@@ -417,236 +577,261 @@ std::vector<ReportBuilder::BenchDelta> ReportBuilder::instruction_regressions(
   return over_tolerance(instruction_deltas(), tolerance);
 }
 
-std::vector<ReportBuilder::StabRow> ReportBuilder::stabilization_rows()
-    const {
-  std::vector<StabRow> out;
+std::vector<ReportSection> ReportBuilder::sections() const {
+  using Cell = ReportSection::Cell;
+  const auto text = [](std::string s) { return Cell{std::move(s)}; };
+  const auto count = [](std::uint64_t v) { return Cell{v}; };
+  std::vector<ReportSection> out;
+
+  // Growth-model fits over per-(algorithm, family) curves, every model
+  // ranked best-R² first. The markdown marks the best model with `*`;
+  // report.v1 flags it as "best".
+  const auto fit_section = [&](const char* key, const char* title,
+                               const char* intro, const Curves& curves,
+                               const char* slope_format,
+                               const char* level_format) {
+    ReportSection s{key, title, intro, nullptr, nullptr,
+                    {{"algorithm", "algorithm"}, {"family", "family"},
+                     {"model", nullptr}, {nullptr, "model"},
+                     {"slope", "slope", slope_format},
+                     {"intercept", "intercept", level_format},
+                     {"r2", "R²", "%.4f"}, {"rmse", "rmse", level_format},
+                     {"sizes", "sizes"}, {"best", nullptr}}};
+    for (const auto& [curve_key, curve] : curves) {
+      std::vector<double> ns, ys;
+      for (const auto& [n, p] : curve) {
+        if (n < 3 || p.count == 0) continue;  // regressors need log log n > 0
+        ns.push_back(static_cast<double>(n));
+        ys.push_back(p.sum / static_cast<double>(p.count));
+      }
+      // A two-point "fit" matches every model exactly; demand three sizes
+      // before claiming any asymptotic shape.
+      if (ns.size() < 3) continue;
+      const auto ranked = support::rank_growth_models(ns, ys);
+      for (std::size_t i = 0; i < ranked.size(); ++i) {
+        const auto& [model, fit] = ranked[i];
+        const std::string name = support::growth_model_name(model);
+        s.rows.push_back({text(curve_key.first), text(curve_key.second),
+                          text(name), text(i == 0 ? name + " `*`" : name),
+                          fit.slope, fit.intercept, fit.r2, fit.rmse,
+                          count(ns.size()), i == 0});
+      }
+    }
+    return s;
+  };
+
+  ReportSection inputs{"inputs", nullptr, nullptr, nullptr, nullptr,
+                       {{"", nullptr}}};
+  for (const std::string& s : sources_) inputs.rows.push_back({text(s)});
+  out.push_back(std::move(inputs));
+
+  ReportSection stab{
+      "stabilization", "Stabilization (rounds)", nullptr, nullptr,
+      "No `*.rounds_to_stabilize` data in the inputs.",
+      {{"algorithm", "algorithm"}, {"family", "family"}, {"n", "n"},
+       {"count", "runs"}, {"mean", "mean", "%.1f"}, {"p50", "p50", "%.1f"},
+       {"p95", "p95", "%.1f"}, {"p99", "p99", "%.1f"}, {"min", nullptr},
+       {"max", "max", "%.1f"}}};
   for (const auto& [key, a] : stab_) {
     const auto w = static_cast<double>(a.count);
-    out.push_back({std::get<0>(key), std::get<1>(key), std::get<2>(key),
-                   a.count, a.weighted_mean / w, a.weighted_p50 / w,
-                   a.weighted_p95 / w, a.weighted_p99 / w, a.min, a.max});
+    stab.rows.push_back({text(std::get<0>(key)), text(std::get<1>(key)),
+                         count(std::get<2>(key)), count(a.count),
+                         a.weighted_mean / w, a.weighted_p50 / w,
+                         a.weighted_p95 / w, a.weighted_p99 / w, a.min,
+                         a.max});
   }
-  return out;
-}
+  out.push_back(std::move(stab));
 
-std::vector<ReportBuilder::GrowthFitRow> ReportBuilder::growth_fit_rows()
-    const {
-  std::vector<GrowthFitRow> out;
-  for (const auto& [key, curve] : sweep_) {
-    std::vector<double> ns, ys;
-    for (const auto& [n, s] : curve) {
-      if (n < 3 || s.runs == 0) continue;  // regressors need log log n > 0
-      ns.push_back(static_cast<double>(n));
-      ys.push_back(s.weighted_p50 / static_cast<double>(s.runs));
-    }
-    // A two-point "fit" matches every model exactly; demand three sizes
-    // before claiming any asymptotic shape.
-    if (ns.size() < 3) continue;
-    const auto ranked = support::rank_growth_models(ns, ys);
-    for (std::size_t i = 0; i < ranked.size(); ++i) {
-      const auto& [model, fit] = ranked[i];
-      out.push_back({key.first, key.second,
-                     support::growth_model_name(model), fit.slope,
-                     fit.intercept, fit.r2, fit.rmse,
-                     static_cast<std::uint64_t>(ns.size()), i == 0});
-    }
-  }
-  return out;
-}
+  out.push_back(fit_section(
+      "growth_fits", "Growth-model fits (sweep p50)",
+      "Thm 2.1 predicts O(log n) stabilization from scratch; Thm 2.2 "
+      "predicts O(log n log log n) from adversarial states. `*` marks the "
+      "best-R² model per (algorithm, family) curve.",
+      sweep_, "%.3f", "%.2f"));
 
-std::vector<ReportBuilder::RecoveryRow> ReportBuilder::recovery_rows()
-    const {
-  std::vector<RecoveryRow> out;
+  ReportSection recovery{
+      "recovery", "Recovery epochs (fault -> re-stabilization)", nullptr,
+      "(Recovery rounds per epoch from `beepmis.recovery.v1` inputs; "
+      "`stall`/`safety` > 0 deserve investigation.)",
+      nullptr,
+      {{"algorithm", "algorithm"}, {"family", "family"}, {"n", "n"},
+       {"epochs", "epochs"}, {"masked", "masked"},
+       {"recovered", "recovered"}, {"stall", "stall"},
+       {"safety_violation", "safety"},
+       {"invariant_violations", "violations"}, {"mean", "mean", "%.1f"},
+       {"p50", "p50", "%.1f"}, {"p95", "p95", "%.1f"},
+       {"max", "max", "%.1f"}}};
   for (const auto& [key, a] : recovery_) {
-    RecoveryRow r;
-    r.algorithm = std::get<0>(key);
-    r.family = std::get<1>(key);
-    r.n = std::get<2>(key);
-    r.epochs = a.epochs;
-    r.masked = a.masked;
-    r.recovered = a.recovered;
-    r.stalls = a.stalls;
-    r.safety_violations = a.safety_violations;
-    r.invariant_violations = a.invariant_violations;
-    if (a.epochs > 0) {
-      const auto w = static_cast<double>(a.epochs);
-      r.mean = a.weighted_mean / w;
-      r.p50 = a.weighted_p50 / w;
-      r.p95 = a.weighted_p95 / w;
-      r.max = a.max;
-    }
-    out.push_back(std::move(r));
+    const auto w = static_cast<double>(a.epochs);
+    const bool any = a.epochs > 0;
+    recovery.rows.push_back(
+        {text(std::get<0>(key)), text(std::get<1>(key)),
+         count(std::get<2>(key)), count(a.epochs), count(a.masked),
+         count(a.recovered), count(a.stalls), count(a.safety_violations),
+         count(a.invariant_violations), any ? a.weighted_mean / w : 0.0,
+         any ? a.weighted_p50 / w : 0.0, any ? a.weighted_p95 / w : 0.0,
+         any ? a.max : 0.0});
   }
-  return out;
-}
+  out.push_back(std::move(recovery));
 
-std::vector<ReportBuilder::Speedup> ReportBuilder::speedups() const {
   // Pair "BM_EngineRun/<variant>_fast/<n>" with its _reference sibling.
-  std::vector<Speedup> out;
-  constexpr std::string_view kPrefix = "BM_EngineRun/";
-  for (const auto& [name, fast_ns] : current_cpu_ns_) {
-    if (name.rfind(kPrefix, 0) != 0) continue;
-    const std::string tail = name.substr(kPrefix.size());
-    const std::size_t slash = tail.find('/');
-    if (slash == std::string::npos) continue;
-    const std::string run = tail.substr(0, slash);   // "v1_fast"
-    const std::string size = tail.substr(slash + 1);  // "1024"
+  ReportSection speedups{
+      "speedups", "Fast vs reference engine", nullptr, nullptr, nullptr,
+      {{"variant", "variant"}, {"n", "n"},
+       {"fast_cpu_ns", "fast cpu_ns", "%.0f"},
+       {"reference_cpu_ns", "reference cpu_ns", "%.0f"},
+       {"speedup", "speedup", "%.2fx"}}};
+  for (const auto& [run, size, fast_ns] :
+       bench_family(current_cpu_ns_, "BM_EngineRun/")) {
     constexpr std::string_view kFast = "_fast";
     if (!ends_with(run, kFast)) continue;
     const std::string variant = run.substr(0, run.size() - kFast.size());
-    const auto ref = current_cpu_ns_.find(std::string(kPrefix) + variant +
+    const auto ref = current_cpu_ns_.find("BM_EngineRun/" + variant +
                                           "_reference/" + size);
     if (ref == current_cpu_ns_.end() || fast_ns <= 0.0) continue;
-    out.push_back({variant,
-                   static_cast<std::uint64_t>(std::strtoull(
-                       size.c_str(), nullptr, 10)),
-                   fast_ns, ref->second, ref->second / fast_ns});
+    speedups.rows.push_back({text(variant), count(parse_size(size)), fast_ns,
+                             ref->second, ref->second / fast_ns});
   }
-  return out;
-}
+  out.push_back(std::move(speedups));
 
-std::vector<ReportBuilder::KernelSpeedup> ReportBuilder::kernel_speedups()
-    const {
   // Pair "BM_FastEngineKernel/<kernel>/<n>" with the scalar oracle at the
-  // same n. The scalar row itself is omitted (speedup 1.00x by definition).
-  std::vector<KernelSpeedup> out;
-  constexpr std::string_view kPrefix = "BM_FastEngineKernel/";
-  for (const auto& [name, cpu_ns] : current_cpu_ns_) {
-    if (name.rfind(kPrefix, 0) != 0) continue;
-    const std::string tail = name.substr(kPrefix.size());
-    const std::size_t slash = tail.find('/');
-    if (slash == std::string::npos) continue;
-    const std::string kernel = tail.substr(0, slash);
+  // same n, ordered by n. The scalar row itself is omitted (speedup 1.00x by
+  // definition).
+  ReportSection kernels{
+      "kernel_speedups", "Round kernels vs scalar oracle", nullptr, nullptr,
+      nullptr,
+      {{"kernel", "kernel"}, {"n", "n"}, {"cpu_ns", "cpu_ns", "%.0f"},
+       {"scalar_cpu_ns", "scalar cpu_ns", "%.0f"},
+       {"speedup", "speedup", "%.2fx"}}};
+  std::vector<std::tuple<std::uint64_t, std::string, double, double>> pairs;
+  for (const auto& [kernel, size, cpu_ns] :
+       bench_family(current_cpu_ns_, "BM_FastEngineKernel/")) {
     if (kernel == "scalar") continue;
-    const std::string size = tail.substr(slash + 1);
     const auto scalar =
-        current_cpu_ns_.find(std::string(kPrefix) + "scalar/" + size);
+        current_cpu_ns_.find("BM_FastEngineKernel/scalar/" + size);
     if (scalar == current_cpu_ns_.end() || cpu_ns <= 0.0) continue;
-    out.push_back({kernel,
-                   static_cast<std::uint64_t>(std::strtoull(
-                       size.c_str(), nullptr, 10)),
-                   cpu_ns, scalar->second, scalar->second / cpu_ns});
+    pairs.emplace_back(parse_size(size), kernel, cpu_ns, scalar->second);
   }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.n != b.n ? a.n < b.n : a.kernel < b.kernel;
-  });
-  return out;
-}
+  std::sort(pairs.begin(), pairs.end());
+  for (const auto& [n, kernel, cpu_ns, scalar_ns] : pairs)
+    kernels.rows.push_back(
+        {text(kernel), count(n), cpu_ns, scalar_ns, scalar_ns / cpu_ns});
+  out.push_back(std::move(kernels));
 
-std::vector<ReportBuilder::Overhead> ReportBuilder::overheads() const {
   // "BM_FastEngineRun_<tag>/<n>" relative to the NoSink run of the same n.
-  std::vector<Overhead> out;
-  constexpr std::string_view kPrefix = "BM_FastEngineRun_";
-  for (const auto& [name, instrumented_ns] : current_cpu_ns_) {
-    if (name.rfind(kPrefix, 0) != 0) continue;
-    const std::string tail = name.substr(kPrefix.size());
-    const std::size_t slash = tail.find('/');
-    if (slash == std::string::npos) continue;
-    const std::string tag = tail.substr(0, slash);
+  ReportSection overheads{
+      "overheads", "Instrumentation overhead (vs NoSink)", nullptr, nullptr,
+      nullptr,
+      {{"observer", "observer"}, {"n", "n"}, {"overhead", nullptr},
+       {nullptr, "overhead", "%+.2f%%"}}};
+  for (const auto& [tag, size, instrumented_ns] :
+       bench_family(current_cpu_ns_, "BM_FastEngineRun_")) {
     if (tag == "NoSink") continue;
-    const std::string size = tail.substr(slash + 1);
-    const auto bare =
-        current_cpu_ns_.find(std::string(kPrefix) + "NoSink/" + size);
+    const auto bare = current_cpu_ns_.find("BM_FastEngineRun_NoSink/" + size);
     if (bare == current_cpu_ns_.end() || bare->second <= 0.0) continue;
-    out.push_back({tag,
-                   static_cast<std::uint64_t>(std::strtoull(
-                       size.c_str(), nullptr, 10)),
-                   instrumented_ns / bare->second - 1.0});
+    const double overhead = instrumented_ns / bare->second - 1.0;
+    overheads.rows.push_back(
+        {text(tag), count(parse_size(size)), overhead, overhead * 100.0});
   }
-  return out;
-}
+  out.push_back(std::move(overheads));
 
-std::vector<ReportBuilder::SpanRow> ReportBuilder::span_rows() const {
-  std::vector<SpanRow> out;
+  ReportSection spans{
+      "trace_spans", "Trace spans (ns)", nullptr, nullptr, nullptr,
+      {{"algorithm", "algorithm"}, {"family", "family"}, {"n", "n"},
+       {"span", "span"}, {"count", "count"}, {"mean_ns", "mean", "%.0f"},
+       {"p50_ns", "p50", "%.0f"}, {"p95_ns", "p95", "%.0f"},
+       {"max_ns", "max", "%.0f"}}};
   for (const auto& [key, d] : spans_) {
     if (d.count() == 0) continue;
-    out.push_back({std::get<0>(key), std::get<1>(key), std::get<2>(key),
-                   std::get<3>(key), d.count(), d.mean(), d.median(),
-                   d.quantile(0.95), d.max()});
+    spans.rows.push_back({text(std::get<0>(key)), text(std::get<1>(key)),
+                          count(std::get<2>(key)), text(std::get<3>(key)),
+                          count(d.count()), d.mean(), d.median(),
+                          d.quantile(0.95), d.max()});
   }
-  return out;
-}
+  out.push_back(std::move(spans));
 
-std::vector<ReportBuilder::GrowthFitRow> ReportBuilder::round_ms_fit_rows()
-    const {
-  std::vector<GrowthFitRow> out;
-  for (const auto& [key, curve] : round_ms_) {
-    std::vector<double> ns, ys;
-    for (const auto& [n, s] : curve) {
-      if (n < 3 || s.count == 0) continue;  // regressors need log log n > 0
-      ns.push_back(static_cast<double>(n));
-      ys.push_back(s.sum / static_cast<double>(s.count));
-    }
-    // Same rule as the round-count fits: a two-point curve matches every
-    // model exactly, so demand three sizes before claiming a shape.
-    if (ns.size() < 3) continue;
-    const auto ranked = support::rank_growth_models(ns, ys);
-    for (std::size_t i = 0; i < ranked.size(); ++i) {
-      const auto& [model, fit] = ranked[i];
-      out.push_back({key.first, key.second,
-                     support::growth_model_name(model), fit.slope,
-                     fit.intercept, fit.r2, fit.rmse,
-                     static_cast<std::uint64_t>(ns.size()), i == 0});
-    }
-  }
-  return out;
-}
-
-std::vector<ReportBuilder::PhaseRow> ReportBuilder::phase_rows() const {
-  std::vector<PhaseRow> out;
+  // Markdown shows each phase in µs; report.v1 nests the ns means in one
+  // "mean_ns" object.
+  ReportSection phases{
+      "phase_breakdown", "Sharded kernel phase breakdown (mean us/span)",
+      nullptr,
+      "(From `shard.*` spans in traces; settle and fold record two spans per "
+      "round.)",
+      nullptr,
+      {{"algorithm", "algorithm"}, {"family", "family"}, {"n", "n"},
+       {"shards", "shards"}, {"rounds", "rounds"}}};
+  for (const char* phase : kTimeSeriesPhaseKeys)
+    phases.columns.push_back({nullptr, phase, "%.1f"});
+  for (const char* phase : kTimeSeriesPhaseKeys)
+    phases.columns.push_back({phase, nullptr, nullptr, "mean_ns"});
   for (const auto& [key, acc] : shard_) {
-    PhaseRow r;
-    r.algorithm = std::get<0>(key);
-    r.family = std::get<1>(key);
-    r.n = std::get<2>(key);
-    r.shards = std::get<3>(key);
+    std::array<double, kTimeSeriesPhases> mean_ns{};
     bool any = false;
     for (std::size_t p = 0; p < kTimeSeriesPhases; ++p) {
       if (acc.phase_ns[p].count() == 0) continue;
-      r.mean_ns[p] = acc.phase_ns[p].mean();
+      mean_ns[p] = acc.phase_ns[p].mean();
       any = true;
     }
     if (!any) continue;  // imbalance-only cell (timeseries input)
     // One decide span per round; settle/fold record two spans per round,
     // which the mean already absorbs per occurrence.
-    r.rounds = acc.phase_ns[0].count();
-    out.push_back(std::move(r));
+    std::vector<Cell> row{text(std::get<0>(key)), text(std::get<1>(key)),
+                          count(std::get<2>(key)), count(std::get<3>(key)),
+                          count(acc.phase_ns[0].count())};
+    for (const double ns : mean_ns) row.emplace_back(ns / 1e3);
+    for (const double ns : mean_ns) row.emplace_back(ns);
+    phases.rows.push_back(std::move(row));
   }
-  return out;
-}
+  out.push_back(std::move(phases));
 
-std::vector<ReportBuilder::ImbalanceRow> ReportBuilder::imbalance_rows()
-    const {
-  std::vector<ImbalanceRow> out;
+  ReportSection imbalance{
+      "imbalance", "Shard load imbalance (max/mean busy)", nullptr,
+      "(1.00 = perfectly balanced shards; from trace counters and "
+      "timeseries timing blocks.)",
+      nullptr,
+      {{"algorithm", "algorithm"}, {"family", "family"}, {"n", "n"},
+       {"shards", "shards"}, {"samples", "samples"},
+       {"mean", "mean", "%.2f"}, {"p95", "p95", "%.2f"},
+       {"max", "max", "%.2f"},
+       {"barrier_ms_mean", "barrier ms/round", "%.3f"}}};
   for (const auto& [key, acc] : shard_) {
     if (acc.imbalance.count() == 0) continue;
-    ImbalanceRow r;
-    r.algorithm = std::get<0>(key);
-    r.family = std::get<1>(key);
-    r.n = std::get<2>(key);
-    r.shards = std::get<3>(key);
-    r.samples = acc.imbalance.count();
-    r.mean = acc.imbalance.mean();
-    r.p95 = acc.imbalance.quantile(0.95);
-    r.max = acc.imbalance.max();
-    r.barrier_ms_mean =
-        acc.barrier_ms.count() > 0 ? acc.barrier_ms.mean() : 0.0;
-    out.push_back(std::move(r));
+    imbalance.rows.push_back(
+        {text(std::get<0>(key)), text(std::get<1>(key)),
+         count(std::get<2>(key)), count(std::get<3>(key)),
+         count(acc.imbalance.count()), acc.imbalance.mean(),
+         acc.imbalance.quantile(0.95), acc.imbalance.max(),
+         acc.barrier_ms.count() > 0 ? acc.barrier_ms.mean() : 0.0});
   }
-  return out;
-}
+  out.push_back(std::move(imbalance));
 
-std::vector<ReportBuilder::ProfileRow> ReportBuilder::profile_rows() const {
-  std::vector<ProfileRow> out;
+  out.push_back(fit_section(
+      "round_ms_fits",
+      "Wall-time-per-round growth fits (timeseries round_ms)",
+      "Work per round should grow near-linearly in n (each round touches "
+      "O(n + m) state); `*` marks the best-R² model per (algorithm, family) "
+      "curve.",
+      round_ms_, "%.4f", "%.3f"));
+
+  // A metric whose counters the host denied (or whose denominator is
+  // missing, e.g. per-edge without an "m" context entry) is absent: "-" in
+  // the markdown, omitted from report.v1.
+  ReportSection profile{
+      "profile", "Hardware profile", nullptr,
+      "(Sampled perf-counter digests from `beepmis.profile.v1` inputs; `-` "
+      "means the host denied that counter.)",
+      nullptr,
+      {{"algorithm", "algorithm"}, {"family", "family"}, {"n", "n"},
+       {"samples", "samples"}, {"ipc", "IPC", "%.2f"},
+       {"instructions_per_round", "instr/round", "%.0f"},
+       {"cache_misses_per_edge", "cache-miss/edge", "%.3f"},
+       {"branch_miss_rate", nullptr}, {nullptr, "branch-miss", "%.2f%%"},
+       {"task_clock_per_round_ns", "task-clock/round", "%.0fns"}}};
+  const auto metric = [](double v) { return v >= 0.0 ? Cell{v} : Cell{}; };
   for (const auto& [key, acc] : profile_) {
-    ProfileRow r;
-    r.algorithm = std::get<0>(key);
-    r.family = std::get<1>(key);
-    r.n = std::get<2>(key);
-
     // Ratio columns divide sums aggregated over every span (sampled work
     // is sampled work wherever it was bracketed).
-    std::map<std::string, CounterSum> total;
+    std::map<std::string, WeightedSum> total;
     for (const auto& [sname, counters] : acc.spans)
       for (const auto& [cname, cs] : counters) {
         total[cname].sum += cs.sum;
@@ -656,13 +841,17 @@ std::vector<ReportBuilder::ProfileRow> ReportBuilder::profile_rows() const {
       const auto it = total.find(cname);
       return it == total.end() ? 0.0 : it->second.sum;
     };
+    double ipc = -1.0, branch_miss_rate = -1.0;
     if (sum_of("cycles") > 0.0 && sum_of("instructions") > 0.0)
-      r.ipc = sum_of("instructions") / sum_of("cycles");
+      ipc = sum_of("instructions") / sum_of("cycles");
     if (sum_of("branches") > 0.0)
-      r.branch_miss_rate = sum_of("branch_misses") / sum_of("branches");
+      branch_miss_rate = sum_of("branch_misses") / sum_of("branches");
 
     // Normalized columns come from the per-round samples specifically —
     // each "engine.round" sample brackets exactly one round.
+    std::uint64_t samples = 0;
+    double instr_per_round = -1.0, task_clock_per_round_ns = -1.0,
+           cache_miss_per_edge = -1.0;
     const auto round_it = acc.spans.find("engine.round");
     if (round_it != acc.spans.end()) {
       const auto mean_of = [&round_it](const char* cname) {
@@ -672,15 +861,41 @@ std::vector<ReportBuilder::ProfileRow> ReportBuilder::profile_rows() const {
                    : it->second.sum / static_cast<double>(it->second.count);
       };
       const auto any = round_it->second.begin();
-      if (any != round_it->second.end()) r.samples = any->second.count;
-      r.instr_per_round = mean_of("instructions");
-      r.task_clock_per_round_ns = mean_of("task_clock_ns");
+      if (any != round_it->second.end()) samples = any->second.count;
+      instr_per_round = mean_of("instructions");
+      task_clock_per_round_ns = mean_of("task_clock_ns");
       const double miss = mean_of("cache_misses");
       if (miss >= 0.0 && acc.m > 0)
-        r.cache_miss_per_edge = miss / static_cast<double>(acc.m);
+        cache_miss_per_edge = miss / static_cast<double>(acc.m);
     }
-    out.push_back(std::move(r));
+    profile.rows.push_back(
+        {text(std::get<0>(key)), text(std::get<1>(key)),
+         count(std::get<2>(key)), count(samples), metric(ipc),
+         metric(instr_per_round), metric(cache_miss_per_edge),
+         metric(branch_miss_rate), metric(branch_miss_rate * 100.0),
+         metric(task_clock_per_round_ns)});
   }
+  out.push_back(std::move(profile));
+
+  ReportSection dirty{"dirty_inputs", nullptr, nullptr, nullptr, nullptr,
+                      {{"", nullptr}}};
+  for (const std::string& s : dirty_sources_) dirty.rows.push_back({text(s)});
+  out.push_back(std::move(dirty));
+
+  ReportSection dropped{"dropped_trace_inputs", nullptr, nullptr, nullptr,
+                        nullptr, {{"source", nullptr}, {"dropped", nullptr}}};
+  for (const auto& [s, d] : dropped_sources_)
+    dropped.rows.push_back({text(s), count(d)});
+  out.push_back(std::move(dropped));
+
+  ReportSection anomalies{
+      "anomalies", "Flight-recorder anomalies", nullptr, nullptr, nullptr,
+      {{"source", nullptr}, {nullptr, "source"}, {"kind", "kind"},
+       {"round", "round"}}};
+  for (const auto& [source, kind, round] : dump_anomalies_)
+    anomalies.rows.push_back(
+        {text(source), text("`" + source + "`"), text(kind), count(round)});
+  out.push_back(std::move(anomalies));
   return out;
 }
 
@@ -711,248 +926,52 @@ void ReportBuilder::write_markdown(std::ostream& os,
     os << "\n\n";
   }
 
-  const auto stab = stabilization_rows();
-  os << "## Stabilization (rounds)\n\n";
-  if (stab.empty()) {
-    os << "No `*.rounds_to_stabilize` data in the inputs.\n\n";
+  for (const ReportSection& s : sections()) {
+    if (s.title == nullptr || (s.rows.empty() && s.empty == nullptr))
+      continue;
+    os << "## " << s.title << "\n\n";
+    if (s.rows.empty()) {
+      os << s.empty << "\n\n";
+      continue;
+    }
+    if (s.intro != nullptr) os << s.intro << "\n\n";
+    write_table(os, s);
+    os << '\n';
+    if (s.footnote != nullptr) os << s.footnote << "\n\n";
+  }
+
+  if (!have_baseline_) return;
+  os << "## Baseline comparison\n\n";
+  os << "Baseline: " << baseline_label_ << ", tolerance "
+     << fmt("%.0f%%", tolerance * 100.0) << ".\n\n";
+  if (baseline_dirty_) {
+    os << "> **Warning:** the baseline was captured from a dirty working "
+          "tree — regressions against it may be phantoms of uncommitted "
+          "code. Regenerate it from a clean checkout.\n\n";
+  }
+  const ReportSection regs = time_regression_section(regressions(tolerance));
+  if (regs.rows.empty()) {
+    os << "No regressions: every shared benchmark is within tolerance "
+          "across " << bench_deltas().size() << " compared benchmarks.\n";
   } else {
-    os << "| algorithm | family | n | runs | mean | p50 | p95 | p99 | max "
-          "|\n";
-    os << "|---|---|---:|---:|---:|---:|---:|---:|---:|\n";
-    for (const StabRow& r : stab) {
-      os << "| " << r.algorithm << " | " << r.family << " | " << r.n
-         << " | " << r.count << " | " << fmt("%.1f", r.mean) << " | "
-         << fmt("%.1f", r.p50) << " | " << fmt("%.1f", r.p95) << " | "
-         << fmt("%.1f", r.p99) << " | " << fmt("%.1f", r.max) << " |\n";
-    }
-    os << "\n";
+    os << "**" << regs.rows.size() << " regression(s):**\n\n";
+    write_table(os, regs);
   }
-
-  const auto fits = growth_fit_rows();
-  if (!fits.empty()) {
-    os << "## Growth-model fits (sweep p50)\n\n";
-    os << "Thm 2.1 predicts O(log n) stabilization from scratch; Thm 2.2 "
-          "predicts O(log n log log n) from adversarial states. `*` marks "
-          "the best-R² model per (algorithm, family) curve.\n\n";
-    os << "| algorithm | family | model | slope | intercept | R² | "
-          "rmse | sizes |\n";
-    os << "|---|---|---|---:|---:|---:|---:|---:|\n";
-    for (const GrowthFitRow& r : fits) {
-      os << "| " << r.algorithm << " | " << r.family << " | " << r.model
-         << (r.best ? " `*`" : "") << " | " << fmt("%.3f", r.slope) << " | "
-         << fmt("%.2f", r.intercept) << " | " << fmt("%.4f", r.r2) << " | "
-         << fmt("%.2f", r.rmse) << " | " << r.sizes << " |\n";
-    }
-    os << '\n';
+  os << '\n';
+  const std::size_t icompared = instruction_deltas().size();
+  if (icompared == 0) return;
+  const ReportSection iregs =
+      instruction_regression_section(instruction_regressions(tolerance));
+  if (iregs.rows.empty()) {
+    os << "Instruction counts: every shared benchmark is within "
+          "tolerance across " << icompared << " compared benchmarks.\n";
+  } else {
+    os << "**" << iregs.rows.size()
+       << " instruction-count regression(s)** (less noisy than cpu_ns "
+          "— real code-path growth):\n\n";
+    write_table(os, iregs);
   }
-
-  const auto recovery = recovery_rows();
-  if (!recovery.empty()) {
-    os << "## Recovery epochs (fault -> re-stabilization)\n\n";
-    os << "| algorithm | family | n | epochs | masked | recovered | stall | "
-          "safety | violations | mean | p50 | p95 | max |\n";
-    os << "|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|"
-          "---:|\n";
-    for (const RecoveryRow& r : recovery) {
-      os << "| " << r.algorithm << " | " << r.family << " | " << r.n
-         << " | " << r.epochs << " | " << r.masked << " | " << r.recovered
-         << " | " << r.stalls << " | " << r.safety_violations << " | "
-         << r.invariant_violations << " | " << fmt("%.1f", r.mean) << " | "
-         << fmt("%.1f", r.p50) << " | " << fmt("%.1f", r.p95) << " | "
-         << fmt("%.1f", r.max) << " |\n";
-    }
-    os << "\n(Recovery rounds per epoch from `beepmis.recovery.v1` inputs; "
-          "`stall`/`safety` > 0 deserve investigation.)\n\n";
-  }
-
-  const auto speed = speedups();
-  if (!speed.empty()) {
-    os << "## Fast vs reference engine\n\n";
-    os << "| variant | n | fast cpu_ns | reference cpu_ns | speedup |\n";
-    os << "|---|---:|---:|---:|---:|\n";
-    for (const Speedup& s : speed) {
-      os << "| " << s.variant << " | " << s.n << " | "
-         << fmt("%.0f", s.fast_cpu_ns) << " | "
-         << fmt("%.0f", s.reference_cpu_ns) << " | "
-         << fmt("%.2fx", s.speedup) << " |\n";
-    }
-    os << '\n';
-  }
-
-  const auto kernels = kernel_speedups();
-  if (!kernels.empty()) {
-    os << "## Round kernels vs scalar oracle\n\n";
-    os << "| kernel | n | cpu_ns | scalar cpu_ns | speedup |\n";
-    os << "|---|---:|---:|---:|---:|\n";
-    for (const KernelSpeedup& k : kernels) {
-      os << "| " << k.kernel << " | " << k.n << " | "
-         << fmt("%.0f", k.cpu_ns) << " | " << fmt("%.0f", k.scalar_cpu_ns)
-         << " | " << fmt("%.2fx", k.speedup) << " |\n";
-    }
-    os << '\n';
-  }
-
-  const auto over = overheads();
-  if (!over.empty()) {
-    os << "## Instrumentation overhead (vs NoSink)\n\n";
-    os << "| observer | n | overhead |\n|---|---:|---:|\n";
-    for (const Overhead& o : over) {
-      os << "| " << o.tag << " | " << o.n << " | "
-         << fmt("%+.2f%%", o.overhead * 100.0) << " |\n";
-    }
-    os << '\n';
-  }
-
-  const auto spans = span_rows();
-  if (!spans.empty()) {
-    os << "## Trace spans (ns)\n\n";
-    os << "| algorithm | family | n | span | count | mean | p50 | p95 | max "
-          "|\n";
-    os << "|---|---|---:|---|---:|---:|---:|---:|---:|\n";
-    for (const SpanRow& r : spans) {
-      os << "| " << r.algorithm << " | " << r.family << " | " << r.n
-         << " | " << r.name << " | " << r.count << " | "
-         << fmt("%.0f", r.mean_ns) << " | " << fmt("%.0f", r.p50_ns)
-         << " | " << fmt("%.0f", r.p95_ns) << " | " << fmt("%.0f", r.max_ns)
-         << " |\n";
-    }
-    os << '\n';
-  }
-
-  const auto phases = phase_rows();
-  if (!phases.empty()) {
-    os << "## Sharded kernel phase breakdown (mean us/span)\n\n";
-    os << "| algorithm | family | n | shards | rounds |";
-    for (std::size_t p = 0; p < kTimeSeriesPhases; ++p)
-      os << ' ' << kTimeSeriesPhaseKeys[p] << " |";
-    os << "\n|---|---|---:|---:|---:|";
-    for (std::size_t p = 0; p < kTimeSeriesPhases; ++p) os << "---:|";
-    os << '\n';
-    for (const PhaseRow& r : phases) {
-      os << "| " << r.algorithm << " | " << r.family << " | " << r.n
-         << " | " << r.shards << " | " << r.rounds << " |";
-      for (std::size_t p = 0; p < kTimeSeriesPhases; ++p)
-        os << ' ' << fmt("%.1f", r.mean_ns[p] / 1e3) << " |";
-      os << '\n';
-    }
-    os << "\n(From `shard.*` spans in traces; settle and fold record two "
-          "spans per round.)\n\n";
-  }
-
-  const auto imbalance = imbalance_rows();
-  if (!imbalance.empty()) {
-    os << "## Shard load imbalance (max/mean busy)\n\n";
-    os << "| algorithm | family | n | shards | samples | mean | p95 | max | "
-          "barrier ms/round |\n";
-    os << "|---|---|---:|---:|---:|---:|---:|---:|---:|\n";
-    for (const ImbalanceRow& r : imbalance) {
-      os << "| " << r.algorithm << " | " << r.family << " | " << r.n
-         << " | " << r.shards << " | " << r.samples << " | "
-         << fmt("%.2f", r.mean) << " | " << fmt("%.2f", r.p95) << " | "
-         << fmt("%.2f", r.max) << " | " << fmt("%.3f", r.barrier_ms_mean)
-         << " |\n";
-    }
-    os << "\n(1.00 = perfectly balanced shards; from trace counters and "
-          "timeseries timing blocks.)\n\n";
-  }
-
-  const auto round_fits = round_ms_fit_rows();
-  if (!round_fits.empty()) {
-    os << "## Wall-time-per-round growth fits (timeseries round_ms)\n\n";
-    os << "Work per round should grow near-linearly in n (each round "
-          "touches O(n + m) state); `*` marks the best-R² model per "
-          "(algorithm, family) curve.\n\n";
-    os << "| algorithm | family | model | slope | intercept | R² | "
-          "rmse | sizes |\n";
-    os << "|---|---|---|---:|---:|---:|---:|---:|\n";
-    for (const GrowthFitRow& r : round_fits) {
-      os << "| " << r.algorithm << " | " << r.family << " | " << r.model
-         << (r.best ? " `*`" : "") << " | " << fmt("%.4f", r.slope) << " | "
-         << fmt("%.3f", r.intercept) << " | " << fmt("%.4f", r.r2) << " | "
-         << fmt("%.3f", r.rmse) << " | " << r.sizes << " |\n";
-    }
-    os << '\n';
-  }
-
-  const auto prof = profile_rows();
-  if (!prof.empty()) {
-    // "-" = the host denied the counters that metric needs (or the profile
-    // context lacked the denominator, e.g. "m" for the per-edge column).
-    const auto cell = [](double v, const char* format) {
-      return v < 0.0 ? std::string("-") : fmt(format, v);
-    };
-    os << "## Hardware profile\n\n";
-    os << "| algorithm | family | n | samples | IPC | instr/round | "
-          "cache-miss/edge | branch-miss | task-clock/round |\n";
-    os << "|---|---|---:|---:|---:|---:|---:|---:|---:|\n";
-    for (const ProfileRow& r : prof) {
-      os << "| " << r.algorithm << " | " << r.family << " | " << r.n
-         << " | " << r.samples << " | " << cell(r.ipc, "%.2f") << " | "
-         << cell(r.instr_per_round, "%.0f") << " | "
-         << cell(r.cache_miss_per_edge, "%.3f") << " | "
-         << cell(r.branch_miss_rate * 100.0, "%.2f%%") << " | "
-         << cell(r.task_clock_per_round_ns, "%.0fns") << " |\n";
-    }
-    os << "\n(Sampled perf-counter digests from `beepmis.profile.v1` "
-          "inputs; `-` means the host denied that counter.)\n\n";
-  }
-
-  if (!dump_anomalies_.empty()) {
-    os << "## Flight-recorder anomalies\n\n";
-    os << "| source | kind | round |\n|---|---|---:|\n";
-    for (const DumpAnomaly& a : dump_anomalies_) {
-      os << "| `" << a.source << "` | " << a.kind << " | " << a.round
-         << " |\n";
-    }
-    os << '\n';
-  }
-
-  if (have_baseline_) {
-    os << "## Baseline comparison\n\n";
-    os << "Baseline: " << baseline_label_ << ", tolerance "
-       << fmt("%.0f%%", tolerance * 100.0) << ".\n\n";
-    if (baseline_dirty_) {
-      os << "> **Warning:** the baseline was captured from a dirty working "
-            "tree — regressions against it may be phantoms of uncommitted "
-            "code. Regenerate it from a clean checkout.\n\n";
-    }
-    const auto regs = regressions(tolerance);
-    if (regs.empty()) {
-      os << "No regressions: every shared benchmark is within tolerance "
-            "across " << bench_deltas().size() << " compared benchmarks.\n";
-    } else {
-      os << "**" << regs.size() << " regression(s):**\n\n";
-      os << "| benchmark | metric | baseline | current | ratio |\n";
-      os << "|---|---|---:|---:|---:|\n";
-      for (const BenchDelta& d : regs) {
-        os << "| " << d.name << " | " << d.metric << " | "
-           << fmt("%.0f", d.baseline) << " | " << fmt("%.0f", d.current)
-           << " | " << fmt("%.3f", d.ratio) << " |\n";
-      }
-    }
-    os << '\n';
-    const auto ideltas = instruction_deltas();
-    if (!ideltas.empty()) {
-      const auto iregs = instruction_regressions(tolerance);
-      if (iregs.empty()) {
-        os << "Instruction counts: every shared benchmark is within "
-              "tolerance across " << ideltas.size()
-           << " compared benchmarks.\n";
-      } else {
-        os << "**" << iregs.size()
-           << " instruction-count regression(s)** (less noisy than cpu_ns "
-              "— real code-path growth):\n\n";
-        os << "| benchmark | baseline instr | current instr | ratio |\n";
-        os << "|---|---:|---:|---:|\n";
-        for (const BenchDelta& d : iregs) {
-          os << "| " << d.name << " | " << fmt("%.0f", d.baseline)
-             << " | " << fmt("%.0f", d.current) << " | "
-             << fmt("%.3f", d.ratio) << " |\n";
-        }
-      }
-      os << '\n';
-    }
-  }
+  os << '\n';
 }
 
 void ReportBuilder::write_json(std::ostream& os, double tolerance) const {
@@ -960,206 +979,7 @@ void ReportBuilder::write_json(std::ostream& os, double tolerance) const {
   w.begin_object();
   w.field("schema", "beepmis.report.v1");
   w.field("generated", timestamp_utc());
-
-  w.key("inputs").begin_array();
-  for (const std::string& s : sources_) w.value(s);
-  w.end_array();
-
-  w.key("stabilization").begin_array();
-  for (const StabRow& r : stabilization_rows()) {
-    w.begin_object();
-    w.field("algorithm", r.algorithm);
-    w.field("family", r.family);
-    w.field("n", r.n);
-    w.field("count", r.count);
-    w.field("mean", r.mean);
-    w.field("p50", r.p50);
-    w.field("p95", r.p95);
-    w.field("p99", r.p99);
-    w.field("min", r.min);
-    w.field("max", r.max);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("growth_fits").begin_array();
-  for (const GrowthFitRow& r : growth_fit_rows()) {
-    w.begin_object();
-    w.field("algorithm", r.algorithm);
-    w.field("family", r.family);
-    w.field("model", r.model);
-    w.field("slope", r.slope);
-    w.field("intercept", r.intercept);
-    w.field("r2", r.r2);
-    w.field("rmse", r.rmse);
-    w.field("sizes", r.sizes);
-    w.field("best", r.best);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("recovery").begin_array();
-  for (const RecoveryRow& r : recovery_rows()) {
-    w.begin_object();
-    w.field("algorithm", r.algorithm);
-    w.field("family", r.family);
-    w.field("n", r.n);
-    w.field("epochs", r.epochs);
-    w.field("masked", r.masked);
-    w.field("recovered", r.recovered);
-    w.field("stall", r.stalls);
-    w.field("safety_violation", r.safety_violations);
-    w.field("invariant_violations", r.invariant_violations);
-    w.field("mean", r.mean);
-    w.field("p50", r.p50);
-    w.field("p95", r.p95);
-    w.field("max", r.max);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("speedups").begin_array();
-  for (const Speedup& s : speedups()) {
-    w.begin_object();
-    w.field("variant", s.variant);
-    w.field("n", s.n);
-    w.field("fast_cpu_ns", s.fast_cpu_ns);
-    w.field("reference_cpu_ns", s.reference_cpu_ns);
-    w.field("speedup", s.speedup);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("kernel_speedups").begin_array();
-  for (const KernelSpeedup& k : kernel_speedups()) {
-    w.begin_object();
-    w.field("kernel", k.kernel);
-    w.field("n", k.n);
-    w.field("cpu_ns", k.cpu_ns);
-    w.field("scalar_cpu_ns", k.scalar_cpu_ns);
-    w.field("speedup", k.speedup);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("overheads").begin_array();
-  for (const Overhead& o : overheads()) {
-    w.begin_object();
-    w.field("observer", o.tag);
-    w.field("n", o.n);
-    w.field("overhead", o.overhead);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("trace_spans").begin_array();
-  for (const SpanRow& r : span_rows()) {
-    w.begin_object();
-    w.field("algorithm", r.algorithm);
-    w.field("family", r.family);
-    w.field("n", r.n);
-    w.field("span", r.name);
-    w.field("count", r.count);
-    w.field("mean_ns", r.mean_ns);
-    w.field("p50_ns", r.p50_ns);
-    w.field("p95_ns", r.p95_ns);
-    w.field("max_ns", r.max_ns);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("phase_breakdown").begin_array();
-  for (const PhaseRow& r : phase_rows()) {
-    w.begin_object();
-    w.field("algorithm", r.algorithm);
-    w.field("family", r.family);
-    w.field("n", r.n);
-    w.field("shards", r.shards);
-    w.field("rounds", r.rounds);
-    w.key("mean_ns").begin_object();
-    for (std::size_t p = 0; p < kTimeSeriesPhases; ++p)
-      w.field(kTimeSeriesPhaseKeys[p], r.mean_ns[p]);
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("imbalance").begin_array();
-  for (const ImbalanceRow& r : imbalance_rows()) {
-    w.begin_object();
-    w.field("algorithm", r.algorithm);
-    w.field("family", r.family);
-    w.field("n", r.n);
-    w.field("shards", r.shards);
-    w.field("samples", r.samples);
-    w.field("mean", r.mean);
-    w.field("p95", r.p95);
-    w.field("max", r.max);
-    w.field("barrier_ms_mean", r.barrier_ms_mean);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("round_ms_fits").begin_array();
-  for (const GrowthFitRow& r : round_ms_fit_rows()) {
-    w.begin_object();
-    w.field("algorithm", r.algorithm);
-    w.field("family", r.family);
-    w.field("model", r.model);
-    w.field("slope", r.slope);
-    w.field("intercept", r.intercept);
-    w.field("r2", r.r2);
-    w.field("rmse", r.rmse);
-    w.field("sizes", r.sizes);
-    w.field("best", r.best);
-    w.end_object();
-  }
-  w.end_array();
-
-  // Absent metrics (host denied the counters) are omitted, not emitted as
-  // sentinels — consumers key on field presence.
-  w.key("profile").begin_array();
-  for (const ProfileRow& r : profile_rows()) {
-    w.begin_object();
-    w.field("algorithm", r.algorithm);
-    w.field("family", r.family);
-    w.field("n", r.n);
-    w.field("samples", r.samples);
-    if (r.ipc >= 0.0) w.field("ipc", r.ipc);
-    if (r.instr_per_round >= 0.0)
-      w.field("instructions_per_round", r.instr_per_round);
-    if (r.cache_miss_per_edge >= 0.0)
-      w.field("cache_misses_per_edge", r.cache_miss_per_edge);
-    if (r.branch_miss_rate >= 0.0)
-      w.field("branch_miss_rate", r.branch_miss_rate);
-    if (r.task_clock_per_round_ns >= 0.0)
-      w.field("task_clock_per_round_ns", r.task_clock_per_round_ns);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("dirty_inputs").begin_array();
-  for (const std::string& s : dirty_sources_) w.value(s);
-  w.end_array();
-
-  w.key("dropped_trace_inputs").begin_array();
-  for (const auto& [s, d] : dropped_sources_) {
-    w.begin_object();
-    w.field("source", s);
-    w.field("dropped", d);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("anomalies").begin_array();
-  for (const DumpAnomaly& a : dump_anomalies_) {
-    w.begin_object();
-    w.field("source", a.source);
-    w.field("kind", a.kind);
-    w.field("round", a.round);
-    w.end_object();
-  }
-  w.end_array();
+  for (const ReportSection& s : sections()) write_rows(w, s);
 
   w.key("baseline").begin_object();
   w.field("present", have_baseline_);
@@ -1167,28 +987,10 @@ void ReportBuilder::write_json(std::ostream& os, double tolerance) const {
     w.field("label", baseline_label_);
     w.field("dirty", baseline_dirty_);
     w.field("tolerance", tolerance);
-    w.key("regressions").begin_array();
-    for (const BenchDelta& d : regressions(tolerance)) {
-      w.begin_object();
-      w.field("benchmark", d.name);
-      w.field("metric", d.metric);
-      w.field("baseline_" + d.metric, d.baseline);
-      w.field("current_" + d.metric, d.current);
-      w.field("ratio", d.ratio);
-      w.end_object();
-    }
-    w.end_array();
+    write_rows(w, time_regression_section(regressions(tolerance)));
     w.field("compared", static_cast<std::uint64_t>(bench_deltas().size()));
-    w.key("instruction_regressions").begin_array();
-    for (const BenchDelta& d : instruction_regressions(tolerance)) {
-      w.begin_object();
-      w.field("benchmark", d.name);
-      w.field("baseline_instructions", d.baseline);
-      w.field("current_instructions", d.current);
-      w.field("ratio", d.ratio);
-      w.end_object();
-    }
-    w.end_array();
+    write_rows(w, instruction_regression_section(
+                      instruction_regressions(tolerance)));
     w.field("instructions_compared",
             static_cast<std::uint64_t>(instruction_deltas().size()));
   }
@@ -1196,6 +998,48 @@ void ReportBuilder::write_json(std::ostream& os, double tolerance) const {
 
   w.end_object();
   os << '\n';
+}
+
+bool run_validate(const JsonValue& doc, std::string* error) {
+  if (doc.get("schema").as_string() != "beepmis.run.v1")
+    return fail(error, "not a beepmis.run.v1 document");
+  if (!check_count(doc.get("graph").get("n"), "run.v1: graph.n", error))
+    return false;
+  const JsonValue& metrics = doc.get("metrics");
+  for (const auto& [name, d] : metrics.get("digests").object) {
+    if (!ends_with(name, kStabSuffix)) continue;
+    const std::string where = "run.v1: digest " + name;
+    if (!check_count(d.get("count"), where + ".count", error)) return false;
+    if (d.get("count").as_number(0.0) > 0.0 &&
+        !check_quantiles(d, where, error))
+      return false;
+  }
+  for (const auto& [name, g] : metrics.get("gauges").object) {
+    if ((ends_with(name, kCpuSuffix) || ends_with(name, kRealSuffix) ||
+         ends_with(name, kInstrSuffix)) &&
+        !json_is_finite(g))
+      return fail(error, "run.v1: gauge " + name + " must be a finite number");
+  }
+  return true;
+}
+
+bool sweep_validate(const JsonValue& doc, std::string* error) {
+  if (doc.get("schema").as_string() != "beepmis.sweep.v1")
+    return fail(error, "not a beepmis.sweep.v1 document");
+  const JsonValue& points = doc.get("points");
+  if (!points.is_array())
+    return fail(error, "sweep.v1: \"points\" must be an array");
+  for (std::size_t i = 0; i < points.array.size(); ++i) {
+    const JsonValue& pt = points.array[i];
+    const std::string where = "sweep.v1: points[" + std::to_string(i) + "]";
+    for (const char* count : {"n", "runs"})
+      if (!json_is_count(pt.get(count)))
+        return fail(error, where + ": \"" + count +
+                               "\" must be an integer in [0, 2^53]");
+    if (pt.get("runs").number > 0.0 && !check_quantiles(pt, where, error))
+      return false;
+  }
+  return true;
 }
 
 bool report_ingest_file(ReportBuilder& builder, const std::string& path,
@@ -1213,13 +1057,13 @@ bool report_ingest_file(ReportBuilder& builder, const std::string& path,
   if (json_parse(text, &doc) && doc.is_object() && doc.has("schema"))
     return builder.add_document(doc, path, error);
 
-  if (builder.add_events(text, path) == 0) {
-    if (error != nullptr)
-      *error = path + ": neither a known JSON document nor a JSONL "
-               "event stream";
-    return false;
-  }
-  return true;
+  std::string eerror;
+  if (builder.add_events(text, path, &eerror) > 0) return true;
+  if (error != nullptr)
+    *error = !eerror.empty() ? eerror
+                             : path + ": neither a known JSON document "
+                                      "nor a JSONL event stream";
+  return false;
 }
 
 }  // namespace beepmis::obs

@@ -16,40 +16,29 @@
 
 namespace beepmis::obs {
 
+/// One report section — its columns and rows — defined once for both
+/// renderings (see report.cpp).
+struct ReportSection;
+
 /// Aggregates run artifacts — "beepmis.run.v1" manifests (including bench
-/// captures such as BENCH_micro.json), "beepmis.dump.v1" flight-recorder
-/// dumps, "beepmis.trace.v2" span traces, "beepmis.profile.v1" hardware
-/// profiles, "beepmis.recovery.v1" recovery artifacts, "beepmis.sweep.v1"
-/// scaling-sweep summaries, and raw JSONL
-/// round-event streams — into one report:
-/// stabilization percentiles per (algorithm, family, n),
-/// growth-model fits over sweep curves (the Thm 2.1 / Thm 2.2 shape check),
-/// per-fault recovery-epoch outcomes and quantiles,
-/// fast-vs-reference speedups, sink and digest overheads, span-duration
-/// quantiles, hardware-efficiency metrics (IPC, instructions/round,
-/// cache-misses/edge, branch-miss rate), and an optional baseline
-/// comparison that flags benchmark regressions — cpu_ns, the real_ns of
-/// real-time benchmarks, and instruction counts — for CI gating. Renders markdown for humans and a
-/// "beepmis.report.v1" JSON document for machines.
+/// captures such as BENCH_micro.json), "beepmis.sweep.v1" scaling-sweep
+/// summaries, "beepmis.recovery.v1" recovery artifacts, "beepmis.dump.v1"
+/// flight-recorder dumps, "beepmis.trace.v2" span traces,
+/// "beepmis.timeseries.v1" periodic samples, "beepmis.profile.v1" hardware
+/// profiles and raw JSONL round-event streams — into one report:
+/// stabilization percentiles per (algorithm, family, n), growth-model fits
+/// over sweep curves (the Thm 2.1 / Thm 2.2 shape check), per-fault
+/// recovery-epoch outcomes and quantiles, fast-vs-reference and
+/// kernel-vs-scalar speedups, sink and digest overheads, span-duration
+/// quantiles, the sharded kernel's phase breakdown and load imbalance,
+/// wall-time-per-round growth fits, hardware-efficiency metrics (IPC,
+/// instructions/round, cache-misses/edge, branch-miss rate), and an optional
+/// baseline comparison that flags benchmark regressions — cpu_ns, the
+/// real_ns of real-time benchmarks, and instruction counts — for CI gating.
+/// Each section is defined once and rendered both as markdown for humans
+/// and as a "beepmis.report.v1" JSON document for machines.
 class ReportBuilder {
  public:
-  /// One (algorithm, family, n) stabilization cell. Sourced from
-  /// `*.rounds_to_stabilize` digests in manifests, from sweep.v1 points, or
-  /// from raw event streams (one sample per stream: the round at which
-  /// `active` first reached 0).
-  struct StabRow {
-    std::string algorithm;
-    std::string family;
-    std::uint64_t n = 0;
-    std::uint64_t count = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-
   /// One benchmark gauge compared against the baseline capture.
   struct BenchDelta {
     std::string name;    ///< gauge prefix, e.g. "BM_EngineRun/v1_fast/1024"
@@ -59,154 +48,22 @@ class ReportBuilder {
     double ratio = 0.0;  ///< current / baseline (> 1 means slower)
   };
 
-  /// Fast-vs-reference engine pairing derived from
-  /// "BM_EngineRun/<variant>_{fast,reference}/<n>" gauges.
-  struct Speedup {
-    std::string variant;
-    std::uint64_t n = 0;
-    double fast_cpu_ns = 0.0;
-    double reference_cpu_ns = 0.0;
-    double speedup = 0.0;       ///< reference / fast
-  };
-
-  /// Round-kernel pairing derived from "BM_FastEngineKernel/<kernel>/<n>"
-  /// gauges: each kernel measured against the scalar oracle at the same n.
-  struct KernelSpeedup {
-    std::string kernel;         ///< "sharded", ...
-    std::uint64_t n = 0;
-    double cpu_ns = 0.0;
-    double scalar_cpu_ns = 0.0;
-    double speedup = 0.0;       ///< scalar / kernel
-  };
-
-  /// Instrumented-vs-bare engine run ("BM_FastEngineRun_<tag>/<n>" vs
-  /// "BM_FastEngineRun_NoSink/<n>").
-  struct Overhead {
-    std::string tag;            ///< "JsonlSink", "Digest", ...
-    std::uint64_t n = 0;
-    double overhead = 0.0;      ///< instrumented/bare - 1 (0.02 = +2%)
-  };
-
-  /// Anomaly recorded by an ingested flight-recorder dump.
-  struct DumpAnomaly {
-    std::string source;
-    std::string kind;
-    std::uint64_t round = 0;
-  };
-
-  /// Per-(algorithm, family, n) recovery cell, aggregated over every
-  /// ingested "beepmis.recovery.v1" document: outcome counts plus
-  /// count-weighted recovery-round quantiles (the same merging the
-  /// stabilization table uses).
-  struct RecoveryRow {
-    std::string algorithm;
-    std::string family;
-    std::uint64_t n = 0;
-    std::uint64_t epochs = 0;
-    std::uint64_t masked = 0;
-    std::uint64_t recovered = 0;
-    std::uint64_t stalls = 0;
-    std::uint64_t safety_violations = 0;
-    std::uint64_t invariant_violations = 0;
-    double mean = 0.0;   ///< recovery rounds over closed epochs
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double max = 0.0;
-  };
-
-  /// Hardware-efficiency metrics for one (algorithm, family, n) cell,
-  /// derived from ingested "beepmis.profile.v1" documents. Normalized
-  /// columns come from the "engine.round" span's per-sample means; the
-  /// ratio columns divide counter sums aggregated over every span. Any
-  /// metric whose counters the host denied (or whose denominator is
-  /// missing, e.g. per-edge without an "m" context entry) is -1 and
-  /// renders as "-".
-  struct ProfileRow {
-    std::string algorithm;
-    std::string family;
-    std::uint64_t n = 0;
-    std::uint64_t samples = 0;   ///< profiled engine.round samples
-    double ipc = -1.0;           ///< instructions / cycles
-    double instr_per_round = -1.0;
-    double cache_miss_per_edge = -1.0;
-    double branch_miss_rate = -1.0;  ///< branch_misses / branches
-    double task_clock_per_round_ns = -1.0;
-  };
-
-  /// One growth-model fit over a sweep's (n, p50) stabilization curve for
-  /// one (algorithm, family) pair, sourced from "beepmis.sweep.v1" inputs
-  /// with >= 3 distinct sizes. `best` marks the highest-R² model: Thm 2.1
-  /// predicts log n from clean starts, Thm 2.2 log n · log log n from
-  /// adversarial ones — the fit table is the empirical shape check.
-  struct GrowthFitRow {
-    std::string algorithm;
-    std::string family;
-    std::string model;      ///< support::growth_model_name
-    double slope = 0.0;
-    double intercept = 0.0;
-    double r2 = 0.0;
-    double rmse = 0.0;
-    std::uint64_t sizes = 0;  ///< distinct n fitted
-    bool best = false;
-  };
-
-  /// Sharded-kernel phase breakdown for one (algorithm, family, n, shards)
-  /// cell: mean wall ns per occurrence of each "shard.<phase>" span,
-  /// aggregated over every ingested trace. The shard count comes from the
-  /// trace context's "shards" entry (0 when absent — pre-telemetry traces).
-  struct PhaseRow {
-    std::string algorithm;
-    std::string family;
-    std::uint64_t n = 0;
-    std::uint64_t shards = 0;
-    std::uint64_t rounds = 0;  ///< decide-span count (one per round)
-    std::array<double, kTimeSeriesPhases> mean_ns{};
-  };
-
-  /// Load-imbalance digest for one (algorithm, family, n, shards) cell, fed
-  /// by "shard.imbalance"/"shard.barrier_wait_ms" counter samples from
-  /// traces and by the per-sample timing blocks of ingested
-  /// beepmis.timeseries.v1 documents. Imbalance 1.0 = perfectly balanced
-  /// shards; barrier_ms is idle-at-barrier wall ms per round.
-  struct ImbalanceRow {
-    std::string algorithm;
-    std::string family;
-    std::uint64_t n = 0;
-    std::uint64_t shards = 0;
-    std::uint64_t samples = 0;
-    double mean = 0.0;
-    double p95 = 0.0;
-    double max = 0.0;
-    double barrier_ms_mean = 0.0;
-  };
-
-  /// Span-duration quantiles for one (algorithm, family, n, span name)
-  /// cell, aggregated over every "X" event in the ingested traces (the
-  /// trace document's context block supplies the first three coordinates).
-  struct SpanRow {
-    std::string algorithm;
-    std::string family;
-    std::uint64_t n = 0;
-    std::string name;        ///< span name, e.g. "engine.round"
-    std::uint64_t count = 0;
-    double mean_ns = 0.0;
-    double p50_ns = 0.0;
-    double p95_ns = 0.0;
-    double max_ns = 0.0;
-  };
-
   /// Ingests one parsed artifact. Accepts "beepmis.run.v1",
   /// "beepmis.dump.v1", "beepmis.trace.v2", "beepmis.profile.v1",
-  /// "beepmis.recovery.v1" and "beepmis.sweep.v1"; anything else fails with
-  /// `error` set. `source`
-  /// is the label used in the report (typically the file name).
+  /// "beepmis.recovery.v1", "beepmis.timeseries.v1" and "beepmis.sweep.v1",
+  /// each only when its validator passes; anything else fails with `error`
+  /// set to "<source>: <reason>". `source` is the label used in the report
+  /// (typically the file name).
   bool add_document(const JsonValue& doc, const std::string& source,
                     std::string* error);
 
   /// Ingests a JSONL round-event stream (one JsonlSink line per round).
   /// Incomplete trailing lines are ignored; returns the number of complete
-  /// events parsed.
-  std::size_t add_events(std::string_view jsonl, const std::string& source);
+  /// events parsed. A line that parses but fails event_validate rejects the
+  /// whole stream: nothing is ingested, 0 is returned and `error` (if
+  /// non-null) is set to "<source>: line <k>: <reason>".
+  std::size_t add_events(std::string_view jsonl, const std::string& source,
+                         std::string* error = nullptr);
 
   /// Installs the baseline bench capture ("beepmis.run.v1") for regression
   /// comparison. The baseline is labeled with its build provenance (git SHA
@@ -222,36 +79,10 @@ class ReportBuilder {
   /// is set.
   std::vector<BenchDelta> regressions(double tolerance) const;
 
-  std::vector<StabRow> stabilization_rows() const;
-  std::vector<GrowthFitRow> growth_fit_rows() const;
-  /// Wall-ms-per-round growth fits from ingested beepmis.timeseries.v1
-  /// documents: per (algorithm, family) curves of mean round_ms over n,
-  /// ranked by the same growth models as the stabilization fits (needs >= 3
-  /// distinct sizes). The empirical work-per-round shape check next to the
-  /// Thm 2.1/2.2 round-count fits.
-  std::vector<GrowthFitRow> round_ms_fit_rows() const;
-  std::vector<PhaseRow> phase_rows() const;
-  std::vector<ImbalanceRow> imbalance_rows() const;
-  std::vector<RecoveryRow> recovery_rows() const;
-  std::vector<Speedup> speedups() const;
-  std::vector<KernelSpeedup> kernel_speedups() const;
-  std::vector<Overhead> overheads() const;
-  std::vector<SpanRow> span_rows() const;
-  std::vector<ProfileRow> profile_rows() const;
-  const std::vector<DumpAnomaly>& dump_anomalies() const noexcept {
-    return dump_anomalies_;
-  }
-  /// All gated time pairs (not just regressions), sorted by name, cpu_ns
-  /// before real_ns.
-  std::vector<BenchDelta> bench_deltas() const;
-
-  /// Instruction-count comparison against the baseline, from the
-  /// ".instructions" gauges the bench capture records when the host grants
-  /// hardware counters, as "instructions" BenchDeltas; empty when either
-  /// side lacks the gauges.
-  /// Instruction counts are far less noisy than cpu_ns, so they catch real
-  /// code-path growth that timing jitter hides.
-  std::vector<BenchDelta> instruction_deltas() const;
+  /// Instruction counts that grew by more than `tolerance`, worst first,
+  /// from the ".instructions" gauges a bench capture records when the host
+  /// grants hardware counters. Instruction counts are far less noisy than
+  /// cpu_ns, so they catch real code-path growth that timing jitter hides.
   std::vector<BenchDelta> instruction_regressions(double tolerance) const;
 
   /// Ingested "beepmis.run.v1" sources whose build manifest says
@@ -271,8 +102,10 @@ class ReportBuilder {
     return dropped_sources_;
   }
 
+  /// Both renderings walk the same section list: the markdown prints each
+  /// titled section as a table, and the "beepmis.report.v1" document writes
+  /// each as an array of row objects.
   void write_markdown(std::ostream& os, double tolerance) const;
-  /// Writes the "beepmis.report.v1" document.
   void write_json(std::ostream& os, double tolerance) const;
 
  private:
@@ -284,7 +117,6 @@ class ReportBuilder {
     double weighted_p99 = 0.0;
     double min = 0.0;
     double max = 0.0;
-    bool any = false;
   };
   using StabKey = std::tuple<std::string, std::string, std::uint64_t>;
   using SpanKey =
@@ -300,22 +132,21 @@ class ReportBuilder {
     Digest barrier_ms;
   };
 
-  /// Per-(algorithm, family) wall-ms-per-round curve: n -> summed sample
-  /// means, so repeated documents over the same size merge.
-  struct RoundMsSample {
+  /// A sum and its weight — a growth-curve point or a profile counter's
+  /// folded digests — so repeated documents merge instead of colliding.
+  struct WeightedSum {
     double sum = 0.0;
     std::uint64_t count = 0;
   };
+  /// Per-(algorithm, family) growth curves: n -> point.
+  using Curves = std::map<std::pair<std::string, std::string>,
+                          std::map<std::uint64_t, WeightedSum>>;
 
-  struct CounterSum {
-    double sum = 0.0;
-    std::uint64_t count = 0;
-  };
   /// Per-cell profile accumulation: span name -> counter name -> folded
   /// digest sum/count, plus the edge count from the profile context (for
   /// the per-edge column; the largest wins when documents disagree).
   struct ProfileAccum {
-    std::map<std::string, std::map<std::string, CounterSum>> spans;
+    std::map<std::string, std::map<std::string, WeightedSum>> spans;
     std::uint64_t m = 0;
   };
 
@@ -332,32 +163,27 @@ class ReportBuilder {
     double weighted_p50 = 0.0;
     double weighted_p95 = 0.0;
     double max = 0.0;
-    bool any = false;
   };
 
-  /// Per-(algorithm, family) sweep curve: n -> run-weighted p50 sum, so
-  /// repeated sweeps over the same size merge instead of colliding.
-  struct SweepSample {
-    double weighted_p50 = 0.0;
-    std::uint64_t runs = 0;
-  };
-
-  void accumulate_stabilization(const JsonValue& doc);
-  void merge_sample(const StabKey& key, double rounds);
   void merge_summary(const StabKey& key, std::uint64_t count, double mean,
                      double p50, double p95, double p99, double lo,
                      double hi);
 
+  /// Every report section, in report.v1 order, built from the
+  /// accumulators below.
+  std::vector<ReportSection> sections() const;
+  /// All gated time pairs (not just regressions), sorted by name, cpu_ns
+  /// before real_ns.
+  std::vector<BenchDelta> bench_deltas() const;
+  /// Instruction-count pairs; empty when either side lacks the gauges.
+  std::vector<BenchDelta> instruction_deltas() const;
+
   std::map<StabKey, StabAccum> stab_;
-  std::map<std::pair<std::string, std::string>,
-           std::map<std::uint64_t, SweepSample>>
-      sweep_;
+  Curves sweep_;     // sweep.v1 p50 curves, weighted by runs
+  Curves round_ms_;  // timeseries wall-ms-per-round curves
   std::map<StabKey, RecoveryAccum> recovery_;
   std::map<SpanKey, Digest> spans_;  // span durations from ingested traces
   std::map<PhaseKey, ShardAccum> shard_;  // shard.* spans + counters
-  std::map<std::pair<std::string, std::string>,
-           std::map<std::uint64_t, RoundMsSample>>
-      round_ms_;  // timeseries wall-ms-per-round curves
   std::map<StabKey, ProfileAccum> profile_;
   std::map<std::string, double> current_cpu_ns_;   // gauge prefix -> cpu_ns
   std::map<std::string, double> baseline_cpu_ns_;
@@ -365,7 +191,9 @@ class ReportBuilder {
   std::map<std::string, double> baseline_real_ns_;
   std::map<std::string, double> current_instr_;    // ".instructions" gauges
   std::map<std::string, double> baseline_instr_;
-  std::vector<DumpAnomaly> dump_anomalies_;
+  /// (source, kind, round) of every anomaly in the ingested dumps.
+  std::vector<std::tuple<std::string, std::string, std::uint64_t>>
+      dump_anomalies_;
   std::vector<std::string> sources_;
   std::vector<std::string> dirty_sources_;
   std::vector<std::pair<std::string, std::uint64_t>> dropped_sources_;
@@ -373,6 +201,20 @@ class ReportBuilder {
   bool have_baseline_ = false;
   bool baseline_dirty_ = false;
 };
+
+/// Checks the fields of a "beepmis.run.v1" document that the report reads:
+/// graph.n and the count of every "*.rounds_to_stabilize" digest are
+/// integers in [0, 2^53], the quantiles of such a digest with a nonzero
+/// count are finite numbers, and so is every "*.cpu_ns", "*.real_ns" and
+/// "*.instructions" gauge. Absent members pass. Returns false with `error`
+/// set on the first bad field.
+bool run_validate(const JsonValue& doc, std::string* error);
+
+/// The same check for a "beepmis.sweep.v1" summary (beepmis_cli
+/// --sweep-out): "points" is an array whose n and runs are integers in
+/// [0, 2^53], and the mean, min, max, p50, p95 and p99 of a point with
+/// runs > 0 are finite numbers.
+bool sweep_validate(const JsonValue& doc, std::string* error);
 
 /// Reads a file and ingests it with auto-detection: a document whose body
 /// parses as a single JSON object with a known "schema" goes through

@@ -37,4 +37,15 @@ void JsonlSink::on_round(const RoundEvent& e) {
   }
 }
 
+bool event_validate(const JsonValue& line, std::string* error) {
+  const char* bad = nullptr;
+  if (!json_is_count(line.get("round")))
+    bad = "round";
+  else if (line.has("active") && !json_is_count(line.get("active")))
+    bad = "active";
+  if (bad != nullptr && error != nullptr)
+    *error = std::string("\"") + bad + "\" must be an integer in [0, 2^53]";
+  return bad == nullptr;
+}
+
 }  // namespace beepmis::obs

@@ -3,7 +3,10 @@
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
+#include <string>
 #include <vector>
+
+#include "src/obs/json_parse.hpp"
 
 namespace beepmis::obs {
 
@@ -82,6 +85,10 @@ class JsonlSink final : public RoundObserver {
   std::uint64_t lines_ = 0;  // guarded by mu_
   mutable std::mutex mu_;    // guards os_ writes and lines_
 };
+
+/// Checks one parsed JsonlSink line for the fields beepmis_report reads:
+/// "round" is an integer in [0, 2^53], and so is "active" when present.
+bool event_validate(const JsonValue& line, std::string* error);
 
 /// Per-task event buffer for deterministic parallel runs: each worker task
 /// records its replica's events privately, and the coordinator flushes the

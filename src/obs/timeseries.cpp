@@ -24,9 +24,7 @@ bool require_number(const JsonValue& v, const char* what, std::string* error) {
 /// a double holds exactly, so the uint64 conversion is defined and exact.
 bool require_count(const JsonValue& v, const char* what, std::string* error,
                    std::uint64_t* out) {
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-  if (v.type != JsonValue::Type::Number || !(v.number >= 0.0) ||
-      v.number > kMaxExact || v.number != std::floor(v.number))
+  if (!json_is_count(v))
     return fail(error, std::string("timeseries.v1: \"") + what +
                            "\" must be an integer in [0, 2^53]");
   *out = static_cast<std::uint64_t>(v.number);

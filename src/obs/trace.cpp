@@ -1,7 +1,6 @@
 #include "src/obs/trace.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <set>
 
@@ -24,11 +23,6 @@ constexpr double kMaxExact = 9007199254740992.0;
 bool fail(std::string* error, std::string msg) {
   *error = std::move(msg);
   return false;
-}
-
-bool is_count(const JsonValue& v) {
-  return v.type == JsonValue::Type::Number && v.number >= 0.0 &&
-         v.number <= kMaxExact && v.number == std::floor(v.number);
 }
 
 // A timestamp or duration in µs whose ns count converts back exactly.
@@ -257,8 +251,8 @@ bool trace_event_validate(const JsonValue& ev, const std::string& where,
   if (name.empty()) return fail(error, where + ": missing \"name\"");
   // process_* metadata is process-scoped and legitimately has no tid.
   const bool process_scoped = ph == "M" && name.rfind("process_", 0) == 0;
-  if (!is_count(ev.get("pid")) ||
-      (!process_scoped && !is_count(ev.get("tid"))))
+  if (!json_is_count(ev.get("pid")) ||
+      (!process_scoped && !json_is_count(ev.get("tid"))))
     return fail(error, where + ": missing pid/tid");
   const JsonValue& args = ev.get("args");
   if (ph == "M")  // metadata carries its payload in args (thread_name, ...)
@@ -285,7 +279,7 @@ bool trace_validate(const JsonValue& doc, std::string* error,
     return fail(error, "not a beepmis.trace.v2 document");
   for (const char* field :
        {"capacity_per_thread", "counter_every", "dropped_total"})
-    if (!is_count(doc.get(field)))
+    if (!json_is_count(doc.get(field)))
       return fail(error, std::string("missing count \"") + field + "\"");
   const JsonValue& context = doc.get("otherData");
   if (!context.is_object())
@@ -309,7 +303,8 @@ bool trace_validate(const JsonValue& doc, std::string* error,
       if (ev.get("name").as_string() != "thread_name") continue;
       const JsonValue& args = ev.get("args");
       if (args.get("name").as_string().empty() ||
-          !is_count(args.get("recorded")) || !is_count(args.get("dropped")))
+          !json_is_count(args.get("recorded")) ||
+          !json_is_count(args.get("dropped")))
         return fail(error, where + ": thread_name without args "
                                    "{name, recorded, dropped}");
       if (!tracks.insert(tid).second)

@@ -65,6 +65,24 @@ obs::JsonValue parse(const char* text) {
   return v;
 }
 
+/// The builder's "beepmis.report.v1" document, read back the way CI and
+/// scripts read it.
+obs::JsonValue report_json(const obs::ReportBuilder& b) {
+  std::ostringstream js;
+  b.write_json(js, 0.10);
+  return parse(js.str().c_str());
+}
+
+/// The rows of one report.v1 section.
+std::vector<obs::JsonValue> rows(const obs::ReportBuilder& b,
+                                 const char* section) {
+  return report_json(b).get(section).array;
+}
+
+double num(const obs::JsonValue& row, const char* key) {
+  return row.get(key).as_number(-1.0);
+}
+
 TEST(Report, SelfComparisonHasNoRegressions) {
   obs::ReportBuilder b;
   std::string error;
@@ -73,7 +91,7 @@ TEST(Report, SelfComparisonHasNoRegressions) {
   ASSERT_TRUE(b.set_baseline(parse(kBenchCapture), "bench.json", &error))
       << error;
   EXPECT_TRUE(b.regressions(0.10).empty());
-  EXPECT_EQ(b.bench_deltas().size(), 10u);
+  EXPECT_EQ(num(report_json(b).get("baseline"), "compared"), 10.0);
 }
 
 TEST(Report, SyntheticRegressionIsFlagged) {
@@ -122,7 +140,7 @@ TEST(Report, RealTimeBenchmarksAreGatedOnWallTime) {
   ASSERT_TRUE(b.set_baseline(parse(capture(10000.0).c_str()), "old.json",
                              &error))
       << error;
-  EXPECT_EQ(b.bench_deltas().size(), 3u);
+  EXPECT_EQ(num(report_json(b).get("baseline"), "compared"), 3.0);
   const auto regs = b.regressions(0.10);
   ASSERT_EQ(regs.size(), 1u);
   EXPECT_EQ(regs[0].name, "BM_SweepParallel/4/real_time");
@@ -145,29 +163,30 @@ TEST(Report, SpeedupAndOverheadTablesFromGauges) {
   std::string error;
   ASSERT_TRUE(b.add_document(parse(kBenchCapture), "bench.json", &error));
 
-  const auto speed = b.speedups();
+  const obs::JsonValue doc = report_json(b);
+  const auto& speed = doc.get("speedups").array;
   ASSERT_EQ(speed.size(), 2u);  // v1 and v3 pairs
   for (const auto& s : speed) {
-    EXPECT_EQ(s.n, 1024u);
-    EXPECT_NEAR(s.speedup, 2.0, 1e-9);
+    EXPECT_EQ(num(s, "n"), 1024.0);
+    EXPECT_NEAR(num(s, "speedup"), 2.0, 1e-9);
   }
 
-  const auto kernels = b.kernel_speedups();
+  const auto& kernels = doc.get("kernel_speedups").array;
   ASSERT_EQ(kernels.size(), 2u);  // bit and frontier vs scalar
-  EXPECT_EQ(kernels[0].kernel, "bit");
-  EXPECT_NEAR(kernels[0].speedup, 1.25, 1e-9);
-  EXPECT_EQ(kernels[1].kernel, "frontier");
-  EXPECT_NEAR(kernels[1].speedup, 5.0, 1e-9);
-  for (const auto& k : kernels) EXPECT_EQ(k.n, 10240u);
+  EXPECT_EQ(kernels[0].get("kernel").as_string(), "bit");
+  EXPECT_NEAR(num(kernels[0], "speedup"), 1.25, 1e-9);
+  EXPECT_EQ(kernels[1].get("kernel").as_string(), "frontier");
+  EXPECT_NEAR(num(kernels[1], "speedup"), 5.0, 1e-9);
+  for (const auto& k : kernels) EXPECT_EQ(num(k, "n"), 10240.0);
 
-  const auto over = b.overheads();
+  const auto& over = doc.get("overheads").array;
   ASSERT_EQ(over.size(), 2u);  // Digest and JsonlSink vs NoSink
   for (const auto& o : over) {
-    if (o.tag == "Digest") {
-      EXPECT_NEAR(o.overhead, 0.01, 1e-9);
+    if (o.get("observer").as_string() == "Digest") {
+      EXPECT_NEAR(num(o, "overhead"), 0.01, 1e-9);
     }
-    if (o.tag == "JsonlSink") {
-      EXPECT_NEAR(o.overhead, 0.05, 1e-9);
+    if (o.get("observer").as_string() == "JsonlSink") {
+      EXPECT_NEAR(num(o, "overhead"), 0.05, 1e-9);
     }
   }
 }
@@ -178,15 +197,15 @@ TEST(Report, StabilizationRowsAggregateDigestsByKey) {
   ASSERT_TRUE(b.add_document(parse(kRunManifest), "a.json", &error));
   ASSERT_TRUE(b.add_document(parse(kRunManifest), "b.json", &error));
 
-  const auto rows = b.stabilization_rows();
-  ASSERT_EQ(rows.size(), 1u);  // same (algorithm, family, n) key merges
-  EXPECT_EQ(rows[0].algorithm, "V1-global-delta");
-  EXPECT_EQ(rows[0].family, "er-avg8");
-  EXPECT_EQ(rows[0].n, 512u);
-  EXPECT_EQ(rows[0].count, 40u);
-  EXPECT_DOUBLE_EQ(rows[0].p95, 80.0);
-  EXPECT_DOUBLE_EQ(rows[0].min, 30.0);
-  EXPECT_DOUBLE_EQ(rows[0].max, 90.0);
+  const auto stab = rows(b, "stabilization");
+  ASSERT_EQ(stab.size(), 1u);  // same (algorithm, family, n) key merges
+  EXPECT_EQ(stab[0].get("algorithm").as_string(), "V1-global-delta");
+  EXPECT_EQ(stab[0].get("family").as_string(), "er-avg8");
+  EXPECT_EQ(num(stab[0], "n"), 512.0);
+  EXPECT_EQ(num(stab[0], "count"), 40.0);
+  EXPECT_DOUBLE_EQ(num(stab[0], "p95"), 80.0);
+  EXPECT_DOUBLE_EQ(num(stab[0], "min"), 30.0);
+  EXPECT_DOUBLE_EQ(num(stab[0], "max"), 90.0);
 }
 
 TEST(Report, EventStreamsYieldOneStabilizationSample) {
@@ -198,71 +217,69 @@ TEST(Report, EventStreamsYieldOneStabilizationSample) {
       "{\"round\":4,\"active\":0}\n"
       "{\"round\":5,\"active\"";  // incomplete trailing line: ignored
   EXPECT_EQ(b.add_events(jsonl, "run.jsonl"), 4u);
-  const auto rows = b.stabilization_rows();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(rows[0].p50, 3.0);  // stabilized at round 3
+  const auto stab = rows(b, "stabilization");
+  ASSERT_EQ(stab.size(), 1u);
+  EXPECT_DOUBLE_EQ(num(stab[0], "p50"), 3.0);  // stabilized at round 3
 }
+
+/// A sweep.v1 summary over five sizes.
+const char* kSweep = R"({
+  "schema": "beepmis.sweep.v1", "family": "er-avg8",
+  "algorithm": "V1-global-delta", "init": "uniform-random",
+  "base_seed": 7, "seeds_per_size": 4, "kernel": "sharded",
+  "points": [
+    {"n": 256, "runs": 4, "mean": 60.45, "min": 60, "max": 61,
+     "p50": 60.45, "p90": 61, "p95": 61, "p99": 61,
+     "failures": 0, "invalid": 0},
+    {"n": 1024, "runs": 4, "mean": 74.31, "min": 74, "max": 75,
+     "p50": 74.31, "p90": 75, "p95": 75, "p99": 75,
+     "failures": 0, "invalid": 0},
+    {"n": 4096, "runs": 4, "mean": 88.18, "min": 88, "max": 89,
+     "p50": 88.18, "p90": 89, "p95": 89, "p99": 89,
+     "failures": 0, "invalid": 0},
+    {"n": 16384, "runs": 4, "mean": 102.04, "min": 101, "max": 103,
+     "p50": 102.04, "p90": 103, "p95": 103, "p99": 103,
+     "failures": 0, "invalid": 0},
+    {"n": 65536, "runs": 4, "mean": 115.90, "min": 115, "max": 117,
+     "p50": 115.90, "p90": 117, "p95": 117, "p99": 117,
+     "failures": 0, "invalid": 0}
+  ]
+})";
 
 TEST(Report, SweepDocumentFeedsStabilizationAndGrowthFits) {
   // Five sizes along an exact 10·ln(n) + 5 curve: the log n model must win
   // with R² ≈ 1, and every point must land in the stabilization table.
-  const char* sweep = R"({
-    "schema": "beepmis.sweep.v1", "family": "er-avg8",
-    "algorithm": "V1-global-delta", "init": "uniform-random",
-    "base_seed": 7, "seeds_per_size": 4, "kernel": "sharded",
-    "points": [
-      {"n": 256, "runs": 4, "mean": 60.45, "min": 60, "max": 61,
-       "p50": 60.45, "p90": 61, "p95": 61, "p99": 61,
-       "failures": 0, "invalid": 0},
-      {"n": 1024, "runs": 4, "mean": 74.31, "min": 74, "max": 75,
-       "p50": 74.31, "p90": 75, "p95": 75, "p99": 75,
-       "failures": 0, "invalid": 0},
-      {"n": 4096, "runs": 4, "mean": 88.18, "min": 88, "max": 89,
-       "p50": 88.18, "p90": 89, "p95": 89, "p99": 89,
-       "failures": 0, "invalid": 0},
-      {"n": 16384, "runs": 4, "mean": 102.04, "min": 101, "max": 103,
-       "p50": 102.04, "p90": 103, "p95": 103, "p99": 103,
-       "failures": 0, "invalid": 0},
-      {"n": 65536, "runs": 4, "mean": 115.90, "min": 115, "max": 117,
-       "p50": 115.90, "p90": 117, "p95": 117, "p99": 117,
-       "failures": 0, "invalid": 0}
-    ]
-  })";
   obs::ReportBuilder b;
   std::string error;
-  ASSERT_TRUE(b.add_document(parse(sweep), "sweep.json", &error)) << error;
+  ASSERT_TRUE(b.add_document(parse(kSweep), "sweep.json", &error)) << error;
 
-  const auto stab = b.stabilization_rows();
+  const obs::JsonValue doc = report_json(b);
+  const auto& stab = doc.get("stabilization").array;
   ASSERT_EQ(stab.size(), 5u);
-  EXPECT_EQ(stab[0].algorithm, "V1-global-delta");
-  EXPECT_EQ(stab[0].family, "er-avg8");
-  EXPECT_EQ(stab[0].n, 256u);
-  EXPECT_EQ(stab[0].count, 4u);
-  EXPECT_NEAR(stab[0].p50, 60.45, 1e-9);
+  EXPECT_EQ(stab[0].get("algorithm").as_string(), "V1-global-delta");
+  EXPECT_EQ(stab[0].get("family").as_string(), "er-avg8");
+  EXPECT_EQ(num(stab[0], "n"), 256.0);
+  EXPECT_EQ(num(stab[0], "count"), 4.0);
+  EXPECT_NEAR(num(stab[0], "p50"), 60.45, 1e-9);
 
-  const auto fits = b.growth_fit_rows();
+  const auto& fits = doc.get("growth_fits").array;
   ASSERT_EQ(fits.size(), 4u);  // all models, ranked best-R² first
-  EXPECT_TRUE(fits[0].best);
-  EXPECT_EQ(fits[0].model, "log n");
-  EXPECT_GT(fits[0].r2, 0.999);
-  EXPECT_NEAR(fits[0].slope, 10.0, 0.1);
-  EXPECT_NEAR(fits[0].intercept, 5.0, 1.0);
-  EXPECT_EQ(fits[0].sizes, 5u);
+  EXPECT_TRUE(fits[0].get("best").boolean);
+  EXPECT_EQ(fits[0].get("model").as_string(), "log n");
+  EXPECT_GT(num(fits[0], "r2"), 0.999);
+  EXPECT_NEAR(num(fits[0], "slope"), 10.0, 0.1);
+  EXPECT_NEAR(num(fits[0], "intercept"), 5.0, 1.0);
+  EXPECT_EQ(num(fits[0], "sizes"), 5.0);
   for (std::size_t i = 1; i < fits.size(); ++i) {
-    EXPECT_FALSE(fits[i].best);
-    EXPECT_LE(fits[i].r2, fits[i - 1].r2);
+    EXPECT_FALSE(fits[i].get("best").boolean);
+    EXPECT_LE(num(fits[i], "r2"), num(fits[i - 1], "r2"));
   }
 
-  // The fit also lands in both renderings.
-  std::ostringstream md, js;
+  // The fit also lands in the markdown, its best model starred.
+  std::ostringstream md;
   b.write_markdown(md, 0.10);
   EXPECT_NE(md.str().find("Growth-model fits"), std::string::npos);
-  b.write_json(js, 0.10);
-  obs::JsonValue doc;
-  ASSERT_TRUE(obs::json_parse(js.str(), &doc));
-  ASSERT_EQ(doc.get("growth_fits").array.size(), 4u);
-  EXPECT_EQ(doc.get("growth_fits").array[0].get("model").as_string(),
-            "log n");
+  EXPECT_NE(md.str().find("| log n `*` |"), std::string::npos);
 }
 
 TEST(Report, GrowthFitsNeedThreeDistinctSizes) {
@@ -278,8 +295,8 @@ TEST(Report, GrowthFitsNeedThreeDistinctSizes) {
   obs::ReportBuilder b;
   std::string error;
   ASSERT_TRUE(b.add_document(parse(sweep), "sweep.json", &error)) << error;
-  EXPECT_EQ(b.stabilization_rows().size(), 2u);
-  EXPECT_TRUE(b.growth_fit_rows().empty());
+  EXPECT_EQ(rows(b, "stabilization").size(), 2u);
+  EXPECT_TRUE(rows(b, "growth_fits").empty());
 }
 
 TEST(Report, UnknownSchemaIsRejected) {
@@ -308,9 +325,11 @@ TEST(Report, DumpDocumentContributesAnomalies) {
   obs::ReportBuilder b;
   std::string error;
   ASSERT_TRUE(b.add_document(parse(kDump), "dump.json", &error)) << error;
-  ASSERT_EQ(b.dump_anomalies().size(), 1u);
-  EXPECT_EQ(b.dump_anomalies()[0].kind, "stall");
-  EXPECT_EQ(b.dump_anomalies()[0].round, 123u);
+  const auto anomalies = rows(b, "anomalies");
+  ASSERT_EQ(anomalies.size(), 1u);
+  EXPECT_EQ(anomalies[0].get("source").as_string(), "dump.json");
+  EXPECT_EQ(anomalies[0].get("kind").as_string(), "stall");
+  EXPECT_EQ(num(anomalies[0], "round"), 123.0);
 }
 
 /// A main-thread trace: two engine.round spans of 100 and 300 ns (µs on
@@ -369,24 +388,16 @@ TEST(Report, TraceDocumentContributesSpanQuantiles) {
   obs::ReportBuilder b;
   std::string error;
   ASSERT_TRUE(b.add_document(parse(kTrace), "trace.json", &error)) << error;
-  const auto rows = b.span_rows();
+  const auto spans = rows(b, "trace_spans");
   // Counter events don't feed span digests.
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].algorithm, "V1-global-delta");
-  EXPECT_EQ(rows[0].family, "torus");
-  EXPECT_EQ(rows[0].n, 256u);
-  EXPECT_EQ(rows[0].name, "engine.round");
-  EXPECT_EQ(rows[0].count, 2u);
-  EXPECT_DOUBLE_EQ(rows[0].mean_ns, 200.0);
-  EXPECT_DOUBLE_EQ(rows[0].max_ns, 300.0);
-
-  std::ostringstream js;
-  b.write_json(js, 0.10);
-  obs::JsonValue doc;
-  ASSERT_TRUE(obs::json_parse(js.str(), &doc, &error)) << error;
-  ASSERT_EQ(doc.get("trace_spans").array.size(), 1u);
-  EXPECT_EQ(doc.get("trace_spans").array[0].get("span").as_string(""),
-            "engine.round");
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].get("algorithm").as_string(), "V1-global-delta");
+  EXPECT_EQ(spans[0].get("family").as_string(), "torus");
+  EXPECT_EQ(num(spans[0], "n"), 256.0);
+  EXPECT_EQ(spans[0].get("span").as_string(), "engine.round");
+  EXPECT_EQ(num(spans[0], "count"), 2.0);
+  EXPECT_DOUBLE_EQ(num(spans[0], "mean_ns"), 200.0);
+  EXPECT_DOUBLE_EQ(num(spans[0], "max_ns"), 300.0);
 }
 
 TEST(Report, ShardTraceFeedsPhaseAndImbalanceTables) {
@@ -394,22 +405,24 @@ TEST(Report, ShardTraceFeedsPhaseAndImbalanceTables) {
   std::string error;
   ASSERT_TRUE(b.add_document(parse(kShardTrace), "shard.json", &error))
       << error;
-  const auto phases = b.phase_rows();
+  const obs::JsonValue doc = report_json(b);
+  const auto& phases = doc.get("phase_breakdown").array;
   ASSERT_EQ(phases.size(), 1u);
-  EXPECT_EQ(phases[0].family, "er-avg8");
-  EXPECT_EQ(phases[0].n, 4096u);
-  EXPECT_EQ(phases[0].shards, 4u);
-  EXPECT_EQ(phases[0].rounds, 2u);                   // two decide spans
-  EXPECT_DOUBLE_EQ(phases[0].mean_ns[0], 2000.0);    // decide
-  EXPECT_DOUBLE_EQ(phases[0].mean_ns[3], 750.0);     // apply
-  EXPECT_DOUBLE_EQ(phases[0].mean_ns[1], 0.0);       // stamp: no spans
-  const auto imbalance = b.imbalance_rows();
+  EXPECT_EQ(phases[0].get("family").as_string(), "er-avg8");
+  EXPECT_EQ(num(phases[0], "n"), 4096.0);
+  EXPECT_EQ(num(phases[0], "shards"), 4.0);
+  EXPECT_EQ(num(phases[0], "rounds"), 2.0);  // two decide spans
+  const obs::JsonValue& mean_ns = phases[0].get("mean_ns");
+  EXPECT_DOUBLE_EQ(num(mean_ns, "decide"), 2000.0);
+  EXPECT_DOUBLE_EQ(num(mean_ns, "apply"), 750.0);
+  EXPECT_DOUBLE_EQ(num(mean_ns, "stamp"), 0.0);  // no spans
+  const auto& imbalance = doc.get("imbalance").array;
   ASSERT_EQ(imbalance.size(), 1u);
-  EXPECT_EQ(imbalance[0].shards, 4u);
-  EXPECT_EQ(imbalance[0].samples, 2u);
-  EXPECT_DOUBLE_EQ(imbalance[0].mean, 1.5);
-  EXPECT_DOUBLE_EQ(imbalance[0].max, 1.75);
-  EXPECT_DOUBLE_EQ(imbalance[0].barrier_ms_mean, 1.0);
+  EXPECT_EQ(num(imbalance[0], "shards"), 4.0);
+  EXPECT_EQ(num(imbalance[0], "samples"), 2.0);
+  EXPECT_DOUBLE_EQ(num(imbalance[0], "mean"), 1.5);
+  EXPECT_DOUBLE_EQ(num(imbalance[0], "max"), 1.75);
+  EXPECT_DOUBLE_EQ(num(imbalance[0], "barrier_ms_mean"), 1.0);
   ASSERT_EQ(b.dropped_sources().size(), 1u);
   EXPECT_EQ(b.dropped_sources()[0].second, 2u);
 }
@@ -437,20 +450,24 @@ TEST(Report, MalformedDumpAndTraceAreRejected) {
     EXPECT_FALSE(b.add_document(parse(text.c_str()), "bad.json", &error));
     EXPECT_EQ(error.rfind("bad.json: ", 0), 0u) << error;
     EXPECT_GT(error.size(), std::string("bad.json: ").size());
-    EXPECT_TRUE(b.span_rows().empty());
-    EXPECT_TRUE(b.dump_anomalies().empty());
+    const obs::JsonValue doc = report_json(b);
+    EXPECT_TRUE(doc.get("inputs").array.empty());
+    EXPECT_TRUE(doc.get("trace_spans").array.empty());
+    EXPECT_TRUE(doc.get("anomalies").array.empty());
   }
 }
 
-// Seeded mutations of a small trace — every truncation, then byte flips,
-// byte rewrites and splices under a fixed budget — run through the reader
-// chain json_parse -> trace_validate -> ReportBuilder::add_document. Each
-// input must be accepted, or rejected with a reason, and add_document must
-// accept exactly what trace_validate accepts. Rendering an accepted
-// mutant must not crash either.
-TEST(Report, TraceMutationsAreAcceptedOrRejectedCleanly) {
-  const std::string base = kShardTrace;
-  support::Rng rng(22);
+// Seeded mutations of a small document — every truncation, then 3000 byte
+// flips and rewrites and 1000 splices — run through the reader chain
+// json_parse -> <validate> -> ReportBuilder::add_document. Each input must
+// be accepted, or rejected with a reason, and add_document must accept
+// exactly what the validator accepts. Rendering an accepted mutant must not
+// crash either. Returns the (accepted, rejected) counts.
+using Validator = bool (*)(const obs::JsonValue&, std::string*);
+std::pair<std::size_t, std::size_t> check_mutations(const std::string& base,
+                                                    Validator validate,
+                                                    std::uint64_t seed) {
+  support::Rng rng(seed);
   std::vector<std::string> mutants;
   for (std::size_t len = 0; len < base.size(); ++len)
     mutants.push_back(base.substr(0, len));
@@ -485,11 +502,11 @@ TEST(Report, TraceMutationsAreAcceptedOrRejectedCleanly) {
       continue;
     }
     std::string verror;
-    const bool valid = obs::trace_validate(doc, &verror);
+    const bool valid = validate(doc, &verror);
     obs::ReportBuilder b;
     error.clear();
     const bool ingested = b.add_document(doc, "m.json", &error);
-    ASSERT_EQ(valid, ingested) << m;
+    EXPECT_EQ(valid, ingested) << m;
     if (!valid) {
       EXPECT_FALSE(verror.empty()) << m;
       EXPECT_FALSE(error.empty()) << m;
@@ -502,9 +519,84 @@ TEST(Report, TraceMutationsAreAcceptedOrRejectedCleanly) {
     b.write_json(js, 0.10);
     EXPECT_FALSE(md.str().empty());
   }
+  return {accepted, rejected};
+}
+
+bool trace_valid(const obs::JsonValue& doc, std::string* error) {
+  return obs::trace_validate(doc, error);
+}
+
+TEST(Report, TraceMutationsAreAcceptedOrRejectedCleanly) {
+  const auto [accepted, rejected] =
+      check_mutations(kShardTrace, trace_valid, 22);
   // The budget reaches both outcomes.
   EXPECT_GT(accepted, 100u);
   EXPECT_GT(rejected, 1000u);
+}
+
+TEST(Report, RunMutationsAreAcceptedOrRejectedCleanly) {
+  for (const char* base : {kRunManifest, kBenchCapture}) {
+    const auto [accepted, rejected] =
+        check_mutations(base, obs::run_validate, 23);
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 1000u);
+  }
+}
+
+TEST(Report, SweepMutationsAreAcceptedOrRejectedCleanly) {
+  const auto [accepted, rejected] =
+      check_mutations(kSweep, obs::sweep_validate, 24);
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+// The fields the report reads from run.v1, sweep.v1 and event streams are
+// checked before anything is ingested: a negative or oversized size, count
+// or round fails with "<source>: <reason>".
+TEST(Report, RunWithNegativeSizeAndCountIsRejected) {
+  std::string text = kRunManifest;
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{R"("n": 512)", R"("n": -3)"},
+        {R"("count": 20)", R"("count": -1)"}}) {
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, from.size(), to);
+  }
+  obs::ReportBuilder b;
+  std::string error;
+  EXPECT_FALSE(b.add_document(parse(text.c_str()), "bad.json", &error));
+  EXPECT_EQ(error.rfind("bad.json: run.v1: graph.n", 0), 0u) << error;
+  EXPECT_FALSE(b.set_baseline(parse(text.c_str()), "old.json", &error));
+  EXPECT_EQ(error.rfind("old.json: ", 0), 0u) << error;
+  const obs::JsonValue doc = report_json(b);
+  EXPECT_TRUE(doc.get("inputs").array.empty());
+  EXPECT_TRUE(doc.get("stabilization").array.empty());
+}
+
+TEST(Report, SweepWithOversizedPointIsRejected) {
+  std::string text = kSweep;
+  const std::string from = R"("n": 65536)";
+  const std::size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, from.size(), R"("n": 1e300)");
+  obs::ReportBuilder b;
+  std::string error;
+  EXPECT_FALSE(b.add_document(parse(text.c_str()), "bad.json", &error));
+  EXPECT_EQ(error.rfind("bad.json: sweep.v1: points[4]", 0), 0u) << error;
+  EXPECT_TRUE(rows(b, "stabilization").empty());
+}
+
+TEST(Report, EventWithNegativeRoundIsRejected) {
+  obs::ReportBuilder b;
+  std::string error;
+  EXPECT_EQ(b.add_events("{\"round\":1,\"active\":5}\n"
+                         "{\"round\":-1,\"active\":0}\n",
+                         "bad.jsonl", &error),
+            0u);
+  EXPECT_EQ(error.rfind("bad.jsonl: line 2: ", 0), 0u) << error;
+  const obs::JsonValue doc = report_json(b);
+  EXPECT_TRUE(doc.get("inputs").array.empty());
+  EXPECT_TRUE(doc.get("stabilization").array.empty());
 }
 
 TEST(Report, JsonOutputRoundTripsAndMarkdownMentionsBaseline) {
@@ -548,7 +640,7 @@ TEST(Report, IngestFileAutoDetectsKind) {
   EXPECT_TRUE(obs::report_ingest_file(b, events_path, &error)) << error;
   EXPECT_FALSE(obs::report_ingest_file(b, garbage_path, &error));
   EXPECT_FALSE(obs::report_ingest_file(b, dir + "does_not_exist", &error));
-  EXPECT_EQ(b.stabilization_rows().size(), 2u);
+  EXPECT_EQ(rows(b, "stabilization").size(), 2u);
 }
 
 }  // namespace
