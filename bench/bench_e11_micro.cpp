@@ -378,7 +378,8 @@ BENCHMARK(BM_FaultWave)
 /// Erdős–Rényi instance (avg degree 8, sharded kernel, one shard). The
 /// harness arm is what runners and the e2e bench do after a solve —
 /// mis_members() plus mis::is_mis; the probe arm is one invariant probe
-/// at a stabilization edge (level range, mis_members, fused check).
+/// at a stabilization edge with no snapshot to patch: the level pack,
+/// then I_t and its domination derived from the packed bits.
 void BM_VerifySettled(benchmark::State& state, bool probe) {
   constexpr std::size_t kN = std::size_t{1} << 20;
   const graph::Graph g = make_er(kN);
@@ -403,6 +404,42 @@ BENCHMARK_CAPTURE(BM_VerifySettled, harness, false)
     ->Repetitions(5)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_VerifySettled, probe, true)
+    ->Repetitions(5)
+    ->Unit(benchmark::kMillisecond);
+
+/// Verifying after a fault wave: the BM_VerifySettled instance takes a
+/// corrupt_random(1000) wave per iteration and re-stabilizes (untimed),
+/// then one settled probe is timed. The fresh arm is the stateless full
+/// check; the incremental arm is one long-lived make_invariant_probe,
+/// whose snapshot from the previous wave leaves only the O(n) level pack
+/// and the rows around the touched vertices.
+void BM_VerifyAfterWave(benchmark::State& state, bool incremental) {
+  constexpr std::size_t kN = std::size_t{1} << 20;
+  const graph::Graph g = make_er(kN);
+  core::FastMisEngine fast(g, core::lmax_global_delta(g), 1, {},
+                           beep::Duplex::Full, core::KernelKind::Sharded, 1);
+  support::Rng irng(1);
+  core::apply_init(fast, core::InitPolicy::UniformRandom, irng);
+  fast.run_to_stabilization(100000);
+  const obs::InvariantProbe probe = core::make_invariant_probe(fast);
+  bool ok = probe(true).maximal;
+  support::Rng frng(2);
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::corrupt_random(fast, 1000, frng);
+    fast.run_to_stabilization(100000);
+    state.ResumeTiming();
+    const obs::InvariantProbeResult r =
+        incremental ? probe(true) : core::probe_invariants(fast, true);
+    ok = ok && r.independent && r.maximal && r.levels_in_range;
+    benchmark::DoNotOptimize(ok);
+  }
+  if (!ok) state.SkipWithError("re-stabilized configuration failed a probe");
+}
+BENCHMARK_CAPTURE(BM_VerifyAfterWave, fresh, false)
+    ->Repetitions(5)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_VerifyAfterWave, incremental, true)
     ->Repetitions(5)
     ->Unit(benchmark::kMillisecond);
 

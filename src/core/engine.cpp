@@ -4,6 +4,7 @@
 
 #include "src/beep/fault.hpp"
 #include "src/core/fast_engine.hpp"
+#include "src/core/level_bits.hpp"
 #include "src/core/lmax.hpp"
 #include "src/core/selfstab_mis.hpp"
 #include "src/core/selfstab_mis2.hpp"
@@ -151,12 +152,15 @@ class ReferenceEngine final : public Engine {
   std::vector<bool> mis_members() const override {
     return a1_ != nullptr ? a1_->mis_members() : a2_->mis_members();
   }
-  bool levels_in_range() const override {
-    for (graph::VertexId v = 0; v < graph().vertex_count(); ++v) {
-      const std::int32_t l = level(v);
-      if (l < member_level(v) || l > lmax(v)) return false;
-    }
-    return true;
+  bool pack_levels(std::span<std::uint64_t> capped,
+                   std::span<std::uint64_t> candidate) const override {
+    if (a1_ != nullptr)
+      return pack_level_bits(
+          a1_->levels(), a1_->lmax_vector(),
+          [](std::int32_t cap) { return -cap; }, capped, candidate);
+    return pack_level_bits(
+        a2_->levels(), a2_->lmax_vector(),
+        [](std::int32_t /*cap*/) { return 0; }, capped, candidate);
   }
 
   void corrupt(graph::VertexId v, support::Rng& rng) override {

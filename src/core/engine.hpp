@@ -170,9 +170,14 @@ class Engine {
   virtual bool is_stabilized() const = 0;
   /// Current I_t.
   virtual std::vector<bool> mis_members() const = 0;
-  /// Every ℓ(v) lies in the variant's admissible window
-  /// [member_level(v), lmax(v)] — true at every round of a correct run.
-  virtual bool levels_in_range() const = 0;
+  /// Packs the level bits every verification reads, in one pass: bit
+  /// v % 64 of word v / 64 of `capped` is ℓ(v) = lmax(v), of `candidate`
+  /// is ℓ(v) = member_level(v). Both spans hold ⌈n/64⌉ words; bits past n
+  /// are zero. Returns whether every ℓ(v) lies in the variant's admissible
+  /// window [member_level(v), lmax(v)] — true at every round of a correct
+  /// run.
+  virtual bool pack_levels(std::span<std::uint64_t> capped,
+                           std::span<std::uint64_t> candidate) const = 0;
 
   /// Overwrites v's RAM with an arbitrary in-range value drawn from `rng` —
   /// the paper's transient-fault model, mid-run. Draw-for-draw identical

@@ -4,6 +4,7 @@
 #include <bit>
 #include <utility>
 
+#include "src/core/level_bits.hpp"
 #include "src/core/round_kernel.hpp"
 #include "src/obs/perf.hpp"
 #include "src/obs/timing.hpp"
@@ -299,27 +300,15 @@ template <typename Policy>
 std::vector<bool> FastEngine<Policy>::mis_members() const {
   // settles_as_member for every vertex, read from the levels alone (never
   // from the kernel's settlement, which this recomputation cross-checks).
-  // The "at cap" bits are packed first, so a member row tests n bits of
+  // The level bits are packed first, so a member row tests n bits of
   // cache-resident words instead of two n-entry arrays.
   const std::size_t n = levels_.size();
   const std::size_t words = (n + 63) / 64;
-  const auto pack = [&](std::size_t w, auto&& bit) {
-    const std::size_t base = w * 64;
-    const std::size_t count = std::min<std::size_t>(64, n - base);
-    std::uint64_t bits = 0;
-    for (std::size_t k = 0; k < count; ++k)
-      bits |= std::uint64_t{bit(base + k)} << k;
-    return bits;
-  };
-  std::vector<std::uint64_t> capped(words);
-  for (std::size_t w = 0; w < words; ++w)
-    capped[w] = pack(w, [&](std::size_t v) { return levels_[v] == lmax_[v]; });
+  std::vector<std::uint64_t> capped(words), candidate(words);
+  pack_levels(capped, candidate);
   std::vector<bool> in(n, false);
   for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t candidates = pack(w, [&](std::size_t v) {
-      return levels_[v] == Policy::member_level(lmax_[v]);
-    });
-    for (std::uint64_t c = candidates; c != 0; c &= c - 1) {
+    for (std::uint64_t c = candidate[w]; c != 0; c &= c - 1) {
       const auto v = static_cast<graph::VertexId>(w * 64 + std::countr_zero(c));
       std::uint64_t all = 1;
       for (graph::VertexId u : graph_->neighbors(v))
@@ -331,12 +320,13 @@ std::vector<bool> FastEngine<Policy>::mis_members() const {
 }
 
 template <typename Policy>
-bool FastEngine<Policy>::levels_in_range() const {
-  bool ok = true;
-  for (std::size_t v = 0; v < levels_.size(); ++v)
-    ok &= levels_[v] >= Policy::member_level(lmax_[v]) &&
-          levels_[v] <= lmax_[v];
-  return ok;
+bool FastEngine<Policy>::pack_levels(
+    std::span<std::uint64_t> capped,
+    std::span<std::uint64_t> candidate) const {
+  return pack_level_bits(
+      levels_, lmax_,
+      [](std::int32_t cap) { return Policy::member_level(cap); }, capped,
+      candidate);
 }
 
 template class FastEngine<Alg1Policy>;

@@ -234,7 +234,8 @@ class FastEngine final : public Engine {
 
   bool is_stabilized() const override;
   std::vector<bool> mis_members() const override;
-  bool levels_in_range() const override;
+  bool pack_levels(std::span<std::uint64_t> capped,
+                   std::span<std::uint64_t> candidate) const override;
 
   /// Mid-run transient fault (draw-identical to the reference algorithm's
   /// corrupt_node). Under noise the settlement is merely marked stale; on

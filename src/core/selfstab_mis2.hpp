@@ -45,6 +45,9 @@ class SelfStabMisTwoChannel : public beep::BeepingAlgorithm {
   // --- State access ------------------------------------------------------
   std::int32_t level(graph::VertexId v) const { return levels_[v]; }
   std::int32_t lmax(graph::VertexId v) const { return lmax_[v]; }
+  /// Every ℓ(v) and every ℓmax(v), indexed by vertex.
+  const std::vector<std::int32_t>& levels() const noexcept { return levels_; }
+  const LmaxVector& lmax_vector() const noexcept { return lmax_; }
   Knowledge knowledge() const noexcept { return knowledge_; }
 
   /// Sets ℓ(v); aborts if outside [0, ℓmax(v)].

@@ -17,9 +17,14 @@ namespace beepmis::obs {
 /// One look at the engine's settlement view, as produced by an
 /// InvariantProbe (core::make_invariant_probe builds one over any
 /// core::Engine; the obs layer cannot see the engine itself, mirroring
-/// FlightRecorder::LevelProbe). The level-range check walks every level,
-/// O(n); the settlement checks (independence, maximality) also walk every
-/// edge of the claimed membership, O(n + m), and run only when settled.
+/// FlightRecorder::LevelProbe). Every probe packs the levels into n-bit
+/// words in one O(n) scan, which also yields the level-range verdict. The
+/// settlement checks (independence, maximality) run only when settled:
+/// the probe keeps the bits of its last settled check, so a settled check
+/// adds an O(n/64) word diff and scan plus O(|N²(changed)|) row work
+/// around the vertices whose level bits changed. Its first settled check,
+/// and one after a change too large to patch, walks the candidates' rows
+/// in full, O(n + m).
 struct InvariantProbeResult {
   /// Engine claims S_t = V (every vertex settled as member or dominated).
   bool stabilized = false;
@@ -38,7 +43,7 @@ struct InvariantProbeResult {
 /// (active == 0). The probe is *settled* when that claim holds or the engine
 /// reports `stabilized` — the only cases in which InvariantMonitor and
 /// RecoveryTracker read `independent`/`maximal`; otherwise both keep their
-/// passing defaults and the probe costs only the O(n) level-range check.
+/// passing defaults and the probe costs only the O(n) level pack.
 using InvariantProbe =
     std::function<InvariantProbeResult(bool claims_stabilized)>;
 
@@ -55,9 +60,10 @@ struct InvariantViolation {
 struct InvariantConfig {
   /// Probe the level-range invariant every `cadence` rounds (0 = only at
   /// stabilization edges). A mid-convergence cadence probe is the O(n)
-  /// level-range check; the O(n + m) settlement checks run once per
-  /// stabilization edge whatever the cadence. CI bounds the total at
-  /// Monitor/NoSink ≤ 1.35 on BM_FastEngineRun_*/10240.
+  /// level pack; the settlement checks run once per stabilization edge
+  /// whatever the cadence, each an O(n) scan plus O(|N²(changed)|) row
+  /// work since the previous edge (O(n + m) at the first). CI bounds the
+  /// total at Monitor/NoSink ≤ 1.35 on BM_FastEngineRun_*/10240.
   std::uint64_t cadence = 64;
 };
 
@@ -192,7 +198,9 @@ class RecoveryTracker final : public RoundObserver {
 
   /// Closes any still-open epoch at the end of the run (`round` = final
   /// engine round). Probes once to distinguish a masked fault (still
-  /// stabilized, never unsettled) from a stall.
+  /// stabilized, never unsettled) from a stall. The probe claims nothing,
+  /// so when it finds the engine settled it judges it with a full check
+  /// (core::make_invariant_probe), never a patch of an earlier snapshot.
   void finalize(std::uint64_t round);
 
   const RecoveryConfig& config() const noexcept { return config_; }

@@ -88,9 +88,10 @@ Session::Session(support::ArgParser& args, std::string tool,
                 "maximality at stabilization, level range periodically");
   args.add_option("monitor-every", "64",
                   "level-range probe cadence in rounds for --monitor (each "
-                  "probe is O(n); the O(n + m) independence/maximality "
-                  "check runs once per stabilization edge; 0 = "
-                  "stabilization edges only)");
+                  "probe is O(n); the independence/maximality check runs "
+                  "once per stabilization edge, in full the first time, "
+                  "then only around the vertices whose levels changed; "
+                  "0 = stabilization edges only)");
   args.add_option("recovery-out", "",
                   "write the deterministic beepmis.recovery.v1 fault → "
                   "re-stabilization epochs here (implies recovery tracking)");
