@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bench/bench_util.hpp"
 #include "src/beep/network.hpp"
 #include "src/core/engine.hpp"
 #include "src/core/fast_engine.hpp"
@@ -37,7 +36,6 @@
 #include "src/mis/verifier.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/perf.hpp"
 #include "src/obs/recovery.hpp"
 #include "src/obs/session.hpp"
 #include "src/obs/sink.hpp"
@@ -156,7 +154,6 @@ void BM_EngineRun(benchmark::State& state, core::Variant variant,
   const graph::Graph g = make_er(n);
   std::uint64_t seed = 0;
   std::uint64_t rounds = 0;
-  bench::PerfCapture perf;
   for (auto _ : state) {
     core::EngineConfig config;
     config.variant = variant;
@@ -169,8 +166,6 @@ void BM_EngineRun(benchmark::State& state, core::Variant variant,
     rounds += engine->run_to_stabilization(100000);
     benchmark::DoNotOptimize(engine->round());
   }
-  for (const auto& [cname, v] : perf.per_iteration(state.iterations()))
-    state.counters[cname] = v;
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds) *
                           static_cast<std::int64_t>(n));
 }
@@ -217,7 +212,6 @@ void BM_FastEngineRun_NoSink(benchmark::State& state) {
   const auto lmax = core::lmax_global_delta(g);
   std::uint64_t seed = 0;
   std::uint64_t rounds = 0;
-  bench::PerfCapture perf;
   for (auto _ : state) {
     core::FastMisEngine fast(g, lmax, ++seed);
     support::Rng irng(seed);
@@ -229,8 +223,6 @@ void BM_FastEngineRun_NoSink(benchmark::State& state) {
     rounds += fast.run_to_stabilization(100000);
     benchmark::DoNotOptimize(fast.round());
   }
-  for (const auto& [cname, v] : perf.per_iteration(state.iterations()))
-    state.counters[cname] = v;
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds) *
                           static_cast<std::int64_t>(n));
 }
@@ -246,7 +238,6 @@ void BM_FastEngineKernel(benchmark::State& state, core::KernelKind kernel) {
   const auto lmax = core::lmax_global_delta(g);
   std::uint64_t seed = 0;
   std::uint64_t rounds = 0;
-  bench::PerfCapture perf;
   for (auto _ : state) {
     core::FastMisEngine fast(g, lmax, ++seed, {}, beep::Duplex::Full,
                              kernel);
@@ -259,8 +250,6 @@ void BM_FastEngineKernel(benchmark::State& state, core::KernelKind kernel) {
     rounds += fast.run_to_stabilization(100000);
     benchmark::DoNotOptimize(fast.round());
   }
-  for (const auto& [cname, v] : perf.per_iteration(state.iterations()))
-    state.counters[cname] = v;
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds) *
                           static_cast<std::int64_t>(n));
 }
@@ -520,7 +509,6 @@ void BM_FastEngineRun_Observer(benchmark::State& state) {
   const auto lmax = core::lmax_global_delta(g);
   std::uint64_t seed = 0;
   std::uint64_t rounds = 0;
-  bench::PerfCapture perf;
   for (auto _ : state) {
     core::FastMisEngine fast(g, lmax, ++seed);
     NullObserver null;
@@ -534,8 +522,6 @@ void BM_FastEngineRun_Observer(benchmark::State& state) {
     rounds += fast.run_to_stabilization(100000);
     benchmark::DoNotOptimize(fast.round());
   }
-  for (const auto& [cname, v] : perf.per_iteration(state.iterations()))
-    state.counters[cname] = v;
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds) *
                           static_cast<std::int64_t>(n));
 }
@@ -559,7 +545,6 @@ void BM_FastEngineRun_Monitor(benchmark::State& state) {
   monitored.recovery.recovery_bound = exp::default_recovery_bound(n);
   std::uint64_t seed = 0;
   std::uint64_t rounds = 0;
-  bench::PerfCapture perf;
   for (auto _ : state) {
     core::FastMisEngine fast(g, lmax, ++seed);
     obs::ObserverStack stack(monitored, obs::FlightContext{}, nullptr,
@@ -575,8 +560,6 @@ void BM_FastEngineRun_Monitor(benchmark::State& state) {
     stack.finalize(fast.round());
     benchmark::DoNotOptimize(fast.round());
   }
-  for (const auto& [cname, v] : perf.per_iteration(state.iterations()))
-    state.counters[cname] = v;
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds) *
                           static_cast<std::int64_t>(n));
 }
@@ -611,36 +594,6 @@ void BM_FastEngineRun_Tracer(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_FastEngineRun_Tracer)->Arg(10240);
-
-/// Same workload with a live hardware-profiling session (default stride:
-/// group-read every 64th round plus every settlement refresh) — the ratio
-/// of this to BM_FastEngineRun_NoSink is the profiler's wall-clock overhead
-/// (budgeted at ≤ 2%, which is what the ordinal sampling buys). On hosts
-/// where perf_event_open is denied the session is inert and this measures
-/// the disarmed-scope cost (one relaxed load per round).
-void BM_FastEngineRun_Profiler(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const graph::Graph g = make_er(n);
-  const auto lmax = core::lmax_global_delta(g);
-  obs::PerfSession::instance().enable(/*sample_every=*/64);
-  std::uint64_t seed = 0;
-  std::uint64_t rounds = 0;
-  for (auto _ : state) {
-    core::FastMisEngine fast(g, lmax, ++seed);
-    support::Rng irng(seed);
-    for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
-      const auto span = static_cast<std::uint64_t>(2 * lmax[v] + 1);
-      fast.set_level(v,
-                     static_cast<std::int32_t>(irng.below(span)) - lmax[v]);
-    }
-    rounds += fast.run_to_stabilization(100000);
-    benchmark::DoNotOptimize(fast.round());
-  }
-  obs::PerfSession::instance().disable();
-  state.SetItemsProcessed(static_cast<std::int64_t>(rounds) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FastEngineRun_Profiler)->Arg(10240);
 
 /// Pre-pool baseline for the sweep-parallelization claim: the exact serial
 /// replica loop run_scaling_sweep used before the worker pool existed —
@@ -725,9 +678,8 @@ BENCHMARK(BM_RngBernoulliPow2);
 
 /// Console output as usual, plus every benchmark captured as gauges for
 /// the machine-readable dump: "<name>.real_ns", ".cpu_ns", ".iterations",
-/// and one ".<counter>" gauge per user counter — which is items_per_second
-/// plus, when the host grants perf_event_open, the PerfCapture hardware
-/// counters (".instructions", ".cache_misses", ...). A benchmark run with
+/// and one ".<counter>" gauge per user counter (items_per_second and any
+/// the benchmark sets). A benchmark run with
 /// Repetitions() is recorded by its median aggregate under the same names,
 /// plus ".real_ns_stddev" (the spread of its repetitions) and
 /// ".repetitions"; ".iterations" is then the count per repetition.
@@ -811,13 +763,6 @@ int main(int argc, char** argv) {
     man.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - wall_start)
                       .count();
-    // Whether the ".instructions"/".cache_misses" gauges could exist at
-    // all on this host — consumers should treat their absence as
-    // "counters denied", not "benchmark regressed to zero".
-    {
-      beepmis::obs::PerfGroup probe;
-      man.profiling = probe.open() ? "available" : "unavailable";
-    }
     std::ofstream out(bench_out);
     if (!out) {
       std::cerr << "cannot open " << bench_out << "\n";

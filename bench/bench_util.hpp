@@ -4,12 +4,10 @@
 /// prints a banner naming the paper artifact it regenerates, then one or
 /// more support::Table blocks, so bench_output.txt is self-describing.
 
-#include <cstdint>
 #include <cstdio>
 #include <utility>
 #include <vector>
 
-#include "src/obs/perf.hpp"
 #include "src/support/fit.hpp"
 #include "src/support/table.hpp"
 
@@ -33,37 +31,5 @@ inline void print_growth_ranking(
   }
   std::printf("expected by the paper: %s\n", expected);
 }
-
-/// Per-benchmark hardware-counter capture: opens an obs::PerfGroup on
-/// construction and turns the cumulative deltas into per-iteration values
-/// for google-benchmark's state.counters. Construct right before the timing
-/// loop, call per_iteration(state.iterations()) right after it. When
-/// perf_event_open is denied (paranoid sysctl, no PMU in the container) the
-/// result is simply empty — the bench still runs and reports timing.
-class PerfCapture {
- public:
-  PerfCapture() { armed_ = group_.open() && group_.read(&start_); }
-
-  /// (counter-name, delta / iterations) for every counter the kernel
-  /// granted; empty when unavailable or `iterations` is 0.
-  std::vector<std::pair<const char*, double>> per_iteration(
-      std::uint64_t iterations) {
-    std::vector<std::pair<const char*, double>> out;
-    obs::PerfGroup::Reading now{};
-    if (!armed_ || iterations == 0 || !group_.read(&now)) return out;
-    for (std::size_t i = 0; i < obs::PerfGroup::kCounters; ++i) {
-      if ((group_.mask() & (1u << i)) == 0) continue;
-      out.emplace_back(obs::PerfGroup::counter_name(i),
-                       (now.value[i] - start_.value[i]) /
-                           static_cast<double>(iterations));
-    }
-    return out;
-  }
-
- private:
-  obs::PerfGroup group_;
-  obs::PerfGroup::Reading start_{};
-  bool armed_ = false;
-};
 
 }  // namespace beepmis::bench

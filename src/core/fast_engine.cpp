@@ -6,7 +6,6 @@
 
 #include "src/core/level_bits.hpp"
 #include "src/core/round_kernel.hpp"
-#include "src/obs/perf.hpp"
 #include "src/obs/timing.hpp"
 #include "src/support/check.hpp"
 
@@ -66,7 +65,6 @@ void FastEngine<Policy>::settle() const {
   if (!kernel_stale_) return;
   obs::ScopedTimer timer(refresh_timer_, refresh_digest_,
                          "engine.refresh_settlement");
-  obs::PerfSpanScope perf("engine.refresh_settlement");
   // Dense rounds never run the kernel, so they only need its settlement.
   if (dense_)
     kernel_->refresh_settlement();
@@ -116,11 +114,6 @@ void FastEngine<Policy>::corrupt(graph::VertexId v, support::Rng& rng) {
 template <typename Policy>
 void FastEngine<Policy>::step() {
   obs::TraceScope span("engine.round", round_ + 1);
-  // Hardware counters per round, sampled every sample_interval()-th round:
-  // a group read is a syscall, so the per-round site must stay under the
-  // same ≤2% budget as the tracer. Each sample still covers exactly one
-  // round, so instructions/round derivations stay per-round means.
-  obs::PerfSpanScope perf("engine.round", round_ + 1);
   if (dense_) {
     step_dense();
     return;

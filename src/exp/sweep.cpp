@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/obs/perf.hpp"
 #include "src/obs/timing.hpp"
 #include "src/support/check.hpp"
 
@@ -106,7 +105,6 @@ std::vector<SweepPoint> run_scaling_sweep(Family family,
   for (std::size_t i = 0; i < config.sizes.size(); ++i) {
     obs::TraceScope point_span(
         "sweep.point", static_cast<std::uint64_t>(config.sizes[i]));
-    obs::PerfSpanScope point_perf("sweep.point");
     SweepPoint pt;
     pt.family = family;
     for (std::size_t s = 0; s < seeds; ++s, ++t) {

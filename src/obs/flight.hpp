@@ -203,7 +203,7 @@ bool flight_context_validate(const JsonValue& context, std::string* error);
 
 /// Strict structural validation of a parsed "beepmis.dump.v1" document —
 /// the shared path used by beepmis_trace_check and the tests (mirrors
-/// obs::profile_validate / obs::recovery_validate). Returns false with
+/// obs::recovery_validate). Returns false with
 /// `error` set on any malformed field; fills the optional counts for
 /// one-line reports.
 bool dump_validate(const JsonValue& doc, std::string* error,

@@ -121,9 +121,8 @@ void write_run_json(std::ostream& os, const RunManifest& m,
 
   w.key("obs").begin_object();
   w.field("trace_dropped", m.trace_dropped);
-  w.field("profiling", m.profiling);
   // Peak RSS sampled here, at finalize, so it covers the whole run; the
-  // string form keeps the graceful-degradation convention of "profiling".
+  // string form marks a host that does not expose it.
   if (const std::uint64_t rss = peak_rss_bytes(); rss != 0)
     w.field("peak_rss_bytes", rss);
   else

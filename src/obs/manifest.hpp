@@ -39,10 +39,6 @@ struct RunManifest {
   /// Tracing-session ring overwrites (Tracer::dropped_spans at export); 0
   /// when tracing was off or nothing fell off the rings.
   std::uint64_t trace_dropped = 0;
-  /// Hardware-profiling state: "off" (not requested), "available" (counters
-  /// opened and recorded) or "unavailable" (requested, but perf_event_open
-  /// was denied — the documented graceful-degradation path).
-  std::string profiling = "off";
 
   /// Free-form string key/values (results, tool-specific knobs). Serialized
   /// under "extra" in declaration order.
@@ -79,7 +75,7 @@ std::uint64_t peak_rss_bytes();
 ///   {"schema": "beepmis.run.v1", "tool": ..., "timestamp": ...,
 ///    "seed": ..., "graph": {...}, "algorithm": {...}, "build": {...},
 ///    "timing": {"wall_ms": ...},
-///    "obs": {"trace_dropped": ..., "profiling": ...},
+///    "obs": {"trace_dropped": ..., "peak_rss_bytes": ...},
 ///    "extra": {...}, "metrics": {...}}
 /// `metrics` may be null, in which case the "metrics" member is an empty
 /// object. The output is a single JSON document followed by a newline.

@@ -49,6 +49,13 @@ using InvariantProbe =
 
 /// The three online invariants the monitor watches. Violations latch into
 /// the FlightRecorder as the matching AnomalyKind::Invariant* anomalies.
+/// The three safety properties the monitor latches. Independence cannot
+/// fail on a correct verifier: I_t is derived from the levels (a member sits
+/// at its member level with every neighbour at its cap), every engine
+/// requires ℓmax(v) ≥ 2, and the member level (−ℓmax under Algorithm 1, 0
+/// under Algorithm 2) is never the cap, so no level assignment puts two
+/// members side by side. An Independence latch therefore reports a fault
+/// in the verifier's own packed bookkeeping; it stays as a safety check.
 enum class InvariantKind { Independence, Maximality, LevelRange };
 std::string invariant_kind_name(InvariantKind kind);
 

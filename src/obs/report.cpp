@@ -13,7 +13,6 @@
 #include "src/obs/flight.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/manifest.hpp"
-#include "src/obs/perf.hpp"
 #include "src/obs/recovery.hpp"
 #include "src/obs/sink.hpp"
 #include "src/obs/trace.hpp"
@@ -52,14 +51,13 @@ struct ReportSection {
 namespace {
 
 constexpr std::string_view kStabSuffix = ".rounds_to_stabilize";
-constexpr std::string_view kInstrSuffix = ".instructions";
 constexpr std::string_view kCpuSuffix = ".cpu_ns";
 constexpr std::string_view kRealSuffix = ".real_ns";
 /// Benchmarks registered with UseRealTime() carry this name suffix; their
 /// cpu_ns counts only the main thread, so they are gated on real_ns too.
 constexpr std::string_view kRealTimeName = "/real_time";
 
-/// Context values in profile and trace documents are strings (set_context is
+/// Context values in trace documents are strings (set_context is
 /// string->string); tolerate a raw number anyway.
 std::uint64_t context_u64(const JsonValue& ctx, const char* key) {
   const JsonValue& v = ctx.get(key);
@@ -74,12 +72,10 @@ bool ends_with(std::string_view s, std::string_view suffix) {
 }
 
 /// Splits a bench capture's gauges into the gated maps, keyed by the
-/// benchmark name: every cpu_ns, the real_ns of real-time benchmarks, and
-/// the instruction counts.
+/// benchmark name: every cpu_ns and the real_ns of real-time benchmarks.
 void read_bench_gauges(const JsonValue& doc,
                        std::map<std::string, double>* cpu_ns,
-                       std::map<std::string, double>* real_ns,
-                       std::map<std::string, double>* instr) {
+                       std::map<std::string, double>* real_ns) {
   for (const auto& [name, g] : doc.get("metrics").get("gauges").object) {
     if (ends_with(name, kCpuSuffix)) {
       (*cpu_ns)[name.substr(0, name.size() - kCpuSuffix.size())] =
@@ -88,9 +84,6 @@ void read_bench_gauges(const JsonValue& doc,
       const std::string bench =
           name.substr(0, name.size() - kRealSuffix.size());
       if (ends_with(bench, kRealTimeName)) (*real_ns)[bench] = g.as_number();
-    } else if (ends_with(name, kInstrSuffix)) {
-      (*instr)[name.substr(0, name.size() - kInstrSuffix.size())] =
-          g.as_number();
     }
   }
 }
@@ -251,19 +244,6 @@ ReportSection time_regression_section(
   return s;
 }
 
-ReportSection instruction_regression_section(
-    const std::vector<ReportBuilder::BenchDelta>& deltas) {
-  ReportSection s{"instruction_regressions", nullptr, nullptr, nullptr,
-                  nullptr,
-                  {{"benchmark", "benchmark"},
-                   {"baseline_instructions", "baseline instr", "%.0f"},
-                   {"current_instructions", "current instr", "%.0f"},
-                   {"ratio", "ratio", "%.3f"}}};
-  for (const auto& d : deltas)
-    s.rows.push_back({d.name, d.baseline, d.current, d.ratio});
-  return s;
-}
-
 }  // namespace
 
 void ReportBuilder::merge_summary(const StabKey& key, std::uint64_t count,
@@ -309,30 +289,7 @@ bool ReportBuilder::add_document(const JsonValue& doc,
           d.get("p95").as_number(), d.get("p99").as_number(),
           d.get("min").as_number(), d.get("max").as_number());
     }
-    read_bench_gauges(doc, &current_cpu_ns_, &current_real_ns_,
-                      &current_instr_);
-    return true;
-  }
-  if (schema == "beepmis.profile.v1") {
-    if (!profile_validate(doc, &verror)) return reject();
-    sources_.push_back(source);
-    // An unavailable profile validates with an empty span set — it is
-    // listed as ingested but contributes no row.
-    if (doc.get("spans").object.empty()) return true;
-    const JsonValue& ctx = doc.get("context");
-    const StabKey key{ctx.get("algorithm").as_string("?"),
-                      ctx.get("family").as_string("?"),
-                      context_u64(ctx, "n")};
-    ProfileAccum& acc = profile_[key];
-    acc.m = std::max(acc.m, context_u64(ctx, "m"));
-    for (const auto& [span_name, span] : doc.get("spans").object) {
-      for (const auto& [cname, st] : span.object) {
-        WeightedSum& cs = acc.spans[span_name][cname];
-        cs.sum += st.get("sum").as_number(0.0);
-        cs.count +=
-            static_cast<std::uint64_t>(st.get("count").as_number(0.0));
-      }
-    }
+    read_bench_gauges(doc, &current_cpu_ns_, &current_real_ns_);
     return true;
   }
   if (schema == "beepmis.recovery.v1") {
@@ -525,9 +482,7 @@ bool ReportBuilder::set_baseline(const JsonValue& doc,
   }
   baseline_cpu_ns_.clear();
   baseline_real_ns_.clear();
-  baseline_instr_.clear();
-  read_bench_gauges(doc, &baseline_cpu_ns_, &baseline_real_ns_,
-                    &baseline_instr_);
+  read_bench_gauges(doc, &baseline_cpu_ns_, &baseline_real_ns_);
   if (baseline_cpu_ns_.empty()) {
     if (error != nullptr)
       *error = source + ": baseline has no *.cpu_ns gauges";
@@ -562,19 +517,6 @@ std::vector<ReportBuilder::BenchDelta> ReportBuilder::bench_deltas() const {
 std::vector<ReportBuilder::BenchDelta> ReportBuilder::regressions(
     double tolerance) const {
   return over_tolerance(bench_deltas(), tolerance);
-}
-
-std::vector<ReportBuilder::BenchDelta> ReportBuilder::instruction_deltas()
-    const {
-  std::vector<BenchDelta> out;
-  if (have_baseline_)
-    append_deltas(current_instr_, baseline_instr_, "instructions", &out);
-  return out;
-}
-
-std::vector<ReportBuilder::BenchDelta> ReportBuilder::instruction_regressions(
-    double tolerance) const {
-  return over_tolerance(instruction_deltas(), tolerance);
 }
 
 std::vector<ReportSection> ReportBuilder::sections() const {
@@ -813,70 +755,6 @@ std::vector<ReportSection> ReportBuilder::sections() const {
       "curve.",
       round_ms_, "%.4f", "%.3f"));
 
-  // A metric whose counters the host denied (or whose denominator is
-  // missing, e.g. per-edge without an "m" context entry) is absent: "-" in
-  // the markdown, omitted from report.v1.
-  ReportSection profile{
-      "profile", "Hardware profile", nullptr,
-      "(Sampled perf-counter digests from `beepmis.profile.v1` inputs; `-` "
-      "means the host denied that counter.)",
-      nullptr,
-      {{"algorithm", "algorithm"}, {"family", "family"}, {"n", "n"},
-       {"samples", "samples"}, {"ipc", "IPC", "%.2f"},
-       {"instructions_per_round", "instr/round", "%.0f"},
-       {"cache_misses_per_edge", "cache-miss/edge", "%.3f"},
-       {"branch_miss_rate", nullptr}, {nullptr, "branch-miss", "%.2f%%"},
-       {"task_clock_per_round_ns", "task-clock/round", "%.0fns"}}};
-  const auto metric = [](double v) { return v >= 0.0 ? Cell{v} : Cell{}; };
-  for (const auto& [key, acc] : profile_) {
-    // Ratio columns divide sums aggregated over every span (sampled work
-    // is sampled work wherever it was bracketed).
-    std::map<std::string, WeightedSum> total;
-    for (const auto& [sname, counters] : acc.spans)
-      for (const auto& [cname, cs] : counters) {
-        total[cname].sum += cs.sum;
-        total[cname].count += cs.count;
-      }
-    const auto sum_of = [&total](const char* cname) {
-      const auto it = total.find(cname);
-      return it == total.end() ? 0.0 : it->second.sum;
-    };
-    double ipc = -1.0, branch_miss_rate = -1.0;
-    if (sum_of("cycles") > 0.0 && sum_of("instructions") > 0.0)
-      ipc = sum_of("instructions") / sum_of("cycles");
-    if (sum_of("branches") > 0.0)
-      branch_miss_rate = sum_of("branch_misses") / sum_of("branches");
-
-    // Normalized columns come from the per-round samples specifically —
-    // each "engine.round" sample brackets exactly one round.
-    std::uint64_t samples = 0;
-    double instr_per_round = -1.0, task_clock_per_round_ns = -1.0,
-           cache_miss_per_edge = -1.0;
-    const auto round_it = acc.spans.find("engine.round");
-    if (round_it != acc.spans.end()) {
-      const auto mean_of = [&round_it](const char* cname) {
-        const auto it = round_it->second.find(cname);
-        return it == round_it->second.end() || it->second.count == 0
-                   ? -1.0
-                   : it->second.sum / static_cast<double>(it->second.count);
-      };
-      const auto any = round_it->second.begin();
-      if (any != round_it->second.end()) samples = any->second.count;
-      instr_per_round = mean_of("instructions");
-      task_clock_per_round_ns = mean_of("task_clock_ns");
-      const double miss = mean_of("cache_misses");
-      if (miss >= 0.0 && acc.m > 0)
-        cache_miss_per_edge = miss / static_cast<double>(acc.m);
-    }
-    profile.rows.push_back(
-        {text(std::get<0>(key)), text(std::get<1>(key)),
-         count(std::get<2>(key)), count(samples), metric(ipc),
-         metric(instr_per_round), metric(cache_miss_per_edge),
-         metric(branch_miss_rate), metric(branch_miss_rate * 100.0),
-         metric(task_clock_per_round_ns)});
-  }
-  out.push_back(std::move(profile));
-
   ReportSection dirty{"dirty_inputs", nullptr, nullptr, nullptr, nullptr,
                       {{"", nullptr}}};
   for (const std::string& s : dirty_sources_) dirty.rows.push_back({text(s)});
@@ -958,20 +836,6 @@ void ReportBuilder::write_markdown(std::ostream& os,
     write_table(os, regs);
   }
   os << '\n';
-  const std::size_t icompared = instruction_deltas().size();
-  if (icompared == 0) return;
-  const ReportSection iregs =
-      instruction_regression_section(instruction_regressions(tolerance));
-  if (iregs.rows.empty()) {
-    os << "Instruction counts: every shared benchmark is within "
-          "tolerance across " << icompared << " compared benchmarks.\n";
-  } else {
-    os << "**" << iregs.rows.size()
-       << " instruction-count regression(s)** (less noisy than cpu_ns "
-          "— real code-path growth):\n\n";
-    write_table(os, iregs);
-  }
-  os << '\n';
 }
 
 void ReportBuilder::write_json(std::ostream& os, double tolerance) const {
@@ -989,10 +853,6 @@ void ReportBuilder::write_json(std::ostream& os, double tolerance) const {
     w.field("tolerance", tolerance);
     write_rows(w, time_regression_section(regressions(tolerance)));
     w.field("compared", static_cast<std::uint64_t>(bench_deltas().size()));
-    write_rows(w, instruction_regression_section(
-                      instruction_regressions(tolerance)));
-    w.field("instructions_compared",
-            static_cast<std::uint64_t>(instruction_deltas().size()));
   }
   w.end_object();
 
@@ -1015,8 +875,7 @@ bool run_validate(const JsonValue& doc, std::string* error) {
       return false;
   }
   for (const auto& [name, g] : metrics.get("gauges").object) {
-    if ((ends_with(name, kCpuSuffix) || ends_with(name, kRealSuffix) ||
-         ends_with(name, kInstrSuffix)) &&
+    if ((ends_with(name, kCpuSuffix) || ends_with(name, kRealSuffix)) &&
         !json_is_finite(g))
       return fail(error, "run.v1: gauge " + name + " must be a finite number");
   }

@@ -24,17 +24,16 @@ struct ReportSection;
 /// captures such as BENCH_micro.json), "beepmis.sweep.v1" scaling-sweep
 /// summaries, "beepmis.recovery.v1" recovery artifacts, "beepmis.dump.v1"
 /// flight-recorder dumps, "beepmis.trace.v2" span traces,
-/// "beepmis.timeseries.v1" periodic samples, "beepmis.profile.v1" hardware
-/// profiles and raw JSONL round-event streams — into one report:
+/// "beepmis.timeseries.v1" periodic samples and raw JSONL round-event
+/// streams — into one report:
 /// stabilization percentiles per (algorithm, family, n), growth-model fits
 /// over sweep curves (the Thm 2.1 / Thm 2.2 shape check), per-fault
 /// recovery-epoch outcomes and quantiles, fast-vs-reference and
 /// kernel-vs-scalar speedups, sink and digest overheads, span-duration
 /// quantiles, the sharded kernel's phase breakdown and load imbalance,
-/// wall-time-per-round growth fits, hardware-efficiency metrics (IPC,
-/// instructions/round, cache-misses/edge, branch-miss rate), and an optional
-/// baseline comparison that flags benchmark regressions — cpu_ns, the
-/// real_ns of real-time benchmarks, and instruction counts — for CI gating.
+/// wall-time-per-round growth fits, and an optional baseline comparison
+/// that flags benchmark regressions — cpu_ns and the real_ns of real-time
+/// benchmarks — for CI gating.
 /// Each section is defined once and rendered both as markdown for humans
 /// and as a "beepmis.report.v1" JSON document for machines.
 class ReportBuilder {
@@ -42,15 +41,15 @@ class ReportBuilder {
   /// One benchmark gauge compared against the baseline capture.
   struct BenchDelta {
     std::string name;    ///< gauge prefix, e.g. "BM_EngineRun/v1_fast/1024"
-    std::string metric;  ///< "cpu_ns", "real_ns" or "instructions"
+    std::string metric;  ///< "cpu_ns" or "real_ns"
     double baseline = 0.0;
     double current = 0.0;
     double ratio = 0.0;  ///< current / baseline (> 1 means slower)
   };
 
   /// Ingests one parsed artifact. Accepts "beepmis.run.v1",
-  /// "beepmis.dump.v1", "beepmis.trace.v2", "beepmis.profile.v1",
-  /// "beepmis.recovery.v1", "beepmis.timeseries.v1" and "beepmis.sweep.v1",
+  /// "beepmis.dump.v1", "beepmis.trace.v2", "beepmis.recovery.v1",
+  /// "beepmis.timeseries.v1" and "beepmis.sweep.v1",
   /// each only when its validator passes; anything else fails with `error`
   /// set to "<source>: <reason>". `source` is the label used in the report
   /// (typically the file name).
@@ -78,12 +77,6 @@ class ReportBuilder {
   /// miss a wall-time regression of their workers. Empty when no baseline
   /// is set.
   std::vector<BenchDelta> regressions(double tolerance) const;
-
-  /// Instruction counts that grew by more than `tolerance`, worst first,
-  /// from the ".instructions" gauges a bench capture records when the host
-  /// grants hardware counters. Instruction counts are far less noisy than
-  /// cpu_ns, so they catch real code-path growth that timing jitter hides.
-  std::vector<BenchDelta> instruction_regressions(double tolerance) const;
 
   /// Ingested "beepmis.run.v1" sources whose build manifest says
   /// git_dirty — their numbers may not correspond to any commit.
@@ -132,8 +125,8 @@ class ReportBuilder {
     Digest barrier_ms;
   };
 
-  /// A sum and its weight — a growth-curve point or a profile counter's
-  /// folded digests — so repeated documents merge instead of colliding.
+  /// A sum and its weight — a growth-curve point — so repeated documents
+  /// merge instead of colliding.
   struct WeightedSum {
     double sum = 0.0;
     std::uint64_t count = 0;
@@ -141,14 +134,6 @@ class ReportBuilder {
   /// Per-(algorithm, family) growth curves: n -> point.
   using Curves = std::map<std::pair<std::string, std::string>,
                           std::map<std::uint64_t, WeightedSum>>;
-
-  /// Per-cell profile accumulation: span name -> counter name -> folded
-  /// digest sum/count, plus the edge count from the profile context (for
-  /// the per-edge column; the largest wins when documents disagree).
-  struct ProfileAccum {
-    std::map<std::string, std::map<std::string, WeightedSum>> spans;
-    std::uint64_t m = 0;
-  };
 
   /// Count-weighted recovery aggregation (mirrors StabAccum: outcome
   /// counters add, quantiles merge weighted by epoch count).
@@ -175,8 +160,6 @@ class ReportBuilder {
   /// All gated time pairs (not just regressions), sorted by name, cpu_ns
   /// before real_ns.
   std::vector<BenchDelta> bench_deltas() const;
-  /// Instruction-count pairs; empty when either side lacks the gauges.
-  std::vector<BenchDelta> instruction_deltas() const;
 
   std::map<StabKey, StabAccum> stab_;
   Curves sweep_;     // sweep.v1 p50 curves, weighted by runs
@@ -184,13 +167,10 @@ class ReportBuilder {
   std::map<StabKey, RecoveryAccum> recovery_;
   std::map<SpanKey, Digest> spans_;  // span durations from ingested traces
   std::map<PhaseKey, ShardAccum> shard_;  // shard.* spans + counters
-  std::map<StabKey, ProfileAccum> profile_;
   std::map<std::string, double> current_cpu_ns_;   // gauge prefix -> cpu_ns
   std::map<std::string, double> baseline_cpu_ns_;
   std::map<std::string, double> current_real_ns_;  // "/real_time" benchmarks
   std::map<std::string, double> baseline_real_ns_;
-  std::map<std::string, double> current_instr_;    // ".instructions" gauges
-  std::map<std::string, double> baseline_instr_;
   /// (source, kind, round) of every anomaly in the ingested dumps.
   std::vector<std::tuple<std::string, std::string, std::uint64_t>>
       dump_anomalies_;
@@ -205,8 +185,8 @@ class ReportBuilder {
 /// Checks the fields of a "beepmis.run.v1" document that the report reads:
 /// graph.n and the count of every "*.rounds_to_stabilize" digest are
 /// integers in [0, 2^53], the quantiles of such a digest with a nonzero
-/// count are finite numbers, and so is every "*.cpu_ns", "*.real_ns" and
-/// "*.instructions" gauge. Absent members pass. Returns false with `error`
+/// count are finite numbers, and so is every "*.cpu_ns" and "*.real_ns"
+/// gauge. Absent members pass. Returns false with `error`
 /// set on the first bad field.
 bool run_validate(const JsonValue& doc, std::string* error);
 

@@ -3,18 +3,16 @@
 #include <algorithm>
 #include <fstream>
 
-#include "src/obs/perf.hpp"
 #include "src/obs/trace.hpp"
 
 namespace beepmis::obs {
 
 namespace {
 
-// Fixed tracing and profiling cadences. trace.v2 records counter_every and
-// profile.v1 records sample_every, so every artifact still states them.
+// Fixed tracing cadences. trace.v2 records counter_every, so every trace
+// still states it.
 constexpr std::size_t kTraceCapacity = 65536;  // records per thread ring
 constexpr std::uint64_t kTraceCounterEvery = 16;  // rounds per counter sample
-constexpr std::uint64_t kProfileEvery = 64;  // rounds per profiled round
 
 }  // namespace
 
@@ -76,8 +74,7 @@ RecoveryReport ObserverStack::report() const {
   return report;
 }
 
-Session::Session(support::ArgParser& args, std::string tool,
-                 const std::string& profile_out)
+Session::Session(support::ArgParser& args, std::string tool)
     : args_(args),
       tool_(std::move(tool)),
       started_(std::chrono::steady_clock::now()) {
@@ -106,12 +103,6 @@ Session::Session(support::ArgParser& args, std::string tool,
   args.add_option("trace-out", "",
                   "write the beepmis.trace.v2 span trace here: Chrome "
                   "trace-event JSON that ui.perfetto.dev opens directly");
-  args.add_flag("profile",
-                "attribute hardware perf counters to engine/sweep/pool "
-                "spans (a no-op when perf_event_open is denied)");
-  args.add_option("profile-out", profile_out,
-                  "write the beepmis.profile.v1 document here (always, "
-                  "under --profile)");
 }
 
 ObserverOptions Session::observers(std::uint64_t n,
@@ -132,37 +123,20 @@ ObserverOptions Session::observers(std::uint64_t n,
 }
 
 void Session::start(const Context& context) {
-  const auto label = [&](auto& recorder) {
-    recorder.clear_context();
-    recorder.set_context("tool", tool_);
-    for (const auto& [k, v] : context) recorder.set_context(k, v);
-  };
-  if (!args_.get("trace-out").empty()) {
-    Tracer& tracer = Tracer::instance();
-    label(tracer);
-    tracer.enable(kTraceCapacity, kTraceCounterEvery);
-    Tracer::set_thread_label("main");
-  }
-  if (args_.flag("profile")) {
-    PerfSession& perf = PerfSession::instance();
-    label(perf);
-    perf.enable(kProfileEvery);
-    // stderr only: every other output is identical with counters or not.
-    if (!perf.available())
-      std::fprintf(stderr,
-                   "profiling unavailable (perf_event_open denied or no "
-                   "PMU); continuing without counters\n");
-  }
+  if (args_.get("trace-out").empty()) return;
+  Tracer& tracer = Tracer::instance();
+  tracer.clear_context();
+  tracer.set_context("tool", tool_);
+  for (const auto& [k, v] : context) tracer.set_context(k, v);
+  tracer.enable(kTraceCapacity, kTraceCounterEvery);
+  Tracer::set_thread_label("main");
 }
 
 int Session::finish(RunManifest manifest, const MetricsRegistry& metrics,
                     const RecoveryReport* recovery, std::FILE* notices) {
   const std::string& trace_path = args_.get("trace-out");
-  const bool profiling = args_.flag("profile");
   Tracer& tracer = Tracer::instance();
-  PerfSession& perf = PerfSession::instance();
   if (!trace_path.empty()) tracer.disable();
-  if (profiling) perf.disable();
   bool ok = true;
 
   if (const std::string& path = args_.get("recovery-out");
@@ -184,26 +158,14 @@ int Session::finish(RunManifest manifest, const MetricsRegistry& metrics,
                            std::chrono::steady_clock::now() - started_)
                            .count();
     if (!trace_path.empty()) manifest.trace_dropped = tracer.dropped_spans();
-    manifest.profiling = !profiling         ? "off"
-                         : perf.available() ? "available"
-                                            : "unavailable";
     const auto write = [&](std::ostream& os) {
       write_run_json(os, manifest, &metrics);
     };
     if (!write_artifact(path, "metrics", write, notices)) ok = false;
   }
 
-  // The profile and trace notices always go to stderr, so stdout is
-  // byte-identical with profiling and tracing on or off. The profile is
-  // written even without counters: it then records "available": false.
-  if (profiling &&
-      !write_artifact(
-          args_.get("profile-out"), "profile",
-          [&](std::ostream& os) { perf.write_json(os); }, stderr,
-          perf.available() ? " (profiling available)"
-                           : " (profiling unavailable)"))
-    ok = false;
-
+  // The trace notice always goes to stderr, so stdout is byte-identical
+  // with tracing on or off.
   if (!trace_path.empty() &&
       !write_artifact(
           trace_path, "trace",

@@ -66,29 +66,28 @@ class ObserverStack {
 };
 
 /// The observability of one beepmis_cli or beepmis_soak invocation: the
-/// flags both tools take, the tracing and profiling sessions, and the
-/// run.v1, recovery.v1, profile.v1 and trace.v2 artifacts.
+/// flags both tools take, the tracing session, and the run.v1,
+/// recovery.v1 and trace.v2 artifacts.
 class Session {
  public:
   using Context = std::vector<std::pair<std::string, std::string>>;
 
   /// Registers the shared flags on `args`, which must outlive the session
   /// and be parsed before any other call. `tool` names the tool in every
-  /// artifact; `profile_out` is the --profile-out default.
-  Session(support::ArgParser& args, std::string tool,
-          const std::string& profile_out);
+  /// artifact.
+  Session(support::ArgParser& args, std::string tool);
 
   /// Options for one engine of `n` vertices. The caller supplies the round
   /// horizons, which the obs layer cannot compute.
   ObserverOptions observers(std::uint64_t n, std::uint64_t expected_rounds,
                             std::uint64_t recovery_bound) const;
 
-  /// Starts tracing and profiling, each recording "tool" then `context`.
+  /// Starts tracing, recording "tool" then `context`.
   void start(const Context& context);
 
-  /// Stops both sessions and writes every requested artifact, filling in
-  /// the manifest's tool, wall time, trace drops and profiling state and the
-  /// recovery report's monitor settings. `recovery` may be null. The run.v1
+  /// Stops tracing and writes every requested artifact, filling in the
+  /// manifest's tool, wall time and trace drops and the recovery report's
+  /// monitor settings. `recovery` may be null. The run.v1
   /// and recovery.v1 notices go to `notices`, all others to stderr. A
   /// failed artifact does not stop the others. Returns 0, or 2 if any
   /// failed.

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "src/obs/json.hpp"
-#include "src/obs/pool_hook.hpp"
+#include "src/support/task_pool.hpp"
 
 namespace beepmis::obs {
 namespace {
@@ -19,6 +19,46 @@ constexpr std::uint64_t kPid = 1;  // every track belongs to one process
 // 2^53: the largest count a JSON number (a double) holds exactly, and so
 // the bound on every ns count a trace encodes.
 constexpr double kMaxExact = 9007199254740992.0;
+
+/// The TaskPool observer a tracing session installs. It labels each pool
+/// worker's track on its first task and records a task-claim span per
+/// claimed index (the replica's own nested spans carry the seed; the claim
+/// span's arg is the task index).
+class PoolTracer final : public support::TaskPool::Observer {
+ public:
+  void on_task(const char* pool_label, std::size_t worker_index,
+               std::size_t task_index,
+               std::chrono::steady_clock::time_point start,
+               std::chrono::steady_clock::time_point end) override {
+    if (!Tracer::active()) return;
+    // Track naming. Anonymous pools own the generic names: worker 0 is the
+    // calling thread ("main"), spawned workers are "pool-worker-N". Labeled
+    // pools are *private* — their batches may run inside another pool's
+    // task — so their spawned workers get "<label>-worker-N" tracks and
+    // worker 0 (the caller, which already has an identity: "main" or an
+    // outer pool's worker) is never relabeled.
+    thread_local const char* labeled_pool = nullptr;
+    thread_local std::size_t labeled_as = static_cast<std::size_t>(-1);
+    if (labeled_pool != pool_label || labeled_as != worker_index) {
+      labeled_pool = pool_label;
+      labeled_as = worker_index;
+      if (pool_label == nullptr) {
+        Tracer::set_thread_label(worker_index == 0
+                                     ? std::string("main")
+                                     : "pool-worker-" +
+                                           std::to_string(worker_index));
+      } else if (worker_index != 0) {
+        Tracer::set_thread_label(std::string(pool_label) + "-worker-" +
+                                 std::to_string(worker_index));
+      }
+    }
+    Tracer::complete("pool.task", start, end,
+                     static_cast<std::uint64_t>(task_index),
+                     /*has_arg=*/true);
+  }
+};
+
+PoolTracer g_pool_tracer;
 
 bool fail(std::string* error, std::string msg) {
   *error = std::move(msg);
@@ -48,14 +88,12 @@ void Tracer::enable(std::size_t capacity_per_thread,
   // Release-publish: a recorder that acquire-loads the new session id sees
   // epoch_ and capacity_ from this critical section.
   session_.store(++next_session_, std::memory_order_release);
-  // The pool observer is shared with the perf profiler; the hook installs
-  // or removes it based on which sessions are live.
-  detail::refresh_pool_observer();
+  support::TaskPool::set_observer(&g_pool_tracer);
 }
 
 void Tracer::disable() {
   session_.store(0, std::memory_order_relaxed);
-  detail::refresh_pool_observer();
+  support::TaskPool::set_observer(nullptr);
 }
 
 Tracer::ThreadBuffer* Tracer::current_buffer() {

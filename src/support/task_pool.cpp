@@ -53,10 +53,7 @@ void TaskPool::run_tasks(std::unique_lock<std::mutex>& lock,
     lock.unlock();
     Observer* const obs = observer_.load(std::memory_order_acquire);
     std::chrono::steady_clock::time_point start;
-    if (obs != nullptr) {
-      obs->on_task_start(label_, worker_index, index);
-      start = std::chrono::steady_clock::now();
-    }
+    if (obs != nullptr) start = std::chrono::steady_clock::now();
     std::exception_ptr error;
     try {
       (*fn)(index);

@@ -75,12 +75,6 @@ class TaskPool {
   class Observer {
    public:
     virtual ~Observer() = default;
-    /// Called on the executing thread immediately before the task body, so
-    /// observers that bracket tasks with begin/end measurements (perf
-    /// counter reads) can take their start sample. Default: nothing.
-    virtual void on_task_start(const char* /*pool_label*/,
-                               std::size_t /*worker_index*/,
-                               std::size_t /*task_index*/) {}
     /// One completed task: `pool_label` is the executing pool's label()
     /// (nullptr for anonymous pools), `worker_index` 0 is the thread that
     /// called parallel_for, spawned workers are 1..threads-1; start/end

@@ -74,6 +74,7 @@ foreach(k scalar sharded)
     cli(sweep-k${k}-t${t} OFF ${sweep} --threads ${t} --kernel ${k}
         --sweep-out sweep-k${k}-t${t}.json)
     expect_same(sweep-k${k}-t1.txt sweep-k${k}-t${t}.txt)
+    expect_same(sweep-k${k}-t1.json sweep-k${k}-t${t}.json)
   endforeach()
   drop_kernel(sweep-k${k}-t1.json sweep-k${k}-t1.nok.json)
   expect_same(sweep-kscalar-t1.nok.json sweep-k${k}-t1.nok.json)

@@ -3,7 +3,7 @@
 # report.md and report.json beside this script, with only the generation
 # timestamp masked. The inputs are the tool goldens in this directory plus
 # the small fixtures under report/ (bench capture and baseline, dirty
-# manifest, sharded trace, timeseries at three sizes, profile, sweep), chosen
+# manifest, sharded trace, timeseries at three sizes, sweep), chosen
 # so that every section of both renderings is non-empty. It then checks that
 # malformed run.v1, sweep.v1 and JSONL inputs are rejected, that the report
 # ingests fresh CLI and soak artifacts, and that a bench capture compared
@@ -78,13 +78,12 @@ function(expect_in file text)
 endfunction()
 
 # The golden report. Inputs are named relative to GOLDEN, so the rendered
-# input list is stable; the baseline regresses one cpu_ns, one /real_time
-# real_ns and one instruction count, so the report exits 2.
+# input list is stable; the baseline regresses one cpu_ns and one
+# /real_time real_ns, so the report exits 2.
 string(JOIN "," inputs sweep.json report/sweep.json recovery.json
        waves-recovery.json soak-recovery.json dump.json waves-dump.json
        events.jsonl report/bench.json report/dirty.json report/trace.json
-       report/ts-n256.json report/ts-n512.json report/ts-n1024.json
-       report/profile.json)
+       report/ts-n256.json report/ts-n512.json report/ts-n1024.json)
 set(run_dir "${GOLDEN}")
 run(2 "${REPORT}" --in ${inputs} --baseline report/baseline.json
     --out "${WORK}/report.md" --json-out "${WORK}/report.json")
@@ -98,12 +97,11 @@ string(REGEX REPLACE "\"generated\":\"[^\"]*\""
        "\"generated\":\"<timestamp>\"" json "${json}")
 expect_text(report.json "${json}")
 foreach(section stabilization growth_fits recovery speedups kernel_speedups
-        overheads trace_spans phase_breakdown imbalance round_ms_fits profile
+        overheads trace_spans phase_breakdown imbalance round_ms_fits
         dirty_inputs dropped_trace_inputs anomalies)
   expect_rows(report.json ${section})
 endforeach()
 expect_rows(report.json baseline regressions)
-expect_rows(report.json baseline instruction_regressions)
 
 # Malformed inputs fail with "<source>: <error>" and exit 1: a run.v1 with a
 # negative size and count, a sweep.v1 size beyond 2^53, and an event stream

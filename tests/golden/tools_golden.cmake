@@ -1,9 +1,10 @@
 # Golden test for the command-line tools: drives beepmis_cli, beepmis_soak,
 # beepmis_trace_check and beepmis_figures end to end and diffs every
 # deterministic output against the files checked in beside this script.
-# Artifacts that carry wall-clock timing (trace.v2, profile.v1) are
-# validated through beepmis_trace_check instead, and run.v1 is checked for
-# its key set. Tracing must not change a byte of any other output.
+# Artifacts that carry wall-clock timing (trace.v2) are validated through
+# beepmis_trace_check instead, and run.v1 is checked for its key set.
+# Tracing must not change a byte of any other output. The option count and
+# names that docs/cli.md states are held to what `beepmis_cli --help` prints.
 #
 #   cmake -DCLI=<beepmis_cli> -DSOAK=<beepmis_soak> -DCHECK=<beepmis_trace_check>
 #         -DFIGURES=<beepmis_figures> -DGOLDEN=<this directory>
@@ -117,9 +118,30 @@ function(expect_keys file)
   endif()
 endfunction()
 
+# The CLI reference: "These are all N options" counts the --name entries
+# that --help prints (--help itself aside), and the reference names each.
+run(0 ignored "${CLI}" --help)  # the usage goes to stderr
+string(REGEX MATCHALL "\n  --[a-z0-9-]+" help_names "\n${run_stderr}")
+list(TRANSFORM help_names REPLACE "^\n  " "")
+list(REMOVE_ITEM help_names --help)
+list(LENGTH help_names help_count)
+file(READ "${GOLDEN}/../../docs/cli.md" cli_doc)
+if(NOT cli_doc MATCHES "These are all ([0-9]+) options")
+  message(FATAL_ERROR "docs/cli.md lacks \"These are all N options\"")
+endif()
+if(NOT CMAKE_MATCH_1 EQUAL help_count)
+  message(FATAL_ERROR "docs/cli.md counts ${CMAKE_MATCH_1} options; "
+                      "beepmis_cli --help lists ${help_count}")
+endif()
+foreach(name IN LISTS help_names)
+  if(NOT cli_doc MATCHES "${name}[^a-z0-9-]")
+    message(FATAL_ERROR "docs/cli.md does not name ${name}")
+  endif()
+endforeach()
+
 set(RUN_KEYS schema tool timestamp seed graph algorithm build timing obs
              extra metrics)
-set(OBS_KEYS trace_dropped profiling peak_rss_bytes)
+set(OBS_KEYS trace_dropped peak_rss_bytes)
 
 # Single run: fault waves under the monitor, every deterministic artifact,
 # and a flight recorder forced to fire (a storm threshold of 0 over a
@@ -204,17 +226,15 @@ flag_run(--trace)
 expect_text(flags.txt "${flags_out}")
 expect_file(chart.svg chart.svg)
 
-# Traced and profiled single run: the timing artifacts validate, and the
-# simulation output matches the untraced golden.
+# Traced single run: the trace validates, and the simulation output matches
+# the untraced golden.
 run(0 out "${CLI}" --family torus --n 256 --algorithm v3 --seed 7
-    --trace-out trace.json --profile --profile-out profile.json
-    --metrics-out traced-run.json)
+    --trace-out trace.json --metrics-out traced-run.json)
 strip_wrote(out)
 expect_text(traced-run.txt "${out}")
 run(0 out "${CLI}" --family torus --n 256 --algorithm v3 --seed 7)
 expect_text(traced-run.txt "${out}")
 validate_trace(trace)
-validate(profile.json)
 expect_keys(traced-run.json KEYS ${RUN_KEYS})
 expect_keys(traced-run.json obs KEYS ${OBS_KEYS})
 

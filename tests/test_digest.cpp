@@ -103,7 +103,7 @@ TEST(Digest, ConstantStreamIsDegenerate) {
 
 TEST(Digest, MergeOfEmptyShardIsIdentity) {
   // Shard-merge machinery routinely folds shards from threads that never
-  // recorded (e.g. a profiling session where one pool worker got no tasks);
+  // recorded (e.g. a sweep replica whose scratch registry got no samples);
   // an empty shard must change nothing, in either direction.
   obs::Digest populated;
   for (int i = 1; i <= 200; ++i) populated.add(static_cast<double>(i));

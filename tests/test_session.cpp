@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/obs/json_parse.hpp"
-#include "src/obs/perf.hpp"
 #include "src/obs/recovery.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/args.hpp"
@@ -45,7 +44,7 @@ bool read_json(const std::string& path, obs::JsonValue* doc) {
 
 TEST(Session, ObserverOptionsFollowTheFlags) {
   support::ArgParser args("test");
-  obs::Session session(args, "beepmis_test", "p.json");
+  obs::Session session(args, "beepmis_test");
   ASSERT_TRUE(parse(args, {"--monitor", "--monitor-every", "8",
                            "--anomaly-stall-multiple", "3",
                            "--anomaly-storm-window", "5"}));
@@ -67,14 +66,13 @@ TEST(Session, FinishWritesEveryArtifactItCan) {
   const std::string dir = testing::TempDir() + "beepmis_session_";
   const std::string bad = "/nonexistent-dir/artifact.json";
   const std::vector<std::string> artifacts = {"recovery-out", "metrics-out",
-                                              "profile-out", "trace-out"};
-  for (const std::string& failing : {std::string(), artifacts[0],
-                                     artifacts[1], artifacts[2],
-                                     artifacts[3]}) {
+                                              "trace-out"};
+  for (const std::string& failing :
+       {std::string(), artifacts[0], artifacts[1], artifacts[2]}) {
     SCOPED_TRACE("unwritable: " + (failing.empty() ? "none" : failing));
     support::ArgParser args("test");
-    obs::Session session(args, "beepmis_test", "unused.json");
-    std::vector<std::string> flags = {"--profile", "--monitor"};
+    obs::Session session(args, "beepmis_test");
+    std::vector<std::string> flags = {"--monitor"};
     for (const std::string& a : artifacts) {
       std::remove((dir + a).c_str());
       flags.push_back("--" + a);
@@ -103,11 +101,6 @@ TEST(Session, FinishWritesEveryArtifactItCan) {
     if (failing != "metrics-out") {
       ASSERT_TRUE(read_json(dir + "metrics-out", &doc));
       EXPECT_EQ(doc.get("tool").as_string(), "beepmis_test");
-      EXPECT_NE(doc.get("obs").get("profiling").as_string(), "off");
-    }
-    if (failing != "profile-out") {
-      ASSERT_TRUE(read_json(dir + "profile-out", &doc));
-      EXPECT_TRUE(obs::profile_validate(doc, &error)) << error;
     }
     if (failing != "trace-out") {
       ASSERT_TRUE(read_json(dir + "trace-out", &doc));

@@ -556,8 +556,7 @@ int run_sweep(const support::ArgParser& args, obs::Session& session,
   EventsOut events(args.get("events-out"), /*with_analysis=*/false);
   cfg.observer = events.sink();
 
-  // No single n/m: a sweep spans --sizes, so the profile aggregates rounds
-  // across every size and the report's per-edge column stays blank.
+  // No single n/m: a sweep spans --sizes.
   session.start({{"algorithm", exp::variant_name(variant)},
                  {"family", exp::family_name(family)},
                  {"seed", args.get("seed")},
@@ -790,7 +789,7 @@ int main(int argc, char** argv) {
   args.add_option("timeseries-every", "1",
                   "timeseries sampling cadence in rounds (values < 1 are "
                   "clamped to 1); raise it for giant runs");
-  obs::Session session(args, "beepmis_cli", "profile.json");
+  obs::Session session(args, "beepmis_cli");
 
   std::string error;
   if (!args.parse(argc, argv, &error)) {

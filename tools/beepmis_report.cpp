@@ -3,8 +3,8 @@
 /// Inputs (any mix, via repeated/comma-separated --in): "beepmis.run.v1"
 /// manifests (CLI runs, soak summaries, BENCH_micro.json bench captures),
 /// "beepmis.dump.v1" flight-recorder dumps, "beepmis.trace.v2" span traces,
-/// "beepmis.profile.v1" hardware profiles, "beepmis.timeseries.v1" periodic
-/// samples, and raw JSONL round-event files. File kind is auto-detected
+/// "beepmis.timeseries.v1" periodic samples, and raw JSONL round-event
+/// files. File kind is auto-detected
 /// from content. Sharded-kernel traces and timeseries documents feed the
 /// per-(algorithm, family, n, shards) phase-breakdown and load-imbalance
 /// tables, and timeseries round_ms curves get a wall-time-per-round growth
@@ -12,20 +12,16 @@
 ///
 /// Output: a markdown report (stdout or --out) with stabilization
 /// percentiles per (algorithm, family, n), the fast-vs-reference speedup
-/// table, observer overheads, hardware-efficiency metrics (IPC,
-/// instructions/round, cache-misses/edge, branch-miss rate), and
-/// flight-recorder anomalies; plus an optional "beepmis.report.v1" JSON
-/// document (--json-out).
+/// table, observer overheads, and flight-recorder anomalies; plus an
+/// optional "beepmis.report.v1" JSON document (--json-out).
 ///
 /// CI gating: with --baseline OLD.json, every shared *.cpu_ns benchmark —
 /// and the *.real_ns of every shared "/real_time" benchmark, whose cpu_ns
 /// counts only the main thread — is compared against the baseline capture
 /// and the tool exits 2 when any grew by more than --tolerance (fractional,
-/// default 0.10 = +10%). Shared
-/// *.instructions gauges (recorded when the bench host grants hardware
-/// counters) are compared the same way. A dirty-tree manifest on either
-/// side of the comparison draws a loud stderr warning — such numbers may
-/// not correspond to any commit.
+/// default 0.10 = +10%). A dirty-tree manifest on either side of the
+/// comparison draws a loud stderr warning — such numbers may not correspond
+/// to any commit.
 
 #include <fstream>
 #include <iostream>
@@ -78,8 +74,8 @@ int main(int argc, char** argv) {
                   "comma-separated input files (manifests, dumps, JSONL "
                   "event streams; kind auto-detected)");
   args.add_option("baseline", "",
-                  "beepmis.run.v1 bench capture to compare *.cpu_ns, "
-                  "/real_time *.real_ns and *.instructions gauges against");
+                  "beepmis.run.v1 bench capture to compare *.cpu_ns and "
+                  "/real_time *.real_ns gauges against");
   args.add_option("tolerance", "0.10",
                   "fractional regression tolerance for --baseline gating");
   args.add_option("out", "", "write the markdown report here (default: stdout)");
@@ -174,14 +170,6 @@ int main(int argc, char** argv) {
       std::cerr << "beepmis_report: " << regs.size()
                 << " benchmark regression(s) beyond tolerance\n";
       for (const auto& d : regs)
-        std::cerr << "  " << d.name << ": ratio " << d.ratio << '\n';
-      return 2;
-    }
-    const auto iregs = builder.instruction_regressions(tolerance);
-    if (!iregs.empty()) {
-      std::cerr << "beepmis_report: " << iregs.size()
-                << " instruction-count regression(s) beyond tolerance\n";
-      for (const auto& d : iregs)
         std::cerr << "  " << d.name << ": ratio " << d.ratio << '\n';
       return 2;
     }

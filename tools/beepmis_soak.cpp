@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
                   "worker threads INSIDE each sharded-kernel round (0 = one "
                   "per hardware thread); when != 1 the heartbeat reports "
                   "phase-imbalance from the folded shard telemetry");
-  obs::Session session(args, "beepmis_soak", "soak.profile.json");
+  obs::Session session(args, "beepmis_soak");
   std::string error;
   if (!args.parse(argc, argv, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());

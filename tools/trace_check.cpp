@@ -6,10 +6,6 @@
 //     event carries the fields the Perfetto / chrome://tracing importers
 //     require, so a trace that passes opens in ui.perfetto.dev — and
 //     summarized.
-//   * "beepmis.profile.v1" documents (PerfSession::write_json output):
-//     validated through obs::profile_validate — the same path the tests
-//     use — and summarized, including the unavailable-host form
-//     ("available": false with no spans), which is valid by design.
 //   * "beepmis.dump.v1" documents (FlightRecorder::write_dump output):
 //     validated through obs::dump_validate and summarized.
 //   * "beepmis.recovery.v1" documents (obs::write_recovery_json output):
@@ -31,7 +27,6 @@
 
 #include "src/obs/flight.hpp"
 #include "src/obs/json_parse.hpp"
-#include "src/obs/perf.hpp"
 #include "src/obs/recovery.hpp"
 #include "src/obs/timeseries.hpp"
 #include "src/obs/trace.hpp"
@@ -86,21 +81,6 @@ int check_recovery_v1(const JsonValue& doc) {
   return 0;
 }
 
-int check_profile_v1(const JsonValue& doc) {
-  std::string error;
-  std::size_t spans = 0, counters = 0;
-  if (!beepmis::obs::profile_validate(doc, &error, &spans, &counters))
-    return fail(error);
-  const bool available = doc.get("available").boolean;
-  std::printf(
-      "valid beepmis.profile.v1: available=%s, %zu counters, %zu spans, "
-      "sample_every=%llu\n",
-      available ? "true" : "false", counters, spans,
-      static_cast<unsigned long long>(
-          doc.get("sample_every").as_number(0.0)));
-  return 0;
-}
-
 int check_timeseries_v1(const JsonValue& doc,
                         const std::string& canonical_out) {
   std::string error;
@@ -129,9 +109,8 @@ int check_timeseries_v1(const JsonValue& doc,
 
 int main(int argc, char** argv) {
   beepmis::support::ArgParser args(
-      "trace_check — validate beepmis.trace.v2 / beepmis.profile.v1 / "
-      "beepmis.dump.v1 / beepmis.recovery.v1 / beepmis.timeseries.v1 "
-      "artifacts");
+      "trace_check — validate beepmis.trace.v2 / beepmis.dump.v1 / "
+      "beepmis.recovery.v1 / beepmis.timeseries.v1 artifacts");
   args.add_option("in", "", "artifact file to validate (required)");
   args.add_option("canonical-out", "",
                   "for timeseries.v1 inputs: also write the deterministic "
@@ -164,12 +143,10 @@ int main(int argc, char** argv) {
 
   const std::string schema = doc.get("schema").as_string("");
   if (schema == "beepmis.trace.v2") return check_trace_v2(doc);
-  if (schema == "beepmis.profile.v1") return check_profile_v1(doc);
   if (schema == "beepmis.dump.v1") return check_dump_v1(doc);
   if (schema == "beepmis.recovery.v1") return check_recovery_v1(doc);
   if (schema == "beepmis.timeseries.v1")
     return check_timeseries_v1(doc, args.get("canonical-out"));
   return fail(
-      "not a beepmis.trace.v2/profile.v1/dump.v1/recovery.v1/timeseries.v1 "
-      "document");
+      "not a beepmis.trace.v2/dump.v1/recovery.v1/timeseries.v1 document");
 }
