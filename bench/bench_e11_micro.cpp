@@ -320,8 +320,8 @@ BENCHMARK(BM_EngineRunSharded)
     ->Unit(benchmark::kMillisecond);
 
 /// Telemetry-overhead A/B: the same sharded run with per-round
-/// ShardTelemetry collection forced on (what --timeseries-out and a live
-/// tracer enable). CI gates this against the bare
+/// ShardTelemetry collection forced on (what EngineConfig::phase_telemetry
+/// and a live tracer enable). CI gates this against the bare
 /// BM_EngineRunSharded arm at the same thread count — the phase clocks and
 /// per-shard tallies must stay within a few percent of free.
 void BM_EngineRunSharded_Telemetry(benchmark::State& state) {

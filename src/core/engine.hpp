@@ -11,6 +11,7 @@
 #include "src/graph/graph.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/sink.hpp"
+#include "src/obs/trace.hpp"
 #include "src/support/rng.hpp"
 
 namespace beepmis::obs {
@@ -65,15 +66,11 @@ bool parse_kernel_kind(const std::string& name, KernelKind* out);
 /// choices unchanged. Defined in round_kernel.cpp.
 KernelKind resolve_kernel(KernelKind kind) noexcept;
 
-/// The sharded kernel's barrier-phased round, in execution order. The names
-/// double as tracer span names (static storage, as the tracer requires) and
-/// as the `phase_ms` keys of the beepmis.timeseries.v1 artifact.
-inline constexpr std::size_t kShardPhaseCount = 6;
-inline constexpr const char* kShardPhaseNames[kShardPhaseCount] = {
-    "shard.decide", "shard.stamp",  "shard.update",
-    "shard.apply",  "shard.settle", "shard.fold"};
-inline constexpr const char* kShardPhaseKeys[kShardPhaseCount] = {
-    "decide", "stamp", "update", "apply", "settle", "fold"};
+/// The sharded kernel's barrier-phased round, in execution order: its span
+/// names and phase keys, defined next to the tracer that records the spans.
+using obs::kShardPhaseCount;
+using obs::kShardPhaseKeys;
+using obs::kShardPhaseNames;
 
 /// Cumulative phase telemetry of a sharded-kernel run, accumulated only over
 /// instrumented rounds (config.phase_telemetry or a live tracing session).

@@ -335,7 +335,8 @@ class ShardedKernel final : public RoundKernel<Policy> {
   explicit ShardedKernel(const KernelContext<Policy>& ctx)
       : Base(ctx),
         // The pool label gives the private pool's workers their own trace
-        // tracks ("shard-worker-N") — see obs::detail::PoolHook.
+        // tracks ("shard-worker-N") — see PoolTracer in obs/trace.cpp, the
+        // pool observer Tracer::enable installs.
         pool_(support::TaskPool::resolve_thread_count(ctx.shard_threads),
               "shard") {
     const std::size_t n = ctx_.levels->size();

@@ -389,34 +389,9 @@ bool ReportBuilder::add_document(const JsonValue& doc,
       spans_[{algorithm, family, n, name}].add(dur_ns);
       // "shard.<phase>" spans additionally feed the phase-breakdown
       // table, which (unlike the span table) is keyed by shard count.
-      for (std::size_t p = 0; p < kTimeSeriesPhases; ++p)
-        if (name == std::string("shard.") + kTimeSeriesPhaseKeys[p])
+      for (std::size_t p = 0; p < kShardPhaseCount; ++p)
+        if (name == kShardPhaseNames[p])
           shard_[shard_key].phase_ns[p].add(dur_ns);
-    }
-    return true;
-  }
-  if (schema == "beepmis.timeseries.v1") {
-    if (!timeseries_validate(doc, &verror)) return reject();
-    sources_.push_back(source);
-    const JsonValue& ctx = doc.get("context");
-    const std::string algorithm = ctx.get("algorithm").as_string("?");
-    const std::string family = ctx.get("family").as_string("?");
-    const std::uint64_t n = context_u64(ctx, "n");
-    const std::uint64_t shards = context_u64(ctx, "shards");
-    ShardAccum& acc = shard_[{algorithm, family, n, shards}];
-    WeightedSum& curve = round_ms_[{algorithm, family}][n];
-    for (const JsonValue& s : doc.get("samples").array) {
-      const JsonValue& timing = s.get("timing");
-      const double round_ms = timing.get("round_ms").as_number(0.0);
-      if (round_ms > 0.0) {
-        curve.sum += round_ms;
-        curve.count += 1;
-      }
-      const double imbalance = timing.get("imbalance").as_number(0.0);
-      if (imbalance > 0.0) {
-        acc.imbalance.add(imbalance);
-        acc.barrier_ms.add(timing.get("barrier_ms").as_number(0.0));
-      }
     }
     return true;
   }
@@ -702,19 +677,19 @@ std::vector<ReportSection> ReportBuilder::sections() const {
       nullptr,
       {{"algorithm", "algorithm"}, {"family", "family"}, {"n", "n"},
        {"shards", "shards"}, {"rounds", "rounds"}}};
-  for (const char* phase : kTimeSeriesPhaseKeys)
+  for (const char* phase : kShardPhaseKeys)
     phases.columns.push_back({nullptr, phase, "%.1f"});
-  for (const char* phase : kTimeSeriesPhaseKeys)
+  for (const char* phase : kShardPhaseKeys)
     phases.columns.push_back({phase, nullptr, nullptr, "mean_ns"});
   for (const auto& [key, acc] : shard_) {
-    std::array<double, kTimeSeriesPhases> mean_ns{};
+    std::array<double, kShardPhaseCount> mean_ns{};
     bool any = false;
-    for (std::size_t p = 0; p < kTimeSeriesPhases; ++p) {
+    for (std::size_t p = 0; p < kShardPhaseCount; ++p) {
       if (acc.phase_ns[p].count() == 0) continue;
       mean_ns[p] = acc.phase_ns[p].mean();
       any = true;
     }
-    if (!any) continue;  // imbalance-only cell (timeseries input)
+    if (!any) continue;  // counters-only cell (a trace without phase spans)
     // One decide span per round; settle/fold record two spans per round,
     // which the mean already absorbs per occurrence.
     std::vector<Cell> row{text(std::get<0>(key)), text(std::get<1>(key)),
@@ -728,8 +703,8 @@ std::vector<ReportSection> ReportBuilder::sections() const {
 
   ReportSection imbalance{
       "imbalance", "Shard load imbalance (max/mean busy)", nullptr,
-      "(1.00 = perfectly balanced shards; from trace counters and "
-      "timeseries timing blocks.)",
+      "(1.00 = perfectly balanced shards; from the `shard.imbalance` and "
+      "`shard.barrier_wait_ms` trace counters.)",
       nullptr,
       {{"algorithm", "algorithm"}, {"family", "family"}, {"n", "n"},
        {"shards", "shards"}, {"samples", "samples"},
@@ -747,13 +722,20 @@ std::vector<ReportSection> ReportBuilder::sections() const {
   }
   out.push_back(std::move(imbalance));
 
+  // Wall time per round: the mean `engine.round` span, in ms, per
+  // (algorithm, family, n) of the ingested traces.
+  Curves round_ms;
+  for (const auto& [key, d] : spans_)
+    if (std::get<3>(key) == "engine.round")
+      round_ms[{std::get<0>(key), std::get<1>(key)}][std::get<2>(key)] = {
+          d.sum() / 1e6, d.count()};
   out.push_back(fit_section(
       "round_ms_fits",
-      "Wall-time-per-round growth fits (timeseries round_ms)",
+      "Wall-time-per-round growth fits (trace engine.round spans)",
       "Work per round should grow near-linearly in n (each round touches "
       "O(n + m) state); `*` marks the best-R² model per (algorithm, family) "
       "curve.",
-      round_ms_, "%.4f", "%.3f"));
+      round_ms, "%.4f", "%.3f"));
 
   ReportSection dirty{"dirty_inputs", nullptr, nullptr, nullptr, nullptr,
                       {{"", nullptr}}};

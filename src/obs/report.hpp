@@ -12,7 +12,7 @@
 
 #include "src/obs/json_parse.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/timeseries.hpp"
+#include "src/obs/trace.hpp"
 
 namespace beepmis::obs {
 
@@ -23,17 +23,16 @@ struct ReportSection;
 /// Aggregates run artifacts — "beepmis.run.v1" manifests (including bench
 /// captures such as BENCH_micro.json), "beepmis.sweep.v1" scaling-sweep
 /// summaries, "beepmis.recovery.v1" recovery artifacts, "beepmis.dump.v1"
-/// flight-recorder dumps, "beepmis.trace.v2" span traces,
-/// "beepmis.timeseries.v1" periodic samples and raw JSONL round-event
-/// streams — into one report:
+/// flight-recorder dumps, "beepmis.trace.v2" span traces and raw JSONL
+/// round-event streams — into one report:
 /// stabilization percentiles per (algorithm, family, n), growth-model fits
 /// over sweep curves (the Thm 2.1 / Thm 2.2 shape check), per-fault
 /// recovery-epoch outcomes and quantiles, fast-vs-reference and
 /// kernel-vs-scalar speedups, sink and digest overheads, span-duration
 /// quantiles, the sharded kernel's phase breakdown and load imbalance,
-/// wall-time-per-round growth fits, and an optional baseline comparison
-/// that flags benchmark regressions — cpu_ns and the real_ns of real-time
-/// benchmarks — for CI gating.
+/// wall-time-per-round growth fits over the traces' `engine.round` spans,
+/// and an optional baseline comparison that flags benchmark regressions —
+/// cpu_ns and the real_ns of real-time benchmarks — for CI gating.
 /// Each section is defined once and rendered both as markdown for humans
 /// and as a "beepmis.report.v1" JSON document for machines.
 class ReportBuilder {
@@ -48,8 +47,8 @@ class ReportBuilder {
   };
 
   /// Ingests one parsed artifact. Accepts "beepmis.run.v1",
-  /// "beepmis.dump.v1", "beepmis.trace.v2", "beepmis.recovery.v1",
-  /// "beepmis.timeseries.v1" and "beepmis.sweep.v1",
+  /// "beepmis.dump.v1", "beepmis.trace.v2", "beepmis.recovery.v1" and
+  /// "beepmis.sweep.v1",
   /// each only when its validator passes; anything else fails with `error`
   /// set to "<source>: <reason>". `source` is the label used in the report
   /// (typically the file name).
@@ -120,7 +119,7 @@ class ReportBuilder {
   /// Per-cell shard digests: one duration digest per kernel phase plus the
   /// imbalance/barrier sample digests.
   struct ShardAccum {
-    std::array<Digest, kTimeSeriesPhases> phase_ns;
+    std::array<Digest, kShardPhaseCount> phase_ns;
     Digest imbalance;
     Digest barrier_ms;
   };
@@ -162,8 +161,7 @@ class ReportBuilder {
   std::vector<BenchDelta> bench_deltas() const;
 
   std::map<StabKey, StabAccum> stab_;
-  Curves sweep_;     // sweep.v1 p50 curves, weighted by runs
-  Curves round_ms_;  // timeseries wall-ms-per-round curves
+  Curves sweep_;  // sweep.v1 p50 curves, weighted by runs
   std::map<StabKey, RecoveryAccum> recovery_;
   std::map<SpanKey, Digest> spans_;  // span durations from ingested traces
   std::map<PhaseKey, ShardAccum> shard_;  // shard.* spans + counters

@@ -16,6 +16,17 @@ namespace beepmis::obs {
 
 class JsonWriter;
 
+/// The sharded kernel's barrier-phased round, in execution order. The names
+/// are the tracer spans the kernel records (static storage, as the tracer
+/// requires); the keys name the phases in report tables and telemetry
+/// gauges. core::kShardPhase* refer to these lists.
+inline constexpr std::size_t kShardPhaseCount = 6;
+inline constexpr const char* kShardPhaseNames[kShardPhaseCount] = {
+    "shard.decide", "shard.stamp",  "shard.update",
+    "shard.apply",  "shard.settle", "shard.fold"};
+inline constexpr const char* kShardPhaseKeys[kShardPhaseCount] = {
+    "decide", "stamp", "update", "apply", "settle", "fold"};
+
 /// One fixed-size trace record. Names are `const char*` pointing at
 /// static-storage string literals — the hot path never owns, copies or
 /// allocates a string; variable context rides in the numeric `arg` (replica

@@ -3,11 +3,11 @@
 # report.md and report.json beside this script, with only the generation
 # timestamp masked. The inputs are the tool goldens in this directory plus
 # the small fixtures under report/ (bench capture and baseline, dirty
-# manifest, sharded trace, timeseries at three sizes, sweep), chosen
-# so that every section of both renderings is non-empty. It then checks that
-# malformed run.v1, sweep.v1 and JSONL inputs are rejected, that the report
-# ingests fresh CLI and soak artifacts, and that a bench capture compared
-# with itself passes the regression gate.
+# manifest, sharded trace, traces at three more sizes, sweep), chosen so that
+# every section of both renderings is non-empty. It then checks that
+# malformed run.v1, sweep.v1 and JSONL inputs and the removed periodic-sample
+# schema are rejected, that the report ingests fresh CLI and soak artifacts,
+# and that a bench capture compared with itself passes the regression gate.
 #
 #   cmake -DREPORT=<beepmis_report> -DCLI=<beepmis_cli> -DSOAK=<beepmis_soak>
 #         -DBENCH=<bench_e11_micro> -DGOLDEN=<this directory>
@@ -83,7 +83,7 @@ endfunction()
 string(JOIN "," inputs sweep.json report/sweep.json recovery.json
        waves-recovery.json soak-recovery.json dump.json waves-dump.json
        events.jsonl report/bench.json report/dirty.json report/trace.json
-       report/ts-n256.json report/ts-n512.json report/ts-n1024.json)
+       report/trace-n256.json report/trace-n512.json report/trace-n1024.json)
 set(run_dir "${GOLDEN}")
 run(2 "${REPORT}" --in ${inputs} --baseline report/baseline.json
     --out "${WORK}/report.md" --json-out "${WORK}/report.json")
@@ -123,20 +123,28 @@ foreach(bad bad-run.json bad-sweep.json bad-events.jsonl)
   endif()
 endforeach()
 
+# A document of the removed periodic-sample schema (deleted with its writer;
+# traces carry its timings) is rejected like any other unknown schema.
+file(WRITE "${WORK}/ts.json"
+     "{\"schema\":\"beepmis.timeseries.v1\",\"every\":4,\"capacity\":4096,"
+     "\"recorded\":1,\"dropped\":0,\"context\":{},\"samples\":[{\"round\":4,"
+     "\"active\":0,\"beeps\":3,\"mis\":2}]}\n")
+run(1 "${REPORT}" --quiet --in ts.json)
+if(NOT run_stderr MATCHES "^beepmis_report: ts.json: unrecognized schema")
+  message(FATAL_ERROR "ts.json: expected \"beepmis_report: ts.json: "
+                      "unrecognized schema\", got:\n${run_stderr}")
+endif()
+
 # Fresh artifacts, same sizes and flags as the runs the goldens came from.
-# (1) Sharded telemetry: a traced 8-worker run plus timeseries at three
-# sizes feed the phase-breakdown and imbalance tables and the
-# wall-time-per-round growth fit.
-run(0 "${CLI}" --family er-avg8 --n 4096 --seed 7 --kernel sharded
-    --shard-threads 8 --timeseries-out ts-t8.json --timeseries-every 4
-    --trace-out trace-teln-t8.json)
+# (1) Sharded telemetry: traced 8-worker runs at three sizes feed the
+# phase-breakdown and imbalance tables and the wall-time-per-round growth
+# fit.
 foreach(n 1024 4096 16384)
   run(0 "${CLI}" --family er-avg8 --n ${n} --seed 7 --kernel sharded
-      --shard-threads 8 --timeseries-out ts-fit-n${n}.json
-      --timeseries-every 4)
+      --shard-threads 8 --trace-out trace-fit-n${n}.json)
 endforeach()
-string(JOIN "," inputs trace-teln-t8.json ts-t8.json ts-fit-n1024.json
-       ts-fit-n4096.json ts-fit-n16384.json)
+string(JOIN "," inputs trace-fit-n1024.json trace-fit-n4096.json
+       trace-fit-n16384.json)
 run(0 "${REPORT}" --in ${inputs} --out tel-report.md
     --json-out tel-report.json)
 expect_in(tel-report.md "Sharded kernel phase breakdown")

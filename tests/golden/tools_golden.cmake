@@ -150,15 +150,12 @@ run(0 out "${CLI}" --family er-avg8 --n 256 --algorithm v1 --seed 7
     --faults 32 --waves 2 --monitor --recovery-out recovery.json
     --events-out events.jsonl --metrics-out run.json
     --flight-recorder dump.json
-    --anomaly-storm-fraction 0 --anomaly-storm-window 1
-    --timeseries-out ts.json --timeseries-every 4)
+    --anomaly-storm-fraction 0 --anomaly-storm-window 1)
 strip_wrote(out)
 expect_text(run.txt "${out}")
 expect_file(recovery.json recovery.json)
 expect_file(events.jsonl events.jsonl)
 expect_file(dump.json dump.json)
-run(0 ignored "${CHECK}" --in ts.json --canonical-out ts.canon.json)
-expect_file(timeseries.canon.json ts.canon.json)
 validate(recovery.json)
 validate(dump.json)
 expect_keys(run.json KEYS ${RUN_KEYS})
@@ -292,6 +289,18 @@ foreach(counter trace-dropped= anomalies=)
   endif()
 endforeach()
 validate_trace(trace-soak)
+
+# A document of the removed periodic-sample schema (deleted with its writer;
+# traces carry its timings) is rejected like any other unknown schema.
+file(WRITE "${WORK}/ts.json"
+     "{\"schema\":\"beepmis.timeseries.v1\",\"every\":4,\"capacity\":4096,"
+     "\"recorded\":1,\"dropped\":0,\"context\":{},\"samples\":[{\"round\":4,"
+     "\"active\":0,\"beeps\":3,\"mis\":2}]}\n")
+run(1 ignored "${CHECK}" --in ts.json)
+if(NOT run_stderr MATCHES "^trace_check: not a beepmis")
+  message(FATAL_ERROR "ts.json: expected \"trace_check: not a beepmis...\", "
+                      "got:\n${run_stderr}")
+endif()
 
 # Figures: the three SVGs are deterministic, byte for byte.
 run(0 ignored "${FIGURES}" --out-dir .)

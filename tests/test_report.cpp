@@ -400,6 +400,30 @@ TEST(Report, TraceDocumentContributesSpanQuantiles) {
   EXPECT_DOUBLE_EQ(num(spans[0], "max_ns"), 300.0);
 }
 
+TEST(Report, EngineRoundSpansFeedWallTimePerRoundFits) {
+  // The same trace at three sizes, its second round stretched so the mean
+  // engine.round span (0.2, 0.8, 3.2 us) grows exactly linearly in n.
+  obs::ReportBuilder b;
+  std::string error;
+  for (const auto& [n, dur] : std::vector<std::pair<std::string, std::string>>{
+           {"256", "0.3"}, {"1024", "1.5"}, {"4096", "6.3"}}) {
+    std::string text = kTrace;
+    const std::string n_at = R"("n": "256")", dur_at = R"("dur": 0.3)";
+    text.replace(text.find(n_at), n_at.size(), R"("n": ")" + n + "\"");
+    text.replace(text.find(dur_at), dur_at.size(), R"("dur": )" + dur);
+    ASSERT_TRUE(b.add_document(parse(text.c_str()), "trace-" + n + ".json",
+                               &error))
+        << error;
+  }
+  const auto fits = rows(b, "round_ms_fits");
+  ASSERT_EQ(fits.size(), 4u);  // all models, ranked best-R² first
+  EXPECT_EQ(fits[0].get("family").as_string(), "torus");
+  EXPECT_EQ(fits[0].get("model").as_string(), "n");
+  EXPECT_GT(num(fits[0], "r2"), 0.999);
+  EXPECT_NEAR(num(fits[0], "slope"), 0.0002 / 256.0, 1e-12);
+  EXPECT_EQ(num(fits[0], "sizes"), 3.0);
+}
+
 TEST(Report, ShardTraceFeedsPhaseAndImbalanceTables) {
   obs::ReportBuilder b;
   std::string error;

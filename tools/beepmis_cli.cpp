@@ -9,7 +9,6 @@
 ///       --threads 0 --sweep-out sweep.json        (one command line)
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -35,7 +34,6 @@
 #include "src/obs/recovery.hpp"
 #include "src/obs/session.hpp"
 #include "src/obs/sink.hpp"
-#include "src/obs/timeseries.hpp"
 #include "src/obs/timing.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/args.hpp"
@@ -141,87 +139,6 @@ class ProgressMeter final : public obs::RoundObserver {
   std::uint64_t every_;
 };
 
-/// Ring capacity of --timeseries-out, in samples: memory stays fixed, and
-/// once the ring fills the oldest samples are overwritten and counted as
-/// dropped. Raise --timeseries-every to cover a longer run.
-constexpr std::size_t kTimeSeriesCapacity = 4096;
-
-/// Periodic sampler behind --timeseries-out. The deterministic fields
-/// (round, active, beeps, mis) come straight from the round event; every
-/// measured value is derived by diffing the engine's *cumulative*
-/// shard-telemetry snapshot against the previous sample, so each sample
-/// reports per-round means over exactly its window. finalize() records one
-/// last sample at the final round, so short runs (stabilization is O(log n)
-/// rounds) produce non-empty series at any cadence.
-class TelemetrySampler final : public obs::RoundObserver {
- public:
-  TelemetrySampler(const core::Engine* engine, obs::TimeSeries* series)
-      : engine_(engine), series_(series), wall_(Clock::now()) {}
-
-  void on_round(const obs::RoundEvent& e) override {
-    last_ = e;
-    seen_ = true;
-    if (series_->due(e.round)) record(e);
-  }
-
-  /// Records the terminal sample unless the last round already landed on
-  /// the cadence. Call once, after the run.
-  void finalize() {
-    if (seen_ && last_.round > round_) record(last_);
-  }
-
- private:
-  using Clock = std::chrono::steady_clock;
-
-  /// Diffs the engine's cumulative shard telemetry against the window's
-  /// start (which then advances) into `s`'s per-round means; false when
-  /// telemetry is off or the window is empty.
-  bool shard_window(obs::TimeSeriesSample* s) {
-    core::ShardTelemetry tel;
-    if (!engine_->shard_telemetry(&tel)) return false;
-    const std::optional<core::ShardTelemetry> prev = window_;
-    window_ = tel;
-    if (!prev || tel.rounds <= prev->rounds) return false;
-    const auto dr = static_cast<double>(tel.rounds - prev->rounds);
-    for (std::size_t p = 0; p < core::kShardPhaseCount; ++p)
-      s->phase_ms[p] = (tel.phase_ms[p] - prev->phase_ms[p]) / dr;
-    s->barrier_ms = (tel.barrier_wait_ms - prev->barrier_wait_ms) / dr;
-    const double dbusy = tel.busy_ms - prev->busy_ms;
-    const double dmax = tel.max_busy_ms - prev->max_busy_ms;
-    s->imbalance = dbusy > 0.0 && tel.shards > 0
-                       ? dmax / (dbusy / static_cast<double>(tel.shards))
-                       : 0.0;
-    return true;
-  }
-
-  void record(const obs::RoundEvent& e) {
-    obs::TimeSeriesSample s;
-    s.round = e.round;
-    s.active = e.active;
-    s.beeps = e.beeps_ch1 + e.beeps_ch2;
-    s.mis = e.mis;
-    const auto now = Clock::now();
-    if (e.round > round_) {
-      const double ms =
-          std::chrono::duration<double, std::milli>(now - wall_).count();
-      s.round_ms = ms / static_cast<double>(e.round - round_);
-    }
-    s.has_phases = shard_window(&s);
-    round_ = e.round;
-    wall_ = now;
-    series_->record(s);
-  }
-
-  const core::Engine* engine_;
-  obs::TimeSeries* series_;
-  obs::RoundEvent last_;
-  bool seen_ = false;
-  std::uint64_t round_ = 0;  ///< round of the previous sample
-  Clock::time_point wall_;   ///< wall time of the previous sample
-  /// Cumulative shard telemetry at the previous sample: the window's start.
-  std::optional<core::ShardTelemetry> window_;
-};
-
 core::InitPolicy parse_init(const std::string& name) {
   for (core::InitPolicy p : core::all_init_policies())
     if (core::init_policy_name(p) == name) return p;
@@ -257,16 +174,10 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
     std::cerr << "unknown duplex mode: " << d << " (try full, half)\n";
     std::exit(2);
   }
-  // Per-phase shard telemetry is forced on when --timeseries-out is
-  // requested (the kernel also turns it on by itself while a tracing session
-  // is live). It is pure observation: simulation output is byte-identical
-  // with the layer on or off.
-  const bool want_series = !args.get("timeseries-out").empty();
-  config.phase_telemetry = want_series;
   auto engine = core::make_engine(g, config);
 
-  // Shard count this run will actually use — trace and timeseries context,
-  // so beepmis_report can key its phase-breakdown tables on it.
+  // Shard count this run will actually use — trace context, so
+  // beepmis_report can key its phase-breakdown tables on it.
   const std::size_t shards =
       core::resolve_kernel(config.kernel) ==
               core::KernelKind::Sharded
@@ -331,22 +242,6 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
   ProgressMeter progress(
       static_cast<std::uint64_t>(args.get_int("progress")));
   if (progress.interval() > 0) tee.add(&progress);
-  std::unique_ptr<obs::TimeSeries> series;
-  std::optional<TelemetrySampler> sampler;
-  if (want_series) {
-    series = std::make_unique<obs::TimeSeries>(
-        kTimeSeriesCapacity,
-        static_cast<std::uint64_t>(
-            std::max<std::int64_t>(1, args.get_int("timeseries-every"))));
-    series->set_context("tool", "beepmis_cli");
-    series->set_context("algorithm", exp::variant_name(variant));
-    series->set_context("family", family);
-    series->set_context("n", std::to_string(g.vertex_count()));
-    series->set_context("seed", args.get("seed"));
-    series->set_context("shards", std::to_string(shards));
-    series->set_context("shard_threads", args.get("shard-threads"));
-    tee.add(&sampler.emplace(engine.get(), series.get()));
-  }
   obs::MemorySink rounds_log;
   if (tracing || charting) tee.add(&rounds_log);
   if (!tee.empty()) engine->set_observer(&tee);
@@ -449,21 +344,6 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
                 static_cast<unsigned long long>(sum.invariant_violations));
   }
 
-  // Terminal sample, then the timeseries document. The sample counts
-  // printed here are deterministic (round-based cadence, fixed capacity,
-  // deterministic final round), so stdout stays diffable across thread and
-  // shard counts.
-  if (series) {
-    sampler->finalize();
-    const std::string note =
-        " (" + std::to_string(series->recorded()) + " samples, " +
-        std::to_string(series->dropped()) + " overwritten)";
-    if (!obs::write_artifact(
-            args.get("timeseries-out"), "timeseries",
-            [&](std::ostream& os) { series->write_json(os); }, stdout, note))
-      rc = 2;
-  }
-
   obs::RunManifest man;
   man.seed = seed;
   man.graph_name = g.name();
@@ -505,12 +385,12 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
 /// what came out — never wall-clock or worker count.
 int run_sweep(const support::ArgParser& args, obs::Session& session,
               exp::Variant variant, exp::Family family) {
-  // The sampler and the heartbeat attach to one engine's observer slot; a
-  // sweep runs sizes × seeds engines, so these are single-run features.
-  if (!args.get("timeseries-out").empty() || args.get_int("progress") != 0)
+  // The heartbeat attaches to one engine's observer slot; a sweep runs
+  // sizes × seeds engines, so it is a single-run feature.
+  if (args.get_int("progress") != 0)
     std::fprintf(stderr,
-                 "--timeseries-out/--progress are single-run features; "
-                 "ignored in --sweep mode\n");
+                 "--progress is a single-run feature; ignored in --sweep "
+                 "mode\n");
   exp::SweepConfig cfg;
   cfg.variant = variant;
   cfg.init = parse_init(args.get("init"));
@@ -781,14 +661,6 @@ int main(int argc, char** argv) {
   args.add_option("sweep-out", "",
                   "write a deterministic beepmis.sweep.v1 JSON summary "
                   "(identical across --threads values) to this file");
-  args.add_option("timeseries-out", "",
-                  "write a beepmis.timeseries.v1 document (periodic samples "
-                  "of actives/beeps/MIS size plus per-phase wall time and "
-                  "shard imbalance) to this file after the run; forces "
-                  "per-phase shard telemetry on");
-  args.add_option("timeseries-every", "1",
-                  "timeseries sampling cadence in rounds (values < 1 are "
-                  "clamped to 1); raise it for giant runs");
   obs::Session session(args, "beepmis_cli");
 
   std::string error;

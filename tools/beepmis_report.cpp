@@ -3,12 +3,11 @@
 /// Inputs (any mix, via repeated/comma-separated --in): "beepmis.run.v1"
 /// manifests (CLI runs, soak summaries, BENCH_micro.json bench captures),
 /// "beepmis.dump.v1" flight-recorder dumps, "beepmis.trace.v2" span traces,
-/// "beepmis.timeseries.v1" periodic samples, and raw JSONL round-event
-/// files. File kind is auto-detected
-/// from content. Sharded-kernel traces and timeseries documents feed the
-/// per-(algorithm, family, n, shards) phase-breakdown and load-imbalance
-/// tables, and timeseries round_ms curves get a wall-time-per-round growth
-/// fit next to the Thm 2.1/2.2 round-count fits.
+/// and raw JSONL round-event files. File kind is auto-detected from content.
+/// Sharded-kernel traces feed the per-(algorithm, family, n, shards)
+/// phase-breakdown and load-imbalance tables, and their `engine.round` spans
+/// get a wall-time-per-round growth fit next to the Thm 2.1/2.2 round-count
+/// fits.
 ///
 /// Output: a markdown report (stdout or --out) with stabilization
 /// percentiles per (algorithm, family, n), the fast-vs-reference speedup

@@ -12,11 +12,8 @@
 //     validated through obs::recovery_validate and summarized, including
 //     the summary-only folded form soak writes (empty epoch/violation
 //     arrays), which is valid by design.
-//   * "beepmis.timeseries.v1" documents (TimeSeries::write_json output):
-//     validated through obs::timeseries_validate and summarized;
-//     --canonical-out writes the deterministic projection (samples minus
-//     their "timing" objects, context minus shard provenance) that the CI
-//     determinism gates diff across --shard-threads values.
+//
+// Any other schema is rejected as unrecognised.
 //
 // Exit status: 0 valid, 1 invalid artifact, 2 usage/I-O error.
 
@@ -28,7 +25,6 @@
 #include "src/obs/flight.hpp"
 #include "src/obs/json_parse.hpp"
 #include "src/obs/recovery.hpp"
-#include "src/obs/timeseries.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/args.hpp"
 
@@ -81,42 +77,13 @@ int check_recovery_v1(const JsonValue& doc) {
   return 0;
 }
 
-int check_timeseries_v1(const JsonValue& doc,
-                        const std::string& canonical_out) {
-  std::string error;
-  if (!beepmis::obs::timeseries_validate(doc, &error)) return fail(error);
-  std::printf(
-      "valid beepmis.timeseries.v1: %zu samples, every=%llu, "
-      "recorded=%llu, dropped=%llu\n",
-      doc.get("samples").array.size(),
-      static_cast<unsigned long long>(doc.get("every").as_number(0.0)),
-      static_cast<unsigned long long>(doc.get("recorded").as_number(0.0)),
-      static_cast<unsigned long long>(doc.get("dropped").as_number(0.0)));
-  if (!canonical_out.empty()) {
-    std::ofstream out(canonical_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open: %s\n", canonical_out.c_str());
-      return 2;
-    }
-    if (!beepmis::obs::timeseries_write_canonical(doc, out, &error))
-      return fail(error);
-    std::printf("wrote %s\n", canonical_out.c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   beepmis::support::ArgParser args(
       "trace_check — validate beepmis.trace.v2 / beepmis.dump.v1 / "
-      "beepmis.recovery.v1 / beepmis.timeseries.v1 artifacts");
+      "beepmis.recovery.v1 artifacts");
   args.add_option("in", "", "artifact file to validate (required)");
-  args.add_option("canonical-out", "",
-                  "for timeseries.v1 inputs: also write the deterministic "
-                  "projection (samples minus their timing, context minus "
-                  "shard provenance) here — the form the CI determinism "
-                  "gates diff across shard counts");
   std::string error;
   if (!args.parse(argc, argv, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
@@ -145,8 +112,5 @@ int main(int argc, char** argv) {
   if (schema == "beepmis.trace.v2") return check_trace_v2(doc);
   if (schema == "beepmis.dump.v1") return check_dump_v1(doc);
   if (schema == "beepmis.recovery.v1") return check_recovery_v1(doc);
-  if (schema == "beepmis.timeseries.v1")
-    return check_timeseries_v1(doc, args.get("canonical-out"));
-  return fail(
-      "not a beepmis.trace.v2/dump.v1/recovery.v1/timeseries.v1 document");
+  return fail("not a beepmis.trace.v2/dump.v1/recovery.v1 document");
 }
