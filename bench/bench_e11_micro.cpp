@@ -239,8 +239,7 @@ void BM_FastEngineKernel(benchmark::State& state, core::KernelKind kernel) {
   std::uint64_t seed = 0;
   std::uint64_t rounds = 0;
   for (auto _ : state) {
-    core::FastMisEngine fast(g, lmax, ++seed, {}, beep::Duplex::Full,
-                             kernel);
+    core::FastMisEngine fast(g, lmax, ++seed, beep::Duplex::Full, kernel);
     support::Rng irng(seed);
     for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
       const auto span = static_cast<std::uint64_t>(2 * lmax[v] + 1);
@@ -287,7 +286,7 @@ void run_shard_bench(benchmark::State& state, core::KernelKind kernel,
   std::uint64_t seed = 0;
   std::uint64_t rounds = 0;
   for (auto _ : state) {
-    core::FastMisEngine fast(g, lmax, ++seed, {}, beep::Duplex::Full,
+    core::FastMisEngine fast(g, lmax, ++seed, beep::Duplex::Full,
                              kernel, shard_threads, phase_telemetry);
     support::Rng irng(seed);
     for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
@@ -344,7 +343,7 @@ BENCHMARK(BM_EngineRunSharded_Telemetry)
 void BM_FaultWave(benchmark::State& state) {
   constexpr std::size_t kN = std::size_t{1} << 17;
   const graph::Graph g = make_er(kN);
-  core::FastMisEngine fast(g, core::lmax_global_delta(g), 1, {},
+  core::FastMisEngine fast(g, core::lmax_global_delta(g), 1,
                            beep::Duplex::Full, core::KernelKind::Sharded, 1);
   support::Rng irng(1);
   core::apply_init(fast, core::InitPolicy::UniformRandom, irng);
@@ -372,7 +371,7 @@ BENCHMARK(BM_FaultWave)
 void BM_VerifySettled(benchmark::State& state, bool probe) {
   constexpr std::size_t kN = std::size_t{1} << 20;
   const graph::Graph g = make_er(kN);
-  core::FastMisEngine fast(g, core::lmax_global_delta(g), 1, {},
+  core::FastMisEngine fast(g, core::lmax_global_delta(g), 1,
                            beep::Duplex::Full, core::KernelKind::Sharded, 1);
   support::Rng irng(1);
   core::apply_init(fast, core::InitPolicy::UniformRandom, irng);
@@ -405,7 +404,7 @@ BENCHMARK_CAPTURE(BM_VerifySettled, probe, true)
 void BM_VerifyAfterWave(benchmark::State& state, bool incremental) {
   constexpr std::size_t kN = std::size_t{1} << 20;
   const graph::Graph g = make_er(kN);
-  core::FastMisEngine fast(g, core::lmax_global_delta(g), 1, {},
+  core::FastMisEngine fast(g, core::lmax_global_delta(g), 1,
                            beep::Duplex::Full, core::KernelKind::Sharded, 1);
   support::Rng irng(1);
   core::apply_init(fast, core::InitPolicy::UniformRandom, irng);

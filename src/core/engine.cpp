@@ -78,9 +78,9 @@ LmaxVector make_lmax(const graph::Graph& g, Variant variant, std::int32_t c1) {
 }
 
 /// Engine adapter over the textbook path: the variant's reference algorithm
-/// driven by beep::Simulation. Exists for cross-checking (the fast engine is
-/// proven stream-identical against it) and as the anchor of the equivalence
-/// tests; Auto never selects it.
+/// driven by beep::Simulation. It anchors the equivalence tests (the fast
+/// engine is proven stream-identical against it) and runs every config with
+/// receiver noise, which the fast engine's kernels do not model.
 class ReferenceEngine final : public Engine {
  public:
   ReferenceEngine(const graph::Graph& g, const EngineConfig& config) {
@@ -139,11 +139,13 @@ class ReferenceEngine final : public Engine {
       a2_->set_level(v, level);
   }
 
-  void step() override { sim_->step(); }
+  void step() override {
+    obs::TraceScope span("engine.round", sim_->round() + 1);
+    sim_->step();
+  }
   std::uint64_t run_to_stabilization(std::uint64_t max_rounds) override {
     const auto start = sim_->round();
-    while (!is_stabilized() && sim_->round() - start < max_rounds)
-      sim_->step();
+    while (!is_stabilized() && sim_->round() - start < max_rounds) step();
     return sim_->round() - start;
   }
   bool is_stabilized() const override {
@@ -185,19 +187,24 @@ class ReferenceEngine final : public Engine {
 
 std::unique_ptr<Engine> make_engine(const graph::Graph& g,
                                     const EngineConfig& config) {
-  if (config.kind == EngineKind::Reference)
+  // Noise leaves nothing permanently settled, so the fast engine's kernels
+  // do not model it; Auto sends noisy configs to the reference engine. Any
+  // rate other than 0 counts, so a negative or NaN one reaches
+  // beep::Simulation's range check instead of being dropped.
+  const bool noisy = config.noise.false_positive != 0.0 ||
+                     config.noise.false_negative != 0.0;
+  BEEPMIS_CHECK(!(noisy && config.kind == EngineKind::Fast),
+                "the fast engine runs noise-free configs only");
+  if (config.kind == EngineKind::Reference || noisy)
     return std::make_unique<ReferenceEngine>(g, config);
-  // Auto resolves to the fast path: it covers faults, noise and duplex with
-  // proven stream equality, so there is no workload left for the slow path.
   if (config.variant == Variant::TwoChannel)
     return std::make_unique<FastEngine<Alg2Policy>>(
-        g, make_lmax(g, config.variant, config.c1), config.seed, config.noise,
+        g, make_lmax(g, config.variant, config.c1), config.seed,
         config.duplex, config.kernel, config.shard_threads,
         config.phase_telemetry);
   return std::make_unique<FastEngine<Alg1Policy>>(
-      g, make_lmax(g, config.variant, config.c1), config.seed, config.noise,
-      config.duplex, config.kernel, config.shard_threads,
-      config.phase_telemetry);
+      g, make_lmax(g, config.variant, config.c1), config.seed, config.duplex,
+      config.kernel, config.shard_threads, config.phase_telemetry);
 }
 
 std::vector<graph::VertexId> corrupt_random(Engine& engine, std::size_t count,

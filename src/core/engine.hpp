@@ -31,12 +31,13 @@ enum class Variant {
 std::string variant_name(Variant v);
 
 /// Executor selection for make_engine. Fast and Reference are proven
-/// coin-for-coin identical under the same seed (test_fast_engine.cpp,
-/// test_engine.cpp), so Auto always picks the fast path; Reference exists
-/// for cross-checking and for the equivalence tests themselves.
+/// coin-for-coin identical under the same seed on noise-free configs
+/// (test_fast_engine.cpp, test_engine.cpp), so Auto picks the fast path for
+/// those and the reference path under receiver noise, which the fast
+/// engine does not model.
 enum class EngineKind {
-  Auto,       ///< let the factory choose (currently: always Fast)
-  Fast,       ///< O(active)-per-round settled-state engine
+  Auto,       ///< let the factory choose (Fast unless the config is noisy)
+  Fast,       ///< O(active)-per-round settled-state engine; noise-free only
   Reference,  ///< beep::Simulation driving the textbook algorithm
 };
 
@@ -47,8 +48,8 @@ bool parse_engine_kind(const std::string& name, EngineKind* out);
 /// Round-kernel selection for the fast engine. Both kernels are proven
 /// stream-identical (same levels, same RoundEvents, round for round — see
 /// tests/test_kernels.cpp), so the choice never changes a result, only the
-/// wall-clock. Irrelevant under receiver noise, where every kernel runs the
-/// same dense full sweep.
+/// wall-clock. Irrelevant under receiver noise, which runs on the reference
+/// engine.
 enum class KernelKind {
   Auto,     ///< let the engine choose (always Sharded)
   Scalar,   ///< per-vertex loops over CSR — the oracle Sharded is proven against
@@ -199,8 +200,10 @@ class Engine {
 };
 
 /// Builds the requested executor for `config.variant` on `g`. EngineKind::
-/// Auto resolves to the fast engine — it covers the full model surface
-/// (faults, noise, duplex), so nothing ever needs the slow path implicitly.
+/// Auto resolves to the fast engine for noise-free configs (faults and
+/// duplex included) and to the reference engine when either noise rate is
+/// nonzero. Aborts on EngineKind::Fast with noise and, through
+/// beep::Simulation, on a noise rate outside [0, 1].
 std::unique_ptr<Engine> make_engine(const graph::Graph& g,
                                     const EngineConfig& config);
 

@@ -13,40 +13,28 @@ namespace beepmis::core {
 
 template <typename Policy>
 FastEngine<Policy>::FastEngine(const graph::Graph& g, LmaxVector lmax,
-                               std::uint64_t seed, beep::ChannelNoise noise,
-                               beep::Duplex duplex, KernelKind kernel,
+                               std::uint64_t seed, beep::Duplex duplex,
+                               KernelKind kernel,
                                std::size_t shard_threads,
                                bool phase_telemetry)
     : graph_(&g),
       lmax_(std::move(lmax)),
-      seed_(seed),
-      noise_(noise),
-      duplex_(duplex),
-      dense_(noise.enabled()),
       kernel_kind_(resolve_kernel(kernel)) {
   BEEPMIS_CHECK(lmax_.size() == g.vertex_count(), "lmax sized for wrong graph");
   for (std::int32_t m : lmax_)
     BEEPMIS_CHECK(m >= 2, "lmax must be at least 2 for every vertex");
-  BEEPMIS_CHECK(noise_.false_positive >= 0.0 && noise_.false_positive <= 1.0,
-                "false-positive rate outside [0,1]");
-  BEEPMIS_CHECK(noise_.false_negative >= 0.0 && noise_.false_negative <= 1.0,
-                "false-negative rate outside [0,1]");
   const std::size_t n = g.vertex_count();
   levels_.assign(n, 1);
   // Coins are counter draws keyed by (seed, vertex, round) — no per-node
-  // generator state. Only the noise stream is a stored stream, derived
-  // identically to beep::Simulation's so noisy runs stay draw-for-draw
-  // compatible.
-  noise_rng_ = support::Rng(seed).derive_stream(0x401533);
+  // generator state.
   send_.assign(n, 0);
-  heard_.assign(n, 0);
   KernelContext<Policy> ctx;
   ctx.graph = graph_;
   ctx.lmax = &lmax_;
   ctx.levels = &levels_;
   ctx.send = &send_;
-  ctx.seed = seed_;
-  ctx.half = duplex_ == beep::Duplex::Half;
+  ctx.seed = seed;
+  ctx.half = duplex == beep::Duplex::Half;
   ctx.shard_threads = shard_threads;
   ctx.telemetry = phase_telemetry;
   kernel_ = make_round_kernel<Policy>(kernel_kind_, ctx);
@@ -65,11 +53,7 @@ void FastEngine<Policy>::settle() const {
   if (!kernel_stale_) return;
   obs::ScopedTimer timer(refresh_timer_, refresh_digest_,
                          "engine.refresh_settlement");
-  // Dense rounds never run the kernel, so they only need its settlement.
-  if (dense_)
-    kernel_->refresh_settlement();
-  else
-    kernel_->rebuild();
+  kernel_->rebuild();
   kernel_stale_ = false;
 }
 
@@ -99,12 +83,12 @@ void FastEngine<Policy>::corrupt(graph::VertexId v, support::Rng& rng) {
   BEEPMIS_CHECK(v < levels_.size(), "vertex out of range");
   const std::int32_t old = levels_[v];
   levels_[v] = Policy::corrupt_level(lmax_[v], rng);
-  // Under noise nothing is permanently settled anyway; with a refresh
-  // already pending the settlement is stale regardless; and with nothing
-  // settled yet (e.g. the n corruption draws of a uniform-random init) one
-  // lazy refresh beats n local patches. Otherwise the kernel repairs its
-  // settlement in the corrupted vertex's 2-hop neighborhood.
-  if (dense_ || kernel_stale_ || kernel_->active_count() == levels_.size()) {
+  // With a refresh already pending the settlement is stale regardless; and
+  // with nothing settled yet (e.g. the n corruption draws of a
+  // uniform-random init) one lazy refresh beats n local patches. Otherwise
+  // the kernel repairs its settlement in the corrupted vertex's 2-hop
+  // neighborhood.
+  if (kernel_stale_ || kernel_->active_count() == levels_.size()) {
     kernel_stale_ = true;
     return;
   }
@@ -114,16 +98,7 @@ void FastEngine<Policy>::corrupt(graph::VertexId v, support::Rng& rng) {
 template <typename Policy>
 void FastEngine<Policy>::step() {
   obs::TraceScope span("engine.round", round_ + 1);
-  if (dense_) {
-    step_dense();
-    return;
-  }
   settle();
-  step_sparse();
-}
-
-template <typename Policy>
-void FastEngine<Policy>::step_sparse() {
   // The kernel executes the round — decisions, exchange, updates,
   // settlement — and reports its tallies; the engine contributes the
   // settled censuses (constants of a fault-free round: settled members beep
@@ -174,76 +149,6 @@ void FastEngine<Policy>::step_sparse() {
       ev.heard_any = dominated_before + census.active_heard_any;
     }
     ev.prominent = members_before + census.prominent_active;
-    finish_event(ev);
-  }
-}
-
-template <typename Policy>
-void FastEngine<Policy>::step_dense() {
-  // Noise mode: a false negative can decay a capped vertex and a false
-  // positive can evict a member, so nothing is permanently settled and the
-  // sparse invariants do not hold. Run the reference semantics as a full
-  // sweep — identical for every kernel — replaying the shared noise stream
-  // in beep::Simulation's exact (vertex, channel) order; the per-node coins
-  // are counter draws, order-independent by construction.
-  const std::size_t n = levels_.size();
-  const std::uint64_t rs = support::counter_round_state(seed_, round_);
-  for (graph::VertexId v = 0; v < n; ++v)
-    send_[v] =
-        Policy::decide_coin(levels_[v], lmax_[v], CounterCoin{rs, v});
-
-  for (graph::VertexId v = 0; v < n; ++v) {
-    beep::ChannelMask h = 0;
-    for (graph::VertexId u : graph_->neighbors(v)) h |= send_[u];
-    heard_[v] = h;
-  }
-  if (duplex_ == beep::Duplex::Half) {
-    for (graph::VertexId v = 0; v < n; ++v)
-      if (send_[v]) heard_[v] = 0;
-  }
-  for (graph::VertexId v = 0; v < n; ++v) {
-    for (unsigned ch = 0; ch < Policy::kChannels; ++ch) {
-      const auto bit = static_cast<beep::ChannelMask>(1u << ch);
-      if (heard_[v] & bit) {
-        if (noise_rng_.bernoulli(noise_.false_negative)) heard_[v] &= ~bit;
-      } else {
-        if (noise_rng_.bernoulli(noise_.false_positive)) heard_[v] |= bit;
-      }
-    }
-  }
-  for (graph::VertexId v = 0; v < n; ++v)
-    levels_[v] = Policy::update(levels_[v], lmax_[v], send_[v], heard_[v]);
-  ++round_;
-  kernel_stale_ = true;
-
-  // Under noise nothing settles, so only the beep census makes a useful
-  // counter track here; it is recomputed from send_ only on sampled rounds.
-  if (const std::uint64_t k = obs::Tracer::counter_interval();
-      k != 0 && round_ % k == 0) {
-    std::uint32_t beeps = 0;
-    for (beep::ChannelMask m : send_) {
-      beeps += (m & beep::kChannel1) ? 1 : 0;
-      beeps += (m & beep::kChannel2) ? 1 : 0;
-    }
-    obs::Tracer::counter("engine.beeps", static_cast<double>(beeps));
-  }
-
-  if (observer_ != nullptr) {
-    obs::RoundEvent ev;
-    ev.round = round_;
-    for (beep::ChannelMask m : send_) {
-      ev.beeps_ch1 += (m & beep::kChannel1) ? 1 : 0;
-      ev.beeps_ch2 += (m & beep::kChannel2) ? 1 : 0;
-    }
-    for (beep::ChannelMask m : heard_) {
-      ev.heard_ch1 += (m & beep::kChannel1) ? 1 : 0;
-      ev.heard_ch2 += (m & beep::kChannel2) ? 1 : 0;
-      ev.heard_any += m ? 1 : 0;
-    }
-    std::uint32_t prominent = 0;
-    for (std::int32_t l : levels_) prominent += Policy::is_prominent(l) ? 1 : 0;
-    ev.prominent = prominent;
-    settle();  // events report |I_t|, |S_t| from current levels
     finish_event(ev);
   }
 }

@@ -20,7 +20,7 @@ namespace beepmis::core {
 /// bundle of the per-algorithm pieces — channel count, beep decision, level
 /// update, membership encoding, corruption range — while the engine owns
 /// everything the algorithms share: levels, counter-keyed randomness, the
-/// round kernel (which owns settlement and the active set), noise/duplex
+/// round kernel (which owns settlement and the active set), duplex
 /// handling, and event emission. Adding a future variant (e.g. the few-states algorithms
 /// of Giakkoupis–Ziccardi) means writing one such policy, not a new engine.
 ///
@@ -181,13 +181,10 @@ struct Alg2Policy {
 ///    vertex's 2-hop neighborhood, so a k-vertex fault wave costs work local
 ///    to those k vertices, not a rebuild;
 ///  - Duplex::Half zeroes a beeping vertex's feedback, which preserves the
-///    settled-state structure, so the sparse path still applies;
-///  - ChannelNoise makes *nothing* permanently settled (a false negative
-///    can decay a capped vertex, a false positive can evict a member), so
-///    the engine switches to a dense full-sweep step that replays the
-///    reference simulator's noise draws in its exact (vertex, channel)
-///    order; the kernel's settlement then only serves as a lazily refreshed
-///    stabilization-predicate cache (settled bytes and counts, no caches).
+///    settled-state structure, so the sparse path still applies.
+/// Receiver noise is outside it: a false negative can decay a capped vertex
+/// and a false positive can evict a member, so nothing is permanently
+/// settled, and make_engine runs noisy configs on the reference engine.
 template <typename Policy>
 class RoundKernel;
 struct SparseCensus;
@@ -201,7 +198,6 @@ class FastEngine final : public Engine {
   /// `phase_telemetry` makes the sharded kernel collect ShardTelemetry every
   /// round (it always collects while a tracing session is live).
   FastEngine(const graph::Graph& g, LmaxVector lmax, std::uint64_t seed,
-             beep::ChannelNoise noise = {},
              beep::Duplex duplex = beep::Duplex::Full,
              KernelKind kernel = KernelKind::Auto,
              std::size_t shard_threads = 1, bool phase_telemetry = false);
@@ -238,9 +234,8 @@ class FastEngine final : public Engine {
                    std::span<std::uint64_t> candidate) const override;
 
   /// Mid-run transient fault (draw-identical to the reference algorithm's
-  /// corrupt_node). Under noise the settlement is merely marked stale; on
-  /// the sparse path the kernel patches it in the corrupted vertex's 2-hop
-  /// neighborhood so the next step stays O(active).
+  /// corrupt_node). The kernel patches settlement in the corrupted vertex's
+  /// 2-hop neighborhood so the next step stays O(active).
   void corrupt(graph::VertexId v, support::Rng& rng) override;
 
   /// Number of currently unsettled vertices (for instrumentation).
@@ -248,9 +243,8 @@ class FastEngine final : public Engine {
 
   /// Attaches a non-owning per-round observer (same obs::RoundEvent shape
   /// and semantics as beep::Simulation's — proven stream-identical in
-  /// test_obs.cpp). Event assembly costs O(active) per round on the sparse
-  /// path, except the analysis fields (wants_analysis()) which cost
-  /// O(n + m). Null detaches.
+  /// test_obs.cpp). Event assembly costs O(active) per round, except the
+  /// analysis fields (wants_analysis()) which cost O(n + m). Null detaches.
   void set_observer(obs::RoundObserver* observer) override {
     observer_ = observer;
   }
@@ -276,31 +270,22 @@ class FastEngine final : public Engine {
   bool shard_telemetry(ShardTelemetry* out) const override;
 
  private:
-  // Recomputes the kernel's settlement from the levels if a write left it
-  // stale: rebuild() on the sparse path, refresh_settlement() on the dense
-  // one. Const because settlement is a cache over levels_.
+  // Rebuilds the kernel's settlement from the levels if a write left it
+  // stale. Const because settlement is a cache over levels_.
   void settle() const;
-  void step_sparse();
-  void step_dense();
   std::uint32_t lemma31_census() const;
   void finish_event(obs::RoundEvent& ev) const;
 
   const graph::Graph* graph_;
   LmaxVector lmax_;
   std::vector<std::int32_t> levels_;
-  std::uint64_t seed_;  // keys the counter draws: coin(v, t) = f(seed, v, t)
-  std::vector<beep::ChannelMask> send_;   // scratch, indexed by vertex
-  std::vector<beep::ChannelMask> heard_;  // dense path only
+  std::vector<beep::ChannelMask> send_;  // scratch, indexed by vertex
   std::uint64_t round_ = 0;
-  beep::ChannelNoise noise_;
-  beep::Duplex duplex_ = beep::Duplex::Full;
-  support::Rng noise_rng_{0};
-  bool dense_ = false;  // noise breaks permanence; run full sweeps
   KernelKind kernel_kind_ = KernelKind::Scalar;  // resolved, never Auto
   std::unique_ptr<RoundKernel<Policy>> kernel_;
-  // Levels were written wholesale (set_level, a dense round, a corruption
-  // with nothing settled yet): the kernel's settlement is recomputed lazily
-  // before it is next read.
+  // Levels were written wholesale (set_level, a corruption with nothing
+  // settled yet): the kernel's settlement is recomputed lazily before it is
+  // next read.
   mutable bool kernel_stale_ = true;
   obs::RoundObserver* observer_ = nullptr;
   obs::TimerStat* refresh_timer_ = nullptr;

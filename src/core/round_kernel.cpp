@@ -37,10 +37,28 @@ class ScalarKernel final : public RoundKernel<Policy> {
   const char* name() const noexcept override { return "scalar"; }
 
   void rebuild() override {
-    this->refresh_settlement();
+    const std::size_t n = settled_.size();
+    const auto& levels = *ctx_.levels;
+    const auto& lmax = *ctx_.lmax;
+    std::fill(settled_.begin(), settled_.end(), 0);
+    mis_count_ = 0;
+    for (graph::VertexId v = 0; v < n; ++v)
+      if (member_settled(v)) {
+        settled_[v] = 1;
+        ++mis_count_;
+      }
     active_.clear();
-    for (graph::VertexId v = 0; v < settled_.size(); ++v)
+    for (graph::VertexId v = 0; v < n; ++v) {
+      if (settled_[v]) continue;
+      if (levels[v] == lmax[v])
+        for (graph::VertexId u : ctx_.graph->neighbors(v))
+          if (settled_[u] == 1) {
+            settled_[v] = 2;
+            break;
+          }
       if (!settled_[v]) active_.push_back(v);
+    }
+    active_count_ = active_.size();
   }
 
   void patch(graph::VertexId v, std::int32_t /*old_level*/) override {
@@ -1093,33 +1111,6 @@ class ShardedKernel final : public RoundKernel<Policy> {
 };
 
 }  // namespace
-
-template <typename Policy>
-void RoundKernel<Policy>::refresh_settlement() {
-  const std::size_t n = settled_.size();
-  const auto& levels = *ctx_.levels;
-  const auto& lmax = *ctx_.lmax;
-  std::fill(settled_.begin(), settled_.end(), 0);
-  mis_count_ = 0;
-  for (graph::VertexId v = 0; v < n; ++v)
-    if (member_settled(v)) {
-      settled_[v] = 1;
-      ++mis_count_;
-    }
-  active_count_ = n - mis_count_;
-  for (graph::VertexId v = 0; v < n; ++v) {
-    if (settled_[v] || levels[v] != lmax[v]) continue;
-    for (graph::VertexId u : ctx_.graph->neighbors(v))
-      if (settled_[u] == 1) {
-        settled_[v] = 2;
-        --active_count_;
-        break;
-      }
-  }
-}
-
-template class RoundKernel<Alg1Policy>;
-template class RoundKernel<Alg2Policy>;
 
 KernelKind resolve_kernel(KernelKind kind) noexcept {
   return kind == KernelKind::Auto ? KernelKind::Sharded : kind;

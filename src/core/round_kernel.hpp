@@ -88,19 +88,17 @@ struct KernelContext {
 /// implementations — Scalar (the oracle) and Sharded — are proven
 /// stream-identical: same levels, same censuses, round for round, across
 /// corruption and half-duplex, at every shard count (tests/test_kernels.cpp).
-/// Receiver noise never reaches a kernel; the engine runs its dense full
-/// sweep instead.
+/// Receiver noise never reaches a kernel: make_engine runs noisy configs on
+/// the reference engine.
 ///
 /// The kernel is the only owner of settlement: the settled bytes (0 active,
 /// 1 member, 2 dominated), the active set and the member/active counts, plus
 /// whatever private caches its round needs. Between rounds they change in
-/// one of three ways, each of which leaves them exact:
-///   rebuild()             everything from the levels, O(n + m) — after
-///                         set_level, i.e. once per initial configuration;
-///   patch(v, old)         one level write, repaired in v's 2-hop
-///                         neighborhood — a corruption costs O(touched);
-///   refresh_settlement()  settlement and counts only — the dense (noisy)
-///                         path's census, which never runs a kernel round.
+/// one of two ways, each of which leaves them exact:
+///   rebuild()      everything from the levels, O(n + m) — after set_level,
+///                  i.e. once per initial configuration;
+///   patch(v, old)  one level write, repaired in v's 2-hop neighborhood — a
+///                  corruption costs O(touched).
 template <typename Policy>
 class RoundKernel {
  public:
@@ -127,11 +125,6 @@ class RoundKernel {
   /// inside v and the neighbors of members that flipped, so no full rescan
   /// is needed.
   virtual void patch(graph::VertexId v, std::int32_t old_level) = 0;
-
-  /// Settled bytes and counts from the levels alone, leaving the active set
-  /// and private caches untouched (hence stale): rebuild() before the next
-  /// step_sparse.
-  void refresh_settlement();
 
   std::size_t active_count() const noexcept { return active_count_; }
   /// Settled members (== |I_t| after a round).

@@ -223,6 +223,32 @@ flag_run(--trace)
 expect_text(flags.txt "${flags_out}")
 expect_file(chart.svg chart.svg)
 
+# Receiver noise under fault waves, stdout and events byte for byte: v1
+# re-stabilizes after its wave, v3 exhausts a short budget (exit 1).
+function(noisy_run expected algorithm)
+  run(${expected} out "${CLI}" --family er-avg8 --n 256 --seed 3
+      --algorithm ${algorithm} --noise-fp 0.01 --noise-fn 0.02 --faults 16
+      --waves 1 --events-out noisy-${algorithm}.jsonl ${ARGN})
+  strip_wrote(out)
+  expect_text(noisy-${algorithm}.txt "${out}")
+  expect_file(noisy-${algorithm}.jsonl noisy-${algorithm}.jsonl)
+endfunction()
+noisy_run(0 v1)
+noisy_run(1 v3 --max-rounds 150)
+
+# A noise rate outside [0, 1] (NaN included), or noise on the noise-free fast
+# engine, is a usage error: one line on stderr and exit 2.
+foreach(bad "--noise-fp;2" "--noise-fn;-0.5" "--noise-fp;nan"
+            "--engine;fast;--noise-fp;0.01")
+  run(2 ignored "${CLI}" --n 64 ${bad})
+  string(REGEX MATCHALL "\n" lines "${run_stderr}")
+  list(LENGTH lines count)
+  if(NOT count EQUAL 1)
+    message(FATAL_ERROR "${bad}: expected one stderr line, got:\n"
+                        "${run_stderr}")
+  endif()
+endforeach()
+
 # Traced single run: the trace validates, and the simulation output matches
 # the untraced golden.
 run(0 out "${CLI}" --family torus --n 256 --algorithm v3 --seed 7

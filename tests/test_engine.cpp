@@ -43,6 +43,11 @@ TEST(EngineFactory, AutoResolvesToFastReferenceToReference) {
     config.kind = EngineKind::Reference;
     EXPECT_EQ(make_engine(g, config)->name().rfind("reference-", 0), 0u)
         << variant_name(v);
+    // Receiver noise runs on the reference engine only.
+    config.kind = EngineKind::Auto;
+    config.noise = beep::ChannelNoise{0.0, 0.01};
+    EXPECT_EQ(make_engine(g, config)->name().rfind("reference-", 0), 0u)
+        << variant_name(v);
   }
 }
 
@@ -179,6 +184,17 @@ TEST(EngineDeath, CorruptRandomRejectsOversizedCount) {
   auto fast = make_engine(g, config);
   support::Rng f(1);
   EXPECT_DEATH(corrupt_random(*fast, 5, f), "more nodes than exist");
+}
+
+TEST(EngineDeath, MakeEngineRejectsBadNoise) {
+  const auto g = graph::make_path(4);
+  EngineConfig config;
+  config.noise = beep::ChannelNoise{0.01, 0.0};
+  config.kind = EngineKind::Fast;
+  EXPECT_DEATH(make_engine(g, config), "noise-free configs only");
+  config.kind = EngineKind::Auto;
+  config.noise = beep::ChannelNoise{-0.5, 0.0};
+  EXPECT_DEATH(make_engine(g, config), "rate outside");
 }
 
 }  // namespace

@@ -28,15 +28,16 @@ struct Reference {
 };
 
 Reference make_reference(const graph::Graph& g, const LmaxVector& lmax,
-                         std::uint64_t seed, beep::ChannelNoise noise = {},
+                         std::uint64_t seed,
                          beep::Duplex duplex = beep::Duplex::Full) {
   auto a = std::make_unique<SelfStabMis>(g, lmax);
   auto* raw = a.get();
   // Counter mode: the engines draw counter-keyed coins, so the reference
   // must reseed its per-node streams from the same (seed, node, round)
   // coordinates to stay coin-for-coin identical.
-  return {std::make_unique<beep::Simulation>(g, std::move(a), seed, noise,
-                                             duplex, beep::RngMode::Counter),
+  return {std::make_unique<beep::Simulation>(g, std::move(a), seed,
+                                             beep::ChannelNoise{}, duplex,
+                                             beep::RngMode::Counter),
           raw};
 }
 
@@ -47,12 +48,13 @@ struct Reference2 {
 };
 
 Reference2 make_reference2(const graph::Graph& g, const LmaxVector& lmax,
-                           std::uint64_t seed, beep::ChannelNoise noise = {},
+                           std::uint64_t seed,
                            beep::Duplex duplex = beep::Duplex::Full) {
   auto a = std::make_unique<SelfStabMisTwoChannel>(g, lmax);
   auto* raw = a.get();
-  return {std::make_unique<beep::Simulation>(g, std::move(a), seed, noise,
-                                             duplex, beep::RngMode::Counter),
+  return {std::make_unique<beep::Simulation>(g, std::move(a), seed,
+                                             beep::ChannelNoise{}, duplex,
+                                             beep::RngMode::Counter),
           raw};
 }
 
@@ -264,16 +266,14 @@ TEST(FastEngine, MisMembersMatchesLevelDefinition) {
         {
           const auto lmax = lmax_global_delta(g);
           SelfStabMis ref(g, lmax);
-          FastMisEngine fast(g, lmax, seed, {}, beep::Duplex::Full, kind,
-                             threads);
+          FastMisEngine fast(g, lmax, seed, beep::Duplex::Full, kind, threads);
           set_biased_levels(g, ref, fast, lr);
           expect_members_match(g, ref, fast, "alg1 " + what);
         }
         {
           const auto lmax = lmax_one_hop(g);
           SelfStabMisTwoChannel ref(g, lmax);
-          FastMisEngine2 fast(g, lmax, seed, {}, beep::Duplex::Full, kind,
-                              threads);
+          FastMisEngine2 fast(g, lmax, seed, beep::Duplex::Full, kind, threads);
           set_biased_levels(g, ref, fast, lr);
           expect_members_match(g, ref, fast, "alg2 " + what);
         }
@@ -341,7 +341,7 @@ TEST(FastEngine2Death, NegativeLevelRejected) {
   EXPECT_DEATH(fast.set_level(0, -1), "outside");
 }
 
-// --- Full model surface on the fast path: faults, noise, half-duplex ----
+// --- Full model surface on the fast path: faults, half-duplex ----------
 //
 // Each test drives the fast engine and beep::Simulation in lockstep under
 // the same seed and asserts level-for-level AND event-for-event equality —
@@ -407,50 +407,6 @@ TEST(FastEngineFaults, CorruptionAfterStabilizationResettlesLocally) {
   }
 }
 
-TEST(FastEngineNoise, NoisyRunStreamIdenticalAlg1) {
-  const beep::ChannelNoise noise{0.02, 0.05};
-  support::Rng grng(24);
-  const auto graphs = {
-      graph::make_grid(6, 6),
-      graph::make_erdos_renyi_avg_degree(80, 8.0, grng),
-  };
-  for (const auto& g : graphs) {
-    const auto lmax = lmax_global_delta(g);
-    auto ref = make_reference(g, lmax, 55, noise);
-    FastMisEngine fast(g, lmax, 55, noise);
-    corrupt_init(g, ref.algo, fast, 9);
-    run_lockstep(g, *ref.sim, ref.algo, fast, 300);
-  }
-}
-
-TEST(FastEngineNoise, NoisyRunStreamIdenticalAlg2) {
-  const beep::ChannelNoise noise{0.03, 0.04};
-  support::Rng grng(25);
-  const auto graphs = {
-      graph::make_star(32),
-      graph::make_erdos_renyi_avg_degree(80, 8.0, grng),
-  };
-  for (const auto& g : graphs) {
-    const auto lmax = lmax_one_hop(g);
-    auto ref = make_reference2(g, lmax, 56, noise);
-    FastMisEngine2 fast(g, lmax, 56, noise);
-    corrupt_init(g, ref.algo, fast, 10);
-    run_lockstep(g, *ref.sim, ref.algo, fast, 300);
-  }
-}
-
-TEST(FastEngineNoise, NoisyRunWithFaultsStreamIdentical) {
-  // Noise forces the dense path; corruption on top must still agree.
-  support::Rng grng(26);
-  const auto g = graph::make_erdos_renyi_avg_degree(64, 8.0, grng);
-  const beep::ChannelNoise noise{0.01, 0.02};
-  const auto lmax = lmax_global_delta(g);
-  auto ref = make_reference(g, lmax, 57, noise);
-  FastMisEngine fast(g, lmax, 57, noise);
-  corrupt_init(g, ref.algo, fast, 11);
-  run_lockstep(g, *ref.sim, ref.algo, fast, 200, {20, 60, 100}, 5);
-}
-
 TEST(FastEngineDuplex, HalfDuplexStreamIdenticalAlg1) {
   support::Rng grng(27);
   const auto graphs = {
@@ -460,8 +416,8 @@ TEST(FastEngineDuplex, HalfDuplexStreamIdenticalAlg1) {
   };
   for (const auto& g : graphs) {
     const auto lmax = lmax_global_delta(g);
-    auto ref = make_reference(g, lmax, 58, {}, beep::Duplex::Half);
-    FastMisEngine fast(g, lmax, 58, {}, beep::Duplex::Half);
+    auto ref = make_reference(g, lmax, 58, beep::Duplex::Half);
+    FastMisEngine fast(g, lmax, 58, beep::Duplex::Half);
     corrupt_init(g, ref.algo, fast, 12);
     run_lockstep(g, *ref.sim, ref.algo, fast, 300);
   }
@@ -475,8 +431,8 @@ TEST(FastEngineDuplex, HalfDuplexStreamIdenticalAlg2) {
   };
   for (const auto& g : graphs) {
     const auto lmax = lmax_one_hop(g);
-    auto ref = make_reference2(g, lmax, 59, {}, beep::Duplex::Half);
-    FastMisEngine2 fast(g, lmax, 59, {}, beep::Duplex::Half);
+    auto ref = make_reference2(g, lmax, 59, beep::Duplex::Half);
+    FastMisEngine2 fast(g, lmax, 59, beep::Duplex::Half);
     corrupt_init(g, ref.algo, fast, 13);
     run_lockstep(g, *ref.sim, ref.algo, fast, 300);
   }
@@ -486,8 +442,8 @@ TEST(FastEngineDuplex, HalfDuplexWithFaultsStreamIdentical) {
   support::Rng grng(29);
   const auto g = graph::make_erdos_renyi_avg_degree(96, 8.0, grng);
   const auto lmax = lmax_global_delta(g);
-  auto ref = make_reference(g, lmax, 60, {}, beep::Duplex::Half);
-  FastMisEngine fast(g, lmax, 60, {}, beep::Duplex::Half);
+  auto ref = make_reference(g, lmax, 60, beep::Duplex::Half);
+  FastMisEngine fast(g, lmax, 60, beep::Duplex::Half);
   corrupt_init(g, ref.algo, fast, 14);
   run_lockstep(g, *ref.sim, ref.algo, fast, 300, {30, 90, 150}, 7);
 }

@@ -49,9 +49,8 @@ struct Duo {
 
   Duo(const graph::Graph& g, const LmaxVector& lmax, std::uint64_t seed,
       std::size_t shard_threads, bool observed_, beep::Duplex duplex)
-      : scalar(g, lmax, seed, {}, duplex, KernelKind::Scalar),
-        sharded(g, lmax, seed, {}, duplex, KernelKind::Sharded,
-                shard_threads),
+      : scalar(g, lmax, seed, duplex, KernelKind::Scalar),
+        sharded(g, lmax, seed, duplex, KernelKind::Sharded, shard_threads),
         observed(observed_) {
     if (observed) {
       scalar.set_observer(&scalar_log);
@@ -245,8 +244,8 @@ struct PatchTwin {
 
   PatchTwin(const graph::Graph& g, const LmaxVector& lmax, std::uint64_t seed,
             beep::Duplex duplex, KernelKind kind, std::size_t shard_threads)
-      : patched(g, lmax, seed, {}, duplex, kind, shard_threads),
-        rebuilt(g, lmax, seed, {}, duplex, kind, shard_threads) {
+      : patched(g, lmax, seed, duplex, kind, shard_threads),
+        rebuilt(g, lmax, seed, duplex, kind, shard_threads) {
     patched.set_observer(&patched_log);
     rebuilt.set_observer(&rebuilt_log);
     support::Rng irng(seed ^ 0x5eed);
@@ -372,7 +371,7 @@ TEST(Kernels, ShardTelemetryWorkCountersIgnoreShardCount) {
   const auto lmax = lmax_global_delta(g);
   std::vector<ShardTelemetry> tel;
   for (std::size_t st : {1, 3, 8}) {
-    FastEngine<Alg1Policy> e(g, lmax, 203, {}, beep::Duplex::Full,
+    FastEngine<Alg1Policy> e(g, lmax, 203, beep::Duplex::Full,
                              KernelKind::Sharded, st,
                              /*phase_telemetry=*/true);
     support::Rng irng(23);
@@ -418,11 +417,11 @@ TEST(Kernels, EngineExposesResolvedKernelName) {
   const auto g = graph::make_path(8);
   const auto lmax = lmax_global_delta(g);
   for (std::size_t st : kShardCounts) {
-    FastEngine<Alg1Policy> autok(g, lmax, 1, {}, beep::Duplex::Full,
+    FastEngine<Alg1Policy> autok(g, lmax, 1, beep::Duplex::Full,
                                  KernelKind::Auto, st);
     EXPECT_EQ(autok.kernel_name(), "sharded") << st;
   }
-  FastEngine<Alg1Policy> scalar(g, lmax, 1, {}, beep::Duplex::Full,
+  FastEngine<Alg1Policy> scalar(g, lmax, 1, beep::Duplex::Full,
                                 KernelKind::Scalar);
   EXPECT_EQ(scalar.kernel_name(), "scalar");
 }
@@ -442,7 +441,7 @@ std::size_t pool_tasks_of_run(std::size_t shard_threads) {
   const auto g = graph::make_erdos_renyi_avg_degree(1024, 8.0, grng);
   TaskCounter counter;
   support::TaskPool::set_observer(&counter);
-  FastEngine<Alg1Policy> e(g, lmax_global_delta(g), 5, {}, beep::Duplex::Full,
+  FastEngine<Alg1Policy> e(g, lmax_global_delta(g), 5, beep::Duplex::Full,
                            KernelKind::Sharded, shard_threads);
   support::Rng irng(6);
   for (graph::VertexId v = 0; v < g.vertex_count(); ++v) e.corrupt(v, irng);

@@ -73,10 +73,10 @@ TEST(Telemetry, ShardedResultsIdenticalWithTelemetryOnOrOff) {
   support::Rng grng(77);
   const auto g = graph::make_erdos_renyi_avg_degree(256, 8.0, grng);
   const auto lmax = core::lmax_global_delta(g);
-  core::FastMisEngine bare(g, lmax, 99, {}, beep::Duplex::Full,
+  core::FastMisEngine bare(g, lmax, 99, beep::Duplex::Full,
                            core::KernelKind::Sharded, /*shard_threads=*/4,
                            /*phase_telemetry=*/false);
-  core::FastMisEngine instrumented(g, lmax, 99, {}, beep::Duplex::Full,
+  core::FastMisEngine instrumented(g, lmax, 99, beep::Duplex::Full,
                                    core::KernelKind::Sharded,
                                    /*shard_threads=*/4,
                                    /*phase_telemetry=*/true);

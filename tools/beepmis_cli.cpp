@@ -154,11 +154,24 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
   config.variant = variant;
   config.seed = seed;
   config.c1 = static_cast<std::int32_t>(args.get_int("c1"));
+  for (const char* flag : {"noise-fp", "noise-fn"}) {
+    const double rate = args.get_double(flag);
+    if (!(rate >= 0.0 && rate <= 1.0)) {  // NaN fails too
+      std::cerr << "--" << flag << " must lie in [0, 1]: " << args.get(flag)
+                << "\n";
+      std::exit(2);
+    }
+  }
   config.noise = beep::ChannelNoise{args.get_double("noise-fp"),
                                     args.get_double("noise-fn")};
   if (!core::parse_engine_kind(args.get("engine"), &config.kind)) {
     std::cerr << "unknown engine: " << args.get("engine")
               << " (try auto, fast, reference)\n";
+    std::exit(2);
+  }
+  if (config.kind == core::EngineKind::Fast && config.noise.enabled()) {
+    std::cerr << "--engine fast runs noise-free configs only "
+                 "(try auto, reference)\n";
     std::exit(2);
   }
   if (!core::parse_kernel_kind(args.get("kernel"), &config.kernel)) {
@@ -185,12 +198,10 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
           : 1;
   const std::string family =
       args.get("graph-file").empty() ? args.get("family") : "file";
-  // beepmis_report keys its span-duration table on algorithm/family/n and
-  // divides by "m" for cache-misses per edge.
+  // beepmis_report keys its span-duration table on algorithm/family/n.
   session.start({{"algorithm", exp::variant_name(variant)},
                  {"family", family},
                  {"n", std::to_string(g.vertex_count())},
-                 {"m", std::to_string(g.edge_count())},
                  {"seed", args.get("seed")},
                  {"engine", engine->name()},
                  {"shards", std::to_string(shards)}});
@@ -621,7 +632,8 @@ int main(int argc, char** argv) {
   args.add_option("noise-fn", "0", "receiver false-negative rate (extension)");
   args.add_option("engine", "auto",
                   "executor for self-stab variants: auto | fast | reference "
-                  "(auto picks the fast engine; both are stream-identical)");
+                  "(auto picks the fast engine, or the reference engine "
+                  "under noise; both are stream-identical)");
   args.add_option("kernel", "auto",
                   "fast-engine round kernel: auto | scalar | sharded (both "
                   "stream-identical; auto picks sharded)");
