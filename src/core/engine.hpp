@@ -146,6 +146,9 @@ class Engine {
   /// Resolved round-kernel identity for manifests/logs ("scalar",
   /// "sharded"); "none" for executors without a kernel layer (reference).
   virtual std::string kernel_name() const { return "none"; }
+  /// Vertex shards each round runs on: the sharded kernel's shard count
+  /// (shard_threads clamped to the graph's size), else 1.
+  virtual std::size_t shard_count() const noexcept { return 1; }
   virtual const graph::Graph& graph() const noexcept = 0;
   /// Rounds executed so far.
   virtual std::uint64_t round() const noexcept = 0;

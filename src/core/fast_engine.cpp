@@ -8,6 +8,7 @@
 #include "src/core/round_kernel.hpp"
 #include "src/obs/timing.hpp"
 #include "src/support/check.hpp"
+#include "src/support/huge_pages.hpp"
 
 namespace beepmis::core {
 
@@ -24,9 +25,12 @@ FastEngine<Policy>::FastEngine(const graph::Graph& g, LmaxVector lmax,
   for (std::int32_t m : lmax_)
     BEEPMIS_CHECK(m >= 2, "lmax must be at least 2 for every vertex");
   const std::size_t n = g.vertex_count();
+  // Rounds touch both arrays at scattered vertices.
+  support::reserve_huge(levels_, n);
   levels_.assign(n, 1);
   // Coins are counter draws keyed by (seed, vertex, round) — no per-node
   // generator state.
+  support::reserve_huge(send_, n);
   send_.assign(n, 0);
   KernelContext<Policy> ctx;
   ctx.graph = graph_;
@@ -42,6 +46,11 @@ FastEngine<Policy>::FastEngine(const graph::Graph& g, LmaxVector lmax,
 
 template <typename Policy>
 FastEngine<Policy>::~FastEngine() = default;
+
+template <typename Policy>
+std::size_t FastEngine<Policy>::shard_count() const noexcept {
+  return kernel_->shard_count();
+}
 
 template <typename Policy>
 bool FastEngine<Policy>::shard_telemetry(ShardTelemetry* out) const {

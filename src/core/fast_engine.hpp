@@ -210,6 +210,7 @@ class FastEngine final : public Engine {
   std::string kernel_name() const override {
     return kernel_kind_name(kernel_kind_);
   }
+  std::size_t shard_count() const noexcept override;
   const graph::Graph& graph() const noexcept override { return *graph_; }
   std::uint64_t round() const noexcept override { return round_; }
   std::int32_t level(graph::VertexId v) const override { return levels_[v]; }

@@ -32,7 +32,9 @@ class ScalarKernel final : public RoundKernel<Policy> {
   using Base::settled_;
 
  public:
-  explicit ScalarKernel(const KernelContext<Policy>& ctx) : Base(ctx) {}
+  explicit ScalarKernel(const KernelContext<Policy>& ctx) : Base(ctx) {
+    support::reserve_huge(active_, settled_.size());
+  }
 
   const char* name() const noexcept override { return "scalar"; }
 
@@ -355,15 +357,11 @@ class ShardedKernel final : public RoundKernel<Policy> {
         // The pool label gives the private pool's workers their own trace
         // tracks ("shard-worker-N") — see PoolTracer in obs/trace.cpp, the
         // pool observer Tracer::enable installs.
-        pool_(support::TaskPool::resolve_thread_count(ctx.shard_threads),
+        pool_(clamped_shards(ctx.levels->size(), ctx.shard_threads),
               "shard") {
     const std::size_t n = ctx_.levels->size();
     words_ = (n + 63) / 64;
-    // One shard per worker, clamped so no shard is empty of words; the
-    // partition affects load balance only, never results (see above).
-    const std::size_t s =
-        std::max<std::size_t>(1, std::min(pool_.thread_count(),
-                                          std::max<std::size_t>(words_, 1)));
+    const std::size_t s = pool_.thread_count();
     shard_words_ = (words_ + s - 1) / s;
     shards_.resize(s);
     for (std::size_t i = 0; i < s; ++i) {
@@ -378,7 +376,10 @@ class ShardedKernel final : public RoundKernel<Policy> {
     member_nb_mask_.assign(words_, 0);
     capped_mask_.assign(words_, 0);
     heard_coin_mask_.assign(words_, 0);
+    // Row pushes land at scattered neighbours.
+    support::reserve_huge(prominent_nb_, n);
     prominent_nb_.assign(n, 0);
+    support::reserve_huge(uncapped_nb_, n);
     uncapped_nb_.assign(n, 0);
     // The phase bodies are bound once; per-round inputs travel through
     // members so parallel_for never rebuilds a std::function per call.
@@ -404,6 +405,8 @@ class ShardedKernel final : public RoundKernel<Policy> {
   }
 
   const char* name() const noexcept override { return "sharded"; }
+
+  std::size_t shard_count() const noexcept override { return shards_.size(); }
 
   void rebuild() override {
     // Three parallel passes, each writing only shard-owned state and each
@@ -1070,6 +1073,15 @@ class ShardedKernel final : public RoundKernel<Policy> {
           std::remove_if(sh.active.begin(), sh.active.end(),
                          [&](graph::VertexId v) { return settled[v] != 0; }),
           sh.active.end());
+  }
+
+  /// One shard per requested worker, clamped so no shard is empty of words
+  /// (the pool gets exactly one worker per shard); the partition affects
+  /// load balance only, never results (see above).
+  static std::size_t clamped_shards(std::size_t n,
+                                    std::size_t shard_threads) {
+    return std::min(support::TaskPool::resolve_thread_count(shard_threads),
+                    std::max<std::size_t>((n + 63) / 64, 1));
   }
 
   support::TaskPool pool_;

@@ -8,6 +8,7 @@
 #include "src/core/engine.hpp"
 #include "src/core/lmax.hpp"
 #include "src/graph/graph.hpp"
+#include "src/support/huge_pages.hpp"
 #include "src/support/rng.hpp"
 
 namespace beepmis::core {
@@ -102,8 +103,11 @@ struct KernelContext {
 template <typename Policy>
 class RoundKernel {
  public:
-  explicit RoundKernel(const KernelContext<Policy>& ctx)
-      : ctx_(ctx), settled_(ctx.levels->size(), 0) {}
+  explicit RoundKernel(const KernelContext<Policy>& ctx) : ctx_(ctx) {
+    // Rounds read settlement at scattered neighbours.
+    support::reserve_huge(settled_, ctx.levels->size());
+    settled_.assign(ctx.levels->size(), 0);
+  }
   virtual ~RoundKernel() = default;
 
   virtual const char* name() const noexcept = 0;
@@ -125,6 +129,9 @@ class RoundKernel {
   /// inside v and the neighbors of members that flipped, so no full rescan
   /// is needed.
   virtual void patch(graph::VertexId v, std::int32_t old_level) = 0;
+
+  /// Vertex shards a round runs on (1 = serial).
+  virtual std::size_t shard_count() const noexcept { return 1; }
 
   std::size_t active_count() const noexcept { return active_count_; }
   /// Settled members (== |I_t| after a round).

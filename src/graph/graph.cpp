@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "src/support/check.hpp"
+#include "src/support/huge_pages.hpp"
 
 namespace beepmis::graph {
 
@@ -47,6 +48,7 @@ StreamingCsrBuilder::StreamingCsrBuilder(std::size_t vertex_count,
                                          std::string name)
     : n_(vertex_count) {
   g_.name_ = std::move(name);
+  support::reserve_huge(g_.offsets_, n_ + 1);
   g_.offsets_.assign(n_ + 1, 0);
 }
 
@@ -65,6 +67,7 @@ void StreamingCsrBuilder::begin_fill() {
   // During the fill pass offsets_[v] doubles as row v's write cursor: it
   // starts at the row head, ends at the row end, and finish() shifts the
   // whole array one slot right to recover the real offsets.
+  support::reserve_huge(g_.adjacency_, g_.offsets_[n_]);
   g_.adjacency_.resize(g_.offsets_[n_]);
 }
 

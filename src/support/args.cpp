@@ -1,5 +1,7 @@
 #include "src/support/args.hpp"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include "src/support/check.hpp"
@@ -81,12 +83,25 @@ const std::string& ArgParser::get(const std::string& name) const {
   return it->second;
 }
 
+namespace {
+
+/// The tools' usage-error exit: one line naming the option, then exit 2.
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* expected) {
+  std::fprintf(stderr, "--%s expects %s, got '%s'\n", name.c_str(), expected,
+               value.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 std::int64_t ArgParser::get_int(const std::string& name) const {
   const std::string& v = get(name);
   char* end = nullptr;
+  errno = 0;
   const std::int64_t x = std::strtoll(v.c_str(), &end, 10);
-  BEEPMIS_CHECK(end && *end == '\0' && !v.empty(),
-                "option value is not an integer");
+  if (v.empty() || *end != '\0' || errno == ERANGE)
+    bad_value(name, v, "an integer");
   return x;
 }
 
@@ -94,9 +109,14 @@ double ArgParser::get_double(const std::string& name) const {
   const std::string& v = get(name);
   char* end = nullptr;
   const double x = std::strtod(v.c_str(), &end);
-  BEEPMIS_CHECK(end && *end == '\0' && !v.empty(),
-                "option value is not a number");
+  if (v.empty() || *end != '\0') bad_value(name, v, "a number");
   return x;
+}
+
+std::size_t ArgParser::get_count(const std::string& name) const {
+  const std::int64_t x = get_int(name);
+  if (x < 0) bad_value(name, get(name), "a non-negative integer");
+  return static_cast<std::size_t>(x);
 }
 
 std::string ArgParser::usage(const char* argv0) const {

@@ -26,10 +26,14 @@ class ArgParser {
 
   bool flag(const std::string& name) const;
   const std::string& get(const std::string& name) const;
-  /// Parses the option as integer/double; aborts on declared-but-unparsable
-  /// values (the caller validated via parse()).
+  /// Parses the option as integer/double. A value that is not one (or is
+  /// out of range) is a usage error: one line naming the option on stderr,
+  /// then exit code 2.
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
+  /// get_int for thread counts: a negative value is a usage error
+  /// too, instead of wrapping to a huge std::size_t.
+  std::size_t get_count(const std::string& name) const;
 
   std::string usage(const char* argv0) const;
 

@@ -236,18 +236,67 @@ endfunction()
 noisy_run(0 v1)
 noisy_run(1 v3 --max-rounds 150)
 
+# usage_error(<command...>): the command exits 2 with exactly one line on
+# stderr, which is left in run_stderr.
+function(usage_error)
+  run(2 ignored ${ARGN})
+  string(REGEX MATCHALL "\n" lines "${run_stderr}")
+  list(LENGTH lines count)
+  if(NOT count EQUAL 1)
+    string(REPLACE ";" " " cmd "${ARGN}")
+    message(FATAL_ERROR "${cmd}: expected one stderr line, got:\n"
+                        "${run_stderr}")
+  endif()
+  set(run_stderr "${run_stderr}" PARENT_SCOPE)
+endfunction()
+
 # A noise rate outside [0, 1] (NaN included), or noise on the noise-free fast
 # engine, is a usage error: one line on stderr and exit 2.
 foreach(bad "--noise-fp;2" "--noise-fn;-0.5" "--noise-fp;nan"
             "--engine;fast;--noise-fp;0.01")
-  run(2 ignored "${CLI}" --n 64 ${bad})
-  string(REGEX MATCHALL "\n" lines "${run_stderr}")
-  list(LENGTH lines count)
-  if(NOT count EQUAL 1)
-    message(FATAL_ERROR "${bad}: expected one stderr line, got:\n"
+  usage_error("${CLI}" --n 64 ${bad})
+endforeach()
+
+# So is a numeric option given text, and a negative thread count (it would
+# wrap to SIZE_MAX workers): the one line names the option, and the tool
+# exits before any worker pool is built.
+function(bad_option option)
+  usage_error(${ARGN})
+  if(NOT run_stderr MATCHES "^${option} ")
+    string(REPLACE ";" " " cmd "${ARGN}")
+    message(FATAL_ERROR "${cmd}: the usage error does not name ${option}:\n"
                         "${run_stderr}")
   endif()
-endforeach()
+endfunction()
+bad_option(--noise-fp "${CLI}" --n 64 --noise-fp abc)
+bad_option(--seed "${CLI}" --n 64 --seed x)
+bad_option(--shard-threads "${CLI}" --n 64 --shard-threads -1)
+bad_option(--threads "${CLI}" --sweep --threads -1)
+bad_option(--shard-threads "${CLI}" --sweep --shard-threads -1)
+bad_option(--threads "${SOAK}" --threads -1)
+bad_option(--shard-threads "${SOAK}" --shard-threads -1)
+bad_option(--seconds "${SOAK}" --seconds x)
+
+# run.v1 and the trace record the shard count of the engine that ran, not
+# the one requested: 64 vertices are one bitset word, so four shard workers
+# clamp to one shard; a noisy run is on the shardless reference engine; and
+# 10^5 vertices split four ways.
+function(expect_shards expected)
+  run(0 ignored "${CLI}" --seed 3 --shard-threads 4
+      --metrics-out shards-run.json --trace-out shards-trace.json ${ARGN})
+  file(READ "${WORK}/shards-run.json" run_json)
+  file(READ "${WORK}/shards-trace.json" trace_json)
+  string(JSON in_run GET "${run_json}" extra shards)
+  string(JSON in_trace GET "${trace_json}" otherData shards)
+  if(NOT in_run STREQUAL "${expected}" OR NOT in_trace STREQUAL "${expected}")
+    string(REPLACE ";" " " flags "${ARGN}")
+    message(FATAL_ERROR "${flags}: shards run.v1=${in_run} "
+                        "trace=${in_trace}, expected ${expected}")
+  endif()
+endfunction()
+expect_shards(1 --n 64)
+expect_shards(1 --n 64 --noise-fp 0.01)
+expect_shards(4 --n 100000)
 
 # Traced single run: the trace validates, and the simulation output matches
 # the untraced golden.

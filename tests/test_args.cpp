@@ -92,11 +92,38 @@ TEST(ArgParser, HelpReturnsUsage) {
   EXPECT_NE(err.find("--verbose"), std::string::npos);
 }
 
-TEST(ArgParserDeath, BadIntValueAborts) {
+// A numeric option given text is a usage error, not an abort: one line
+// naming the option on stderr and exit code 2, like every other bad value.
+TEST(ArgParserDeath, BadNumericValueIsAUsageError) {
   ArgParser p = make_parser();
   std::string err;
-  ASSERT_TRUE(parse(p, {"--count", "abc"}, &err));
-  EXPECT_DEATH(p.get_int("count"), "not an integer");
+  ASSERT_TRUE(parse(p, {"--count", "abc", "--rate", "fast"}, &err));
+  EXPECT_EXIT(p.get_int("count"), testing::ExitedWithCode(2),
+              "^--count expects an integer, got 'abc'\n$");
+  EXPECT_EXIT(p.get_double("rate"), testing::ExitedWithCode(2),
+              "^--rate expects a number, got 'fast'\n$");
+  EXPECT_EXIT(p.get_count("rate"), testing::ExitedWithCode(2),
+              "--rate expects an integer");
+}
+
+TEST(ArgParserDeath, OutOfRangeIntegerIsAUsageError) {
+  ArgParser p = make_parser();
+  std::string err;
+  ASSERT_TRUE(parse(p, {"--count", "99999999999999999999"}, &err));
+  EXPECT_EXIT(p.get_int("count"), testing::ExitedWithCode(2),
+              "--count expects an integer");
+}
+
+TEST(ArgParserDeath, NegativeCountIsAUsageError) {
+  ArgParser p = make_parser();
+  std::string err;
+  ASSERT_TRUE(parse(p, {"--count", "0"}, &err));
+  EXPECT_EQ(p.get_count("count"), 0u);
+  ArgParser q = make_parser();
+  ASSERT_TRUE(parse(q, {"--count", "-1"}, &err));
+  EXPECT_EQ(q.get_int("count"), -1);
+  EXPECT_EXIT(q.get_count("count"), testing::ExitedWithCode(2),
+              "^--count expects a non-negative integer, got '-1'\n$");
 }
 
 TEST(ArgParserDeath, UndeclaredQueryAborts) {

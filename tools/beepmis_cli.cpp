@@ -37,7 +37,6 @@
 #include "src/obs/timing.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/args.hpp"
-#include "src/support/task_pool.hpp"
 #include "src/support/svg.hpp"
 
 namespace {
@@ -179,8 +178,7 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
               << " (try auto, scalar, sharded)\n";
     std::exit(2);
   }
-  config.shard_threads =
-      static_cast<std::size_t>(args.get_int("shard-threads"));
+  config.shard_threads = args.get_count("shard-threads");
   if (const std::string& d = args.get("duplex"); d == "half") {
     config.duplex = beep::Duplex::Half;
   } else if (d != "full") {
@@ -189,13 +187,10 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
   }
   auto engine = core::make_engine(g, config);
 
-  // Shard count this run will actually use — trace context, so
+  // Shard count this run actually uses, as the engine resolved it (1 on the
+  // reference engine and on graphs too small to split) — trace context, so
   // beepmis_report can key its phase-breakdown tables on it.
-  const std::size_t shards =
-      core::resolve_kernel(config.kernel) ==
-              core::KernelKind::Sharded
-          ? support::TaskPool::resolve_thread_count(config.shard_threads)
-          : 1;
+  const std::size_t shards = engine->shard_count();
   const std::string family =
       args.get("graph-file").empty() ? args.get("family") : "file";
   // beepmis_report keys its span-duration table on algorithm/family/n.
@@ -408,7 +403,7 @@ int run_sweep(const support::ArgParser& args, obs::Session& session,
   cfg.seeds = static_cast<std::size_t>(args.get_int("sweep-seeds"));
   cfg.base_seed = static_cast<std::uint64_t>(args.get_int("seed"));
   cfg.c1 = static_cast<std::int32_t>(args.get_int("c1"));
-  cfg.threads = static_cast<std::size_t>(args.get_int("threads"));
+  cfg.threads = args.get_count("threads");
   if (!core::parse_engine_kind(args.get("engine"), &cfg.engine)) {
     std::cerr << "unknown engine: " << args.get("engine")
               << " (try auto, fast, reference)\n";
@@ -419,8 +414,7 @@ int run_sweep(const support::ArgParser& args, obs::Session& session,
               << " (try auto, scalar, sharded)\n";
     return 2;
   }
-  cfg.shard_threads =
-      static_cast<std::size_t>(args.get_int("shard-threads"));
+  cfg.shard_threads = args.get_count("shard-threads");
   obs::MetricsRegistry metrics;
   cfg.metrics = &metrics;
 

@@ -220,9 +220,9 @@ int main(int argc, char** argv) {
         args.get("kernel").c_str());
     return 2;
   }
-  // 0 means one shard worker per hardware thread, like the CLI.
-  const auto shard_threads =
-      static_cast<std::size_t>(args.get_int("shard-threads"));
+  // 0 means one worker per hardware thread, like the CLI.
+  const std::size_t threads = args.get_count("threads");
+  const std::size_t shard_threads = args.get_count("shard-threads");
 
   session.start({{"seed", args.get("seed")}, {"engine", args.get("engine")}});
 
@@ -244,8 +244,7 @@ int main(int argc, char** argv) {
   // registries, and the coordinator folds scratches back in draw order.
   // Each task carries its own flight recorder and dump path, so anomaly
   // post-mortems stay self-contained under parallelism.
-  support::TaskPool pool(support::TaskPool::resolve_thread_count(
-      static_cast<std::size_t>(args.get_int("threads"))));
+  support::TaskPool pool(support::TaskPool::resolve_thread_count(threads));
   const bool parallel = pool.thread_count() > 1;
   // Two batches worth of tasks per dispatch keeps all workers busy without
   // letting the deterministic fold lag far behind the wall clock.
