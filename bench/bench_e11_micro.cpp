@@ -148,8 +148,7 @@ BENCHMARK(BM_FullStabilizationRun_FastEngine)->Arg(1 << 10)->Arg(1 << 13);
 /// measures what the fast path buys at the Engine-interface level (virtual
 /// step dispatch and all), not just in a hand-rolled loop.
 void BM_EngineRun(benchmark::State& state, core::Variant variant,
-                  core::EngineKind kind,
-                  core::KernelKind kernel = core::KernelKind::Auto) {
+                  core::EngineKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const graph::Graph g = make_er(n);
   std::uint64_t seed = 0;
@@ -158,7 +157,6 @@ void BM_EngineRun(benchmark::State& state, core::Variant variant,
     core::EngineConfig config;
     config.variant = variant;
     config.kind = kind;
-    config.kernel = kernel;
     config.seed = ++seed;
     auto engine = core::make_engine(g, config);
     support::Rng irng = support::Rng(seed).derive_stream(0xfadedcafe);
@@ -186,12 +184,6 @@ BENCHMARK_CAPTURE(BM_EngineRun, v3_fast, core::Variant::TwoChannel,
     ->Arg(1 << 10);
 BENCHMARK_CAPTURE(BM_EngineRun, v3_reference, core::Variant::TwoChannel,
                   core::EngineKind::Reference)
-    ->Arg(1 << 10);
-// The oracle kernel on the same factory-built workload, so a scalar
-// regression shows up at the Engine-interface level too (v1_fast above runs
-// the Auto kernel, sharded).
-BENCHMARK_CAPTURE(BM_EngineRun, v1_fast_scalar, core::Variant::GlobalDelta,
-                  core::EngineKind::Fast, core::KernelKind::Scalar)
     ->Arg(1 << 10);
 
 /// Swallows everything — lets the sink-overhead pair measure event
@@ -228,35 +220,6 @@ void BM_FastEngineRun_NoSink(benchmark::State& state) {
 }
 BENCHMARK(BM_FastEngineRun_NoSink)->Arg(10240);
 
-/// The kernel A/B anchor: the NoSink workload (n = 10240 Erdős–Rényi,
-/// avg degree 8, uniform-random init, run to stabilization) pinned to one
-/// round kernel. beepmis_report pairs each kernel against scalar — the
-/// headline claim is ≥ 5× for the sharded kernel on this point.
-void BM_FastEngineKernel(benchmark::State& state, core::KernelKind kernel) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const graph::Graph g = make_er(n);
-  const auto lmax = core::lmax_global_delta(g);
-  std::uint64_t seed = 0;
-  std::uint64_t rounds = 0;
-  for (auto _ : state) {
-    core::FastMisEngine fast(g, lmax, ++seed, beep::Duplex::Full, kernel);
-    support::Rng irng(seed);
-    for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
-      const auto span = static_cast<std::uint64_t>(2 * lmax[v] + 1);
-      fast.set_level(v,
-                     static_cast<std::int32_t>(irng.below(span)) - lmax[v]);
-    }
-    rounds += fast.run_to_stabilization(100000);
-    benchmark::DoNotOptimize(fast.round());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(rounds) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK_CAPTURE(BM_FastEngineKernel, scalar, core::KernelKind::Scalar)
-    ->Arg(10240);
-BENCHMARK_CAPTURE(BM_FastEngineKernel, sharded, core::KernelKind::Sharded)
-    ->Arg(10240);
-
 /// Intra-round sharding A/B at n = 10⁶ (Erdős–Rényi, avg degree 8): the
 /// same stabilization run with the sharded kernel at 1/2/4/8 worker
 /// threads; /1 is the serial run. The claim CI checks (real time,
@@ -279,15 +242,15 @@ const std::vector<std::int32_t>& shard_bench_lmax() {
   return lmax;
 }
 
-void run_shard_bench(benchmark::State& state, core::KernelKind kernel,
-                     std::size_t shard_threads, bool phase_telemetry = false) {
+void run_shard_bench(benchmark::State& state, std::size_t shard_threads,
+                     bool phase_telemetry = false) {
   const graph::Graph& g = shard_bench_graph();
   const auto& lmax = shard_bench_lmax();
   std::uint64_t seed = 0;
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     core::FastMisEngine fast(g, lmax, ++seed, beep::Duplex::Full,
-                             kernel, shard_threads, phase_telemetry);
+                             shard_threads, phase_telemetry);
     support::Rng irng(seed);
     for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
       const auto span = static_cast<std::uint64_t>(2 * lmax[v] + 1);
@@ -302,8 +265,7 @@ void run_shard_bench(benchmark::State& state, core::KernelKind kernel,
 }
 
 void BM_EngineRunSharded(benchmark::State& state) {
-  run_shard_bench(state, core::KernelKind::Sharded,
-                  static_cast<std::size_t>(state.range(0)));
+  run_shard_bench(state, static_cast<std::size_t>(state.range(0)));
 }
 /// One iteration is a whole n=10⁶ run, so a single sample is at the mercy
 /// of the scheduler: every arm repeats kShardBenchReps times and records
@@ -324,8 +286,7 @@ BENCHMARK(BM_EngineRunSharded)
 /// BM_EngineRunSharded arm at the same thread count — the phase clocks and
 /// per-shard tallies must stay within a few percent of free.
 void BM_EngineRunSharded_Telemetry(benchmark::State& state) {
-  run_shard_bench(state, core::KernelKind::Sharded,
-                  static_cast<std::size_t>(state.range(0)),
+  run_shard_bench(state, static_cast<std::size_t>(state.range(0)),
                   /*phase_telemetry=*/true);
 }
 BENCHMARK(BM_EngineRunSharded_Telemetry)
@@ -344,7 +305,7 @@ void BM_FaultWave(benchmark::State& state) {
   constexpr std::size_t kN = std::size_t{1} << 17;
   const graph::Graph g = make_er(kN);
   core::FastMisEngine fast(g, core::lmax_global_delta(g), 1,
-                           beep::Duplex::Full, core::KernelKind::Sharded, 1);
+                           beep::Duplex::Full, 1);
   support::Rng irng(1);
   core::apply_init(fast, core::InitPolicy::UniformRandom, irng);
   fast.run_to_stabilization(100000);
@@ -372,7 +333,7 @@ void BM_VerifySettled(benchmark::State& state, bool probe) {
   constexpr std::size_t kN = std::size_t{1} << 20;
   const graph::Graph g = make_er(kN);
   core::FastMisEngine fast(g, core::lmax_global_delta(g), 1,
-                           beep::Duplex::Full, core::KernelKind::Sharded, 1);
+                           beep::Duplex::Full, 1);
   support::Rng irng(1);
   core::apply_init(fast, core::InitPolicy::UniformRandom, irng);
   fast.run_to_stabilization(100000);
@@ -405,7 +366,7 @@ void BM_VerifyAfterWave(benchmark::State& state, bool incremental) {
   constexpr std::size_t kN = std::size_t{1} << 20;
   const graph::Graph g = make_er(kN);
   core::FastMisEngine fast(g, core::lmax_global_delta(g), 1,
-                           beep::Duplex::Full, core::KernelKind::Sharded, 1);
+                           beep::Duplex::Full, 1);
   support::Rng irng(1);
   core::apply_init(fast, core::InitPolicy::UniformRandom, irng);
   fast.run_to_stabilization(100000);

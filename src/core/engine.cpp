@@ -42,26 +42,6 @@ bool parse_engine_kind(const std::string& name, EngineKind* out) {
   return false;
 }
 
-std::string kernel_kind_name(KernelKind k) {
-  switch (k) {
-    case KernelKind::Auto: return "auto";
-    case KernelKind::Scalar: return "scalar";
-    case KernelKind::Sharded: return "sharded";
-  }
-  return "?";
-}
-
-bool parse_kernel_kind(const std::string& name, KernelKind* out) {
-  for (KernelKind k :
-       {KernelKind::Auto, KernelKind::Scalar, KernelKind::Sharded}) {
-    if (kernel_kind_name(k) == name) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace {
 
 LmaxVector make_lmax(const graph::Graph& g, Variant variant, std::int32_t c1) {
@@ -80,7 +60,7 @@ LmaxVector make_lmax(const graph::Graph& g, Variant variant, std::int32_t c1) {
 /// Engine adapter over the textbook path: the variant's reference algorithm
 /// driven by beep::Simulation. It anchors the equivalence tests (the fast
 /// engine is proven stream-identical against it) and runs every config with
-/// receiver noise, which the fast engine's kernels do not model.
+/// receiver noise, which the fast engine's round kernel does not model.
 class ReferenceEngine final : public Engine {
  public:
   ReferenceEngine(const graph::Graph& g, const EngineConfig& config) {
@@ -187,9 +167,9 @@ class ReferenceEngine final : public Engine {
 
 std::unique_ptr<Engine> make_engine(const graph::Graph& g,
                                     const EngineConfig& config) {
-  // Noise leaves nothing permanently settled, so the fast engine's kernels
-  // do not model it; Auto sends noisy configs to the reference engine. Any
-  // rate other than 0 counts, so a negative or NaN one reaches
+  // Noise leaves nothing permanently settled, so the fast engine's round
+  // kernel does not model it; Auto sends noisy configs to the reference
+  // engine. Any rate other than 0 counts, so a negative or NaN one reaches
   // beep::Simulation's range check instead of being dropped.
   const bool noisy = config.noise.false_positive != 0.0 ||
                      config.noise.false_negative != 0.0;
@@ -200,11 +180,10 @@ std::unique_ptr<Engine> make_engine(const graph::Graph& g,
   if (config.variant == Variant::TwoChannel)
     return std::make_unique<FastEngine<Alg2Policy>>(
         g, make_lmax(g, config.variant, config.c1), config.seed,
-        config.duplex, config.kernel, config.shard_threads,
-        config.phase_telemetry);
+        config.duplex, config.shard_threads, config.phase_telemetry);
   return std::make_unique<FastEngine<Alg1Policy>>(
       g, make_lmax(g, config.variant, config.c1), config.seed, config.duplex,
-      config.kernel, config.shard_threads, config.phase_telemetry);
+      config.shard_threads, config.phase_telemetry);
 }
 
 std::vector<graph::VertexId> corrupt_random(Engine& engine, std::size_t count,

@@ -45,28 +45,6 @@ std::string engine_kind_name(EngineKind k);
 /// Returns false (leaving `out` untouched) on an unknown name.
 bool parse_engine_kind(const std::string& name, EngineKind* out);
 
-/// Round-kernel selection for the fast engine. Both kernels are proven
-/// stream-identical (same levels, same RoundEvents, round for round — see
-/// tests/test_kernels.cpp), so the choice never changes a result, only the
-/// wall-clock. Irrelevant under receiver noise, which runs on the reference
-/// engine.
-enum class KernelKind {
-  Auto,     ///< let the engine choose (always Sharded)
-  Scalar,   ///< per-vertex loops over CSR — the oracle Sharded is proven against
-  Sharded,  ///< count-based round visiting only what can change, over
-            ///< word-aligned vertex shards (one shard = serial, inline)
-};
-
-std::string kernel_kind_name(KernelKind k);
-/// Returns false (leaving `out` untouched) on an unknown name.
-bool parse_kernel_kind(const std::string& name, KernelKind* out);
-
-/// Deterministic Auto resolution — a pure function of the requested kind, so
-/// the same config always runs the same kernel (the determinism gates diff
-/// runs byte-for-byte): Auto -> Sharded at every shard_threads, explicit
-/// choices unchanged. Defined in round_kernel.cpp.
-KernelKind resolve_kernel(KernelKind kind) noexcept;
-
 /// The sharded kernel's barrier-phased round, in execution order: its span
 /// names and phase keys, defined next to the tracer that records the spans.
 using obs::kShardPhaseCount;
@@ -113,14 +91,13 @@ struct ShardTelemetry {
 struct EngineConfig {
   Variant variant = Variant::GlobalDelta;
   EngineKind kind = EngineKind::Auto;
-  KernelKind kernel = KernelKind::Auto;
   std::uint64_t seed = 1;
   std::int32_t c1 = 0;  ///< lmax constant override (0 = paper default)
   beep::ChannelNoise noise = {};
   beep::Duplex duplex = beep::Duplex::Full;
-  /// Worker threads for intra-round sharded execution (KernelKind::Sharded,
-  /// which Auto resolves to): 1 = serial, one shard whose phases run inline;
-  /// 0 = one per hardware thread. Results are bit-identical for every value
+  /// Worker threads for the fast engine's intra-round sharded execution:
+  /// 1 = serial, one shard whose phases run inline; 0 = one per hardware
+  /// thread. Results are bit-identical for every value
   /// — per-vertex state is written only by its owner shard and every
   /// cross-shard write is an OR or a sum (see docs/architecture.md,
   /// "Intra-round sharding").
@@ -143,10 +120,10 @@ class Engine {
 
   /// Executor identity for manifests/logs, e.g. "fast-alg1".
   virtual std::string name() const = 0;
-  /// Resolved round-kernel identity for manifests/logs ("scalar",
-  /// "sharded"); "none" for executors without a kernel layer (reference).
+  /// Round-kernel identity for manifests/logs: "sharded" on the fast
+  /// engine, "none" for executors without a kernel layer (reference).
   virtual std::string kernel_name() const { return "none"; }
-  /// Vertex shards each round runs on: the sharded kernel's shard count
+  /// Vertex shards each round runs on: the round kernel's shard count
   /// (shard_threads clamped to the graph's size), else 1.
   virtual std::size_t shard_count() const noexcept { return 1; }
   virtual const graph::Graph& graph() const noexcept = 0;

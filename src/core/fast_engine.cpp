@@ -15,12 +15,9 @@ namespace beepmis::core {
 template <typename Policy>
 FastEngine<Policy>::FastEngine(const graph::Graph& g, LmaxVector lmax,
                                std::uint64_t seed, beep::Duplex duplex,
-                               KernelKind kernel,
                                std::size_t shard_threads,
                                bool phase_telemetry)
-    : graph_(&g),
-      lmax_(std::move(lmax)),
-      kernel_kind_(resolve_kernel(kernel)) {
+    : graph_(&g), lmax_(std::move(lmax)) {
   BEEPMIS_CHECK(lmax_.size() == g.vertex_count(), "lmax sized for wrong graph");
   for (std::int32_t m : lmax_)
     BEEPMIS_CHECK(m >= 2, "lmax must be at least 2 for every vertex");
@@ -41,7 +38,7 @@ FastEngine<Policy>::FastEngine(const graph::Graph& g, LmaxVector lmax,
   ctx.half = duplex == beep::Duplex::Half;
   ctx.shard_threads = shard_threads;
   ctx.telemetry = phase_telemetry;
-  kernel_ = make_round_kernel<Policy>(kernel_kind_, ctx);
+  kernel_ = std::make_unique<RoundKernel<Policy>>(ctx);
 }
 
 template <typename Policy>
@@ -54,7 +51,7 @@ std::size_t FastEngine<Policy>::shard_count() const noexcept {
 
 template <typename Policy>
 bool FastEngine<Policy>::shard_telemetry(ShardTelemetry* out) const {
-  return kernel_ != nullptr && kernel_->shard_telemetry(out);
+  return kernel_->shard_telemetry(out);
 }
 
 template <typename Policy>
@@ -205,8 +202,9 @@ std::uint64_t FastEngine<Policy>::run_to_stabilization(
 
 template <typename Policy>
 std::vector<bool> FastEngine<Policy>::mis_members() const {
-  // settles_as_member for every vertex, read from the levels alone (never
-  // from the kernel's settlement, which this recomputation cross-checks).
+  // A member sits at the member level with every neighbor at its cap — read
+  // from the levels alone, never from the kernel's settlement, which this
+  // recomputation cross-checks.
   // The level bits are packed first, so a member row tests n bits of
   // cache-resident words instead of two n-entry arrays.
   const std::size_t n = levels_.size();

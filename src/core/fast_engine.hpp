@@ -17,7 +17,7 @@
 namespace beepmis::core {
 
 /// Variant policy consumed by FastEngine<Policy>. A policy is a stateless
-/// bundle of the per-algorithm pieces — channel count, beep decision, level
+/// bundle of the per-algorithm pieces — channel count, certain beeps, level
 /// update, membership encoding, corruption range — while the engine owns
 /// everything the algorithms share: levels, counter-keyed randomness, the
 /// round kernel (which owns settlement and the active set), duplex
@@ -26,23 +26,19 @@ namespace beepmis::core {
 ///
 /// Contract (all static; see docs/architecture.md):
 ///   kChannels      number of beep channels (1 or 2)
-///   kMemberBeep    mask a settled MIS member implicitly beeps every round
-///   kDominantHeard mask whose receipt fully determines the level update —
-///                  neighbor scans may stop once it is heard
+///   kMemberBeep    mask a prominent vertex (a settled MIS member among
+///                  them) beeps with certainty every round
 ///   kHasLemma31    whether the Lemma 3.1 analysis census applies
 ///   kTag           short id for metric keys and engine names
 ///   min_level / member_level / is_prominent   level-encoding facts
-///   decide(l, lmax, rng)      beep decision; draws a coin exactly when the
-///                             reference algorithm does (coin-for-coin)
-///   decide_coin(l, lmax, coin)  the same decision against any coin source —
-///                             coin(k) is a Bernoulli(2^-k) trial; the round
-///                             kernels pass counter-draw lambdas here
-///   update(l, lmax, sent, heard)  the level transition
+///   update_packed(l, lmax, sent, heard)  the level transition, branch-free
 ///   corrupt_level(lmax, rng)  uniform in-range RAM value (fault model)
+/// The beep decision itself is the kernel's (decide_packed in
+/// round_kernel.cpp): certain at prominent levels, a Bernoulli(2^-ℓ) coin on
+/// channel 1 below the cap.
 struct Alg1Policy {
   static constexpr unsigned kChannels = 1;
   static constexpr beep::ChannelMask kMemberBeep = beep::kChannel1;
-  static constexpr beep::ChannelMask kDominantHeard = beep::kChannel1;
   static constexpr bool kHasLemma31 = true;
   static constexpr const char* kTag = "alg1";
 
@@ -54,33 +50,10 @@ struct Alg1Policy {
   }
   static constexpr bool is_prominent(std::int32_t l) noexcept { return l <= 0; }
 
-  template <typename Coin>
-  static beep::ChannelMask decide_coin(std::int32_t l, std::int32_t lmax,
-                                       Coin&& coin) {
-    if (l >= lmax) return 0;
-    // p = min{2^-ℓ, 1}: certain for ℓ ≤ 0, exact power-of-two coin else.
-    const bool beep = l <= 0 || coin(static_cast<unsigned>(l));
-    return beep ? beep::kChannel1 : beep::ChannelMask{0};
-  }
-
-  static beep::ChannelMask decide(std::int32_t l, std::int32_t lmax,
-                                  support::Rng& rng) {
-    return decide_coin(l, lmax,
-                       [&rng](unsigned k) { return rng.bernoulli_pow2(k); });
-  }
-
-  static std::int32_t update(std::int32_t l, std::int32_t lmax,
-                             beep::ChannelMask sent,
-                             beep::ChannelMask heard) noexcept {
-    if (heard & beep::kChannel1) return std::min(l + 1, lmax);
-    if (sent & beep::kChannel1) return -lmax;
-    return std::max(l - 1, 1);
-  }
-
-  /// update() as a select chain — same transition, no data-dependent
-  /// branches. The hot kernels use this form (chaos-phase heard/sent bits
-  /// are coin flips, so the textbook if-cascade mispredicts ~every vertex);
-  /// update() stays the readable oracle the tests compare against.
+  /// SelfStabMis's level transition as a select chain — no data-dependent
+  /// branches (chaos-phase heard/sent bits are coin flips, so the textbook
+  /// if-cascade mispredicts ~every vertex): heard → min(ℓ+1, ℓmax), else
+  /// beeped → -ℓmax, else max(ℓ-1, 1).
   static std::int32_t update_packed(std::int32_t l, std::int32_t lmax,
                                     beep::ChannelMask sent,
                                     beep::ChannelMask heard) noexcept {
@@ -101,7 +74,6 @@ struct Alg1Policy {
 struct Alg2Policy {
   static constexpr unsigned kChannels = 2;
   static constexpr beep::ChannelMask kMemberBeep = beep::kChannel2;
-  static constexpr beep::ChannelMask kDominantHeard = beep::kChannel2;
   static constexpr bool kHasLemma31 = false;
   static constexpr const char* kTag = "alg2";
 
@@ -113,32 +85,11 @@ struct Alg2Policy {
   }
   static constexpr bool is_prominent(std::int32_t l) noexcept { return l == 0; }
 
-  template <typename Coin>
-  static beep::ChannelMask decide_coin(std::int32_t l, std::int32_t lmax,
-                                       Coin&& coin) {
-    if (l == 0) return beep::kChannel2;  // certain, no coin
-    if (l < lmax && coin(static_cast<unsigned>(l))) return beep::kChannel1;
-    return 0;
-  }
-
-  static beep::ChannelMask decide(std::int32_t l, std::int32_t lmax,
-                                  support::Rng& rng) {
-    return decide_coin(l, lmax,
-                       [&rng](unsigned k) { return rng.bernoulli_pow2(k); });
-  }
-
-  static std::int32_t update(std::int32_t l, std::int32_t lmax,
-                             beep::ChannelMask sent,
-                             beep::ChannelMask heard) noexcept {
-    if (heard & beep::kChannel2) return lmax;
-    if (heard & beep::kChannel1) return std::min(l + 1, lmax);
-    if (sent & beep::kChannel1) return 0;
-    if (!(sent & beep::kChannel2)) return std::max(l - 1, 1);
-    return l;  // member that heard nothing — stays 0
-  }
-
-  /// update() as a select chain (last assignment = highest priority) — same
-  /// transition, no data-dependent branches. See Alg1Policy::update_packed.
+  /// SelfStabMisTwoChannel's level transition as a select chain (last
+  /// assignment = highest priority; see Alg1Policy::update_packed): heard
+  /// channel 2 → ℓmax, else heard channel 1 → min(ℓ+1, ℓmax), else beeped
+  /// channel 1 → 0, else a silent non-member → max(ℓ-1, 1), else a member
+  /// stays at 0.
   static std::int32_t update_packed(std::int32_t l, std::int32_t lmax,
                                     beep::ChannelMask sent,
                                     beep::ChannelMask heard) noexcept {
@@ -170,9 +121,8 @@ struct Alg2Policy {
 /// counter draw keyed by (seed, vertex, round) — a pure function of the
 /// coordinate, independent of visit order — and coins are drawn in exactly
 /// the same cases, so levels agree round-for-round (tested exhaustively in
-/// test_fast_engine.cpp). The sparse round itself is executed by a pluggable
-/// core::RoundKernel (scalar / sharded — see round_kernel.hpp), both proven
-/// stream-identical, so the kernel choice only moves wall-clock.
+/// test_fast_engine.cpp). The sparse round itself is executed by
+/// core::RoundKernel (round_kernel.hpp) over word-aligned vertex shards.
 /// The kernel is the only owner of settlement (see RoundKernel). The engine
 /// asks it for a full O(n + m) rebuild only after set_level, i.e. once per
 /// initial configuration; everything else keeps it exact incrementally.
@@ -192,24 +142,19 @@ struct SparseCensus;
 template <typename Policy>
 class FastEngine final : public Engine {
  public:
-  /// `shard_threads` sizes the sharded kernel's private worker pool (only
-  /// read when the resolved kernel is Sharded, which Auto resolves to):
-  /// 1 = serial, 0 = one per hardware thread.
-  /// `phase_telemetry` makes the sharded kernel collect ShardTelemetry every
-  /// round (it always collects while a tracing session is live).
+  /// `shard_threads` sizes the round kernel's private worker pool: 1 =
+  /// serial, 0 = one per hardware thread.
+  /// `phase_telemetry` makes the kernel collect ShardTelemetry every round
+  /// (it always collects while a tracing session is live).
   FastEngine(const graph::Graph& g, LmaxVector lmax, std::uint64_t seed,
              beep::Duplex duplex = beep::Duplex::Full,
-             KernelKind kernel = KernelKind::Auto,
              std::size_t shard_threads = 1, bool phase_telemetry = false);
   ~FastEngine() override;  // out-of-line: RoundKernel is incomplete here
 
   std::string name() const override {
     return std::string("fast-") + Policy::kTag;
   }
-  /// The resolved round kernel ("scalar" / "sharded").
-  std::string kernel_name() const override {
-    return kernel_kind_name(kernel_kind_);
-  }
+  std::string kernel_name() const override { return "sharded"; }
   std::size_t shard_count() const noexcept override;
   const graph::Graph& graph() const noexcept override { return *graph_; }
   std::uint64_t round() const noexcept override { return round_; }
@@ -250,15 +195,14 @@ class FastEngine final : public Engine {
     observer_ = observer;
   }
   /// Routes internal timers into `registry` (may be null to detach); keyed
-  /// by variant and resolved kernel
-  /// ("fast_engine.<tag>.<kernel>.refresh_settlement", one sample per full
-  /// settlement recompute — corruption patches are not counted) so scalar
-  /// and sharded timings are never conflated in reports. Both the
-  /// cumulative TimerStat and the "...refresh_settlement_ns" duration digest
-  /// (p50/p95/p99 of individual refreshes) are resolved once here.
+  /// by variant ("fast_engine.<tag>.sharded.refresh_settlement", one sample
+  /// per full settlement recompute — corruption patches are not counted).
+  /// Both the cumulative TimerStat and the "...refresh_settlement_ns"
+  /// duration digest (p50/p95/p99 of individual refreshes) are resolved
+  /// once here.
   void set_metrics(obs::MetricsRegistry* registry) override {
-    const std::string prefix = std::string("fast_engine.") + Policy::kTag +
-                               "." + kernel_kind_name(kernel_kind_);
+    const std::string prefix =
+        std::string("fast_engine.") + Policy::kTag + ".sharded";
     refresh_timer_ =
         registry ? &registry->timer(prefix + ".refresh_settlement") : nullptr;
     refresh_digest_ =
@@ -266,8 +210,8 @@ class FastEngine final : public Engine {
                  : nullptr;
   }
 
-  /// Delegates to the round kernel: true with the sharded kernel once any
-  /// instrumented round has run, false otherwise.
+  /// Delegates to the round kernel: true once any instrumented round has
+  /// run.
   bool shard_telemetry(ShardTelemetry* out) const override;
 
  private:
@@ -282,7 +226,6 @@ class FastEngine final : public Engine {
   std::vector<std::int32_t> levels_;
   std::vector<beep::ChannelMask> send_;  // scratch, indexed by vertex
   std::uint64_t round_ = 0;
-  KernelKind kernel_kind_ = KernelKind::Scalar;  // resolved, never Auto
   std::unique_ptr<RoundKernel<Policy>> kernel_;
   // Levels were written wholesale (set_level, a corruption with nothing
   // settled yet): the kernel's settlement is recomputed lazily before it is

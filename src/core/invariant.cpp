@@ -44,8 +44,8 @@ constexpr std::size_t kPatchFloor = 32;
 
 /// The probe's private state: the level bits of the last settled check and
 /// the MIS predicate derived from them, all n-bit word arrays. in(v) is
-/// candidate(v) with every neighbor capped — settles_as_member, read from
-/// the levels alone, never from the engine's settlement — and dominated(v)
+/// candidate(v) with every neighbor capped — the settlement predicate, read
+/// from the levels alone, never from the engine's settlement — and dominated(v)
 /// is "some neighbor is in". A settled check packs fresh level bits, XORs
 /// them against the snapshot, and re-derives in only for changed
 /// candidates and the neighbors of changed caps, then dominated only for

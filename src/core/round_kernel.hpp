@@ -1,35 +1,16 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <vector>
 
 #include "src/beep/types.hpp"
 #include "src/core/engine.hpp"
 #include "src/core/lmax.hpp"
 #include "src/graph/graph.hpp"
-#include "src/support/huge_pages.hpp"
-#include "src/support/rng.hpp"
+#include "src/support/task_pool.hpp"
 
 namespace beepmis::core {
-
-/// The coin source the kernels hand to Policy::decide_coin: coin(k) is a
-/// Bernoulli(2^-k) trial on the first counter draw of the (seed, node, round)
-/// coordinate, with bernoulli_pow2's draw-free k == 0 / k >= 64 edges. Both
-/// beeping policies draw at most one coin per vertex per round, so the first
-/// draw covers every call; the per-round sponge prefix is folded once by the
-/// caller (support::counter_round_state) and each vertex costs two SplitMix64
-/// avalanches, branch-free.
-struct CounterCoin {
-  std::uint64_t round_state;
-  std::uint64_t node;
-  bool operator()(unsigned k) const noexcept {
-    if (k == 0) return true;
-    if (k >= 64) return false;
-    return (support::counter_first_draw_at(round_state, node) >> (64 - k)) ==
-           0;
-  }
-};
 
 /// Tallies over the pre-round active set, filled by RoundKernel::step_sparse.
 /// The engine combines them with the settled censuses (members/dominated
@@ -48,20 +29,6 @@ struct SparseCensus {
   std::uint32_t dom_heard_extra = 0;
 };
 
-/// Settlement predicate, read from the levels alone: v is a settled MIS
-/// member iff it sits at the member level and every neighbor sits at its
-/// cap. The kernels cache it; FastEngine::mis_members recomputes it so the
-/// verification never trusts the cache.
-template <typename Policy>
-bool settles_as_member(const graph::Graph& g, const LmaxVector& lmax,
-                       const std::vector<std::int32_t>& levels,
-                       graph::VertexId v) {
-  if (levels[v] != Policy::member_level(lmax[v])) return false;
-  for (graph::VertexId u : g.neighbors(v))
-    if (levels[u] != lmax[u]) return false;
-  return true;
-}
-
 /// Non-owning view of the FastEngine state a kernel reads and writes: the
 /// graph, the caps, the levels and the send scratch. Settlement is not in
 /// here — the kernel owns it (see RoundKernel).
@@ -73,29 +40,28 @@ struct KernelContext {
   std::vector<beep::ChannelMask>* send = nullptr;
   std::uint64_t seed = 0;  ///< master seed keying the counter draws
   bool half = false;       ///< Duplex::Half: a beeper hears nothing
-  /// Worker threads for the sharded kernel's private TaskPool (0 = one per
-  /// hardware thread). At 1 the kernel runs one shard and calls each phase
-  /// inline, never entering the pool. Ignored by the scalar kernel.
+  /// Worker threads for the kernel's private TaskPool (0 = one per hardware
+  /// thread). At 1 the kernel runs one shard and calls each phase inline,
+  /// never entering the pool.
   std::size_t shard_threads = 1;
   /// Collect per-phase ShardTelemetry every round, tracing session or not
-  /// (the sharded kernel always collects while the tracer is live). Ignored
-  /// by the scalar kernel.
+  /// (the kernel always collects while the tracer is live).
   bool telemetry = false;
 };
 
 /// One fault-free, noise-free round of FastEngine<Policy>: beep decisions
 /// over the active set (counter draws keyed by (seed, vertex, round)),
-/// feedback, level updates, and settlement/pruning. The two
-/// implementations — Scalar (the oracle) and Sharded — are proven
-/// stream-identical: same levels, same censuses, round for round, across
-/// corruption and half-duplex, at every shard count (tests/test_kernels.cpp).
-/// Receiver noise never reaches a kernel: make_engine runs noisy configs on
-/// the reference engine.
+/// feedback, level updates, and settlement/pruning, run across contiguous,
+/// word-aligned vertex shards (see round_kernel.cpp for the design). It is
+/// proven stream-identical to the reference engine — same levels, same
+/// censuses, round for round, across corruption and half-duplex, at every
+/// shard count (tests/test_kernels.cpp). Receiver noise never reaches the
+/// kernel: make_engine runs noisy configs on the reference engine.
 ///
 /// The kernel is the only owner of settlement: the settled bytes (0 active,
 /// 1 member, 2 dominated), the active set and the member/active counts, plus
-/// whatever private caches its round needs. Between rounds they change in
-/// one of two ways, each of which leaves them exact:
+/// the counts and masks its round reads. Between rounds they change in one
+/// of two ways, each of which leaves them exact:
 ///   rebuild()      everything from the levels, O(n + m) — after set_level,
 ///                  i.e. once per initial configuration;
 ///   patch(v, old)  one level write, repaired in v's 2-hop neighborhood — a
@@ -103,63 +69,131 @@ struct KernelContext {
 template <typename Policy>
 class RoundKernel {
  public:
-  explicit RoundKernel(const KernelContext<Policy>& ctx) : ctx_(ctx) {
-    // Rounds read settlement at scattered neighbours.
-    support::reserve_huge(settled_, ctx.levels->size());
-    settled_.assign(ctx.levels->size(), 0);
-  }
-  virtual ~RoundKernel() = default;
-
-  virtual const char* name() const noexcept = 0;
+  explicit RoundKernel(const KernelContext<Policy>& ctx);
+  // The phase closures bound in the constructor hold `this`.
+  RoundKernel(const RoundKernel&) = delete;
+  RoundKernel& operator=(const RoundKernel&) = delete;
 
   /// Executes round `round` (the engine's pre-increment round index, which
   /// keys the counter draws). `observing` requests exact heard masks and the
-  /// census fields; without it a kernel may resolve only the bits the level
-  /// update needs. Settlement must be exact on entry (rebuild or patch).
-  virtual void step_sparse(std::uint64_t round, bool observing,
-                           SparseCensus& census) = 0;
+  /// census fields; without it the kernel may resolve only the bits the
+  /// level update needs. Settlement must be exact on entry (rebuild or
+  /// patch).
+  void step_sparse(std::uint64_t round, bool observing, SparseCensus& census);
 
-  /// Recomputes settlement, the active set and every private cache from the
-  /// levels alone.
-  virtual void rebuild() = 0;
+  /// Recomputes settlement, the active set, the counts and the masks from
+  /// the levels alone.
+  void rebuild();
 
-  /// Repairs settlement and the private caches after levels[v] changed from
-  /// `old_level` to its current value, with everything exact beforehand. A
-  /// level write moves membership only inside N[v] and domination only
-  /// inside v and the neighbors of members that flipped, so no full rescan
-  /// is needed.
-  virtual void patch(graph::VertexId v, std::int32_t old_level) = 0;
+  /// Repairs settlement, the counts and the masks after levels[v] changed
+  /// from `old_level` to its current value, with everything exact
+  /// beforehand. A level write moves membership only inside N[v] and
+  /// domination only inside v and the neighbors of members that flipped, so
+  /// no full rescan is needed.
+  void patch(graph::VertexId v, std::int32_t old_level);
 
   /// Vertex shards a round runs on (1 = serial).
-  virtual std::size_t shard_count() const noexcept { return 1; }
-
+  std::size_t shard_count() const noexcept { return shards_.size(); }
   std::size_t active_count() const noexcept { return active_count_; }
   /// Settled members (== |I_t| after a round).
   std::size_t mis_count() const noexcept { return mis_count_; }
 
-  /// Snapshots cumulative phase telemetry (sharded kernel only): false on
-  /// the scalar kernel and before any instrumented round has run.
-  virtual bool shard_telemetry(ShardTelemetry* out) const {
-    (void)out;
-    return false;
-  }
+  /// Snapshots cumulative phase telemetry: false before any instrumented
+  /// round has run.
+  bool shard_telemetry(ShardTelemetry* out) const;
 
- protected:
-  bool member_settled(graph::VertexId v) const {
-    return settles_as_member<Policy>(*ctx_.graph, *ctx_.lmax, *ctx_.levels,
-                                     v);
+ private:
+  struct Delta {
+    graph::VertexId v;
+    std::int32_t d;
+  };
+  struct Shard {
+    std::size_t word_lo = 0, word_hi = 0;  ///< exclusively owned mask words
+    /// Vertex range [64*lo, 64*hi) ∩ [0, n).
+    graph::VertexId v_lo = 0, v_hi = 0;
+    std::vector<graph::VertexId> active;   ///< shard's slice of the active set
+    /// Settled in phase 3a, applied by fold.
+    std::vector<graph::VertexId> new_members;
+    std::vector<graph::VertexId> coin;     ///< this round's coin beepers
+    std::vector<Delta> dp, dc;             ///< this round's boundary crossers
+    std::vector<graph::VertexId> settle_cand;  ///< member-settle candidates
+    /// Candidates this shard's apply found in shard d's range, read by d's
+    /// phase 3a (several shards only; one shard uses settle_cand).
+    std::vector<std::vector<graph::VertexId>> routed;
+    // Compressed-store targets for one AVX-512 update-sweep chunk.
+    std::vector<std::uint32_t> dp_idx, dc_idx, sc_idx;
+    SparseCensus census;
+    std::uint32_t mis_settled = 0;
+    std::uint64_t busy_ns = 0;  ///< this round's task-body time (telemetry)
+    bool sweep = false;  ///< this round took the dense sweep path
+    bool any_settled = false;
+    bool prune = false;  ///< patch() settled a slice entry; phase 1 drops it
+  };
+  using PhaseFn = std::function<void(std::size_t)>;
+
+  void dispatch(const PhaseFn& fn);
+  void run_phase(std::size_t pi, const PhaseFn& fn);
+  void finish_round_telemetry(std::uint64_t round, std::uint64_t active);
+  template <bool kShared>
+  void bind_pushes();
+  /// The shard that owns vertex v.
+  std::size_t owner(graph::VertexId v) const noexcept {
+    return (v >> 6) / shard_words_;
   }
+  void rebuild_counts(std::size_t si);
+  void rebuild_member_nb(std::size_t si);
+  void rebuild_slices(std::size_t si);
+  void prune_slice(Shard& sh);
+  void phase1(std::size_t si);
+  template <bool kShared>
+  void stamp(const Shard& sh);
+  void phase2(std::size_t si);
+  template <bool kShared>
+  void apply(Shard& sh);
+  void phase3a(std::size_t si);
+  template <bool kShared>
+  void fold(const Shard& sh);
+  void phase3b(std::size_t si);
 
   KernelContext<Policy> ctx_;
   std::vector<std::uint8_t> settled_;  ///< 0 active, 1 member, 2 dominated
   std::size_t active_count_ = 0;
   std::size_t mis_count_ = 0;
+  support::TaskPool pool_;
+  std::size_t words_ = 0;
+  std::size_t shard_words_ = 0;  ///< words per shard (last shard clipped)
+  std::vector<Shard> shards_;
+  std::vector<std::uint64_t> active_mask_;
+  std::vector<std::uint64_t> member_nb_mask_;  // has a settled-member neighbor
+  std::vector<std::uint64_t> capped_mask_;     // levels[v] == lmax[v], all v
+  std::vector<std::uint64_t> heard_coin_mask_;  // coin audibility this round
+  std::vector<std::uint32_t> prominent_nb_;  // certainly-beeping neighbors
+  std::vector<std::uint32_t> uncapped_nb_;   // neighbors off their cap
+  // Per-round inputs for the pre-bound phase closures.
+  std::uint64_t round_state_ = 0;
+  bool observing_ = false;
+  // patch() scratch, kept to reuse its capacity across a fault wave.
+  std::vector<graph::VertexId> patch_flipped_, patch_touched_;
+  PhaseFn rebuild_counts_fn_, rebuild_member_nb_fn_, rebuild_slices_fn_;
+  PhaseFn phase1_fn_, stamp_fn_;
+  PhaseFn phase2_fn_, apply_fn_;
+  PhaseFn phase3a_fn_, fold_fn_, phase3b_fn_;
+  // Phase telemetry (see ShardTelemetry): cumulative over instrumented
+  // rounds, all coordinator-owned — workers only ever write their own
+  // shard's busy_ns through timed_fn_.
+  PhaseFn timed_fn_;
+  const PhaseFn* timed_inner_ = nullptr;
+  bool tel_round_ = false;        // collecting this round
+  std::uint64_t round_wall_ns_ = 0;  // this round's parallel-phase wall
+  std::uint64_t tel_rounds_ = 0;
+  std::uint64_t tel_phase_ns_[kShardPhaseCount] = {};
+  std::uint64_t tel_busy_ns_ = 0;
+  std::uint64_t tel_max_busy_ns_ = 0;
+  std::uint64_t tel_barrier_ns_ = 0;
+  std::uint64_t tel_active_ = 0;
+  std::uint64_t tel_coin_ = 0;
+  std::uint64_t tel_crossers_ = 0;
+  std::uint64_t tel_cand_ = 0;
 };
-
-/// Builds the requested kernel over `ctx`. KernelKind::Auto must be resolved
-/// by the caller (resolve_kernel) first.
-template <typename Policy>
-std::unique_ptr<RoundKernel<Policy>> make_round_kernel(
-    KernelKind kind, const KernelContext<Policy>& ctx);
 
 }  // namespace beepmis::core

@@ -118,11 +118,10 @@ RunResult run_variant(const graph::Graph& g, Variant variant,
                       beep::Round max_rounds, std::int32_t c1,
                       obs::MetricsRegistry* metrics,
                       obs::RoundObserver* observer, core::EngineKind kind,
-                      core::KernelKind kernel, std::size_t shard_threads) {
+                      std::size_t shard_threads) {
   core::EngineConfig config;
   config.variant = variant;
   config.kind = kind;
-  config.kernel = kernel;
   config.seed = seed;
   config.c1 = c1;
   config.shard_threads = shard_threads;

@@ -62,11 +62,10 @@ RunResult run_to_stabilization(core::Engine& engine, beep::Round max_rounds,
                                obs::MetricsRegistry* metrics = nullptr);
 
 /// One-shot: build, initialize, run. The workhorse of the sweeps. Routed
-/// through core::make_engine — `kind` selects the executor and `kernel` the
-/// fast engine's round kernel (Auto = fast / sharded; results are engine-
-/// and kernel-independent because all executors are stream-identical under
-/// the same seed). `observer`, if given, receives one obs::RoundEvent per
-/// round.
+/// through core::make_engine — `kind` selects the executor (Auto = fast;
+/// results are engine-independent because all executors are
+/// stream-identical under the same seed). `observer`, if given, receives
+/// one obs::RoundEvent per round.
 /// `shard_threads` sizes the fast engine's intra-round sharded pool (see
 /// core::EngineConfig::shard_threads); 1 keeps the round serial.
 RunResult run_variant(const graph::Graph& g, Variant variant,
@@ -75,7 +74,6 @@ RunResult run_variant(const graph::Graph& g, Variant variant,
                       obs::MetricsRegistry* metrics = nullptr,
                       obs::RoundObserver* observer = nullptr,
                       core::EngineKind kind = core::EngineKind::Auto,
-                      core::KernelKind kernel = core::KernelKind::Auto,
                       std::size_t shard_threads = 1);
 
 /// A generous default budget: stabilization is Θ(log n), so this failing

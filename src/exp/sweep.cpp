@@ -77,7 +77,7 @@ std::vector<SweepPoint> run_scaling_sweep(Family family,
           g, config.variant, config.init, seed,
           default_round_budget(g.vertex_count()), config.c1, scratch,
           config.observer != nullptr ? &out.events : nullptr, config.engine,
-          config.kernel, config.shard_threads);
+          config.shard_threads);
     }
     if (scratch != nullptr) {
       scratch->counter("sweep.runs_total").inc();

@@ -40,10 +40,6 @@ struct SweepConfig {
   /// so sweeps never fall back to the slow path; Reference exists for
   /// cross-checks.
   core::EngineKind engine = core::EngineKind::Auto;
-  /// Round-kernel selection for the fast engine (scalar / sharded, both
-  /// stream-identical — Auto resolves to sharded). Purely a wall-clock
-  /// knob: sweep results never depend on it.
-  core::KernelKind kernel = core::KernelKind::Auto;
   /// Optional telemetry: per-run wall time ("sweep.run" timer), the
   /// "sweep.rounds_to_stabilize" quantile digest and sweep.* counters land
   /// here; the fast engines also route their internal timers and
@@ -63,7 +59,7 @@ struct SweepConfig {
   /// streams — are bit-identical for every value; see docs/architecture.md.
   std::size_t threads = 1;
   /// Worker threads *inside* each replica's rounds (the fast engine's
-  /// sharded kernel; see core::EngineConfig::shard_threads). Orthogonal to
+  /// round kernel; see core::EngineConfig::shard_threads). Orthogonal to
   /// `threads`: replica-level parallelism scales across runs, sharding
   /// scales one giant instance. Results are bit-identical for every value.
   std::size_t shard_threads = 1;

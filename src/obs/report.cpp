@@ -611,30 +611,6 @@ std::vector<ReportSection> ReportBuilder::sections() const {
   }
   out.push_back(std::move(speedups));
 
-  // Pair "BM_FastEngineKernel/<kernel>/<n>" with the scalar oracle at the
-  // same n, ordered by n. The scalar row itself is omitted (speedup 1.00x by
-  // definition).
-  ReportSection kernels{
-      "kernel_speedups", "Round kernels vs scalar oracle", nullptr, nullptr,
-      nullptr,
-      {{"kernel", "kernel"}, {"n", "n"}, {"cpu_ns", "cpu_ns", "%.0f"},
-       {"scalar_cpu_ns", "scalar cpu_ns", "%.0f"},
-       {"speedup", "speedup", "%.2fx"}}};
-  std::vector<std::tuple<std::uint64_t, std::string, double, double>> pairs;
-  for (const auto& [kernel, size, cpu_ns] :
-       bench_family(current_cpu_ns_, "BM_FastEngineKernel/")) {
-    if (kernel == "scalar") continue;
-    const auto scalar =
-        current_cpu_ns_.find("BM_FastEngineKernel/scalar/" + size);
-    if (scalar == current_cpu_ns_.end() || cpu_ns <= 0.0) continue;
-    pairs.emplace_back(parse_size(size), kernel, cpu_ns, scalar->second);
-  }
-  std::sort(pairs.begin(), pairs.end());
-  for (const auto& [n, kernel, cpu_ns, scalar_ns] : pairs)
-    kernels.rows.push_back(
-        {text(kernel), count(n), cpu_ns, scalar_ns, scalar_ns / cpu_ns});
-  out.push_back(std::move(kernels));
-
   // "BM_FastEngineRun_<tag>/<n>" relative to the NoSink run of the same n.
   ReportSection overheads{
       "overheads", "Instrumentation overhead (vs NoSink)", nullptr, nullptr,

@@ -27,9 +27,9 @@ struct ReportSection;
 /// round-event streams — into one report:
 /// stabilization percentiles per (algorithm, family, n), growth-model fits
 /// over sweep curves (the Thm 2.1 / Thm 2.2 shape check), per-fault
-/// recovery-epoch outcomes and quantiles, fast-vs-reference and
-/// kernel-vs-scalar speedups, sink and digest overheads, span-duration
-/// quantiles, the sharded kernel's phase breakdown and load imbalance,
+/// recovery-epoch outcomes and quantiles, fast-vs-reference speedups, sink
+/// and digest overheads, span-duration quantiles, the sharded kernel's
+/// phase breakdown and load imbalance,
 /// wall-time-per-round growth fits over the traces' `engine.round` spans,
 /// and an optional baseline comparison that flags benchmark regressions —
 /// cpu_ns and the real_ns of real-time benchmarks — for CI gating.

@@ -96,9 +96,9 @@ file(READ "${WORK}/report.json" json)
 string(REGEX REPLACE "\"generated\":\"[^\"]*\""
        "\"generated\":\"<timestamp>\"" json "${json}")
 expect_text(report.json "${json}")
-foreach(section stabilization growth_fits recovery speedups kernel_speedups
-        overheads trace_spans phase_breakdown imbalance round_ms_fits
-        dirty_inputs dropped_trace_inputs anomalies)
+foreach(section stabilization growth_fits recovery speedups overheads
+        trace_spans phase_breakdown imbalance round_ms_fits dirty_inputs
+        dropped_trace_inputs anomalies)
   expect_rows(report.json ${section})
 endforeach()
 expect_rows(report.json baseline regressions)
@@ -140,7 +140,7 @@ endif()
 # phase-breakdown and imbalance tables and the wall-time-per-round growth
 # fit.
 foreach(n 1024 4096 16384)
-  run(0 "${CLI}" --family er-avg8 --n ${n} --seed 7 --kernel sharded
+  run(0 "${CLI}" --family er-avg8 --n ${n} --seed 7 --engine fast
       --shard-threads 8 --trace-out trace-fit-n${n}.json)
 endforeach()
 string(JOIN "," inputs trace-fit-n1024.json trace-fit-n4096.json
@@ -155,10 +155,10 @@ endforeach()
 
 # (2) Recovery: a monitored CLI run with fault waves and a capped soak.
 run(0 "${CLI}" --family er-avg8 --n 256 --algorithm v1 --seed 7 --faults 32
-    --waves 2 --kernel scalar --monitor --recovery-out rec-scalar.json)
+    --waves 2 --engine reference --monitor --recovery-out rec-reference.json)
 run(0 "${SOAK}" --seconds 120 --scenarios 12 --threads 1 --monitor
     --recovery-out soak-rec-t1.json)
-run(0 "${REPORT}" --in rec-scalar.json,soak-rec-t1.json
+run(0 "${REPORT}" --in rec-reference.json,soak-rec-t1.json
     --out recovery-report.md --json-out recovery-report.json)
 expect_in(recovery-report.md "Recovery epochs")
 expect_rows(recovery-report.json recovery)

@@ -50,7 +50,7 @@ run("${CLI}" ${sweep} --trace-out trace-tsan.json)
 # which the next round's workers must see through the pool's batch
 # hand-off. The traced run streams phase spans and shard counters from the
 # workers while the coordinator folds ShardTelemetry.
-set(shard --n 100000 --seed 3 --kernel sharded --shard-threads 4)
+set(shard --n 100000 --seed 3 --engine fast --shard-threads 4)
 run("${CLI}" --family er-avg8 ${shard})
 run("${CLI}" --family ba-m3 ${shard})
 run("${CLI}" --family er-avg8 ${shard} --faults 1000 --waves 3)

@@ -162,8 +162,8 @@ expect_keys(run.json KEYS ${RUN_KEYS})
 expect_keys(run.json obs KEYS ${OBS_KEYS})
 expect_keys(run.json metrics KEYS counters gauges timers digests)
 expect_keys(run.json extra KEYS stabilized rounds_total engine
-            engine_requested kernel kernel_requested shard_threads_requested
-            shards duplex faults_per_wave waves noise_fp noise_fn)
+            engine_requested kernel shard_threads_requested shards duplex
+            faults_per_wave waves noise_fp noise_fn)
 
 # Monitored fault waves under non-default monitor and anomaly settings: the
 # probe cadence lands in recovery.v1's config, the stall multiple (low
@@ -174,7 +174,7 @@ foreach(threads 1 3)
   run(0 out "${CLI}" --family er-avg8 --n 1024 --algorithm v1 --seed 11
       --faults 256 --waves 4 --monitor --monitor-every 8
       --anomaly-stall-multiple 0.005 --anomaly-lemma-window 4
-      --kernel sharded --shard-threads ${threads}
+      --engine fast --shard-threads ${threads}
       --recovery-out waves-recovery.json --flight-recorder waves-dump.json)
   strip_wrote(out)
   expect_text(waves.txt "${out}")
@@ -237,15 +237,16 @@ noisy_run(0 v1)
 noisy_run(1 v3 --max-rounds 150)
 
 # usage_error(<command...>): the command exits 2 with exactly one line on
-# stderr, which is left in run_stderr.
+# stderr, which is left in run_stderr, and nothing on stdout: every usage
+# error is reported before any graph is built.
 function(usage_error)
-  run(2 ignored ${ARGN})
+  run(2 out ${ARGN})
   string(REGEX MATCHALL "\n" lines "${run_stderr}")
   list(LENGTH lines count)
-  if(NOT count EQUAL 1)
+  if(NOT count EQUAL 1 OR NOT out STREQUAL "")
     string(REPLACE ";" " " cmd "${ARGN}")
-    message(FATAL_ERROR "${cmd}: expected one stderr line, got:\n"
-                        "${run_stderr}")
+    message(FATAL_ERROR "${cmd}: expected one stderr line and no stdout, "
+                        "got:\nstdout:\n${out}\nstderr:\n${run_stderr}")
   endif()
   set(run_stderr "${run_stderr}" PARENT_SCOPE)
 endfunction()
@@ -254,6 +255,13 @@ endfunction()
 # engine, is a usage error: one line on stderr and exit 2.
 foreach(bad "--noise-fp;2" "--noise-fn;-0.5" "--noise-fp;nan"
             "--engine;fast;--noise-fp;0.01")
+  usage_error("${CLI}" --n 64 ${bad})
+endforeach()
+
+# So are an unknown algorithm, init policy, duplex mode or engine, and the
+# removed --kernel option.
+foreach(bad "--algorithm;bogus" "--init;bogus" "--duplex;quarter"
+            "--engine;bogus" "--kernel;sharded")
   usage_error("${CLI}" --n 64 ${bad})
 endforeach()
 
@@ -270,6 +278,7 @@ function(bad_option option)
 endfunction()
 bad_option(--noise-fp "${CLI}" --n 64 --noise-fp abc)
 bad_option(--seed "${CLI}" --n 64 --seed x)
+bad_option(--c1 "${CLI}" --n 64 --c1 abc)
 bad_option(--shard-threads "${CLI}" --n 64 --shard-threads -1)
 bad_option(--threads "${CLI}" --sweep --threads -1)
 bad_option(--shard-threads "${CLI}" --sweep --shard-threads -1)
@@ -321,6 +330,18 @@ expect_keys(sweep-run.json KEYS ${RUN_KEYS})
 expect_keys(sweep-run.json extra KEYS mode sizes seeds_per_size
             threads_requested shard_threads_requested)
 
+# sweep.v1's "kernel" names the round kernel of the engine that ran, as
+# run.v1's does: "sharded" in the fast-engine golden above, "none" on the
+# reference engine.
+run(0 ignored "${CLI}" --sweep --family er-avg8 --algorithm v1 --sizes 64
+    --sweep-seeds 2 --engine reference --sweep-out sweep-reference.json)
+file(READ "${WORK}/sweep-reference.json" sweep_json)
+string(JSON sweep_kernel GET "${sweep_json}" kernel)
+if(NOT sweep_kernel STREQUAL "none")
+  message(FATAL_ERROR "sweep.v1 on the reference engine records kernel "
+                      "\"${sweep_kernel}\", expected \"none\"")
+endif()
+
 # Soak under a scenario budget: the folded recovery.v1 is identical at every
 # --threads value.
 foreach(threads 1 4)
@@ -335,7 +356,7 @@ foreach(threads 1 4)
   validate_trace(soak-trace-t${threads})
   expect_keys(soak-run-t${threads}.json KEYS ${RUN_KEYS})
   expect_keys(soak-run-t${threads}.json extra KEYS scenarios recovery_epochs
-              engine kernel shard_threads result)
+              engine shard_threads result)
 endforeach()
 
 # Tracing reads clocks and writes private buffers only, so sweep stdout and

@@ -62,7 +62,7 @@ endfunction()
 
 # Single run: traced at 1, 8 and one-per-hardware-thread (0) workers, then
 # untraced at 8.
-set(run --family er-avg8 --n 4096 --seed 7 --kernel sharded)
+set(run --family er-avg8 --n 4096 --seed 7 --engine fast)
 foreach(t 1 8 0)
   cli(tel-run-t${t} ${run} --shard-threads ${t}
       --trace-out trace-teln-t${t}.json)
@@ -75,7 +75,7 @@ expect_same(tel-run-t8.txt tel-run-bare.txt)
 # Sweep mode: the untraced one-worker sweep against traced sweeps with
 # --progress at 1, 3, 8 and 0 shard workers.
 set(sweep --sweep --family er-avg8 --algorithm v1 --sizes 64,128,256
-    --sweep-seeds 8 --seed 5 --kernel sharded)
+    --sweep-seeds 8 --seed 5 --engine fast)
 cli(sweep-shard-t1 ${sweep} --shard-threads 1
     --sweep-out sweep-shard-t1.json)
 foreach(t 1 3 8 0)

@@ -253,27 +253,24 @@ TEST(FastEngine, MisMembersMatchesLevelDefinition) {
   for (graph::VertexId v = 20; v < 80; v += 3) b.add_edge(v, v + 1);
   graphs.push_back(std::move(b).build());
 
-  const std::pair<KernelKind, std::size_t> kernels[] = {
-      {KernelKind::Scalar, 1}, {KernelKind::Sharded, 1},
-      {KernelKind::Sharded, 3}};
   for (const graph::Graph& g : graphs) {
-    for (const auto& [kind, threads] : kernels) {
+    for (std::size_t threads : {1, 3}) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        const std::string what = g.name() + " " + kernel_kind_name(kind) +
-                                 "/" + std::to_string(threads) + " seed " +
+        const std::string what = g.name() + " shard_threads " +
+                                 std::to_string(threads) + " seed " +
                                  std::to_string(seed);
         support::Rng lr(seed);
         {
           const auto lmax = lmax_global_delta(g);
           SelfStabMis ref(g, lmax);
-          FastMisEngine fast(g, lmax, seed, beep::Duplex::Full, kind, threads);
+          FastMisEngine fast(g, lmax, seed, beep::Duplex::Full, threads);
           set_biased_levels(g, ref, fast, lr);
           expect_members_match(g, ref, fast, "alg1 " + what);
         }
         {
           const auto lmax = lmax_one_hop(g);
           SelfStabMisTwoChannel ref(g, lmax);
-          FastMisEngine2 fast(g, lmax, seed, beep::Duplex::Full, kind, threads);
+          FastMisEngine2 fast(g, lmax, seed, beep::Duplex::Full, threads);
           set_biased_levels(g, ref, fast, lr);
           expect_members_match(g, ref, fast, "alg2 " + what);
         }

@@ -29,15 +29,13 @@ namespace {
 struct EngineCase {
   const char* name;
   core::EngineKind kind;
-  core::KernelKind kernel;
   std::size_t shards;
 };
 
 constexpr EngineCase kEngines[] = {
-    {"scalar", core::EngineKind::Fast, core::KernelKind::Scalar, 1},
-    {"sharded-1", core::EngineKind::Fast, core::KernelKind::Sharded, 1},
-    {"sharded-3", core::EngineKind::Fast, core::KernelKind::Sharded, 3},
-    {"reference", core::EngineKind::Reference, core::KernelKind::Auto, 1},
+    {"sharded-1", core::EngineKind::Fast, 1},
+    {"sharded-3", core::EngineKind::Fast, 3},
+    {"reference", core::EngineKind::Reference, 1},
 };
 
 graph::Graph make_family(const std::string& family, std::size_t n,
@@ -55,7 +53,6 @@ std::unique_ptr<core::Engine> make(const graph::Graph& g,
   core::EngineConfig cfg;
   cfg.variant = variant;
   cfg.kind = ec.kind;
-  cfg.kernel = ec.kernel;
   cfg.shard_threads = ec.shards;
   cfg.seed = seed;
   return core::make_engine(g, cfg);
@@ -256,7 +253,7 @@ TEST(InvariantProbe, FlagsKernelClaimingStabilizationWithVertexMidLevel) {
        {core::Variant::GlobalDelta, core::Variant::TwoChannel}) {
     support::Rng rng(21);
     const graph::Graph g = graph::make_erdos_renyi_avg_degree(1000, 8.0, rng);
-    auto inner = make(g, variant, kEngines[1], 21);
+    auto inner = make(g, variant, kEngines[0], 21);  // sharded-1
     core::apply_init(*inner, core::InitPolicy::UniformRandom, rng);
     inner->run_to_stabilization(4000);
     ASSERT_TRUE(inner->is_stabilized());

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/engine.hpp"
@@ -15,20 +19,23 @@
 namespace beepmis::core {
 namespace {
 
-// The kernel contract: Scalar (the oracle) and Sharded produce the same
-// level vector, the same settlement, the same MIS and the same RoundEvent
-// stream, round for round, from any starting configuration, under full and
-// half duplex, across mid-run corruption — at EVERY shard count. The worker
-// count only changes who computes each word, never what is computed: coins
-// are pure functions of (seed, node, round), every per-vertex write is
-// shard-owned, and the only cross-shard writes — row pushes into heard
-// words, neighbor counts and member-neighbor words — are ORs and sums.
+// The kernel contract: the sharded round kernel and the reference engine
+// (the textbook algorithm under beep::Simulation, counter-keyed coins)
+// produce the same level vector, the same settlement, the same MIS and the
+// same RoundEvent stream, round for round, from any starting configuration,
+// under full and half duplex, across mid-run corruption — at EVERY shard
+// count. The worker count only changes who computes each word, never what
+// is computed: coins are pure functions of (seed, node, round), every
+// per-vertex write is shard-owned, and the only cross-shard writes — row
+// pushes into heard words, neighbor counts and member-neighbor words — are
+// ORs and sums.
 //
-// Every case runs twice: observed (an EventLog on both engines, so each
-// event is compared) and unobserved. Both take the sharded kernel's dense
-// AVX-512 sweeps (kernel_simd.hpp) on hosts that have them: the unobserved
-// run proves the sweeps' levels and settlement bit-identical, the observed
-// run also proves the census the update sweep counts from its lane masks.
+// Every case runs the kernel twice at each shard count: observed (an
+// EventLog on it, so each event is compared with the reference's) and
+// unobserved. Both take the kernel's dense AVX-512
+// sweeps (kernel_simd.hpp) on hosts that have them: the unobserved run
+// proves the sweeps' levels and settlement bit-identical, the observed run
+// also proves the census the update sweep counts from its lane masks.
 // Elsewhere both runs check the indexed loops.
 
 /// Captures the engine's per-round event stream for exact comparison.
@@ -39,71 +46,130 @@ struct EventLog final : obs::RoundObserver {
   }
 };
 
+/// The reference executor of a policy under the caps the cases below give
+/// it: Algorithm 1 under Thm 2.1's ℓmax, Algorithm 2 under Cor 2.3's.
 template <typename Policy>
-struct Duo {
-  FastEngine<Policy> scalar;
-  FastEngine<Policy> sharded;
-  EventLog scalar_log;
-  EventLog sharded_log;
-  bool observed;
+constexpr Variant kVariant = std::is_same_v<Policy, Alg1Policy>
+                                 ? Variant::GlobalDelta
+                                 : Variant::TwoChannel;
 
-  Duo(const graph::Graph& g, const LmaxVector& lmax, std::uint64_t seed,
-      std::size_t shard_threads, bool observed_, beep::Duplex duplex)
-      : scalar(g, lmax, seed, duplex, KernelKind::Scalar),
-        sharded(g, lmax, seed, duplex, KernelKind::Sharded, shard_threads),
-        observed(observed_) {
-    if (observed) {
-      scalar.set_observer(&scalar_log);
-      sharded.set_observer(&sharded_log);
-    }
-  }
-
-  // Identical adversarial starting levels on both engines: the scalar
-  // engine corrupts from a seeded stream, the sharded one copies its levels.
-  void corrupt_init(std::uint64_t seed) {
-    support::Rng c(seed);
-    const std::size_t n = scalar.graph().vertex_count();
-    for (graph::VertexId v = 0; v < n; ++v) scalar.corrupt(v, c);
-    for (graph::VertexId v = 0; v < n; ++v)
-      sharded.set_level(v, scalar.level(v));
-  }
-
-  void run_lockstep(int rounds, const std::vector<int>& corrupt_at,
-                    std::size_t corrupt_count) {
-    support::Rng f1(0xc0), f2(0xc0);
-    const std::size_t n = scalar.graph().vertex_count();
-    for (int r = 0; r < rounds; ++r) {
-      for (int cr : corrupt_at) {
-        if (cr != r) continue;
-        const auto a = corrupt_random(scalar, corrupt_count, f1);
-        const auto b = corrupt_random(sharded, corrupt_count, f2);
-        ASSERT_EQ(a, b) << "round " << r;
-      }
-      scalar.step();
-      sharded.step();
-      for (graph::VertexId v = 0; v < n; ++v) {
-        ASSERT_EQ(sharded.level(v), scalar.level(v))
-            << "round " << r << " vertex " << v;
-      }
-      ASSERT_EQ(sharded.active_count(), scalar.active_count())
-          << "round " << r;
-      if (observed) {
-        ASSERT_EQ(sharded_log.events.back(), scalar_log.events.back())
-            << "round " << r;
-      }
-    }
-    EXPECT_EQ(sharded_log.events, scalar_log.events);
-    EXPECT_EQ(sharded.mis_members(), scalar.mis_members());
-    EXPECT_EQ(sharded.is_stabilized(), scalar.is_stabilized());
-  }
-};
+/// |V \ S_t| read from I_t alone: a vertex is stable iff it is a member or
+/// has a member neighbor. The kernel's active set must have exactly this
+/// size after every round.
+std::size_t unstable_count(const Engine& e) {
+  const std::vector<bool> in = e.mis_members();
+  std::vector<bool> stable = in;
+  for (graph::VertexId v = 0; v < in.size(); ++v)
+    if (in[v])
+      for (graph::VertexId u : e.graph().neighbors(v)) stable[u] = true;
+  return static_cast<std::size_t>(
+      std::count(stable.begin(), stable.end(), false));
+}
 
 // Worker counts exercised everywhere below: 1 (one shard, phases inline), 3
 // (odd shard split), 8 (more workers than this host has cores —
 // oversubscribed), 0 (one per hardware thread, host-dependent).
 constexpr std::size_t kShardCounts[] = {1, 3, 8, 0};
 
-/// Scalar-vs-sharded lockstep of one case at every shard count, observed
+/// One reference engine driving sharded engines in lockstep: one per shard
+/// count, each run observed and unobserved. The reference is observed
+/// throughout — observation never changes its trajectory — so one
+/// reference run is the oracle of every arm.
+template <typename Policy>
+struct Lockstep {
+  struct Arm {
+    std::unique_ptr<FastEngine<Policy>> engine;
+    std::unique_ptr<EventLog> log;  ///< null on an unobserved arm
+    std::string name;
+  };
+  std::unique_ptr<Engine> reference;
+  EventLog reference_log;
+  std::vector<Arm> arms;
+
+  Lockstep(const graph::Graph& g, const LmaxVector& lmax, std::uint64_t seed,
+           beep::Duplex duplex) {
+    EngineConfig cfg;
+    cfg.variant = kVariant<Policy>;
+    cfg.kind = EngineKind::Reference;
+    cfg.seed = seed;
+    cfg.duplex = duplex;
+    reference = make_engine(g, cfg);
+    reference->set_observer(&reference_log);
+    for (std::size_t st : kShardCounts) {
+      for (bool observed : {true, false}) {
+        Arm arm;
+        arm.engine =
+            std::make_unique<FastEngine<Policy>>(g, lmax, seed, duplex, st);
+        if (observed) {
+          arm.log = std::make_unique<EventLog>();
+          arm.engine->set_observer(arm.log.get());
+        }
+        arm.name = g.name() + " shard_threads=" + std::to_string(st) +
+                   " observed=" + (observed ? "1" : "0");
+        arms.push_back(std::move(arm));
+      }
+    }
+  }
+
+  // Identical adversarial starting levels on every engine: the reference
+  // engine corrupts from a seeded stream, the sharded ones copy its levels.
+  void corrupt_init(std::uint64_t seed) {
+    support::Rng c(seed);
+    const std::size_t n = reference->graph().vertex_count();
+    for (const Arm& arm : arms)
+      for (graph::VertexId v = 0; v < n; ++v)
+        ASSERT_EQ(reference->lmax(v), arm.engine->lmax(v)) << "vertex " << v;
+    for (graph::VertexId v = 0; v < n; ++v) reference->corrupt(v, c);
+    for (const Arm& arm : arms)
+      for (graph::VertexId v = 0; v < n; ++v)
+        arm.engine->set_level(v, reference->level(v));
+  }
+
+  void run(int rounds, const std::vector<int>& corrupt_at,
+           std::size_t corrupt_count) {
+    support::Rng reference_faults(0xc0);
+    std::vector<support::Rng> arm_faults(arms.size(), support::Rng(0xc0));
+    const std::size_t n = reference->graph().vertex_count();
+    for (int r = 0; r < rounds; ++r) {
+      for (int cr : corrupt_at) {
+        if (cr != r) continue;
+        const auto hit =
+            corrupt_random(*reference, corrupt_count, reference_faults);
+        for (std::size_t i = 0; i < arms.size(); ++i)
+          ASSERT_EQ(corrupt_random(*arms[i].engine, corrupt_count,
+                                   arm_faults[i]),
+                    hit)
+              << arms[i].name << " round " << r;
+      }
+      reference->step();
+      const std::size_t unstable = unstable_count(*reference);
+      for (const Arm& arm : arms) {
+        arm.engine->step();
+        for (graph::VertexId v = 0; v < n; ++v) {
+          ASSERT_EQ(arm.engine->level(v), reference->level(v))
+              << arm.name << " round " << r << " vertex " << v;
+        }
+        ASSERT_EQ(arm.engine->active_count(), unstable)
+            << arm.name << " round " << r;
+        if (arm.log != nullptr) {
+          ASSERT_EQ(arm.log->events.back(), reference_log.events.back())
+              << arm.name << " round " << r;
+        }
+      }
+    }
+    for (const Arm& arm : arms) {
+      if (arm.log != nullptr) {
+        EXPECT_EQ(arm.log->events, reference_log.events) << arm.name;
+      }
+      EXPECT_EQ(arm.engine->mis_members(), reference->mis_members())
+          << arm.name;
+      EXPECT_EQ(arm.engine->is_stabilized(), reference->is_stabilized())
+          << arm.name;
+    }
+  }
+};
+
+/// Reference-vs-sharded lockstep of one case at every shard count, observed
 /// and unobserved.
 template <typename Policy>
 void check_lockstep(const graph::Graph& g, const LmaxVector& lmax,
@@ -111,16 +177,9 @@ void check_lockstep(const graph::Graph& g, const LmaxVector& lmax,
                     beep::Duplex duplex = beep::Duplex::Full,
                     const std::vector<int>& corrupt_at = {},
                     std::size_t corrupt_count = 0) {
-  for (std::size_t st : kShardCounts) {
-    for (bool observed : {true, false}) {
-      SCOPED_TRACE(::testing::Message()
-                   << g.name() << " shard_threads=" << st
-                   << " observed=" << observed);
-      Duo<Policy> duo(g, lmax, seed, st, observed, duplex);
-      duo.corrupt_init(init_seed);
-      duo.run_lockstep(rounds, corrupt_at, corrupt_count);
-    }
-  }
+  Lockstep<Policy> lockstep(g, lmax, seed, duplex);
+  lockstep.corrupt_init(init_seed);
+  lockstep.run(rounds, corrupt_at, corrupt_count);
 }
 
 TEST(Kernels, LockstepAlg1) {
@@ -173,8 +232,8 @@ TEST(Kernels, SweepSizedGraphMatchesScalar) {
   // (more workers than words is fine). Both policies under both duplex
   // modes, so every census field the observed sweep counts (heard per
   // channel, heard-any, prominent) and the dominated census beside it meet
-  // the oracle; the corruption waves re-densify a settled run, sending the
-  // kernel back onto the sweep mid-run.
+  // the reference; the corruption waves re-densify a settled run, sending
+  // the kernel back onto the sweep mid-run.
   support::Rng grng(35);
   const auto g = graph::make_erdos_renyi_avg_degree(1024, 8.0, grng);
   for (beep::Duplex duplex : {beep::Duplex::Full, beep::Duplex::Half}) {
@@ -216,8 +275,9 @@ graph::Graph make_hubbed_background() {
 TEST(Kernels, MultiShardRowPushesMatchScalar) {
   // Rows that cross every shard boundary, pushed concurrently by up to 8
   // shards: the relaxed atomic pushes of stamp, apply and fold must land
-  // the oracle's counts and masks, and a count that several shards drive
-  // to zero must still route its vertex to the owner's settle candidates.
+  // the reference's levels and settlement, and a count that several shards
+  // drive to zero must still route its vertex to the owner's settle
+  // candidates.
   const auto g = make_hubbed_background();
   const std::vector<int> waves = {50, 140};
   for (beep::Duplex duplex : {beep::Duplex::Full, beep::Duplex::Half}) {
@@ -230,11 +290,12 @@ TEST(Kernels, MultiShardRowPushesMatchScalar) {
 
 /// Patch vs rebuild: a fault wave repaired locally by RoundKernel::patch
 /// must leave exactly the settlement — and the kernel-private caches — a
-/// full rebuild from the same levels leaves. Two engines of one kind run the
-/// same trajectory; each wave hits the patched one through the corruption
-/// API and reaches its twin as set_level copies of every level, which forces
-/// the rebuild path. Then both run in lockstep to re-stabilization:
-/// a wrong count or mask shows up as a settlement, level or event mismatch.
+/// full rebuild from the same levels leaves. Two engines at one shard count
+/// run the same trajectory; each wave hits the patched one through the
+/// corruption API and reaches its twin as set_level copies of every level,
+/// which forces the rebuild path. Then both run in lockstep to
+/// re-stabilization: a wrong count or mask shows up as a settlement, level
+/// or event mismatch.
 template <typename Policy>
 struct PatchTwin {
   FastEngine<Policy> patched;
@@ -243,9 +304,9 @@ struct PatchTwin {
   EventLog rebuilt_log;
 
   PatchTwin(const graph::Graph& g, const LmaxVector& lmax, std::uint64_t seed,
-            beep::Duplex duplex, KernelKind kind, std::size_t shard_threads)
-      : patched(g, lmax, seed, duplex, kind, shard_threads),
-        rebuilt(g, lmax, seed, duplex, kind, shard_threads) {
+            beep::Duplex duplex, std::size_t shard_threads)
+      : patched(g, lmax, seed, duplex, shard_threads),
+        rebuilt(g, lmax, seed, duplex, shard_threads) {
     patched.set_observer(&patched_log);
     rebuilt.set_observer(&rebuilt_log);
     support::Rng irng(seed ^ 0x5eed);
@@ -293,22 +354,12 @@ struct PatchTwin {
 template <typename Policy>
 void check_patch_matches_rebuild(const graph::Graph& g, const LmaxVector& lmax,
                                  std::uint64_t seed) {
-  struct Kind {
-    KernelKind kind;
-    std::size_t threads;
-  };
-  const Kind kinds[] = {{KernelKind::Scalar, 1},
-                        {KernelKind::Sharded, 1},
-                        {KernelKind::Sharded, 3},
-                        {KernelKind::Sharded, 8},
-                        {KernelKind::Sharded, 0}};
   for (beep::Duplex duplex : {beep::Duplex::Full, beep::Duplex::Half}) {
-    for (const Kind& k : kinds) {
+    for (std::size_t st : kShardCounts) {
       SCOPED_TRACE(::testing::Message()
-                   << g.name() << " " << kernel_kind_name(k.kind)
-                   << " shard_threads=" << k.threads << " half="
-                   << (duplex == beep::Duplex::Half));
-      PatchTwin<Policy> twin(g, lmax, seed, duplex, k.kind, k.threads);
+                   << g.name() << " shard_threads=" << st
+                   << " half=" << (duplex == beep::Duplex::Half));
+      PatchTwin<Policy> twin(g, lmax, seed, duplex, st);
       const int rounds = duplex == beep::Duplex::Full ? 4000 : 120;
       support::Rng frng(seed ^ 0xfa17);
       const auto random_wave = [&](std::size_t count) {
@@ -371,8 +422,7 @@ TEST(Kernels, ShardTelemetryWorkCountersIgnoreShardCount) {
   const auto lmax = lmax_global_delta(g);
   std::vector<ShardTelemetry> tel;
   for (std::size_t st : {1, 3, 8}) {
-    FastEngine<Alg1Policy> e(g, lmax, 203, beep::Duplex::Full,
-                             KernelKind::Sharded, st,
+    FastEngine<Alg1Policy> e(g, lmax, 203, beep::Duplex::Full, st,
                              /*phase_telemetry=*/true);
     support::Rng irng(23);
     for (graph::VertexId v = 0; v < g.vertex_count(); ++v) e.corrupt(v, irng);
@@ -396,34 +446,18 @@ TEST(Kernels, ShardTelemetryWorkCountersIgnoreShardCount) {
   }
 }
 
-TEST(Kernels, AutoResolvesToSharded) {
-  EXPECT_EQ(resolve_kernel(KernelKind::Auto), KernelKind::Sharded);
-  EXPECT_EQ(resolve_kernel(KernelKind::Scalar), KernelKind::Scalar);
-  EXPECT_EQ(resolve_kernel(KernelKind::Sharded), KernelKind::Sharded);
-}
-
-TEST(Kernels, ParsesOnlyLiveKernelNames) {
-  KernelKind k = KernelKind::Scalar;
-  for (const char* gone : {"bit", "frontier", ""})
-    EXPECT_FALSE(parse_kernel_kind(gone, &k)) << gone;
-  EXPECT_EQ(k, KernelKind::Scalar);  // untouched on failure
-  ASSERT_TRUE(parse_kernel_kind("sharded", &k));
-  EXPECT_EQ(k, KernelKind::Sharded);
-  ASSERT_TRUE(parse_kernel_kind("auto", &k));
-  EXPECT_EQ(k, KernelKind::Auto);
-}
-
 TEST(Kernels, EngineExposesResolvedKernelName) {
+  // run.v1's and sweep.v1's "kernel" field: the fast engine runs the
+  // sharded kernel at every shard count, the reference engine none.
   const auto g = graph::make_path(8);
-  const auto lmax = lmax_global_delta(g);
   for (std::size_t st : kShardCounts) {
-    FastEngine<Alg1Policy> autok(g, lmax, 1, beep::Duplex::Full,
-                                 KernelKind::Auto, st);
-    EXPECT_EQ(autok.kernel_name(), "sharded") << st;
+    FastEngine<Alg1Policy> fast(g, lmax_global_delta(g), 1,
+                                beep::Duplex::Full, st);
+    EXPECT_EQ(fast.kernel_name(), "sharded") << st;
   }
-  FastEngine<Alg1Policy> scalar(g, lmax, 1, beep::Duplex::Full,
-                                KernelKind::Scalar);
-  EXPECT_EQ(scalar.kernel_name(), "scalar");
+  EngineConfig cfg;
+  cfg.kind = EngineKind::Reference;
+  EXPECT_EQ(make_engine(g, cfg)->kernel_name(), "none");
 }
 
 /// Counts every task the process-wide pool observer sees.
@@ -442,7 +476,7 @@ std::size_t pool_tasks_of_run(std::size_t shard_threads) {
   TaskCounter counter;
   support::TaskPool::set_observer(&counter);
   FastEngine<Alg1Policy> e(g, lmax_global_delta(g), 5, beep::Duplex::Full,
-                           KernelKind::Sharded, shard_threads);
+                           shard_threads);
   support::Rng irng(6);
   for (graph::VertexId v = 0; v < g.vertex_count(); ++v) e.corrupt(v, irng);
   e.run_to_stabilization(10000);

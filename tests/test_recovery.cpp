@@ -241,12 +241,11 @@ TEST(RecoverySummary, MergeFoldsCountersAndDigest) {
   EXPECT_DOUBLE_EQ(folded.recovery_rounds.max(), 30.0);
 }
 
-core::EngineConfig engine_config(core::KernelKind kernel,
-                                 std::uint64_t seed) {
+core::EngineConfig engine_config(
+    std::uint64_t seed, core::EngineKind kind = core::EngineKind::Fast) {
   core::EngineConfig cfg;
   cfg.variant = core::Variant::GlobalDelta;
-  cfg.kind = core::EngineKind::Fast;
-  cfg.kernel = kernel;
+  cfg.kind = kind;
   cfg.seed = seed;
   return cfg;
 }
@@ -367,7 +366,7 @@ TEST(ProbeContract, RealProbeRunsSettlementChecksOnlyWhenSettled) {
   support::Rng grng(95);
   const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
   auto engine =
-      core::make_engine(g, engine_config(core::KernelKind::Auto, 17));
+      core::make_engine(g, engine_config(17));
   support::Rng init(4);
   for (graph::VertexId v = 0; v < g.vertex_count(); ++v)
     engine->corrupt(v, init);
@@ -396,7 +395,7 @@ TEST(ProbeContract, CappedVertexWithoutMemberNeighborIsNotMaximal) {
        {core::Variant::GlobalDelta, core::Variant::TwoChannel}) {
     for (core::EngineKind kind :
          {core::EngineKind::Fast, core::EngineKind::Reference}) {
-      core::EngineConfig cfg = engine_config(core::KernelKind::Auto, 3);
+      core::EngineConfig cfg = engine_config(3);
       cfg.variant = variant;
       cfg.kind = kind;
       auto engine = core::make_engine(g, cfg);
@@ -416,7 +415,7 @@ TEST(ProbeContract, SettlementChecksRunOncePerStabilizationEdge) {
   support::Rng grng(96);
   const auto g = graph::make_erdos_renyi_avg_degree(200, 8.0, grng);
   auto engine =
-      core::make_engine(g, engine_config(core::KernelKind::Auto, 19));
+      core::make_engine(g, engine_config(19));
   const beep::Round budget = exp::default_round_budget(g.vertex_count());
 
   // Counts calls of the real probe that ran the settlement checks.
@@ -465,7 +464,7 @@ TEST(ProbeContract, SettlementChecksRunOncePerStabilizationEdge) {
 TEST(RecoveryIntegration, CleanRunHasNoSpuriousViolations) {
   support::Rng grng(91);
   const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
-  auto engine = core::make_engine(g, engine_config(core::KernelKind::Auto, 7));
+  auto engine = core::make_engine(g, engine_config(7));
 
   obs::InvariantConfig icfg;
   icfg.cadence = 8;
@@ -487,7 +486,7 @@ TEST(RecoveryIntegration, CorruptionRecoversWithinPaperBound) {
   support::Rng grng(92);
   const auto g = graph::make_erdos_renyi_avg_degree(200, 8.0, grng);
   auto engine =
-      core::make_engine(g, engine_config(core::KernelKind::Auto, 11));
+      core::make_engine(g, engine_config(11));
   const beep::Round budget = exp::default_round_budget(g.vertex_count());
 
   obs::RecoveryConfig rcfg;
@@ -537,7 +536,7 @@ TEST(RecoveryIntegration, EmptyCorruptionIsMasked) {
   support::Rng grng(93);
   const auto g = graph::make_erdos_renyi_avg_degree(120, 8.0, grng);
   auto engine =
-      core::make_engine(g, engine_config(core::KernelKind::Auto, 13));
+      core::make_engine(g, engine_config(13));
   obs::RecoveryTracker tracker(obs::RecoveryConfig{});
   tracker.set_probe(core::make_invariant_probe(*engine));
   engine->set_observer(&tracker);
@@ -559,20 +558,19 @@ TEST(RecoveryIntegration, EmptyCorruptionIsMasked) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel parity: the recovery artifact and the flight dump are functions of
+// Engine parity: the recovery artifact and the flight dump are functions of
 // the stream-identical event sequence and the engine-independent settlement
 // view, so the same seeded corrupted run must produce byte-identical bytes
-// on every kernel and shard count.
+// on the reference engine and at every shard count of the fast engine.
 
-struct KernelRunArtifacts {
+struct RunArtifacts {
   std::string recovery;
   std::string dump;
 };
 
-KernelRunArtifacts run_corrupted(const graph::Graph& g,
-                                 core::KernelKind kernel,
-                                 std::size_t shard_threads = 1) {
-  core::EngineConfig cfg = engine_config(kernel, 77);
+RunArtifacts run_corrupted(const graph::Graph& g, core::EngineKind kind,
+                           std::size_t shard_threads = 1) {
+  core::EngineConfig cfg = engine_config(77, kind);
   cfg.shard_threads = shard_threads;
   auto engine = core::make_engine(g, cfg);
   const beep::Round budget = exp::default_round_budget(g.vertex_count());
@@ -631,7 +629,7 @@ KernelRunArtifacts run_corrupted(const graph::Graph& g,
   report.violations = mon.violations();
   report.summary = tracker.summary();
 
-  KernelRunArtifacts out;
+  RunArtifacts out;
   std::ostringstream rec;
   obs::write_recovery_json(rec, report);
   out.recovery = rec.str();
@@ -641,20 +639,20 @@ KernelRunArtifacts run_corrupted(const graph::Graph& g,
   return out;
 }
 
-TEST(RecoveryIntegration, KernelsProduceIdenticalArtifacts) {
+TEST(RecoveryIntegration, EnginesProduceIdenticalArtifacts) {
   support::Rng grng(94);
   const auto g = graph::make_erdos_renyi_avg_degree(192, 8.0, grng);
-  const auto scalar = run_corrupted(g, core::KernelKind::Scalar);
+  const auto reference = run_corrupted(g, core::EngineKind::Reference);
   for (std::size_t st : {std::size_t{1}, std::size_t{4}}) {
-    const auto sharded = run_corrupted(g, core::KernelKind::Sharded, st);
-    EXPECT_EQ(scalar.recovery, sharded.recovery) << "shard_threads " << st;
-    EXPECT_EQ(scalar.dump, sharded.dump) << "shard_threads " << st;
+    const auto sharded = run_corrupted(g, core::EngineKind::Fast, st);
+    EXPECT_EQ(reference.recovery, sharded.recovery) << "shard_threads " << st;
+    EXPECT_EQ(reference.dump, sharded.dump) << "shard_threads " << st;
   }
 
-  // And the artifact the kernels agree on is a valid document.
+  // And the artifact the engines agree on is a valid document.
   obs::JsonValue doc;
   std::string error;
-  ASSERT_TRUE(obs::json_parse(scalar.recovery, &doc, &error)) << error;
+  ASSERT_TRUE(obs::json_parse(reference.recovery, &doc, &error)) << error;
   ASSERT_TRUE(obs::recovery_validate(doc, &error)) << error;
   EXPECT_EQ(doc.get("epochs").array.size(), 2u);
 }

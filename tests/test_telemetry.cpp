@@ -74,10 +74,8 @@ TEST(Telemetry, ShardedResultsIdenticalWithTelemetryOnOrOff) {
   const auto g = graph::make_erdos_renyi_avg_degree(256, 8.0, grng);
   const auto lmax = core::lmax_global_delta(g);
   core::FastMisEngine bare(g, lmax, 99, beep::Duplex::Full,
-                           core::KernelKind::Sharded, /*shard_threads=*/4,
-                           /*phase_telemetry=*/false);
+                           /*shard_threads=*/4, /*phase_telemetry=*/false);
   core::FastMisEngine instrumented(g, lmax, 99, beep::Duplex::Full,
-                                   core::KernelKind::Sharded,
                                    /*shard_threads=*/4,
                                    /*phase_telemetry=*/true);
   support::Rng c1(5), c2(5);

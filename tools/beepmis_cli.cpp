@@ -145,13 +145,13 @@ core::InitPolicy parse_init(const std::string& name) {
   std::exit(2);
 }
 
-int run_selfstab(const support::ArgParser& args, obs::Session& session,
-                 const graph::Graph& g, exp::Variant variant) {
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-
+/// The self-stab engine config from the command line. Every usage error
+/// exits 2 here, so main calls this before any graph is built.
+core::EngineConfig parse_engine_config(const support::ArgParser& args,
+                                       exp::Variant variant) {
   core::EngineConfig config;
   config.variant = variant;
-  config.seed = seed;
+  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   config.c1 = static_cast<std::int32_t>(args.get_int("c1"));
   for (const char* flag : {"noise-fp", "noise-fn"}) {
     const double rate = args.get_double(flag);
@@ -173,11 +173,6 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
                  "(try auto, reference)\n";
     std::exit(2);
   }
-  if (!core::parse_kernel_kind(args.get("kernel"), &config.kernel)) {
-    std::cerr << "unknown kernel: " << args.get("kernel")
-              << " (try auto, scalar, sharded)\n";
-    std::exit(2);
-  }
   config.shard_threads = args.get_count("shard-threads");
   if (const std::string& d = args.get("duplex"); d == "half") {
     config.duplex = beep::Duplex::Half;
@@ -185,6 +180,14 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
     std::cerr << "unknown duplex mode: " << d << " (try full, half)\n";
     std::exit(2);
   }
+  return config;
+}
+
+int run_selfstab(const support::ArgParser& args, obs::Session& session,
+                 const graph::Graph& g, const core::EngineConfig& config,
+                 core::InitPolicy init) {
+  const exp::Variant variant = config.variant;
+  const std::uint64_t seed = config.seed;
   auto engine = core::make_engine(g, config);
 
   // Shard count this run actually uses, as the engine resolved it (1 on the
@@ -202,7 +205,7 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
                  {"shards", std::to_string(shards)}});
 
   support::Rng init_rng = support::Rng(seed).derive_stream(0xfadedcafe);
-  core::apply_init(*engine, parse_init(args.get("init")), init_rng);
+  core::apply_init(*engine, init, init_rng);
 
   const auto budget = static_cast<beep::Round>(args.get_int("max-rounds"));
   const bool tracing = args.flag("trace");
@@ -338,8 +341,8 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
   if (stack.tracker() != nullptr) {
     recovery = stack.report();
     const obs::RecoverySummary& sum = recovery->summary;
-    // Kernel- and thread-invariant: this line (like the run lines above) is
-    // part of the stdout the CI equivalence gates diff across kernels.
+    // Engine- and shard-invariant: this line (like the run lines above) is
+    // part of the stdout test_kernel_equivalence diffs across engines.
     std::printf("recovery: epochs=%llu masked=%llu recovered=%llu "
                 "stall=%llu safety=%llu violations=%llu\n",
                 static_cast<unsigned long long>(sum.epochs),
@@ -369,7 +372,6 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
   man.add_extra("engine", engine->name());
   man.add_extra("engine_requested", core::engine_kind_name(config.kind));
   man.add_extra("kernel", engine->kernel_name());
-  man.add_extra("kernel_requested", core::kernel_kind_name(config.kernel));
   man.add_extra("shard_threads_requested", args.get("shard-threads"));
   man.add_extra("shards", std::to_string(shards));
   man.add_extra("duplex", args.get("duplex"));
@@ -407,11 +409,6 @@ int run_sweep(const support::ArgParser& args, obs::Session& session,
   if (!core::parse_engine_kind(args.get("engine"), &cfg.engine)) {
     std::cerr << "unknown engine: " << args.get("engine")
               << " (try auto, fast, reference)\n";
-    return 2;
-  }
-  if (!core::parse_kernel_kind(args.get("kernel"), &cfg.kernel)) {
-    std::cerr << "unknown kernel: " << args.get("kernel")
-              << " (try auto, scalar, sharded)\n";
     return 2;
   }
   cfg.shard_threads = args.get_count("shard-threads");
@@ -471,11 +468,13 @@ int run_sweep(const support::ArgParser& args, obs::Session& session,
       w.field("init", args.get("init"));
       w.field("base_seed", static_cast<std::uint64_t>(cfg.base_seed));
       w.field("seeds_per_size", static_cast<std::uint64_t>(cfg.seeds));
-      // Wall-clock provenance only: results are kernel-invariant, and the
-      // CI equivalence gate diffs sweep outputs across kernels modulo this
-      // field.
+      // Wall-clock provenance only, as run.v1's "kernel": the round kernel
+      // of the engine that ran, "none" on the reference engine (sweeps are
+      // noise-free, so auto and fast run the fast engine). Results are
+      // engine-invariant, and test_kernel_equivalence diffs sweep outputs
+      // across engines modulo this field.
       w.field("kernel",
-              core::kernel_kind_name(core::resolve_kernel(cfg.kernel)));
+              cfg.engine == core::EngineKind::Reference ? "none" : "sharded");
       w.key("points").begin_array();
       for (const auto& pt : points) {
         w.begin_object();
@@ -628,11 +627,8 @@ int main(int argc, char** argv) {
                   "executor for self-stab variants: auto | fast | reference "
                   "(auto picks the fast engine, or the reference engine "
                   "under noise; both are stream-identical)");
-  args.add_option("kernel", "auto",
-                  "fast-engine round kernel: auto | scalar | sharded (both "
-                  "stream-identical; auto picks sharded)");
   args.add_option("shard-threads", "1",
-                  "worker threads INSIDE each round (sharded kernel): 1 = "
+                  "worker threads INSIDE each fast-engine round: 1 = "
                   "serial, 0 = one per hardware thread; results are "
                   "bit-identical for every value");
   args.add_flag("relabel",
@@ -691,6 +687,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Usage errors exit 2 before a graph is built: at n = 10^7 the generator
+  // alone takes seconds.
+  const bool baseline = algo == "jsx" || algo == "afek" ||
+                        algo == "afek-noknow" || algo == "luby";
+  const bool app = algo == "coloring" || algo == "ruling";
+  if (!variant && !baseline && !app) {
+    std::cerr << "unknown algorithm: " << algo << "\n";
+    return 2;
+  }
+  std::optional<core::EngineConfig> config;
+  core::InitPolicy init = core::InitPolicy::UniformRandom;
+  if (variant) {
+    config = parse_engine_config(args, *variant);
+    init = parse_init(args.get("init"));
+  }
+
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   support::Rng graph_rng = support::Rng(seed).derive_stream(0x6ea9);
   graph::Graph g = load_graph(args, graph_rng);
@@ -698,11 +710,7 @@ int main(int argc, char** argv) {
   std::printf("graph %s: n=%zu m=%zu max-degree=%zu\n", g.name().c_str(),
               g.vertex_count(), g.edge_count(), g.max_degree());
 
-  if (variant) return run_selfstab(args, session, g, *variant);
-  if (algo == "jsx" || algo == "afek" || algo == "afek-noknow" ||
-      algo == "luby")
-    return run_baseline(args, g, algo);
-  if (algo == "coloring" || algo == "ruling") return run_app(args, g, algo);
-  std::cerr << "unknown algorithm: " << algo << "\n";
-  return 2;
+  if (config) return run_selfstab(args, session, g, *config, init);
+  if (baseline) return run_baseline(args, g, algo);
+  return run_app(args, g, algo);
 }

@@ -60,8 +60,8 @@ Scenario draw_scenario(support::Rng& rng) {
 }
 
 bool run_scenario(const Scenario& s, std::uint64_t seed,
-                  core::EngineKind kind, core::KernelKind kernel,
-                  std::size_t shard_threads, const obs::Session& session,
+                  core::EngineKind kind, std::size_t shard_threads,
+                  const obs::Session& session,
                   obs::MetricsRegistry& metrics, const std::string& dump_path,
                   obs::RecoverySummary* recovery_out,
                   core::ShardTelemetry* shard_out) {
@@ -71,7 +71,6 @@ bool run_scenario(const Scenario& s, std::uint64_t seed,
   core::EngineConfig config;
   config.variant = s.variant;
   config.kind = kind;
-  config.kernel = kernel;
   config.seed = seed;
   config.shard_threads = shard_threads;
   // Phase telemetry rides along whenever rounds may run on several shards,
@@ -189,15 +188,12 @@ int main(int argc, char** argv) {
   args.add_option("engine", "auto",
                   "executor: auto | fast | reference — auto alternates "
                   "randomly per scenario so both executors get soak coverage");
-  args.add_option("kernel", "auto",
-                  "fast-engine round kernel: auto | scalar | sharded — auto "
-                  "alternates per scenario so both kernels get soaked");
   args.add_option("threads", "1",
                   "worker threads for scenario execution (0 = one per "
                   "hardware thread); the scenario stream, every verdict and "
                   "all non-timing metrics are identical for every value");
   args.add_option("shard-threads", "1",
-                  "worker threads INSIDE each sharded-kernel round (0 = one "
+                  "worker threads INSIDE each fast-engine round (0 = one "
                   "per hardware thread); when != 1 the heartbeat reports "
                   "phase-imbalance from the folded shard telemetry");
   obs::Session session(args, "beepmis_soak");
@@ -210,14 +206,6 @@ int main(int argc, char** argv) {
   if (!core::parse_engine_kind(args.get("engine"), &requested)) {
     std::fprintf(stderr, "unknown engine: %s (try auto, fast, reference)\n",
                  args.get("engine").c_str());
-    return 2;
-  }
-  core::KernelKind kernel_requested;
-  if (!core::parse_kernel_kind(args.get("kernel"), &kernel_requested)) {
-    std::fprintf(
-        stderr,
-        "unknown kernel: %s (try auto, scalar, sharded)\n",
-        args.get("kernel").c_str());
     return 2;
   }
   // 0 means one worker per hardware thread, like the CLI.
@@ -280,15 +268,9 @@ int main(int argc, char** argv) {
           requested != core::EngineKind::Auto ? requested
           : srng.bernoulli(0.5)               ? core::EngineKind::Fast
                                               : core::EngineKind::Reference;
-      // Same idea for the round kernel: Auto alternates the fast engine
-      // between the two stream-identical kernels, still seed-deterministic.
-      core::KernelKind kernel = kernel_requested;
-      if (kernel == core::KernelKind::Auto)
-        kernel = srng.below(2) == 0 ? core::KernelKind::Scalar
-                                    : core::KernelKind::Sharded;
       outcomes[i].ok =
-          run_scenario(s, seed, kind, kernel, shard_threads,
-                       session, outcomes[i].scratch,
+          run_scenario(s, seed, kind, shard_threads, session,
+                       outcomes[i].scratch,
                        task_dump_path(dump_base, ordinal + i, parallel),
                        &outcomes[i].recovery, &outcomes[i].telemetry);
     });
@@ -378,7 +360,6 @@ int main(int argc, char** argv) {
   man.add_extra("scenarios", std::to_string(runs));
   man.add_extra("recovery_epochs", std::to_string(recovery_total.epochs));
   man.add_extra("engine", core::engine_kind_name(requested));
-  man.add_extra("kernel", core::kernel_kind_name(kernel_requested));
   man.add_extra("shard_threads", std::to_string(shard_threads));
   man.add_extra("result", failed ? "FAILED" : "passed");
   if (const int rc = session.finish(std::move(man), metrics, &report, stderr);
