@@ -137,12 +137,10 @@ class ReferenceEngine final : public Engine {
   bool pack_levels(std::span<std::uint64_t> capped,
                    std::span<std::uint64_t> candidate) const override {
     if (a1_ != nullptr)
-      return pack_level_bits(
-          a1_->levels(), a1_->lmax_vector(),
-          [](std::int32_t cap) { return -cap; }, capped, candidate);
-    return pack_level_bits(
-        a2_->levels(), a2_->lmax_vector(),
-        [](std::int32_t /*cap*/) { return 0; }, capped, candidate);
+      return pack_level_bits<Alg1Policy>(a1_->levels(), a1_->lmax_vector(),
+                                         capped, candidate);
+    return pack_level_bits<Alg2Policy>(a2_->levels(), a2_->lmax_vector(),
+                                       capped, candidate);
   }
 
   void corrupt(graph::VertexId v, support::Rng& rng) override {

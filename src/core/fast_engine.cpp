@@ -228,10 +228,7 @@ template <typename Policy>
 bool FastEngine<Policy>::pack_levels(
     std::span<std::uint64_t> capped,
     std::span<std::uint64_t> candidate) const {
-  return pack_level_bits(
-      levels_, lmax_,
-      [](std::int32_t cap) { return Policy::member_level(cap); }, capped,
-      candidate);
+  return pack_level_bits<Policy>(levels_, lmax_, capped, candidate);
 }
 
 template class FastEngine<Alg1Policy>;

@@ -195,6 +195,8 @@ obs::InvariantProbe make_invariant_probe(const Engine& engine) {
   // one snapshot.
   auto verifier = std::make_shared<LevelVerifier>();
   return [e, verifier](bool claims_stabilized) {
+    // The probe's own time, apart from the round that asked for it.
+    obs::TraceScope span("obs.probe", e->round());
     return verifier->probe(*e, claims_stabilized);
   };
 }

@@ -7,6 +7,7 @@
 
 #include "src/core/fast_engine.hpp"
 #include "src/core/kernel_simd.hpp"
+#include "src/core/level_bits.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/huge_pages.hpp"
 
@@ -185,6 +186,7 @@ RoundKernel<Policy>::RoundKernel(const KernelContext<Policy>& ctx)
   active_mask_.assign(words_, 0);
   member_nb_mask_.assign(words_, 0);
   capped_mask_.assign(words_, 0);
+  prominent_mask_.assign(words_, 0);
   heard_coin_mask_.assign(words_, 0);
   // Row pushes land at scattered neighbours.
   support::reserve_huge(prominent_nb_, n);
@@ -193,6 +195,7 @@ RoundKernel<Policy>::RoundKernel(const KernelContext<Policy>& ctx)
   uncapped_nb_.assign(n, 0);
   // The phase bodies are bound once; per-round inputs travel through
   // members so parallel_for never rebuilds a std::function per call.
+  rebuild_bits_fn_ = [this](std::size_t si) { rebuild_bits(si); };
   rebuild_counts_fn_ = [this](std::size_t si) { rebuild_counts(si); };
   rebuild_member_nb_fn_ = [this](std::size_t si) { rebuild_member_nb(si); };
   rebuild_slices_fn_ = [this](std::size_t si) { rebuild_slices(si); };
@@ -216,10 +219,12 @@ RoundKernel<Policy>::RoundKernel(const KernelContext<Policy>& ctx)
 
 template <typename Policy>
 void RoundKernel<Policy>::rebuild() {
-  // Three parallel passes, each writing only shard-owned state and each
-  // reading across shards only what the previous barrier froze: counts,
-  // caps and membership from the levels; member neighbors from the
-  // membership; domination and the active slices from the masks.
+  // Four parallel passes, each writing only shard-owned state and each
+  // reading across shards only what the previous barrier froze: the capped
+  // and prominent bits from the levels; counts and membership from those
+  // bits; member neighbors from the membership; domination and the active
+  // slices from the masks.
+  dispatch(rebuild_bits_fn_);
   dispatch(rebuild_counts_fn_);
   dispatch(rebuild_member_nb_fn_);
   dispatch(rebuild_slices_fn_);
@@ -488,26 +493,35 @@ void RoundKernel<Policy>::bind_pushes() {
 }
 
 template <typename Policy>
+void RoundKernel<Policy>::rebuild_bits(std::size_t si) {
+  // The shard's own words of the capped and prominent bits, one
+  // sequential pass over its levels and caps.
+  const Shard& sh = shards_[si];
+  pack_level_bits<Policy>(*ctx_.levels, *ctx_.lmax, sh.word_lo, sh.word_hi,
+                          capped_mask_.data(), nullptr,
+                          prominent_mask_.data());
+}
+
+template <typename Policy>
 void RoundKernel<Policy>::rebuild_counts(std::size_t si) {
   // Gather pass over the shard's own vertices: each vertex recounts its
-  // own neighborhood (cross-shard reads of the frozen levels), so every
-  // write stays shard-owned. A member needs every neighbor capped, so the
-  // uncapped count decides membership on the spot. Settled members are
+  // own neighborhood from the frozen capped and prominent bits (cross-shard
+  // reads of two n-bit arrays, not of the n-entry levels and caps), so
+  // every write stays shard-owned. A member needs every neighbor capped, so
+  // the uncapped count decides membership on the spot. Settled members are
   // prominent by construction (they sit at the member level), so
   // prominent_nb_ covers both certain-beeper populations at once.
   Shard& sh = shards_[si];
   const graph::Graph& g = *ctx_.graph;
   const auto& levels = *ctx_.levels;
   const auto& lmax = *ctx_.lmax;
-  std::fill(capped_mask_.begin() + sh.word_lo,
-            capped_mask_.begin() + sh.word_hi, 0);
   sh.mis_settled = 0;
   for (graph::VertexId v = sh.v_lo; v < sh.v_hi; ++v) {
-    if (levels[v] == lmax[v]) capped_mask_[v >> 6] |= 1ull << (v & 63u);
     std::uint32_t prom = 0, uncapped = 0;
     for (graph::VertexId u : g.neighbors(v)) {
-      prom += Policy::is_prominent(levels[u]) ? 1 : 0;
-      uncapped += levels[u] != lmax[u] ? 1 : 0;
+      const unsigned k = u & 63u;
+      prom += static_cast<std::uint32_t>(prominent_mask_[u >> 6] >> k) & 1u;
+      uncapped += static_cast<std::uint32_t>(~capped_mask_[u >> 6] >> k) & 1u;
     }
     prominent_nb_[v] = prom;
     uncapped_nb_[v] = uncapped;

@@ -31,8 +31,8 @@ class ArgParser {
   /// then exit code 2.
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
-  /// get_int for thread counts: a negative value is a usage error
-  /// too, instead of wrapping to a huge std::size_t.
+  /// get_int for counts (threads, rounds, faults): a negative value is a
+  /// usage error too, instead of wrapping to a huge std::size_t.
   std::size_t get_count(const std::string& name) const;
 
   std::string usage(const char* argv0) const;

@@ -285,6 +285,12 @@ bad_option(--shard-threads "${CLI}" --sweep --shard-threads -1)
 bad_option(--threads "${SOAK}" --threads -1)
 bad_option(--shard-threads "${SOAK}" --shard-threads -1)
 bad_option(--seconds "${SOAK}" --seconds x)
+# The round budget and the fault schedule are read before the graph is
+# built too, and a wave larger than the graph is rejected before any run.
+bad_option(--max-rounds "${CLI}" --n 64 --max-rounds x)
+bad_option(--faults "${CLI}" --n 64 --faults x)
+bad_option(--waves "${CLI}" --n 64 --waves -3)
+bad_option(--faults "${CLI}" --n 64 --faults 100 --waves 1)
 
 # run.v1 and the trace record the shard count of the engine that ran, not
 # the one requested: 64 vertices are one bitset word, so four shard workers

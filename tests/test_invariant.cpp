@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/core/engine.hpp"
+#include "src/core/fast_engine.hpp"
 #include "src/core/init.hpp"
 #include "src/core/level_bits.hpp"
 #include "src/graph/generators.hpp"
@@ -152,44 +153,83 @@ TEST(InvariantProbe, IncrementalMatchesFullCheckAfterEveryStep) {
   EXPECT_GT(not_mis, 1000u);
 }
 
-TEST(LevelBits, PackMatchesPerVertexPredicates) {
-  support::Rng rng(8);
-  for (std::size_t n : {0, 1, 7, 63, 64, 65, 200}) {
+/// Packs random levels under Policy's window — with an occasional level
+/// one step outside it — over random word sub-ranges, and holds both the
+/// dispatched pack (the AVX-512 body on hosts that have it) and the scalar
+/// loop to the per-vertex predicates, word for word. Words outside the
+/// range, and arrays passed as null, stay untouched.
+template <typename Policy>
+void check_level_bits(std::uint64_t seed) {
+  support::Rng rng(seed);
+  for (std::size_t n : {0, 1, 15, 16, 17, 63, 64, 65, 200, 1000}) {
+    const std::size_t words = (n + 63) / 64;
     for (int trial = 0; trial < 20; ++trial) {
-      // Algorithm 1's window [-cap, cap], with an occasional level one
-      // step outside it.
       std::vector<std::int32_t> levels(n), lmax(n);
-      bool in_range = true;
       for (std::size_t v = 0; v < n; ++v) {
         lmax[v] = 2 + static_cast<std::int32_t>(rng.below(6));
+        const std::int32_t lo = Policy::min_level(lmax[v]);
         const std::uint64_t pick = rng.below(n * 4 + 4);
         levels[v] = pick == 0   ? lmax[v] + 1
-                    : pick == 1 ? -lmax[v] - 1
-                                : static_cast<std::int32_t>(rng.below(
-                                      static_cast<std::uint64_t>(
-                                          2 * lmax[v] + 1))) -
-                                      lmax[v];
-        in_range = in_range && levels[v] >= -lmax[v] && levels[v] <= lmax[v];
+                    : pick == 1 ? lo - 1
+                                : lo + static_cast<std::int32_t>(rng.below(
+                                           static_cast<std::uint64_t>(
+                                               lmax[v] - lo + 1)));
       }
-      const std::size_t words = (n + 63) / 64;
-      std::vector<std::uint64_t> capped(words, ~0ull), candidate(words, ~0ull);
-      EXPECT_EQ(core::pack_level_bits(
-                    levels, lmax, [](std::int32_t cap) { return -cap; },
-                    capped, candidate),
-                in_range)
-          << n;
+      const std::size_t lo = rng.below(words + 1);
+      const std::size_t hi = lo + rng.below(words - lo + 1);
+      const std::uint64_t skip = trial == 0 ? 3 : rng.below(4);
+      const std::string what = std::string(Policy::kTag) + " n=" +
+                               std::to_string(n) + " words [" +
+                               std::to_string(lo) + ", " +
+                               std::to_string(hi) + ")";
+      constexpr std::uint64_t kUntouched = 0x5a5a5a5a5a5a5a5aull;
+      std::vector<std::uint64_t> bits[2][3];
+      bool verdict[2];
+      for (int scalar = 0; scalar < 2; ++scalar) {
+        for (auto& b : bits[scalar]) b.assign(words, kUntouched);
+        // skip 0..2 passes that array as null; 3 fills all three.
+        auto out = [&](int k) {
+          return skip == static_cast<std::uint64_t>(k)
+                     ? nullptr
+                     : bits[scalar][k].data();
+        };
+        verdict[scalar] =
+            scalar ? core::pack_level_bits_scalar<Policy>(
+                         levels, lmax, lo, hi, out(0), out(1), out(2))
+                   : core::pack_level_bits<Policy>(levels, lmax, lo, hi,
+                                                   out(0), out(1), out(2));
+      }
+      bool in_range = true;
       for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t want_capped = 0, want_candidate = 0;
+        std::uint64_t want[3] = {0, 0, 0};
         for (std::size_t k = 0; k < 64 && w * 64 + k < n; ++k) {
           const std::size_t v = w * 64 + k;
-          want_capped |= std::uint64_t{levels[v] == lmax[v]} << k;
-          want_candidate |= std::uint64_t{levels[v] == -lmax[v]} << k;
+          const std::int32_t floor = Policy::member_level(lmax[v]);
+          want[0] |= std::uint64_t{levels[v] == lmax[v]} << k;
+          want[1] |= std::uint64_t{levels[v] == floor} << k;
+          want[2] |= std::uint64_t{Policy::is_prominent(levels[v])} << k;
+          if (w >= lo && w < hi)
+            in_range = in_range && levels[v] >= floor && levels[v] <= lmax[v];
         }
-        EXPECT_EQ(capped[w], want_capped) << n << " word " << w;
-        EXPECT_EQ(candidate[w], want_candidate) << n << " word " << w;
+        for (int k = 0; k < 3; ++k) {
+          const bool filled =
+              w >= lo && w < hi && skip != static_cast<std::uint64_t>(k);
+          const std::uint64_t expect = filled ? want[k] : kUntouched;
+          EXPECT_EQ(bits[0][k][w], bits[1][k][w])
+              << what << " array " << k << " word " << w;
+          EXPECT_EQ(bits[1][k][w], expect)
+              << what << " array " << k << " word " << w;
+        }
       }
+      EXPECT_EQ(verdict[0], verdict[1]) << what;
+      EXPECT_EQ(verdict[1], in_range) << what;
     }
   }
+}
+
+TEST(LevelBits, PackMatchesPerVertexPredicates) {
+  check_level_bits<core::Alg1Policy>(8);
+  check_level_bits<core::Alg2Policy>(9);
 }
 
 /// A mis-settling kernel: every Engine call goes to `inner`, but the

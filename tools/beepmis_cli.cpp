@@ -183,9 +183,16 @@ core::EngineConfig parse_engine_config(const support::ArgParser& args,
   return config;
 }
 
+/// The round budget and the fault schedule, read before any graph is built.
+struct RunBudget {
+  beep::Round max_rounds = 0;  ///< rounds per run (--max-rounds)
+  std::size_t faults = 0;      ///< vertices corrupted per wave (--faults)
+  std::size_t waves = 0;       ///< fault waves after stabilization (--waves)
+};
+
 int run_selfstab(const support::ArgParser& args, obs::Session& session,
                  const graph::Graph& g, const core::EngineConfig& config,
-                 core::InitPolicy init) {
+                 core::InitPolicy init, const RunBudget& budget) {
   const exp::Variant variant = config.variant;
   const std::uint64_t seed = config.seed;
   auto engine = core::make_engine(g, config);
@@ -207,7 +214,6 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
   support::Rng init_rng = support::Rng(seed).derive_stream(0xfadedcafe);
   core::apply_init(*engine, init, init_rng);
 
-  const auto budget = static_cast<beep::Round>(args.get_int("max-rounds"));
   const bool tracing = args.flag("trace");
   const bool charting = !args.get("svg").empty();
 
@@ -257,7 +263,7 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
   engine->set_metrics(&metrics);
 
   auto run_once = [&](const char* label) {
-    const auto rounds = engine->run_to_stabilization(budget);
+    const auto rounds = engine->run_to_stabilization(budget.max_rounds);
     const auto members = engine->mis_members();
     const bool ok = engine->is_stabilized();
     metrics.counter("cli.runs_total").inc();
@@ -277,14 +283,11 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
     obs::ScopedTimer timer(&metrics, "cli.run");
     ok = run_once("run");
     support::Rng frng = support::Rng(seed).derive_stream(0xfa17);
-    const auto faults = static_cast<std::size_t>(args.get_int("faults"));
-    for (std::int64_t w = 0; w < args.get_int("waves") && faults; ++w) {
-      obs::TraceScope wave_span("recovery.epoch",
-                                static_cast<std::uint64_t>(w + 1));
-      core::corrupt_random(*engine, faults, frng, stack.tracker());
+    for (std::size_t w = 0; w < budget.waves && budget.faults != 0; ++w) {
+      obs::TraceScope wave_span("recovery.epoch", w + 1);
+      core::corrupt_random(*engine, budget.faults, frng, stack.tracker());
       char label[32];
-      std::snprintf(label, sizeof label, "wave %lld",
-                    static_cast<long long>(w + 1));
+      std::snprintf(label, sizeof label, "wave %zu", w + 1);
       ok = run_once(label) && ok;
     }
     stack.finalize(engine->round());
@@ -516,9 +519,8 @@ int run_sweep(const support::ArgParser& args, obs::Session& session,
 }
 
 int run_baseline(const support::ArgParser& args, const graph::Graph& g,
-                 const std::string& name) {
+                 const std::string& name, beep::Round budget) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const auto budget = static_cast<beep::Round>(args.get_int("max-rounds"));
   if (name == "luby") {
     auto algo = std::make_unique<baselines::LubyMis>(g);
     auto* a = algo.get();
@@ -569,9 +571,8 @@ int run_baseline(const support::ArgParser& args, const graph::Graph& g,
 }
 
 int run_app(const support::ArgParser& args, const graph::Graph& g,
-            const std::string& name) {
+            const std::string& name, beep::Round budget) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const auto budget = static_cast<beep::Round>(args.get_int("max-rounds"));
   if (name == "coloring") {
     const auto r = apps::color_via_selfstab_mis(g, seed, budget);
     if (!r) {
@@ -702,15 +703,22 @@ int main(int argc, char** argv) {
     config = parse_engine_config(args, *variant);
     init = parse_init(args.get("init"));
   }
+  const RunBudget budget{args.get_count("max-rounds"), args.get_count("faults"),
+                         args.get_count("waves")};
 
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   support::Rng graph_rng = support::Rng(seed).derive_stream(0x6ea9);
   graph::Graph g = load_graph(args, graph_rng);
   if (args.flag("relabel")) g = graph::relabel_by_degree(g).graph;
+  if (config && budget.faults > g.vertex_count()) {
+    std::cerr << "--faults expects at most the graph's " << g.vertex_count()
+              << " vertices, got '" << args.get("faults") << "'\n";
+    return 2;
+  }
   std::printf("graph %s: n=%zu m=%zu max-degree=%zu\n", g.name().c_str(),
               g.vertex_count(), g.edge_count(), g.max_degree());
 
-  if (config) return run_selfstab(args, session, g, *config, init);
-  if (baseline) return run_baseline(args, g, algo);
-  return run_app(args, g, algo);
+  if (config) return run_selfstab(args, session, g, *config, init, budget);
+  if (baseline) return run_baseline(args, g, algo, budget.max_rounds);
+  return run_app(args, g, algo, budget.max_rounds);
 }
