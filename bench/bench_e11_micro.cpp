@@ -626,6 +626,24 @@ void BM_GraphGeneration_ER(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphGeneration_ER)->Arg(1 << 12)->Arg(1 << 16);
 
+void BM_GraphGeneration_BA(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  support::Rng rng(2);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        exp::make_family(exp::Family::BarabasiAlbert3, n, rng));
+}
+BENCHMARK(BM_GraphGeneration_BA)->Arg(1 << 12)->Arg(1 << 16);
+
+void BM_GraphGeneration_RGG(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  support::Rng rng(2);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        exp::make_family(exp::Family::GeometricAvg8, n, rng));
+}
+BENCHMARK(BM_GraphGeneration_RGG)->Arg(1 << 12)->Arg(1 << 16);
+
 void BM_RngBernoulliPow2(benchmark::State& state) {
   support::Rng rng(3);
   unsigned k = 1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numbers>
 #include <set>
 #include <utility>
 #include <vector>
@@ -19,19 +20,14 @@ std::string fmt_name(const char* fmt, auto... args) {
   return buf;
 }
 
-/// Runs `edges(rng, emit)` twice through a StreamingCsrBuilder, once
-/// counting and once filling. Each pass draws from its own copy of `rng`,
-/// so both see the identical edge sequence; the fill pass's end state is
-/// written back, so `rng` ends where a single pass would leave it. No edge
-/// list is materialized.
-template <typename EdgeFn>
-Graph stream_two_pass(std::size_t n, std::string name, bool sort_rows,
-                      Rng& rng, const EdgeFn& edges) {
-  StreamingCsrBuilder b(n, std::move(name));
-  edges(rng, [&b](VertexId u, VertexId v) { b.count_edge(u, v); });
-  b.begin_fill();
-  rng = edges(rng, [&b](VertexId u, VertexId v) { b.fill_edge(u, v); });
-  return std::move(b).finish(sort_rows);
+/// An adjacency reservation for a graph whose n(n-1)/2 vertex pairs are
+/// each an edge with probability p: the mean plus six standard deviations,
+/// which a binomial edge count exceeds with probability below 10^-9.
+std::size_t binomial_edge_hint(std::size_t n, double p) {
+  const double pairs =
+      n < 2 ? 0.0 : static_cast<double>(n) * static_cast<double>(n - 1) / 2;
+  const double hint = pairs * p + 6.0 * std::sqrt(pairs * p * (1.0 - p));
+  return static_cast<std::size_t>(std::ceil(std::min(hint, pairs)));
 }
 
 }  // namespace
@@ -157,15 +153,16 @@ Graph make_star_of_cliques(std::size_t cliques, std::size_t k) {
 
 Graph make_erdos_renyi(std::size_t n, double p, Rng& rng) {
   BEEPMIS_CHECK(p >= 0.0 && p <= 1.0, "edge probability outside [0,1]");
+  StreamingCsrBuilder b(n, binomial_edge_hint(n, p),
+                        fmt_name("er_n%zu_p%.4f", n, p));
   // Geometric skipping (Batagelj–Brandes): expected O(n + m) time. It emits
-  // (v ascending, w ascending within v), so both endpoints' rows arrive
-  // sorted and duplicate-free.
-  const auto edges = [n, p](Rng r, auto&& emit) {
-    if (p <= 0.0 || n < 2) return r;
+  // (v ascending, w ascending within v), the builder's order, so every row
+  // arrives sorted and duplicate-free.
+  if (p > 0.0 && n >= 2) {
     const double logq = std::log1p(-p);
     std::size_t v = 1, w = static_cast<std::size_t>(-1);
     while (v < n) {
-      const double u01 = r.uniform01();
+      const double u01 = rng.uniform01();
       // skip length ~ Geometric(p)
       w += (p < 1.0)
                ? 1 + static_cast<std::size_t>(
@@ -175,12 +172,11 @@ Graph make_erdos_renyi(std::size_t n, double p, Rng& rng) {
         w -= v;
         ++v;
       }
-      if (v < n) emit(static_cast<VertexId>(v), static_cast<VertexId>(w));
+      if (v < n)
+        b.add_lower_edge(static_cast<VertexId>(v), static_cast<VertexId>(w));
     }
-    return r;
-  };
-  return stream_two_pass(n, fmt_name("er_n%zu_p%.4f", n, p),
-                         /*sort_rows=*/false, rng, edges);
+  }
+  return std::move(b).finish();
 }
 
 Graph make_erdos_renyi_avg_degree(std::size_t n, double avg_degree, Rng& rng) {
@@ -239,42 +235,43 @@ Graph make_random_regular(std::size_t n, std::size_t d, Rng& rng) {
 
 Graph make_barabasi_albert(std::size_t n, std::size_t m, Rng& rng) {
   BEEPMIS_CHECK(m >= 1 && n > m, "BA needs n > m >= 1");
-  // Rows arrive sorted: each new vertex v emits its (distinct, ascending)
-  // chosen targets — all smaller than v — and lands in older rows in
-  // ascending v order. The target list is the sampling structure, so both
-  // passes rebuild it.
-  const auto edges = [n, m](Rng r, auto&& emit) {
+  // Every vertex after the first m streams exactly m edges.
+  StreamingCsrBuilder b(n, m * (n - m), fmt_name("ba_n%zu_m%zu", n, m));
+  {
     // Repeated-endpoint list: sampling a uniform element of `targets` is
-    // degree-proportional sampling.
+    // degree-proportional sampling. It is freed before finish() doubles the
+    // adjacency array.
     std::vector<VertexId> targets;
     targets.reserve(2 * m * (n - m));
     // Seed: star on the first m+1 vertices.
     for (std::size_t i = 0; i < m; ++i) {
-      emit(static_cast<VertexId>(m), static_cast<VertexId>(i));
+      b.add_lower_edge(static_cast<VertexId>(m), static_cast<VertexId>(i));
       targets.push_back(static_cast<VertexId>(i));
       targets.push_back(static_cast<VertexId>(m));
     }
+    // Each new vertex v draws m distinct targets, all smaller than v, and
+    // streams them ascending, so every row arrives sorted.
+    std::vector<VertexId> chosen;
+    chosen.reserve(m);
     for (std::size_t v = m + 1; v < n; ++v) {
-      std::set<VertexId> chosen;
-      while (chosen.size() < m)
-        chosen.insert(targets[r.below(targets.size())]);
+      chosen.clear();
+      while (chosen.size() < m) {
+        const VertexId t = targets[rng.below(targets.size())];
+        const auto at = std::lower_bound(chosen.begin(), chosen.end(), t);
+        if (at == chosen.end() || *at != t) chosen.insert(at, t);
+      }
       for (VertexId u : chosen) {
-        emit(static_cast<VertexId>(v), u);
+        b.add_lower_edge(static_cast<VertexId>(v), u);
         targets.push_back(u);
         targets.push_back(static_cast<VertexId>(v));
       }
     }
-    return r;
-  };
-  return stream_two_pass(n, fmt_name("ba_n%zu_m%zu", n, m),
-                         /*sort_rows=*/false, rng, edges);
+  }
+  return std::move(b).finish();
 }
 
 Graph make_random_geometric(std::size_t n, double radius, Rng& rng) {
   BEEPMIS_CHECK(radius > 0.0, "radius must be positive");
-  // Points and the cell grid are drawn once and shared by both passes; only
-  // the neighborhood scan repeats. The scan emits a row's neighbors in
-  // cell-window order, not id order, so finish() sorts rows.
   std::vector<std::pair<double, double>> pts(n);
   for (auto& [x, y] : pts) {
     x = rng.uniform01();
@@ -292,27 +289,31 @@ Graph make_random_geometric(std::size_t n, double radius, Rng& rng) {
   for (std::size_t i = 0; i < n; ++i)
     grid[cell_of(pts[i].first) * cells + cell_of(pts[i].second)].push_back(
         static_cast<VertexId>(i));
+  // A pair is an edge with probability at most the disc's area (less near
+  // the square's border).
+  StreamingCsrBuilder b(
+      n,
+      binomial_edge_hint(n, std::min(1.0, std::numbers::pi * radius * radius)),
+      fmt_name("rgg_n%zu_r%.3f", n, radius));
+  // Each point streams its lower-id neighbours in cell-window order, not id
+  // order, so finish() sorts rows.
   const double r2 = radius * radius;
-  const auto edges = [&](Rng r, auto&& emit) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t cx = cell_of(pts[i].first);
-      const std::size_t cy = cell_of(pts[i].second);
-      for (std::size_t dx = (cx == 0 ? 0 : cx - 1);
-           dx <= std::min(cx + 1, cells - 1); ++dx)
-        for (std::size_t dy = (cy == 0 ? 0 : cy - 1);
-             dy <= std::min(cy + 1, cells - 1); ++dy)
-          for (VertexId j : grid[dx * cells + dy]) {
-            if (j <= i) continue;
-            const double ddx = pts[i].first - pts[j].first;
-            const double ddy = pts[i].second - pts[j].second;
-            if (ddx * ddx + ddy * ddy <= r2)
-              emit(static_cast<VertexId>(i), j);
-          }
-    }
-    return r;
-  };
-  return stream_two_pass(n, fmt_name("rgg_n%zu_r%.3f", n, radius),
-                         /*sort_rows=*/true, rng, edges);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t cx = cell_of(pts[i].first);
+    const std::size_t cy = cell_of(pts[i].second);
+    for (std::size_t dx = (cx == 0 ? 0 : cx - 1);
+         dx <= std::min(cx + 1, cells - 1); ++dx)
+      for (std::size_t dy = (cy == 0 ? 0 : cy - 1);
+           dy <= std::min(cy + 1, cells - 1); ++dy)
+        for (VertexId j : grid[dx * cells + dy]) {
+          if (j >= i) continue;
+          const double ddx = pts[i].first - pts[j].first;
+          const double ddy = pts[i].second - pts[j].second;
+          if (ddx * ddx + ddy * ddy <= r2)
+            b.add_lower_edge(static_cast<VertexId>(i), j);
+        }
+  }
+  return std::move(b).finish(/*sort_rows=*/true);
 }
 
 Graph make_watts_strogatz(std::size_t n, std::size_t k, double beta,

@@ -42,10 +42,12 @@ Graph make_star_of_cliques(std::size_t cliques, std::size_t k);
 // Random families -------------------------------------------------------------
 //
 // Every generator advances the caller's Rng by exactly the draws it makes.
-// Erdős–Rényi, Barabási–Albert and the random geometric graph replay their
-// edge stream twice through a StreamingCsrBuilder (count pass from a copy
-// of the Rng, fill pass from the Rng itself), so they never materialize an
-// edge list and peak memory is the final CSR itself. That is what makes
+// Erdős–Rényi, Barabási–Albert and the random geometric graph draw each edge
+// once and stream it, as (larger endpoint, smaller endpoint) grouped by the
+// larger one, into a StreamingCsrBuilder, which expands the stream into CSR
+// in place. They never materialize an edge list beside the CSR, so peak
+// memory is the final CSR plus the generator's own state (BA's endpoint
+// list, the geometric graph's points and grid). That is what makes
 // n = 10^7 instances fit under a few GiB. The other random families collect
 // edges in a GraphBuilder.
 

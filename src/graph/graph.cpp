@@ -26,62 +26,67 @@ GraphBuilder::GraphBuilder(std::size_t vertex_count, std::string name)
 void GraphBuilder::add_edge(VertexId u, VertexId v) {
   BEEPMIS_CHECK(u < n_ && v < n_, "edge endpoint out of range");
   BEEPMIS_CHECK(u != v, "self-loops are not allowed in a simple graph");
-  if (u > v) std::swap(u, v);
+  if (u < v) std::swap(u, v);
   edges_.emplace_back(u, v);
 }
 
 Graph GraphBuilder::build() && {
+  // Sorted (larger, smaller) pairs are exactly the streaming builder's
+  // order: grouped by ascending larger endpoint, each group's lower
+  // neighbours ascending, so finish() needs no row sort.
   std::sort(edges_.begin(), edges_.end());
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  // Sorted (u, v) pairs with u < v reach every row in ascending order — a
-  // row's smaller neighbors arrive as (u, row) pairs before its larger ones
-  // as (row, v) — so the streaming fill needs no row sort, and its
-  // strictly-ascending check holds.
-  StreamingCsrBuilder b(n_, std::move(name_));
-  for (const auto& [u, v] : edges_) b.count_edge(u, v);
-  b.begin_fill();
-  for (const auto& [u, v] : edges_) b.fill_edge(u, v);
+  StreamingCsrBuilder b(n_, edges_.size(), std::move(name_));
+  for (const auto& [u, w] : edges_) b.add_lower_edge(u, w);
   return std::move(b).finish(/*sort_rows=*/false);
 }
 
 StreamingCsrBuilder::StreamingCsrBuilder(std::size_t vertex_count,
+                                         std::size_t edge_hint,
                                          std::string name)
     : n_(vertex_count) {
+  // Degrees share a 64-bit slot with the lower-run counts, 32 bits each.
+  BEEPMIS_CHECK(n_ <= std::numeric_limits<VertexId>::max(),
+                "graph: vertex count exceeds 32-bit vertex ids");
   g_.name_ = std::move(name);
   support::reserve_huge(g_.offsets_, n_ + 1);
   g_.offsets_.assign(n_ + 1, 0);
-}
-
-void StreamingCsrBuilder::count_edge(VertexId u, VertexId v) {
-  BEEPMIS_CHECK(!filling_, "count_edge after begin_fill");
-  BEEPMIS_CHECK(u < n_ && v < n_, "edge endpoint out of range");
-  BEEPMIS_CHECK(u != v, "self-loops are not allowed in a simple graph");
-  ++g_.offsets_[u + 1];
-  ++g_.offsets_[v + 1];
-}
-
-void StreamingCsrBuilder::begin_fill() {
-  BEEPMIS_CHECK(!filling_, "begin_fill called twice");
-  filling_ = true;
-  for (std::size_t i = 1; i <= n_; ++i) g_.offsets_[i] += g_.offsets_[i - 1];
-  // During the fill pass offsets_[v] doubles as row v's write cursor: it
-  // starts at the row head, ends at the row end, and finish() shifts the
-  // whole array one slot right to recover the real offsets.
-  support::reserve_huge(g_.adjacency_, g_.offsets_[n_]);
-  g_.adjacency_.resize(g_.offsets_[n_]);
+  // finish() grows the recorded lower runs to both arcs of every edge.
+  support::reserve_huge(g_.adjacency_, 2 * edge_hint);
 }
 
 Graph StreamingCsrBuilder::finish(bool sort_rows) && {
-  BEEPMIS_CHECK(filling_, "finish before begin_fill");
-  BEEPMIS_CHECK(filled_ * 2 == g_.adjacency_.size(),
-                "fill pass replayed a different edge count than pass 1");
-  for (std::size_t v = n_; v >= 1; --v) g_.offsets_[v] = g_.offsets_[v - 1];
-  g_.offsets_[0] = 0;
+  std::vector<std::size_t>& off = g_.offsets_;
+  std::vector<VertexId>& adj = g_.adjacency_;
+  const std::size_t m = adj.size();
+  // The recorded lower runs move to the back half. Walking u upwards then
+  // moves u's run to the head of row u and appends u to each lower
+  // neighbour's upper part. No write passes the read position: rows below
+  // u hold sum(lower) + sum(upper) <= sum(lower) + m arcs, which is where
+  // u's run is read from.
+  adj.resize(2 * m);
+  std::copy(adj.begin(), adj.begin() + static_cast<std::ptrdiff_t>(m),
+            adj.begin() + static_cast<std::ptrdiff_t>(m));
+  std::size_t read = m, row = 0;
+  for (std::size_t u = 0; u < n_; ++u) {
+    const std::size_t lower = off[u] >> 32;
+    const std::size_t degree = off[u] & (kLowerOne - 1);
+    for (std::size_t i = 0; i < lower; ++i) {
+      const VertexId w = adj[read + i];
+      adj[row + i] = w;
+      adj[off[w]++] = static_cast<VertexId>(u);
+    }
+    // From here on offsets_[u] is row u's write cursor: it ends at the row
+    // end, and the shift below turns cursors into offsets.
+    off[u] = row + lower;
+    row += degree;
+    read += lower;
+  }
+  for (std::size_t v = n_; v >= 1; --v) off[v] = off[v - 1];
+  off[0] = 0;
   for (std::size_t v = 0; v < n_; ++v) {
-    const auto first = g_.adjacency_.begin() +
-                       static_cast<std::ptrdiff_t>(g_.offsets_[v]);
-    const auto last = g_.adjacency_.begin() +
-                      static_cast<std::ptrdiff_t>(g_.offsets_[v + 1]);
+    const auto first = adj.begin() + static_cast<std::ptrdiff_t>(off[v]);
+    const auto last = adj.begin() + static_cast<std::ptrdiff_t>(off[v + 1]);
     if (sort_rows) std::sort(first, last);
     BEEPMIS_CHECK(std::adjacent_find(first, last,
                                      [](VertexId a, VertexId b) {
@@ -89,8 +94,7 @@ Graph StreamingCsrBuilder::finish(bool sort_rows) && {
                                      }) == last,
                   "streamed CSR row not strictly ascending "
                   "(duplicate or out-of-order edge)");
-    g_.max_degree_ =
-        std::max(g_.max_degree_, g_.offsets_[v + 1] - g_.offsets_[v]);
+    g_.max_degree_ = std::max(g_.max_degree_, off[v + 1] - off[v]);
   }
   return std::move(g_);
 }

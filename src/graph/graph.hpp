@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/support/check.hpp"
+
 namespace beepmis::graph {
 
 using VertexId = std::uint32_t;
@@ -73,47 +75,51 @@ class GraphBuilder {
   std::vector<std::pair<VertexId, VertexId>> edges_;
 };
 
-/// Two-pass streaming CSR construction. Pass 1 replays the edge stream
-/// through count_edge to accumulate degrees; begin_fill() prefix-sums them
-/// into offsets and allocates the adjacency array; pass 2 replays the SAME
-/// stream through fill_edge; finish() freezes the Graph. Unlike
-/// GraphBuilder no edge list is ever materialized — peak memory is the
-/// final CSR itself — which is what lets n = 10^7 instances fit. The
-/// caller owns replay fidelity (the random generators replay from a copied
-/// Rng) and must not emit duplicate edges; self-loops abort as in
-/// GraphBuilder.
+/// One-pass streaming CSR construction. The caller streams each undirected
+/// edge once, as (u, w) with w < u, grouped by ascending u; the builder
+/// appends w to the CSR's own adjacency array and counts both degrees.
+/// finish() then expands the recorded lower runs into full rows in place.
+/// No edge list is ever materialized beside the CSR, so peak memory is the
+/// final CSR itself, which is what lets n = 10^7 instances fit. The caller
+/// must not emit duplicate edges (finish() aborts on one); a self-loop, an
+/// endpoint out of range or a stream out of u-order aborts at once.
 class StreamingCsrBuilder {
  public:
-  explicit StreamingCsrBuilder(std::size_t vertex_count,
-                               std::string name = "graph");
+  /// `edge_hint` sizes the adjacency array: the expected edge count, or an
+  /// upper bound that real streams stay under. It only places memory: a
+  /// stream that outgrows it still builds the same graph, after a
+  /// reallocation.
+  StreamingCsrBuilder(std::size_t vertex_count, std::size_t edge_hint,
+                      std::string name = "graph");
 
-  /// Pass 1: record the existence of undirected edge {u, v}.
-  void count_edge(VertexId u, VertexId v);
-
-  /// Ends pass 1: turns degree counts into CSR offsets and allocates the
-  /// adjacency array.
-  void begin_fill();
-
-  /// Pass 2: writes both arcs of undirected edge {u, v}.
-  void fill_edge(VertexId u, VertexId v) {
-    g_.adjacency_[g_.offsets_[u]++] = v;
-    g_.adjacency_[g_.offsets_[v]++] = u;
-    ++filled_;
+  /// Records undirected edge {u, w}, which needs w < u and u no smaller
+  /// than any earlier call's.
+  void add_lower_edge(VertexId u, VertexId w) {
+    BEEPMIS_CHECK(u < n_, "edge endpoint out of range");
+    BEEPMIS_CHECK(w < u, "streamed edge (u, w) needs w < u (no self-loops)");
+    BEEPMIS_CHECK(u >= last_u_, "streamed edges not grouped by ascending u");
+    last_u_ = u;
+    // offsets_[v] packs v's degree (low 32 bits) and the count of lower
+    // neighbours v streamed (high 32 bits) until finish().
+    g_.offsets_[u] += kLowerOne + 1;
+    ++g_.offsets_[w];
+    g_.adjacency_.push_back(w);
   }
 
   std::size_t vertex_count() const noexcept { return n_; }
 
   /// Freezes into an immutable Graph; the builder is consumed. Pass
-  /// sort_rows = true when the generator does not emit each neighborhood in
-  /// ascending order (e.g. geometric graphs). Rows must end up strictly
-  /// ascending — a duplicate edge aborts, matching the simple-graph
-  /// contract (dedup is the caller's job here, unlike GraphBuilder).
+  /// sort_rows = true when the stream does not give each u its lower
+  /// neighbours in ascending order (e.g. geometric graphs). Rows must end up
+  /// strictly ascending — a duplicate edge aborts, matching the
+  /// simple-graph contract (dedup is the caller's job here, unlike
+  /// GraphBuilder).
   Graph finish(bool sort_rows = false) &&;
 
  private:
+  static constexpr std::size_t kLowerOne = std::size_t{1} << 32;
   std::size_t n_;
-  std::size_t filled_ = 0;
-  bool filling_ = false;
+  VertexId last_u_ = 0;
   Graph g_;
 };
 

@@ -113,10 +113,9 @@ ObserverOptions Session::observers(std::uint64_t n,
   o.anomaly.expected_rounds = expected_rounds;
   o.anomaly.stall_multiple = args_.get_double("anomaly-stall-multiple");
   o.anomaly.storm_fraction = args_.get_double("anomaly-storm-fraction");
-  o.anomaly.storm_window =
-      static_cast<std::uint64_t>(args_.get_int("anomaly-storm-window"));
+  o.anomaly.storm_window = args_.get_count("anomaly-storm-window");
   o.monitor = args_.flag("monitor");
-  o.monitor_every = static_cast<std::uint64_t>(args_.get_int("monitor-every"));
+  o.monitor_every = args_.get_count("monitor-every");
   o.track = !args_.get("recovery-out").empty();
   o.recovery.recovery_bound = recovery_bound;
   return o;
@@ -144,8 +143,7 @@ int Session::finish(RunManifest manifest, const MetricsRegistry& metrics,
     RecoveryReport report = *recovery;
     report.monitor = args_.flag("monitor");
     if (report.monitor)
-      report.monitor_cadence =
-          static_cast<std::uint64_t>(args_.get_int("monitor-every"));
+      report.monitor_cadence = args_.get_count("monitor-every");
     const auto write = [&](std::ostream& os) {
       write_recovery_json(os, report);
     };

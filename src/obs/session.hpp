@@ -82,6 +82,10 @@ class Session {
   ObserverOptions observers(std::uint64_t n, std::uint64_t expected_rounds,
                             std::uint64_t recovery_bound) const;
 
+  /// Reads every observer flag once, so a malformed value exits 2 with one
+  /// stderr line naming the flag before the caller builds a graph.
+  void check_flags() const { (void)observers(0, 0, 0); }
+
   /// Starts tracing, recording "tool" then `context`.
   void start(const Context& context);
 

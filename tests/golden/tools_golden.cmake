@@ -291,6 +291,18 @@ bad_option(--max-rounds "${CLI}" --n 64 --max-rounds x)
 bad_option(--faults "${CLI}" --n 64 --faults x)
 bad_option(--waves "${CLI}" --n 64 --waves -3)
 bad_option(--faults "${CLI}" --n 64 --faults 100 --waves 1)
+# So are the telemetry, ruling-set and observer options, which are first
+# used after the graph is built.
+bad_option(--progress "${CLI}" --n 64 --progress x)
+bad_option(--progress "${CLI}" --sweep --progress -1)
+bad_option(--anomaly-lemma-window "${CLI}" --n 64 --anomaly-lemma-window x)
+bad_option(--alpha "${CLI}" --n 64 --algorithm ruling --alpha x)
+bad_option(--alpha "${CLI}" --n 64 --algorithm ruling --alpha 1)
+bad_option(--monitor-every "${CLI}" --n 64 --monitor --monitor-every x)
+bad_option(--anomaly-stall-multiple "${CLI}" --n 64 --anomaly-stall-multiple x)
+bad_option(--anomaly-storm-fraction "${CLI}" --n 64 --anomaly-storm-fraction x)
+bad_option(--anomaly-storm-window "${CLI}" --n 64 --anomaly-storm-window -2)
+bad_option(--monitor-every "${SOAK}" --monitor-every x)
 
 # run.v1 and the trace record the shard count of the engine that ran, not
 # the one requested: 64 vertices are one bitset word, so four shard workers

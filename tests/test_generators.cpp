@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exp/families.hpp"
@@ -149,16 +150,31 @@ TEST(Generators, BarabasiAlbertDegrees) {
 }
 
 TEST(Generators, RandomGeometricMatchesBruteForce) {
-  support::Rng rng(6);
-  const Graph g = make_random_geometric(400, 0.08, rng);
-  // Same seed → same points; verify the grid-binned construction against an
-  // O(n²) rebuild is impossible without the points, so instead check basic
-  // sanity: expected average degree ≈ π r² (n-1) in the bulk (edge effects
-  // lower it slightly).
-  const auto s = degree_stats(g);
-  const double bulk = 3.14159265 * 0.08 * 0.08 * 399;
-  EXPECT_GT(s.mean, 0.5 * bulk);
-  EXPECT_LT(s.mean, 1.2 * bulk);
+  constexpr std::size_t kN = 400;
+  constexpr double kRadius = 0.08;
+  support::Rng rng(6), points_rng(6);
+  const Graph g = make_random_geometric(kN, kRadius, rng);
+  // The generator's only draws are the points, x then y.
+  std::vector<std::pair<double, double>> pts(kN);
+  for (auto& [x, y] : pts) {
+    x = points_rng.uniform01();
+    y = points_rng.uniform01();
+  }
+  EXPECT_EQ(rng(), points_rng());
+  std::size_t edges = 0;
+  for (VertexId u = 0; u < kN; ++u) {
+    std::vector<VertexId> want;
+    for (VertexId v = 0; v < kN; ++v) {
+      const double dx = pts[u].first - pts[v].first;
+      const double dy = pts[u].second - pts[v].second;
+      if (v != u && dx * dx + dy * dy <= kRadius * kRadius) want.push_back(v);
+    }
+    const auto nb = g.neighbors(u);
+    EXPECT_EQ(std::vector<VertexId>(nb.begin(), nb.end()), want) << u;
+    edges += want.size();
+  }
+  EXPECT_EQ(g.edge_count(), edges / 2);
+  EXPECT_GT(edges, kN);  // not a degenerate sample
 }
 
 TEST(Generators, RandomTreeIsTree) {

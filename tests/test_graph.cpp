@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/graph/generators.hpp"
@@ -128,6 +129,149 @@ TEST(Graph, HasEdgeOnHighDegreeVertex) {
   for (VertexId v = 1; v < kN; ++v)
     EXPECT_EQ(g.has_edge(0, v), v % 3 != 0) << v;
   EXPECT_FALSE(g.has_edge(0, 0));
+}
+
+// The streaming builder against an independent oracle: one std::set per
+// row, filled from the same edges in both orientations.
+using Rows = std::vector<std::set<VertexId>>;
+
+void link(Rows& rows, VertexId u, VertexId v) {
+  rows[u].insert(v);
+  rows[v].insert(u);
+}
+
+void expect_rows(const Graph& g, const Rows& want) {
+  ASSERT_EQ(g.vertex_count(), want.size());
+  std::size_t arcs = 0, max_degree = 0;
+  for (VertexId v = 0; v < want.size(); ++v) {
+    const auto nb = g.neighbors(v);
+    EXPECT_EQ(std::vector<VertexId>(nb.begin(), nb.end()),
+              std::vector<VertexId>(want[v].begin(), want[v].end()))
+        << "row " << v;
+    arcs += want[v].size();
+    max_degree = std::max(max_degree, want[v].size());
+  }
+  EXPECT_EQ(g.edge_count(), arcs / 2);
+  EXPECT_EQ(g.max_degree(), max_degree);
+}
+
+TEST(StreamingCsrBuilder, EmptyStream) {
+  expect_rows(StreamingCsrBuilder(0, 0).finish(), Rows(0));
+  expect_rows(StreamingCsrBuilder(3, 5).finish(), Rows(3));
+  support::Rng rng(11);
+  expect_rows(make_erdos_renyi(2, 0.0, rng), Rows(2));
+}
+
+// Runs of every length, vertices that stream nothing, and an edge hint of
+// zero, so the adjacency array outgrows its reservation.
+TEST(StreamingCsrBuilder, ExpandsLowerRunsIntoRows) {
+  const std::vector<std::pair<VertexId, VertexId>> stream = {
+      {2, 0}, {2, 1}, {4, 1}, {4, 3}, {5, 0}, {5, 2}, {5, 4}, {7, 6}};
+  Rows want(8);
+  StreamingCsrBuilder b(8, 0, "hand");
+  for (const auto& [u, w] : stream) {
+    b.add_lower_edge(u, w);
+    link(want, u, w);
+  }
+  const Graph g = std::move(b).finish();
+  EXPECT_EQ(g.name(), "hand");
+  expect_rows(g, want);
+}
+
+TEST(StreamingCsrBuilder, SortRowsOrdersUnsortedRuns) {
+  Rows want(6);
+  StreamingCsrBuilder b(6, 4);
+  for (const auto& [u, w] : std::vector<std::pair<VertexId, VertexId>>{
+           {3, 2}, {3, 0}, {5, 4}, {5, 1}, {5, 3}}) {
+    b.add_lower_edge(u, w);
+    link(want, u, w);
+  }
+  expect_rows(std::move(b).finish(/*sort_rows=*/true), want);
+}
+
+// p = 1: every lower run is the whole prefix, and the last row is all lower.
+TEST(StreamingCsrBuilder, CompleteErdosRenyi) {
+  constexpr VertexId kN = 60;
+  Rows want(kN);
+  for (VertexId u = 0; u < kN; ++u)
+    for (VertexId v = u + 1; v < kN; ++v) link(want, u, v);
+  support::Rng rng(12);
+  expect_rows(make_erdos_renyi(kN, 1.0, rng), want);
+}
+
+// Preferential attachment with a std::set per new vertex, as the generator
+// is specified: the same draws must give the same rows, hub included, and
+// leave the caller's Rng in the same state.
+TEST(StreamingCsrBuilder, BarabasiAlbertHubRowMatchesOracle) {
+  constexpr std::size_t kN = 3000, kM = 3;
+  support::Rng rng(13), oracle_rng(13);
+  const Graph g = make_barabasi_albert(kN, kM, rng);
+  Rows want(kN);
+  std::vector<VertexId> targets;
+  const auto attach = [&](VertexId v, VertexId u) {
+    link(want, v, u);
+    targets.push_back(u);
+    targets.push_back(v);
+  };
+  for (VertexId i = 0; i < kM; ++i) attach(kM, i);
+  for (VertexId v = kM + 1; v < kN; ++v) {
+    std::set<VertexId> chosen;
+    while (chosen.size() < kM)
+      chosen.insert(targets[oracle_rng.below(targets.size())]);
+    for (VertexId u : chosen) attach(v, u);
+  }
+  expect_rows(g, want);
+  EXPECT_EQ(rng(), oracle_rng());
+  VertexId hub = 0;
+  for (VertexId v = 1; v < kN; ++v)
+    if (g.degree(v) > g.degree(hub)) hub = v;
+  EXPECT_GT(g.degree(hub), 20 * kM);  // a hub, whose row is mostly appends
+}
+
+TEST(StreamingCsrBuilder, GraphBuilderMergesDuplicatesAndReversedPairs) {
+  constexpr VertexId kN = 40;
+  support::Rng rng(14);
+  Rows want(kN);
+  GraphBuilder b(kN);
+  for (int i = 0; i < 600; ++i) {
+    const auto u = static_cast<VertexId>(rng.below(kN));
+    const auto v = static_cast<VertexId>(rng.below(kN));
+    if (u == v) continue;
+    b.add_edge(u, v);
+    b.add_edge(v, u);
+    link(want, u, v);
+  }
+  expect_rows(std::move(b).build(), want);
+}
+
+TEST(StreamingCsrBuilderDeath, RejectsMalformedStreams) {
+  EXPECT_DEATH(
+      {
+        StreamingCsrBuilder b(5, 0);
+        b.add_lower_edge(3, 1);
+        b.add_lower_edge(2, 0);
+      },
+      "grouped by ascending u");
+  EXPECT_DEATH(StreamingCsrBuilder(5, 0).add_lower_edge(2, 2), "w < u");
+  EXPECT_DEATH(StreamingCsrBuilder(5, 0).add_lower_edge(1, 3), "w < u");
+  EXPECT_DEATH(StreamingCsrBuilder(5, 0).add_lower_edge(5, 0),
+               "out of range");
+  EXPECT_DEATH(
+      {
+        StreamingCsrBuilder b(5, 0);
+        b.add_lower_edge(3, 1);
+        b.add_lower_edge(3, 1);
+        (void)std::move(b).finish();
+      },
+      "strictly ascending");
+  EXPECT_DEATH(
+      {
+        StreamingCsrBuilder b(5, 0);
+        b.add_lower_edge(3, 2);
+        b.add_lower_edge(3, 1);
+        (void)std::move(b).finish(/*sort_rows=*/false);
+      },
+      "strictly ascending");
 }
 
 TEST(RelabelByDegree, PermutationIsDegreeSortedAndConsistent) {

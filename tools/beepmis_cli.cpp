@@ -224,8 +224,7 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
                         exp::default_round_budget(g.vertex_count()),
                         exp::default_recovery_bound(g.vertex_count()));
   observers.dump_path = args.get("flight-recorder");
-  observers.anomaly.lemma_window =
-      static_cast<std::uint64_t>(args.get_int("anomaly-lemma-window"));
+  observers.anomaly.lemma_window = args.get_count("anomaly-lemma-window");
   // The Lemma 3.1 census exists for the Algorithm 1 variants only; it is
   // what makes persistent violations detectable (O(n + m)/round).
   observers.anomaly.check_lemma31 = variant != exp::Variant::TwoChannel;
@@ -254,8 +253,7 @@ int run_selfstab(const support::ArgParser& args, obs::Session& session,
   obs::TeeObserver& tee = stack.tee();
   EventsOut events(args.get("events-out"), /*with_analysis=*/true);
   tee.add(events.sink());
-  ProgressMeter progress(
-      static_cast<std::uint64_t>(args.get_int("progress")));
+  ProgressMeter progress(args.get_count("progress"));
   if (progress.interval() > 0) tee.add(&progress);
   obs::MemorySink rounds_log;
   if (tracing || charting) tee.add(&rounds_log);
@@ -398,7 +396,7 @@ int run_sweep(const support::ArgParser& args, obs::Session& session,
               exp::Variant variant, exp::Family family) {
   // The heartbeat attaches to one engine's observer slot; a sweep runs
   // sizes × seeds engines, so it is a single-run feature.
-  if (args.get_int("progress") != 0)
+  if (args.get_count("progress") != 0)
     std::fprintf(stderr,
                  "--progress is a single-run feature; ignored in --sweep "
                  "mode\n");
@@ -586,7 +584,7 @@ int run_app(const support::ArgParser& args, const graph::Graph& g,
     return 0;
   }
   // ruling set
-  const auto alpha = static_cast<std::size_t>(args.get_int("alpha"));
+  const std::size_t alpha = args.get_count("alpha");
   const auto r = apps::ruling_set_via_selfstab_mis(g, alpha, seed, budget);
   if (!r) {
     std::printf("ruling set did not stabilize within the budget\n");
@@ -672,6 +670,12 @@ int main(int argc, char** argv) {
     return error.rfind("beepmis_cli", 0) == 0 ? 0 : 2;  // --help exits 0
   }
 
+  // Options first read after the graph is built are checked here too, so a
+  // bad value costs no generation and leaves stdout empty.
+  for (const char* count : {"progress", "anomaly-lemma-window", "alpha"})
+    (void)args.get_count(count);
+  session.check_flags();
+
   const std::string algo = args.get("algorithm");
   std::optional<exp::Variant> variant;
   if (algo == "v1") variant = exp::Variant::GlobalDelta;
@@ -695,6 +699,11 @@ int main(int argc, char** argv) {
   const bool app = algo == "coloring" || algo == "ruling";
   if (!variant && !baseline && !app) {
     std::cerr << "unknown algorithm: " << algo << "\n";
+    return 2;
+  }
+  if (algo == "ruling" && args.get_count("alpha") < 2) {
+    std::cerr << "--alpha expects at least 2, got '" << args.get("alpha")
+              << "'\n";
     return 2;
   }
   std::optional<core::EngineConfig> config;

@@ -211,6 +211,8 @@ int main(int argc, char** argv) {
   // 0 means one worker per hardware thread, like the CLI.
   const std::size_t threads = args.get_count("threads");
   const std::size_t shard_threads = args.get_count("shard-threads");
+  // The scenario workers read the observer flags; a bad one exits here.
+  session.check_flags();
 
   session.start({{"seed", args.get("seed")}, {"engine", args.get("engine")}});
 
