@@ -272,46 +272,50 @@ Graph make_barabasi_albert(std::size_t n, std::size_t m, Rng& rng) {
 
 Graph make_random_geometric(std::size_t n, double radius, Rng& rng) {
   BEEPMIS_CHECK(radius > 0.0, "radius must be positive");
-  std::vector<std::pair<double, double>> pts(n);
-  for (auto& [x, y] : pts) {
-    x = rng.uniform01();
-    y = rng.uniform01();
-  }
-  // Uniform grid binning: expected O(n) for constant expected degree.
-  const auto cells = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::floor(1.0 / radius)));
-  const double cell = 1.0 / static_cast<double>(cells);
-  std::vector<std::vector<VertexId>> grid(cells * cells);
-  auto cell_of = [&](double x) {
-    auto c = static_cast<std::size_t>(x / cell);
-    return std::min(c, cells - 1);
-  };
-  for (std::size_t i = 0; i < n; ++i)
-    grid[cell_of(pts[i].first) * cells + cell_of(pts[i].second)].push_back(
-        static_cast<VertexId>(i));
   // A pair is an edge with probability at most the disc's area (less near
   // the square's border).
   StreamingCsrBuilder b(
       n,
       binomial_edge_hint(n, std::min(1.0, std::numbers::pi * radius * radius)),
       fmt_name("rgg_n%zu_r%.3f", n, radius));
-  // Each point streams its lower-id neighbours in cell-window order, not id
-  // order, so finish() sorts rows.
-  const double r2 = radius * radius;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cx = cell_of(pts[i].first);
-    const std::size_t cy = cell_of(pts[i].second);
-    for (std::size_t dx = (cx == 0 ? 0 : cx - 1);
-         dx <= std::min(cx + 1, cells - 1); ++dx)
-      for (std::size_t dy = (cy == 0 ? 0 : cy - 1);
-           dy <= std::min(cy + 1, cells - 1); ++dy)
-        for (VertexId j : grid[dx * cells + dy]) {
-          if (j >= i) continue;
-          const double ddx = pts[i].first - pts[j].first;
-          const double ddy = pts[i].second - pts[j].second;
-          if (ddx * ddx + ddy * ddy <= r2)
-            b.add_lower_edge(static_cast<VertexId>(i), j);
-        }
+  {
+    // The points and the cell grid are freed before finish() doubles the
+    // adjacency array.
+    std::vector<std::pair<double, double>> pts(n);
+    for (auto& [x, y] : pts) {
+      x = rng.uniform01();
+      y = rng.uniform01();
+    }
+    // Uniform grid binning: expected O(n) for constant expected degree.
+    const auto cells = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::floor(1.0 / radius)));
+    const double cell = 1.0 / static_cast<double>(cells);
+    std::vector<std::vector<VertexId>> grid(cells * cells);
+    auto cell_of = [&](double x) {
+      auto c = static_cast<std::size_t>(x / cell);
+      return std::min(c, cells - 1);
+    };
+    for (std::size_t i = 0; i < n; ++i)
+      grid[cell_of(pts[i].first) * cells + cell_of(pts[i].second)].push_back(
+          static_cast<VertexId>(i));
+    // Each point streams its lower-id neighbours in cell-window order, not
+    // id order, so finish() sorts rows.
+    const double r2 = radius * radius;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t cx = cell_of(pts[i].first);
+      const std::size_t cy = cell_of(pts[i].second);
+      for (std::size_t dx = (cx == 0 ? 0 : cx - 1);
+           dx <= std::min(cx + 1, cells - 1); ++dx)
+        for (std::size_t dy = (cy == 0 ? 0 : cy - 1);
+             dy <= std::min(cy + 1, cells - 1); ++dy)
+          for (VertexId j : grid[dx * cells + dy]) {
+            if (j >= i) continue;
+            const double ddx = pts[i].first - pts[j].first;
+            const double ddy = pts[i].second - pts[j].second;
+            if (ddx * ddx + ddy * ddy <= r2)
+              b.add_lower_edge(static_cast<VertexId>(i), j);
+          }
+    }
   }
   return std::move(b).finish(/*sort_rows=*/true);
 }

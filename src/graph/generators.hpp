@@ -45,10 +45,11 @@ Graph make_star_of_cliques(std::size_t cliques, std::size_t k);
 // Erdős–Rényi, Barabási–Albert and the random geometric graph draw each edge
 // once and stream it, as (larger endpoint, smaller endpoint) grouped by the
 // larger one, into a StreamingCsrBuilder, which expands the stream into CSR
-// in place. They never materialize an edge list beside the CSR, so peak
-// memory is the final CSR plus the generator's own state (BA's endpoint
-// list, the geometric graph's points and grid). That is what makes
-// n = 10^7 instances fit under a few GiB. The other random families collect
+// in place. They never materialize an edge list beside the CSR, and they
+// free their own state (BA's endpoint list, the geometric graph's points
+// and grid) before the expansion, so peak memory is the larger of the final
+// CSR and its offsets plus half its adjacency plus that state. That is what
+// makes n = 10^7 instances fit under a few GiB. The other random families collect
 // edges in a GraphBuilder.
 
 /// Erdős–Rényi G(n, p).

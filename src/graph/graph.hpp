@@ -106,8 +106,6 @@ class StreamingCsrBuilder {
     g_.adjacency_.push_back(w);
   }
 
-  std::size_t vertex_count() const noexcept { return n_; }
-
   /// Freezes into an immutable Graph; the builder is consumed. Pass
   /// sort_rows = true when the stream does not give each u its lower
   /// neighbours in ascending order (e.g. geometric graphs). Rows must end up
